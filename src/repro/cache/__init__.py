@@ -1,8 +1,8 @@
 """Persistent content-addressed artifact cache (``repro.cache``).
 
-The expensive artifacts of a sweep — watermark tables, enumerated
+The expensive artifacts of a sweep — enumerated
 :class:`~repro.sim.sections.SectionMap` contents, compiled-trace
-arrays — are pure functions of trace content, configuration, and
+arrays, whole simulation results — are pure functions of trace content, configuration, and
 marking.  This package spills them to ``REPRO_CACHE_DIR`` so parallel
 workers share enumeration work across processes and a repeat
 evaluation starts warm.  Everything is best-effort: with the variable

@@ -47,12 +47,6 @@ F_NO_WF_OVERFLOW = 16
 F_LATEST_CHECKPOINT = 32
 F_HAS_PI = 64
 F_FIRST_DW = 128
-F_WF_ZERO = 256
-
-#: Mirrors the WM_* completion codes in _chainscan.c (watermark_scan).
-WM_EARLY = 0
-WM_STRUCT = 1
-WM_STOP_AT = 2
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_chainscan.c")
 
@@ -124,21 +118,6 @@ def _build() -> Optional[ctypes.CDLL]:
         p,                                  # dw_out (F_FIRST_DW)
     )
     try:
-        wm = lib.watermark_scan
-    except AttributeError as exc:  # pragma: no cover - stale .so only
-        _status = f"load failed: {exc}"
-        return None
-    wm.restype = ctypes.c_int64
-    wm.argtypes = (
-        p, p, p, p,                         # ops, wids, pids, pi
-        c_i32, c_i32, c_i32,                # n, scan_from, stop_at
-        c_i32, c_i32, c_i32, c_i32,         # slots
-        c_i32,                              # flags
-        p, p, p, p, p,                      # scratch + gen
-        p, p, p, p, p,                      # event outputs
-        p,                                  # meta_out
-    )
-    try:
         fam = lib.family_chain_scan
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
@@ -151,7 +130,7 @@ def _build() -> Optional[ctypes.CDLL]:
         c_i32, c_i32,                       # start0, nk
         p, p,                               # caps, cflags
         p, p, p, p, p,                      # membership scratch + gen
-        p, p, p, p,                         # ev_key/end/cause/nsteps
+        p, p, p, p,                         # ev_key/end/cause/soff
         p,                                  # steps_out
         c_i64, c_i64,                       # ev_percap, st_percap
         p, p,                               # out_nev, out_nst
@@ -293,83 +272,6 @@ class ChainScanEngine:
         return tuple(dw[1:k + 1]) if k else ()
 
 
-class WatermarkEngine:
-    """Prebound ctypes arguments for one family's watermark scans.
-
-    One engine per :class:`repro.sim.watermarks.WatermarkFamily`: the
-    per-trace input buffers and the generation scratch are prebound,
-    and the event output buffers are engine-owned and grow-only — a
-    :meth:`scan` call allocates nothing but the compact event copies
-    its record keeps.  Scans are frequent (one per distinct section
-    start in a family), so the per-call overhead matters.
-    """
-
-    __slots__ = ("_fn", "_pre", "_flags", "_keep", "_out", "_out_slots")
-
-    def __init__(self, lib, ct, text_lo, text_hi, shift,
-                 pi_words, pi_indices, flags):
-        ops_b, wids_b, n_words = ct.scan_buffers(text_lo, text_hi)
-        pids_b, n_prefixes = ct.prefix_buffers(shift)
-        flags |= F_APB_ON
-        if pi_words or pi_indices:
-            flags |= F_HAS_PI
-            pi_b = ct.pi_mask_buffer(pi_words, pi_indices)
-            pi_addr = _addr(pi_b)
-        else:
-            pi_b = None
-            pi_addr = 0
-        gen_b, rf_b, wf_b, wbb_b, apb_b = ct.c_chain_scratch(
-            n_words if n_words else 1, shift, n_prefixes
-        )
-        self._fn = lib.watermark_scan
-        self._flags = flags
-        self._pre = (
-            _addr(ops_b) if ct.n else 0,
-            _addr(wids_b) if ct.n else 0,
-            _addr(pids_b) if ct.n else 0,
-            pi_addr,
-            ct.n,
-            _addr(rf_b), _addr(wf_b), _addr(wbb_b), _addr(apb_b),
-            _addr(gen_b),
-        )
-        # Buffer lifetimes: the arrays must outlive this engine.
-        self._keep = (ops_b, wids_b, pids_b, pi_b,
-                      gen_b, rf_b, wf_b, wbb_b, apb_b)
-        self._out = None
-        self._out_slots = 0
-
-    def scan(self, scan_from, stop_at, rf_slots, wf_slots,
-             wbb_slots, apb_slots):
-        """One watermark pass; returns the raw record tuple
-        ``(rf, wf, wbb, apb, apb_kind, scanned_to, struct_pos,
-        struct_cause, complete)`` with the event arrays sliced to
-        their actual counts."""
-        top = max(rf_slots, wf_slots, wbb_slots, apb_slots, 1)
-        if top > self._out_slots:
-            self._out_slots = top
-            self._out = (
-                array("i", bytes(4 * top)), array("i", bytes(4 * top)),
-                array("i", bytes(4 * top)), array("i", bytes(4 * top)),
-                array("B", bytes(top)), array("i", bytes(4 * 8)),
-            )
-        rf_o, wf_o, wbb_o, apb_o, apb_k, meta = self._out
-        a = self._pre
-        self._fn(
-            a[0], a[1], a[2], a[3], a[4],
-            scan_from, stop_at,
-            rf_slots, wf_slots, wbb_slots, apb_slots,
-            self._flags,
-            a[5], a[6], a[7], a[8], a[9],
-            _addr(rf_o), _addr(wf_o), _addr(wbb_o),
-            _addr(apb_o), _addr(apb_k), _addr(meta),
-        )
-        return (
-            rf_o[:meta[0]], wf_o[:meta[1]], wbb_o[:meta[2]],
-            apb_o[:meta[3]], apb_k[:meta[3]],
-            meta[4], meta[5], meta[6], meta[7],
-        )
-
-
 #: Member limit per batched family kernel call (chunking bound; the
 #: sequential kernel itself has no hard cap).
 FAMILY_MAX = 64
@@ -389,7 +291,7 @@ def _fam_out(key: str, nmin: int):
     """A reusable output array of at least ``nmin`` items.
 
     ``key`` names the role; its first character is the ``array``
-    typecode (``"i2"``/``"i3"`` are distinct int32 buffers).
+    typecode (``"q2"``/``"i3"`` are distinct from ``"q"``/``"i"``).
     """
     buf = _FAM_OUT.get(key)
     if buf is None or len(buf) < nmin:
@@ -476,13 +378,15 @@ class FamilyScanEngine:
     def scan(self, start0: int = 0):
         """One batched pass from ``start0`` covering every member.
 
-        Returns ``(nev, nst, ev_key, ev_end, ev_cause, ev_nsteps,
+        Returns ``(nev, nst, ev_key, ev_end, ev_cause, ev_soff,
         steps_out, ev_percap, st_percap)``: member ``c``'s ``nev[c]``
         section records occupy ``[c * ev_percap, c * ev_percap +
-        nev[c])`` of the event arrays, and its ``nst[c]`` flattened WBB
-        steps occupy ``[c * st_percap, c * st_percap + nst[c])`` of
-        ``steps_out``.  The event/step arrays are shared process-wide
-        scratch — consume (slice) them before the next ``scan`` call.
+        nev[c])`` of the event arrays, their ``nev[c] + 1`` steps
+        offsets (starting at 0) occupy ``[c * (ev_percap + 1), ...)`` of
+        ``ev_soff``, and its ``nst[c]`` flattened WBB steps occupy
+        ``[c * st_percap, c * st_percap + nst[c])`` of ``steps_out``.
+        The event/step arrays are shared process-wide scratch — consume
+        (slice) them before the next ``scan`` call.
         """
         a = self._pre
         nk = self._nk
@@ -491,7 +395,7 @@ class FamilyScanEngine:
             ev_key = _fam_out("q", percap * nk)
             ev_end = _fam_out("i", percap * nk)
             ev_cause = _fam_out("B", percap * nk)
-            ev_nsteps = _fam_out("i2", percap * nk)
+            ev_soff = _fam_out("q2", (percap + 1) * nk)
             steps_out = _fam_out("i3", percap * nk)
             out_nev = array("i", bytes(4 * nk))
             out_nst = array("i", bytes(4 * nk))
@@ -501,14 +405,14 @@ class FamilyScanEngine:
                 a[9], a[10],
                 a[11], a[12], a[13], a[14], a[15],
                 _addr(ev_key), _addr(ev_end), _addr(ev_cause),
-                _addr(ev_nsteps),
+                _addr(ev_soff),
                 _addr(steps_out),
                 percap, percap,
                 _addr(out_nev), _addr(out_nst),
             )
             if rc == 0:
                 return (out_nev, out_nst, ev_key, ev_end, ev_cause,
-                        ev_nsteps, steps_out, percap, percap)
+                        ev_soff, steps_out, percap, percap)
             if rc == -2:  # pragma: no cover - guarded in __init__
                 raise ValueError("empty family rejected by kernel")
             # Overflow: double the per-member segments and rescan (the

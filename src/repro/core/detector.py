@@ -20,7 +20,6 @@ ISS attachment):
   detector (re-issuing would checkpoint forever).
 """
 
-from array import array
 from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
@@ -41,8 +40,7 @@ CHECKPOINT_THEN_WRITE = 3
 
 #: Detector/replay policy revision, folded into every content-addressed
 #: artifact key whose value depends on checkpoint-policy *semantics*
-#: (section enumerations, watermark families, cached simulation
-#: results).  Bump it whenever a policy fix changes what any of those
+#: (section enumerations, cached simulation results).  Bump it whenever a policy fix changes what any of those
 #: artifacts would contain for the same inputs, so warm caches from
 #: older builds can never serve stale pre-fix data.  Rev 2: WBB-owned
 #: writes update in place during latest-checkpoint untracked mode
@@ -302,7 +300,7 @@ class IdempotencyDetector:
         """This detector's member tuple for a family chain scan.
 
         ``(rf_cap, wf_cap, wbb_cap, apb_cap, flags)`` — the per-member
-        slice of the lockstep kernel's inputs, assembled exactly as
+        slice of the family kernel's inputs, assembled exactly as
         :meth:`chain_scan_engine` assembles its scalar parameters
         (``F_HAS_PI`` is added by the engine, not here).  Members of one
         family must share the trace, PI marking, forced checkpoints,
@@ -887,438 +885,3 @@ class IdempotencyDetector:
             "apb": len(self.apb),
         }
 
-
-# --------------------------------------------------------------------- #
-# Multi-configuration watermark scan (pure-Python reference).
-# --------------------------------------------------------------------- #
-
-#: Cause codes shared with the C kernel (indices into cext.CAUSE_NAMES).
-_CAUSE_FINAL = 0
-_CAUSE_COMPILER = 1
-_CAUSE_OUTPUT = 2
-_CAUSE_TEXT_WRITE = 3
-
-
-def watermark_scan(
-    ct,
-    text_lo: int,
-    text_hi: int,
-    shift: int,
-    pi_words,
-    pi_indices,
-    ignore_text: bool,
-    ignore_false_writes: bool,
-    remove_duplicates: bool,
-    wf_zero: bool,
-    scratch: "ChainScratch",
-    scan_from: int,
-    stop_at: int,
-    rf_slots: int,
-    wf_slots: int,
-    wbb_slots: int,
-    apb_slots: int,
-):
-    """One infinite-capacity pass recording per-buffer watermark events.
-
-    Pure-Python reference of the C ``watermark_scan`` kernel (the source
-    of truth for its semantics); :mod:`repro.sim.watermarks` uses either
-    interchangeably.  Up to the first overflow the real finite-capacity
-    scan of :meth:`IdempotencyDetector.straightline_chain` takes exactly
-    the capacity-independent decisions replayed here, so one record
-    answers every capacity in a sweep family:
-
-    * ``rf[t]`` — first fresh-read attempt finding ``t`` RF entries, i.e.
-      the overflow position of an RF with capacity ``t`` (the occupancy
-      watermark grows one step at a time, even under remove-duplicates,
-      because only fresh-read insertions ever raise it);
-    * ``wf[t]`` — the ``(t+1)``-th fresh-write WF insertion;
-    * ``wbb[t]`` — the ``(t+1)``-th violation captured by the WBB (its
-      strict prefix below a derived boundary is the section's
-      ``wbb_steps``);
-    * ``apb[t]`` — the ``(t+1)``-th new-prefix admission, with
-      ``apb_kind[t] = 1`` for read-side admissions (the
-      latest-checkpoint derivation needs the side).
-
-    The scan stops at the first structural boundary (output write, text
-    write under ignore-text, trace end), at ``stop_at`` (the caller's
-    window or next forced checkpoint), or as soon as the RF, APB, and
-    WF event arrays are all full.  The WBB array is deliberately *not*
-    part of that stop rule: violations can be arbitrarily rare, so
-    waiting for the WBB to fill would drag the scan to the boundary —
-    and it is never needed, because an unsaturated WBB array records
-    every violation below ``scanned_to`` (so a missing event proves the
-    trip lies beyond any winner the caller can accept), while a
-    saturated one is guarded by the caller's last-event check.
-    ``wf_entries == 0`` configurations never consult WF/APB on writes
-    (the ``wf_zero`` flag, a separate family; WF then counts as full);
-    no-WF-overflow members are handled by the caller's derive-time
-    overflow proof (:mod:`repro.sim.watermarks`).
-
-    Returns ``(rf, wf, wbb, apb, apb_kind, scanned_to, struct_pos,
-    struct_cause, complete)`` with ``complete`` one of
-    ``cext.WM_EARLY`` (event arrays filled at ``scanned_to``),
-    ``cext.WM_STRUCT`` (structural boundary at ``struct_pos``), or
-    ``cext.WM_STOP_AT`` (reached ``stop_at``).
-    """
-    n = ct.n
-    waddrs = ct.waddrs
-    ops, wids, _ = ct.scan_arrays(text_lo, text_hi)
-    pids, _ = ct.prefix_ids(shift)
-    pi_words = pi_words or ()
-    pi_indices = pi_indices or ()
-    has_pi = bool(pi_words) or bool(pi_indices)
-
-    g = scratch.gen + 1
-    scratch.gen = g
-    rf_g = scratch.rf
-    wf_g = scratch.wf
-    wbb_g = scratch.wbb
-    apb_g = scratch.apb
-
-    rf_ev = []
-    wf_ev = []
-    wbb_ev = []
-    apb_ev = []
-    apb_kind = []
-    n_rf = n_wf = n_wbb = n_apb = 0
-    rf_len = 0  # live RF occupancy (remove-duplicates decrements it)
-    bound = stop_at if stop_at < n else n
-    struct_pos = -1
-    struct_cause = 0
-    complete = cext.WM_EARLY
-    early = (
-        n_rf == rf_slots and n_apb == apb_slots
-        and (wf_zero or n_wf == wf_slots)
-    )
-    i = scan_from
-    while not early and i < bound:
-        op = ops[i]
-        if op & 1:
-            # Write.
-            if op & 4:
-                struct_pos = i
-                struct_cause = _CAUSE_OUTPUT
-                complete = cext.WM_STRUCT
-                break
-            if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                i += 1
-                continue
-            if ignore_text and op & 2:
-                struct_pos = i
-                struct_cause = _CAUSE_TEXT_WRITE
-                complete = cext.WM_STRUCT
-                break
-            v = wids[i]
-            if wbb_g[v] == g or wf_g[v] == g:
-                i += 1
-                continue
-            if rf_g[v] == g:
-                # Idempotency violation.
-                if ignore_false_writes and op & 8:
-                    i += 1
-                    continue
-                if n_wbb < wbb_slots:
-                    wbb_ev.append(i)
-                    n_wbb += 1
-                wbb_g[v] = g
-                if remove_duplicates:
-                    rf_g[v] = 0
-                    rf_len -= 1
-                i += 1
-                continue  # WBB events never complete the stop rule
-            # Fresh address: write-dominated.
-            if wf_zero:
-                i += 1  # untracked; WF and APB never consulted
-                continue
-            p = pids[i]
-            if apb_g[p] != g:
-                if n_apb < apb_slots:
-                    apb_ev.append(i)
-                    apb_kind.append(0)
-                    n_apb += 1
-                apb_g[p] = g
-            if n_wf < wf_slots:
-                wf_ev.append(i)
-                n_wf += 1
-            wf_g[v] = g
-            i += 1
-            early = (
-                n_rf == rf_slots and n_apb == apb_slots
-                and (wf_zero or n_wf == wf_slots)
-            )
-            continue
-        # Read.
-        if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-            i += 1
-            continue
-        if ignore_text and op & 2:
-            i += 1
-            continue
-        v = wids[i]
-        if rf_g[v] == g or wbb_g[v] == g or wf_g[v] == g:
-            i += 1
-            continue
-        # Fresh read: RF insertion attempt with pre-length rf_len.
-        p = pids[i]
-        if apb_g[p] != g:
-            if n_apb < apb_slots:
-                apb_ev.append(i)
-                apb_kind.append(1)
-                n_apb += 1
-            apb_g[p] = g
-        if rf_len == n_rf and n_rf < rf_slots:
-            rf_ev.append(i)
-            n_rf += 1
-        rf_g[v] = g
-        rf_len += 1
-        i += 1
-        early = (
-            n_rf == rf_slots and n_apb == apb_slots
-            and (wf_zero or n_wf == wf_slots)
-        )
-    if complete == cext.WM_EARLY and not early:
-        # Ran off the scan bound without filling the event arrays.
-        if bound == stop_at and stop_at <= n:
-            struct_pos = stop_at
-            struct_cause = _CAUSE_COMPILER
-            complete = cext.WM_STOP_AT
-        else:
-            struct_pos = n
-            struct_cause = _CAUSE_FINAL
-            complete = cext.WM_STRUCT
-    if complete == cext.WM_EARLY:
-        scanned_to = i
-    elif complete == cext.WM_STOP_AT:
-        scanned_to = stop_at
-    else:
-        scanned_to = struct_pos
-    return (
-        array("i", rf_ev), array("i", wf_ev), array("i", wbb_ev),
-        array("i", apb_ev), array("B", apb_kind),
-        scanned_to, struct_pos, struct_cause, complete,
-    )
-
-
-_CAUSE_VIOLATION = 4
-_CAUSE_WBB_FULL = 5
-_CAUSE_WF_FULL = 6
-_CAUSE_APB_FULL = 7
-_CAUSE_RF_FULL = 8
-_CAUSE_LATEST_WRITE = 9
-
-_FAM_ENTRY, _FAM_SCAN, _FAM_TAIL, _FAM_DONE = 0, 1, 2, 3
-
-
-def family_chain_scan_py(ops, wids, pids, pi, fs, n, members, start0=0):
-    """Pure-Python family chain scan (the C kernel's reference).
-
-    Walks ``ops``/``wids`` once while advancing every member's section
-    state machine in lockstep — decision-equivalent to the
-    member-sequential ``family_chain_scan`` in ``_chainscan.c`` (each
-    member takes exactly the scalar chain-scan decision sequence, so
-    interleaving order cannot matter), with membership sets in place of
-    generation-stamp scratch.  ``members`` is a sequence of
-    ``(rf_cap, wf_cap, wbb_cap, apb_cap, flags)`` tuples (the engine
-    layer adds ``cext.F_HAS_PI`` when ``pi`` is a usable mask, mirroring
-    the C driver).  Returns ``[(member, start, variant, end, cause_id,
-    steps_tuple), ...]`` in the kernel's discovery order.
-    """
-    nk = len(members)
-    nfs = len(fs)
-    f_apb = cext.F_APB_ON
-    f_ig_text = cext.F_IGNORE_TEXT
-    f_ig_fw = cext.F_IGNORE_FALSE_WRITES
-    f_rm_dup = cext.F_REMOVE_DUPLICATES
-    f_no_ovf = cext.F_NO_WF_OVERFLOW
-    f_latest = cext.F_LATEST_CHECKPOINT
-    f_has_pi = cext.F_HAS_PI
-    events = []
-    mode = [_FAM_ENTRY] * nk
-    startv = [start0] * nk
-    pos = [start0] * nk
-    fd = [-1] * nk
-    fidx = [0] * nk
-    nf = [n + 1] * nk
-    direct = [0] * nk
-    variant = [0] * nk
-    steps = [[] for _ in range(nk)]
-    rf = [set() for _ in range(nk)]
-    wf = [set() for _ in range(nk)]
-    wbb = [set() for _ in range(nk)]
-    apb = [set() for _ in range(nk)]
-    ndone = 0
-
-    def boundary(c, e, cz):
-        nonlocal ndone
-        events.append((c, startv[c], variant[c], e, cz, tuple(steps[c])))
-        if cz == _CAUSE_FINAL:
-            mode[c] = _FAM_DONE
-            ndone += 1
-        elif cz == _CAUSE_COMPILER:
-            fd[c] = e
-            direct[c] = 0
-            startv[c] = e
-            mode[c] = _FAM_ENTRY
-            pos[c] = e
-        elif cz == _CAUSE_TEXT_WRITE:
-            direct[c] = 1
-            startv[c] = e
-            mode[c] = _FAM_ENTRY
-            pos[c] = e
-        elif cz == _CAUSE_OUTPUT:
-            direct[c] = 0
-            startv[c] = e + 1
-            mode[c] = _FAM_ENTRY
-            pos[c] = e + 1
-        else:
-            direct[c] = 0
-            startv[c] = e
-            mode[c] = _FAM_ENTRY
-            pos[c] = e
-
-    i = start0
-    while i <= n and ndone < nk:
-        if i < n:
-            op = ops[i]
-            wv = wids[i]
-            pv = pids[i] if pids is not None else 0
-            pi_i = pi[i] if pi is not None else 0
-        else:
-            op = wv = pv = pi_i = 0
-        for c in range(nk):
-            while mode[c] != _FAM_DONE and pos[c] == i:
-                rf_cap, wf_cap, wbb_cap, apb_cap, flags = members[c]
-                if mode[c] == _FAM_ENTRY:
-                    # -- section entry: resolve the variant --
-                    s = startv[c]
-                    while fidx[c] < nfs and fs[fidx[c]] < s:
-                        fidx[c] += 1
-                    at_forced = fidx[c] < nfs and fs[fidx[c]] == s
-                    if direct[c]:
-                        variant[c] = 2
-                        scan_from = s + 1
-                    elif at_forced and fd[c] != s:
-                        # Zero-length compiler section.
-                        events.append((c, s, 0, s, _CAUSE_COMPILER, ()))
-                        fd[c] = s
-                        continue
-                    else:
-                        variant[c] = 1 if at_forced else 0
-                        scan_from = s
-                    nf_idx = fidx[c] + 1 if at_forced else fidx[c]
-                    nf[c] = fs[nf_idx] if nf_idx < nfs else n + 1
-                    rf[c].clear()
-                    wf[c].clear()
-                    wbb[c].clear()
-                    apb[c].clear()
-                    steps[c] = []
-                    mode[c] = _FAM_SCAN
-                    pos[c] = scan_from
-                    continue
-                if i >= n:
-                    # End of trace: the final checkpoint.
-                    boundary(c, n, _CAUSE_FINAL)
-                    continue
-                if i == nf[c]:
-                    boundary(c, i, _CAUSE_COMPILER)
-                    continue
-                if mode[c] == _FAM_TAIL:
-                    # Untracked tail: reads always pass, writes only.
-                    if op & 1:
-                        if op & 4:
-                            boundary(c, i, _CAUSE_OUTPUT)
-                            continue
-                        if (flags & f_has_pi) and pi_i:
-                            pass  # PI write: passes
-                        elif wv in wbb[c]:
-                            pass  # WBB-owned write: in-place update
-                        elif (flags & f_ig_fw) and (op & 8):
-                            pass  # false write: passes
-                        else:
-                            boundary(c, i, _CAUSE_LATEST_WRITE)
-                            continue
-                    pos[c] = i + 1
-                    continue
-                # _FAM_SCAN: the tracked straight-line classification.
-                if op & 1:
-                    # Write.
-                    if op & 4:
-                        boundary(c, i, _CAUSE_OUTPUT)
-                        continue
-                    if (flags & f_has_pi) and pi_i:
-                        pos[c] = i + 1
-                        continue
-                    if (flags & f_ig_text) and (op & 2):
-                        boundary(c, i, _CAUSE_TEXT_WRITE)
-                        continue
-                    if wv in wbb[c] or wv in wf[c]:
-                        pos[c] = i + 1
-                        continue
-                    if wv in rf[c]:
-                        # Idempotency violation.
-                        if (flags & f_ig_fw) and (op & 8):
-                            pos[c] = i + 1
-                            continue
-                        if wbb_cap == 0:
-                            boundary(c, i, _CAUSE_VIOLATION)
-                            continue
-                        if len(wbb[c]) >= wbb_cap:
-                            boundary(c, i, _CAUSE_WBB_FULL)
-                            continue
-                        wbb[c].add(wv)
-                        steps[c].append(i)
-                        if flags & f_rm_dup:
-                            rf[c].discard(wv)
-                        pos[c] = i + 1
-                        continue
-                    # Fresh address: write-dominated.
-                    if wf_cap == 0:
-                        pos[c] = i + 1
-                        continue
-                    if len(wf[c]) >= wf_cap:
-                        if flags & f_no_ovf:
-                            pos[c] = i + 1
-                            continue
-                        boundary(c, i, _CAUSE_WF_FULL)
-                        continue
-                    if (flags & f_apb) and pv not in apb[c]:
-                        if len(apb[c]) >= apb_cap:
-                            if flags & f_no_ovf:
-                                pos[c] = i + 1
-                                continue
-                            boundary(c, i, _CAUSE_APB_FULL)
-                            continue
-                        apb[c].add(pv)
-                    wf[c].add(wv)
-                    pos[c] = i + 1
-                    continue
-                # Read.
-                if (flags & f_has_pi) and pi_i:
-                    pos[c] = i + 1
-                    continue
-                if (flags & f_ig_text) and (op & 2):
-                    pos[c] = i + 1
-                    continue
-                if wv in rf[c] or wv in wbb[c] or wv in wf[c]:
-                    pos[c] = i + 1
-                    continue
-                if len(rf[c]) >= rf_cap:
-                    if not (flags & f_latest):
-                        boundary(c, i, _CAUSE_RF_FULL)
-                        continue
-                    mode[c] = _FAM_TAIL
-                    pos[c] = i + 1
-                    continue
-                if (flags & f_apb) and pv not in apb[c]:
-                    if len(apb[c]) >= apb_cap:
-                        if not (flags & f_latest):
-                            boundary(c, i, _CAUSE_APB_FULL)
-                            continue
-                        mode[c] = _FAM_TAIL
-                        pos[c] = i + 1
-                        continue
-                    apb[c].add(pv)
-                rf[c].add(wv)
-                pos[c] = i + 1
-        i += 1
-    return events

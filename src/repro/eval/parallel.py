@@ -52,7 +52,7 @@ from repro.sim.undo_log import UndoLogSimulator
 from repro.workloads import cache as trace_cache
 from repro.workloads.cache import get_trace
 
-#: Initial schedule-matrix columns for batched seed-repeat jobs.  Small on
+#: Initial on-times drawn per row for batched seed-repeat jobs.  Small on
 #: purpose: most runs span a handful of power cycles at the default mean
 #: on-time, and the batch engine doubles columns on demand — over-drawing
 #: here costs real time (one Python expovariate call per cell per row).
@@ -122,7 +122,7 @@ class SimJob:
             instead of an error (the progress ablation's "stalled" cells).
         n_seeds: Power-schedule seed repeats.  1 (the default) is the
             classic scalar job; > 1 makes this a *seed-repeat* job executed
-            as one batched lockstep replay (:mod:`repro.sim.batch`) whose
+            as one batched replay (:mod:`repro.sim.batch`) whose
             row ``i`` is exactly the scalar job at salt
             ``salt + i*seed_stride`` — ``execute_job`` then returns a
             :class:`~repro.sim.batch.BatchResult` instead of one
@@ -238,7 +238,7 @@ _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 _FAMILY_CHUNK = 32
 
 #: Slack added to the auto-sized SectionMap LRU capacity (maps built
-#: outside any plan: tests, ad-hoc run_clank calls, watermark probes).
+#: outside any plan: tests, ad-hoc run_clank calls).
 _FAMILY_LRU_SLACK = 256
 
 
@@ -491,7 +491,7 @@ def execute_job(
 def _execute_batch(
     job: SimJob, settings: EvalSettings
 ) -> Tuple[BatchResult, float]:
-    """Run one seed-repeat job as a single batched lockstep replay.
+    """Run one seed-repeat job as a single batched replay.
 
     Row ``i`` of the returned :class:`~repro.sim.batch.BatchResult` is
     bit-identical to the scalar job at salt ``salt + i*seed_stride``
@@ -500,7 +500,7 @@ def _execute_batch(
     seed-repeat job without changing a single result.
 
     Telemetry folds the whole batch into one ``engine="batch"`` record
-    carrying ``rows=<lockstep rows>``; rows served scalar get their own
+    carrying ``rows=<walked rows>``; rows served scalar get their own
     records, so the ledger's row-weighted totals still reconcile
     run-for-run.  Whole ``BatchResult``s participate in the persistent
     result cache under their own key namespace.
@@ -512,8 +512,6 @@ def _execute_batch(
             "seed-repeat jobs (n_seeds > 1) require engine='clank' with "
             "the exponential schedule"
         )
-    if not batch_dispatch.numpy_available():
-        return _execute_rows_scalar(job, settings)
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     config = job.clank_config()
     ledger = telemetry.LEDGER
@@ -619,38 +617,6 @@ def _execute_batch(
             t_start=t_start,
         )
     return batch, elapsed
-
-
-def _execute_rows_scalar(
-    job: SimJob, settings: EvalSettings
-) -> Tuple[BatchResult, float]:
-    """Seed-repeat execution without NumPy: no schedule matrix can be
-    built, so each row runs as the plain scalar job at its salt — same
-    results, per-row cost — and the rows assemble into a
-    :class:`BatchResult` by hand.  Each scalar run writes its own ledger
-    record, so row accounting still reconciles."""
-    import dataclasses
-
-    batch = BatchResult(
-        name=job.workload, config_label=job.clank_config().label()
-    )
-    total = 0.0
-    for r in range(job.n_seeds):
-        row = dataclasses.replace(
-            job, n_seeds=1, salt=job.salt + r * job.seed_stride
-        )
-        result, seconds = execute_job(row, settings)
-        total += seconds
-        batch.results.append(result)
-        if result is None:
-            batch.engines.append("stalled")
-            batch.reasons.append(None)
-        else:
-            engine, reason = fast_dispatch.last_dispatch()
-            batch.engines.append(engine)
-            batch.reasons.append(reason)
-    batch_dispatch._count_fallback("no-numpy", job.n_seeds)
-    return batch, total
 
 
 # --------------------------------------------------------------------- #

@@ -107,7 +107,7 @@ class Profiler:
         """Merge SectionMap cache deltas (the fast replay path of
         :mod:`repro.sim.sections`) — from parallel worker payloads, or from
         the in-process counters after a serial sweep.  ``disk_loads`` counts
-        map/watermark families rebuilt from the persistent artifact cache
+        section maps rebuilt from the persistent artifact cache
         rather than enumerated, so the table can split "warm from memory" /
         "warm from disk" / "cold".  ``rebuilds`` counts misses whose key
         was evicted earlier (real LRU thrash, as opposed to first-touch
@@ -275,7 +275,7 @@ class Profiler:
         if self.section_enum_seconds:
             lines.append(
                 f"-- section enumeration: {self.section_enum_seconds:9.3f}s "
-                f"(chain/watermark scans inside section-map builds)"
+                f"(chain/family scans inside section-map builds)"
             )
         if (self.disk_cache_hits or self.disk_cache_misses
                 or self.disk_cache_puts):

@@ -119,7 +119,7 @@ class RunRecord:
         stalled: The run ended in a no-forward-progress abort.
         rows: Simulator runs this record stands for.  1 for scalar runs;
             a batched seed-repeat job (engine ``batch``) folds all its
-            lockstep rows into one record, so aggregates weight by
+            walked rows into one record, so aggregates weight by
             ``rows`` and ledger totals still reconcile run-for-run.
         wall_s: Wall-clock seconds inside the engine (0 for cached).
         t_start: Run start, seconds since the ledger epoch.

@@ -2,6 +2,7 @@
 
 import random
 from abc import ABC, abstractmethod
+from array import array
 from typing import Iterable, List
 
 from repro.common.constants import DEFAULT_AVG_ON_MS, DEFAULT_CLOCK_HZ, ms_to_cycles
@@ -108,7 +109,7 @@ class ExponentialPower(PowerSchedule):
 
 
 class ScheduleBatch:
-    """A matrix of exponential power schedules (rows) for batched replay.
+    """A batch of exponential power schedules (rows) for batched replay.
 
     Row ``i`` reproduces, draw for draw, the scalar
     :class:`ExponentialPower` seeded ``seeds[i]``: each row has its own
@@ -117,9 +118,8 @@ class ScheduleBatch:
     replays see identical schedules.  Columns grow on demand
     (:meth:`ensure_columns`) when a row outlives the initial guess.
 
-    The matrix is a NumPy ``int64`` array (``numpy`` imports lazily so the
-    scalar schedule classes stay dependency-free); the batch replay engine
-    gathers one column entry per row per power cycle.
+    ``ontimes[i]`` is row ``i``'s on-times as one ``array('q')``,
+    so the C batch walker reads a row straight from its buffer address.
     """
 
     def __init__(self, mean_cycles: int, seeds, segments: int,
@@ -128,9 +128,6 @@ class ScheduleBatch:
             raise ConfigError("mean_cycles must be >= 1")
         if segments < 1:
             raise ConfigError("segments must be >= 1")
-        import numpy as np
-
-        self._np = np
         self._mean = mean_cycles
         self._min = min_cycles
         self.seeds = [int(s) for s in seeds]
@@ -138,30 +135,28 @@ class ScheduleBatch:
             raise ConfigError("need at least one seed")
         self.rows = len(self.seeds)
         self._rngs = [random.Random(s) for s in self.seeds]
-        self.matrix = np.empty((self.rows, 0), dtype=np.int64)
+        self.columns = 0
+        self.ontimes = [array("q") for _ in self.seeds]
         self.ensure_columns(segments)
 
     def ensure_columns(self, columns: int) -> None:
-        """Grow the matrix to at least ``columns`` on-times per row.
+        """Grow every row to at least ``columns`` on-times.
 
         Every row advances its own RNG in draw order, so previously
         generated columns are never re-drawn and row ``i`` stays equal to
         the scalar generator's first ``columns`` samples.
         """
-        have = self.matrix.shape[1]
+        have = self.columns
         if columns <= have:
             return
-        np = self._np
         mean = 1.0 / self._mean
         floor = self._min
-        grown = np.empty((self.rows, columns), dtype=np.int64)
-        grown[:, :have] = self.matrix
-        for i, rng in enumerate(self._rngs):
+        for row, rng in zip(self.ontimes, self._rngs):
             expo = rng.expovariate
-            grown[i, have:] = [
+            row.extend([
                 max(floor, int(expo(mean))) for _ in range(columns - have)
-            ]
-        self.matrix = grown
+            ])
+        self.columns = columns
 
     @property
     def mean_on_time(self) -> float:

@@ -3,97 +3,53 @@
 The fast path (:mod:`repro.sim.fast`) replays exactly one schedule per
 call — a Python ``bisect`` walk over the section cycle prefix sums — so a
 Monte Carlo sweep pays per-schedule Python dispatch for every seed.  This
-module replays a whole *schedule matrix* (:class:`~repro.power.schedules.
-ScheduleBatch`, N rows x segments) in lockstep: every row shares the same
-:class:`~repro.sim.sections.SectionMap`, so each iteration advances every
-still-active row by one section attempt using vectorized NumPy
-``searchsorted`` over the shared prefix sums.  The bounded ``bisect`` calls
-of the scalar walker are exactly ``clip(searchsorted(...), lo, hi)`` on a
-globally sorted array, so the lockstep walk is *bit-identical* to N scalar
-:func:`~repro.sim.fast.simulate_fast` calls — the equivalence grid in
-``tests/test_batch_replay.py`` pins this across configurations, policy
-optimizations, PI marking, and both chain-scan kernels.
+module replays a whole :class:`~repro.power.schedules.ScheduleBatch`
+against one shared :class:`~repro.sim.sections.SectionMap` through the C
+row walker (``batch_walk`` in ``_chainscan.c``): one foreign call runs a
+row to completion, returning to Python only for an unmaterialized
+section, more schedule on-times, or a ``watchdog_cut_safe`` verdict.  The
+walk is *bit-identical* to N scalar :func:`~repro.sim.fast.simulate_fast`
+calls — the equivalence grid in ``tests/test_batch_replay.py`` pins this
+across configurations, policy optimizations, PI marking, and both
+chain-scan kernels.
 
-Per-row fallback.  Whole-batch ineligibility (``verify=True``, volatile
-ranges, the static PI hazard, ``REPRO_FAST=0``/``REPRO_BATCH=0``, or a live
-architecture collector) routes every row through scalar
-:func:`simulate_fast`; *per-row* conditions — an unprovable watchdog cut
-(:meth:`SectionMap.watchdog_cut_safe`) or a no-forward-progress abort —
-deactivate just that row mid-walk and rerun it scalar (schedules fully
+Fallback.  Whole-batch ineligibility (no C kernel — ``REPRO_CEXT=0`` or
+no compiler —, ``REPRO_FAST=0``, ``verify=True``, volatile ranges, the
+static PI hazard, or a live architecture collector) routes every row
+through scalar :func:`simulate_fast`; *per-row* conditions — an
+unprovable watchdog cut (:meth:`SectionMap.watchdog_cut_safe`) or a
+no-forward-progress abort — rerun just that row scalar (schedules fully
 re-seed from their row seed, so the rerun consumes the identical on-time
-sequence).  The batch engine therefore never silently diverges: a row is
-either served by the lockstep walk (provably identical) or by the very
-engines the scalar path would have used.
-
-An optional C row walker (``batch_walk`` in ``_chainscan.c``, behind the
-existing ``REPRO_CEXT`` gate) replays one row at a time at C speed with
-the same stop/resume protocol; when unavailable the NumPy lockstep path
-serves silently.  Set ``REPRO_BATCH=0`` to disable batching entirely.
+sequence).  A row is therefore either served by the row walker (provably
+identical) or by the very engines the scalar path would have used.
 """
 
-import os
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via tests' import block
-    np = None  # soft dependency: batching disables itself without NumPy
-
 from repro.common.errors import SimulationError
 from repro.core import cext
+from repro.core.cext import _addr
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.recorder import live_recorder
 from repro.power.schedules import ScheduleBatch
 from repro.sim.fast import fast_path_enabled, simulate_fast
 from repro.sim.result import SimulationResult
-from repro.sim.sections import (
-    SEC_DETECTOR,
-    SEC_FINAL,
-    SEC_FORCED,
-    SEC_OUTPUT,
-    SEC_TEXT,
-    VARIANT_DIRECT,
-    VARIANT_FORCED_DONE,
-    get_section_map,
-)
+from repro.sim.sections import get_section_map
 from repro.sim.simulator import IntermittentSimulator
 
 __all__ = [
     "BatchResult",
     "BatchReplaySimulator",
-    "batch_enabled",
     "batch_stats",
     "merge_batch_stats",
-    "numpy_available",
     "reset_batch_stats",
     "simulate_batch",
 ]
 
-
-def numpy_available() -> bool:
-    """Whether the soft NumPy dependency imported (callers that build
-    :class:`~repro.power.schedules.ScheduleBatch` matrices must check
-    before constructing one)."""
-    return np is not None
-
-#: Row status codes inside the lockstep walk.
-_RUNNING = 0
-_DONE = 1
-_NEEDS_SCALAR = 2  # watchdog-cut fallback or no-forward-progress abort
-
 #: 95% normal-approximation half-width multiplier.
 _Z95 = 1.959963984540054
-
-
-def batch_enabled() -> bool:
-    """The ``REPRO_BATCH`` escape hatch (default on; off without NumPy)."""
-    if np is None:
-        return False
-    return os.environ.get("REPRO_BATCH", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +67,7 @@ class BatchResult:
         results: One :class:`SimulationResult` per schedule row, in row
             order; ``None`` marks a row that stalled (no forward progress)
             under ``allow_stall``.
-        engines: What served each row — ``"batch"`` (the lockstep walk),
+        engines: What served each row — ``"batch"`` (the row walker),
             ``"fast"``/``"reference"`` (per-row or whole-batch scalar
             fallback), or ``"stalled"``.
         reasons: Typed fallback reason per non-batch row (``None`` for
@@ -130,7 +86,7 @@ class BatchResult:
 
     @property
     def batch_rows(self) -> int:
-        """Rows served by the lockstep walk."""
+        """Rows served by the row walker."""
         return sum(1 for e in self.engines if e == "batch")
 
     def column(self, metric: str) -> List[float]:
@@ -193,7 +149,7 @@ class BatchResult:
 
 
 # --------------------------------------------------------------------- #
-# Shared NumPy views of the trace prefix sums (content-keyed).
+# Trace prefix sums as kernel buffers (content-keyed).
 # --------------------------------------------------------------------- #
 
 _ARRAY_CACHE: Dict[tuple, tuple] = {}
@@ -201,14 +157,12 @@ _MAX_CACHED_ARRAYS = 64
 
 
 def _trace_arrays(ct):
-    """``(cum_cycles, cycles)`` as int64 arrays, cached by trace content."""
+    """``(cum_cycles, cycles)`` as ``array('q')`` copies, cached by trace
+    content."""
     key = ct.content_key
     arrays = _ARRAY_CACHE.get(key)
     if arrays is None:
-        arrays = (
-            np.asarray(ct.cum_cycles, dtype=np.int64),
-            np.asarray(ct.cycles, dtype=np.int64),
-        )
+        arrays = (array("q", ct.cum_cycles), array("q", ct.cycles))
         if len(_ARRAY_CACHE) >= _MAX_CACHED_ARRAYS:
             _ARRAY_CACHE.pop(next(iter(_ARRAY_CACHE)))
         _ARRAY_CACHE[key] = arrays
@@ -216,12 +170,25 @@ def _trace_arrays(ct):
 
 
 # --------------------------------------------------------------------- #
-# The lockstep walker.
+# The row walker.
 # --------------------------------------------------------------------- #
+
+#: Per-row checkpoint counter columns: every section cause
+#: (``cext.CAUSE_NAMES``) plus the two watchdog causes, which bounds the
+#: distinct causes one walk can meet.
+_NCAUSES = len(cext.CAUSE_NAMES) + 2
+
+#: Fresh row state, laid out as the ST_* slots in ``_chainscan.c``:
+#: ``forced_done = -1``, one power cycle, first boot pending
+#: (``PH_RESTART``).
+_ST_INIT = array("q", [0] * 19)
+_ST_INIT[3] = -1   # ST_FORCED_DONE
+_ST_INIT[12] = 1   # ST_PC
+_ST_INIT[18] = 1   # ST_PHASE
 
 
 class BatchReplaySimulator(IntermittentSimulator):
-    """Replay a :class:`ScheduleBatch` in lockstep over one SectionMap.
+    """Replay a :class:`ScheduleBatch` row by row over one SectionMap.
 
     Construction mirrors the reference simulator (same ``"auto"`` watchdog
     resolution, same ``max_power_cycles`` default — both derive from the
@@ -237,24 +204,17 @@ class BatchReplaySimulator(IntermittentSimulator):
         self.schedules = schedules
 
     def run_batch(self):
-        """Walk every row; returns ``(results, needs_scalar)`` where
-        ``results[r]`` is the row's :class:`SimulationResult` (``None``
-        when flagged) and ``needs_scalar`` lists the row indices the walk
-        could not carry (watchdog-cut fallback or ``max_power_cycles``
-        abort — the scalar engines reproduce both exactly).
+        """Walk every row through ``batch_walk``; returns ``(results,
+        needs_scalar)`` where ``results[r]`` is the row's
+        :class:`SimulationResult` (``None`` when flagged) and
+        ``needs_scalar`` lists the row indices the walk could not carry
+        (an unsafe watchdog cut or a ``max_power_cycles`` abort — the
+        scalar engines reproduce both exactly).
 
-        Served by the ``batch_walk`` C kernel when the chain-scan library
-        is available (``REPRO_CEXT``), silently by the NumPy lockstep walk
-        otherwise; the two are branch-identical.
+        Each row runs to completion inside the kernel (one foreign call
+        per row in the steady state).  Requires the C kernel;
+        :func:`simulate_batch` checks before constructing the walk.
         """
-        lib = cext.chain_scan_lib()
-        if lib is not None and hasattr(lib, "batch_walk"):
-            return self._run_c(lib)
-        return self._run_lockstep()
-
-    def _run_lockstep(self):
-        """The NumPy engine: every active row advances one section attempt
-        per iteration, all bisects vectorized as ``searchsorted``."""
         trace = self.trace
         smap = get_section_map(
             trace, self.config, self.pi_words, self.pi_access_indices,
@@ -264,629 +224,64 @@ class BatchReplaySimulator(IntermittentSimulator):
         N = sbatch.rows
         ct = smap.ct
         n = ct.n
-        gcum, acc_np = _trace_arrays(ct)
-        cost = self.cost_model
-        base_ck = cost.register_checkpoint_cycles
-        flush_base = cost.wbb_flush_base_cycles
-        per_entry = cost.wbb_entry_flush_cycles
-        rcost = cost.restart_cycles(0)
-        section_of = smap.section
-        cut_safe = smap.watchdog_cut_safe
-        max_pc = self.max_power_cycles
-        ig_fw = self.config.optimizations.ignore_false_writes
-
-        perf_load = self.perf_watchdog_load
-        perf_on = perf_load > 0
-        prog_default = self.progress_watchdog_load
-        prog_configured = prog_default > 0
-        prog_adaptive = self.progress_watchdog_adaptive
-
-        forced_mask = np.zeros(n + 1, dtype=bool)
-        for f in smap.forced:
-            if f <= n:
-                forced_mask[f] = True
-        have_forced = bool(forced_mask.any())
-
-        # --- per-row state ------------------------------------------------
-        i = np.zeros(N, np.int64)          # last committed position
-        furthest = np.zeros(N, np.int64)
-        on_left = np.zeros(N, np.int64)
-        forced_done = np.full(N, -1, np.int64)
-        direct = np.zeros(N, bool)
-        progress = np.zeros(N, bool)
-        prog_nv_load = np.zeros(N, np.int64)
-        prog_no_ckpt = np.zeros(N, bool)
-        prog_enabled = np.zeros(N, bool)
-        prog_remaining = np.zeros(N, np.int64)
-        useful = np.zeros(N, np.int64)
-        reexec = np.zeros(N, np.int64)
-        wasted = np.zeros(N, np.int64)
-        ckpt_cycles = np.zeros(N, np.int64)
-        restart_cycles = np.zeros(N, np.int64)
-        power_cycles = np.ones(N, np.int64)
-        wasted_power_cycles = np.zeros(N, np.int64)
-        outputs = np.zeros(N, np.int64)
-        duplicate_outputs = np.zeros(N, np.int64)
-        wbb_flushed = np.zeros(N, np.int64)
-        status = np.zeros(N, np.int8)
-        pos = np.zeros(N, np.int64)        # next schedule column per row
-        reaches: List[list] = [[] for _ in range(N)] if ig_fw else []
-
-        # Schedule matrix (grown on demand).
-        mat = sbatch.matrix
-
-        # Cause bookkeeping: ids assigned on first appearance; counts is a
-        # dense (rows x causes) matrix the result assembly reads back.
-        cause_names: List[str] = []
-        cause_ids: Dict[str, int] = {}
-        counts = np.zeros((N, 16), np.int64)
-
-        def cid(name: str) -> int:
-            nonlocal counts
-            k = cause_ids.get(name)
-            if k is None:
-                k = cause_ids[name] = len(cause_names)
-                cause_names.append(name)
-                if k >= counts.shape[1]:
-                    grown = np.zeros((N, counts.shape[1] * 2), np.int64)
-                    grown[:, : counts.shape[1]] = counts
-                    counts = grown
-            return k
-
-        prog_cid = cid("progress_wdt")
-        perf_cid = cid("perf_wdt")
-        out_cid = cid("output")
-
-        # Section tables: dense key -> slot lookup plus flat side arrays,
-        # grown in place (capacity-doubled) as sections materialize
-        # mid-walk — thousands of lazy discoveries must not each rebuild
-        # the whole table.
-        slot_of = np.full((n + 1) << 2, -1, np.int32)
-        steps_l: List[tuple] = []
-        cap = 256
-        nslots = 0
-        sec_end = np.zeros(cap, np.int64)
-        sec_cause = np.zeros(cap, np.int64)
-        sec_kind = np.zeros(cap, np.int64)
-        sec_nsteps = np.zeros(cap, np.int64)
-
-        def add_slot(key: int) -> None:
-            nonlocal cap, nslots, sec_end, sec_cause, sec_kind, sec_nsteps
-            end_, cause_, kind_, steps_ = section_of(key >> 2, key & 3)
-            if nslots == cap:
-                cap *= 2
-                sec_end = np.concatenate([sec_end, np.zeros_like(sec_end)])
-                sec_cause = np.concatenate(
-                    [sec_cause, np.zeros_like(sec_cause)]
-                )
-                sec_kind = np.concatenate(
-                    [sec_kind, np.zeros_like(sec_kind)]
-                )
-                sec_nsteps = np.concatenate(
-                    [sec_nsteps, np.zeros_like(sec_nsteps)]
-                )
-            sec_end[nslots] = end_
-            sec_cause[nslots] = cid(cause_)
-            sec_kind[nslots] = kind_
-            sec_nsteps[nslots] = len(steps_)
-            steps_l.append(steps_)
-            slot_of[key] = nslots
-            nslots += 1
-
-        # --- vector helpers ----------------------------------------------
-
-        def draw(rows):
-            """Next on-time per row (consuming one schedule column)."""
-            nonlocal mat
-            need = int(pos[rows].max()) + 1
-            if need > mat.shape[1]:
-                sbatch.ensure_columns(max(need, mat.shape[1] * 2))
-                mat = sbatch.matrix
-            on = mat[rows, pos[rows]]
-            pos[rows] += 1
-            return on
-
-        def restart_sequence(rows):
-            """Boot rows until each affords the start-up routine; rows
-            exceeding ``max_power_cycles`` are flagged for scalar rerun."""
-            pending = rows
-            while pending.size:
-                on = draw(pending)
-                progress[pending] = False
-                prog_enabled[pending] = False
-                if prog_configured:
-                    first = ~prog_no_ckpt[pending]
-                    prog_no_ckpt[pending[first]] = True
-                    rest = pending[~first]
-                    if rest.size:
-                        if prog_adaptive:
-                            halved = rest[prog_nv_load[rest] > 0]
-                            prog_nv_load[halved] = np.maximum(
-                                1, prog_nv_load[halved] // 2
-                            )
-                        fresh = rest[prog_nv_load[rest] == 0]
-                        prog_nv_load[fresh] = prog_default
-                        prog_enabled[rest] = True
-                        prog_remaining[rest] = prog_nv_load[rest]
-                ok = on >= rcost
-                booted = pending[ok]
-                restart_cycles[booted] += rcost
-                on_left[booted] = on[ok] - rcost
-                runts = pending[~ok]
-                restart_cycles[runts] += on[~ok]
-                power_cycles[runts] += 1
-                wasted_power_cycles[runts] += 1
-                over = runts[power_cycles[runts] > max_pc]
-                status[over] = _NEEDS_SCALAR
-                pending = runts[power_cycles[runts] <= max_pc]
-
-        def power_loss(rows, at_i):
-            """Mirror of the scalar ``power_loss`` + restart for ``rows``."""
-            if ig_fw:
-                for r, a in zip(rows.tolist(), at_i.tolist()):
-                    ii = int(i[r])
-                    if a > ii:
-                        rl = reaches[r]
-                        while rl and rl[-1][1] == ii and rl[-1][0] <= a:
-                            rl.pop()
-                        rl.append((a, ii))
-                        if len(rl) > 64:
-                            rl[:] = [e for e in rl if e[0] > ii]
-            wasted_power_cycles[rows[~progress[rows]]] += 1
-            power_cycles[rows] += 1
-            over = rows[power_cycles[rows] > max_pc]
-            status[over] = _NEEDS_SCALAR
-            restart_sequence(rows[power_cycles[rows] <= max_pc])
-
-        def account_span(rows, m):
-            """Useful/re-executed split of the span ``[i[rows], m)``."""
-            gm = gcum[m]
-            gs = gcum[i[rows]]
-            fu = furthest[rows]
-            below = m <= fu
-            b = rows[below]
-            reexec[b] += (gm - gs)[below]
-            above = (~below) & (i[rows] >= fu)
-            a = rows[above]
-            useful[a] += (gm - gs)[above]
-            mid = (~below) & ~above
-            c = rows[mid]
-            gf = gcum[fu[mid]]
-            reexec[c] += gf - gs[mid]
-            useful[c] += gm[mid] - gf
-            adv = rows[~below]
-            furthest[adv] = m[~below]
-            progress[adv] = True
-
-        def commit_reset(rows):
-            """Progress-watchdog state reset at every commit."""
-            if prog_configured:
-                prog_enabled[rows] = False
-                prog_nv_load[rows] = 0
-                prog_no_ckpt[rows] = False
-            progress[rows] = True
-
-        # --- walk ---------------------------------------------------------
-
-        restart_sequence(np.arange(N, dtype=np.int64))  # first boot
-        act = np.nonzero(status == _RUNNING)[0]
-        while act.size:
-            s = i[act]
-            var = np.zeros(act.size, np.int64)
-            var[direct[act]] = VARIANT_DIRECT
-            if have_forced:
-                fd = (
-                    (~direct[act])
-                    & (forced_done[act] == s)
-                    & forced_mask[s]
-                )
-                var[fd] = VARIANT_FORCED_DONE
-            keys = (s << 2) | var
-            slots = slot_of[keys]
-            if (slots < 0).any():
-                for key in np.unique(keys[slots < 0]).tolist():
-                    add_slot(key)
-                slots = slot_of[keys]
-            end = sec_end[slots]
-            kind = sec_kind[slots]
-            base = gcum[s]
-
-            # Watchdog firing inside [s, end): progress wins ties, as in
-            # the scalar walker's if/elif.
-            fire_m = np.full(act.size, -1, np.int64)
-            fire_prog = np.zeros(act.size, bool)
-            pe = prog_enabled[act]
-            if pe.any():
-                j = np.clip(
-                    np.searchsorted(gcum, base + prog_remaining[act]),
-                    s + 1, end + 1,
-                )
-                hit = pe & (j <= end)
-                fire_m[hit] = j[hit] - 1
-                fire_prog[hit] = True
-            if perf_on:
-                j = np.clip(
-                    np.searchsorted(gcum, base + perf_load), s + 1, end + 1
-                )
-                hit = (j <= end) & ((fire_m < 0) | (j - 1 < fire_m))
-                fire_m[hit] = j[hit] - 1
-                fire_prog[hit] = False
-
-            # First span access the on-time cannot complete; a same-index
-            # watchdog firing loses (it needs the access completed).
-            u = np.clip(
-                np.searchsorted(gcum, base + on_left[act], side="right"),
-                s + 1, end + 1,
-            )
-            span_fail = (u <= end) & ((fire_m < 0) | (u - 1 <= fire_m))
-
-            # ---- power fails mid-span ------------------------------------
-            if span_fail.any():
-                rows = act[span_fail]
-                mf = u[span_fail] - 1
-                account_span(rows, mf)
-                wasted[rows] += on_left[rows] - (gcum[mf] - base[span_fail])
-                keep = direct[rows] & (mf == i[rows])
-                forced_done[rows[~keep]] = -1
-                power_loss(rows, mf)
-                direct[rows] = False
-
-            # ---- a watchdog fires ----------------------------------------
-            wfire = (~span_fail) & (fire_m >= 0)
-            if wfire.any():
-                rows = act[wfire]
-                m1 = fire_m[wfire] + 1
-                account_span(rows, m1)
-                on_left[rows] -= gcum[m1] - base[wfire]
-                nwbb = np.fromiter(
-                    (
-                        bisect_left(steps_l[sl], m)
-                        for sl, m in zip(
-                            slots[wfire].tolist(), m1.tolist()
-                        )
-                    ),
-                    np.int64, rows.size,
-                )
-                c = base_ck + np.where(
-                    nwbb > 0, flush_base + nwbb * per_entry, 0
-                )
-                broke = on_left[rows] < c
-                br = rows[broke]
-                wasted[br] += on_left[br]
-                power_loss(br, m1[broke])
-                direct[br] = False
-                ok = ~broke
-                rows, m1, nwbb, c = rows[ok], m1[ok], nwbb[ok], c[ok]
-                fp = fire_prog[wfire][ok]
-                if ig_fw and rows.size:
-                    cut = furthest[rows] > m1
-                    if cut.any():
-                        v_ok = var[wfire][ok]
-                        unsafe = np.zeros(rows.size, bool)
-                        for k in np.nonzero(cut)[0].tolist():
-                            r = int(rows[k])
-                            if not cut_safe(
-                                int(i[r]), int(v_ok[k]), int(m1[k]),
-                                int(furthest[r]), reaches[r],
-                            ):
-                                unsafe[k] = True
-                        status[rows[unsafe]] = _NEEDS_SCALAR
-                        keep_m = ~unsafe
-                        rows, m1, nwbb, c, fp = (
-                            rows[keep_m], m1[keep_m], nwbb[keep_m],
-                            c[keep_m], fp[keep_m],
-                        )
-                if rows.size:
-                    on_left[rows] -= c
-                    ckpt_cycles[rows] += c
-                    wbb_flushed[rows] += nwbb
-                    wcid = np.where(fp, prog_cid, perf_cid)
-                    np.add.at(counts, (rows, wcid), 1)
-                    commit_reset(rows)
-                    i[rows] = m1
-                    direct[rows] = False
-
-            # ---- the whole span executes ---------------------------------
-            comp = (~span_fail) & ~wfire
-            if comp.any():
-                rows = act[comp]
-                endc = end[comp]
-                account_span(rows, endc)
-                on_left[rows] -= gcum[endc] - base[comp]
-                kc = kind[comp]
-                cc = sec_cause[slots[comp]]
-                nst = sec_nsteps[slots[comp]]
-
-                bnd = (
-                    (kc == SEC_DETECTOR) | (kc == SEC_TEXT)
-                    | (kc == SEC_OUTPUT)
-                )
-                if bnd.any():
-                    rows_b = rows[bnd]
-                    end_b = endc[bnd]
-                    ce = acc_np[end_b]
-                    # Power can fail on the boundary access itself before
-                    # the checkpoint is attempted.
-                    fa = on_left[rows_b] < ce
-                    f_r = rows_b[fa]
-                    wasted[f_r] += on_left[f_r]
-                    forced_done[f_r] = -1
-                    power_loss(f_r, end_b[fa])
-                    direct[f_r] = False
-                    rows_b, end_b, ce = rows_b[~fa], end_b[~fa], ce[~fa]
-                    kb = kc[bnd][~fa]
-                    cb = cc[bnd][~fa]
-                    nwbb = nst[bnd][~fa]
-                    c = base_ck + np.where(
-                        nwbb > 0, flush_base + nwbb * per_entry, 0
-                    )
-                    fb = on_left[rows_b] < c
-                    f_r = rows_b[fb]
-                    wasted[f_r] += on_left[f_r]
-                    power_loss(f_r, end_b[fb])
-                    direct[f_r] = False
-                    rows_b, end_b, ce, kb, cb, nwbb, c = (
-                        rows_b[~fb], end_b[~fb], ce[~fb], kb[~fb],
-                        cb[~fb], nwbb[~fb], c[~fb],
-                    )
-                    on_left[rows_b] -= c
-                    ckpt_cycles[rows_b] += c
-                    wbb_flushed[rows_b] += nwbb
-                    np.add.at(counts, (rows_b, cb), 1)
-                    commit_reset(rows_b)
-                    i[rows_b] = end_b
-                    direct[rows_b] = kb == SEC_TEXT
-
-                    # SEC_OUTPUT: the GO phase — output access between its
-                    # two checkpoints; any power loss retries the protocol
-                    # from the committed start.
-                    go = kb == SEC_OUTPUT
-                    if go.any():
-                        rows_o = rows_b[go]
-                        end_o = end_b[go]
-                        ce_o = ce[go]
-                        direct[rows_o] = False
-                        fc = on_left[rows_o] < ce_o
-                        f_r = rows_o[fc]
-                        wasted[f_r] += on_left[f_r]
-                        forced_done[f_r] = -1
-                        power_loss(f_r, end_o[fc])
-                        rows_o, end_o, ce_o = (
-                            rows_o[~fc], end_o[~fc], ce_o[~fc]
-                        )
-                        on_left[rows_o] -= ce_o
-                        outputs[rows_o] += 1
-                        dup = end_o < furthest[rows_o]
-                        d_r = rows_o[dup]
-                        duplicate_outputs[d_r] += 1
-                        reexec[d_r] += ce_o[dup]
-                        n_r = rows_o[~dup]
-                        useful[n_r] += ce_o[~dup]
-                        furthest[n_r] = end_o[~dup] + 1
-                        progress[n_r] = True
-                        fd_ = on_left[rows_o] < base_ck
-                        f_r = rows_o[fd_]
-                        wasted[f_r] += on_left[f_r]
-                        power_loss(f_r, end_o[fd_] + 1)
-                        rows_o, end_o = rows_o[~fd_], end_o[~fd_]
-                        on_left[rows_o] -= base_ck
-                        ckpt_cycles[rows_o] += base_ck
-                        np.add.at(
-                            counts,
-                            (rows_o, np.full(rows_o.size, out_cid)), 1,
-                        )
-                        commit_reset(rows_o)
-                        i[rows_o] = end_o + 1
-
-                fo = kc == SEC_FORCED
-                if fo.any():
-                    rows_f = rows[fo]
-                    end_f = endc[fo]
-                    nwbb = nst[fo]
-                    c = base_ck + np.where(
-                        nwbb > 0, flush_base + nwbb * per_entry, 0
-                    )
-                    fa = on_left[rows_f] < c
-                    f_r = rows_f[fa]
-                    wasted[f_r] += on_left[f_r]
-                    forced_done[f_r] = -1
-                    power_loss(f_r, end_f[fa])
-                    direct[f_r] = False
-                    rows_f, end_f, nwbb, c = (
-                        rows_f[~fa], end_f[~fa], nwbb[~fa], c[~fa]
-                    )
-                    on_left[rows_f] -= c
-                    ckpt_cycles[rows_f] += c
-                    wbb_flushed[rows_f] += nwbb
-                    np.add.at(counts, (rows_f, cc[fo][~fa]), 1)
-                    commit_reset(rows_f)
-                    forced_done[rows_f] = end_f
-                    i[rows_f] = end_f
-                    direct[rows_f] = False
-
-                fin = kc == SEC_FINAL
-                if fin.any():
-                    rows_n = rows[fin]
-                    nwbb = nst[fin]
-                    c = base_ck + np.where(
-                        nwbb > 0, flush_base + nwbb * per_entry, 0
-                    )
-                    fa = on_left[rows_n] < c
-                    f_r = rows_n[fa]
-                    wasted[f_r] += on_left[f_r]
-                    power_loss(f_r, np.full(f_r.size, n, np.int64))
-                    direct[f_r] = False
-                    rows_n, nwbb, c = rows_n[~fa], nwbb[~fa], c[~fa]
-                    on_left[rows_n] -= c
-                    ckpt_cycles[rows_n] += c
-                    wbb_flushed[rows_n] += nwbb
-                    np.add.at(counts, (rows_n, cc[fin][~fa]), 1)
-                    if prog_configured:
-                        prog_enabled[rows_n] = False
-                        prog_nv_load[rows_n] = 0
-                        prog_no_ckpt[rows_n] = False
-                    status[rows_n] = _DONE
-
-            act = act[status[act] == _RUNNING]
-
-        return self._assemble(
-            status, counts, cause_names, useful, ckpt_cycles,
-            restart_cycles, reexec, wasted, power_cycles,
-            wasted_power_cycles, outputs, duplicate_outputs, wbb_flushed,
-        )
-
-    def _assemble(self, status, counts, cause_names, useful, ckpt_cycles,
-                  restart_cycles, reexec, wasted, power_cycles,
-                  wasted_power_cycles, outputs, duplicate_outputs,
-                  wbb_flushed):
-        """Per-row state columns -> (results, needs_scalar)."""
-        trace = self.trace
-        label = self.config.label()
-        baseline = trace.total_cycles
-        N = self.schedules.rows
-        results: List[Optional[SimulationResult]] = [None] * N
-        needs_scalar: List[int] = []
-        for r in range(N):
-            if status[r] != _DONE:
-                needs_scalar.append(r)
-                continue
-            by_cause = {
-                cause_names[k]: int(counts[r, k])
-                for k in range(len(cause_names))
-                if counts[r, k]
-            }
-            results[r] = SimulationResult(
-                name=trace.name,
-                config_label=label,
-                baseline_cycles=baseline,
-                useful_cycles=int(useful[r]),
-                checkpoint_cycles=int(ckpt_cycles[r]),
-                restart_cycles=int(restart_cycles[r]),
-                reexec_cycles=int(reexec[r]),
-                wasted_cycles=int(wasted[r]),
-                checkpoints_by_cause=by_cause,
-                power_cycles=int(power_cycles[r]),
-                wasted_power_cycles=int(wasted_power_cycles[r]),
-                outputs=int(outputs[r]),
-                duplicate_outputs=int(duplicate_outputs[r]),
-                wbb_words_flushed=int(wbb_flushed[r]),
-                verified=False,
-                completed=True,
-                metrics={},
-            )
-        return results, needs_scalar
-
-    def _run_c(self, lib):
-        """The C engine: each row runs to completion inside ``batch_walk``
-        (one foreign call per row in the steady state), returning to
-        Python only for an unmaterialized section, more schedule columns,
-        or a ``watchdog_cut_safe`` verdict."""
-        trace = self.trace
-        smap = get_section_map(
-            trace, self.config, self.pi_words, self.pi_access_indices,
-            self.forced_checkpoints,
-        )
-        sbatch = self.schedules
-        N = sbatch.rows
-        ct = smap.ct
-        n = ct.n
-        gcum, acc_np = _trace_arrays(ct)
+        gcum, acc = _trace_arrays(ct)
         cost = self.cost_model
         ig_fw = self.config.optimizations.ignore_false_writes
 
-        forced_mask = np.zeros(n + 1, dtype=np.uint8)
+        forced_mask = array("B", bytes(n + 1))
         for f in smap.forced:
             if f <= n:
                 forced_mask[f] = 1
 
+        # Cause ids in order of first appearance, as the scalar engines
+        # fill ``checkpoints_by_cause``.
         cause_names: List[str] = []
         cause_ids: Dict[str, int] = {}
-        counts = np.zeros((N, 16), np.int64)
 
         def cid(name: str) -> int:
-            nonlocal counts
             k = cause_ids.get(name)
             if k is None:
-                k = cause_ids[name] = len(cause_names)
+                k = len(cause_names)
+                if k >= _NCAUSES:  # the kernel indexes counts[k]
+                    raise SimulationError(f"unknown checkpoint cause {name!r}")
+                cause_ids[name] = k
                 cause_names.append(name)
-                if k >= counts.shape[1]:
-                    grown = np.zeros((N, counts.shape[1] * 2), np.int64)
-                    grown[:, : counts.shape[1]] = counts
-                    counts = grown
             return k
 
         prog_cid = cid("progress_wdt")
         perf_cid = cid("perf_wdt")
         out_cid = cid("output")
 
-        # Flat section tables for the kernel, grown in place (capacity
-        # doubled) per lazy discovery; pointers are re-passed every call,
-        # so growth-time reallocation is safe.
-        slot_of = np.full((n + 1) << 2, -1, np.int32)
-        cap = 256
-        scap = 1024
-        nslots = 0
-        sec_end = np.zeros(cap, np.int32)
-        sec_cause = np.zeros(cap, np.int32)
-        sec_kind = np.zeros(cap, np.int32)
-        sec_nsteps = np.zeros(cap, np.int32)
-        steps_off = np.zeros(cap + 1, np.int64)
-        steps_val = np.zeros(scap, np.int32)
+        # Flat section tables for the kernel, appended per lazy discovery.
+        # Appends may move a buffer, so the addresses are re-read after
+        # each one.
+        slot_of = array("i", [-1]) * ((n + 1) << 2)
+        sec_end = array("i")
+        sec_cause = array("i")
+        sec_kind = array("i")
+        sec_nsteps = array("i")
+        steps_off = array("q", [0])
+        steps_val = array("i")
 
         def add_slot(key: int) -> None:
-            nonlocal cap, scap, nslots
-            nonlocal sec_end, sec_cause, sec_kind, sec_nsteps
-            nonlocal steps_off, steps_val
-            end_, cause_, kind_, st_ = smap.section(key >> 2, key & 3)
-            if nslots == cap:
-                cap *= 2
-                sec_end = np.concatenate([sec_end, np.zeros_like(sec_end)])
-                sec_cause = np.concatenate(
-                    [sec_cause, np.zeros_like(sec_cause)]
-                )
-                sec_kind = np.concatenate(
-                    [sec_kind, np.zeros_like(sec_kind)]
-                )
-                sec_nsteps = np.concatenate(
-                    [sec_nsteps, np.zeros_like(sec_nsteps)]
-                )
-                grown_off = np.zeros(cap + 1, np.int64)
-                grown_off[: nslots + 1] = steps_off[: nslots + 1]
-                steps_off = grown_off
-            off = int(steps_off[nslots])
-            need = off + len(st_)
-            while need > scap:
-                scap *= 2
-                steps_val = np.concatenate(
-                    [steps_val, np.zeros_like(steps_val)]
-                )
-            if st_:
-                steps_val[off:need] = st_
-            sec_end[nslots] = end_
-            sec_cause[nslots] = cid(cause_)
-            sec_kind[nslots] = kind_
-            sec_nsteps[nslots] = len(st_)
-            steps_off[nslots + 1] = need
-            slot_of[key] = nslots
-            nslots += 1
+            end_, cause_, kind_, steps_ = smap.section(key >> 2, key & 3)
+            slot_of[key] = len(sec_end)
+            sec_end.append(end_)
+            sec_cause.append(cid(cause_))
+            sec_kind.append(kind_)
+            sec_nsteps.append(len(steps_))
+            steps_val.extend(steps_)
+            steps_off.append(len(steps_val))
 
-        # Row state stripes read and written by the kernel; layout mirrors
-        # the ST_* / FL_* slots in _chainscan.c.
-        st = np.zeros((N, 19), np.int64)
-        st[:, 3] = -1        # ST_FORCED_DONE
-        st[:, 12] = 1        # ST_PC
-        st[:, 18] = 1        # ST_PHASE = PH_RESTART (first boot)
-        fl = np.zeros((N, 4), np.uint8)
-        reach_cap = 256
-        reach = np.zeros((N, 2 * reach_cap), np.int64)
-        out = np.zeros(8, np.int64)
-        status = np.zeros(N, np.int8)
+        def table_ptrs():
+            return (
+                _addr(slot_of), _addr(sec_end), _addr(sec_cause),
+                _addr(sec_kind), _addr(sec_nsteps), _addr(steps_off),
+                _addr(steps_val),
+            )
 
-        fn = lib.batch_walk
-        base_args = (
-            int(gcum.ctypes.data), int(acc_np.ctypes.data), n,
-            int(forced_mask.ctypes.data),
-        )
+        fn = cext.chain_scan_lib().batch_walk
+        base_args = (_addr(gcum), _addr(acc), n, _addr(forced_mask))
         consts = (
             cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
             cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
@@ -897,81 +292,72 @@ class BatchReplaySimulator(IntermittentSimulator):
             prog_cid, perf_cid, out_cid,
         )
         cut_safe = smap.watchdog_cut_safe
+        tp = table_ptrs()
+        # The reach buffer only holds a row's live ``(reach, start)``
+        # pairs (count in ST_NREACH), so rows share one.
+        reach_cap = 256
+        reach = array("q", bytes(16 * reach_cap))
+        out = array("q", bytes(64))
+        shared = (_addr(reach), reach_cap, _addr(out))
 
-        # Pointers are hoisted out of the row loop — `.ctypes.data` and the
-        # per-argument int conversions dominate the driver cost on cheap
-        # workloads otherwise.  Table pointers are refreshed after add_slot
-        # (growth may reallocate, and cid() may copy-grow `counts`); the
-        # matrix pointer after ensure_columns.
-        def _table_ptrs():
-            return (
-                int(slot_of.ctypes.data),
-                int(sec_end.ctypes.data), int(sec_cause.ctypes.data),
-                int(sec_kind.ctypes.data), int(sec_nsteps.ctypes.data),
-                int(steps_off.ctypes.data), int(steps_val.ctypes.data),
-            )
-
-        mat = sbatch.matrix
-        tp = _table_ptrs()
-        mat_ptr, mat_stride = int(mat.ctypes.data), mat.strides[0]
-        mat_cols = mat.shape[1]
-        st_ptr, st_stride = int(st.ctypes.data), st.strides[0]
-        fl_ptr, fl_stride = int(fl.ctypes.data), fl.strides[0]
-        cnt_ptr, cnt_stride = int(counts.ctypes.data), counts.strides[0]
-        reach_ptr, reach_stride = int(reach.ctypes.data), reach.strides[0]
-        out_ptr = int(out.ctypes.data)
-
+        name = trace.name
+        label = self.config.label()
+        baseline = trace.total_cycles
+        results: List[Optional[SimulationResult]] = [None] * N
+        needs_scalar: List[int] = []
         for r in range(N):
+            ontimes = sbatch.ontimes[r]
+            on_ptr, n_on = _addr(ontimes), len(ontimes)
+            st = array("q", _ST_INIT)
+            fl = array("B", bytes(4))
+            counts = array("q", bytes(8 * _NCAUSES))
+            row = (_addr(st), _addr(fl), _addr(counts))
             cut_ok = -1
             while True:
-                rc = fn(
-                    *base_args,
-                    *tp,
-                    mat_ptr + r * mat_stride,
-                    mat_cols,
-                    *consts,
-                    cut_ok,
-                    st_ptr + r * st_stride,
-                    fl_ptr + r * fl_stride,
-                    cnt_ptr + r * cnt_stride,
-                    reach_ptr + r * reach_stride,
-                    reach_cap,
-                    out_ptr,
-                )
+                rc = fn(*base_args, *tp, on_ptr, n_on, *consts, cut_ok,
+                        *row, *shared)
                 cut_ok = -1
                 if rc == 0:        # BW_DONE
-                    status[r] = _DONE
+                    results[r] = SimulationResult(
+                        name=name,
+                        config_label=label,
+                        baseline_cycles=baseline,
+                        useful_cycles=st[7],
+                        checkpoint_cycles=st[10],
+                        restart_cycles=st[11],
+                        reexec_cycles=st[8],
+                        wasted_cycles=st[9],
+                        checkpoints_by_cause={
+                            cause_names[k]: counts[k]
+                            for k in range(len(cause_names)) if counts[k]
+                        },
+                        power_cycles=st[12],
+                        wasted_power_cycles=st[13],
+                        outputs=st[14],
+                        duplicate_outputs=st[15],
+                        wbb_words_flushed=st[16],
+                        verified=False,
+                        completed=True,
+                        metrics={},
+                    )
                     break
                 if rc == 1:        # BW_NEED_SECTION
-                    add_slot(int(out[0]))
-                    tp = _table_ptrs()
-                    cnt_ptr = int(counts.ctypes.data)
-                    cnt_stride = counts.strides[0]
+                    add_slot(out[0])
+                    tp = table_ptrs()
                     continue
                 if rc == 2:        # BW_NEED_ONTIMES
-                    sbatch.ensure_columns(max(8, mat_cols * 2))
-                    mat = sbatch.matrix
-                    mat_ptr, mat_stride = int(mat.ctypes.data), mat.strides[0]
-                    mat_cols = mat.shape[1]
+                    sbatch.ensure_columns(max(8, n_on * 2))
+                    on_ptr, n_on = _addr(ontimes), len(ontimes)
                     continue
                 if rc == 3:        # BW_NEED_CUT
-                    nr = int(st[r, 17])
-                    rl = [
-                        (int(reach[r, 2 * k]), int(reach[r, 2 * k + 1]))
-                        for k in range(nr)
-                    ]
-                    if cut_safe(int(out[0]), int(out[1]), int(out[2]),
-                                int(out[3]), rl):
+                    reaches = [(reach[2 * k], reach[2 * k + 1])
+                               for k in range(st[17])]
+                    if cut_safe(out[0], out[1], out[2], out[3], reaches):
                         cut_ok = 1
                         continue
-                status[r] = _NEEDS_SCALAR   # unsafe cut or BW_FALLBACK
+                needs_scalar.append(r)   # unsafe cut or BW_FALLBACK
                 break
-
-        return self._assemble(
-            status, counts, cause_names,
-            st[:, 7], st[:, 10], st[:, 11], st[:, 8], st[:, 9],
-            st[:, 12], st[:, 13], st[:, 14], st[:, 15], st[:, 16],
-        )
+        return results, needs_scalar
 
 
 # --------------------------------------------------------------------- #
@@ -979,7 +365,7 @@ class BatchReplaySimulator(IntermittentSimulator):
 # --------------------------------------------------------------------- #
 
 #: Process-wide batch dispatch counters: batches walked, rows served by
-#: the lockstep engine, rows handed to the scalar engines, and why.
+#: the row walker, rows handed to the scalar engines, and why.
 _BSTATS = {
     "batches": 0,
     "rows_batched": 0,
@@ -1025,11 +411,11 @@ def simulate_batch(
     trace, config, schedules: ScheduleBatch, allow_stall: bool = False,
     **kwargs,
 ) -> BatchResult:
-    """Replay every schedule row; lockstep when eligible, scalar otherwise.
+    """Replay every schedule row; row walker when eligible, scalar otherwise.
 
-    Whole-batch ineligibility (``verify``, volatile ranges, PI hazard,
-    gates off, live architecture collector) routes all rows through
-    :func:`simulate_fast`; rows the lockstep walk flags mid-flight
+    Whole-batch ineligibility (no C kernel, ``verify``, volatile ranges,
+    PI hazard, ``REPRO_FAST=0``, live architecture collector) routes all
+    rows through :func:`simulate_fast`; rows the walker flags mid-flight
     (unprovable watchdog cut, no-forward-progress abort) rerun scalar
     individually — their fresh row schedule consumes the identical on-time
     sequence, so the outcome is bit-identical to never having batched.
@@ -1044,13 +430,13 @@ def simulate_batch(
     N = schedules.rows
     whole_batch_reason = None
     sim = None
-    if not batch_enabled():
-        whole_batch_reason = "batch_disabled"
+    if cext.chain_scan_lib() is None:
+        whole_batch_reason = "no_cext"
     elif not fast_path_enabled():
         whole_batch_reason = "fast_disabled"
     elif ARCH_COLLECTOR.enabled:
-        # Introspection folds per run in dispatch order; the lockstep walk
-        # has no per-row commit ordering to attribute, so the scalar
+        # Introspection folds per run in dispatch order; the row walker
+        # has no per-section commit record to attribute, so the scalar
         # engines (which reconcile exactly) serve instead.
         whole_batch_reason = "arch_collector"
     elif kwargs.get("verify", True):

@@ -52,29 +52,17 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
 """
 
 import os
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import OrderedDict
 from itertools import repeat
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - soft dependency
-    _np = None  # family-scan distribution falls back to a plain loop
-
 import repro.cache as artifact_cache
 from repro.core import cext as _cext
 from repro.core.cext import CAUSE_NAMES as _CAUSE_NAMES
 from repro.core.config import ClankConfig
-from repro.core.detector import (
-    POLICY_REV,
-    IdempotencyDetector,
-    family_chain_scan_py,
-)
-from repro.sim import watermarks
-from repro.trace.access import READ
+from repro.core.detector import POLICY_REV, IdempotencyDetector
 from repro.trace.trace import Trace
 
 #: Boundary kinds — they differ in how power failure interacts with the
@@ -127,10 +115,10 @@ class SectionMap:
 
     __slots__ = (
         "ct", "n", "pi_words", "pi_indices", "forced", "_forced_sorted",
-        "_forced_set", "_detector", "_sections", "pi_hazard",
+        "_detector", "_sections", "pi_hazard",
         "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
-        "_family", "_caps", "_latest", "_nwf", "_disk_key", "_loaded_n",
-        "_flat", "_flat_idx", "_mat_n", "_mat_all", "_flat_persisted",
+        "_disk_key", "_loaded_n", "_flat", "_flat_idx", "_mat_n",
+        "_mat_all", "_flat_persisted",
     )
 
     def __init__(
@@ -151,7 +139,6 @@ class SectionMap:
         # A compiler checkpoint at index n never fires: the final
         # checkpoint precedes the forced check in the replay loop.
         self._forced_sorted = sorted(f for f in forced if f < ct.n)
-        self._forced_set = frozenset(self._forced_sorted)
         self._detector = IdempotencyDetector(
             config, trace.memory_map.text_word_range
         )
@@ -177,18 +164,6 @@ class SectionMap:
             and bool(self.pi_indices)
             and ct.pi_write_hazard(self.pi_words, self.pi_indices)
         )
-        #: The watermark family this configuration can derive its
-        #: boundaries from (None: ineligible or disabled — every section
-        #: then falls back to the per-config chain scan).
-        self._family = watermarks.get_family(
-            trace, config, self.pi_words, self.pi_indices
-        )
-        self._caps = (
-            config.rf_entries, config.wf_entries, config.wbb_entries,
-            config.apb_entries,
-        )
-        self._latest = opts.latest_checkpoint
-        self._nwf = opts.no_wf_overflow
         #: Flat canonical-chain storage installed by a family scan (or a
         #: disk load of one): ``(keys, ends, cause_ids, steps_off,
         #: steps)`` parallel arrays sorted by key.  The first ``section()``
@@ -250,18 +225,10 @@ class SectionMap:
                 sec = self._sections.get(key)
                 if sec is not None:
                     return sec
-            fam = self._family
-            if fam is not None and fam.active:
-                sec = self._derive_section(start, variant)
-            if sec is not None:
-                self._sections[key] = sec
-            else:
-                # No family, a self-deactivated one, or a per-section
-                # no-WF-overflow fallback: batched chain scan.
-                t0 = perf_counter()
-                self._ingest_chain(start, variant)
-                _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections[key]
+            t0 = perf_counter()
+            self._ingest_chain(start, variant)
+            _ENUM_SECONDS += perf_counter() - t0
+            sec = self._sections[key]
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
@@ -285,16 +252,10 @@ class SectionMap:
                 sec = self._flat_get(key)
                 if sec is not None:
                     return sec
-            fam = self._family
-            if fam is not None and fam.active:
-                sec = self._derive_section(start, variant)
-            if sec is not None:
-                self._sections[key] = sec
-            else:
-                t0 = perf_counter()
-                self._ingest_chain(start, variant)
-                _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections[key]
+            t0 = perf_counter()
+            self._ingest_chain(start, variant)
+            _ENUM_SECONDS += perf_counter() - t0
+            sec = self._sections[key]
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
@@ -313,34 +274,6 @@ class SectionMap:
             idx = dict(zip(keys, range(len(keys))))
             self._flat_idx = idx
         return idx
-
-    def _derive_section(self, start: int, variant: int) -> Optional[Section]:
-        """Derive one section from the watermark family (no chain scan).
-
-        Mirrors the section-entry resolution of
-        :meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`:
-        a normal entry at a forced index is the zero-length compiler
-        section, a direct entry starts scanning one access later, and the
-        next *active* forced checkpoint is the first one strictly after
-        ``start`` in every variant.
-
-        Returns None on a no-WF-overflow fallback (the family cannot
-        prove this boundary; see :mod:`repro.sim.watermarks`).
-        """
-        if variant == VARIANT_NORMAL and start in self._forced_set:
-            return (start, "compiler", SEC_FORCED, ())
-        fs = self._forced_sorted
-        i = bisect_right(fs, start)
-        next_forced = fs[i] if i < len(fs) else self.n + 1
-        scan_from = start + 1 if variant == VARIANT_DIRECT else start
-        r, w, b, a = self._caps
-        res = self._family.boundary(
-            scan_from, next_forced, r, w, b, a, self._latest, self._nwf
-        )
-        if res is None:
-            return None
-        end, cause, steps = res
-        return (end, cause, _KIND_BY_CAUSE.get(cause, SEC_DETECTOR), steps)
 
     def _flat_has(self, key: int) -> bool:
         """Whether the flat canonical-chain storage covers ``key``."""
@@ -846,16 +779,16 @@ def _needs_family_scan(smap: SectionMap) -> bool:
     key 0 — whether or not index 0 is a forced checkpoint, the first
     emitted section is ``(0 << 2) | variant`` with variant 0 or the
     zero-length compiler form — so ``0 in _sections`` (or flat coverage)
-    means the chain every schedule replays is already present.  Members
-    with an *active* watermark family derive per-section instead and are
-    never family-scanned.
+    means the chain every schedule replays is already present.
     """
-    if 0 in smap._sections or smap._flat is not None:
-        return False
-    fam = smap._family
-    if fam is not None and fam.active:
-        return False
-    return True
+    return 0 not in smap._sections and smap._flat is None
+
+
+def _family_enabled() -> bool:
+    """Whether batched family passes run: the C kernel is loaded and
+    ``REPRO_FAMILY`` is not ``0``."""
+    return (os.environ.get("REPRO_FAMILY", "1") != "0"
+            and _cext.chain_scan_lib() is not None)
 
 
 def build_family(
@@ -872,11 +805,11 @@ def build_family(
     batched kernel call (:mod:`repro.core` family chain scan)
     enumerates all of their section tables — bit-identical to the
     per-config scalar scans, by construction.  Members already
-    enumerated (memory- or disk-warm) or served by an active watermark
-    family are skipped; a single remaining member degrades to the
-    scalar chain scan.  Returns the maps in ``configs`` order (the LRU
-    and disk cache are populated either way).  ``REPRO_FAMILY=0``
-    disables the batched pass (maps then enumerate lazily per config).
+    enumerated (memory- or disk-warm) are skipped; a single remaining
+    member degrades to the scalar chain scan.  Returns the maps in
+    ``configs`` order (the LRU and disk cache are populated either
+    way).  Without the C kernel, or with ``REPRO_FAMILY=0``, there is no
+    batched pass: maps then enumerate lazily per config.
     """
     maps = [
         get_section_map(
@@ -884,7 +817,7 @@ def build_family(
         )
         for cfg in configs
     ]
-    if os.environ.get("REPRO_FAMILY", "1") == "0":
+    if not _family_enabled():
         return maps
     pending: List[SectionMap] = []
     seen = set()
@@ -925,16 +858,11 @@ def _family_scan_chunk(
     ct = m0.ct
     det0 = m0._detector
     params = [m._detector.family_params() for m in maps]
-    lib = _cext.chain_scan_lib()
-    if lib is not None:
-        eng = _cext.FamilyScanEngine(
-            lib, ct, det0._text_lo, det0._text_hi, shift,
-            m0._forced_sorted, m0.pi_words, m0.pi_indices, params,
-        )
-        _distribute_events_c(maps, *eng.scan(0))
-    else:
-        _distribute_events_py(maps, _family_scan_py(ct, det0, shift, m0,
-                                                    params))
+    eng = _cext.FamilyScanEngine(
+        _cext.chain_scan_lib(), ct, det0._text_lo, det0._text_hi, shift,
+        m0._forced_sorted, m0.pi_words, m0.pi_indices, params,
+    )
+    _distribute_events(maps, *eng.scan(0))
     for m in maps:
         if m._disk_key is not None:
             _DIRTY.add(m)
@@ -945,86 +873,35 @@ def _family_scan_chunk(
     _ENUM_SECONDS += perf_counter() - t0
 
 
-def _family_scan_py(ct, det0, shift, m0, params):
-    """Run the pure-Python family kernel; returns its event list."""
-    ops_b, wids_b, _ = ct.scan_buffers(det0._text_lo, det0._text_hi)
-    if any(p[4] & _cext.F_APB_ON for p in params):
-        pids_b, _ = ct.prefix_buffers(shift)
-    else:
-        pids_b = None
-    if m0.pi_words or m0.pi_indices:
-        pi_b = ct.pi_mask_buffer(m0.pi_words, m0.pi_indices)
-        members = [
-            (r, w, b, a, f | _cext.F_HAS_PI) for r, w, b, a, f in params
-        ]
-    else:
-        pi_b = None
-        members = list(params)
-    return family_chain_scan_py(
-        ops_b, wids_b, pids_b, pi_b, m0._forced_sorted, ct.n, members
-    )
-
-
 def _install_flat(m: SectionMap, keys, ends, causes, soff, sval) -> None:
     m._flat = (keys, ends, causes, soff, sval)
     m._flat_idx = None
     m._flat_persisted = False
 
 
-def _distribute_events_c(maps, nev, nst, ev_key, ev_end, ev_cause,
-                         ev_nsteps, steps_out, ev_percap,
-                         st_percap) -> None:
+def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
+                       ev_soff, steps_out, ev_percap, st_percap) -> None:
     """Copy the C kernel's member-major output segments into per-map
     flat storage.
 
-    The kernel pre-segments its output (member ``c`` owns slots
-    ``[c * ev_percap, ...)``) so each flat array is a single slice
-    memcpy; only the steps-offset prefix sum is computed here.
+    The kernel pre-segments its output (member ``c`` owns event slots
+    ``[c * ev_percap, ...)``, steps-offset slots ``[c * (ev_percap + 1),
+    ...)`` and steps ``[c * st_percap, ...)``), so each flat array is a
+    single slice copy.
     """
     for c, m in enumerate(maps):
         k = nev[c]
         base = c * ev_percap
+        obase = c * (ev_percap + 1)
         sbase = c * st_percap
-        if _np is not None and k:
-            ns = _np.frombuffer(ev_nsteps, dtype=_np.int32,
-                                count=k, offset=4 * base)
-            soff_np = _np.zeros(k + 1, dtype=_np.int64)
-            _np.cumsum(ns, out=soff_np[1:])
-            soff = array("q", soff_np.tobytes())
-        else:
-            soff = array("q", [0])
-            t = 0
-            for ns_v in ev_nsteps[base:base + k]:
-                t += ns_v
-                soff.append(t)
         _install_flat(
             m,
             ev_key[base:base + k],
             ev_end[base:base + k],
             ev_cause[base:base + k],
-            soff,
+            ev_soff[obase:obase + k + 1],
             steps_out[sbase:sbase + nst[c]],
         )
-
-
-def _distribute_events_py(maps, events) -> None:
-    """Split a Python-kernel event list into per-map flat storage."""
-    per: List[list] = [[] for _ in maps]
-    for ev in events:
-        per[ev[0]].append(ev)
-    for m, evs in zip(maps, per):
-        keys = array("q")
-        ends = array("i")
-        causes = array("B")
-        soff = array("q", [0])
-        sval = array("i")
-        for _, s, v, e, cid, steps in evs:
-            keys.append((s << 2) | v)
-            ends.append(e)
-            causes.append(cid)
-            sval.extend(steps)
-            soff.append(len(sval))
-        _install_flat(m, keys, ends, causes, soff, sval)
 
 
 def prefetch_family(
@@ -1052,7 +929,7 @@ def prefetch_family(
     smap = _CACHE.get(key)
     if smap is not None and not _needs_family_scan(smap):
         return
-    if os.environ.get("REPRO_FAMILY", "1") == "0":
+    if not _family_enabled():
         return
     take = []
     for cfg in plan_configs[plan_pos:]:
@@ -1097,10 +974,9 @@ def cache_stats() -> Dict[str, float]:
     thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the
     guards), ``disk_loads`` counts maps/families seeded from the
     persistent artifact store, and ``enum_seconds`` is the time spent in
-    section *enumeration* proper (chain scans plus watermark scans),
-    separated from driver wall-clock for the profile table.
+    section *enumeration* proper (chain and family scans), separated
+    from driver wall-clock for the profile table.
     """
-    wm = watermarks.stats()
     return {
         "hits": _HITS,
         "misses": _MISSES,
@@ -1108,8 +984,8 @@ def cache_stats() -> Dict[str, float]:
         "capacity": _MAX_CACHED_MAPS,
         "evictions": _EVICTIONS,
         "rebuilds": _REBUILDS,
-        "disk_loads": _DISK_LOADS + wm["disk_loads"],
-        "enum_seconds": _ENUM_SECONDS + wm["scan_seconds"],
+        "disk_loads": _DISK_LOADS,
+        "enum_seconds": _ENUM_SECONDS,
         "family_passes": _FAMILY_PASSES,
         "family_maps": _FAMILY_MAPS,
     }
@@ -1133,13 +1009,11 @@ def reset_cache_stats() -> None:
     _FAMILY_MAPS = 0
     _REBUILDS = 0
     _FAMILY_BY_TRACE.clear()
-    watermarks.reset_stats()
 
 
 def clear_cache() -> None:
-    """Drop all cached maps, pending spills, and families (tests)."""
+    """Drop all cached maps and pending spills (tests)."""
     _CACHE.clear()
     _SPILL.clear()
     _DIRTY.clear()
     _EVICTED_KEYS.clear()
-    watermarks.clear_families()

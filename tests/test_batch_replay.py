@@ -5,16 +5,20 @@ N schedules through :func:`repro.sim.batch.simulate_batch` must be
 *bit-identical*, row for row, to N scalar :func:`repro.sim.fast.
 simulate_fast` calls at the same seeds — across buffer configurations,
 policy optimizations, PI marking, both chain-scan kernels, and every
-fallback route (whole-batch ineligibility, ``REPRO_BATCH=0``, per-row
-reruns).  The schedule matrix itself is pinned to the scalar generators:
-row ``i`` of a :class:`~repro.power.schedules.ScheduleBatch` must equal,
-draw for draw, the ``ExponentialPower`` seeded ``base + i*stride``.
+fallback route (whole-batch ineligibility, no C kernel, per-row reruns).
+The schedules themselves are pinned to the scalar generators: row ``i``
+of a :class:`~repro.power.schedules.ScheduleBatch` must equal, draw for
+draw, the ``ExponentialPower`` seeded ``base + i*stride``.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
+import repro
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval.parallel import SimJob, run_jobs
@@ -24,9 +28,7 @@ from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.power.schedules import ExponentialPower
 from repro.sim.batch import (
     BatchResult,
-    batch_enabled,
     batch_stats,
-    numpy_available,
     reset_batch_stats,
     simulate_batch,
 )
@@ -120,23 +122,21 @@ class TestEquivalence:
         assert _batch_dicts(batch) == scalar
 
     def test_kernel_toggle_identical(self, monkeypatch):
-        # The C row walker and the NumPy lockstep walk must agree with
-        # each other, not just with the scalar engines.
+        # The C row walker and the no-kernel per-row fallback must agree
+        # with each other, not just with the scalar engines.
         trace = get_trace("fft", "small")
         config = ClankConfig.from_tuple((8, 4, 2, 0))
         monkeypatch.setenv("REPRO_CEXT", "0")
         cext.reset_for_tests()
         try:
-            lockstep = _batch_dicts(
-                _batch(trace, config, 900, 2, 3, **_WDTS)
-            )
+            no_c = _batch_dicts(_batch(trace, config, 900, 2, 3, **_WDTS))
             monkeypatch.setenv("REPRO_CEXT", "1")
             cext.reset_for_tests()
             via_c = _batch_dicts(_batch(trace, config, 900, 2, 3, **_WDTS))
         finally:
             cext.reset_for_tests()
-        assert lockstep == via_c
-        assert lockstep == _rows(trace, config, 900, 2, 3, **_WDTS)
+        assert no_c == via_c
+        assert no_c == _rows(trace, config, 900, 2, 3, **_WDTS)
 
 
 class TestScheduleBatch:
@@ -148,17 +148,18 @@ class TestScheduleBatch:
         for i in range(4):
             scalar = ExponentialPower(900, seed=42 + i * 3)
             draws = [scalar.next_on_time() for _ in range(8)]
-            assert list(sb.matrix[i]) == draws, i
+            assert list(sb.ontimes[i]) == draws, i
 
     def test_growth_preserves_draw_order(self):
         sb = ExponentialPower(700, seed=9).batch(3, 4)
-        first = sb.matrix.copy()
+        first = [list(row) for row in sb.ontimes]
         sb.ensure_columns(16)
-        assert (sb.matrix[:, :4] == first).all()
+        assert sb.columns == 16
+        assert [list(row[:4]) for row in sb.ontimes] == first
         for i in range(3):
             scalar = ExponentialPower(700, seed=9 + i)
             draws = [scalar.next_on_time() for _ in range(16)]
-            assert list(sb.matrix[i]) == draws, i
+            assert list(sb.ontimes[i]) == draws, i
 
     def test_salted_seeding_matches_evaluation(self):
         # The evaluation seeds schedules ``seed*1000003 + salt``; row i of
@@ -169,11 +170,11 @@ class TestScheduleBatch:
         for i in range(3):
             scalar = settings.schedule(7 + i * 23)
             draws = [scalar.next_on_time() for _ in range(6)]
-            assert list(sb.matrix[i]) == draws, i
+            assert list(sb.ontimes[i]) == draws, i
 
 
 class TestFallback:
-    """Every route off the lockstep walk must stay bit-exact."""
+    """Every route off the row walker must stay bit-exact."""
 
     def _setup(self):
         trace = get_trace("crc", "small")
@@ -189,20 +190,24 @@ class TestFallback:
         assert batch.engines == ["reference", "reference"]
         assert all(r.verified for r in batch.results)
 
-    def test_repro_batch_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert not batch_enabled()
+    def test_no_cext_falls_back_per_row(self, monkeypatch):
+        # Without the C kernel every row runs as a scalar simulate_fast
+        # call, counted under one whole-batch reason.
         trace, config = self._setup()
-        reset_batch_stats()
-        batch = _batch(trace, config, 900, 4, 3, **_WDTS)
+        scalar = _rows(trace, config, 900, 4, 3, **_WDTS)
+        monkeypatch.setenv("REPRO_CEXT", "0")
+        cext.reset_for_tests()
+        try:
+            reset_batch_stats()
+            batch = _batch(trace, config, 900, 4, 3, **_WDTS)
+            stats = batch_stats()
+        finally:
+            cext.reset_for_tests()
         assert batch.batch_rows == 0
-        assert _batch_dicts(batch) == _rows(trace, config, 900, 4, 3,
-                                            **_WDTS)
-        stats = batch_stats()
+        assert batch.engines == ["fast"] * 3
+        assert _batch_dicts(batch) == scalar
         assert stats["rows_fallback"] == 3
-        assert stats["reasons"].get("batch_disabled") == 3
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert batch_enabled() == numpy_available()
+        assert stats["reasons"] == {"no_cext": 3}
 
     def test_arch_collector_forces_scalar(self):
         # A live architecture collector needs the instrumented engines;
@@ -225,7 +230,7 @@ class TestFallback:
         batch = _batch(trace, config, 900, 6, 4, **_WDTS)
         stats = batch_stats()
         assert stats["rows_batched"] + stats["rows_fallback"] == 4
-        if batch_enabled():
+        if cext.chain_scan_lib() is not None:
             assert batch.batch_rows == stats["rows_batched"] > 0
 
 
@@ -293,3 +298,35 @@ class TestSeedRepeatJobs:
         assert [b.to_dict() for b in serial] == [
             b.to_dict() for b in pooled
         ]
+
+    def test_rows_batched_without_numpy(self):
+        # NumPy is not a dependency: with it blocked, a seed-repeat job
+        # still runs every row through the C row walker and lands in one
+        # engine="batch" ledger record.
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["numpy"] = None
+            import repro.serve
+            from repro.eval.parallel import SimJob, run_jobs
+            from repro.eval.settings import EvalSettings
+            from repro.obs import telemetry
+
+            telemetry.LEDGER.reset()
+            telemetry.LEDGER.enable()
+            job = SimJob(workload="crc", config=(8, 4, 2, 0), size="small",
+                         salt=5, n_seeds=8)
+            [batch] = run_jobs(
+                [job], EvalSettings(size="small", verify=False,
+                                    profile=False), 1)
+            records = [(r.engine, r.rows) for r in telemetry.LEDGER.records]
+            assert batch.engines == ["batch"] * 8, batch.reasons
+            assert records == [("batch", 8)], records
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("REPRO_CEXT", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,16 @@
 """Config-family chain scans must be bit-identical to scalar scans.
 
-The batched family kernel (C ``family_chain_scan`` and its pure-Python
-reference ``family_chain_scan_py``) enumerates a whole sweep family's
-section tables in one kernel call.  Every test here builds the same
-family twice — once through :func:`repro.sim.sections.build_family`
-and once config-by-config with family scans disabled — and requires the
-fully-materialized section dictionaries to match exactly, across the C
-and Python kernels, PI markings, forced-checkpoint resume variants,
-ragged member depths, and the output-segment overflow retry.
+The batched family kernel (C ``family_chain_scan``) enumerates a whole
+sweep family's section tables in one kernel call.  Every test here
+builds the same family twice — once through
+:func:`repro.sim.sections.build_family` and once config-by-config with
+family scans disabled — and requires the fully-materialized section
+dictionaries to match exactly, across PI markings, forced-checkpoint
+resume variants, ragged member depths, and the output-segment overflow
+retry.  The scalar chain scan is the oracle.  Without the C kernel
+(the ``python`` parametrization, or ``REPRO_CEXT=0`` for the whole
+file) ``build_family`` must make no family pass at all and leave every
+map to enumerate lazily, with the same tables.
 """
 
 import itertools
@@ -23,9 +26,10 @@ from repro.workloads import get_trace
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    """Each test starts from an empty SectionMap cache and default env."""
+    """Each test starts from an empty SectionMap cache, family scans on,
+    and the kernel resolved afresh from ``REPRO_CEXT``."""
     monkeypatch.delenv("REPRO_FAMILY", raising=False)
-    monkeypatch.delenv("REPRO_CEXT", raising=False)
+    cext.reset_for_tests()
     clear_cache()
     yield
     clear_cache()
@@ -52,7 +56,11 @@ def _scalar_tables(trace, configs, monkeypatch, **kw):
 
 
 def _family_tables(trace, configs, **kw):
+    before = sections.cache_stats()["family_passes"]
     maps = build_family(trace, configs, **kw)
+    if cext.chain_scan_lib() is None:
+        # No kernel, no family pass: every map enumerates lazily.
+        assert sections.cache_stats()["family_passes"] == before
     out = []
     for m in maps:
         m.section(0, 0)  # materializes the flat store
@@ -153,6 +161,8 @@ def test_single_member_degrades_to_scalar(monkeypatch):
 
 
 def test_family_counters_and_cache_population(monkeypatch):
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
     trace = get_trace("crc", "small")
     grid = _grid(rf=(2, 8), wf=(0, 4), wbb=(0, 2), apb=(0,))
     before = sections.cache_stats()

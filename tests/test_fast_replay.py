@@ -94,8 +94,7 @@ class TestEquivalence:
         """Small-RF configs with a WBB under latest-checkpoint: sections
         enter the untracked tail with live WBB entries, and writes to the
         captured addresses must pass in place (never a latest_write
-        boundary) in the reference simulator, the chain scan, and the
-        watermark family alike."""
+        boundary) in the reference simulator and the chain scan alike."""
         trace = get_trace("rc4", "small")
         for spec in ((1, 0, 1, 0), (2, 1, 1, 0), (2, 2, 2, 0)):
             config = ClankConfig.from_tuple(spec)
