@@ -61,7 +61,9 @@ come out of batched family chain scans (``family_maps`` in
 config — at least 80% of the cold builds, at more than one map per
 trace pass.  A regression that quietly dropped every config back to
 scalar scans would still be bit-identical, just N times the enumeration
-cost.
+cost.  The same sweep must serve at least 90% of its fast-path runs
+through the C section walk (``c_walk`` in
+:func:`repro.sim.fast.dispatch_stats`), not the Python walker.
 
 A ninth check guards distributed tracing (:mod:`repro.obs.tracing`): the
 shared :data:`~repro.obs.tracing.TRACER` must be disabled by default, a
@@ -87,7 +89,9 @@ from repro.obs.analyze import COLLECTOR
 from repro.obs.recorder import NullRecorder
 from repro.obs.telemetry import ENGINE_BATCH, LEDGER
 from repro.obs.tracing import TRACER
-from repro.sim.fast import fast_stats, reset_fast_stats
+from repro.sim.fast import (
+    dispatch_stats, fast_stats, reset_dispatch_stats, reset_fast_stats,
+)
 from repro.sim.sections import (
     cache_stats, clear_cache, reset_cache_stats,
 )
@@ -352,11 +356,15 @@ def main(argv=None) -> int:
     ]
     clear_cache()
     reset_cache_stats()
+    reset_dispatch_stats()
     run_jobs(family_jobs, settings, None)
     stats = cache_stats()
+    walks = dispatch_stats()
     print(f"cold sweep maps: {stats['misses']} built, "
           f"{stats['family_maps']} via {stats['family_passes']} family "
           f"passes")
+    print(f"cold sweep walks: {walks['c_walk']} of {walks['fast']} fast "
+          f"runs via the C section walk")
     if stats["misses"] == 0:
         print("FAIL: cold sweep built no SectionMaps (stale cache?)")
         return 1
@@ -368,6 +376,10 @@ def main(argv=None) -> int:
         print("FAIL: family passes stopped batching (one map per pass)")
         return 1
     print("OK: section maps enumerated by batched family scans")
+    if walks["fast"] == 0 or walks["c_walk"] < 0.9 * walks["fast"]:
+        print("FAIL: the C section walk no longer serves the fast path")
+        return 1
+    print("OK: fast runs served by the C section walk")
 
     # Tracing guard: spans are per job, behind one enabled check; the
     # default-off sweep must pay nothing and buffer nothing.  The warm

@@ -28,6 +28,9 @@
 #define CAUSE_APB_FULL 7
 #define CAUSE_RF_FULL 8
 #define CAUSE_LATEST_WRITE 9
+/* Not a checkpoint: a chain_scan section cut short where its
+ * Performance Watchdog fires. */
+#define CAUSE_OPEN 15
 
 /* Flag bits; repro.core.cext builds them from the detector state. */
 #define F_APB_ON 1
@@ -44,6 +47,17 @@
 
 /* ops[i] bits (CompiledTrace.scan_arrays): 1 write, 2 text, 4 output
  * write, 8 false write. */
+
+/* Whether ``key`` is in the sorted ``keys[0..nk)``. */
+static int cs_member(const int64_t *keys, int64_t nk, int64_t key)
+{
+    int64_t lo = 0, hi = nk;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (keys[mid] < key) lo = mid + 1; else hi = mid;
+    }
+    return lo < nk && keys[lo] == key;
+}
 
 int64_t chain_scan(
     const uint8_t *ops,      /* [n] per-access op bits */
@@ -72,7 +86,11 @@ int64_t chain_scan(
     uint8_t *sec_cause,
     int32_t *steps_off,      /* [max_sections + 1] */
     int32_t *steps_flat,     /* [n + 1] WBB-growth indices, flattened */
-    int32_t *dw_out)         /* [n + 1] F_FIRST_DW: count, then indices */
+    int32_t *dw_out,         /* [n + 1] F_FIRST_DW: count, then indices */
+    const int64_t *stop_keys,/* sorted keys already enumerated, or NULL */
+    int64_t n_stop,          /* the chain stops before reaching one */
+    const int64_t *gcum,     /* [n+1] cycle prefix sums (perf_load > 0) */
+    int64_t perf_load)       /* Performance Watchdog load, or 0 */
 {
     const int apb_on = flags & F_APB_ON;
     const int ignore_text = flags & F_IGNORE_TEXT;
@@ -95,6 +113,16 @@ int64_t chain_scan(
             fidx++;
         int at_forced = (fidx < nfs && fs[fidx] == start);
         int32_t variant, scan_from;
+        if (nsec > 0 && n_stop > 0) {
+            /* The rest of the chain is already enumerated from here. */
+            int64_t key = (int64_t)start << 2;
+            if (direct)
+                key |= 2;
+            else if (at_forced && forced_done == start)
+                key |= 1;
+            if (cs_member(stop_keys, n_stop, key))
+                break;
+        }
         if (direct) {
             variant = 2;
             scan_from = start + 1;
@@ -125,10 +153,24 @@ int64_t chain_scan(
         g += 1; /* stamp bump == clear all four buffers */
         int32_t rf_len = 0, wf_len = 0, wbb_len = 0, apb_len = 0;
         int untracked = 0;
-        int32_t end = n;
-        uint8_t cause = CAUSE_FINAL;
+        /* With a Performance Watchdog no attempt from ``start`` gets
+         * past the access that fires it, so the scan stops there; a
+         * section whose boundary lies further stays open, and the chain
+         * goes on from the cut, where the watchdog commits. */
+        int32_t lim = n;
+        if (perf_load > 0) {
+            int32_t lo = start + 1, hi = n;
+            const int64_t target = gcum[start] + perf_load;
+            while (lo < hi) {
+                int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
+                if (gcum[mid] < target) lo = mid + 1; else hi = mid;
+            }
+            lim = lo;
+        }
+        int32_t end = lim;
+        uint8_t cause = lim < n ? CAUSE_OPEN : CAUSE_FINAL;
         int32_t i = scan_from;
-        while (i < n) {
+        while (i < lim) {
             if (i == next_forced) {
                 end = i;
                 cause = CAUSE_COMPILER;
@@ -280,7 +322,7 @@ int64_t chain_scan(
             /* Untracked tail (latest-checkpoint mode after a read-side
              * fill): reads always pass, so only writes need
              * classifying. */
-            while (i < n) {
+            while (i < lim) {
                 if (i == next_forced) {
                     end = i;
                     cause = CAUSE_COMPILER;
@@ -344,33 +386,78 @@ int64_t chain_scan(
 }
 
 /* ------------------------------------------------------------------ *
- * Batched schedule replay: one schedule row's section walk.
+ * Section walk: one power schedule replayed over a SectionMap.
  *
  * A C port of the section walk in ``repro.sim.fast.FastReplaySimulator``
- * for the batch engine (``repro.sim.batch``): one call replays one
- * schedule row over the memoized section tables until it finishes or
- * needs Python — an unmaterialized section, more schedule on-times, a
- * ``watchdog_cut_safe`` verdict — and is then re-entered with the same
- * state arrays once Python has supplied what was missing.  Resumability
- * is by construction: every return to Python happens either before any
- * state mutation of the current section attempt (BW_NEED_SECTION,
- * BW_NEED_CUT — the re-entered walk re-derives the identical decision
- * point) or with the attempt fully accounted and only the restart
- * sequence pending (BW_NEED_ONTIMES, marked by PH_RESTART, where each
- * restart iteration is itself atomic around its single schedule draw).
- * BW_FALLBACK rows (power-cycle budget exhausted, an unsafe watchdog
- * cut, reach-buffer overflow) are rerun whole by the scalar engines —
- * schedules re-seed, so the rerun is exact.
+ * that serves scalar runs (``simulate_fast``) and batched schedule rows
+ * (``repro.sim.batch``) alike.  It reads the map's flat canonical-chain
+ * arrays in place — sorted ``keys``, ``ends``, ``causes``, ``soff`` and
+ * ``steps``, exactly as the family kernel emits them — finding a section
+ * by searching ``keys`` and deriving its kind from its cause id.  A small
+ * sorted overlay table holds the off-chain sections (watchdog cuts,
+ * direct re-entries) Python has resolved so far.  Checkpoints are
+ * counted per fixed cause id, with the ids' first-appearance order, so
+ * the caller rebuilds ``checkpoints_by_cause`` in the Python walker's
+ * key order.
+ *
+ * One call replays until the run finishes or needs Python — a section
+ * neither table holds, more schedule on-times, a ``watchdog_cut_safe``
+ * verdict — and is then re-entered with the same state array once Python
+ * has supplied what was missing.  Resumability is by construction: every
+ * return to Python happens either before any state mutation of the
+ * current section attempt (SW_NEED_SECTION, SW_NEED_CUT — the re-entered
+ * walk re-derives the identical decision point) or with the attempt
+ * fully accounted and only the restart sequence pending
+ * (SW_NEED_ONTIMES, marked by PH_RESTART, where each restart iteration is
+ * itself atomic around its single schedule draw).  SW_FALLBACK runs
+ * (power-cycle budget exhausted, reach-buffer overflow) are rerun whole
+ * by the Python walker — schedules re-seed, so the rerun is exact.
  */
 
 /* Stop codes. */
-#define BW_DONE 0
-#define BW_NEED_SECTION 1   /* out[0] = (start<<2)|variant */
-#define BW_NEED_ONTIMES 2
-#define BW_NEED_CUT 3       /* out[0..3] = start, variant, cut, furthest */
-#define BW_FALLBACK 4
+#define SW_DONE 0
+#define SW_NEED_SECTION 1   /* st[ST_OUT] = (start<<2)|variant */
+#define SW_NEED_ONTIMES 2
+#define SW_NEED_CUT 3       /* st[ST_OUT..+3] = start, variant, cut, furthest */
+#define SW_FALLBACK 4
 
-/* Persistent int64 state slots (one stripe per row). */
+/* Watchdog cause ids follow the section causes. */
+#define CAUSE_PROGRESS_WDT 10
+#define CAUSE_PERF_WDT 11
+#define SW_NCAUSES 12
+
+/* Per-map table: int64 slots, buffer addresses as integers. */
+#define T_GCUM 0        /* [n+1] int64 trace cycle prefix sums */
+#define T_ACC 1         /* [n] int64 per-access cycles */
+#define T_N 2
+#define T_FORCED 3      /* [n+1] uint8 forced-checkpoint membership */
+#define T_KEYS 4        /* flat canonical chain: sorted int64 keys */
+#define T_NKEYS 5
+#define T_ENDS 6        /* int32 */
+#define T_CAUSES 7      /* uint8 cause ids */
+#define T_SOFF 8        /* [nkeys+1] int64 offsets into T_STEPS */
+#define T_STEPS 9       /* int32 wbb growth steps */
+#define T_OV_KEYS 10    /* overlay: sorted int64 keys */
+#define T_OV_N 11
+#define T_OV_ENDS 12    /* int32 */
+#define T_OV_CAUSES 13  /* uint8 */
+#define T_OV_SOFF 14    /* int64 offset into T_OV_STEPS */
+#define T_OV_NST 15     /* int32 step count */
+#define T_OV_STEPS 16   /* int32 */
+
+/* Per-run parameters. */
+#define P_BASE_CK 0
+#define P_FLUSH_BASE 1
+#define P_PER_ENTRY 2
+#define P_RCOST 3
+#define P_PERF_LOAD 4
+#define P_PROG_DEFAULT 5
+#define P_PROG_ADAPTIVE 6
+#define P_IG_FW 7
+#define P_MAX_PC 8
+#define P_REACH_CAP 9
+
+/* Persistent run state (int64 slots). */
 #define ST_I 0
 #define ST_FURTHEST 1
 #define ST_ONLEFT 2
@@ -390,14 +477,15 @@ int64_t chain_scan(
 #define ST_WBB 16
 #define ST_NREACH 17
 #define ST_PHASE 18
-#define BW_NSLOTS 19
-
-/* Persistent flag slots. */
-#define FL_DIRECT 0
-#define FL_PROGRESS 1
-#define FL_PROG_NO_CKPT 2
-#define FL_PROG_EN 3
-#define BW_NFLAGS 4
+#define ST_DIRECT 19
+#define ST_PROGRESS 20
+#define ST_PROG_NO_CKPT 21
+#define ST_PROG_EN 22
+#define ST_HINT 23          /* flat row of the last section found */
+#define ST_OUT 24           /* [4] stop-code details */
+#define ST_NORDER 28
+#define ST_COUNTS 29        /* [SW_NCAUSES] checkpoints per cause id */
+#define ST_ORDER 41         /* [SW_NCAUSES] cause ids, first appearance */
 
 #define PH_WALK 0
 #define PH_RESTART 1        /* mid power-loss: resume the boot loop */
@@ -408,10 +496,13 @@ int64_t chain_scan(
 #define BSEC_FORCED 2
 #define BSEC_OUTPUT 3
 #define BSEC_FINAL 4
+#define BSEC_OPEN 5         /* cut short: boundary past the scanned end */
 #define BVAR_FORCED_DONE 1
 #define BVAR_DIRECT 2
 
-static int32_t bw_bisect_left64(const int64_t *a, int64_t x,
+#define SW_PTR(type, slot) ((type *)(intptr_t)tab[slot])
+
+static int32_t sw_bisect_left64(const int64_t *a, int64_t x,
                                 int32_t lo, int32_t hi)
 {
     while (lo < hi) {
@@ -421,7 +512,7 @@ static int32_t bw_bisect_left64(const int64_t *a, int64_t x,
     return lo;
 }
 
-static int32_t bw_bisect_right64(const int64_t *a, int64_t x,
+static int32_t sw_bisect_right64(const int64_t *a, int64_t x,
                                  int32_t lo, int32_t hi)
 {
     while (lo < hi) {
@@ -431,7 +522,7 @@ static int32_t bw_bisect_right64(const int64_t *a, int64_t x,
     return lo;
 }
 
-static int32_t bw_bisect_left32(const int32_t *a, int32_t x,
+static int32_t sw_bisect_left32(const int32_t *a, int32_t x,
                                 int32_t lo, int32_t hi)
 {
     while (lo < hi) {
@@ -441,31 +532,115 @@ static int32_t bw_bisect_left32(const int32_t *a, int32_t x,
     return lo;
 }
 
+/* Row of ``key`` in a sorted key array, or -1. */
+static int64_t sw_search(const int64_t *keys, int64_t nk, int64_t key)
+{
+    int64_t lo = 0, hi = nk;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (keys[mid] < key) lo = mid + 1; else hi = mid;
+    }
+    return (lo < nk && keys[lo] == key) ? lo : -1;
+}
+
+/* The boundary behaviour of a section, from its cause id (mirrors
+ * repro.sim.sections._KIND_BY_CAUSE). */
+static int32_t sw_kind(int32_t cause)
+{
+    switch (cause) {
+    case CAUSE_COMPILER: return BSEC_FORCED;
+    case CAUSE_OUTPUT: return BSEC_OUTPUT;
+    case CAUSE_TEXT_WRITE: return BSEC_TEXT;
+    case CAUSE_FINAL: return BSEC_FINAL;
+    case CAUSE_OPEN: return BSEC_OPEN;
+    default: return BSEC_DETECTOR;
+    }
+}
+
+typedef struct {
+    int32_t end, cause, nsteps;
+    const int32_t *steps;
+} sw_section;
+
+/* Find ``key``: the flat chain first (the walk advances through it in
+ * key order, so the last row and its successor are tried before a
+ * search), then the overlay.  Returns 0, or -1 when neither holds it. */
+static int sw_lookup(const int64_t *tab, int64_t key, int64_t *st,
+                     sw_section *sec)
+{
+    const int64_t *keys = SW_PTR(const int64_t, T_KEYS);
+    const int64_t nk = tab[T_NKEYS];
+    int64_t j = st[ST_HINT];
+    if (!(j < nk && keys[j] == key)) {
+        if (j + 1 < nk && keys[j + 1] == key)
+            j++;
+        else
+            j = sw_search(keys, nk, key);
+    }
+    if (j >= 0) {
+        const int64_t *soff = SW_PTR(const int64_t, T_SOFF);
+        st[ST_HINT] = j;
+        sec->end = SW_PTR(const int32_t, T_ENDS)[j];
+        sec->cause = SW_PTR(const uint8_t, T_CAUSES)[j];
+        sec->steps = SW_PTR(const int32_t, T_STEPS) + soff[j];
+        sec->nsteps = (int32_t)(soff[j + 1] - soff[j]);
+        return 0;
+    }
+    j = sw_search(SW_PTR(const int64_t, T_OV_KEYS), tab[T_OV_N], key);
+    if (j < 0)
+        return -1;
+    sec->end = SW_PTR(const int32_t, T_OV_ENDS)[j];
+    sec->cause = SW_PTR(const uint8_t, T_OV_CAUSES)[j];
+    sec->steps = SW_PTR(const int32_t, T_OV_STEPS)
+        + SW_PTR(const int64_t, T_OV_SOFF)[j];
+    sec->nsteps = SW_PTR(const int32_t, T_OV_NST)[j];
+    return 0;
+}
+
+/* One committed checkpoint of cause ``cid``. */
+static void sw_count(int64_t *st, int32_t cid)
+{
+    if (st[ST_COUNTS + cid]++ == 0)
+        st[ST_ORDER + st[ST_NORDER]++] = cid;
+}
+
+/* Commit bookkeeping shared by every checkpoint: the Progress Watchdog's
+ * non-volatile state resets and the power cycle made progress. */
+static void sw_committed(int64_t *st, int64_t prog_default)
+{
+    if (prog_default > 0) {
+        st[ST_PROG_EN] = 0;
+        st[ST_PROG_NV] = 0;
+        st[ST_PROG_NO_CKPT] = 0;
+    }
+    st[ST_PROGRESS] = 1;
+}
+
 /* The boot loop of ``restart_sequence``: draw on-times until one affords
  * the restart routine.  Atomic per iteration around its draw, so a
- * BW_NEED_ONTIMES return re-enters cleanly at the loop top. */
-static int bw_restart(const int64_t *ontimes, int64_t n_ontimes,
-                      int64_t rcost, int64_t prog_default,
-                      int32_t prog_adaptive, int64_t max_pc,
-                      int64_t *st, uint8_t *fl)
+ * SW_NEED_ONTIMES return re-enters cleanly at the loop top. */
+static int sw_restart(const int64_t *ontimes, int64_t n_ontimes,
+                      const int64_t *prm, int64_t *st)
 {
+    const int64_t rcost = prm[P_RCOST];
+    const int64_t prog_default = prm[P_PROG_DEFAULT];
     for (;;) {
         int64_t on;
-        if (st[ST_POS] >= n_ontimes) return BW_NEED_ONTIMES;
+        if (st[ST_POS] >= n_ontimes) return SW_NEED_ONTIMES;
         on = ontimes[st[ST_POS]++];
-        fl[FL_PROGRESS] = 0;
-        fl[FL_PROG_EN] = 0;
+        st[ST_PROGRESS] = 0;
+        st[ST_PROG_EN] = 0;
         if (prog_default > 0) {
-            if (!fl[FL_PROG_NO_CKPT]) {
-                fl[FL_PROG_NO_CKPT] = 1;
+            if (!st[ST_PROG_NO_CKPT]) {
+                st[ST_PROG_NO_CKPT] = 1;
             } else {
-                if (st[ST_PROG_NV] > 0 && prog_adaptive) {
+                if (st[ST_PROG_NV] > 0 && prm[P_PROG_ADAPTIVE]) {
                     st[ST_PROG_NV] >>= 1;
                     if (st[ST_PROG_NV] < 1) st[ST_PROG_NV] = 1;
                 } else if (st[ST_PROG_NV] == 0) {
                     st[ST_PROG_NV] = prog_default;
                 }
-                fl[FL_PROG_EN] = 1;
+                st[ST_PROG_EN] = 1;
                 st[ST_PROG_REM] = st[ST_PROG_NV];
             }
         }
@@ -477,37 +652,33 @@ static int bw_restart(const int64_t *ontimes, int64_t n_ontimes,
         st[ST_RESTART] += on;
         st[ST_PC] += 1;
         st[ST_WASTED_PC] += 1;
-        if (st[ST_PC] > max_pc) return BW_FALLBACK;
+        if (st[ST_PC] > prm[P_MAX_PC]) return SW_FALLBACK;
     }
 }
 
 /* ``power_loss(at_i)`` + the restart: record the failed cycle's reach,
  * tick the power-cycle counters, then boot.  Enters PH_RESTART before
- * the boot loop so a BW_NEED_ONTIMES resume skips straight back in. */
-static int bw_power_loss(int64_t at_i,
+ * the boot loop so a SW_NEED_ONTIMES resume skips straight back in. */
+static int sw_power_loss(int64_t at_i,
                          const int64_t *ontimes, int64_t n_ontimes,
-                         int64_t rcost, int64_t prog_default,
-                         int32_t prog_adaptive, int64_t max_pc,
-                         int32_t ig_fw,
-                         int64_t *reach_buf, int32_t reach_cap,
-                         int64_t *st, uint8_t *fl)
+                         const int64_t *prm, int64_t *reach, int64_t *st)
 {
     int64_t i = st[ST_I];
-    if (ig_fw && at_i > i) {
+    if (prm[P_IG_FW] && at_i > i) {
         int64_t nr = st[ST_NREACH];
-        while (nr > 0 && reach_buf[2 * (nr - 1) + 1] == i
-               && reach_buf[2 * (nr - 1)] <= at_i)
+        while (nr > 0 && reach[2 * (nr - 1) + 1] == i
+               && reach[2 * (nr - 1)] <= at_i)
             nr--;
-        if (nr >= reach_cap) return BW_FALLBACK;
-        reach_buf[2 * nr] = at_i;
-        reach_buf[2 * nr + 1] = i;
+        if (nr >= prm[P_REACH_CAP]) return SW_FALLBACK;
+        reach[2 * nr] = at_i;
+        reach[2 * nr + 1] = i;
         nr++;
         if (nr > 64) {
             int64_t w = 0, k;
             for (k = 0; k < nr; k++) {
-                if (reach_buf[2 * k] > i) {
-                    reach_buf[2 * w] = reach_buf[2 * k];
-                    reach_buf[2 * w + 1] = reach_buf[2 * k + 1];
+                if (reach[2 * k] > i) {
+                    reach[2 * w] = reach[2 * k];
+                    reach[2 * w + 1] = reach[2 * k + 1];
                     w++;
                 }
             }
@@ -515,17 +686,15 @@ static int bw_power_loss(int64_t at_i,
         }
         st[ST_NREACH] = nr;
     }
-    if (!fl[FL_PROGRESS]) st[ST_WASTED_PC] += 1;
+    if (!st[ST_PROGRESS]) st[ST_WASTED_PC] += 1;
     st[ST_PC] += 1;
-    if (st[ST_PC] > max_pc) return BW_FALLBACK;
+    if (st[ST_PC] > prm[P_MAX_PC]) return SW_FALLBACK;
     st[ST_PHASE] = PH_RESTART;
-    return bw_restart(ontimes, n_ontimes, rcost, prog_default,
-                      prog_adaptive, max_pc, st, fl);
+    return sw_restart(ontimes, n_ontimes, prm, st);
 }
 
 /* The useful/re-executed split of an executed span [st[ST_I], m). */
-static void bw_account(int64_t m, const int64_t *gcum,
-                       int64_t *st, uint8_t *fl)
+static void sw_account(int64_t m, const int64_t *gcum, int64_t *st)
 {
     int64_t s = st[ST_I], fu = st[ST_FURTHEST];
     if (m <= fu) {
@@ -533,46 +702,47 @@ static void bw_account(int64_t m, const int64_t *gcum,
     } else if (s >= fu) {
         st[ST_USEFUL] += gcum[m] - gcum[s];
         st[ST_FURTHEST] = m;
-        fl[FL_PROGRESS] = 1;
+        st[ST_PROGRESS] = 1;
     } else {
         st[ST_REEXEC] += gcum[fu] - gcum[s];
         st[ST_USEFUL] += gcum[m] - gcum[fu];
         st[ST_FURTHEST] = m;
-        fl[FL_PROGRESS] = 1;
+        st[ST_PROGRESS] = 1;
     }
 }
 
-int64_t batch_walk(
-    const int64_t *gcum,       /* [n+1] trace cycle prefix sums */
-    const int64_t *acc,        /* [n] per-access cycles */
-    int32_t n,
-    const uint8_t *forced_mask,/* [n+1] forced-checkpoint membership */
-    const int32_t *slot_of,    /* [(n+1)*4] key -> slot, -1 unknown */
-    const int32_t *sec_end,    /* per slot: end, cause id, kind, nsteps */
-    const int32_t *sec_cause,
-    const int32_t *sec_kind,
-    const int32_t *sec_nsteps,
-    const int64_t *steps_off,  /* per slot: offset into steps_val */
-    const int32_t *steps_val,  /* flattened wbb growth steps */
-    const int64_t *ontimes,    /* this row's schedule on-times */
+/* Power fails at ``at``: the attempt is accounted, so lose power, boot,
+ * and resume the walk (or hand the stop code to Python). */
+#define SW_LOSE(at)                                                     \
+    do {                                                                \
+        int rc_ = sw_power_loss((at), ontimes, n_ontimes, prm, reach,   \
+                                st);                                    \
+        if (rc_) return rc_;                                            \
+        st[ST_PHASE] = PH_WALK;                                         \
+    } while (0)
+
+int64_t section_walk(
+    const int64_t *tab,        /* per-map table (T_* slots) */
+    const int64_t *prm,        /* per-run parameters (P_* slots) */
+    const int64_t *ontimes,    /* this run's schedule on-times so far */
     int64_t n_ontimes,
-    int64_t base_ck, int64_t flush_base, int64_t per_entry, int64_t rcost,
-    int64_t perf_load, int64_t prog_default,
-    int32_t prog_adaptive, int32_t ig_fw,
-    int64_t max_pc,
-    int32_t cause_prog, int32_t cause_perf, int32_t cause_output,
     int32_t cut_ok,            /* 1: first cut check this call is safe */
-    int64_t *st,               /* [BW_NSLOTS] persistent row state */
-    uint8_t *fl,               /* [BW_NFLAGS] persistent row flags */
-    int64_t *counts,           /* per-cause checkpoint counters */
-    int64_t *reach_buf,        /* [2*reach_cap] (reach, start) pairs */
-    int32_t reach_cap,
-    int64_t *out)              /* stop-code details */
+    int64_t *st,               /* persistent run state (ST_* slots) */
+    int64_t *reach)            /* [2*reach_cap] (reach, start) pairs */
 {
-    int rc;
+    const int64_t *gcum = SW_PTR(const int64_t, T_GCUM);
+    const int64_t *acc = SW_PTR(const int64_t, T_ACC);
+    const uint8_t *forced_mask = SW_PTR(const uint8_t, T_FORCED);
+    const int32_t n = (int32_t)tab[T_N];
+    const int64_t base_ck = prm[P_BASE_CK];
+    const int64_t flush_base = prm[P_FLUSH_BASE];
+    const int64_t per_entry = prm[P_PER_ENTRY];
+    const int64_t perf_load = prm[P_PERF_LOAD];
+    const int64_t prog_default = prm[P_PROG_DEFAULT];
+    const int64_t ig_fw = prm[P_IG_FW];
+
     if (st[ST_PHASE] == PH_RESTART) {
-        rc = bw_restart(ontimes, n_ontimes, rcost, prog_default,
-                        prog_adaptive, max_pc, st, fl);
+        int rc = sw_restart(ontimes, n_ontimes, prm, st);
         if (rc) return rc;
         st[ST_PHASE] = PH_WALK;
     }
@@ -580,26 +750,26 @@ int64_t batch_walk(
         int64_t s = st[ST_I];
         int64_t variant = 0;
         int64_t key, base, on_left;
-        int32_t slot, end, kind;
+        int32_t end, kind;
         int32_t fire_m = -1, fire_prog = 0, u;
-        if (fl[FL_DIRECT]) {
+        sw_section sec;
+        if (st[ST_DIRECT]) {
             variant = BVAR_DIRECT;
         } else if (st[ST_FORCED_DONE] == s && forced_mask[s]) {
             variant = BVAR_FORCED_DONE;
         }
         key = (s << 2) | variant;
-        slot = slot_of[key];
-        if (slot < 0) {
-            out[0] = key;
-            return BW_NEED_SECTION;
+        if (sw_lookup(tab, key, st, &sec)) {
+            st[ST_OUT] = key;
+            return SW_NEED_SECTION;
         }
-        end = sec_end[slot];
-        kind = sec_kind[slot];
+        end = sec.end;
+        kind = sw_kind(sec.cause);
         base = gcum[s];
         on_left = st[ST_ONLEFT];
 
-        if (fl[FL_PROG_EN]) {
-            int32_t j = bw_bisect_left64(gcum, base + st[ST_PROG_REM],
+        if (st[ST_PROG_EN]) {
+            int32_t j = sw_bisect_left64(gcum, base + st[ST_PROG_REM],
                                          (int32_t)s + 1, end + 1);
             if (j <= end) {
                 fire_m = j - 1;
@@ -607,7 +777,7 @@ int64_t batch_walk(
             }
         }
         if (perf_load > 0) {
-            int32_t j = bw_bisect_left64(gcum, base + perf_load,
+            int32_t j = sw_bisect_left64(gcum, base + perf_load,
                                          (int32_t)s + 1, end + 1);
             if (j <= end && (fire_m < 0 || j - 1 < fire_m)) {
                 fire_m = j - 1;
@@ -615,21 +785,22 @@ int64_t batch_walk(
             }
         }
 
-        u = bw_bisect_right64(gcum, base + on_left,
-                              (int32_t)s + 1, end + 1);
+        u = sw_bisect_right64(gcum, base + on_left, (int32_t)s + 1, end + 1);
+        if (kind == BSEC_OPEN && u > end && fire_m < 0) {
+            /* This attempt runs past an open section's scanned end:
+             * Python scans the whole section. */
+            st[ST_OUT] = key;
+            return SW_NEED_SECTION;
+        }
         if (u <= end && (fire_m < 0 || u - 1 <= fire_m)) {
             /* Power fails mid-span. */
             int64_t mf = u - 1;
-            int32_t was_direct = fl[FL_DIRECT];
-            bw_account(mf, gcum, st, fl);
+            int64_t was_direct = st[ST_DIRECT];
+            sw_account(mf, gcum, st);
             st[ST_WASTED] += on_left - (gcum[mf] - base);
             if (!(was_direct && mf == s)) st[ST_FORCED_DONE] = -1;
-            fl[FL_DIRECT] = 0;
-            rc = bw_power_loss(mf, ontimes, n_ontimes, rcost,
-                               prog_default, prog_adaptive, max_pc,
-                               ig_fw, reach_buf, reach_cap, st, fl);
-            if (rc) return rc;
-            st[ST_PHASE] = PH_WALK;
+            st[ST_DIRECT] = 0;
+            SW_LOSE(mf);
             continue;
         }
 
@@ -637,113 +808,86 @@ int64_t batch_walk(
             /* A watchdog fires after access fire_m. */
             int64_t m1 = fire_m + 1;
             int64_t span = gcum[m1] - base;
-            int64_t off = steps_off[slot];
-            int32_t nwbb = bw_bisect_left32(
-                steps_val + off, (int32_t)m1, 0, sec_nsteps[slot]) ;
+            int32_t nwbb = sw_bisect_left32(sec.steps, (int32_t)m1, 0,
+                                            sec.nsteps);
             int64_t c = base_ck
                 + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left - span >= c && ig_fw && st[ST_FURTHEST] > m1) {
                 /* The cut needs watchdog_cut_safe — decided in Python,
                  * before any mutation so the resume re-derives it. */
                 if (cut_ok != 1) {
-                    out[0] = s;
-                    out[1] = variant;
-                    out[2] = m1;
-                    out[3] = st[ST_FURTHEST];
-                    return BW_NEED_CUT;
+                    st[ST_OUT] = s;
+                    st[ST_OUT + 1] = variant;
+                    st[ST_OUT + 2] = m1;
+                    st[ST_OUT + 3] = st[ST_FURTHEST];
+                    return SW_NEED_CUT;
                 }
                 cut_ok = -1;
             }
-            bw_account(m1, gcum, st, fl);
+            sw_account(m1, gcum, st);
             st[ST_ONLEFT] = on_left = on_left - span;
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(m1, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                st[ST_DIRECT] = 0;
+                SW_LOSE(m1);
                 continue;
             }
             st[ST_ONLEFT] -= c;
             st[ST_CKPT] += c;
             st[ST_WBB] += nwbb;
-            counts[fire_prog ? cause_prog : cause_perf] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            sw_count(st, fire_prog ? CAUSE_PROGRESS_WDT : CAUSE_PERF_WDT);
+            sw_committed(st, prog_default);
             st[ST_I] = m1;
-            fl[FL_DIRECT] = 0;
+            st[ST_DIRECT] = 0;
             continue;
         }
 
         /* The whole span executes; handle the boundary. */
-        bw_account(end, gcum, st, fl);
+        sw_account(end, gcum, st);
         st[ST_ONLEFT] = on_left = on_left - (gcum[end] - base);
 
         if (kind == BSEC_DETECTOR || kind == BSEC_TEXT
             || kind == BSEC_OUTPUT) {
+            /* The boundary access is fetched first: power can fail on
+             * it before the checkpoint is attempted. */
             int64_t ce = acc[end];
-            int32_t nwbb;
-            int64_t c;
+            int32_t nwbb = sec.nsteps;
+            int64_t c = base_ck + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left < ce) {
                 st[ST_WASTED] += on_left;
                 st[ST_FORCED_DONE] = -1;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                st[ST_DIRECT] = 0;
+                SW_LOSE(end);
                 continue;
             }
-            nwbb = sec_nsteps[slot];
-            c = base_ck + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                st[ST_DIRECT] = 0;
+                SW_LOSE(end);
                 continue;
             }
             st[ST_ONLEFT] = on_left = on_left - c;
             st[ST_CKPT] += c;
             st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            sw_count(st, sec.cause);
+            sw_committed(st, prog_default);
             st[ST_I] = end;
 
             if (kind == BSEC_DETECTOR) {
-                fl[FL_DIRECT] = 0;
+                st[ST_DIRECT] = 0;
                 continue;
             }
             if (kind == BSEC_TEXT) {
-                fl[FL_DIRECT] = 1;
+                st[ST_DIRECT] = 1;
                 continue;
             }
 
             /* BSEC_OUTPUT: the GO phase. */
-            fl[FL_DIRECT] = 0;
+            st[ST_DIRECT] = 0;
             if (on_left < ce) {
                 st[ST_WASTED] += on_left;
                 st[ST_FORCED_DONE] = -1;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                SW_LOSE(end);
                 continue;
             }
             st[ST_ONLEFT] = on_left = on_left - ce;
@@ -754,90 +898,45 @@ int64_t batch_walk(
             } else {
                 st[ST_USEFUL] += ce;
                 st[ST_FURTHEST] = end + 1;
-                fl[FL_PROGRESS] = 1;
+                st[ST_PROGRESS] = 1;
             }
             if (on_left < base_ck) {
                 st[ST_WASTED] += on_left;
-                rc = bw_power_loss(end + 1, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                SW_LOSE(end + 1);
                 continue;
             }
             st[ST_ONLEFT] -= base_ck;
             st[ST_CKPT] += base_ck;
-            counts[cause_output] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            sw_count(st, CAUSE_OUTPUT);
+            sw_committed(st, prog_default);
             st[ST_I] = end + 1;
             continue;
         }
 
-        if (kind == BSEC_FORCED) {
-            int32_t nwbb = sec_nsteps[slot];
-            int64_t c = base_ck
-                + (nwbb ? flush_base + nwbb * per_entry : 0);
+        {
+            /* BSEC_FORCED and BSEC_FINAL: a checkpoint at the boundary. */
+            int32_t nwbb = sec.nsteps;
+            int64_t c = base_ck + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                st[ST_FORCED_DONE] = -1;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
+                if (kind == BSEC_FORCED) st[ST_FORCED_DONE] = -1;
+                st[ST_DIRECT] = 0;
+                SW_LOSE(kind == BSEC_FORCED ? end : n);
                 continue;
             }
             st[ST_ONLEFT] -= c;
             st[ST_CKPT] += c;
             st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            sw_count(st, sec.cause);
+            sw_committed(st, prog_default);
+            if (kind == BSEC_FINAL)
+                return SW_DONE;
             st[ST_FORCED_DONE] = end;
             st[ST_I] = end;
-            fl[FL_DIRECT] = 0;
-            continue;
-        }
-
-        /* BSEC_FINAL. */
-        {
-            int32_t nwbb = sec_nsteps[slot];
-            int64_t c = base_ck
-                + (nwbb ? flush_base + nwbb * per_entry : 0);
-            if (on_left < c) {
-                st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(n, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
-                continue;
-            }
-            st[ST_ONLEFT] -= c;
-            st[ST_CKPT] += c;
-            st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            return BW_DONE;
+            st[ST_DIRECT] = 0;
         }
     }
 }
-
 
 /* ------------------------------------------------------------------ *
  * Config-family chain scan: one kernel call, K configurations.

@@ -38,6 +38,14 @@ CAUSE_NAMES = (
     "wbb_full", "wf_full", "apb_full", "rf_full", "latest_write",
 )
 
+#: Checkpoint causes by the section walk's cause id: the section causes,
+#: then CAUSE_PROGRESS_WDT and CAUSE_PERF_WDT.
+WALK_CAUSE_NAMES = CAUSE_NAMES + ("progress_wdt", "perf_wdt")
+
+#: Cause id of a chain-scan section cut short at its limit (``CAUSE_OPEN``
+#: in _chainscan.c); never a checkpoint cause.
+CAUSE_OPEN = 15
+
 #: Mirrors the F_* flag bits in _chainscan.c.
 F_APB_ON = 1
 F_IGNORE_TEXT = 2
@@ -106,8 +114,9 @@ def _build() -> Optional[ctypes.CDLL]:
         _status = f"load failed: {exc}"
         return None
     c_i32 = ctypes.c_int32
+    c_i64 = ctypes.c_int64
     p = ctypes.c_void_p
-    fn.restype = ctypes.c_int64
+    fn.restype = c_i64
     fn.argtypes = (
         p, p, p, p, p,                      # ops, wids, pids, pi, fs
         c_i32, c_i32,                       # nfs, n
@@ -116,13 +125,14 @@ def _build() -> Optional[ctypes.CDLL]:
         p, p, p, p, p,                      # scratch + gen
         p, p, p, p, p, p,                   # outputs
         p,                                  # dw_out (F_FIRST_DW)
+        p, c_i64,                           # stop_keys, n_stop
+        p, c_i64,                           # gcum, perf_load
     )
     try:
         fam = lib.family_chain_scan
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
         return None
-    c_i64 = ctypes.c_int64
     fam.restype = c_i64
     fam.argtypes = (
         p, p, p, p, p,                      # ops, wids, pids, pi, fs
@@ -136,20 +146,16 @@ def _build() -> Optional[ctypes.CDLL]:
         p, p,                               # out_nev, out_nst
     )
     try:
-        bw = lib.batch_walk
+        sw = lib.section_walk
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
         return None
-    bw.restype = c_i64
-    bw.argtypes = (
-        p, p, c_i32, p,                     # gcum, acc, n, forced_mask
-        p, p, p, p, p, p, p,                # section tables
+    sw.restype = c_i64
+    sw.argtypes = (
+        p, p,                               # map table, run parameters
         p, c_i64,                           # ontimes, n_ontimes
-        c_i64, c_i64, c_i64, c_i64,         # base_ck, flush, entry, rcost
-        c_i64, c_i64, c_i32, c_i32,         # watchdog loads, flags
-        c_i64,                              # max_pc
-        c_i32, c_i32, c_i32, c_i32,         # cause ids, cut_ok
-        p, p, p, p, c_i32, p,               # st, fl, counts, reaches, out
+        c_i32,                              # cut_ok
+        p, p,                               # run state, reaches
     )
     _status = f"loaded ({so_path})"
     return lib
@@ -224,6 +230,7 @@ class ChainScanEngine:
          self.out_cause, self.out_steps_off, self.out_steps,
          self.out_dw) = out
         fs_b = array("i", forced_sorted) if forced_sorted else array("i", [0])
+        gcum_b = ct.cycle_buffers()[0]
         self._fn = lib.chain_scan
         self._args = (
             _addr(ops_b) if ct.n else 0,
@@ -240,13 +247,23 @@ class ChainScanEngine:
             _addr(self.out_end), _addr(self.out_cause),
             _addr(self.out_steps_off), _addr(self.out_steps),
             _addr(self.out_dw),
+            _addr(gcum_b),
             # Buffer lifetimes: the arrays must outlive this engine.
             (ops_b, wids_b, pids_b, pi_b, fs_b, gen_b,
-             rf_b, wf_b, wbb_b, apb_b),
+             rf_b, wf_b, wbb_b, apb_b, gcum_b),
         )
 
-    def scan(self, start: int, direct: int, forced_done: int) -> int:
-        """Run the kernel from one section entry; returns section count."""
+    def scan(self, start: int, direct: int, forced_done: int,
+             stop=None, perf_load: int = 0) -> int:
+        """Run the kernel from one section entry; returns section count.
+
+        ``stop`` (a sorted ``array('q')`` of section keys) ends the chain
+        before the first later section whose key it holds.  With a
+        Performance Watchdog load ``perf_load`` > 0, a section whose
+        boundary lies past the access that fires it is emitted open —
+        end at that cut, cause :data:`CAUSE_OPEN` — and the chain goes
+        on from the cut.
+        """
         a = self._args
         return self._fn(
             a[0], a[1], a[2], a[3], a[4], a[5], a[6],
@@ -254,6 +271,8 @@ class ChainScanEngine:
             a[7], a[8], a[9], a[10], a[11],
             a[12], a[13], a[14], a[15], a[16],
             a[17], a[18], a[19], a[20], a[21], a[22], a[23],
+            _addr(stop) if stop else 0, len(stop) if stop else 0,
+            a[24], perf_load,
         )
 
     def scan_first_dw(self, start: int, direct: int, forced_done: int):
@@ -265,7 +284,7 @@ class ChainScanEngine:
             start, direct, forced_done,
             a[7], a[8], a[9], a[10], a[11] | F_FIRST_DW,
             a[12], a[13], a[14], a[15], a[16],
-            a[17], a[18], a[19], a[20], a[21], a[22], a[23],
+            a[17], a[18], a[19], a[20], a[21], a[22], a[23], 0, 0, a[24], 0,
         )
         dw = self.out_dw
         k = dw[0]

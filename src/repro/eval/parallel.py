@@ -288,6 +288,28 @@ def _register_family_plans(jobs: List[SimJob],
         sections.ensure_lru_capacity(total + _FAMILY_LRU_SLACK)
 
 
+def family_window(job: SimJob) -> list:
+    """The registered plan configs a worker needs to prefetch for
+    ``job``: its own config and up to ``_FAMILY_CHUNK - 1`` successors
+    (empty when no plan covers the job)."""
+    plan = _FAMILY_PLANS.get(_family_plan_key(job))
+    if plan is None:
+        return []
+    configs, pos = plan
+    p = pos.get(job.clank_config())
+    return [] if p is None else configs[p:p + _FAMILY_CHUNK]
+
+
+def adopt_family_window(job: SimJob, window: list) -> None:
+    """Make ``window`` (a parent's :func:`family_window`) this process's
+    plan for ``job``'s enumeration context — how a fork-pool worker
+    created before the plan was registered still family-scans."""
+    if window:
+        _FAMILY_PLANS[_family_plan_key(job)] = (
+            list(window), {c: i for i, c in enumerate(window)}
+        )
+
+
 def _family_prefetch(job: SimJob, trace, config, pi_words,
                      pi_access_indices, forced_checkpoints) -> None:
     """Run the job's family prefetch if a plan covers it (see
@@ -345,7 +367,7 @@ def execute_job(
     ledger = telemetry.LEDGER
 
     def ledger_record(engine, reason=None, result_cache="off",
-                      stalled=False, wall_s=0.0, t_start=None):
+                      stalled=False, wall_s=0.0, t_start=None, kernel=None):
         if not ledger.enabled:
             return
         ledger.record(telemetry.RunRecord(
@@ -353,7 +375,7 @@ def execute_job(
             config=config.label(),
             engine=engine,
             fallback_reason=reason,
-            kernel=telemetry.active_kernel() if engine == "fast" else None,
+            kernel=kernel,
             result_cache=result_cache,
             size=job.size,
             salt=job.salt,
@@ -484,7 +506,9 @@ def execute_job(
     else:
         engine, reason = fast_dispatch.last_dispatch()
     ledger_record(engine, reason=reason, result_cache=result_cache,
-                  wall_s=elapsed, t_start=t_start)
+                  wall_s=elapsed, t_start=t_start,
+                  kernel=fast_dispatch.last_kernel()
+                  if engine == "fast" else None)
     return result, elapsed
 
 
@@ -517,7 +541,8 @@ def _execute_batch(
     ledger = telemetry.LEDGER
 
     def ledger_record(engine, reason=None, result_cache="off", rows=1,
-                      salt=None, stalled=False, wall_s=0.0, t_start=None):
+                      salt=None, stalled=False, wall_s=0.0, t_start=None,
+                      kernel=None):
         if not ledger.enabled:
             return
         ledger.record(telemetry.RunRecord(
@@ -525,9 +550,7 @@ def _execute_batch(
             config=config.label(),
             engine=engine,
             fallback_reason=reason,
-            kernel=telemetry.active_kernel()
-            if engine in (telemetry.ENGINE_BATCH, telemetry.ENGINE_FAST)
-            else None,
+            kernel=kernel,
             result_cache=result_cache,
             size=job.size,
             salt=job.salt if salt is None else salt,
@@ -604,7 +627,8 @@ def _execute_batch(
     batch_rows = batch.batch_rows
     if batch_rows:
         ledger_record(telemetry.ENGINE_BATCH, result_cache=result_cache,
-                      rows=batch_rows, wall_s=elapsed, t_start=t_start)
+                      rows=batch_rows, wall_s=elapsed, t_start=t_start,
+                      kernel="c")
     for r, engine in enumerate(batch.engines):
         if engine == "batch":
             continue
@@ -615,6 +639,7 @@ def _execute_batch(
             salt=job.salt + r * job.seed_stride,
             stalled=engine == "stalled",
             t_start=t_start,
+            kernel=batch.kernels[r] if batch.kernels else None,
         )
     return batch, elapsed
 
@@ -711,6 +736,7 @@ def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
         "arch": arch_entries,
         "dispatch": {
             "fast": disp_after["fast"] - disp_before["fast"],
+            "c_walk": disp_after["c_walk"] - disp_before["c_walk"],
             "reasons": {
                 reason: disp_after["reasons"][reason] - count
                 for reason, count in disp_before["reasons"].items()

@@ -109,7 +109,7 @@ def run_clank(
             config=config.label(),
             engine=engine,
             fallback_reason=reason,
-            kernel=telemetry.active_kernel() if engine == "fast" else None,
+            kernel=fast_dispatch.last_kernel(),
             result_cache="off",
             size=settings.size,
             salt=salt,

@@ -88,7 +88,6 @@ from repro.obs.telemetry import (
     Ledger,
     RunLedger,
     RunRecord,
-    active_kernel,
     read_ledger,
 )
 
@@ -131,5 +130,4 @@ __all__ = [
     "Ledger",
     "LEDGER",
     "read_ledger",
-    "active_kernel",
 ]

@@ -4,8 +4,8 @@ The performance stack (fork pool, compiled replay, section-memoized fast
 path, persistent result cache) serves almost every simulator run, and the
 paper's methodology rests on every path being bit-identical.  Trusting
 that acceleration requires *provenance*: for each run, which engine
-actually produced the result, which cache tier served it, which chain-scan
-kernel enumerated its sections, and — when the fast path refused — the
+actually produced the result, which cache tier served it, which section
+walker (C or Python) replayed it, and — when the fast path refused — the
 typed reason.  This module records exactly that, once per run at the
 dispatch point (never per access), so telemetry can stay on without
 changing which engine runs or how fast it runs.
@@ -15,7 +15,7 @@ changing which engine runs or how fast it runs.
   simulator.
 * :class:`RunRecord` — one run's provenance: workload, configuration key,
   engine (``fast`` / ``reference`` / ``disk-cached-result`` / ``undo`` /
-  ``stalled``), fallback reason, chain-scan kernel, result-cache tier
+  ``stalled``), fallback reason, section walker, result-cache tier
   outcome, and wall time.  :meth:`RunRecord.stable_dict` drops the
   wall-time fields (``wall_s``, ``t_start``, ``worker``) so ledgers can be
   compared across worker counts.
@@ -54,7 +54,6 @@ __all__ = [
     "Ledger",
     "RunLedger",
     "RunRecord",
-    "active_kernel",
     "read_ledger",
 ]
 
@@ -105,8 +104,10 @@ class RunRecord:
             aborted without forward progress under ``allow_stall``).
         fallback_reason: :class:`FallbackReason` value when the engine is
             ``reference`` and the run went through ``simulate_fast``.
-        kernel: Chain-scan kernel available to the fast path (``c`` or
-            ``python``); ``None`` for runs that never enumerate sections.
+        kernel: The section walker that served the run — ``c`` (the C
+            section walk, which also serves every ``batch`` row) or
+            ``python`` (``FastReplaySimulator.run``); ``None`` for runs
+            no section walk served.
         result_cache: Whole-result disk-cache tier outcome — ``hit``,
             ``miss``, or ``off`` (tier not consulted: no store, or the
             call site has no result key, e.g. ``--verify``).  For
@@ -405,32 +406,6 @@ def is_ledger_file(path: str) -> bool:
     except (OSError, ValueError):
         return False
     return False
-
-
-_KERNEL: Optional[str] = None
-
-
-def active_kernel() -> str:
-    """Which chain-scan kernel this process would enumerate sections
-    with: ``"c"`` when the compiled kernel loaded, else ``"python"``.
-
-    Memoized here (it is asked once per fast run on the telemetry hot
-    path); tests that toggle ``REPRO_CEXT`` mid-process must call
-    :func:`reset_active_kernel_cache` alongside
-    ``repro.core.cext.reset_for_tests``.
-    """
-    global _KERNEL
-    if _KERNEL is None:
-        from repro.core.cext import chain_scan_lib
-
-        _KERNEL = "c" if chain_scan_lib() is not None else "python"
-    return _KERNEL
-
-
-def reset_active_kernel_cache() -> None:
-    """Forget the memoized kernel (for tests that reload the C ext)."""
-    global _KERNEL
-    _KERNEL = None
 
 
 #: The process-wide ledger the eval CLI and runners share.

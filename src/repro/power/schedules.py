@@ -85,7 +85,7 @@ class ExponentialPower(PowerSchedule):
         return max(self._min, int(self._rng.expovariate(1.0 / self._mean)))
 
     def reset(self) -> None:
-        self._rng = random.Random(self._seed)
+        self._rng.seed(self._seed)
 
     @property
     def mean_on_time(self) -> float:
@@ -185,7 +185,7 @@ class UniformPower(PowerSchedule):
         return self._rng.randint(self._lo, self._hi)
 
     def reset(self) -> None:
-        self._rng = random.Random(self._seed)
+        self._rng.seed(self._seed)
 
     @property
     def mean_on_time(self) -> float:
@@ -246,7 +246,7 @@ class RuntPower(PowerSchedule):
         return max(1, int(self._rng.expovariate(1.0 / mean)))
 
     def reset(self) -> None:
-        self._rng = random.Random(self._seed)
+        self._rng.seed(self._seed)
 
     @property
     def mean_on_time(self) -> float:

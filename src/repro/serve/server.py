@@ -86,7 +86,8 @@ def _job_key(job_d: dict, settings_d: dict) -> str:
 
 
 def _pool_run(
-    job_d: dict, settings_d: dict, trace_parent: Optional[Tuple[str, str]] = None
+    job_d: dict, settings_d: dict, trace_parent: Optional[Tuple[str, str]] = None,
+    family: Optional[list] = None,
 ) -> dict:
     """Execute one wire-format job; runs in a fork-pool worker (or a
     bridge thread under ``--jobs 1``).
@@ -99,13 +100,17 @@ def _pool_run(
     context, the simulation is wrapped in a worker span shipped back in
     the payload (fork children cannot share the parent's tracer buffer;
     the explicit context also survives the ``run_in_executor`` hop,
-    which does not copy contextvars).
+    which does not copy contextvars).  ``family`` is the job's sweep-plan
+    window (:func:`repro.eval.parallel.family_window`) for a worker that
+    forked before the batch registered its plans.
     """
-    from repro.eval.parallel import execute_job
+    from repro.eval.parallel import adopt_family_window, execute_job
     from repro.sim.batch import BatchResult
 
     job = jsonio.job_from_dict(job_d)
     settings = jsonio.settings_from_dict(settings_d)
+    if family:
+        adopt_family_window(job, family)
     span = None
     if trace_parent is not None:
         span = make_span(
@@ -311,10 +316,29 @@ class SweepServer:
         """Bridge-thread entry: run the job in the fork pool, or inline
         when the server is single-worker."""
         if self._pool is not None:
+            from repro.eval.parallel import family_window
+
+            family = family_window(jsonio.job_from_dict(job_d))
             return self._pool.apply(
-                _pool_run, (job_d, settings_d, trace_parent)
+                _pool_run, (job_d, settings_d, trace_parent, family)
             )
         return _pool_run(job_d, settings_d, trace_parent)
+
+    @staticmethod
+    def _register_plans(job_dicts: list, settings_d: dict) -> None:
+        """Register a batch's sweep plans before any job dispatches, so
+        its cold SectionMaps come from family passes (as in a local
+        ``run_jobs`` sweep).  Malformed jobs are skipped here; each one
+        fails on its own when it resolves."""
+        from repro.eval.parallel import _register_family_plans
+
+        jobs = []
+        for job_d in job_dicts:
+            try:
+                jobs.append(jsonio.job_from_dict(job_d))
+            except Exception:
+                continue
+        _register_family_plans(jobs, jsonio.settings_from_dict(settings_d))
 
     async def _resolve(
         self, key: str, job_d: dict, settings_d: dict,
@@ -607,6 +631,7 @@ class SweepServer:
                         job_parents[i] = (trace_id, span_id)
         self.counters["batches"] += 1
         self.counters["jobs"] += len(job_dicts)
+        self._register_plans(job_dicts, settings_d)
         batch_span = (
             TRACER.start("/jobs", parent=req_ctx, service="server",
                          attrs={"jobs": len(job_dicts)})

@@ -1,17 +1,16 @@
 """Batched schedule-vector replay: N power schedules against one SectionMap.
 
 The fast path (:mod:`repro.sim.fast`) replays exactly one schedule per
-call — a Python ``bisect`` walk over the section cycle prefix sums — so a
-Monte Carlo sweep pays per-schedule Python dispatch for every seed.  This
-module replays a whole :class:`~repro.power.schedules.ScheduleBatch`
-against one shared :class:`~repro.sim.sections.SectionMap` through the C
-row walker (``batch_walk`` in ``_chainscan.c``): one foreign call runs a
-row to completion, returning to Python only for an unmaterialized
-section, more schedule on-times, or a ``watchdog_cut_safe`` verdict.  The
-walk is *bit-identical* to N scalar :func:`~repro.sim.fast.simulate_fast`
-calls — the equivalence grid in ``tests/test_batch_replay.py`` pins this
-across configurations, policy optimizations, PI marking, and both
-chain-scan kernels.
+call, so a Monte Carlo sweep pays per-schedule dispatch (simulator set-up,
+schedule object, result) for every seed.  This module replays a whole
+:class:`~repro.power.schedules.ScheduleBatch` against one shared
+:class:`~repro.sim.sections.SectionMap` through the same C section walk
+scalar runs use (``section_walk`` in ``_chainscan.c``, bound once per map
+by :func:`repro.sim.fast.section_walk`), one row after another over the
+batch's on-time arrays.  The walk is *bit-identical* to N scalar
+:func:`~repro.sim.fast.simulate_fast` calls — the equivalence grid in
+``tests/test_batch_replay.py`` pins this across configurations, policy
+optimizations, PI marking, and both chain-scan kernels.
 
 Fallback.  Whole-batch ineligibility (no C kernel — ``REPRO_CEXT=0`` or
 no compiler —, ``REPRO_FAST=0``, ``verify=True``, volatile ranges, the
@@ -30,14 +29,17 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core import cext
-from repro.core.cext import _addr
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
-from repro.obs.recorder import live_recorder
 from repro.power.schedules import ScheduleBatch
-from repro.sim.fast import fast_path_enabled, simulate_fast
+from repro.sim.fast import (
+    _ST_INIT,
+    FastPathIneligible,
+    FastReplaySimulator,
+    fast_path_enabled,
+    section_walk,
+    simulate_fast,
+)
 from repro.sim.result import SimulationResult
-from repro.sim.sections import get_section_map
-from repro.sim.simulator import IntermittentSimulator
 
 __all__ = [
     "BatchResult",
@@ -72,6 +74,9 @@ class BatchResult:
             fallback), or ``"stalled"``.
         reasons: Typed fallback reason per non-batch row (``None`` for
             batch-served rows).
+        kernels: Which walker served each row — ``"c"``, ``"python"``,
+            or ``None`` for the reference simulator and stalls.  Run
+            provenance only: not part of :meth:`to_dict`.
     """
 
     name: str
@@ -79,6 +84,7 @@ class BatchResult:
     results: List[Optional[SimulationResult]] = field(default_factory=list)
     engines: List[str] = field(default_factory=list)
     reasons: List[Optional[str]] = field(default_factory=list)
+    kernels: List[Optional[str]] = field(default_factory=list)
 
     @property
     def rows(self) -> int:
@@ -149,45 +155,11 @@ class BatchResult:
 
 
 # --------------------------------------------------------------------- #
-# Trace prefix sums as kernel buffers (content-keyed).
-# --------------------------------------------------------------------- #
-
-_ARRAY_CACHE: Dict[tuple, tuple] = {}
-_MAX_CACHED_ARRAYS = 64
-
-
-def _trace_arrays(ct):
-    """``(cum_cycles, cycles)`` as ``array('q')`` copies, cached by trace
-    content."""
-    key = ct.content_key
-    arrays = _ARRAY_CACHE.get(key)
-    if arrays is None:
-        arrays = (array("q", ct.cum_cycles), array("q", ct.cycles))
-        if len(_ARRAY_CACHE) >= _MAX_CACHED_ARRAYS:
-            _ARRAY_CACHE.pop(next(iter(_ARRAY_CACHE)))
-        _ARRAY_CACHE[key] = arrays
-    return arrays
-
-
-# --------------------------------------------------------------------- #
 # The row walker.
 # --------------------------------------------------------------------- #
 
-#: Per-row checkpoint counter columns: every section cause
-#: (``cext.CAUSE_NAMES``) plus the two watchdog causes, which bounds the
-#: distinct causes one walk can meet.
-_NCAUSES = len(cext.CAUSE_NAMES) + 2
 
-#: Fresh row state, laid out as the ST_* slots in ``_chainscan.c``:
-#: ``forced_done = -1``, one power cycle, first boot pending
-#: (``PH_RESTART``).
-_ST_INIT = array("q", [0] * 19)
-_ST_INIT[3] = -1   # ST_FORCED_DONE
-_ST_INIT[12] = 1   # ST_PC
-_ST_INIT[18] = 1   # ST_PHASE
-
-
-class BatchReplaySimulator(IntermittentSimulator):
+class BatchReplaySimulator(FastReplaySimulator):
     """Replay a :class:`ScheduleBatch` row by row over one SectionMap.
 
     Construction mirrors the reference simulator (same ``"auto"`` watchdog
@@ -203,160 +175,35 @@ class BatchReplaySimulator(IntermittentSimulator):
         super().__init__(trace, config, schedules.row_schedule(0), **kwargs)
         self.schedules = schedules
 
-    def run_batch(self):
-        """Walk every row through ``batch_walk``; returns ``(results,
-        needs_scalar)`` where ``results[r]`` is the row's
+    def run_batch(self, lib):
+        """Walk every row through the C section walk; returns
+        ``(results, needs_scalar)`` where ``results[r]`` is the row's
         :class:`SimulationResult` (``None`` when flagged) and
         ``needs_scalar`` lists the row indices the walk could not carry
         (an unsafe watchdog cut or a ``max_power_cycles`` abort — the
         scalar engines reproduce both exactly).
 
-        Each row runs to completion inside the kernel (one foreign call
-        per row in the steady state).  Requires the C kernel;
-        :func:`simulate_batch` checks before constructing the walk.
+        Raises :class:`~repro.sim.fast.FastPathIneligible` for a batch no
+        row of which the section walk may carry.
         """
-        trace = self.trace
-        smap = get_section_map(
-            trace, self.config, self.pi_words, self.pi_access_indices,
-            self.forced_checkpoints,
-        )
+        walk = section_walk(self._section_map(), lib)
         sbatch = self.schedules
-        N = sbatch.rows
-        ct = smap.ct
-        n = ct.n
-        gcum, acc = _trace_arrays(ct)
-        cost = self.cost_model
-        ig_fw = self.config.optimizations.ignore_false_writes
-
-        forced_mask = array("B", bytes(n + 1))
-        for f in smap.forced:
-            if f <= n:
-                forced_mask[f] = 1
-
-        # Cause ids in order of first appearance, as the scalar engines
-        # fill ``checkpoints_by_cause``.
-        cause_names: List[str] = []
-        cause_ids: Dict[str, int] = {}
-
-        def cid(name: str) -> int:
-            k = cause_ids.get(name)
-            if k is None:
-                k = len(cause_names)
-                if k >= _NCAUSES:  # the kernel indexes counts[k]
-                    raise SimulationError(f"unknown checkpoint cause {name!r}")
-                cause_ids[name] = k
-                cause_names.append(name)
-            return k
-
-        prog_cid = cid("progress_wdt")
-        perf_cid = cid("perf_wdt")
-        out_cid = cid("output")
-
-        # Flat section tables for the kernel, appended per lazy discovery.
-        # Appends may move a buffer, so the addresses are re-read after
-        # each one.
-        slot_of = array("i", [-1]) * ((n + 1) << 2)
-        sec_end = array("i")
-        sec_cause = array("i")
-        sec_kind = array("i")
-        sec_nsteps = array("i")
-        steps_off = array("q", [0])
-        steps_val = array("i")
-
-        def add_slot(key: int) -> None:
-            end_, cause_, kind_, steps_ = smap.section(key >> 2, key & 3)
-            slot_of[key] = len(sec_end)
-            sec_end.append(end_)
-            sec_cause.append(cid(cause_))
-            sec_kind.append(kind_)
-            sec_nsteps.append(len(steps_))
-            steps_val.extend(steps_)
-            steps_off.append(len(steps_val))
-
-        def table_ptrs():
-            return (
-                _addr(slot_of), _addr(sec_end), _addr(sec_cause),
-                _addr(sec_kind), _addr(sec_nsteps), _addr(steps_off),
-                _addr(steps_val),
-            )
-
-        fn = cext.chain_scan_lib().batch_walk
-        base_args = (_addr(gcum), _addr(acc), n, _addr(forced_mask))
-        consts = (
-            cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
-            cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
-            self.perf_watchdog_load, self.progress_watchdog_load,
-            1 if self.progress_watchdog_adaptive else 0,
-            1 if ig_fw else 0,
-            self.max_power_cycles,
-            prog_cid, perf_cid, out_cid,
-        )
-        cut_safe = smap.watchdog_cut_safe
-        tp = table_ptrs()
-        # The reach buffer only holds a row's live ``(reach, start)``
-        # pairs (count in ST_NREACH), so rows share one.
-        reach_cap = 256
-        reach = array("q", bytes(16 * reach_cap))
-        out = array("q", bytes(64))
-        shared = (_addr(reach), reach_cap, _addr(out))
-
+        prm = self._walk_params()
+        trace = self.trace
         name = trace.name
         label = self.config.label()
         baseline = trace.total_cycles
-        results: List[Optional[SimulationResult]] = [None] * N
+        results: List[Optional[SimulationResult]] = [None] * sbatch.rows
         needs_scalar: List[int] = []
-        for r in range(N):
-            ontimes = sbatch.ontimes[r]
-            on_ptr, n_on = _addr(ontimes), len(ontimes)
+        for r, ontimes in enumerate(sbatch.ontimes):
+            def more(ontimes=ontimes):
+                sbatch.ensure_columns(max(8, len(ontimes) * 2))
+
             st = array("q", _ST_INIT)
-            fl = array("B", bytes(4))
-            counts = array("q", bytes(8 * _NCAUSES))
-            row = (_addr(st), _addr(fl), _addr(counts))
-            cut_ok = -1
-            while True:
-                rc = fn(*base_args, *tp, on_ptr, n_on, *consts, cut_ok,
-                        *row, *shared)
-                cut_ok = -1
-                if rc == 0:        # BW_DONE
-                    results[r] = SimulationResult(
-                        name=name,
-                        config_label=label,
-                        baseline_cycles=baseline,
-                        useful_cycles=st[7],
-                        checkpoint_cycles=st[10],
-                        restart_cycles=st[11],
-                        reexec_cycles=st[8],
-                        wasted_cycles=st[9],
-                        checkpoints_by_cause={
-                            cause_names[k]: counts[k]
-                            for k in range(len(cause_names)) if counts[k]
-                        },
-                        power_cycles=st[12],
-                        wasted_power_cycles=st[13],
-                        outputs=st[14],
-                        duplicate_outputs=st[15],
-                        wbb_words_flushed=st[16],
-                        verified=False,
-                        completed=True,
-                        metrics={},
-                    )
-                    break
-                if rc == 1:        # BW_NEED_SECTION
-                    add_slot(out[0])
-                    tp = table_ptrs()
-                    continue
-                if rc == 2:        # BW_NEED_ONTIMES
-                    sbatch.ensure_columns(max(8, n_on * 2))
-                    on_ptr, n_on = _addr(ontimes), len(ontimes)
-                    continue
-                if rc == 3:        # BW_NEED_CUT
-                    reaches = [(reach[2 * k], reach[2 * k + 1])
-                               for k in range(st[17])]
-                    if cut_safe(out[0], out[1], out[2], out[3], reaches):
-                        cut_ok = 1
-                        continue
-                needs_scalar.append(r)   # unsafe cut or BW_FALLBACK
-                break
+            if walk.run(prm, ontimes, more, st):
+                needs_scalar.append(r)
+            else:
+                results[r] = walk.result(st, name, label, baseline)
         return results, needs_scalar
 
 
@@ -428,9 +275,16 @@ def simulate_batch(
     from repro.sim import fast as fast_dispatch
 
     N = schedules.rows
-    whole_batch_reason = None
-    sim = None
-    if cext.chain_scan_lib() is None:
+    batch = BatchResult(
+        name=trace.name,
+        config_label=config.label(),
+        results=[None] * N,
+        engines=["batch"] * N,
+        reasons=[None] * N,
+        kernels=["c"] * N,
+    )
+    lib = cext.chain_scan_lib()
+    if lib is None:
         whole_batch_reason = "no_cext"
     elif not fast_path_enabled():
         whole_batch_reason = "fast_disabled"
@@ -439,42 +293,23 @@ def simulate_batch(
         # has no per-section commit record to attribute, so the scalar
         # engines (which reconcile exactly) serve instead.
         whole_batch_reason = "arch_collector"
-    elif kwargs.get("verify", True):
-        # Mirrors IntermittentSimulator's verify=True default: a caller
-        # that never opted out of the dynamic verifier gets the verifying
-        # reference engine, exactly as simulate_fast would dispatch.
-        whole_batch_reason = "verify"
-    elif live_recorder(kwargs.get("recorder")) is not None:
-        whole_batch_reason = "live_recorder"
-    elif kwargs.get("volatile_ranges"):
-        whole_batch_reason = "volatile_ranges"
     else:
+        # verify (IntermittentSimulator's default, as in simulate_fast),
+        # a live recorder, volatile ranges and the PI hazard raise here.
         sim = BatchReplaySimulator(trace, config, schedules, **kwargs)
-        smap = get_section_map(
-            trace, config, sim.pi_words, sim.pi_access_indices,
-            sim.forced_checkpoints,
-        )
-        if smap.pi_hazard:
-            whole_batch_reason = "pi_hazard"
-            sim = None
+        try:
+            batch.results, needs_scalar = sim.run_batch(lib)
+            whole_batch_reason = None
+        except FastPathIneligible as exc:
+            whole_batch_reason = exc.reason.value
 
-    batch = BatchResult(
-        name=trace.name,
-        config_label=config.label(),
-        results=[None] * N,
-        engines=["batch"] * N,
-        reasons=[None] * N,
-    )
-
-    needs_scalar: List[int] = list(range(N))
-    if sim is not None:
-        results, needs_scalar = sim.run_batch()
-        batch.results = results
+    if whole_batch_reason is None:
         _BSTATS["batches"] += 1
         _BSTATS["rows_batched"] += N - len(needs_scalar)
         if needs_scalar:
             _count_fallback("row_rerun", len(needs_scalar))
     else:
+        needs_scalar = list(range(N))
         _count_fallback(whole_batch_reason, N)
 
     for r in needs_scalar:
@@ -489,8 +324,8 @@ def simulate_batch(
             batch.results[r] = None
             batch.engines[r] = "stalled"
             batch.reasons[r] = None
+            batch.kernels[r] = None
             continue
-        engine, reason = fast_dispatch.last_dispatch()
-        batch.engines[r] = engine
-        batch.reasons[r] = reason
+        batch.engines[r], batch.reasons[r] = fast_dispatch.last_dispatch()
+        batch.kernels[r] = fast_dispatch.last_kernel()
     return batch

@@ -38,13 +38,27 @@ needs state the section walk does not carry:
   simulator re-runs the schedule (bit-identical: every schedule re-seeds
   itself on ``reset()``).
 
+Walkers.  One walk kernel serves scalar and batched replay: when the C
+kernel is loaded (:mod:`repro.core.cext`) and the architecture collector
+is off, :func:`simulate_fast` runs the walk as ``section_walk`` in
+``_chainscan.c`` (:meth:`FastReplaySimulator.run_c`), which reads the
+map's flat canonical-chain tables in place and returns to Python only for
+off-chain sections, more schedule on-times and ``watchdog_cut_safe``
+verdicts.  :meth:`FastReplaySimulator.run` is the same walk in Python:
+the engine without a kernel, the engine that feeds the architecture
+collector, and the oracle the C walk is pinned against.
+
 Set ``REPRO_FAST=0`` to disable the fast path entirely.
 """
 
 import os
+from array import array
 from bisect import bisect_left, bisect_right
+from typing import Optional
 
 from repro.common.errors import SimulationError
+from repro.core import cext
+from repro.core.cext import CAUSE_OPEN, WALK_CAUSE_NAMES, _addr
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
@@ -58,14 +72,8 @@ from repro.sim.sections import (
     VARIANT_DIRECT,
     VARIANT_FORCED_DONE,
     VARIANT_NORMAL,
-    _CAUSE_KIND_BY_ID,
-    _CAUSE_NAME_BY_ID,
     get_section_map,
 )
-
-#: Stand-in ``flat_index().get`` for maps without flat storage: every
-#: probe misses, so the walker takes the dict/scalar path unchanged.
-_NO_FLAT_GET = {}.get
 from repro.sim.simulator import IntermittentSimulator
 
 
@@ -98,7 +106,8 @@ class FastReplaySimulator(IntermittentSimulator):
     :func:`simulate_fast` for transparent fallback.
     """
 
-    def run(self) -> SimulationResult:
+    def _section_map(self):
+        """The run's SectionMap, once the eligibility checks pass."""
         if self.verify:
             raise FastPathIneligible(
                 FallbackReason.VERIFY,
@@ -128,7 +137,58 @@ class FastReplaySimulator(IntermittentSimulator):
                 "access-marked PI writes alias tracked writes under "
                 "ignore-false-writes",
             )
+        return smap
 
+    def _walk_params(self) -> array:
+        """The C walk's per-run parameters (``P_*`` in ``_chainscan.c``)."""
+        cost = self.cost_model
+        return array("q", (
+            cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
+            cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
+            self.perf_watchdog_load, self.progress_watchdog_load,
+            1 if self.progress_watchdog_adaptive else 0,
+            1 if self.config.optimizations.ignore_false_writes else 0,
+            self.max_power_cycles, _REACH_CAP,
+        ))
+
+    def run_c(self, lib) -> Optional[SimulationResult]:
+        """The section walk in the C kernel (``section_walk``).
+
+        Raises :class:`FastPathIneligible` exactly where :meth:`run`
+        does.  Returns ``None`` when :meth:`run` must replay the run
+        instead — a ``max_power_cycles`` abort or a reach-buffer
+        overflow, both of which the Python walker reproduces exactly.
+        """
+        walk = section_walk(self._section_map(), lib)
+        schedule = self.schedule
+        schedule.reset()
+        next_on = schedule.next_on_time
+        # Start from the on-time count the map's previous run consumed.
+        ontimes = array("q", [next_on() for _ in range(walk.draws)])
+
+        def more():
+            ontimes.extend([next_on() for _ in range(len(ontimes) + 4)])
+
+        st = array("q", _ST_INIT)
+        rc = walk.run(self._walk_params(), ontimes, more, st)
+        if rc == _SW_NEED_CUT:
+            raise FastPathIneligible(
+                FallbackReason.WATCHDOG_CUT,
+                "watchdog checkpoint below the furthest executed index "
+                "with ignore-false-writes",
+            )
+        if rc:
+            return None
+        trace = self.trace
+        return walk.result(
+            st, trace.name, self.config.label(), trace.total_cycles
+        )
+
+    def run(self) -> SimulationResult:
+        """The section walk in Python (no kernel, or the architecture
+        collector is on; the C walk's oracle)."""
+        smap = self._section_map()
+        trace = self.trace
         ct = smap.ct
         n = ct.n
         gcum = ct.cum_cycles
@@ -142,23 +202,7 @@ class FastReplaySimulator(IntermittentSimulator):
         schedule.reset()
         next_on = schedule.next_on_time
         secs_get = smap._sections.get
-        # Family-built maps carry their sections as flat parallel arrays
-        # (sorted keys / ends / cause ids / step offsets / step values).
-        # The walker reads those directly — no per-section tuple is ever
-        # built for the ~everything that replays on the canonical chain;
-        # only off-chain resume keys (watchdog cuts, direct re-entries)
-        # fall through to the per-key ``chain_section`` resolver.
-        flat = smap._flat
-        if flat is not None:
-            _, ends_f, causes_f, soff_f, sval_f = flat
-            fidx_get = smap.flat_index().get
-            section_of = smap.chain_section
-        else:
-            ends_f = causes_f = soff_f = sval_f = None
-            fidx_get = _NO_FLAT_GET
-            section_of = smap.section
-        names = _CAUSE_NAME_BY_ID
-        kinds = _CAUSE_KIND_BY_ID
+        section_of = smap.section
         cut_safe = smap.watchdog_cut_safe
         forced = smap.forced
         max_pc = self.max_power_cycles
@@ -274,23 +318,10 @@ class FastReplaySimulator(IntermittentSimulator):
                 variant = VARIANT_FORCED_DONE
             else:
                 variant = VARIANT_NORMAL
-            k = (s << 2) | variant
-            j = fidx_get(k)
-            if j is not None:
-                end = ends_f[j]
-                cz = causes_f[j]
-                cause = names[cz]
-                kind = kinds[cz]
-                sa = soff_f[j]
-                sb = soff_f[j + 1]
-                stepsrc = sval_f
-            else:
-                sec = secs_get(k)
-                if sec is None:
-                    sec = section_of(s, variant)
-                end, cause, kind, stepsrc = sec
-                sa = 0
-                sb = len(stepsrc)
+            sec = secs_get((s << 2) | variant)
+            if sec is None:
+                sec = section_of(s, variant)
+            end, cause, kind, steps = sec
             base = gcum[s]
 
             # Watchdog firing inside the span [s, end): the earliest access
@@ -350,7 +381,7 @@ class FastReplaySimulator(IntermittentSimulator):
                     furthest = m1
                     progress = True
                 on_left -= gcum[m1] - base
-                nwbb = bisect_left(stepsrc, m1, sa, sb) - sa
+                nwbb = bisect_left(steps, m1)
                 c = base_ck + (flush_base + nwbb * per_entry if nwbb else 0)
                 if on_left < c:
                     wasted += on_left
@@ -395,7 +426,7 @@ class FastReplaySimulator(IntermittentSimulator):
                     )
                     arch.record_section(
                         (s << 2) | variant,
-                        (rf_peak, len(wf_s), sb - sa, len(apb_s)),
+                        (rf_peak, len(wf_s), len(steps), len(apb_s)),
                     )
                     arch_last_t = e
                 if prog_configured:
@@ -432,7 +463,7 @@ class FastReplaySimulator(IntermittentSimulator):
                     on_left = power_loss(end)
                     direct = False
                     continue
-                nwbb = sb - sa
+                nwbb = len(steps)
                 c = base_ck + (flush_base + nwbb * per_entry if nwbb else 0)
                 if on_left < c:
                     wasted += on_left
@@ -527,7 +558,7 @@ class FastReplaySimulator(IntermittentSimulator):
                 continue
 
             if kind == SEC_FORCED:
-                nwbb = sb - sa
+                nwbb = len(steps)
                 c = base_ck + (flush_base + nwbb * per_entry if nwbb else 0)
                 if on_left < c:
                     wasted += on_left
@@ -571,7 +602,7 @@ class FastReplaySimulator(IntermittentSimulator):
                 continue
 
             # SEC_FINAL.
-            nwbb = sb - sa
+            nwbb = len(steps)
             c = base_ck + (flush_base + nwbb * per_entry if nwbb else 0)
             if on_left < c:
                 wasted += on_left
@@ -632,29 +663,218 @@ class FastReplaySimulator(IntermittentSimulator):
         )
 
 
-#: Process-wide dispatch counters: runs completed on the section walk, and
-#: runs handed to the reference simulator broken out by typed reason.
+# --------------------------------------------------------------------- #
+# The C section walk's per-map binding.
+# --------------------------------------------------------------------- #
+
+#: ``section_walk`` stop codes (``SW_*`` in ``_chainscan.c``).
+_SW_NEED_SECTION = 1
+_SW_NEED_ONTIMES = 2
+_SW_NEED_CUT = 3
+
+#: Slots of ``section_walk``'s run-state array (``ST_*``).
+_ST_POS = 4
+_ST_NREACH = 17
+_ST_OUT = 24
+_ST_NORDER = 28
+_ST_COUNTS = 29
+_ST_ORDER = 41
+
+#: A fresh run: ``forced_done = -1``, one power cycle, first boot pending
+#: (``PH_RESTART``).
+_ST_INIT = array("q", bytes(8 * (_ST_ORDER + len(WALK_CAUSE_NAMES))))
+_ST_INIT[3] = -1   # ST_FORCED_DONE
+_ST_INIT[12] = 1   # ST_PC
+_ST_INIT[18] = 1   # ST_PHASE
+
+#: Failed-cycle ``(reach, start)`` pairs the walk keeps live.  A run holds
+#: only its live pairs, so every run shares one buffer (one simulating
+#: thread per process, like the chain-scan staging buffers).
+_REACH_CAP = 256
+_REACH = array("q", bytes(16 * _REACH_CAP))
+
+
+class SectionWalk:
+    """One SectionMap bound to the C section walk.
+
+    Holds the kernel's per-map table (``T_*`` slots in ``_chainscan.c``):
+    the trace's cycle prefix sums, the forced-checkpoint mask, the map's
+    flat canonical chain — read in place — and an overlay of the
+    off-chain sections resolved so far, kept as sorted parallel arrays
+    the kernel searches like the flat keys.  Built once per map (cached
+    on it) and shared by every scalar run and batch row replayed against
+    the map.
+    """
+
+    __slots__ = ("smap", "draws", "_fn", "_tab", "_ov", "_keep")
+
+    def __init__(self, smap, lib):
+        smap.ensure_flat()
+        ct = smap.ct
+        n = ct.n
+        gcum, acc = ct.cycle_buffers()
+        forced = array("B", bytes(n + 1))
+        for f in smap.forced:
+            if f <= n:
+                forced[f] = 1
+        flat = smap._flat
+        keys, ends, causes, soff, steps = flat
+        #: Overlay columns: keys, ends, cause ids, step offsets, step
+        #: counts, steps.
+        self._ov = (array("q"), array("i"), array("B"), array("q"),
+                    array("i"), array("i"))
+        self._tab = array("q", (
+            _addr(gcum), _addr(acc), n, _addr(forced),
+            _addr(keys), len(keys), _addr(ends), _addr(causes),
+            _addr(soff), _addr(steps),
+            0, 0, 0, 0, 0, 0, 0,
+        ))
+        # Buffer lifetimes: the arrays must outlive this binding.
+        self._keep = (gcum, acc, forced, flat)
+        self._fn = lib.section_walk
+        self.smap = smap
+        #: On-times the last run consumed (the next run's first draw).
+        self.draws = 1
+
+    def _resolve(self, key: int, perf_load: int) -> None:
+        """Add the section at ``key`` to the overlay, with the rest of
+        its chain up to where it rejoins the flat canonical chain.
+
+        With the Performance Watchdog on, the scan leaves each section
+        open at the access that fires it and follows the chain of cuts
+        (:meth:`SectionMap.scan_chain`).  A run with a longer watchdog
+        that gets past an open section's end rescans it.
+        """
+        okeys, oends, ocauses, osoff, onst, osteps = self._ov
+        for key, end, cid, steps in self.smap.scan_chain(
+            key >> 2, key & 3, perf_load
+        ):
+            j = bisect_left(okeys, key)
+            if j < len(okeys) and okeys[j] == key:
+                if ocauses[j] != CAUSE_OPEN or (
+                    cid == CAUSE_OPEN and end <= oends[j]
+                ):
+                    continue
+                oends[j] = end
+                ocauses[j] = cid
+                osoff[j] = len(osteps)
+                onst[j] = len(steps)
+            else:
+                okeys.insert(j, key)
+                oends.insert(j, end)
+                ocauses.insert(j, cid)
+                osoff.insert(j, len(osteps))
+                onst.insert(j, len(steps))
+            osteps.extend(steps)
+        tab = self._tab
+        for slot, value in enumerate((
+            _addr(okeys), len(okeys), _addr(oends), _addr(ocauses),
+            _addr(osoff), _addr(onst), _addr(osteps),
+        ), 10):
+            tab[slot] = value
+
+    def run(self, prm: array, ontimes: array, more, st: array) -> int:
+        """Walk one schedule, state in ``st`` (from :data:`_ST_INIT`).
+
+        ``more()`` must grow ``ontimes`` in place.  Returns 0 when the
+        run completed, ``_SW_NEED_CUT`` for a watchdog cut
+        ``watchdog_cut_safe`` rejects, or ``SW_FALLBACK`` (4) for a run
+        the Python walker must replay.
+        """
+        fn = self._fn
+        tab = _addr(self._tab)
+        prm_a = _addr(prm)
+        st_a = _addr(st)
+        reach_a = _addr(_REACH)
+        cut_ok = -1
+        while True:
+            rc = fn(tab, prm_a, _addr(ontimes), len(ontimes), cut_ok, st_a,
+                    reach_a)
+            cut_ok = -1
+            if rc == _SW_NEED_SECTION:
+                self._resolve(st[_ST_OUT], prm[4])
+            elif rc == _SW_NEED_ONTIMES:
+                more()
+            elif rc == _SW_NEED_CUT:
+                r = _REACH
+                reaches = [(r[2 * k], r[2 * k + 1])
+                           for k in range(st[_ST_NREACH])]
+                o = _ST_OUT
+                if not self.smap.watchdog_cut_safe(
+                    st[o], st[o + 1], st[o + 2], st[o + 3], reaches
+                ):
+                    return rc
+                cut_ok = 1
+            else:
+                self.draws = st[_ST_POS]
+                return rc
+
+    @staticmethod
+    def result(st: array, name: str, label: str,
+               baseline: int) -> SimulationResult:
+        """The :class:`SimulationResult` of a completed run's state."""
+        order = st[_ST_ORDER:_ST_ORDER + st[_ST_NORDER]]
+        return SimulationResult(
+            name=name,
+            config_label=label,
+            baseline_cycles=baseline,
+            useful_cycles=st[7],
+            checkpoint_cycles=st[10],
+            restart_cycles=st[11],
+            reexec_cycles=st[8],
+            wasted_cycles=st[9],
+            checkpoints_by_cause={
+                WALK_CAUSE_NAMES[c]: st[_ST_COUNTS + c] for c in order
+            },
+            power_cycles=st[12],
+            wasted_power_cycles=st[13],
+            outputs=st[14],
+            duplicate_outputs=st[15],
+            wbb_words_flushed=st[16],
+            verified=False,
+            completed=True,
+            metrics={},
+        )
+
+
+def section_walk(smap, lib) -> SectionWalk:
+    """``smap``'s C walk binding (built on first use)."""
+    walk = smap._walk
+    if walk is None:
+        walk = smap._walk = SectionWalk(smap, lib)
+    return walk
+
+
+# --------------------------------------------------------------------- #
+# Dispatch.
+# --------------------------------------------------------------------- #
+
+#: Process-wide dispatch counters: runs completed on the section walk
+#: (``c_walk`` of them by the C walk), and runs handed to the reference
+#: simulator broken out by typed reason.
 _STATS = {
     "fast": 0,
+    "c_walk": 0,
     "reasons": {reason.value: 0 for reason in FallbackReason},
 }
 
-#: (engine, fallback_reason) of the most recent simulate_fast dispatch —
-#: the hook run_clank/execute_job read to stamp their RunRecords without
-#: simulate_fast having to know any sweep context.
-_LAST = ("fast", None)
+#: (engine, fallback_reason, walker) of the most recent simulate_fast
+#: dispatch — the hook run_clank/execute_job read to stamp their
+#: RunRecords without simulate_fast having to know any sweep context.
+_LAST = ("fast", None, "python")
 
 
 def dispatch_stats() -> dict:
     """Dispatch counts since reset, with the fallback-reason breakdown.
 
-    ``{"fast": int, "fallback": int, "reasons": {reason: int}}`` — the
-    ``fast``/``fallback`` pair keeps the historical two-counter shape
-    (``fallback`` is the sum over reasons).
+    ``{"fast": int, "c_walk": int, "fallback": int, "reasons": {reason:
+    int}}`` — ``c_walk`` counts the ``fast`` runs the C walk served, and
+    ``fallback`` is the sum over reasons.
     """
     reasons = dict(_STATS["reasons"])
     return {
         "fast": _STATS["fast"],
+        "c_walk": _STATS["c_walk"],
         "fallback": sum(reasons.values()),
         "reasons": reasons,
     }
@@ -670,6 +890,7 @@ def fast_stats() -> dict:
 def reset_dispatch_stats() -> None:
     """Zero the dispatch counters (benchmark guards, tests, eval CLI)."""
     _STATS["fast"] = 0
+    _STATS["c_walk"] = 0
     for reason in _STATS["reasons"]:
         _STATS["reasons"][reason] = 0
 
@@ -683,6 +904,7 @@ def merge_dispatch_stats(delta: dict) -> None:
     (:func:`repro.eval.parallel.run_jobs` merges per-job payload deltas so
     parent-side :func:`dispatch_stats` covers pooled runs too)."""
     _STATS["fast"] += delta.get("fast", 0)
+    _STATS["c_walk"] += delta.get("c_walk", 0)
     reasons = _STATS["reasons"]
     for reason, count in delta.get("reasons", {}).items():
         reasons[reason] = reasons.get(reason, 0) + count
@@ -690,27 +912,45 @@ def merge_dispatch_stats(delta: dict) -> None:
 
 def last_dispatch():
     """``(engine, fallback_reason)`` of the most recent dispatch."""
-    return _LAST
+    return _LAST[:2]
+
+
+def last_kernel() -> Optional[str]:
+    """Which walker served the most recent dispatch: ``"c"`` (the C
+    walk), ``"python"`` (:meth:`FastReplaySimulator.run`), or ``None``
+    (the reference simulator ran)."""
+    return _LAST[2]
 
 
 def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
     """Run on the fast path when eligible, else on the reference simulator.
 
-    The fallback is exact: power schedules fully re-seed on ``reset()``, so
-    a reference rerun — even after a partially walked fast attempt —
-    consumes the identical on-time sequence.
+    The C walk serves the run when the kernel is loaded and the
+    architecture collector is off; the Python walker otherwise, and for
+    the runs the C walk hands back.  The fallback is exact: power
+    schedules fully re-seed on ``reset()``, so a rerun — even after a
+    partially walked attempt — consumes the identical on-time sequence.
     """
     global _LAST
     if fast_path_enabled():
+        sim = FastReplaySimulator(trace, config, schedule, **kwargs)
         try:
-            result = FastReplaySimulator(trace, config, schedule, **kwargs).run()
+            lib = cext.chain_scan_lib()
+            result = None
+            if lib is not None and not ARCH_COLLECTOR.enabled:
+                result = sim.run_c(lib)
+            if result is None:
+                result = sim.run()
+                _LAST = ("fast", None, "python")
+            else:
+                _STATS["c_walk"] += 1
+                _LAST = ("fast", None, "c")
             _STATS["fast"] += 1
-            _LAST = ("fast", None)
             return result
         except FastPathIneligible as exc:
             reason = exc.reason.value
     else:
         reason = FallbackReason.DISABLED.value
     _STATS["reasons"][reason] += 1
-    _LAST = ("reference", reason)
+    _LAST = ("reference", reason, None)
     return IntermittentSimulator(trace, config, schedule, **kwargs).run()

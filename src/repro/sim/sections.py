@@ -17,7 +17,8 @@ records ``(end, cause, kind, wbb_steps)``:
 * ``cause`` — checkpoint cause charged at the boundary.
 * ``kind`` — how the boundary behaves under power failure (see constants).
 * ``wbb_steps`` — ascending trace indices where the Write-back Buffer
-  grew; ``bisect`` against a cut point yields the flush size of any
+  grew (a tuple, or an ``array('i')`` when the C kernel enumerated it);
+  ``bisect`` against a cut point yields the flush size of any
   checkpoint inside the section, keeping the map cost-model independent.
 
 Section *variants* capture the three ways a start can be entered:
@@ -52,9 +53,9 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
 """
 
 import os
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from itertools import repeat
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -86,18 +87,13 @@ _NAME_KIND_BY_ID = [
     (name, _KIND_BY_CAUSE.get(name, SEC_DETECTOR)) for name in _CAUSE_NAMES
 ]
 
-#: The same table split by column, for ``map(list.__getitem__, causes)``
-#: pipelines that materialize whole flat stores without a Python loop.
-_CAUSE_NAME_BY_ID = [name for name, _ in _NAME_KIND_BY_ID]
-_CAUSE_KIND_BY_ID = [kind for _, kind in _NAME_KIND_BY_ID]
-
 #: Section-entry variants.
 VARIANT_NORMAL = 0
 VARIANT_FORCED_DONE = 1
 VARIANT_DIRECT = 2
 
 #: A memoized section: (end, cause, kind, wbb_steps).
-Section = Tuple[int, str, int, Tuple[int, ...]]
+Section = Tuple[int, str, int, Sequence[int]]
 
 #: Sentinel for "C engine not resolved yet" (None means "unavailable").
 _UNSET = object()
@@ -117,8 +113,8 @@ class SectionMap:
         "ct", "n", "pi_words", "pi_indices", "forced", "_forced_sorted",
         "_detector", "_sections", "pi_hazard",
         "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
-        "_disk_key", "_loaded_n", "_flat", "_flat_idx", "_mat_n",
-        "_mat_all", "_flat_persisted",
+        "_disk_key", "_loaded_n", "_flat", "_mat_n", "_flat_persisted",
+        "_walk",
     )
 
     def __init__(
@@ -166,18 +162,17 @@ class SectionMap:
         )
         #: Flat canonical-chain storage installed by a family scan (or a
         #: disk load of one): ``(keys, ends, cause_ids, steps_off,
-        #: steps)`` parallel arrays sorted by key.  The first ``section()``
-        #: call that misses the dict memo materializes the whole table
-        #: into it in one tight pass (sweep replays touch nearly every
-        #: section exactly once, so per-key laziness would just move the
-        #: same tuple-building into the replay loop with bisect overhead
-        #: on top); ``_mat_n`` counts flat-covered dict entries so the
-        #: dirty test sees only genuinely new enumerations.
+        #: steps)`` parallel arrays sorted by key.  The C section walk
+        #: reads them in place; ``section()`` serves them per key into
+        #: the dict memo, and ``_mat_n`` counts those flat-covered dict
+        #: entries so the dirty test sees only genuinely new
+        #: enumerations.
         self._flat = None
-        self._flat_idx = None
         self._mat_n = 0
-        self._mat_all = False
         self._flat_persisted = False
+        #: The map's C section-walk binding (``repro.sim.fast``), built
+        #: on its first C-walked run.
+        self._walk = None
         # Persistent artifact store: seed the memo from a previous run's
         # (or a sibling worker's) enumeration of this exact key.
         self._disk_key = None
@@ -207,42 +202,23 @@ class SectionMap:
                 and loaded[0] == "flat1"
             ):
                 _DISK_LOADS += 1
-                self._flat = loaded[1:6]
+                # The C kernels read these in place: pin the typecodes.
+                self._flat = tuple(
+                    a if isinstance(a, array) and a.typecode == tc
+                    else array(tc, a)
+                    for a, tc in zip(loaded[1:6], "qiBqi")
+                )
                 self._flat_persisted = True
                 self._sections.update(loaded[6])
                 self._loaded_n = len(self._sections)
 
     def section(self, start: int, variant: int) -> Section:
-        """The memoized section beginning at ``start`` under ``variant``."""
-        global _ENUM_SECONDS
-        key = (start << 2) | variant
-        sec = self._sections.get(key)
-        if sec is None:
-            if self._flat is not None and not self._mat_all:
-                t0 = perf_counter()
-                self._materialize_all()
-                _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections.get(key)
-                if sec is not None:
-                    return sec
-            t0 = perf_counter()
-            self._ingest_chain(start, variant)
-            _ENUM_SECONDS += perf_counter() - t0
-            sec = self._sections[key]
-            if self._disk_key is not None:
-                _DIRTY.add(self)
-        return sec
+        """The memoized section beginning at ``start`` under ``variant``.
 
-    def chain_section(self, start: int, variant: int) -> Section:
-        """:meth:`section` for flat-backed replays: serve one key.
-
-        The fast replay walker reads the flat canonical-chain arrays
-        directly (see :mod:`repro.sim.fast`) and only lands here for
-        keys the flat store does not cover — off-chain resume variants
-        a watchdog cut or direct re-entry created.  Those are rare, so
-        this resolves *per key* (``_flat_get``) instead of triggering
-        :meth:`_materialize_all`, which would rebuild every section
-        tuple the walker is deliberately not asking for.
+        Served from the dict memo, else from the flat canonical chain
+        (per key), else enumerated: the failure-free chain from this
+        entry is scanned into the memo up to where it rejoins sections
+        already held.
         """
         global _ENUM_SECONDS
         key = (start << 2) | variant
@@ -259,21 +235,6 @@ class SectionMap:
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
-
-    def flat_index(self) -> dict:
-        """Cached ``key -> row`` index over the flat section arrays.
-
-        One dict build per (map, replay-sweep) — every schedule replayed
-        against this map reuses it, turning the walker's per-section
-        fetch into a dict probe plus four array reads, with no tuple
-        construction at all.
-        """
-        idx = self._flat_idx
-        if idx is None:
-            keys = self._flat[0]
-            idx = dict(zip(keys, range(len(keys))))
-            self._flat_idx = idx
-        return idx
 
     def _flat_has(self, key: int) -> bool:
         """Whether the flat canonical-chain storage covers ``key``."""
@@ -293,41 +254,20 @@ class SectionMap:
             return None
         cause, kind = _NAME_KIND_BY_ID[causes[j]]
         a, b = soff[j], soff[j + 1]
-        sec = (ends[j], cause, kind, tuple(sval[a:b]) if b > a else ())
+        sec = (ends[j], cause, kind, sval[a:b] if b > a else ())
         self._sections[key] = sec
         self._mat_n += 1
         return sec
 
-    def _materialize_all(self) -> None:
-        """Materialize every flat section into the dict memo, one pass.
+    def ensure_flat(self) -> None:
+        """Give the map flat canonical-chain storage if it has none.
 
-        The timed equivalent of the scalar path's ingest loop, minus the
-        per-map chain scan the family pass already amortized; after it
-        the replay's ``section()`` calls are plain dict hits.
+        The C section walk reads only flat tables, so a map enumerated
+        lazily outside any sweep plan gets its canonical chain from a
+        one-member family pass (the C kernel must be loaded).
         """
-        keys, ends, causes, soff, sval = self._flat
-        # Column-at-a-time through C iterators: the zip/map/update
-        # pipeline builds each (end, name, kind, steps) record without a
-        # Python-level loop body; only the step tuples (rare — most
-        # sections grow no WBB entries) take a comprehension, and a map
-        # with no steps at all skips even that.
-        if len(sval):
-            empty = ()
-            steps_col = [
-                tuple(sval[a:b]) if b > a else empty
-                for a, b in zip(soff, soff[1:])
-            ]
-        else:
-            steps_col = repeat((), len(keys))
-        self._sections.update(
-            zip(keys,
-                zip(ends,
-                    map(_CAUSE_NAME_BY_ID.__getitem__, causes),
-                    map(_CAUSE_KIND_BY_ID.__getitem__, causes),
-                    steps_col))
-        )
-        self._mat_n = len(keys)
-        self._mat_all = True
+        if self._flat is None:
+            _family_scan_chunk(self._detector.apb.prefix_low_bits, [self])
 
     def _needs_persist(self) -> bool:
         """Whether a persist would write anything new to the store."""
@@ -361,77 +301,86 @@ class SectionMap:
         if st.put("sections", self._disk_key, self._sections):
             self._loaded_n = len(self._sections)
 
-    def _ingest_chain(self, start: int, variant: int) -> None:
-        """Enumerate the failure-free section chain from ``(start, variant)``.
-
-        One :meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`
-        call enumerates every section from ``start`` to the final
-        checkpoint, amortizing per-section overhead across the whole
-        chain.  Consumption stops at the first already-memoized entry:
-        the boundary sequence from any shared ``(start, variant)`` onward
-        is identical, so the rest of the chain is guaranteed present
-        (every stored entry's successor was either stored by the same
-        chain or was the stop reason of the chain that stored it).
-
-        When the optional C kernel is available
-        (:mod:`repro.core.cext`), the scan runs there — one foreign call
-        fills flat section records and this method only copies them into
-        the memo dict (the copy loop is the dominant ingest cost, so it
-        runs over ``tolist()`` snapshots with a single indexed
-        cause/kind table); otherwise the pure-Python generator (the
-        reference implementation) does the same walk.
-        """
-        secs = self._sections
-        kind_of = _KIND_BY_CAUSE
+    def _chain_engine(self):
+        """The map's C chain-scan engine, or ``None`` without a kernel."""
         eng = self._engine
         if eng is _UNSET:
             eng = self._engine = self._detector.chain_scan_engine(
                 self.ct, self._forced_sorted, self.pi_words, self.pi_indices
             )
-        if eng is not None:
-            nsec = eng.scan(
-                start,
-                1 if variant == VARIANT_DIRECT else 0,
-                start if variant == VARIANT_FORCED_DONE else -1,
-            )
-            so = eng.out_steps_off
-            sf = eng.out_steps
-            name_kind = _NAME_KIND_BY_ID
-            empty = ()
-            for s_, v_, end, cid, a, b in zip(
+        return eng
+
+    def scan_chain(self, start: int, variant: int, perf_load: int = 0):
+        """The failure-free chain from ``(start, variant)``, unmemoized.
+
+        ``[(key, end, cause_id, wbb_steps), ...]`` up to where the chain
+        rejoins the flat canonical chain (``ChainScanEngine.scan``; with
+        ``perf_load`` > 0 a section is left open at the access that
+        fires the Performance Watchdog, and the chain goes on from that
+        cut).  The C kernel must be loaded.
+        """
+        eng = self._chain_engine()
+        nsec = eng.scan(
+            start,
+            1 if variant == VARIANT_DIRECT else 0,
+            start if variant == VARIANT_FORCED_DONE else -1,
+            self._flat[0] if self._flat is not None else None,
+            perf_load,
+        )
+        so, sf = eng.out_steps_off, eng.out_steps
+        return [
+            ((s << 2) | v, end, cid, sf[a:b] if b > a else ())
+            for s, v, end, cid, a, b in zip(
                 eng.out_start[:nsec].tolist(),
                 eng.out_variant[:nsec].tolist(),
                 eng.out_end[:nsec].tolist(),
                 eng.out_cause[:nsec].tolist(),
                 so[:nsec].tolist(),
                 so[1:nsec + 1].tolist(),
-            ):
-                key = (s_ << 2) | v_
-                if key in secs or self._flat_has(key):
-                    break
-                cause, kind = name_kind[cid]
-                secs[key] = (
-                    end, cause, kind, tuple(sf[a:b]) if b > a else empty
-                )
-            return
-        if self._scratch is None:
-            self._scratch = self._detector.chain_scratch(self.ct)
-        for s, v, end, cause, steps, _ in (
-            self._detector.straightline_chain(
-                self.ct,
-                start,
-                variant == VARIANT_DIRECT,
-                start if variant == VARIANT_FORCED_DONE else -1,
-                self._forced_sorted,
-                self.pi_words,
-                self.pi_indices,
-                self._scratch,
             )
-        ):
-            key = (s << 2) | v
+        ]
+
+    def _ingest_chain(self, start: int, variant: int) -> None:
+        """Enumerate the failure-free section chain from ``(start, variant)``.
+
+        One scan enumerates every section from ``start`` to the final
+        checkpoint, amortizing per-section overhead across the whole
+        chain.  Consumption stops at the first already-held entry: the
+        boundary sequence from any shared ``(start, variant)`` onward is
+        identical, so the rest of the chain is guaranteed present (every
+        stored entry's successor was either stored by the same chain or
+        was the stop reason of the chain that stored it).  The C kernel
+        (:meth:`scan_chain`) runs the scan when loaded; otherwise the
+        pure-Python generator, the reference implementation, does.
+        """
+        secs = self._sections
+        if self._chain_engine() is not None:
+            chain = [
+                (key, end) + _NAME_KIND_BY_ID[cid] + (steps,)
+                for key, end, cid, steps in self.scan_chain(start, variant)
+            ]
+        else:
+            if self._scratch is None:
+                self._scratch = self._detector.chain_scratch(self.ct)
+            chain = (
+                ((s << 2) | v, end, cause,
+                 _KIND_BY_CAUSE.get(cause, SEC_DETECTOR), steps)
+                for s, v, end, cause, steps, _ in
+                self._detector.straightline_chain(
+                    self.ct,
+                    start,
+                    variant == VARIANT_DIRECT,
+                    start if variant == VARIANT_FORCED_DONE else -1,
+                    self._forced_sorted,
+                    self.pi_words,
+                    self.pi_indices,
+                    self._scratch,
+                )
+            )
+        for key, end, cause, kind, steps in chain:
             if key in secs or self._flat_has(key):
                 break
-            secs[key] = (end, cause, kind_of.get(cause, SEC_DETECTOR), steps)
+            secs[key] = (end, cause, kind, steps)
 
     def _direct_writes(self, start: int, variant: int) -> Tuple[int, ...]:
         """The section's direct-commit write indices (memoized).
@@ -445,12 +394,7 @@ class SectionMap:
         key = (start, variant)
         dw = self._dw_cache.get(key)
         if dw is None:
-            eng = self._engine
-            if eng is _UNSET:
-                eng = self._engine = self._detector.chain_scan_engine(
-                    self.ct, self._forced_sorted, self.pi_words,
-                    self.pi_indices,
-                )
+            eng = self._chain_engine()
             direct = variant == VARIANT_DIRECT
             fd = start if variant == VARIANT_FORCED_DONE else -1
             if eng is not None:
@@ -772,18 +716,6 @@ def ensure_lru_capacity(n: int) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _needs_family_scan(smap: SectionMap) -> bool:
-    """Whether this map still wants its canonical chain enumerated.
-
-    The canonical chain (entry ``(0, VARIANT_NORMAL)``) always begins at
-    key 0 — whether or not index 0 is a forced checkpoint, the first
-    emitted section is ``(0 << 2) | variant`` with variant 0 or the
-    zero-length compiler form — so ``0 in _sections`` (or flat coverage)
-    means the chain every schedule replays is already present.
-    """
-    return 0 not in smap._sections and smap._flat is None
-
-
 def _family_enabled() -> bool:
     """Whether batched family passes run: the C kernel is loaded and
     ``REPRO_FAMILY`` is not ``0``."""
@@ -806,11 +738,13 @@ def build_family(
     enumerates all of their section tables — bit-identical to the
     per-config scalar scans, by construction.  Members already
     enumerated (memory- or disk-warm) are skipped; a single remaining
-    member degrades to the scalar chain scan.  Returns the maps in
-    ``configs`` order (the LRU and disk cache are populated either
-    way).  Without the C kernel, or with ``REPRO_FAMILY=0``, there is no
-    batched pass: maps then enumerate lazily per config.
+    member gets a one-member pass, which the family counters do not
+    count.  Returns the maps in ``configs`` order (the LRU and disk
+    cache are populated either way).  Without the C kernel, or with
+    ``REPRO_FAMILY=0``, there is no pass here: maps then enumerate
+    lazily per config.
     """
+    global _FAMILY_PASSES, _FAMILY_MAPS
     maps = [
         get_section_map(
             trace, cfg, pi_words, pi_access_indices, forced_checkpoints
@@ -822,7 +756,7 @@ def build_family(
     pending: List[SectionMap] = []
     seen = set()
     for m in maps:
-        if id(m) not in seen and _needs_family_scan(m):
+        if id(m) not in seen and m._flat is None:
             seen.add(id(m))
             pending.append(m)
     if not pending:
@@ -836,23 +770,22 @@ def build_family(
         by_shift.setdefault(shift, []).append(m)
     for shift, members in by_shift.items():
         for i in range(0, len(members), _cext.FAMILY_MAX):
-            _family_scan_chunk(trace, shift, members[i:i + _cext.FAMILY_MAX])
+            chunk = members[i:i + _cext.FAMILY_MAX]
+            _family_scan_chunk(shift, chunk)
+            if len(chunk) > 1:
+                _FAMILY_PASSES += 1
+                _FAMILY_MAPS += len(chunk)
+                name = trace.name
+                _FAMILY_BY_TRACE[name] = (
+                    _FAMILY_BY_TRACE.get(name, 0) + len(chunk)
+                )
     return maps
 
 
-def _family_scan_chunk(
-    trace: Trace, shift: int, maps: List[SectionMap]
-) -> None:
-    """One batched kernel call over ``trace`` for the given maps
-    (<= FAMILY_MAX).
-
-    A single member degrades to the scalar chain scan — the family
-    machinery would only add overhead around an identical walk.
-    """
-    global _ENUM_SECONDS, _FAMILY_PASSES, _FAMILY_MAPS
-    if len(maps) == 1:
-        maps[0].section(0, VARIANT_NORMAL)
-        return
+def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
+    """One family kernel call installing flat canonical chains in the
+    given maps (<= FAMILY_MAX, all of one trace and marking)."""
+    global _ENUM_SECONDS
     t0 = perf_counter()
     m0 = maps[0]
     ct = m0.ct
@@ -866,17 +799,7 @@ def _family_scan_chunk(
     for m in maps:
         if m._disk_key is not None:
             _DIRTY.add(m)
-    _FAMILY_PASSES += 1
-    _FAMILY_MAPS += len(maps)
-    name = trace.name
-    _FAMILY_BY_TRACE[name] = _FAMILY_BY_TRACE.get(name, 0) + len(maps)
     _ENUM_SECONDS += perf_counter() - t0
-
-
-def _install_flat(m: SectionMap, keys, ends, causes, soff, sval) -> None:
-    m._flat = (keys, ends, causes, soff, sval)
-    m._flat_idx = None
-    m._flat_persisted = False
 
 
 def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
@@ -894,14 +817,15 @@ def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
         base = c * ev_percap
         obase = c * (ev_percap + 1)
         sbase = c * st_percap
-        _install_flat(
-            m,
+        m._flat = (
             ev_key[base:base + k],
             ev_end[base:base + k],
             ev_cause[base:base + k],
             ev_soff[obase:obase + k + 1],
             steps_out[sbase:sbase + nst[c]],
         )
+        m._walk = None
+        m._flat_persisted = False
 
 
 def prefetch_family(
@@ -927,7 +851,7 @@ def prefetch_family(
         trace, config, pi_words, pi_access_indices, forced_checkpoints
     )
     smap = _CACHE.get(key)
-    if smap is not None and not _needs_family_scan(smap):
+    if smap is not None and smap._flat is not None:
         return
     if not _family_enabled():
         return
@@ -937,7 +861,7 @@ def prefetch_family(
             trace, cfg, pi_words, pi_access_indices, forced_checkpoints
         )
         m2 = _CACHE.get(k2)
-        if m2 is not None and not _needs_family_scan(m2):
+        if m2 is not None and m2._flat is not None:
             continue
         take.append(cfg)
         if len(take) >= chunk:

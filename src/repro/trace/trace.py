@@ -53,7 +53,7 @@ class CompiledTrace:
         "cum_cycles", "false_writes", "content_key", "_first", "_last",
         "_vol_masks", "_scan_arrays", "_prefix_ids", "_scan_bufs",
         "_prefix_bufs", "_pi_masks", "_c_scratch", "_c_out",
-        "_pi_hazards", "_windex",
+        "_pi_hazards", "_windex", "_cycle_bufs",
     )
 
     def __init__(self, trace: "Trace"):
@@ -105,6 +105,7 @@ class CompiledTrace:
         self._c_out: Optional[tuple] = None
         self._pi_hazards: Dict[tuple, bool] = {}
         self._windex: Optional[Dict[int, list]] = None
+        self._cycle_bufs: Optional[Tuple[array, array]] = None
 
     def volatile_mask(
         self, volatile_ranges: Sequence[Tuple[int, int]]
@@ -279,6 +280,14 @@ class CompiledTrace:
             cached = (array("B", ops), array("i", wids), n_words)
             self._scan_bufs[key] = cached
         return cached
+
+    def cycle_buffers(self) -> Tuple[array, array]:
+        """``(cum_cycles, cycles)`` as ``int64`` buffers (the C section
+        walk and watchdog-cut chain scans)."""
+        if self._cycle_bufs is None:
+            self._cycle_bufs = (array("q", self.cum_cycles),
+                                array("q", self.cycles))
+        return self._cycle_bufs
 
     def prefix_buffers(self, shift: int) -> Tuple[array, int]:
         """:meth:`prefix_ids` as a C-addressable ``array`` buffer."""

@@ -63,7 +63,11 @@ def _family_tables(trace, configs, **kw):
         assert sections.cache_stats()["family_passes"] == before
     out = []
     for m in maps:
-        m.section(0, 0)  # materializes the flat store
+        m.section(0, 0)
+        # Serve every flat-stored section through the per-key path.
+        flat_keys = m._flat[0] if m._flat is not None else ()
+        for key in flat_keys:
+            m.section(key >> 2, key & 3)
         out.append(dict(m._sections))
     return out
 
@@ -148,8 +152,9 @@ def test_overflow_retry_is_exact(monkeypatch):
 
 
 def test_single_member_degrades_to_scalar(monkeypatch):
-    # A one-config family is a plain chain scan; the family counters
-    # must not claim a batched pass for it.
+    # A one-config family is a one-member pass (or, without the kernel,
+    # a lazy scalar scan); the family counters must not claim a batched
+    # pass for it.
     trace = get_trace("crc", "small")
     before = sections.cache_stats()
     maps = build_family(trace, [ClankConfig.from_tuple((8, 4, 2, 0))])

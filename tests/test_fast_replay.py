@@ -11,6 +11,7 @@ in turn be branch-identical to the pure-Python generator it ports.
 
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.core.detector import IdempotencyDetector
@@ -20,8 +21,11 @@ from repro.power.schedules import ExponentialPower, ReplayPower
 from repro.sim.fast import (
     FastPathIneligible,
     FastReplaySimulator,
+    dispatch_stats,
     fast_path_enabled,
     fast_stats,
+    last_kernel,
+    reset_dispatch_stats,
     reset_fast_stats,
     simulate_fast,
 )
@@ -157,6 +161,137 @@ class TestEquivalence:
                 perf_watchdog=0, progress_watchdog="auto",
             )
             assert a == b, seed
+
+
+@pytest.fixture
+def c_lib():
+    lib = cext.chain_scan_lib()
+    if lib is None:
+        pytest.skip(f"C kernel unavailable: {cext.cext_status()}")
+    return lib
+
+
+def _walkers(lib, trace, config, schedule_args, **kw):
+    """(C walk, Python walker) outcomes of one run, each engine driven
+    directly: the result dict with its ``checkpoints_by_cause`` key
+    order, the typed ineligibility, ``"stalled"``, or ``None`` (the C
+    walk handed the run back to the Python walker)."""
+    def outcome(run):
+        try:
+            res = run()
+        except FastPathIneligible as exc:
+            return ("ineligible", exc.reason)
+        except SimulationError:
+            return "stalled"
+        if res is None:
+            return None
+        d = res.to_dict(include_derived=False)
+        return d, list(d["checkpoints_by_cause"])
+
+    def sim():
+        return FastReplaySimulator(
+            trace, config, ExponentialPower(*schedule_args), verify=False,
+            **kw,
+        )
+
+    return outcome(lambda: sim().run_c(lib)), outcome(lambda: sim().run())
+
+
+class TestCWalk:
+    """The C section walk vs. the Python walker it ports (the oracle)."""
+
+    def test_grid(self, c_lib):
+        # Configs x policy opts x PI marking x forced (epoch) checkpoints.
+        for name in ("crc", "qsort"):
+            trace = get_trace(name, "small")
+            n = len(trace.accesses)
+            markings = (
+                {},
+                {"pi_words": pi_words_for(trace)},
+                {"forced_checkpoints": frozenset({0, n // 3, n // 2, n})},
+            )
+            for spec in CONFIGS:
+                for opts in OPT_COMBOS:
+                    config = ClankConfig(*spec, optimizations=opts)
+                    for marking in markings:
+                        c, py = _walkers(
+                            c_lib, trace, config, (900, 3),
+                            perf_watchdog="auto", progress_watchdog="auto",
+                            **marking,
+                        )
+                        assert c == py, (name, spec, opts, marking)
+
+    def test_watchdog_cuts_on_tiny_buffers(self, c_lib, monkeypatch):
+        # Both watchdogs on one-entry buffers under ignore-false-writes:
+        # off-chain resume keys, cut-safety round trips (safe and
+        # unsafe) all occur, and every outcome must match.
+        verdicts = []
+        safe = SectionMap.watchdog_cut_safe
+
+        def spy(self, *args):
+            verdict = safe(self, *args)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(SectionMap, "watchdog_cut_safe", spy)
+        opts = PolicyOptimizations(ignore_false_writes=True)
+        overlay = 0
+        for name in ("crc", "rc4"):
+            trace = get_trace(name, "small")
+            for spec in ((1, 0, 0, 0), (2, 1, 1, 0)):
+                config = ClankConfig(*spec, optimizations=opts)
+                for seed in range(1, 7):
+                    for kw in (
+                        dict(perf_watchdog=0, progress_watchdog="auto"),
+                        dict(perf_watchdog="auto", progress_watchdog=150),
+                    ):
+                        c, py = _walkers(c_lib, trace, config, (700, seed),
+                                         **kw)
+                        assert c == py, (name, spec, seed, kw)
+                overlay += len(get_section_map(trace, config)._walk._ov[0])
+        assert overlay, "no off-chain section was resolved"
+        assert True in verdicts and False in verdicts, verdicts
+
+    def test_power_cycle_abort_reruns_python(self, c_lib):
+        # The C walk hands a max_power_cycles abort back; the Python
+        # walker then raises the reference's exact error.
+        trace = get_trace("fft", "small")
+        config = ClankConfig.from_tuple((8, 4, 2, 0))
+        kw = dict(max_power_cycles=3)
+        c, py = _walkers(c_lib, trace, config, (300, 1), **kw)
+        assert c is None and py == "stalled"
+        with pytest.raises(SimulationError):
+            simulate_fast(trace, config, ExponentialPower(300, seed=1),
+                          verify=False, **kw)
+
+    def test_lazy_map_outside_plan(self, c_lib):
+        # A map no sweep plan family-built gets its flat canonical chain
+        # from a one-member pass, which the family counters skip.
+        clear_cache()
+        reset_cache_stats()
+        trace = get_trace("rc4", "small")
+        config = ClankConfig.from_tuple((16, 8, 4, 4))
+        smap = get_section_map(trace, config)
+        assert smap._flat is None
+        c, py = _walkers(c_lib, trace, config, (1100, 5),
+                         perf_watchdog="auto", progress_watchdog="auto")
+        assert c == py
+        assert smap._flat is not None
+        assert cache_stats()["family_passes"] == 0
+
+    def test_dispatch_reports_the_walker(self, c_lib):
+        reset_dispatch_stats()
+        trace = get_trace("crc", "small")
+        config = ClankConfig.from_tuple((8, 4, 2, 0))
+        kw = dict(perf_watchdog="auto", progress_watchdog="auto")
+        simulate_fast(trace, config, ExponentialPower(900, seed=1),
+                      verify=False, **kw)
+        assert last_kernel() == "c"
+        assert dispatch_stats()["c_walk"] == 1
+        simulate_fast(trace, config, ExponentialPower(900, seed=1),
+                      verify=True, **kw)
+        assert last_kernel() is None
+        assert dispatch_stats()["c_walk"] == 1
 
 
 class TestEligibility:
@@ -328,10 +463,12 @@ class TestCExtension:
             c_map = SectionMap(trace, config)
             # The Python path materializes the whole chain eagerly; the C
             # path indexes it and materializes per query — every section
-            # the reference enumerated must come back identical.
+            # the reference enumerated must come back identical (the C
+            # path keeps WBB steps as array slices).
             assert py_map._sections
             for key, sec in py_map._sections.items():
-                assert c_map.section(key >> 2, key & 3) == sec
+                end, cause, kind, steps = c_map.section(key >> 2, key & 3)
+                assert (end, cause, kind, tuple(steps)) == sec
         finally:
             cext.reset_for_tests()
 

@@ -318,13 +318,3 @@ class TestCliLedger:
         monkeypatch.chdir(tmp_path)
         assert main(["table3", "--quick"]) == 0
         assert not (tmp_path / "results").exists()
-
-
-class TestActiveKernel:
-    def test_reports_a_known_kernel(self):
-        assert telemetry.active_kernel() in ("c", "python")
-
-    def test_memoized_value_can_be_reset(self):
-        first = telemetry.active_kernel()
-        telemetry.reset_active_kernel_cache()
-        assert telemetry.active_kernel() == first
