@@ -86,15 +86,12 @@ from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.runner import run_clank
 from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR
+from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import NullRecorder
 from repro.obs.telemetry import ENGINE_BATCH, LEDGER
 from repro.obs.tracing import TRACER
-from repro.sim.fast import (
-    dispatch_stats, fast_stats, reset_dispatch_stats, reset_fast_stats,
-)
-from repro.sim.sections import (
-    cache_stats, clear_cache, reset_cache_stats,
-)
+from repro.sim.fast import dispatch_stats
+from repro.sim.sections import cache_stats, clear_cache
 from repro.workloads.cache import get_trace
 
 CONFIGS = [(1, 0, 0, 0), (8, 4, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
@@ -188,11 +185,10 @@ def main(argv=None) -> int:
     # above, a repeat sweep must be all cache hits, and the fast path
     # must carry (nearly) all of the runs — a handful of watchdog-cut
     # fallbacks is expected, wholesale fallback is a regression.
-    reset_cache_stats()
-    reset_fast_stats()
+    COUNTERS.reset()
     sweep_seconds(traces, settings, None, 1)
     sections = cache_stats()
-    runs = fast_stats()
+    runs = dispatch_stats()
     print(f"SectionMap cache: {sections}")
     print(f"fast-path runs:   {runs}")
     if sections["misses"]:
@@ -291,7 +287,7 @@ def main(argv=None) -> int:
             cold = sweep_results(traces, settings)
             artifact_cache.persist_caches()
             clear_cache()
-            reset_cache_stats()
+            COUNTERS.reset()
             warm = sweep_results(traces, settings)
             stats = cache_stats()
         finally:
@@ -355,8 +351,7 @@ def main(argv=None) -> int:
         for spec in CONFIGS
     ]
     clear_cache()
-    reset_cache_stats()
-    reset_dispatch_stats()
+    COUNTERS.reset()
     run_jobs(family_jobs, settings, None)
     stats = cache_stats()
     walks = dispatch_stats()

@@ -22,11 +22,12 @@ Public surface:
   Modules holding dirty in-memory artifacts register a flusher;
   the eval CLI and every cleanly exiting fork-pool worker (via
   ``atexit``) call :func:`persist_caches`.
-* :func:`stats` (alias :func:`cache_stats`) / :func:`reset_stats` —
-  hit/miss/put/eviction/error plus remote-tier counters, merged into
-  ``results/profile.txt`` per worker so "warm from memory" vs "warm
-  from disk" vs "cold" are distinguishable, and surfaced by the
-  :mod:`repro.serve` ``/stats`` endpoint.
+* :func:`stats` — hit/miss/put/eviction/error plus remote-tier
+  counters (``cache.*`` in :data:`repro.obs.metrics.COUNTERS`: worker
+  deltas merged there, plus the live store's own lock-protected
+  counts), rendered in ``results/profile.txt`` so "warm from memory"
+  vs "warm from disk" vs "cold" are distinguishable, and surfaced by
+  the :mod:`repro.serve` ``/stats`` endpoint.
 """
 
 import atexit
@@ -35,19 +36,17 @@ import os
 from typing import Callable, Dict, List, Optional
 
 from repro.cache.store import CACHE_VERSION, CacheStore
+from repro.obs.metrics import COUNTERS
 
 __all__ = [
-    "CACHE_VERSION", "CacheStore", "cache_stats", "content_key", "store",
-    "stats", "reset_stats", "register_persist", "persist_caches",
-    "reset_for_tests",
+    "CACHE_VERSION", "CacheStore", "content_key", "store", "stats",
+    "register_persist", "persist_caches", "reset_for_tests",
 ]
 
 _STORE: Optional[CacheStore] = None
 _RESOLVED = False
-#: Counters survive store re-resolution (a disabled run keeps its zeros).
-_BASE_STATS = {"hits": 0, "misses": 0, "puts": 0, "evictions": 0,
-               "errors": 0, "remote_hits": 0, "remote_misses": 0,
-               "remote_errors": 0}
+_KEYS = ("hits", "misses", "puts", "evictions", "errors", "remote_hits",
+         "remote_misses", "remote_errors")
 
 _PERSIST_HOOKS: List[Callable[[], None]] = []
 
@@ -90,28 +89,26 @@ def content_key(*parts) -> str:
     return hashlib.sha256(enc).hexdigest()
 
 
-def stats() -> Dict[str, int]:
-    """Aggregate disk-cache counters for this process."""
-    out = dict(_BASE_STATS)
+def _store_stats() -> Dict[str, int]:
     st = _STORE
-    if st is not None:
-        for k, v in st.stats().items():
-            out[k] += v
-    return out
+    return st.stats() if st is not None else {}
 
 
-def cache_stats() -> Dict[str, int]:
-    """Alias of :func:`stats` (the serving layer's canonical name)."""
-    return stats()
-
-
-def reset_stats() -> None:
-    """Zero the counters (tests and per-sweep profiling)."""
-    for k in _BASE_STATS:
-        _BASE_STATS[k] = 0
+def _reset_store_stats() -> None:
     st = _STORE
     if st is not None:
         st.reset_counters()
+
+
+# The live store keeps its own lock-protected counters (the server bumps
+# them from several threads); the registry reads them through here.
+COUNTERS.attach("cache.", _store_stats, _reset_store_stats)
+
+
+def stats() -> Dict[str, int]:
+    """Disk-cache counters for this process, pooled workers' included."""
+    snap = COUNTERS.snapshot()
+    return {k: snap.get("cache." + k, 0) for k in _KEYS}
 
 
 def register_persist(hook: Callable[[], None]) -> None:
@@ -140,14 +137,13 @@ def reset_for_tests() -> None:
     """Forget the resolved store so tests can re-gate via the env.
 
     Counters accumulated by the dropped store are folded into the
-    base so :func:`stats` stays monotone within a test unless
-    :func:`reset_stats` is called.
+    registry so :func:`stats` stays monotone within a test unless
+    ``COUNTERS.reset()`` is called.
     """
     global _STORE, _RESOLVED
     st = _STORE
     if st is not None:
-        for k, v in st.stats().items():
-            _BASE_STATS[k] += v
+        COUNTERS.merge({"cache." + k: v for k, v in st.stats().items()})
     _STORE = None
     _RESOLVED = False
 

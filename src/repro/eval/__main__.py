@@ -43,10 +43,10 @@ from repro.eval.parallel import resolve_workers
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.eval.settings import EvalSettings
 from repro.obs import slog, telemetry, tracing
+from repro.obs.metrics import COUNTERS
 from repro.obs.profile import PROFILER
 from repro.sim import fast as fast_dispatch
 from repro.sim import sections
-from repro.workloads.cache import cache_stats, reset_cache_stats
 
 _EXPERIMENTS = (
     "table1", "fig5", "fig6", "table2", "fig7", "fig8", "table3", "table4",
@@ -160,10 +160,7 @@ def main(argv=None) -> int:
     n_workers = resolve_workers(args.jobs)
 
     PROFILER.reset()
-    reset_cache_stats()
-    sections.reset_cache_stats()
-    artifact_cache.reset_stats()
-    fast_dispatch.reset_dispatch_stats()
+    COUNTERS.reset()
     telemetry.LEDGER.reset()
     telemetry.LEDGER.enable()
     if args.arch:
@@ -215,29 +212,12 @@ def main(argv=None) -> int:
         # their own after each job) before reading the final disk counters.
         artifact_cache.persist_caches()
 
-        # Serial runs populate the in-process SectionMap counters directly;
-        # parallel runs merged worker deltas into the profiler already.
-        sect = sections.cache_stats()
-        PROFILER.record_section_cache(
-            sect["hits"], sect["misses"],
-            enum_seconds=sect["enum_seconds"],
-            evictions=sect["evictions"],
-            disk_loads=sect["disk_loads"],
-            rebuilds=sect["rebuilds"],
-            family_passes=sect["family_passes"],
-            family_maps=sect["family_maps"],
-            family_by_trace=sections.family_trace_stats(),
-        )
-        disk = artifact_cache.stats()
-        PROFILER.record_disk_cache(
-            disk["hits"], disk["misses"],
-            puts=disk["puts"], evictions=disk["evictions"],
-        )
-        # Serial dispatches counted in-process; worker deltas were merged
-        # by run_jobs, so this snapshot covers the whole evaluation.
+        # Pooled jobs' counter deltas were merged by run_jobs, so the
+        # registry covers the whole evaluation.
+        profile = PROFILER.table(COUNTERS.snapshot())
         dispatch = fast_dispatch.dispatch_stats()
-        PROFILER.record_dispatch(dispatch)
-        profile = PROFILER.table(cache_stats=cache_stats())
+        sect = sections.cache_stats()
+        disk = artifact_cache.stats()
         print(profile)
         if serve_client is not None:
             print(f"[{serve_client.summary_line()}]")
@@ -271,12 +251,12 @@ def main(argv=None) -> int:
                     "wall_clock_s": round(wall_clock, 3),
                     "dispatch": dispatch,
                     "aggregates": {
-                        "section_cache_hits": PROFILER.section_cache_hits,
-                        "section_cache_misses": PROFILER.section_cache_misses,
-                        "section_disk_loads": PROFILER.section_disk_loads,
-                        "disk_cache_hits": PROFILER.disk_cache_hits,
-                        "disk_cache_misses": PROFILER.disk_cache_misses,
-                        "disk_cache_puts": PROFILER.disk_cache_puts,
+                        "section_cache_hits": sect["hits"],
+                        "section_cache_misses": sect["misses"],
+                        "section_disk_loads": sect["disk_loads"],
+                        "disk_cache_hits": disk["hits"],
+                        "disk_cache_misses": disk["misses"],
+                        "disk_cache_puts": disk["puts"],
                     },
                 },
             )
@@ -316,9 +296,9 @@ def main(argv=None) -> int:
                 if sim_runs else None,
                 "disk_cache": {
                     "enabled": artifact_cache.store() is not None,
-                    "hits": PROFILER.disk_cache_hits,
-                    "misses": PROFILER.disk_cache_misses,
-                    "puts": PROFILER.disk_cache_puts,
+                    "hits": disk["hits"],
+                    "misses": disk["misses"],
+                    "puts": disk["puts"],
                 },
                 **(
                     {"serve_tiers": dict(serve_client.tier_counts)}

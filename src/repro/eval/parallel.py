@@ -25,6 +25,7 @@ path — no pool, no pickling — which is also the fallback when a platform
 lacks ``fork``-ed multiprocessing.
 """
 
+import functools
 import multiprocessing
 import os
 import time
@@ -38,18 +39,17 @@ from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
+from repro.obs.metrics import COUNTERS
 from repro.obs.profile import PROFILER
 from repro.obs.tracing import TRACER
 from repro.power.schedules import RuntPower
 from repro.runtime.costs import DEFAULT_COST_MODEL, CostModel
-from repro.sim import batch as batch_dispatch
 from repro.sim import fast as fast_dispatch
 from repro.sim import sections
 from repro.sim.batch import BatchResult, simulate_batch
 from repro.sim.fast import simulate_fast
 from repro.sim.result import SimulationResult
 from repro.sim.undo_log import UndoLogSimulator
-from repro.workloads import cache as trace_cache
 from repro.workloads.cache import get_trace
 
 #: Initial on-times drawn per row for batched seed-repeat jobs.  Small on
@@ -330,6 +330,118 @@ def _family_prefetch(job: SimJob, trace, config, pi_words,
     )
 
 
+#: ``_cache_lookup``'s "not in the result cache" marker (a cached
+#: allowed stall restores as ``None``).
+_MISS = object()
+
+
+def _ledger_record(job: SimJob, config: ClankConfig, engine: str,
+                   reason=None, result_cache="off", rows=1, salt=None,
+                   stalled=False, wall_s=0.0, t_start=None,
+                   kernel=None) -> None:
+    """Append one provenance record for ``job`` (no-op with the ledger
+    off); ``salt`` defaults to the job's own."""
+    ledger = telemetry.LEDGER
+    if not ledger.enabled:
+        return
+    ledger.record(telemetry.RunRecord(
+        workload=job.workload,
+        config=config.label(),
+        engine=engine,
+        fallback_reason=reason,
+        kernel=kernel,
+        result_cache=result_cache,
+        size=job.size,
+        salt=job.salt if salt is None else salt,
+        driver=ledger.driver,
+        stalled=stalled,
+        rows=rows,
+        wall_s=wall_s,
+        t_start=ledger.now() if t_start is None else t_start,
+        worker=os.getpid(),
+    ))
+
+
+def _cache_lookup(job: SimJob, settings: EvalSettings, config: ClankConfig):
+    """``(rkey, result)`` from the persistent result cache.
+
+    ``rkey`` is ``None`` when the store is off or the run verifies
+    (verified runs never read or write it).  ``result`` is :data:`_MISS`
+    unless the store held the job; a hit is already accounted in the
+    ledger and the architecture collector.
+    """
+    st = artifact_cache.store()
+    if st is None or settings.verify:
+        return None, _MISS
+    _, rkey = result_key(job, settings)
+    cached = st.get("result", rkey)
+    label = config.label()
+    if isinstance(cached, dict):
+        _ledger_record(job, config, telemetry.ENGINE_CACHED,
+                       result_cache="hit", rows=max(1, job.n_seeds))
+        if job.n_seeds > 1:
+            result = BatchResult.from_dict(cached)
+            rows = result.results
+        else:
+            result = SimulationResult.from_dict(cached)
+            rows = [result]
+        # A warm run skips the simulation, so attribution folds from the
+        # cached cause counts (occupancy detail only exists for
+        # simulated runs).
+        for row in rows:
+            if row is None:
+                ARCH_COLLECTOR.fold_stalled(job.workload, label)
+            else:
+                ARCH_COLLECTOR.fold_causes(
+                    job.workload, label, row.checkpoints_by_cause,
+                    telemetry.ENGINE_CACHED,
+                )
+        return rkey, result
+    if cached == "stalled" and job.allow_stall:
+        _ledger_record(job, config, telemetry.ENGINE_CACHED,
+                       result_cache="hit", stalled=True)
+        ARCH_COLLECTOR.fold_stalled(job.workload, label)
+        return rkey, None
+    return rkey, _MISS
+
+
+def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
+                  settings: EvalSettings) -> dict:
+    """The ``simulate_fast``/``simulate_batch`` keyword arguments of a
+    Clank job: PI or epoch marking, volatile ranges, watchdogs.  Runs
+    the job's family prefetch when a sweep plan covers it."""
+    from repro.eval.runner import pi_words_for
+
+    pi_words = pi_access_indices = forced_checkpoints = None
+    if job.epoch_cycles > 0:
+        plan = _epoch_plan(trace, job.epoch_cycles)
+        pi_access_indices = plan.ignorable
+        forced_checkpoints = plan.boundaries
+    elif job.use_compiler:
+        pi_words = pi_words_for(trace)
+    volatile_ranges = None
+    if job.volatile_segments:
+        volatile_ranges = tuple(
+            trace.memory_map.word_range(name)
+            for name in job.volatile_segments
+        )
+    elif not settings.verify:
+        _family_prefetch(job, trace, config, pi_words,
+                         pi_access_indices, forced_checkpoints)
+    return dict(
+        cost_model=_COST_MODELS[job.cost_model],
+        perf_watchdog=job.perf_watchdog,
+        progress_watchdog=job.progress_watchdog,
+        progress_watchdog_adaptive=job.progress_watchdog_adaptive,
+        pi_words=pi_words,
+        pi_access_indices=pi_access_indices,
+        forced_checkpoints=forced_checkpoints,
+        volatile_ranges=volatile_ranges,
+        verify=settings.verify,
+        max_power_cycles=job.max_power_cycles,
+    )
+
+
 def execute_job(
     job: SimJob, settings: EvalSettings
 ) -> Tuple[Optional[SimulationResult], float]:
@@ -357,57 +469,20 @@ def execute_job(
     :class:`~repro.sim.batch.BatchResult` instead — see
     :func:`_execute_batch`.
     """
-    from repro.eval.runner import pi_words_for
-
-    if job.n_seeds > 1:
-        return _execute_batch(job, settings)
-
+    if job.n_seeds > 1 and (job.engine != "clank" or job.schedule != "exp"):
+        raise ConfigError(
+            "seed-repeat jobs (n_seeds > 1) require engine='clank' with "
+            "the exponential schedule"
+        )
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     config = job.clank_config()
-    ledger = telemetry.LEDGER
-
-    def ledger_record(engine, reason=None, result_cache="off",
-                      stalled=False, wall_s=0.0, t_start=None, kernel=None):
-        if not ledger.enabled:
-            return
-        ledger.record(telemetry.RunRecord(
-            workload=job.workload,
-            config=config.label(),
-            engine=engine,
-            fallback_reason=reason,
-            kernel=kernel,
-            result_cache=result_cache,
-            size=job.size,
-            salt=job.salt,
-            driver=ledger.driver,
-            stalled=stalled,
-            wall_s=wall_s,
-            t_start=ledger.now() if t_start is None else t_start,
-            worker=os.getpid(),
-        ))
-
-    st = artifact_cache.store()
-    rkey = None
-    if st is not None and not settings.verify:
-        _, rkey = result_key(job, settings)
-        cached = st.get("result", rkey)
-        if isinstance(cached, dict):
-            ledger_record("disk-cached-result", result_cache="hit")
-            restored = SimulationResult.from_dict(cached)
-            # A warm run skips the simulation, so attribution folds from
-            # the cached result's cause counts (occupancy detail only
-            # exists for simulated runs).
-            ARCH_COLLECTOR.fold_causes(
-                job.workload, config.label(),
-                restored.checkpoints_by_cause, "disk-cached-result",
-            )
-            return restored, 0.0
-        if cached == "stalled" and job.allow_stall:
-            ledger_record("disk-cached-result", result_cache="hit",
-                          stalled=True)
-            ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
-            return None, 0.0
+    rkey, cached = _cache_lookup(job, settings, config)
+    if cached is not _MISS:
+        return cached, 0.0
     result_cache = "miss" if rkey is not None else "off"
+    if job.n_seeds > 1:
+        return _execute_batch(job, settings, trace, config, rkey,
+                              result_cache)
 
     if job.schedule == "runt":
         schedule = RuntPower(
@@ -420,7 +495,7 @@ def execute_job(
         schedule = settings.schedule(job.salt)
 
     if job.engine == "undo":
-        sim = UndoLogSimulator(
+        run_one = UndoLogSimulator(
             trace,
             config,
             schedule,
@@ -429,71 +504,36 @@ def execute_job(
             progress_watchdog=job.progress_watchdog,
             verify=settings.verify,
             max_power_cycles=job.max_power_cycles,
-        )
-        run_one = sim.run
+        ).run
     else:
-        pi_words = pi_access_indices = forced_checkpoints = None
-        if job.epoch_cycles > 0:
-            plan = _epoch_plan(trace, job.epoch_cycles)
-            pi_access_indices = plan.ignorable
-            forced_checkpoints = plan.boundaries
-        elif job.use_compiler:
-            pi_words = pi_words_for(trace)
-        volatile_ranges = None
-        if job.volatile_segments:
-            volatile_ranges = tuple(
-                trace.memory_map.word_range(name)
-                for name in job.volatile_segments
-            )
-        elif not settings.verify:
-            _family_prefetch(job, trace, config, pi_words,
-                             pi_access_indices, forced_checkpoints)
         # Clank jobs go through the section-memoized fast path when
         # eligible (verify off, no volatile ranges); ineligible ones fall
         # back to the reference simulator inside simulate_fast.
-        def run_one(
-            _t=trace,
-            _c=config,
-            _s=schedule,
-            _pw=pi_words,
-            _pi=pi_access_indices,
-            _f=forced_checkpoints,
-            _v=volatile_ranges,
-        ):
-            return simulate_fast(
-                _t,
-                _c,
-                _s,
-                cost_model=_COST_MODELS[job.cost_model],
-                perf_watchdog=job.perf_watchdog,
-                progress_watchdog=job.progress_watchdog,
-                progress_watchdog_adaptive=job.progress_watchdog_adaptive,
-                pi_words=_pw,
-                pi_access_indices=_pi,
-                forced_checkpoints=_f,
-                volatile_ranges=_v,
-                verify=settings.verify,
-                max_power_cycles=job.max_power_cycles,
-            )
+        run_one = functools.partial(
+            simulate_fast, trace, config, schedule,
+            **_clank_kwargs(job, trace, config, settings),
+        )
 
     start = time.perf_counter()
-    t_start = start - ledger.epoch
+    t_start = start - telemetry.LEDGER.epoch
     try:
         result = run_one()
     except SimulationError:
         if not job.allow_stall:
             raise
         if rkey is not None:
-            st.put("result", rkey, "stalled")
+            artifact_cache.store().put("result", rkey, "stalled")
         elapsed = time.perf_counter() - start
         # The abort can come from either simulator mid-run (dispatch
         # counters never tick), so the stall is its own engine value.
-        ledger_record("stalled", result_cache=result_cache, stalled=True,
-                      wall_s=elapsed, t_start=t_start)
+        _ledger_record(job, config, "stalled", result_cache=result_cache,
+                       stalled=True, wall_s=elapsed, t_start=t_start)
         ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
         return None, elapsed
     if rkey is not None:
-        st.put("result", rkey, result.to_dict(include_derived=False))
+        artifact_cache.store().put(
+            "result", rkey, result.to_dict(include_derived=False)
+        )
     elapsed = time.perf_counter() - start
     if job.engine == "undo":
         engine, reason = "undo", None
@@ -505,17 +545,20 @@ def execute_job(
         )
     else:
         engine, reason = fast_dispatch.last_dispatch()
-    ledger_record(engine, reason=reason, result_cache=result_cache,
-                  wall_s=elapsed, t_start=t_start,
-                  kernel=fast_dispatch.last_kernel()
-                  if engine == "fast" else None)
+    _ledger_record(job, config, engine, reason=reason,
+                   result_cache=result_cache, wall_s=elapsed,
+                   t_start=t_start,
+                   kernel=fast_dispatch.last_kernel()
+                   if engine == "fast" else None)
     return result, elapsed
 
 
 def _execute_batch(
-    job: SimJob, settings: EvalSettings
+    job: SimJob, settings: EvalSettings, trace, config: ClankConfig,
+    rkey: Optional[str], result_cache: str,
 ) -> Tuple[BatchResult, float]:
-    """Run one seed-repeat job as a single batched replay.
+    """Run one seed-repeat job (a result-cache miss) as a single
+    batched replay.
 
     Row ``i`` of the returned :class:`~repro.sim.batch.BatchResult` is
     bit-identical to the scalar job at salt ``salt + i*seed_stride``
@@ -529,111 +572,29 @@ def _execute_batch(
     run-for-run.  Whole ``BatchResult``s participate in the persistent
     result cache under their own key namespace.
     """
-    from repro.eval.runner import pi_words_for
-
-    if job.engine != "clank" or job.schedule != "exp":
-        raise ConfigError(
-            "seed-repeat jobs (n_seeds > 1) require engine='clank' with "
-            "the exponential schedule"
-        )
-    trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
-    config = job.clank_config()
-    ledger = telemetry.LEDGER
-
-    def ledger_record(engine, reason=None, result_cache="off", rows=1,
-                      salt=None, stalled=False, wall_s=0.0, t_start=None,
-                      kernel=None):
-        if not ledger.enabled:
-            return
-        ledger.record(telemetry.RunRecord(
-            workload=job.workload,
-            config=config.label(),
-            engine=engine,
-            fallback_reason=reason,
-            kernel=kernel,
-            result_cache=result_cache,
-            size=job.size,
-            salt=job.salt if salt is None else salt,
-            driver=ledger.driver,
-            stalled=stalled,
-            rows=rows,
-            wall_s=wall_s,
-            t_start=ledger.now() if t_start is None else t_start,
-            worker=os.getpid(),
-        ))
-
-    st = artifact_cache.store()
-    rkey = None
-    if st is not None and not settings.verify:
-        _, rkey = result_key(job, settings)
-        cached = st.get("result", rkey)
-        if isinstance(cached, dict):
-            ledger_record("disk-cached-result", result_cache="hit",
-                          rows=job.n_seeds)
-            restored = BatchResult.from_dict(cached)
-            for row in restored.results:
-                if row is not None:
-                    ARCH_COLLECTOR.fold_causes(
-                        job.workload, config.label(),
-                        row.checkpoints_by_cause, "disk-cached-result",
-                    )
-                else:
-                    ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
-            return restored, 0.0
-    result_cache = "miss" if rkey is not None else "off"
-
-    pi_words = pi_access_indices = forced_checkpoints = None
-    if job.epoch_cycles > 0:
-        plan = _epoch_plan(trace, job.epoch_cycles)
-        pi_access_indices = plan.ignorable
-        forced_checkpoints = plan.boundaries
-    elif job.use_compiler:
-        pi_words = pi_words_for(trace)
-    volatile_ranges = None
-    if job.volatile_segments:
-        volatile_ranges = tuple(
-            trace.memory_map.word_range(name)
-            for name in job.volatile_segments
-        )
-    elif not settings.verify:
-        _family_prefetch(job, trace, config, pi_words,
-                         pi_access_indices, forced_checkpoints)
-
+    kwargs = _clank_kwargs(job, trace, config, settings)
     schedules = settings.schedule(job.salt).batch(
         job.n_seeds, _BATCH_SEGMENTS, seed_stride=job.seed_stride
     )
     start = time.perf_counter()
-    t_start = start - ledger.epoch
+    t_start = start - telemetry.LEDGER.epoch
     batch = simulate_batch(
-        trace,
-        config,
-        schedules,
-        allow_stall=job.allow_stall,
-        cost_model=_COST_MODELS[job.cost_model],
-        perf_watchdog=job.perf_watchdog,
-        progress_watchdog=job.progress_watchdog,
-        progress_watchdog_adaptive=job.progress_watchdog_adaptive,
-        pi_words=pi_words,
-        pi_access_indices=pi_access_indices,
-        forced_checkpoints=forced_checkpoints,
-        volatile_ranges=volatile_ranges,
-        verify=settings.verify,
-        max_power_cycles=job.max_power_cycles,
+        trace, config, schedules, allow_stall=job.allow_stall, **kwargs
     )
     elapsed = time.perf_counter() - start
     if rkey is not None:
-        st.put("result", rkey, batch.to_dict())
+        artifact_cache.store().put("result", rkey, batch.to_dict())
 
     batch_rows = batch.batch_rows
     if batch_rows:
-        ledger_record(telemetry.ENGINE_BATCH, result_cache=result_cache,
-                      rows=batch_rows, wall_s=elapsed, t_start=t_start,
-                      kernel="c")
+        _ledger_record(job, config, telemetry.ENGINE_BATCH,
+                       result_cache=result_cache, rows=batch_rows,
+                       wall_s=elapsed, t_start=t_start, kernel="c")
     for r, engine in enumerate(batch.engines):
         if engine == "batch":
             continue
-        ledger_record(
-            engine,
+        _ledger_record(
+            job, config, engine,
             reason=batch.reasons[r],
             result_cache=result_cache,
             salt=job.salt + r * job.seed_stride,
@@ -642,6 +603,97 @@ def _execute_batch(
             kernel=batch.kernels[r] if batch.kernels else None,
         )
     return batch, elapsed
+
+
+# --------------------------------------------------------------------- #
+# Job payloads: one job's outcome, packaged to cross a process boundary.
+# --------------------------------------------------------------------- #
+
+
+def job_payload(job: SimJob, settings: EvalSettings,
+                span: Optional[dict] = None) -> dict:
+    """Execute ``job`` and package everything its caller's process must
+    fold (never a pickled trace or simulator).
+
+    ``result`` is the result's ``to_dict`` form (``batch`` says which
+    kind), ``records`` the ledger records the job appended (moved out
+    of this process's ledger), ``counters`` the job's
+    :data:`~repro.obs.metrics.COUNTERS` delta — dispatch, batch rows,
+    section maps, family scans, trace and disk cache — and ``arch`` the
+    architecture-collector folds.  ``span`` (if given) is closed and
+    shipped in ``spans``.  The fork pool folds a payload with
+    :func:`fold_payload`; the sweep server merges ``counters`` and
+    streams the rest.
+    """
+    before = COUNTERS.snapshot()
+    ledger = telemetry.LEDGER
+    n_records = len(ledger.records)
+    # Architecture-stats folds mirror into a per-job capture list so the
+    # parent can replay them in submission order (determinism at any
+    # worker count); an empty list costs nothing when collection is off.
+    arch: list = []
+    if ARCH_COLLECTOR.enabled:
+        ARCH_COLLECTOR.capture = arch
+    try:
+        result, sim_seconds = execute_job(job, settings)
+    finally:
+        ARCH_COLLECTOR.capture = None
+        if span is not None:
+            span["t1"] = time.perf_counter()
+    records = [rec.to_dict() for rec in ledger.records[n_records:]]
+    del ledger.records[n_records:]
+    # Pool children exit via os._exit (no atexit), so flush newly
+    # enumerated artifacts to the shared store now.  Dirty tracking in
+    # repro.sim.sections makes this O(maps this job grew) — usually one.
+    artifact_cache.persist_caches()
+    is_batch = isinstance(result, BatchResult)
+    if is_batch:
+        raw = result.to_dict()
+    else:
+        raw = None if result is None else result.to_dict(include_derived=False)
+    return {
+        "result": raw,
+        "batch": is_batch,
+        "records": records,
+        "sim_seconds": sim_seconds,
+        "rows": max(1, job.n_seeds),
+        "counters": COUNTERS.delta(before),
+        "arch": arch,
+        "spans": [span] if span is not None else [],
+    }
+
+
+def decode_result(payload: dict) -> Union[SimulationResult, BatchResult,
+                                          None]:
+    """The result object a :func:`job_payload` (or an SSE event) carries."""
+    raw = payload["result"]
+    if payload.get("batch"):
+        return BatchResult.from_dict(raw)
+    return None if raw is None else SimulationResult.from_dict(raw)
+
+
+def fold_payload(payload: dict, job: SimJob, settings: EvalSettings,
+                 ambient: Optional[tuple] = None):
+    """Merge one :func:`job_payload` into this process; returns its result.
+
+    Called in strict submission order — the determinism contract:
+    profiler float sums, ledger indices, and counters fold in the same
+    order a serial run would produce them.  Worker spans ship rootless
+    and hang under ``ambient``, the span active at dispatch.
+    """
+    if settings.profile:
+        PROFILER.record_sim(job.workload, payload["sim_seconds"],
+                            runs=payload["rows"])
+    COUNTERS.merge(payload["counters"])
+    for rec in payload["records"]:
+        telemetry.LEDGER.record(telemetry.RunRecord.from_dict(rec))
+    ARCH_COLLECTOR.merge_entries(payload["arch"])
+    if TRACER.enabled:
+        for span in payload["spans"]:
+            if ambient is not None and not span.get("parent_id"):
+                span["trace_id"], span["parent_id"] = ambient
+            TRACER.add(span)
+    return decode_result(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -657,22 +709,9 @@ def _worker_init(settings: EvalSettings) -> None:
 
 
 def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
-    """Execute one job in a worker; returns its submission index and a
-    small payload dict (never a pickled trace or simulator)."""
+    """Execute one job in a worker; returns its submission index and
+    its :func:`job_payload`."""
     idx, job = item
-    stats_before = trace_cache.cache_stats()
-    sect_before = sections.cache_stats()
-    fam_before = sections.family_trace_stats()
-    disk_before = artifact_cache.stats()
-    disp_before = fast_dispatch.dispatch_stats()
-    batch_before = batch_dispatch.batch_stats()
-    tele_before = len(telemetry.LEDGER.records)
-    # Architecture-stats folds mirror into a per-job capture list so the
-    # parent can replay them in submission order (determinism at any
-    # worker count); an empty list costs nothing when collection is off.
-    arch_entries: list = []
-    if ARCH_COLLECTOR.enabled:
-        ARCH_COLLECTOR.capture = arch_entries
     # Tracing state is inherited across the pool fork; a per-job worker
     # span ships back in the payload (rootless — the parent re-parents
     # it under its ambient span when folding).
@@ -684,97 +723,7 @@ def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
             f"job {job.workload}", "worker",
             attrs={"workload": job.workload, "config": job.config},
         )
-    try:
-        result, sim_seconds = execute_job(job, _WORKER_SETTINGS)
-    finally:
-        ARCH_COLLECTOR.capture = None
-        if span is not None:
-            span["t1"] = time.perf_counter()
-    # Pool children exit via os._exit (no atexit), so flush newly
-    # enumerated artifacts to the shared store now.  Dirty tracking in
-    # repro.sim.sections makes this O(maps this job grew) — usually one.
-    artifact_cache.persist_caches()
-    stats_after = trace_cache.cache_stats()
-    sect_after = sections.cache_stats()
-    disk_after = artifact_cache.stats()
-    disp_after = fast_dispatch.dispatch_stats()
-    batch_after = batch_dispatch.batch_stats()
-    if isinstance(result, BatchResult):
-        payload_result = result.to_dict()
-        is_batch = True
-    else:
-        payload_result = (
-            None if result is None
-            else result.to_dict(include_derived=False)
-        )
-        is_batch = False
-    return idx, {
-        "workload": job.workload,
-        "result": payload_result,
-        "batch": is_batch,
-        "spans": [span] if span is not None else [],
-        "sim_runs": max(1, job.n_seeds),
-        "batch_stats": {
-            "batches": batch_after["batches"] - batch_before["batches"],
-            "rows_batched": (
-                batch_after["rows_batched"] - batch_before["rows_batched"]
-            ),
-            "rows_fallback": (
-                batch_after["rows_fallback"] - batch_before["rows_fallback"]
-            ),
-            "reasons": {
-                reason: n - batch_before["reasons"].get(reason, 0)
-                for reason, n in batch_after["reasons"].items()
-                if n != batch_before["reasons"].get(reason, 0)
-            },
-        },
-        "sim_seconds": sim_seconds,
-        "telemetry": [
-            rec.to_dict()
-            for rec in telemetry.LEDGER.records[tele_before:]
-        ],
-        "arch": arch_entries,
-        "dispatch": {
-            "fast": disp_after["fast"] - disp_before["fast"],
-            "c_walk": disp_after["c_walk"] - disp_before["c_walk"],
-            "reasons": {
-                reason: disp_after["reasons"][reason] - count
-                for reason, count in disp_before["reasons"].items()
-                if disp_after["reasons"][reason] != count
-            },
-        },
-        "cache_hits": stats_after["hits"] - stats_before["hits"],
-        "cache_misses": stats_after["misses"] - stats_before["misses"],
-        "section_hits": sect_after["hits"] - sect_before["hits"],
-        "section_misses": sect_after["misses"] - sect_before["misses"],
-        "section_evictions": (
-            sect_after["evictions"] - sect_before["evictions"]
-        ),
-        "section_disk_loads": (
-            sect_after["disk_loads"] - sect_before["disk_loads"]
-        ),
-        "section_enum_seconds": (
-            sect_after["enum_seconds"] - sect_before["enum_seconds"]
-        ),
-        "section_rebuilds": (
-            sect_after["rebuilds"] - sect_before["rebuilds"]
-        ),
-        "family_passes": (
-            sect_after["family_passes"] - sect_before["family_passes"]
-        ),
-        "family_maps": (
-            sect_after["family_maps"] - sect_before["family_maps"]
-        ),
-        "family_by_trace": {
-            name: n - fam_before.get(name, 0)
-            for name, n in sections.family_trace_stats().items()
-            if n != fam_before.get(name, 0)
-        },
-        "disk_hits": disk_after["hits"] - disk_before["hits"],
-        "disk_misses": disk_after["misses"] - disk_before["misses"],
-        "disk_puts": disk_after["puts"] - disk_before["puts"],
-        "disk_evictions": disk_after["evictions"] - disk_before["evictions"],
-    }
+    return idx, job_payload(job, _WORKER_SETTINGS, span)
 
 
 def _worker_run_group(
@@ -840,16 +789,13 @@ def run_jobs(
     the payloads are merged back in submission order, so the returned list
     is bit-identical either way.
 
-    Per-worker simulator time and trace-cache hit/miss counts are merged
-    into the shared :data:`~repro.obs.profile.PROFILER` (under
-    ``settings.profile``), exactly as serial runs account themselves.
-
-    Provenance merges loss-lessly too: each payload carries the worker's
-    :data:`~repro.obs.telemetry.LEDGER` records and fast-path dispatch
-    deltas for that job, folded back here in **submission order** — so the
-    parent's ledger and :func:`repro.sim.fast.dispatch_stats` are
-    deterministic and identical (modulo wall-time fields) at any worker
-    count.
+    Each worker job comes back as one :func:`job_payload` — simulator
+    time, :data:`~repro.obs.telemetry.LEDGER` records and a
+    :data:`~repro.obs.metrics.COUNTERS` delta — folded here in
+    **submission order** (:func:`fold_payload`), so the parent's
+    profile, ledger and counters are deterministic and identical (modulo
+    wall-time fields, and trace-cache counts: each worker builds its own
+    traces) at any worker count.
     """
     if SERVED_EXECUTOR is not None and not settings.verify:
         return SERVED_EXECUTOR.run_jobs(jobs, settings)
@@ -890,55 +836,6 @@ def run_jobs(
     )
     ambient = TRACER.current() if TRACER.enabled else None
 
-    def _fold(payload: dict):
-        """Merge one payload's stats/provenance and rebuild its result.
-
-        Called in strict submission order — the determinism contract:
-        profiler float sums, ledger indices, and dispatch counters fold
-        in the same order a serial run would produce them.
-        """
-        if settings.profile:
-            PROFILER.record_sim(
-                payload["workload"], payload["sim_seconds"],
-                runs=payload.get("sim_runs", 1),
-            )
-        PROFILER.record_worker_cache(
-            payload["cache_hits"], payload["cache_misses"]
-        )
-        PROFILER.record_section_cache(
-            payload.get("section_hits", 0),
-            payload.get("section_misses", 0),
-            enum_seconds=payload.get("section_enum_seconds", 0.0),
-            evictions=payload.get("section_evictions", 0),
-            disk_loads=payload.get("section_disk_loads", 0),
-            rebuilds=payload.get("section_rebuilds", 0),
-            family_passes=payload.get("family_passes", 0),
-            family_maps=payload.get("family_maps", 0),
-            family_by_trace=payload.get("family_by_trace"),
-        )
-        PROFILER.record_disk_cache(
-            payload.get("disk_hits", 0),
-            payload.get("disk_misses", 0),
-            puts=payload.get("disk_puts", 0),
-            evictions=payload.get("disk_evictions", 0),
-        )
-        fast_dispatch.merge_dispatch_stats(payload.get("dispatch", {}))
-        batch_dispatch.merge_batch_stats(payload.get("batch_stats", {}))
-        for rec in payload.get("telemetry", ()):
-            telemetry.LEDGER.record(telemetry.RunRecord.from_dict(rec))
-        ARCH_COLLECTOR.merge_entries(payload.get("arch", ()))
-        if TRACER.enabled:
-            for span in payload.get("spans", ()):
-                # Worker spans ship rootless; hang them under the span
-                # active when this sweep was dispatched (the driver's).
-                if ambient is not None and not span.get("parent_id"):
-                    span["trace_id"], span["parent_id"] = ambient
-                TRACER.add(span)
-        raw = payload["result"]
-        if payload.get("batch"):
-            return BatchResult.from_dict(raw)
-        return None if raw is None else SimulationResult.from_dict(raw)
-
     # Payloads are folded *eagerly* over the longest contiguous
     # submission-order prefix as they arrive, so live observers (a
     # streaming ledger tailed by ``repro.obs.watch``) see progress
@@ -954,15 +851,15 @@ def run_jobs(
             [[(i, jobs[i]) for i in idxs] for idxs in ordered],
             chunksize=1,
         ):
-            for idx, payload in group_payloads:
-                pending[idx] = payload
+            pending.update(group_payloads)
             while len(results) in pending:
-                results.append(_fold(pending.pop(len(results))))
+                i = len(results)
+                results.append(
+                    fold_payload(pending.pop(i), jobs[i], settings, ambient)
+                )
     finally:
         pool.close()
         pool.join()
-    while len(results) in pending:
-        results.append(_fold(pending.pop(len(results))))
     if len(results) != len(jobs):
         raise SimulationError(
             f"pool returned {len(results)} of {len(jobs)} payloads"

@@ -11,6 +11,8 @@ Two tiers of primitives live here:
   original lock-free simulation metrics.  They stay lock-free on purpose:
   they are only ever touched from the single simulator thread that owns
   the run, and a lock there would tax the hot loop for nothing.
+  :data:`COUNTERS`, the process-wide sweep registry, is one too; only
+  its cross-process :meth:`~MetricsRegistry.merge` takes a lock.
 * :class:`Gauge` and the labeled families (:class:`CounterFamily`,
   :class:`GaugeFamily`, :class:`HistogramFamily`) — serving-side metrics
   bumped concurrently from the sweep server's asyncio handlers and its
@@ -21,7 +23,7 @@ Two tiers of primitives live here:
 
 import bisect
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Idempotent-section length (accesses between committed checkpoints).
 SECTION_ACCESS_BUCKETS: Tuple[int, ...] = (
@@ -118,17 +120,65 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters and histograms; get-or-create access."""
+    """Named counters and histograms; get-or-create access.
+
+    :data:`COUNTERS` is the process-wide instance every sweep layer
+    counts into.  Its counters cross process boundaries only as a
+    :meth:`delta` between two :meth:`snapshot` calls, folded into the
+    receiving process with :meth:`merge`.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._sources: List[Tuple[str, Callable[[], dict],
+                                  Callable[[], None]]] = []
+        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter()
         return c
+
+    def attach(self, prefix: str, read: Callable[[], dict],
+               reset: Callable[[], None]) -> None:
+        """Fold ``read()``'s ``{name: value}`` into :meth:`snapshot`
+        under ``prefix`` and call ``reset`` from :meth:`reset` — for
+        counts a subsystem keeps behind its own lock (the disk store's)."""
+        self._sources.append((prefix, read, reset))
+
+    def snapshot(self) -> Dict[str, float]:
+        """Every counter's value, attached sources included."""
+        out = {name: c.value for name, c in list(self._counters.items())}
+        for prefix, read, _ in self._sources:
+            for name, value in read().items():
+                out[prefix + name] = out.get(prefix + name, 0) + value
+        return out
+
+    def delta(self, before: Dict[str, float]) -> Dict[str, float]:
+        """The non-zero counts moved since ``before`` (a :meth:`snapshot`)."""
+        out = {}
+        for name, value in self.snapshot().items():
+            moved = value - before.get(name, 0)
+            if moved:
+                out[name] = moved
+        return out
+
+    def merge(self, delta: Dict[str, float]) -> None:
+        """Add another process's :meth:`delta` to these counters.  Locked:
+        the sweep server merges from several bridge threads at once."""
+        with self._lock:
+            for name, value in delta.items():
+                self.counter(name).inc(value)
+
+    def reset(self) -> None:
+        """Zero every counter and attached source (a fresh CLI run, tests)."""
+        with self._lock:
+            for c in list(self._counters.values()):
+                c.value = 0
+            for _, _, reset in self._sources:
+                reset()
 
     def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         h = self._histograms.get(name)
@@ -144,6 +194,22 @@ class MetricsRegistry:
                 k: h.to_dict() for k, h in sorted(self._histograms.items())
             },
         }
+
+
+#: The process-wide sweep counters: trace cache (``traces.*``), section
+#: maps and family scans (``sections.*``), fast-path dispatch
+#: (``dispatch.*``), batched replay (``batch.*``) and the disk artifact
+#: cache (``cache.*``).  Each owning module reads its keys back through
+#: its own ``*_stats()`` view.
+COUNTERS = MetricsRegistry()
+
+
+def by_prefix(counters: Dict[str, float], prefix: str) -> Dict[str, float]:
+    """The non-zero entries of a :meth:`MetricsRegistry.snapshot` under
+    ``prefix``, keyed by the rest of the name."""
+    n = len(prefix)
+    return {name[n:]: value for name, value in counters.items()
+            if name.startswith(prefix) and value}
 
 
 # --------------------------------------------------------------------- #

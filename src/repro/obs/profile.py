@@ -8,14 +8,17 @@ starts with knowing where the time goes.  A :class:`Profiler` accumulates
 * *simulator time* — per-workload time inside ``IntermittentSimulator.run()``
   (recorded by :func:`repro.eval.runner.run_clank`),
 
-and renders both, plus the trace-cache hit/miss counts from
-:mod:`repro.workloads.cache`, as an aligned text table
+and renders both, plus the sweep counters of
+:data:`repro.obs.metrics.COUNTERS` (dispatch mix, trace, section-map and
+disk caches, family scans), as an aligned text table
 (``results/profile.txt``).
 """
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+from repro.obs.metrics import by_prefix
 
 
 class Profiler:
@@ -26,23 +29,6 @@ class Profiler:
         self.phase_calls: Dict[str, int] = {}
         self.sim_seconds: Dict[str, float] = {}
         self.sim_runs: Dict[str, int] = {}
-        self.worker_cache_hits = 0
-        self.worker_cache_misses = 0
-        self.section_cache_hits = 0
-        self.section_cache_misses = 0
-        self.section_cache_evictions = 0
-        self.section_disk_loads = 0
-        self.section_enum_seconds = 0.0
-        self.section_rebuilds = 0
-        self.family_passes = 0
-        self.family_maps = 0
-        self.family_by_trace: Dict[str, int] = {}
-        self.disk_cache_hits = 0
-        self.disk_cache_misses = 0
-        self.disk_cache_puts = 0
-        self.disk_cache_evictions = 0
-        self.dispatch_fast = 0
-        self.dispatch_reasons: Dict[str, int] = {}
 
     def reset(self) -> None:
         """Drop all accumulated data (tests and fresh CLI runs)."""
@@ -50,23 +36,6 @@ class Profiler:
         self.phase_calls.clear()
         self.sim_seconds.clear()
         self.sim_runs.clear()
-        self.worker_cache_hits = 0
-        self.worker_cache_misses = 0
-        self.section_cache_hits = 0
-        self.section_cache_misses = 0
-        self.section_cache_evictions = 0
-        self.section_disk_loads = 0
-        self.section_enum_seconds = 0.0
-        self.section_rebuilds = 0
-        self.family_passes = 0
-        self.family_maps = 0
-        self.family_by_trace.clear()
-        self.disk_cache_hits = 0
-        self.disk_cache_misses = 0
-        self.disk_cache_puts = 0
-        self.disk_cache_evictions = 0
-        self.dispatch_fast = 0
-        self.dispatch_reasons.clear()
 
     @contextmanager
     def phase(self, name: str):
@@ -85,66 +54,6 @@ class Profiler:
         self.sim_seconds[workload] = self.sim_seconds.get(workload, 0.0) + seconds
         self.sim_runs[workload] = self.sim_runs.get(workload, 0) + runs
 
-    def record_worker_cache(self, hits: int, misses: int) -> None:
-        """Merge one parallel worker job's trace-cache hit/miss deltas
-        (:func:`repro.eval.parallel.run_jobs` reports them per payload;
-        worker processes cannot touch the parent's cache counters)."""
-        self.worker_cache_hits += hits
-        self.worker_cache_misses += misses
-
-    def record_section_cache(
-        self,
-        hits: int,
-        misses: int,
-        enum_seconds: float = 0.0,
-        evictions: int = 0,
-        disk_loads: int = 0,
-        rebuilds: int = 0,
-        family_passes: int = 0,
-        family_maps: int = 0,
-        family_by_trace: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """Merge SectionMap cache deltas (the fast replay path of
-        :mod:`repro.sim.sections`) — from parallel worker payloads, or from
-        the in-process counters after a serial sweep.  ``disk_loads`` counts
-        section maps rebuilt from the persistent artifact cache
-        rather than enumerated, so the table can split "warm from memory" /
-        "warm from disk" / "cold".  ``rebuilds`` counts misses whose key
-        was evicted earlier (real LRU thrash, as opposed to first-touch
-        cold builds); the ``family_*`` arguments surface config-family
-        chain-scan amortization per trace."""
-        self.section_cache_hits += hits
-        self.section_cache_misses += misses
-        self.section_enum_seconds += enum_seconds
-        self.section_cache_evictions += evictions
-        self.section_disk_loads += disk_loads
-        self.section_rebuilds += rebuilds
-        self.family_passes += family_passes
-        self.family_maps += family_maps
-        for name, n in (family_by_trace or {}).items():
-            self.family_by_trace[name] = self.family_by_trace.get(name, 0) + n
-
-    def record_disk_cache(
-        self, hits: int, misses: int, puts: int = 0, evictions: int = 0
-    ) -> None:
-        """Merge persistent artifact-cache (:mod:`repro.cache`) counters,
-        from this process or a worker payload."""
-        self.disk_cache_hits += hits
-        self.disk_cache_misses += misses
-        self.disk_cache_puts += puts
-        self.disk_cache_evictions += evictions
-
-    def record_dispatch(self, stats: dict) -> None:
-        """Merge fast-path dispatch counts with their per-reason fallback
-        breakdown (:func:`repro.sim.fast.dispatch_stats`; parallel worker
-        deltas are already folded in by ``run_jobs``)."""
-        self.dispatch_fast += stats.get("fast", 0)
-        for reason, count in stats.get("reasons", {}).items():
-            if count:
-                self.dispatch_reasons[reason] = (
-                    self.dispatch_reasons.get(reason, 0) + count
-                )
-
     @property
     def total_sim_seconds(self) -> float:
         return sum(self.sim_seconds.values())
@@ -153,12 +62,14 @@ class Profiler:
     def total_sim_runs(self) -> int:
         return sum(self.sim_runs.values())
 
-    def table(self, cache_stats: Optional[dict] = None, top: int = 10) -> str:
-        """Aligned text profile: phases, top workloads, cache hit rate.
+    def table(self, counters: Optional[Dict[str, float]] = None,
+              top: int = 10) -> str:
+        """Aligned text profile: phases, top workloads, sweep counters.
 
         Args:
-            cache_stats: ``{"hits": int, "misses": int}`` from
-                :func:`repro.workloads.cache.cache_stats`.
+            counters: A :data:`repro.obs.metrics.COUNTERS` snapshot whose
+                dispatch, trace-cache, section-map, family-scan and disk
+                lines are rendered (none when omitted).
             top: Number of slowest workloads to list.
         """
         lines = ["run profile"]
@@ -190,104 +101,98 @@ class Profiler:
                 lines.append(
                     f"   ({len(ranked) - top} more workloads, {rest:.3f}s)"
                 )
-        fallback = sum(self.dispatch_reasons.values())
-        if self.dispatch_fast or fallback:
-            total = self.dispatch_fast + fallback
-            lines.append(
-                f"-- fast-path dispatch: {self.dispatch_fast} fast / "
-                f"{fallback} fallback "
-                f"({self.dispatch_fast / total:.1%} fast)"
-            )
-            if fallback:
-                ranked = sorted(
-                    self.dispatch_reasons.items(), key=lambda kv: -kv[1]
-                )
-                lines.append(
-                    "   fallback reasons: "
-                    + ", ".join(f"{reason} {n}" for reason, n in ranked)
-                )
-        if cache_stats is not None:
-            hits = cache_stats.get("hits", 0)
-            misses = cache_stats.get("misses", 0)
-            total = hits + misses
-            rate = hits / total if total else 0.0
-            lines.append(
-                f"-- trace cache: {hits} hits / {misses} misses "
-                f"({rate:.1%} hit rate)"
-            )
-        if self.worker_cache_hits or self.worker_cache_misses:
-            total = self.worker_cache_hits + self.worker_cache_misses
-            rate = self.worker_cache_hits / total if total else 0.0
-            lines.append(
-                f"-- worker trace caches: {self.worker_cache_hits} hits / "
-                f"{self.worker_cache_misses} misses ({rate:.1%} hit rate)"
-            )
-        if self.section_cache_hits or self.section_cache_misses:
-            total = self.section_cache_hits + self.section_cache_misses
-            rate = self.section_cache_hits / total if total else 0.0
-            warm_disk = min(self.section_disk_loads, self.section_cache_misses)
-            cold = self.section_cache_misses - warm_disk
-            lines.append(
-                f"-- section maps: {self.section_cache_hits} hits / "
-                f"{self.section_cache_misses} misses ({rate:.1%} hit rate); "
-                f"{self.section_cache_hits} warm from memory, "
-                f"{warm_disk} warm from disk, {cold} cold"
-                + (f"; {self.section_cache_evictions} evictions"
-                   if self.section_cache_evictions else "")
-                + (f", {self.section_rebuilds} rebuilds"
-                   if self.section_rebuilds else "")
-            )
-            if (self.section_cache_misses
-                    and self.section_rebuilds
-                    > 0.1 * self.section_cache_misses):
-                # Rebuilds are misses whose key was evicted earlier: the
-                # LRU is cycling the sweep's working set instead of
-                # holding it (first-touch cold builds don't count).
-                from repro.sim import sections
-
-                lines.append(
-                    "   WARNING: section-map LRU thrash — "
-                    f"{self.section_rebuilds} of "
-                    f"{self.section_cache_misses} builds re-enumerated "
-                    "evicted maps; the sweep's (trace, config) working "
-                    "set exceeds the cache capacity "
-                    f"({sections.cache_stats()['capacity']} maps).  "
-                    "Raise REPRO_SECTIONMAP_LRU."
-                )
-        if self.family_maps:
-            scalar = max(self.section_cache_misses - self.family_maps, 0)
-            lines.append(
-                f"-- family scans: {self.family_maps} maps in "
-                f"{self.family_passes} trace passes "
-                f"({self.family_maps / max(self.family_passes, 1):.1f} "
-                f"maps/pass); {scalar} built scalar"
-            )
-            ranked = sorted(
-                self.family_by_trace.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-            if ranked:
-                shown = ", ".join(f"{name} {n}" for name, n in ranked[:6])
-                more = (
-                    f" (+{len(ranked) - 6} more traces)"
-                    if len(ranked) > 6 else ""
-                )
-                lines.append(f"   by trace: {shown}{more}")
-        if self.section_enum_seconds:
-            lines.append(
-                f"-- section enumeration: {self.section_enum_seconds:9.3f}s "
-                f"(chain/family scans inside section-map builds)"
-            )
-        if (self.disk_cache_hits or self.disk_cache_misses
-                or self.disk_cache_puts):
-            total = self.disk_cache_hits + self.disk_cache_misses
-            rate = self.disk_cache_hits / total if total else 0.0
-            lines.append(
-                f"-- artifact cache (disk): {self.disk_cache_hits} hits / "
-                f"{self.disk_cache_misses} misses ({rate:.1%} hit rate), "
-                f"{self.disk_cache_puts} puts, "
-                f"{self.disk_cache_evictions} evictions"
-            )
+        if counters is not None:
+            lines.extend(_counter_lines(counters))
         return "\n".join(lines)
+
+
+def _counter_lines(counters: Dict[str, float]) -> List[str]:
+    """Dispatch, trace-cache, section-map, family-scan and disk-cache
+    lines from a :data:`repro.obs.metrics.COUNTERS` snapshot."""
+    get = counters.get
+    lines = []
+    fast = get("dispatch.fast", 0)
+    reasons = by_prefix(counters, "dispatch.reasons.")
+    fallback = sum(reasons.values())
+    if fast or fallback:
+        lines.append(
+            f"-- fast-path dispatch: {fast} fast / {fallback} fallback "
+            f"({fast / (fast + fallback):.1%} fast)"
+        )
+        if fallback:
+            ranked = sorted(reasons.items(), key=lambda kv: -kv[1])
+            lines.append(
+                "   fallback reasons: "
+                + ", ".join(f"{reason} {n}" for reason, n in ranked)
+            )
+    hits, misses = get("traces.hits", 0), get("traces.misses", 0)
+    rate = hits / (hits + misses) if hits + misses else 0.0
+    lines.append(
+        f"-- trace cache: {hits} hits / {misses} misses "
+        f"({rate:.1%} hit rate)"
+    )
+    hits, misses = get("sections.hits", 0), get("sections.misses", 0)
+    evictions = get("sections.evictions", 0)
+    rebuilds = get("sections.rebuilds", 0)
+    if hits or misses:
+        rate = hits / (hits + misses)
+        warm_disk = min(get("sections.disk_loads", 0), misses)
+        lines.append(
+            f"-- section maps: {hits} hits / {misses} misses "
+            f"({rate:.1%} hit rate); {hits} warm from memory, "
+            f"{warm_disk} warm from disk, {misses - warm_disk} cold"
+            + (f"; {evictions} evictions" if evictions else "")
+            + (f", {rebuilds} rebuilds" if rebuilds else "")
+        )
+        if misses and rebuilds > 0.1 * misses:
+            # Rebuilds are misses whose key was evicted earlier: the
+            # LRU is cycling the sweep's working set instead of
+            # holding it (first-touch cold builds don't count).
+            from repro.sim import sections
+
+            lines.append(
+                "   WARNING: section-map LRU thrash — "
+                f"{rebuilds} of {misses} builds re-enumerated "
+                "evicted maps; the sweep's (trace, config) working "
+                "set exceeds the cache capacity "
+                f"({sections.cache_stats()['capacity']} maps).  "
+                "Raise REPRO_SECTIONMAP_LRU."
+            )
+    family_maps = get("sections.family_maps", 0)
+    if family_maps:
+        passes = get("sections.family_passes", 0)
+        lines.append(
+            f"-- family scans: {family_maps} maps in {passes} trace passes "
+            f"({family_maps / max(passes, 1):.1f} maps/pass); "
+            f"{max(misses - family_maps, 0)} built scalar"
+        )
+        ranked = sorted(
+            by_prefix(counters, "sections.family_by_trace.").items(),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
+        if ranked:
+            shown = ", ".join(f"{name} {n}" for name, n in ranked[:6])
+            more = (
+                f" (+{len(ranked) - 6} more traces)" if len(ranked) > 6
+                else ""
+            )
+            lines.append(f"   by trace: {shown}{more}")
+    enum_seconds = get("sections.enum_seconds", 0)
+    if enum_seconds:
+        lines.append(
+            f"-- section enumeration: {enum_seconds:9.3f}s "
+            f"(chain/family scans inside section-map builds)"
+        )
+    hits, misses = get("cache.hits", 0), get("cache.misses", 0)
+    puts = get("cache.puts", 0)
+    if hits or misses or puts:
+        rate = hits / (hits + misses) if hits + misses else 0.0
+        lines.append(
+            f"-- artifact cache (disk): {hits} hits / {misses} misses "
+            f"({rate:.1%} hit rate), {puts} puts, "
+            f"{get('cache.evictions', 0)} evictions"
+        )
+    return lines
 
 
 #: Process-wide profiler the eval drivers share.

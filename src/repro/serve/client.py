@@ -32,6 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Union
 
+from repro.eval.parallel import decode_result
 from repro.obs import telemetry
 from repro.obs.profile import PROFILER
 from repro.obs.slog import SLOG
@@ -251,19 +252,13 @@ class ServeClient:
                     size=job.size,
                     salt=job.salt,
                     driver=ledger.driver,
-                    stalled=bool(event.get("stalled", False)),
+                    stalled=event["result"] is None and not event["batch"],
                     rows=rows,
                     wall_s=0.0,
                     t_start=ledger.now(),
                     worker=os.getpid(),
                 ))
-            raw = event.get("result")
-            if event.get("batch"):
-                results.append(BatchResult.from_dict(raw))
-            else:
-                results.append(
-                    None if raw is None else SimulationResult.from_dict(raw)
-                )
+            results.append(decode_result(event))
         return results
 
     def summary_line(self) -> str:

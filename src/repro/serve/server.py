@@ -10,7 +10,7 @@ One :class:`SweepServer` owns three layers:
   server-side :class:`RunRecord` ledger lines), ``GET /artifact/{kind}/
   {key}`` serves raw artifact-store bytes to read-through peers
   (``REPRO_CACHE_REMOTE``), ``GET /stats`` reports the dedupe
-  funnel plus :func:`repro.cache.cache_stats`, ``GET /metrics`` exposes
+  funnel plus :func:`repro.cache.stats`, ``GET /metrics`` exposes
   Prometheus-text latency histograms (per-endpoint requests, per-tier
   resolves, SSE stream durations) and gauges, and ``GET /healthz`` is
   the liveness probe.  Requests carrying an ``X-Repro-Trace`` header
@@ -54,7 +54,7 @@ from typing import Dict, Optional, Tuple
 
 import repro.cache as artifact_cache
 from repro.obs import telemetry
-from repro.obs.metrics import ServingMetrics
+from repro.obs.metrics import COUNTERS, ServingMetrics
 from repro.obs.slog import SLOG, new_request_id
 from repro.obs.tracing import TRACER, make_span, parse_traceparent
 from repro.serve import jsonio
@@ -92,20 +92,22 @@ def _pool_run(
     """Execute one wire-format job; runs in a fork-pool worker (or a
     bridge thread under ``--jobs 1``).
 
-    Wraps :func:`repro.eval.parallel.execute_job` — the exact function
-    the local sweep engine runs, so served results are byte-identical —
-    and captures the provenance records it appends, the disk-tier
-    counters it moves, and the payload ``to_dict`` forms the fork pool
-    already uses.  When the server hands over a ``trace_parent``
-    context, the simulation is wrapped in a worker span shipped back in
-    the payload (fork children cannot share the parent's tracer buffer;
-    the explicit context also survives the ``run_in_executor`` hop,
-    which does not copy contextvars).  ``family`` is the job's sweep-plan
-    window (:func:`repro.eval.parallel.family_window`) for a worker that
-    forked before the batch registered its plans.
+    Returns the :func:`repro.eval.parallel.job_payload` of the exact
+    function the local sweep engine runs (so served results are
+    byte-identical), with the ledger forced on and the dedupe ``tier``
+    added.  The records travel in the payload, not in process state:
+    this keeps a long-lived server bounded, and keeps an *embedded*
+    server (tests, background-thread harness) from double-counting —
+    the client's ledger gets one engine="served" row per job instead.
+    When the server hands over a ``trace_parent`` context, the
+    simulation is wrapped in a worker span shipped back in the payload
+    (fork children cannot share the parent's tracer buffer; the explicit
+    context also survives the ``run_in_executor`` hop, which does not
+    copy contextvars).  ``family`` is the job's sweep-plan window
+    (:func:`repro.eval.parallel.family_window`) for a worker that forked
+    before the batch registered its plans.
     """
-    from repro.eval.parallel import adopt_family_window, execute_job
-    from repro.sim.batch import BatchResult
+    from repro.eval.parallel import adopt_family_window, job_payload
 
     job = jsonio.job_from_dict(job_d)
     settings = jsonio.settings_from_dict(settings_d)
@@ -120,57 +122,20 @@ def _pool_run(
         )
     ledger = telemetry.LEDGER
     was_enabled = ledger.enabled
-    before = len(ledger.records)
-    disk_before = artifact_cache.stats()
     ledger.enable()
     try:
-        result, seconds = execute_job(job, settings)
+        payload = job_payload(job, settings, span)
     finally:
         ledger.enabled = was_enabled
-        if span is not None:
-            span["t1"] = time.perf_counter()
-    records = [rec.to_dict() for rec in ledger.records[before:]]
-    # The records travel in the payload, not in process state: this
-    # keeps a long-lived server bounded, and keeps an *embedded* server
-    # (tests, background-thread harness) from double-counting — the
-    # client's ledger gets one engine="served" row per job instead.
-    del ledger.records[before:]
-    # Pool children exit via os._exit; flush freshly enumerated
-    # artifacts to the shared store now, exactly like _worker_run.
-    artifact_cache.persist_caches()
-    disk_after = artifact_cache.stats()
-
-    if isinstance(result, BatchResult):
-        payload_result = result.to_dict()
-        is_batch = True
-        stalled = False
-    else:
-        payload_result = (
-            None if result is None else result.to_dict(include_derived=False)
-        )
-        is_batch = False
-        stalled = result is None
-    engines = [rec.get("engine") for rec in records]
+    engines = [rec.get("engine") for rec in payload["records"]]
     if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
-        remote_delta = (
-            disk_after.get("remote_hits", 0)
-            - disk_before.get("remote_hits", 0)
-        )
-        tier = "remote" if remote_delta else "disk"
+        remote = payload["counters"].get("cache.remote_hits", 0)
+        tier = "remote" if remote else "disk"
     else:
         tier = "computed"
-    payload = {
-        "batch": is_batch,
-        "result": payload_result,
-        "stalled": stalled,
-        "records": records,
-        "sim_seconds": seconds,
-        "rows": max(1, job.n_seeds),
-        "tier": tier,
-    }
+    payload["tier"] = tier
     if span is not None:
         span["attrs"]["tier"] = tier
-        payload["spans"] = [span]
     return payload
 
 
@@ -314,15 +279,25 @@ class SweepServer:
         trace_parent: Optional[Tuple[str, str]],
     ) -> dict:
         """Bridge-thread entry: run the job in the fork pool, or inline
-        when the server is single-worker."""
-        if self._pool is not None:
+        when the server is single-worker.
+
+        A pooled job's counters moved in the worker, so its delta is
+        merged here (``/stats`` and ``/metrics`` then count its disk
+        traffic); an inline job already counted in this process.
+        """
+        if self._pool is None:
+            payload = _pool_run(job_d, settings_d, trace_parent)
+            del payload["counters"]
+        else:
             from repro.eval.parallel import family_window
 
             family = family_window(jsonio.job_from_dict(job_d))
-            return self._pool.apply(
+            payload = self._pool.apply(
                 _pool_run, (job_d, settings_d, trace_parent, family)
             )
-        return _pool_run(job_d, settings_d, trace_parent)
+            COUNTERS.merge(payload.pop("counters"))
+        del payload["arch"]  # --arch refuses --server: nothing to replay
+        return payload
 
     @staticmethod
     def _register_plans(job_dicts: list, settings_d: dict) -> None:
@@ -454,7 +429,7 @@ class SweepServer:
                 "memory_cap": self._memory_cap,
                 "workers": self.n_workers,
             },
-            "cache": artifact_cache.cache_stats(),
+            "cache": artifact_cache.stats(),
         }
 
     def metrics_text(self) -> str:
@@ -469,7 +444,7 @@ class SweepServer:
         }
         for tier, n in self.tiers.items():
             extra[f"repro_resolve_tier_total_{tier}"] = n
-        for name, value in artifact_cache.cache_stats().items():
+        for name, value in artifact_cache.stats().items():
             extra[f"repro_cache_{name}"] = value
         return self.metrics.render(extra_counters=extra)
 

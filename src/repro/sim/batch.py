@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
+from repro.obs.metrics import COUNTERS, by_prefix
 from repro.power.schedules import ScheduleBatch
 from repro.sim.fast import (
     _ST_INIT,
@@ -45,8 +46,6 @@ __all__ = [
     "BatchResult",
     "BatchReplaySimulator",
     "batch_stats",
-    "merge_batch_stats",
-    "reset_batch_stats",
     "simulate_batch",
 ]
 
@@ -211,47 +210,30 @@ class BatchReplaySimulator(FastReplaySimulator):
 # Dispatch.
 # --------------------------------------------------------------------- #
 
-#: Process-wide batch dispatch counters: batches walked, rows served by
-#: the row walker, rows handed to the scalar engines, and why.
-_BSTATS = {
-    "batches": 0,
-    "rows_batched": 0,
-    "rows_fallback": 0,
-    "reasons": {},
-}
+#: Batch dispatch counters in the process-wide registry: batches walked,
+#: rows served by the row walker, rows handed to the scalar engines, and
+#: why (``batch.reasons.<reason>``).
+_BATCHES = COUNTERS.counter("batch.batches")
+_ROWS = COUNTERS.counter("batch.rows_batched")
+_ROWS_FALLBACK = COUNTERS.counter("batch.rows_fallback")
+_REASON_PREFIX = "batch.reasons."
 
 
 def batch_stats() -> dict:
-    """Batch dispatch counts since reset (see :data:`_BSTATS` shape)."""
+    """Batch dispatch counts since the last ``COUNTERS.reset()``:
+    ``{"batches", "rows_batched", "rows_fallback": int, "reasons":
+    {reason: rows}}`` (reasons that moved only)."""
     return {
-        "batches": _BSTATS["batches"],
-        "rows_batched": _BSTATS["rows_batched"],
-        "rows_fallback": _BSTATS["rows_fallback"],
-        "reasons": dict(_BSTATS["reasons"]),
+        "batches": _BATCHES.value,
+        "rows_batched": _ROWS.value,
+        "rows_fallback": _ROWS_FALLBACK.value,
+        "reasons": by_prefix(COUNTERS.snapshot(), _REASON_PREFIX),
     }
 
 
-def reset_batch_stats() -> None:
-    _BSTATS["batches"] = 0
-    _BSTATS["rows_batched"] = 0
-    _BSTATS["rows_fallback"] = 0
-    _BSTATS["reasons"] = {}
-
-
-def merge_batch_stats(delta: dict) -> None:
-    """Fold a worker's batch-counter delta into this process's counters."""
-    _BSTATS["batches"] += delta.get("batches", 0)
-    _BSTATS["rows_batched"] += delta.get("rows_batched", 0)
-    _BSTATS["rows_fallback"] += delta.get("rows_fallback", 0)
-    reasons = _BSTATS["reasons"]
-    for reason, count in delta.get("reasons", {}).items():
-        reasons[reason] = reasons.get(reason, 0) + count
-
-
 def _count_fallback(reason: str, rows: int = 1) -> None:
-    _BSTATS["rows_fallback"] += rows
-    reasons = _BSTATS["reasons"]
-    reasons[reason] = reasons.get(reason, 0) + rows
+    _ROWS_FALLBACK.inc(rows)
+    COUNTERS.counter(_REASON_PREFIX + reason).inc(rows)
 
 
 def simulate_batch(
@@ -304,8 +286,8 @@ def simulate_batch(
             whole_batch_reason = exc.reason.value
 
     if whole_batch_reason is None:
-        _BSTATS["batches"] += 1
-        _BSTATS["rows_batched"] += N - len(needs_scalar)
+        _BATCHES.inc()
+        _ROWS.inc(N - len(needs_scalar))
         if needs_scalar:
             _count_fallback("row_rerun", len(needs_scalar))
     else:

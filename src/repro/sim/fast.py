@@ -60,6 +60,7 @@ from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.cext import CAUSE_OPEN, WALK_CAUSE_NAMES, _addr
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
+from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
 from repro.sim.result import SimulationResult
@@ -849,13 +850,14 @@ def section_walk(smap, lib) -> SectionWalk:
 # Dispatch.
 # --------------------------------------------------------------------- #
 
-#: Process-wide dispatch counters: runs completed on the section walk
-#: (``c_walk`` of them by the C walk), and runs handed to the reference
-#: simulator broken out by typed reason.
-_STATS = {
-    "fast": 0,
-    "c_walk": 0,
-    "reasons": {reason.value: 0 for reason in FallbackReason},
+#: Dispatch counters in the process-wide registry: runs completed on the
+#: section walk (``c_walk`` of them by the C walk), and runs handed to the
+#: reference simulator broken out by typed reason.
+_FAST = COUNTERS.counter("dispatch.fast")
+_C_WALK = COUNTERS.counter("dispatch.c_walk")
+_REASONS = {
+    reason.value: COUNTERS.counter("dispatch.reasons." + reason.value)
+    for reason in FallbackReason
 }
 
 #: (engine, fallback_reason, walker) of the most recent simulate_fast
@@ -865,49 +867,20 @@ _LAST = ("fast", None, "python")
 
 
 def dispatch_stats() -> dict:
-    """Dispatch counts since reset, with the fallback-reason breakdown.
+    """Dispatch counts since the last ``COUNTERS.reset()``, with the
+    fallback-reason breakdown.
 
     ``{"fast": int, "c_walk": int, "fallback": int, "reasons": {reason:
     int}}`` — ``c_walk`` counts the ``fast`` runs the C walk served, and
     ``fallback`` is the sum over reasons.
     """
-    reasons = dict(_STATS["reasons"])
+    reasons = {reason: c.value for reason, c in _REASONS.items()}
     return {
-        "fast": _STATS["fast"],
-        "c_walk": _STATS["c_walk"],
+        "fast": _FAST.value,
+        "c_walk": _C_WALK.value,
         "fallback": sum(reasons.values()),
         "reasons": reasons,
     }
-
-
-def fast_stats() -> dict:
-    """``{"fast": int, "fallback": int}`` dispatch counts since reset
-    (the pre-reason API; see :func:`dispatch_stats` for the breakdown)."""
-    stats = dispatch_stats()
-    return {"fast": stats["fast"], "fallback": stats["fallback"]}
-
-
-def reset_dispatch_stats() -> None:
-    """Zero the dispatch counters (benchmark guards, tests, eval CLI)."""
-    _STATS["fast"] = 0
-    _STATS["c_walk"] = 0
-    for reason in _STATS["reasons"]:
-        _STATS["reasons"][reason] = 0
-
-
-#: Historical name, kept for callers of the two-counter API.
-reset_fast_stats = reset_dispatch_stats
-
-
-def merge_dispatch_stats(delta: dict) -> None:
-    """Fold a worker's dispatch-count delta into this process's counters
-    (:func:`repro.eval.parallel.run_jobs` merges per-job payload deltas so
-    parent-side :func:`dispatch_stats` covers pooled runs too)."""
-    _STATS["fast"] += delta.get("fast", 0)
-    _STATS["c_walk"] += delta.get("c_walk", 0)
-    reasons = _STATS["reasons"]
-    for reason, count in delta.get("reasons", {}).items():
-        reasons[reason] = reasons.get(reason, 0) + count
 
 
 def last_dispatch():
@@ -943,14 +916,14 @@ def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
                 result = sim.run()
                 _LAST = ("fast", None, "python")
             else:
-                _STATS["c_walk"] += 1
+                _C_WALK.inc()
                 _LAST = ("fast", None, "c")
-            _STATS["fast"] += 1
+            _FAST.inc()
             return result
         except FastPathIneligible as exc:
             reason = exc.reason.value
     else:
         reason = FallbackReason.DISABLED.value
-    _STATS["reasons"][reason] += 1
+    _REASONS[reason].inc()
     _LAST = ("reference", reason, None)
     return IntermittentSimulator(trace, config, schedule, **kwargs).run()

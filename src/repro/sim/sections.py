@@ -64,6 +64,7 @@ from repro.core import cext as _cext
 from repro.core.cext import CAUSE_NAMES as _CAUSE_NAMES
 from repro.core.config import ClankConfig
 from repro.core.detector import POLICY_REV, IdempotencyDetector
+from repro.obs.metrics import COUNTERS
 from repro.trace.trace import Trace
 
 #: Boundary kinds — they differ in how power failure interacts with the
@@ -192,16 +193,15 @@ class SectionMap:
                 tuple(self._forced_sorted),
             )
             loaded = st.get("sections", self._disk_key)
-            global _DISK_LOADS
             if isinstance(loaded, dict):
-                _DISK_LOADS += 1
+                _DISK_LOADS.inc()
                 self._sections.update(loaded)
                 self._loaded_n = len(self._sections)
             elif (
                 isinstance(loaded, tuple) and len(loaded) == 7
                 and loaded[0] == "flat1"
             ):
-                _DISK_LOADS += 1
+                _DISK_LOADS.inc()
                 # The C kernels read these in place: pin the typecodes.
                 self._flat = tuple(
                     a if isinstance(a, array) and a.typecode == tc
@@ -220,7 +220,6 @@ class SectionMap:
         entry is scanned into the memo up to where it rejoins sections
         already held.
         """
-        global _ENUM_SECONDS
         key = (start << 2) | variant
         sec = self._sections.get(key)
         if sec is None:
@@ -230,7 +229,7 @@ class SectionMap:
                     return sec
             t0 = perf_counter()
             self._ingest_chain(start, variant)
-            _ENUM_SECONDS += perf_counter() - t0
+            _ENUM_SECONDS.inc(perf_counter() - t0)
             sec = self._sections[key]
             if self._disk_key is not None:
                 _DIRTY.add(self)
@@ -601,25 +600,29 @@ def _resolve_max_cached_maps() -> int:
 _MAX_CACHED_MAPS = _resolve_max_cached_maps()
 
 _CACHE: "OrderedDict[tuple, SectionMap]" = OrderedDict()
-_HITS = 0
-_MISSES = 0
-_EVICTIONS = 0
-_DISK_LOADS = 0
-_ENUM_SECONDS = 0.0
 
-#: Family-scan amortization counters: passes of the batched kernel,
-#: maps those passes enumerated, and per-trace map counts (the profile
-#: table shows amortization per trace).
-_FAMILY_PASSES = 0
-_FAMILY_MAPS = 0
-_FAMILY_BY_TRACE: Dict[str, int] = {}
+#: Cache counters in the process-wide registry (``sections.*``).
+#: ``enum_seconds`` is time in section enumeration proper (chain and
+#: family scans).  A *rebuild* is a miss on a key evicted earlier — the
+#: only eviction that actually cost a re-enumeration.  Raw eviction
+#: counts stay high even under a perfectly-ordered sweep (the working
+#: set simply ends), so the thrash warning keys on rebuilds.
+_HITS = COUNTERS.counter("sections.hits")
+_MISSES = COUNTERS.counter("sections.misses")
+_EVICTIONS = COUNTERS.counter("sections.evictions")
+_REBUILDS = COUNTERS.counter("sections.rebuilds")
+_DISK_LOADS = COUNTERS.counter("sections.disk_loads")
+_ENUM_SECONDS = COUNTERS.counter("sections.enum_seconds")
 
-#: Keys evicted from the LRU; a later miss on one of them is a
-#: *rebuild* — the only eviction that actually cost a re-enumeration.
-#: Raw eviction counts stay high even under a perfectly-ordered sweep
-#: (the working set simply ends), so the thrash warning keys on these.
+#: Family-scan amortization: passes of the batched kernel, maps those
+#: passes enumerated, and per-trace map counts
+#: (``sections.family_by_trace.<trace>``; the profile shows them).
+_FAMILY_PASSES = COUNTERS.counter("sections.family_passes")
+_FAMILY_MAPS = COUNTERS.counter("sections.family_maps")
+_BY_TRACE_PREFIX = "sections.family_by_trace."
+
+#: Keys evicted from the LRU (rebuild detection).
 _EVICTED_KEYS: set = set()
-_REBUILDS = 0
 
 #: Maps evicted from the LRU while dirty wait here for the next
 #: :func:`repro.cache.persist_caches` flush — spilling to disk mid-run
@@ -665,24 +668,23 @@ def get_section_map(
     forced_checkpoints: Optional[FrozenSet[int]] = None,
 ) -> SectionMap:
     """The shared SectionMap for this key (LRU-cached per process)."""
-    global _HITS, _MISSES, _EVICTIONS, _REBUILDS
     key = _map_key(
         trace, config, pi_words, pi_access_indices, forced_checkpoints
     )
     smap = _CACHE.get(key)
     if smap is not None:
-        _HITS += 1
+        _HITS.inc()
         _CACHE.move_to_end(key)
         return smap
-    _MISSES += 1
+    _MISSES.inc()
     if key in _EVICTED_KEYS:
-        _REBUILDS += 1
+        _REBUILDS.inc()
     smap = SectionMap(
         trace, config, pi_words, pi_access_indices, forced_checkpoints
     )
     _CACHE[key] = smap
     while len(_CACHE) > _MAX_CACHED_MAPS:
-        _EVICTIONS += 1
+        _EVICTIONS.inc()
         ekey, evicted = _CACHE.popitem(last=False)
         _EVICTED_KEYS.add(ekey)
         _DIRTY.discard(evicted)
@@ -717,10 +719,8 @@ def ensure_lru_capacity(n: int) -> None:
 
 
 def _family_enabled() -> bool:
-    """Whether batched family passes run: the C kernel is loaded and
-    ``REPRO_FAMILY`` is not ``0``."""
-    return (os.environ.get("REPRO_FAMILY", "1") != "0"
-            and _cext.chain_scan_lib() is not None)
+    """Whether batched family passes run: the C kernel is loaded."""
+    return _cext.chain_scan_lib() is not None
 
 
 def build_family(
@@ -740,11 +740,9 @@ def build_family(
     enumerated (memory- or disk-warm) are skipped; a single remaining
     member gets a one-member pass, which the family counters do not
     count.  Returns the maps in ``configs`` order (the LRU and disk
-    cache are populated either way).  Without the C kernel, or with
-    ``REPRO_FAMILY=0``, there is no pass here: maps then enumerate
-    lazily per config.
+    cache are populated either way).  Without the C kernel there is no
+    pass here: maps then enumerate lazily per config.
     """
-    global _FAMILY_PASSES, _FAMILY_MAPS
     maps = [
         get_section_map(
             trace, cfg, pi_words, pi_access_indices, forced_checkpoints
@@ -773,11 +771,10 @@ def build_family(
             chunk = members[i:i + _cext.FAMILY_MAX]
             _family_scan_chunk(shift, chunk)
             if len(chunk) > 1:
-                _FAMILY_PASSES += 1
-                _FAMILY_MAPS += len(chunk)
-                name = trace.name
-                _FAMILY_BY_TRACE[name] = (
-                    _FAMILY_BY_TRACE.get(name, 0) + len(chunk)
+                _FAMILY_PASSES.inc()
+                _FAMILY_MAPS.inc(len(chunk))
+                COUNTERS.counter(_BY_TRACE_PREFIX + trace.name).inc(
+                    len(chunk)
                 )
     return maps
 
@@ -785,7 +782,6 @@ def build_family(
 def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
     """One family kernel call installing flat canonical chains in the
     given maps (<= FAMILY_MAX, all of one trace and marking)."""
-    global _ENUM_SECONDS
     t0 = perf_counter()
     m0 = maps[0]
     ct = m0.ct
@@ -799,7 +795,7 @@ def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
     for m in maps:
         if m._disk_key is not None:
             _DIRTY.add(m)
-    _ENUM_SECONDS += perf_counter() - t0
+    _ENUM_SECONDS.inc(perf_counter() - t0)
 
 
 def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
@@ -892,7 +888,8 @@ artifact_cache.register_persist(_flush_to_store)
 
 
 def cache_stats() -> Dict[str, float]:
-    """Counters of the per-process SectionMap cache.
+    """Counters of the per-process SectionMap cache (since the last
+    ``COUNTERS.reset()``, pooled workers' included).
 
     ``evictions`` counts maps pushed out of the in-memory LRU (silent
     thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the
@@ -902,37 +899,17 @@ def cache_stats() -> Dict[str, float]:
     from driver wall-clock for the profile table.
     """
     return {
-        "hits": _HITS,
-        "misses": _MISSES,
+        "hits": _HITS.value,
+        "misses": _MISSES.value,
         "cached": len(_CACHE),
         "capacity": _MAX_CACHED_MAPS,
-        "evictions": _EVICTIONS,
-        "rebuilds": _REBUILDS,
-        "disk_loads": _DISK_LOADS,
-        "enum_seconds": _ENUM_SECONDS,
-        "family_passes": _FAMILY_PASSES,
-        "family_maps": _FAMILY_MAPS,
+        "evictions": _EVICTIONS.value,
+        "rebuilds": _REBUILDS.value,
+        "disk_loads": _DISK_LOADS.value,
+        "enum_seconds": float(_ENUM_SECONDS.value),
+        "family_passes": _FAMILY_PASSES.value,
+        "family_maps": _FAMILY_MAPS.value,
     }
-
-
-def family_trace_stats() -> Dict[str, int]:
-    """Per-trace family-scan map counts (profile/telemetry)."""
-    return dict(_FAMILY_BY_TRACE)
-
-
-def reset_cache_stats() -> None:
-    """Zero the counters (tests and per-sweep profiling)."""
-    global _HITS, _MISSES, _EVICTIONS, _DISK_LOADS, _ENUM_SECONDS
-    global _FAMILY_PASSES, _FAMILY_MAPS, _REBUILDS
-    _HITS = 0
-    _MISSES = 0
-    _EVICTIONS = 0
-    _DISK_LOADS = 0
-    _ENUM_SECONDS = 0.0
-    _FAMILY_PASSES = 0
-    _FAMILY_MAPS = 0
-    _REBUILDS = 0
-    _FAMILY_BY_TRACE.clear()
 
 
 def clear_cache() -> None:

@@ -25,11 +25,11 @@ from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.runner import pi_words_for
 from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
+from repro.obs.metrics import COUNTERS
 from repro.power.schedules import ExponentialPower
 from repro.sim.batch import (
     BatchResult,
     batch_stats,
-    reset_batch_stats,
     simulate_batch,
 )
 from repro.sim.fast import simulate_fast
@@ -198,7 +198,7 @@ class TestFallback:
         monkeypatch.setenv("REPRO_CEXT", "0")
         cext.reset_for_tests()
         try:
-            reset_batch_stats()
+            COUNTERS.reset()
             batch = _batch(trace, config, 900, 4, 3, **_WDTS)
             stats = batch_stats()
         finally:
@@ -226,7 +226,7 @@ class TestFallback:
 
     def test_stats_account_every_row(self):
         trace, config = self._setup()
-        reset_batch_stats()
+        COUNTERS.reset()
         batch = _batch(trace, config, 900, 6, 4, **_WDTS)
         stats = batch_stats()
         assert stats["rows_batched"] + stats["rows_fallback"] == 4

@@ -19,7 +19,7 @@ import repro.cache as artifact_cache
 from repro.cache.store import CacheStore, _EVICT_CHECK_INTERVAL
 from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.settings import EvalSettings
-from repro.obs.profile import PROFILER
+from repro.obs.metrics import COUNTERS
 from repro.sim import sections
 from repro.sim.sections import SectionMap, VARIANT_NORMAL
 from repro.workloads.cache import get_trace
@@ -37,7 +37,7 @@ def _isolated_cache(monkeypatch):
     yield
     sections.clear_cache()
     artifact_cache.reset_for_tests()
-    artifact_cache.reset_stats()
+    COUNTERS.reset()
 
 
 def _enable(monkeypatch, tmp_path, max_mb=None):
@@ -346,12 +346,9 @@ class TestConcurrentWorkers:
             SimJob(workload="crc", config=(1, 0, 0, 0), size="tiny", salt=s)
             for s in range(4)
         ]
-        PROFILER.reset()
-        try:
-            run_jobs(jobs, QUICK, n_workers=2)
-            assert PROFILER.disk_cache_puts > 0
-            assert PROFILER.disk_cache_misses > 0
-            run_jobs(jobs, QUICK, n_workers=2)
-            assert PROFILER.disk_cache_hits >= len(jobs)
-        finally:
-            PROFILER.reset()
+        COUNTERS.reset()
+        run_jobs(jobs, QUICK, n_workers=2)
+        assert artifact_cache.stats()["puts"] > 0
+        assert artifact_cache.stats()["misses"] > 0
+        run_jobs(jobs, QUICK, n_workers=2)
+        assert artifact_cache.stats()["hits"] >= len(jobs)

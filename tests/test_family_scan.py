@@ -3,9 +3,9 @@
 The batched family kernel (C ``family_chain_scan``) enumerates a whole
 sweep family's section tables in one kernel call.  Every test here
 builds the same family twice — once through
-:func:`repro.sim.sections.build_family` and once config-by-config with
-family scans disabled — and requires the fully-materialized section
-dictionaries to match exactly, across PI markings, forced-checkpoint
+:func:`repro.sim.sections.build_family` and once config-by-config
+through lazy per-key chain scans — and requires the fully-materialized
+section dictionaries to match exactly, across PI markings, forced-checkpoint
 resume variants, ragged member depths, and the output-segment overflow
 retry.  The scalar chain scan is the oracle.  Without the C kernel
 (the ``python`` parametrization, or ``REPRO_CEXT=0`` for the whole
@@ -25,10 +25,9 @@ from repro.workloads import get_trace
 
 
 @pytest.fixture(autouse=True)
-def _isolate(monkeypatch):
-    """Each test starts from an empty SectionMap cache, family scans on,
-    and the kernel resolved afresh from ``REPRO_CEXT``."""
-    monkeypatch.delenv("REPRO_FAMILY", raising=False)
+def _isolate():
+    """Each test starts from an empty SectionMap cache and the kernel
+    resolved afresh from ``REPRO_CEXT``."""
     cext.reset_for_tests()
     clear_cache()
     yield
@@ -41,16 +40,15 @@ def _grid(rf=(1, 2, 8, 16), wf=(0, 1, 8), wbb=(0, 2), apb=(0, 2)):
             for t in itertools.product(rf, wf, wbb, apb)]
 
 
-def _scalar_tables(trace, configs, monkeypatch, **kw):
-    """Reference: per-config scalar scans with family passes disabled."""
-    monkeypatch.setenv("REPRO_FAMILY", "0")
+def _scalar_tables(trace, configs, **kw):
+    """Reference: per-config scalar scans (``section()`` on a map no
+    family pass touched enumerates lazily)."""
     clear_cache()
     out = []
     for cfg in configs:
         m = get_section_map(trace, cfg, **kw)
         m.section(0, 0)  # walk the whole canonical chain
         out.append(dict(m._sections))
-    monkeypatch.delenv("REPRO_FAMILY")
     clear_cache()
     return out
 
@@ -90,7 +88,7 @@ class TestFamilyEquivalence:
         _set_cext(monkeypatch, use_cext)
         trace = get_trace("crc", "small")
         grid = _grid()
-        scalar = _scalar_tables(trace, grid, monkeypatch)
+        scalar = _scalar_tables(trace, grid)
         family = _family_tables(trace, grid)
         _assert_equal(scalar, family, grid)
 
@@ -100,7 +98,7 @@ class TestFamilyEquivalence:
         grid = _grid(rf=(2, 8), wf=(0, 4), wbb=(0, 2), apb=(0, 2))
         pi = frozenset(range(0, trace.compiled().n, 7))
         kw = dict(pi_access_indices=pi)
-        scalar = _scalar_tables(trace, grid, monkeypatch, **kw)
+        scalar = _scalar_tables(trace, grid, **kw)
         family = _family_tables(trace, grid, **kw)
         _assert_equal(scalar, family, grid)
 
@@ -114,7 +112,7 @@ class TestFamilyEquivalence:
         forced = frozenset({0, n // 3, n // 2})
         grid = _grid(rf=(1, 8), wf=(0, 4), wbb=(0, 2), apb=(0,))
         kw = dict(forced_checkpoints=forced)
-        scalar = _scalar_tables(trace, grid, monkeypatch, **kw)
+        scalar = _scalar_tables(trace, grid, **kw)
         family = _family_tables(trace, grid, **kw)
         _assert_equal(scalar, family, grid)
 
@@ -127,7 +125,7 @@ class TestFamilyEquivalence:
         grid = [ClankConfig.from_tuple(t)
                 for t in ((1, 0, 0, 0), (1, 1, 1, 0), (4, 4, 4, 4),
                           (24, 8, 4, 0), (16, 0, 2, 2))]
-        scalar = _scalar_tables(trace, grid, monkeypatch)
+        scalar = _scalar_tables(trace, grid)
         family = _family_tables(trace, grid)
         _assert_equal(scalar, family, grid)
 
@@ -140,7 +138,7 @@ def test_overflow_retry_is_exact(monkeypatch):
         pytest.skip("C kernel unavailable")
     trace = get_trace("fft", "small")  # hundreds of sections per member
     grid = _grid(rf=(1, 2), wf=(0, 1), wbb=(0, 2), apb=(0,))
-    scalar = _scalar_tables(trace, grid, monkeypatch)
+    scalar = _scalar_tables(trace, grid)
     saved = cext._FAM_PERCAP[0]
     cext._FAM_PERCAP[0] = 4
     try:
@@ -181,17 +179,3 @@ def test_family_counters_and_cache_population(monkeypatch):
         get_section_map(trace, cfg)
     stats1 = sections.cache_stats()
     assert stats1["misses"] == stats0["misses"]
-
-
-def test_repro_family_gate(monkeypatch):
-    # REPRO_FAMILY=0 must disable batched passes entirely while leaving
-    # build_family usable (it degrades to lazy scalar maps).
-    monkeypatch.setenv("REPRO_FAMILY", "0")
-    trace = get_trace("crc", "small")
-    grid = _grid(rf=(2, 8), wf=(0, 4), wbb=(0,), apb=(0,))
-    before = sections.cache_stats()
-    maps = build_family(trace, grid)
-    after = sections.cache_stats()
-    assert after["family_passes"] == before["family_passes"]
-    maps[0].section(0, 0)
-    assert maps[0]._sections

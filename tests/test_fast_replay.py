@@ -16,6 +16,7 @@ from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.core.detector import IdempotencyDetector
 from repro.eval.runner import pi_words_for
+from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import MemoryRecorder, NullRecorder
 from repro.power.schedules import ExponentialPower, ReplayPower
 from repro.sim.fast import (
@@ -23,10 +24,7 @@ from repro.sim.fast import (
     FastReplaySimulator,
     dispatch_stats,
     fast_path_enabled,
-    fast_stats,
     last_kernel,
-    reset_dispatch_stats,
-    reset_fast_stats,
     simulate_fast,
 )
 from repro.sim.sections import (
@@ -34,7 +32,6 @@ from repro.sim.sections import (
     cache_stats,
     clear_cache,
     get_section_map,
-    reset_cache_stats,
 )
 from repro.sim.simulator import IntermittentSimulator
 from repro.trace.access import READ, WRITE
@@ -268,7 +265,7 @@ class TestCWalk:
         # A map no sweep plan family-built gets its flat canonical chain
         # from a one-member pass, which the family counters skip.
         clear_cache()
-        reset_cache_stats()
+        COUNTERS.reset()
         trace = get_trace("rc4", "small")
         config = ClankConfig.from_tuple((16, 8, 4, 4))
         smap = get_section_map(trace, config)
@@ -280,7 +277,7 @@ class TestCWalk:
         assert cache_stats()["family_passes"] == 0
 
     def test_dispatch_reports_the_walker(self, c_lib):
-        reset_dispatch_stats()
+        COUNTERS.reset()
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 2, 0))
         kw = dict(perf_watchdog="auto", progress_watchdog="auto")
@@ -353,24 +350,26 @@ class TestEligibility:
         ref = IntermittentSimulator(
             trace, config, ExponentialPower(900, seed=2), verify=True
         ).run()
-        reset_fast_stats()
+        COUNTERS.reset()
         via = simulate_fast(
             trace, config, ExponentialPower(900, seed=2), verify=True
         )
-        assert fast_stats() == {"fast": 0, "fallback": 1}
+        assert dispatch_stats()["fast"] == 0
+        assert dispatch_stats()["fallback"] == 1
         assert via.to_dict() == ref.to_dict()
 
     def test_repro_fast_env_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST", "0")
         assert not fast_path_enabled()
-        reset_fast_stats()
+        COUNTERS.reset()
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 0, 0))
         simulate_fast(
             trace, config, ExponentialPower(900, seed=1), verify=False,
             perf_watchdog="auto", progress_watchdog="auto",
         )
-        assert fast_stats() == {"fast": 0, "fallback": 1}
+        assert dispatch_stats()["fast"] == 0
+        assert dispatch_stats()["fallback"] == 1
         monkeypatch.setenv("REPRO_FAST", "1")
         assert fast_path_enabled()
 
@@ -503,7 +502,7 @@ class TestWatchdogCutSafe:
 class TestCaches:
     def test_section_map_cache_hits(self):
         clear_cache()
-        reset_cache_stats()
+        COUNTERS.reset()
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 0, 0))
         m1 = get_section_map(trace, config)
@@ -519,7 +518,7 @@ class TestCaches:
         assert cache_stats()["misses"] == 2
 
     def test_fast_stats_counts(self):
-        reset_fast_stats()
+        COUNTERS.reset()
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 0, 0))
         kw = dict(perf_watchdog="auto", progress_watchdog="auto")
@@ -527,7 +526,7 @@ class TestCaches:
                       verify=False, **kw)
         simulate_fast(trace, config, ExponentialPower(900, seed=1),
                       verify=True, **kw)
-        stats = fast_stats()
+        stats = dispatch_stats()
         assert stats["fast"] == 1 and stats["fallback"] == 1
 
     def test_compiled_trace_staleness(self):

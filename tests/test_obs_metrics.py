@@ -2,6 +2,7 @@
 and the serving-side labeled families + Prometheus rendering."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -109,6 +110,51 @@ class TestMetricsRegistry:
         assert d["counters"] == {"ckpt": 3}
         assert d["histograms"]["len"]["counts"] == [0, 1, 0]
         json.dumps(d)
+
+    def test_snapshot_delta_merge_reset(self):
+        source = {"hits": 2}
+        reg = MetricsRegistry()
+        reg.attach("disk.", lambda: dict(source), source.clear)
+        reg.counter("runs").inc(3)
+        before = reg.snapshot()
+        assert before == {"runs": 3, "disk.hits": 2}
+        reg.counter("runs").inc()
+        source["hits"] = 5
+        delta = reg.delta(before)
+        assert delta == {"runs": 1, "disk.hits": 3}
+
+        parent = MetricsRegistry()
+        parent.merge(delta)
+        parent.merge(delta)
+        assert parent.snapshot() == {"runs": 2, "disk.hits": 6}
+        reg.reset()
+        assert reg.snapshot() == {"runs": 0}
+        assert reg.delta(reg.snapshot()) == {}
+
+    def test_concurrent_merges_never_lost(self):
+        """The sweep server merges payload deltas from several bridge
+        threads at once; the totals must be exact."""
+        reg = MetricsRegistry()
+        n_threads, n_ops = 8, 2000
+
+        def merge():
+            for _ in range(n_ops):
+                reg.merge({"cache.puts": 1, "sections.misses": 2})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=merge)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert reg.snapshot() == {"cache.puts": n_threads * n_ops,
+                                  "sections.misses": 2 * n_threads * n_ops}
 
 
 class TestGauge:

@@ -3,13 +3,9 @@
 from repro.core.config import ClankConfig
 from repro.eval.runner import run_clank
 from repro.eval.settings import EvalSettings
+from repro.obs.metrics import COUNTERS
 from repro.obs.profile import PROFILER, Profiler
-from repro.workloads.cache import (
-    cache_stats,
-    clear_trace_cache,
-    get_trace,
-    reset_cache_stats,
-)
+from repro.workloads.cache import cache_stats, clear_trace_cache, get_trace
 
 
 class TestProfiler:
@@ -44,7 +40,7 @@ class TestProfiler:
         with p.phase("fig5"):
             pass
         p.record_sim("crc", 0.5)
-        text = p.table(cache_stats={"hits": 3, "misses": 1})
+        text = p.table({"traces.hits": 3, "traces.misses": 1})
         assert "experiment drivers" in text
         assert "fig5" in text
         assert "crc" in text
@@ -82,7 +78,7 @@ class TestRunnerIntegration:
 class TestCacheStats:
     def test_hit_miss_accounting(self):
         clear_trace_cache()
-        reset_cache_stats()
+        COUNTERS.reset()
         get_trace("crc", size="tiny")
         get_trace("crc", size="tiny")
         stats = cache_stats()
@@ -92,7 +88,7 @@ class TestCacheStats:
 
     def test_clear_cache_forces_miss(self):
         clear_trace_cache()
-        reset_cache_stats()
+        COUNTERS.reset()
         get_trace("crc", size="tiny")
         clear_trace_cache()
         get_trace("crc", size="tiny")

@@ -1,14 +1,18 @@
-"""Parallel sweep engine: determinism, serial fallback, profiler merge."""
+"""Parallel sweep engine: determinism, serial fallback, payload merge."""
 
 import dataclasses
 
 import pytest
 
+import repro.cache as artifact_cache
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval import parallel
 from repro.eval.parallel import SimJob, execute_job, resolve_workers, run_jobs
 from repro.eval.settings import EvalSettings
-from repro.obs.profile import PROFILER, Profiler
+from repro.obs.metrics import COUNTERS
+from repro.obs.profile import PROFILER
+from repro.sim import sections
+from repro.workloads import cache as trace_cache
 
 QUICK = EvalSettings(size="small", sweep_size="tiny", seed=2)
 
@@ -131,6 +135,7 @@ class TestSerialFallback:
 class TestProfilerMerge:
     def test_parallel_run_merges_sim_time_and_worker_cache(self):
         PROFILER.reset()
+        COUNTERS.reset()
         jobs = [
             SimJob(workload="crc", config=(1, 0, 0, 0), size="tiny", salt=s)
             for s in range(4)
@@ -140,8 +145,8 @@ class TestProfilerMerge:
             assert PROFILER.sim_runs.get("crc") == len(jobs)
             assert PROFILER.sim_seconds["crc"] > 0.0
             # Every job resolved its trace through a worker's cache.
-            total = PROFILER.worker_cache_hits + PROFILER.worker_cache_misses
-            assert total == len(jobs)
+            traces = trace_cache.cache_stats()
+            assert traces["hits"] + traces["misses"] == len(jobs)
         finally:
             PROFILER.reset()
 
@@ -158,10 +163,43 @@ class TestProfilerMerge:
         finally:
             PROFILER.reset()
 
-    def test_worker_cache_line_in_table(self):
-        prof = Profiler()
-        prof.record_worker_cache(10, 2)
-        assert "worker trace caches: 10 hits / 2 misses" in prof.table()
+    def test_counters_equal_pooled_and_serial(self, monkeypatch, tmp_path):
+        # Every pooled job's counter delta folds into the parent, so the
+        # registry totals match a serial run (trace-cache counts and
+        # seconds aside: each worker builds its own traces).
+        jobs = grid_jobs()[:8] + [
+            SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                   salt=5, n_seeds=3),
+            SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                   volatile_segments=("stack",)),
+        ]
+        names = ("sections.hits", "sections.misses",
+                 "sections.family_passes", "sections.family_maps",
+                 "dispatch.fast", "batch.rows_batched", "cache.puts")
+        totals = []
+        try:
+            for n_workers in (1, 2):
+                monkeypatch.setenv("REPRO_CACHE_DIR",
+                                   str(tmp_path / str(n_workers)))
+                artifact_cache.reset_for_tests()
+                sections.clear_cache()
+                COUNTERS.reset()
+                run_jobs(jobs, QUICK, n_workers=n_workers)
+                artifact_cache.persist_caches()
+                snap = COUNTERS.snapshot()
+                totals.append({
+                    name: value for name, value in snap.items()
+                    if name in names or name.startswith("dispatch.reasons.")
+                })
+        finally:
+            monkeypatch.delenv("REPRO_CACHE_DIR")
+            artifact_cache.reset_for_tests()
+            sections.clear_cache()
+        serial, pooled = totals
+        assert serial["dispatch.fast"] and serial["batch.rows_batched"]
+        assert serial["dispatch.reasons.volatile_ranges"] == 1
+        assert serial["sections.family_maps"] and serial["cache.puts"]
+        assert pooled == serial
 
 
 class TestStallHandling:

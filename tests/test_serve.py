@@ -26,6 +26,7 @@ from repro.eval import parallel
 from repro.eval.parallel import SimJob, result_key, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
+from repro.obs.metrics import COUNTERS
 from repro.serve import (
     ServeClient, install, start_in_background, uninstall,
 )
@@ -34,6 +35,7 @@ from repro.serve.jsonio import (
     job_from_dict, job_to_dict, settings_from_dict, settings_to_dict,
 )
 from repro.sim import sections
+from repro.workloads.cache import clear_trace_cache
 
 SETTINGS = EvalSettings(size="tiny", verify=False, profile=False)
 
@@ -62,7 +64,7 @@ def _isolated(monkeypatch):
     uninstall()
     sections.clear_cache()
     artifact_cache.reset_for_tests()
-    artifact_cache.reset_stats()
+    COUNTERS.reset()
 
 
 @pytest.fixture()
@@ -378,3 +380,47 @@ class TestStatsEndpoint:
                 assert series[count_name] == v
         # The cache stats ride along as unlabeled extra counters.
         assert "repro_cache_hits" in series
+
+    def test_cache_counters_match_across_worker_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """A pooled server's disk gets and puts happen in fork children;
+        their counter deltas must still reach ``/stats`` and
+        ``/metrics``, exactly as an inline server counts them."""
+        # One job per workload, so no trace or SectionMap is shared
+        # between jobs a pool could place on different workers.
+        jobs = [GRID[0], GRID[2],
+                SimJob(workload="fft", config=(8, 4, 2, 0), size="tiny",
+                       use_compiler=True),
+                SimJob(workload="qsort", config=(8, 4, 2, 0), size="tiny",
+                       salt=2, n_seeds=3, seed_stride=1)]
+        # Pooled first: an inline run would leave in-process memos (PI
+        # marking) that the pool's fork children inherit.
+        seen = []
+        for n_workers in (2, 1):
+            monkeypatch.setenv("REPRO_CACHE_DIR",
+                               str(tmp_path / str(n_workers)))
+            artifact_cache.reset_for_tests()
+            sections.clear_cache()
+            clear_trace_cache()
+            COUNTERS.reset()
+            handle = start_in_background(jobs=n_workers)
+            try:
+                ServeClient(handle.url).run_jobs(jobs, SETTINGS)
+                cache = handle.stats()["cache"]
+                with urllib.request.urlopen(
+                    handle.url + "/metrics", timeout=10
+                ) as resp:
+                    text = resp.read().decode("utf-8")
+            finally:
+                handle.stop()
+                handle.server.close_pools()
+            puts = [line for line in text.splitlines()
+                    if line.startswith("repro_cache_puts ")]
+            seen.append((cache, puts))
+        (pooled, pooled_puts), (inline, inline_puts) = seen
+        assert inline["misses"] > 0 and inline["puts"] > 0
+        assert pooled == inline
+        assert pooled_puts == inline_puts == [
+            f"repro_cache_puts {inline['puts']}"
+        ]

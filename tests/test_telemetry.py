@@ -22,9 +22,10 @@ from repro.core.config import ClankConfig
 from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
+from repro.obs.metrics import COUNTERS
 from repro.obs.telemetry import LEDGER, FallbackReason, RunRecord
 from repro.sim import fast, sections
-from repro.sim.fast import dispatch_stats, fast_stats, simulate_fast
+from repro.sim.fast import dispatch_stats, simulate_fast
 from repro.workloads.cache import get_trace
 
 QUICK = EvalSettings(size="small", sweep_size="tiny", seed=2)
@@ -50,13 +51,12 @@ def _clean_telemetry(monkeypatch):
     artifact_cache.reset_for_tests()
     LEDGER.disable()
     LEDGER.reset()
-    fast.reset_dispatch_stats()
+    COUNTERS.reset()
     yield
     LEDGER.disable()
     LEDGER.reset()
-    fast.reset_dispatch_stats()
     artifact_cache.reset_for_tests()
-    artifact_cache.reset_stats()
+    COUNTERS.reset()
 
 
 class TestRunRecord:
@@ -184,14 +184,9 @@ class TestDispatchCounters:
         assert stats["fallback"] == 1
         assert fast.last_dispatch() == ("reference", "verify")
 
-    def test_fast_stats_is_backward_compatible(self):
-        self._run()
-        self._run(verify=True)
-        assert fast_stats() == {"fast": 1, "fallback": 1}
-
     def test_merge_dispatch_stats(self):
         self._run()
-        fast.merge_dispatch_stats({"fast": 2, "reasons": {"verify": 3}})
+        COUNTERS.merge({"dispatch.fast": 2, "dispatch.reasons.verify": 3})
         stats = dispatch_stats()
         assert stats["fast"] == 3
         assert stats["reasons"]["verify"] == 3
@@ -220,7 +215,7 @@ class TestSweepTelemetry:
         jobs = grid_jobs()
         off = run_jobs(jobs, QUICK, n_workers=2)
         stats_off = dispatch_stats()
-        fast.reset_dispatch_stats()
+        COUNTERS.reset()
         LEDGER.reset()
         LEDGER.enable()
         on = run_jobs(jobs, QUICK, n_workers=2)
