@@ -667,7 +667,7 @@ def decode_result(payload: dict) -> Union[SimulationResult, BatchResult,
                                           None]:
     """The result object a :func:`job_payload` (or an SSE event) carries."""
     raw = payload["result"]
-    if payload.get("batch"):
+    if payload["batch"]:
         return BatchResult.from_dict(raw)
     return None if raw is None else SimulationResult.from_dict(raw)
 
