@@ -40,11 +40,27 @@ class TestProfiler:
         with p.phase("fig5"):
             pass
         p.record_sim("crc", 0.5)
-        text = p.table({"traces.hits": 3, "traces.misses": 1})
+        text = p.table({
+            "traces.hits": 3, "traces.misses": 1,
+            "dispatch.fast": 9, "dispatch.reasons.verify": 1,
+            "sections.hits": 6, "sections.misses": 4,
+            "sections.disk_loads": 1, "sections.rebuilds": 1,
+            "sections.family_passes": 1, "sections.family_maps": 3,
+            "sections.family_by_trace.crc": 3,
+            "cache.hits": 1, "cache.misses": 1, "cache.puts": 2,
+        })
         assert "experiment drivers" in text
         assert "fig5" in text
         assert "crc" in text
         assert "75.0% hit rate" in text
+        assert "9 fast / 1 fallback (90.0% fast)" in text
+        assert "fallback reasons: verify 1" in text
+        assert "1 warm from disk, 3 cold, 1 rebuilds" in text
+        assert "LRU thrash" in text
+        assert "3 maps in 1 trace passes (3.0 maps/pass)" in text
+        assert "1 built scalar" in text
+        assert "by trace: crc 3" in text
+        assert "1 hits / 1 misses (50.0% hit rate), 2 puts" in text
 
     def test_table_empty_profiler(self):
         assert Profiler().table() == "run profile"
