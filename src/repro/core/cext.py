@@ -277,7 +277,8 @@ class ChainScanEngine:
 
     def scan_first_dw(self, start: int, direct: int, forced_done: int):
         """Scan just the first section, returning its direct-commit
-        write indices (the ``collect_dw`` mode of the Python generator)."""
+        write indices as an ``array('i')`` (the ``collect_dw`` mode of
+        the Python generator)."""
         a = self._args
         self._fn(
             a[0], a[1], a[2], a[3], a[4], a[5], a[6],
@@ -287,8 +288,7 @@ class ChainScanEngine:
             a[17], a[18], a[19], a[20], a[21], a[22], a[23], 0, 0, a[24], 0,
         )
         dw = self.out_dw
-        k = dw[0]
-        return tuple(dw[1:k + 1]) if k else ()
+        return dw[1:dw[0] + 1]
 
 
 #: Member limit per batched family kernel call (chunking bound; the

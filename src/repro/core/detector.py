@@ -54,6 +54,51 @@ _PROCEED: Decision = (PROCEED, None)
 _PROCEED_WBB: Decision = (PROCEED_WBB, None)
 
 
+def kernel_params(config: ClankConfig) -> Tuple[int, int, int, int, int]:
+    """A configuration's slice of the C chain-scan kernels' inputs.
+
+    ``(rf_cap, wf_cap, wbb_cap, apb_cap, flags)`` — the policy flag bits
+    are exactly the detector's optimization switches (``F_HAS_PI`` is
+    added by the engines, not here).  The scalar chain engine
+    (:func:`chain_scan_engine`) and the family pass share this one
+    assembly; family members may differ only in these five values.
+    """
+    opts = config.optimizations
+    flags = 0
+    for on, bit in (
+        (config.apb_entries > 0, cext.F_APB_ON),
+        (opts.ignore_text, cext.F_IGNORE_TEXT),
+        (opts.ignore_false_writes, cext.F_IGNORE_FALSE_WRITES),
+        (opts.remove_duplicates, cext.F_REMOVE_DUPLICATES),
+        (opts.no_wf_overflow, cext.F_NO_WF_OVERFLOW),
+        (opts.latest_checkpoint, cext.F_LATEST_CHECKPOINT),
+    ):
+        if on:
+            flags |= bit
+    return (config.rf_entries, config.wf_entries, config.wbb_entries,
+            config.apb_entries, flags)
+
+
+def chain_scan_engine(config: ClankConfig, ct, forced_sorted, pi_words,
+                      pi_indices):
+    """A compiled-kernel engine for ``config``'s chain scans over ``ct``.
+
+    Returns a :class:`repro.core.cext.ChainScanEngine` bound to the
+    configuration and the given trace/marking, or ``None`` when the
+    optional C kernel is unavailable (no compiler, ``REPRO_CEXT=0``, or
+    any build/load failure) — callers then use
+    :meth:`IdempotencyDetector.straightline_chain`, the pure-Python
+    reference.
+    """
+    lib = cext.chain_scan_lib()
+    if lib is None:
+        return None
+    params = kernel_params(config) + ct.text_range + (config.prefix_low_bits,)
+    return cext.ChainScanEngine(
+        lib, ct, params, forced_sorted, pi_words, pi_indices
+    )
+
+
 class ChainScratch:
     """Flat membership arrays for the straight-line section scan.
 
@@ -261,67 +306,6 @@ class IdempotencyDetector:
             if self._apb_enabled else 0
         )
         return ChainScratch(nwords, nprefixes)
-
-    def chain_scan_engine(self, ct, forced_sorted, pi_words, pi_indices):
-        """A compiled-kernel engine for this detector's chain scans.
-
-        Returns a :class:`repro.core.cext.ChainScanEngine` bound to this
-        detector's configuration and the given trace/marking, or ``None``
-        when the optional C kernel is unavailable (no compiler,
-        ``REPRO_CEXT=0``, or any build/load failure) — callers then use
-        :meth:`straightline_chain`, the pure-Python reference.
-        """
-        lib = cext.chain_scan_lib()
-        if lib is None:
-            return None
-        flags = 0
-        if self._apb_enabled:
-            flags |= cext.F_APB_ON
-        if self._ignore_text:
-            flags |= cext.F_IGNORE_TEXT
-        if self._ignore_false_writes:
-            flags |= cext.F_IGNORE_FALSE_WRITES
-        if self._remove_duplicates:
-            flags |= cext.F_REMOVE_DUPLICATES
-        if self._no_wf_overflow:
-            flags |= cext.F_NO_WF_OVERFLOW
-        if self._latest_checkpoint:
-            flags |= cext.F_LATEST_CHECKPOINT
-        params = (
-            self._rf_capacity, self._wf_capacity, self.wbb.capacity,
-            self.apb.capacity, flags, self._text_lo, self._text_hi,
-            self.apb.prefix_low_bits,
-        )
-        return cext.ChainScanEngine(
-            lib, ct, params, forced_sorted, pi_words, pi_indices
-        )
-
-    def family_params(self) -> Tuple[int, int, int, int, int]:
-        """This detector's member tuple for a family chain scan.
-
-        ``(rf_cap, wf_cap, wbb_cap, apb_cap, flags)`` — the per-member
-        slice of the family kernel's inputs, assembled exactly as
-        :meth:`chain_scan_engine` assembles its scalar parameters
-        (``F_HAS_PI`` is added by the engine, not here).  Members of one
-        family must share the trace, PI marking, forced checkpoints,
-        text bounds, and APB prefix shift; only these five values may
-        differ.
-        """
-        flags = 0
-        if self._apb_enabled:
-            flags |= cext.F_APB_ON
-        if self._ignore_text:
-            flags |= cext.F_IGNORE_TEXT
-        if self._ignore_false_writes:
-            flags |= cext.F_IGNORE_FALSE_WRITES
-        if self._remove_duplicates:
-            flags |= cext.F_REMOVE_DUPLICATES
-        if self._no_wf_overflow:
-            flags |= cext.F_NO_WF_OVERFLOW
-        if self._latest_checkpoint:
-            flags |= cext.F_LATEST_CHECKPOINT
-        return (self._rf_capacity, self._wf_capacity, self.wbb.capacity,
-                self.apb.capacity, flags)
 
     def straightline_chain(
         self,

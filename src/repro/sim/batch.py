@@ -5,8 +5,8 @@ call, so a Monte Carlo sweep pays per-schedule dispatch (simulator set-up,
 schedule object, result) for every seed.  This module replays a whole
 :class:`~repro.power.schedules.ScheduleBatch` against one shared
 :class:`~repro.sim.sections.SectionMap` through the same C section walk
-scalar runs use (``section_walk`` in ``_chainscan.c``, bound once per map
-by :func:`repro.sim.fast.section_walk`), one row after another over the
+scalar runs use (``section_walk`` in ``_chainscan.c``, driven by
+:func:`repro.sim.fast.section_walk`), one row after another over the
 batch's on-time arrays.  The walk is *bit-identical* to N scalar
 :func:`~repro.sim.fast.simulate_fast` calls — the equivalence grid in
 ``tests/test_batch_replay.py`` pins this across configurations, policy
@@ -39,6 +39,7 @@ from repro.sim.fast import (
     fast_path_enabled,
     section_walk,
     simulate_fast,
+    walk_result,
 )
 from repro.sim.result import SimulationResult
 
@@ -185,7 +186,7 @@ class BatchReplaySimulator(FastReplaySimulator):
         Raises :class:`~repro.sim.fast.FastPathIneligible` for a batch no
         row of which the section walk may carry.
         """
-        walk = section_walk(self._section_map(), lib)
+        smap = self._section_map()
         sbatch = self.schedules
         prm = self._walk_params()
         trace = self.trace
@@ -199,10 +200,10 @@ class BatchReplaySimulator(FastReplaySimulator):
                 sbatch.ensure_columns(max(8, len(ontimes) * 2))
 
             st = array("q", _ST_INIT)
-            if walk.run(prm, ontimes, more, st):
+            if section_walk(smap, lib, prm, ontimes, more, st):
                 needs_scalar.append(r)
             else:
-                results[r] = walk.result(st, name, label, baseline)
+                results[r] = walk_result(st, name, label, baseline)
         return results, needs_scalar
 
 

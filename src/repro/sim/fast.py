@@ -160,18 +160,18 @@ class FastReplaySimulator(IntermittentSimulator):
         instead — a ``max_power_cycles`` abort or a reach-buffer
         overflow, both of which the Python walker reproduces exactly.
         """
-        walk = section_walk(self._section_map(), lib)
+        smap = self._section_map()
         schedule = self.schedule
         schedule.reset()
         next_on = schedule.next_on_time
         # Start from the on-time count the map's previous run consumed.
-        ontimes = array("q", [next_on() for _ in range(walk.draws)])
+        ontimes = array("q", [next_on() for _ in range(smap.walk_draws)])
 
         def more():
             ontimes.extend([next_on() for _ in range(len(ontimes) + 4)])
 
         st = array("q", _ST_INIT)
-        rc = walk.run(self._walk_params(), ontimes, more, st)
+        rc = section_walk(smap, lib, self._walk_params(), ontimes, more, st)
         if rc == _SW_NEED_CUT:
             raise FastPathIneligible(
                 FallbackReason.WATCHDOG_CUT,
@@ -181,7 +181,7 @@ class FastReplaySimulator(IntermittentSimulator):
         if rc:
             return None
         trace = self.trace
-        return walk.result(
+        return walk_result(
             st, trace.name, self.config.label(), trace.total_cycles
         )
 
@@ -665,7 +665,7 @@ class FastReplaySimulator(IntermittentSimulator):
 
 
 # --------------------------------------------------------------------- #
-# The C section walk's per-map binding.
+# The C section walk over a map's tables.
 # --------------------------------------------------------------------- #
 
 #: ``section_walk`` stop codes (``SW_*`` in ``_chainscan.c``).
@@ -695,155 +695,138 @@ _REACH_CAP = 256
 _REACH = array("q", bytes(16 * _REACH_CAP))
 
 
-class SectionWalk:
-    """One SectionMap bound to the C section walk.
+def _walk_table(smap) -> array:
+    """``smap``'s ``section_walk`` table (``T_*`` slots in
+    ``_chainscan.c``), built on the map's first C-walked run.
 
-    Holds the kernel's per-map table (``T_*`` slots in ``_chainscan.c``):
-    the trace's cycle prefix sums, the forced-checkpoint mask, the map's
-    flat canonical chain — read in place — and an overlay of the
-    off-chain sections resolved so far, kept as sorted parallel arrays
-    the kernel searches like the flat keys.  Built once per map (cached
-    on it) and shared by every scalar run and batch row replayed against
-    the map.
+    The table points at the trace's cycle prefix sums and
+    forced-checkpoint mask (shared per trace and forced set), the map's
+    flat canonical chain — read in place — and its overlay of the
+    off-chain sections resolved so far (:func:`_resolve`).  The map
+    holds every buffer the table points at, through itself or its
+    compiled trace, for as long as it holds the table.
     """
-
-    __slots__ = ("smap", "draws", "_fn", "_tab", "_ov", "_keep")
-
-    def __init__(self, smap, lib):
+    tab = smap._tab
+    if tab is None:
         smap.ensure_flat()
         ct = smap.ct
-        n = ct.n
         gcum, acc = ct.cycle_buffers()
-        forced = array("B", bytes(n + 1))
-        for f in smap.forced:
-            if f <= n:
-                forced[f] = 1
-        flat = smap._flat
-        keys, ends, causes, soff, steps = flat
-        #: Overlay columns: keys, ends, cause ids, step offsets, step
-        #: counts, steps.
-        self._ov = (array("q"), array("i"), array("B"), array("q"),
-                    array("i"), array("i"))
-        self._tab = array("q", (
-            _addr(gcum), _addr(acc), n, _addr(forced),
+        keys, ends, causes, soff, steps = smap._flat
+        tab = smap._tab = array("q", (
+            _addr(gcum), _addr(acc), ct.n, _addr(ct.forced_mask(smap.forced)),
             _addr(keys), len(keys), _addr(ends), _addr(causes),
             _addr(soff), _addr(steps),
             0, 0, 0, 0, 0, 0, 0,
         ))
-        # Buffer lifetimes: the arrays must outlive this binding.
-        self._keep = (gcum, acc, forced, flat)
-        self._fn = lib.section_walk
-        self.smap = smap
-        #: On-times the last run consumed (the next run's first draw).
-        self.draws = 1
+    return tab
 
-    def _resolve(self, key: int, perf_load: int) -> None:
-        """Add the section at ``key`` to the overlay, with the rest of
-        its chain up to where it rejoins the flat canonical chain.
 
-        With the Performance Watchdog on, the scan leaves each section
-        open at the access that fires it and follows the chain of cuts
-        (:meth:`SectionMap.scan_chain`).  A run with a longer watchdog
-        that gets past an open section's end rescans it.
-        """
-        okeys, oends, ocauses, osoff, onst, osteps = self._ov
-        for key, end, cid, steps in self.smap.scan_chain(
-            key >> 2, key & 3, perf_load
-        ):
-            j = bisect_left(okeys, key)
-            if j < len(okeys) and okeys[j] == key:
-                if ocauses[j] != CAUSE_OPEN or (
-                    cid == CAUSE_OPEN and end <= oends[j]
-                ):
-                    continue
-                oends[j] = end
-                ocauses[j] = cid
-                osoff[j] = len(osteps)
-                onst[j] = len(steps)
-            else:
-                okeys.insert(j, key)
-                oends.insert(j, end)
-                ocauses.insert(j, cid)
-                osoff.insert(j, len(osteps))
-                onst.insert(j, len(steps))
-            osteps.extend(steps)
-        tab = self._tab
-        for slot, value in enumerate((
-            _addr(okeys), len(okeys), _addr(oends), _addr(ocauses),
-            _addr(osoff), _addr(onst), _addr(osteps),
-        ), 10):
-            tab[slot] = value
+def _resolve(smap, key: int, perf_load: int) -> None:
+    """Add the section at ``key`` to ``smap``'s overlay, with the rest of
+    its chain up to where it rejoins the flat canonical chain.
 
-    def run(self, prm: array, ontimes: array, more, st: array) -> int:
-        """Walk one schedule, state in ``st`` (from :data:`_ST_INIT`).
+    The overlay is sorted parallel arrays — keys, ends, cause ids, step
+    offsets, step counts, steps — that the kernel searches like the
+    flat keys, created on the map's first off-chain section.  With the
+    Performance Watchdog on, the scan leaves each section open at the
+    access that fires it and follows the chain of cuts
+    (:meth:`SectionMap.scan_chain`).  A run with a longer watchdog that
+    gets past an open section's end rescans it.
+    """
+    if smap._ov is None:
+        smap._ov = (array("q"), array("i"), array("B"), array("q"),
+                    array("i"), array("i"))
+    okeys, oends, ocauses, osoff, onst, osteps = smap._ov
+    for key, end, cid, steps in smap.scan_chain(key >> 2, key & 3, perf_load):
+        j = bisect_left(okeys, key)
+        if j < len(okeys) and okeys[j] == key:
+            if ocauses[j] != CAUSE_OPEN or (
+                cid == CAUSE_OPEN and end <= oends[j]
+            ):
+                continue
+            oends[j] = end
+            ocauses[j] = cid
+            osoff[j] = len(osteps)
+            onst[j] = len(steps)
+        else:
+            okeys.insert(j, key)
+            oends.insert(j, end)
+            ocauses.insert(j, cid)
+            osoff.insert(j, len(osteps))
+            onst.insert(j, len(steps))
+        osteps.extend(steps)
+    tab = smap._tab
+    for slot, value in enumerate((
+        _addr(okeys), len(okeys), _addr(oends), _addr(ocauses),
+        _addr(osoff), _addr(onst), _addr(osteps),
+    ), 10):
+        tab[slot] = value
 
-        ``more()`` must grow ``ontimes`` in place.  Returns 0 when the
-        run completed, ``_SW_NEED_CUT`` for a watchdog cut
-        ``watchdog_cut_safe`` rejects, or ``SW_FALLBACK`` (4) for a run
-        the Python walker must replay.
-        """
-        fn = self._fn
-        tab = _addr(self._tab)
-        prm_a = _addr(prm)
-        st_a = _addr(st)
-        reach_a = _addr(_REACH)
+
+def section_walk(smap, lib, prm: array, ontimes: array, more,
+                 st: array) -> int:
+    """Walk one schedule over ``smap`` in the C kernel, state in ``st``
+    (from :data:`_ST_INIT`).
+
+    Start ``ontimes`` with ``smap.walk_draws`` draws; ``more()`` must
+    grow it in place.  Returns 0 when the run completed,
+    ``_SW_NEED_CUT`` for a watchdog cut ``watchdog_cut_safe`` rejects,
+    or ``SW_FALLBACK`` (4) for a run the Python walker must replay.
+    """
+    fn = lib.section_walk
+    tab = _addr(_walk_table(smap))
+    prm_a = _addr(prm)
+    st_a = _addr(st)
+    reach_a = _addr(_REACH)
+    cut_ok = -1
+    while True:
+        rc = fn(tab, prm_a, _addr(ontimes), len(ontimes), cut_ok, st_a,
+                reach_a)
         cut_ok = -1
-        while True:
-            rc = fn(tab, prm_a, _addr(ontimes), len(ontimes), cut_ok, st_a,
-                    reach_a)
-            cut_ok = -1
-            if rc == _SW_NEED_SECTION:
-                self._resolve(st[_ST_OUT], prm[4])
-            elif rc == _SW_NEED_ONTIMES:
-                more()
-            elif rc == _SW_NEED_CUT:
-                r = _REACH
-                reaches = [(r[2 * k], r[2 * k + 1])
-                           for k in range(st[_ST_NREACH])]
-                o = _ST_OUT
-                if not self.smap.watchdog_cut_safe(
-                    st[o], st[o + 1], st[o + 2], st[o + 3], reaches
-                ):
-                    return rc
-                cut_ok = 1
-            else:
-                self.draws = st[_ST_POS]
+        if rc == _SW_NEED_SECTION:
+            _resolve(smap, st[_ST_OUT], prm[4])
+        elif rc == _SW_NEED_ONTIMES:
+            more()
+        elif rc == _SW_NEED_CUT:
+            r = _REACH
+            reaches = [(r[2 * k], r[2 * k + 1])
+                       for k in range(st[_ST_NREACH])]
+            o = _ST_OUT
+            if not smap.watchdog_cut_safe(
+                st[o], st[o + 1], st[o + 2], st[o + 3], reaches
+            ):
                 return rc
-
-    @staticmethod
-    def result(st: array, name: str, label: str,
-               baseline: int) -> SimulationResult:
-        """The :class:`SimulationResult` of a completed run's state."""
-        order = st[_ST_ORDER:_ST_ORDER + st[_ST_NORDER]]
-        return SimulationResult(
-            name=name,
-            config_label=label,
-            baseline_cycles=baseline,
-            useful_cycles=st[7],
-            checkpoint_cycles=st[10],
-            restart_cycles=st[11],
-            reexec_cycles=st[8],
-            wasted_cycles=st[9],
-            checkpoints_by_cause={
-                WALK_CAUSE_NAMES[c]: st[_ST_COUNTS + c] for c in order
-            },
-            power_cycles=st[12],
-            wasted_power_cycles=st[13],
-            outputs=st[14],
-            duplicate_outputs=st[15],
-            wbb_words_flushed=st[16],
-            verified=False,
-            completed=True,
-            metrics={},
-        )
+            cut_ok = 1
+        else:
+            smap.walk_draws = st[_ST_POS]
+            return rc
 
 
-def section_walk(smap, lib) -> SectionWalk:
-    """``smap``'s C walk binding (built on first use)."""
-    walk = smap._walk
-    if walk is None:
-        walk = smap._walk = SectionWalk(smap, lib)
-    return walk
+def walk_result(st: array, name: str, label: str,
+                baseline: int) -> SimulationResult:
+    """The :class:`SimulationResult` of a completed run's state."""
+    order = st[_ST_ORDER:_ST_ORDER + st[_ST_NORDER]]
+    return SimulationResult(
+        name=name,
+        config_label=label,
+        baseline_cycles=baseline,
+        useful_cycles=st[7],
+        checkpoint_cycles=st[10],
+        restart_cycles=st[11],
+        reexec_cycles=st[8],
+        wasted_cycles=st[9],
+        checkpoints_by_cause={
+            WALK_CAUSE_NAMES[c]: st[_ST_COUNTS + c] for c in order
+        },
+        power_cycles=st[12],
+        wasted_power_cycles=st[13],
+        outputs=st[14],
+        duplicate_outputs=st[15],
+        wbb_words_flushed=st[16],
+        verified=False,
+        completed=True,
+        metrics={},
+    )
 
 
 # --------------------------------------------------------------------- #

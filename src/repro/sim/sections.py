@@ -63,7 +63,12 @@ import repro.cache as artifact_cache
 from repro.core import cext as _cext
 from repro.core.cext import CAUSE_NAMES as _CAUSE_NAMES
 from repro.core.config import ClankConfig
-from repro.core.detector import POLICY_REV, IdempotencyDetector
+from repro.core.detector import (
+    POLICY_REV,
+    IdempotencyDetector,
+    chain_scan_engine,
+    kernel_params,
+)
 from repro.obs.metrics import COUNTERS
 from repro.trace.trace import Trace
 
@@ -96,8 +101,8 @@ VARIANT_DIRECT = 2
 #: A memoized section: (end, cause, kind, wbb_steps).
 Section = Tuple[int, str, int, Sequence[int]]
 
-#: Sentinel for "C engine not resolved yet" (None means "unavailable").
-_UNSET = object()
+#: The empty marking/forced set every unmarked map and key shares.
+_EMPTY: FrozenSet[int] = frozenset()
 
 
 class SectionMap:
@@ -108,14 +113,24 @@ class SectionMap:
     starts they actually commit at) and memoized forever: the map object
     itself is cached per key by :func:`get_section_map`, so every schedule
     swept over the same structure reuses the same enumerations.
+
+    A map holds only what is its own: the flat canonical-chain tables,
+    the off-chain overlay and C walk table once a C walk needs them
+    (:mod:`repro.sim.fast`), and memo dicts.  Whatever depends only on
+    the trace (scan buffers, cycle sums, the forced-checkpoint mask)
+    lives on the compiled trace, and whatever depends only on the
+    configuration (the kernels' capacity and flag ints) is derived
+    from it on demand; an :class:`IdempotencyDetector` is built only
+    for the pure-Python scans.  Nothing a map holds refers back to it,
+    so an evicted map is freed by reference counting.
     """
 
     __slots__ = (
-        "ct", "n", "pi_words", "pi_indices", "forced", "_forced_sorted",
-        "_detector", "_sections", "pi_hazard",
+        "ct", "config", "n", "pi_words", "pi_indices", "forced",
+        "_forced_sorted", "_sections", "pi_hazard", "_detector",
         "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
         "_disk_key", "_loaded_n", "_flat", "_mat_n", "_flat_persisted",
-        "_walk",
+        "_ov", "_tab", "walk_draws", "__weakref__",
     )
 
     def __init__(
@@ -128,25 +143,24 @@ class SectionMap:
     ):
         ct = trace.compiled()
         self.ct = ct
+        self.config = config
         self.n = ct.n
-        self.pi_words = pi_words or frozenset()
-        self.pi_indices = pi_access_indices or frozenset()
-        forced = forced_checkpoints or frozenset()
+        self.pi_words = pi_words or _EMPTY
+        self.pi_indices = pi_access_indices or _EMPTY
+        forced = forced_checkpoints or _EMPTY
         self.forced = forced
         # A compiler checkpoint at index n never fires: the final
         # checkpoint precedes the forced check in the replay loop.
-        self._forced_sorted = sorted(f for f in forced if f < ct.n)
-        self._detector = IdempotencyDetector(
-            config, trace.memory_map.text_word_range
-        )
+        self._forced_sorted = tuple(sorted(f for f in forced if f < ct.n))
+        self._detector = None  # pure-Python scans only (_python_scan)
+        self._scratch = None
         #: Memoized sections, keyed ``(start << 2) | variant`` — one int
         #: probe in the fast path's hot loop instead of a tuple hash.
         self._sections: Dict[int, Section] = {}
-        self._scratch = None  # lazily built ChainScratch, reused per chain
-        self._dw_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._dw_groups: Dict[Tuple[int, int], Dict[int, list]] = {}
+        self._dw_cache: Dict[Tuple[int, int], array] = {}
+        self._dw_groups: Dict[Tuple[int, int], Dict[int, array]] = {}
         self._arch_cache: Dict[int, tuple] = {}
-        self._engine = _UNSET  # lazily built C ChainScanEngine (or None)
+        self._engine = None  # C ChainScanEngine, built on first scan
         opts = config.optimizations
         #: Static false-write hazard: an access-marked PI write commits to
         #: non-volatile memory mid-section and is not undone by rollback,
@@ -171,9 +185,13 @@ class SectionMap:
         self._flat = None
         self._mat_n = 0
         self._flat_persisted = False
-        #: The map's C section-walk binding (``repro.sim.fast``), built
-        #: on its first C-walked run.
-        self._walk = None
+        #: The C section walk's state (:mod:`repro.sim.fast`): the
+        #: overlay of off-chain sections (built on the first off-chain
+        #: resolve), the walk's table (built on the first C-walked run),
+        #: and the on-time count the last run consumed.
+        self._ov = None
+        self._tab = None
+        self.walk_draws = 1
         # Persistent artifact store: seed the memo from a previous run's
         # (or a sibling worker's) enumeration of this exact key.
         self._disk_key = None
@@ -190,7 +208,7 @@ class SectionMap:
                  opts.latest_checkpoint),
                 tuple(sorted(self.pi_words)),
                 tuple(sorted(self.pi_indices)),
-                tuple(self._forced_sorted),
+                self._forced_sorted,
             )
             loaded = st.get("sections", self._disk_key)
             if isinstance(loaded, dict):
@@ -266,7 +284,7 @@ class SectionMap:
         one-member family pass (the C kernel must be loaded).
         """
         if self._flat is None:
-            _family_scan_chunk(self._detector.apb.prefix_low_bits, [self])
+            _family_scan_chunk(self.config.prefix_low_bits, [self])
 
     def _needs_persist(self) -> bool:
         """Whether a persist would write anything new to the store."""
@@ -301,13 +319,30 @@ class SectionMap:
             self._loaded_n = len(self._sections)
 
     def _chain_engine(self):
-        """The map's C chain-scan engine, or ``None`` without a kernel."""
+        """The map's C chain-scan engine, or ``None`` without a kernel.
+
+        Only a built engine is memoized: a map first scanned with the
+        kernel gated off gets its engine once the kernel loads.
+        """
         eng = self._engine
-        if eng is _UNSET:
-            eng = self._engine = self._detector.chain_scan_engine(
-                self.ct, self._forced_sorted, self.pi_words, self.pi_indices
+        if eng is None:
+            eng = self._engine = chain_scan_engine(
+                self.config, self.ct, self._forced_sorted, self.pi_words,
+                self.pi_indices,
             )
         return eng
+
+    def _python_scan(self):
+        """``(detector, scratch)`` for the pure-Python scans — no kernel,
+        :meth:`arch_stats`, or direct writes without the kernel — built
+        on first use."""
+        det = self._detector
+        if det is None:
+            det = self._detector = IdempotencyDetector(
+                self.config, self.ct.text_range
+            )
+            self._scratch = det.chain_scratch(self.ct)
+        return det, self._scratch
 
     def scan_chain(self, start: int, variant: int, perf_load: int = 0):
         """The failure-free chain from ``(start, variant)``, unmemoized.
@@ -359,13 +394,11 @@ class SectionMap:
                 for key, end, cid, steps in self.scan_chain(start, variant)
             ]
         else:
-            if self._scratch is None:
-                self._scratch = self._detector.chain_scratch(self.ct)
+            det, scratch = self._python_scan()
             chain = (
                 ((s << 2) | v, end, cause,
                  _KIND_BY_CAUSE.get(cause, SEC_DETECTOR), steps)
-                for s, v, end, cause, steps, _ in
-                self._detector.straightline_chain(
+                for s, v, end, cause, steps, _ in det.straightline_chain(
                     self.ct,
                     start,
                     variant == VARIANT_DIRECT,
@@ -373,7 +406,7 @@ class SectionMap:
                     self._forced_sorted,
                     self.pi_words,
                     self.pi_indices,
-                    self._scratch,
+                    scratch,
                 )
             )
         for key, end, cause, kind, steps in chain:
@@ -381,8 +414,9 @@ class SectionMap:
                 break
             secs[key] = (end, cause, kind, steps)
 
-    def _direct_writes(self, start: int, variant: int) -> Tuple[int, ...]:
-        """The section's direct-commit write indices (memoized).
+    def _direct_writes(self, start: int, variant: int) -> array:
+        """The section's direct-commit write indices (memoized, ascending
+        ``array('i')``).
 
         Re-runs the straight-line scan of just this section with
         ``collect_dw`` on.  Only :meth:`watchdog_cut_safe` needs these,
@@ -399,9 +433,8 @@ class SectionMap:
             if eng is not None:
                 dw = eng.scan_first_dw(start, 1 if direct else 0, fd)
             else:
-                if self._scratch is None:
-                    self._scratch = self._detector.chain_scratch(self.ct)
-                chain = self._detector.straightline_chain(
+                det, scratch = self._python_scan()
+                chain = det.straightline_chain(
                     self.ct,
                     start,
                     direct,
@@ -409,10 +442,10 @@ class SectionMap:
                     self._forced_sorted,
                     self.pi_words,
                     self.pi_indices,
-                    self._scratch,
+                    scratch,
                     collect_dw=True,
                 )
-                dw = next(chain)[5]
+                dw = array("i", next(chain)[5])
                 chain.close()
             self._dw_cache[key] = dw
         return dw
@@ -433,16 +466,15 @@ class SectionMap:
         key = (start << 2) | variant
         stats = self._arch_cache.get(key)
         if stats is None:
-            if self._scratch is None:
-                self._scratch = self._detector.chain_scratch(self.ct)
-            stats = self._detector.section_arch_scan(
+            det, scratch = self._python_scan()
+            stats = det.section_arch_scan(
                 self.ct,
                 start,
                 variant,
                 self._forced_sorted,
                 self.pi_words,
                 self.pi_indices,
-                self._scratch,
+                scratch,
             )
             self._arch_cache[key] = stats
         return stats
@@ -533,7 +565,7 @@ class SectionMap:
         if groups is None:
             groups = {}
             for j in dw_idx:
-                groups.setdefault(waddrs[j], []).append(j)
+                groups.setdefault(waddrs[j], array("i")).append(j)
             self._dw_groups[gkey] = groups
         pi_idx = self.pi_indices
         seen = set()
@@ -567,9 +599,6 @@ class SectionMap:
             if (values[q] == stale) != false_writes[q]:
                 return False
         return True
-
-    def __len__(self) -> int:
-        return len(self._sections)
 
 
 # --------------------------------------------------------------------- #
@@ -654,9 +683,9 @@ def _map_key(
         trace.memory_map.text_word_range,
         trace.memory_map.word_range("mmio"),
         config,
-        pi_words or frozenset(),
-        pi_access_indices or frozenset(),
-        forced_checkpoints or frozenset(),
+        pi_words or _EMPTY,
+        pi_access_indices or _EMPTY,
+        forced_checkpoints or _EMPTY,
     )
 
 
@@ -764,7 +793,7 @@ def build_family(
     # caller mixes still get correct, separate passes).
     by_shift: Dict[int, List[SectionMap]] = {}
     for m in pending:
-        shift = m._detector.apb.prefix_low_bits
+        shift = m.config.prefix_low_bits
         by_shift.setdefault(shift, []).append(m)
     for shift, members in by_shift.items():
         for i in range(0, len(members), _cext.FAMILY_MAX):
@@ -785,11 +814,11 @@ def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
     t0 = perf_counter()
     m0 = maps[0]
     ct = m0.ct
-    det0 = m0._detector
-    params = [m._detector.family_params() for m in maps]
+    text_lo, text_hi = ct.text_range
     eng = _cext.FamilyScanEngine(
-        _cext.chain_scan_lib(), ct, det0._text_lo, det0._text_hi, shift,
-        m0._forced_sorted, m0.pi_words, m0.pi_indices, params,
+        _cext.chain_scan_lib(), ct, text_lo, text_hi, shift,
+        m0._forced_sorted, m0.pi_words, m0.pi_indices,
+        [kernel_params(m.config) for m in maps],
     )
     _distribute_events(maps, *eng.scan(0))
     for m in maps:
@@ -820,7 +849,6 @@ def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
             ev_soff[obase:obase + k + 1],
             steps_out[sbase:sbase + nst[c]],
         )
-        m._walk = None
         m._flat_persisted = False
 
 

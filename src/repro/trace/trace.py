@@ -29,6 +29,8 @@ class CompiledTrace:
         out_writes: True where access ``i`` is a write into the MMIO/output
             region (the output-commit rule of Section 3.3) — the only
             memory-map test the simulator's hot loop needs per access.
+        text_range: The memory map's text-segment word range (the
+            ignore-TEXT bounds of every detector and chain scan).
         cum_cycles: Cycle prefix sums, length ``n + 1``: ``cum_cycles[k]``
             is the total cycles of accesses ``[0, k)``.  Strictly
             increasing (every access costs >= 1 cycle), so the
@@ -53,7 +55,8 @@ class CompiledTrace:
         "cum_cycles", "false_writes", "content_key", "_first", "_last",
         "_vol_masks", "_scan_arrays", "_prefix_ids", "_scan_bufs",
         "_prefix_bufs", "_pi_masks", "_c_scratch", "_c_out",
-        "_pi_hazards", "_windex", "_cycle_bufs",
+        "_pi_hazards", "_windex", "_cycle_bufs", "_forced_masks",
+        "text_range",
     )
 
     def __init__(self, trace: "Trace"):
@@ -64,6 +67,7 @@ class CompiledTrace:
         self.values = tuple(a.value for a in accesses)
         self.cycles = tuple(a.cycles for a in accesses)
         mmio_lo, mmio_hi = trace.memory_map.word_range("mmio")
+        self.text_range = trace.memory_map.text_word_range
         self.out_writes = tuple(
             a.kind != READ and mmio_lo <= a.waddr < mmio_hi for a in accesses
         )
@@ -106,6 +110,7 @@ class CompiledTrace:
         self._pi_hazards: Dict[tuple, bool] = {}
         self._windex: Optional[Dict[int, list]] = None
         self._cycle_bufs: Optional[Tuple[array, array]] = None
+        self._forced_masks: Dict[frozenset, array] = {}
 
     def volatile_mask(
         self, volatile_ranges: Sequence[Tuple[int, int]]
@@ -288,6 +293,19 @@ class CompiledTrace:
             self._cycle_bufs = (array("q", self.cum_cycles),
                                 array("q", self.cycles))
         return self._cycle_bufs
+
+    def forced_mask(self, forced: frozenset) -> array:
+        """Compiler-checkpoint mask (``uint8``, length ``n + 1``) of the C
+        section walk: ``mask[f]`` is 1 for each ``f <= n`` in ``forced``.
+        Memoized per forced set, so every map of one marking shares it."""
+        mask = self._forced_masks.get(forced)
+        if mask is None:
+            mask = array("B", bytes(self.n + 1))
+            for f in forced:
+                if f <= self.n:
+                    mask[f] = 1
+            self._forced_masks[forced] = mask
+        return mask
 
     def prefix_buffers(self, shift: int) -> Tuple[array, int]:
         """:meth:`prefix_ids` as a C-addressable ``array`` buffer."""

@@ -13,13 +13,19 @@ file) ``build_family`` must make no family pass at all and leave every
 map to enumerate lazily, with the same tables.
 """
 
+import gc
 import itertools
+import weakref
+from array import array
 
 import pytest
 
+from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
-from repro.core.config import ClankConfig
+from repro.core.config import ClankConfig, PolicyOptimizations
+from repro.power.schedules import ExponentialPower
 from repro.sim import sections
+from repro.sim.fast import simulate_fast
 from repro.sim.sections import build_family, clear_cache, get_section_map
 from repro.workloads import get_trace
 
@@ -179,3 +185,78 @@ def test_family_counters_and_cache_population(monkeypatch):
         get_section_map(trace, cfg)
     stats1 = sections.cache_stats()
     assert stats1["misses"] == stats0["misses"]
+
+
+def _walk_all(trace, grid, **kw):
+    """One fast-path run per config, both watchdogs on (so C walks also
+    resolve off-chain sections); returns the walked maps."""
+    for cfg in grid:
+        simulate_fast(trace, cfg, ExponentialPower(700, seed=3),
+                      verify=False, perf_watchdog="auto",
+                      progress_watchdog="auto", **kw)
+    return [get_section_map(trace, cfg, **kw) for cfg in grid]
+
+
+def test_c_paths_build_no_detector():
+    # A family pass plus C walks read only the config-derived kernel
+    # ints: no member may carry an IdempotencyDetector.
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
+    trace = get_trace("crc", "small")
+    grid = _grid(rf=(1, 8), wf=(0, 4), wbb=(0, 2), apb=(0, 2))
+    build_family(trace, grid)
+    maps = _walk_all(trace, grid)
+    assert all(m._tab is not None for m in maps)  # the C walk ran
+    assert any(m._ov is not None for m in maps)  # and went off-chain
+    assert all(m._detector is None for m in maps)
+
+
+def test_forced_mask_shared_per_trace_and_forced_set():
+    # Every map of one (trace, forced set) walks over one mask object;
+    # under epoch marking it equals the per-map mask a walk built before
+    # the mask moved to the compiled trace.
+    trace = get_trace("qsort", "small")
+    ct = trace.compiled()
+    plan = compile_with_epochs(trace)
+    kw = dict(pi_access_indices=plan.ignorable,
+              forced_checkpoints=plan.boundaries)
+    assert plan.boundaries
+    # Ignore-false-writes off: with it, access-marked PI writes are a
+    # static hazard and the fast path would not walk these maps.
+    opts = PolicyOptimizations(remove_duplicates=True)
+    grid = [ClankConfig(*t, optimizations=opts)
+            for t in itertools.product((2, 8), (0, 4), (0, 2), (0,))]
+    build_family(trace, grid, **kw)
+    maps = _walk_all(trace, grid, **kw)
+    mask = ct.forced_mask(maps[0].forced)
+    assert all(ct.forced_mask(m.forced) is mask for m in maps)
+    expected = array("B", bytes(ct.n + 1))
+    for f in plan.boundaries:
+        if f <= ct.n:
+            expected[f] = 1
+    assert mask == expected
+    if cext.chain_scan_lib() is not None:
+        assert {m._tab[3] for m in maps} == {mask.buffer_info()[0]}
+
+
+def test_walked_map_freed_without_cyclic_gc():
+    # Nothing a map holds refers back to it, so dropping the cache frees
+    # a walked map by reference counting alone.
+    trace = get_trace("fft", "small")
+    config = ClankConfig(
+        2, 1, 1, 0,
+        optimizations=PolicyOptimizations(ignore_false_writes=True),
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        [smap] = _walk_all(trace, [config])
+        if cext.chain_scan_lib() is not None:
+            assert smap._tab is not None and smap._ov is not None
+        ref = weakref.ref(smap)
+        del smap
+        clear_cache()
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
