@@ -1,9 +1,10 @@
 """CI micro-benchmark guard: recording-off must cost nothing, and
 compiled-trace replay must be stable run-to-run.
 
-Times a Figure 5-style sweep (several buffer configurations x several
-benchmarks, ``verify=False``, progress watchdog on — the shape of the
-paper's design-space runs) twice: once with no recorder and once with a
+Times a Figure 5-style sweep of :func:`repro.sim.fast.simulate_fast`
+runs (several buffer configurations x several benchmarks,
+``verify=False``, progress watchdog on — the shape of the paper's
+design-space runs) twice: once with no recorder and once with a
 :class:`repro.obs.recorder.NullRecorder` attached.  The simulator
 normalizes a NullRecorder to "no recorder" before its hot loop, so the two
 must be within noise of each other; the guard fails if the NullRecorder
@@ -26,18 +27,25 @@ counters, times one more sweep, and fails if any job missed the (warm)
 cache or if the fast path stopped carrying the bulk of the runs.
 
 A fourth check guards run-provenance telemetry: with the shared
-:data:`repro.obs.telemetry.LEDGER` enabled, ``run_clank`` times each run
-and appends one record at the dispatch point — never per access — so the
-same sweep must stay within the telemetry threshold (default 2%) of the
-ledger-off baseline, and must actually have recorded every run.
+:data:`repro.obs.telemetry.LEDGER` enabled,
+:func:`repro.eval.parallel.execute_job` appends one record per run at
+the dispatch point — never per access — so a sweep of ``execute_job``
+calls must stay within the telemetry threshold (default 2%) of the same
+sweep with the ledger off, and must actually have recorded (and timed)
+every run.  The sweep repeats each configuration over
+:data:`LEDGER_SALTS` power schedules so that it runs for tens of
+milliseconds, and ledger-off and ledger-on sweeps alternate in
+:data:`LEDGER_PAIRS` pairs; the median of the per-pair ratios resolves a
+2% budget on a shared machine where best-of timing of millisecond
+sweeps does not.
 
 A fifth check guards architectural introspection
 (:mod:`repro.obs.analyze`): the shared :data:`~repro.obs.analyze.COLLECTOR`
-must be disabled by default, an introspection-off sweep must stay within
-the arch threshold (default 2%) of the ledger-off baseline (both engines
-pay exactly one flag check per run when it is off), and a collector-on
-sweep must fold every run and reconcile its cause totals exactly against
-the per-run ``checkpoints_by_cause``.
+must be disabled by default, an introspection-off ``execute_job`` sweep
+must stay within the arch threshold (default 2%) of the ledger-off
+baseline (both engines pay exactly one flag check per run when it is
+off), and a collector-on sweep must fold every run and reconcile its
+cause totals exactly against the per-run ``checkpoints_by_cause``.
 
 A sixth check guards the persistent artifact cache
 (``REPRO_CACHE_DIR``): a sweep against a fresh store populates it, every
@@ -76,34 +84,48 @@ Run:  PYTHONPATH=src python benchmarks/null_recorder_guard.py
 
 import argparse
 import os
+import statistics
 import sys
 import tempfile
 import time
 
 import repro.cache as artifact_cache
 from repro.core.config import ClankConfig
-from repro.eval.parallel import SimJob, run_jobs
-from repro.eval.runner import run_clank
+from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import NullRecorder
 from repro.obs.telemetry import ENGINE_BATCH, LEDGER
 from repro.obs.tracing import TRACER
-from repro.sim.fast import dispatch_stats
+from repro.sim.fast import dispatch_stats, simulate_fast
 from repro.sim.sections import cache_stats, clear_cache
 from repro.workloads.cache import get_trace
 
 CONFIGS = [(1, 0, 0, 0), (8, 4, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
 WORKLOADS = ("crc", "fft", "rc4", "qsort")
 
+#: Power schedules per (workload, config) in the ``execute_job`` sweeps
+#: of the ledger and arch checks: 4 x 4 x 32 = 512 runs per sweep.
+LEDGER_SALTS = 32
+
+#: Minimum alternating ledger-off/ledger-on sweep pairs.
+LEDGER_PAIRS = 30
+
+
+def run_one(trace, spec, settings, salt, recorder=None):
+    """One policy-simulator run as the sweep drivers issue it (Progress
+    Watchdog on, no compiler marking)."""
+    return simulate_fast(
+        trace, ClankConfig.from_tuple(spec), settings.schedule(salt),
+        progress_watchdog="auto", verify=settings.verify, recorder=recorder,
+    )
+
 
 def sweep_results(traces, settings):
     """Every result dict of one full sweep, in sweep order."""
     return [
-        run_clank(
-            trace, ClankConfig.from_tuple(spec), settings, salt=salt
-        ).to_dict()
+        run_one(trace, spec, settings, salt).to_dict()
         for salt, trace in enumerate(traces)
         for spec in CONFIGS
     ]
@@ -116,15 +138,17 @@ def sweep_seconds(traces, settings, recorder, repeats: int) -> float:
         start = time.perf_counter()
         for salt, trace in enumerate(traces):
             for spec in CONFIGS:
-                run_clank(
-                    trace,
-                    ClankConfig.from_tuple(spec),
-                    settings,
-                    salt=salt,
-                    recorder=recorder,
-                )
+                run_one(trace, spec, settings, salt, recorder)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def execute_seconds(jobs, settings) -> float:
+    """Wall-clock of one ``execute_job`` sweep over ``jobs``."""
+    start = time.perf_counter()
+    for job in jobs:
+        execute_job(job, settings)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -142,8 +166,7 @@ def main(argv=None) -> int:
     parser.add_argument("--size", default="small", help="workload size preset")
     args = parser.parse_args(argv)
 
-    # profile=False: the guard times the runner itself.
-    settings = EvalSettings(size=args.size, verify=False, profile=False)
+    settings = EvalSettings(size=args.size, verify=False)
     traces = [get_trace(name, size=args.size) for name in WORKLOADS]
 
     # Warm-up pass so trace building and imports are off the clock.
@@ -200,32 +223,55 @@ def main(argv=None) -> int:
         return 1
     print("OK: section maps cached, fast path engaged")
 
-    # Telemetry guard: the run ledger records once per run, at the
-    # dispatch point; enabling it must not slow the sweep beyond the
-    # telemetry threshold, and every run must actually land in it.
-    # Per-run telemetry cost is a few microseconds against runs of a few
-    # hundred; best-of-many keeps scheduler noise from swamping a 2%
-    # budget on this guard's deliberately tiny sweeps.
-    tele_repeats = max(args.repeats, 10)
+    # Telemetry guard: execute_job records once per run, at the dispatch
+    # point; enabling the ledger must not slow an execute_job sweep
+    # beyond the telemetry threshold, and every run must land in it with
+    # its wall time.  Ledger-off and ledger-on sweeps alternate, so drift
+    # on the machine hits both sides of a pair alike, and the ledger is
+    # emptied before each on-sweep, so every sweep pays the same
+    # per-record cost.
+    tele_pairs = max(args.repeats, LEDGER_PAIRS)
+    ledger_jobs = [
+        SimJob(workload=name, config=spec, size=args.size, salt=salt)
+        for name in WORKLOADS
+        for spec in CONFIGS
+        for salt in range(LEDGER_SALTS)
+    ]
     LEDGER.disable()
-    ledger_off = sweep_seconds(traces, settings, None, tele_repeats)
+    LEDGER.reset()
+    for _ in range(2):  # warm-up
+        execute_seconds(ledger_jobs, settings)
+    offs, ratios = [], []
+    recorded = untimed = 0
     try:
-        LEDGER.reset()
-        LEDGER.enable()
-        ledger_on = sweep_seconds(traces, settings, None, tele_repeats)
-        recorded = len(LEDGER.records)
+        for _ in range(tele_pairs):
+            LEDGER.disable()
+            off = execute_seconds(ledger_jobs, settings)
+            LEDGER.reset()
+            LEDGER.enable()
+            ratios.append(execute_seconds(ledger_jobs, settings) / off)
+            offs.append(off)
+            recorded += len(LEDGER.records)
+            untimed += sum(1 for rec in LEDGER.records if rec.wall_s <= 0.0)
     finally:
         LEDGER.disable()
         LEDGER.reset()
-    ratio = ledger_on / ledger_off
+    ledger_off = min(offs)
+    ratio = statistics.median(ratios)
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
     runs_per_sweep = len(traces) * len(CONFIGS)
-    print(f"ledger disabled: {ledger_off:.3f}s")
-    print(f"ledger enabled:  {ledger_on:.3f}s "
-          f"({recorded} records over {tele_repeats} sweeps)")
-    print(f"ratio: {ratio:.4f} (threshold {args.telemetry_threshold:.2f})")
-    if recorded != tele_repeats * runs_per_sweep:
+    print(f"ledger disabled: {ledger_off:.3f}s "
+          f"(best of {tele_pairs} sweeps of {len(ledger_jobs)} runs)")
+    print(f"ledger enabled:  {recorded} records over {tele_pairs} sweeps")
+    print(f"ratio: {ratio:.4f} median of {tele_pairs} pairs "
+          f"(quartiles {q1:.4f}-{q3:.4f}; "
+          f"threshold {args.telemetry_threshold:.2f})")
+    if recorded != tele_pairs * len(ledger_jobs):
         print(f"FAIL: ledger recorded {recorded} runs, expected "
-              f"{tele_repeats * runs_per_sweep}")
+              f"{tele_pairs * len(ledger_jobs)}")
+        return 1
+    if untimed:
+        print(f"FAIL: {untimed} ledger records carry no wall time")
         return 1
     if ratio > args.telemetry_threshold:
         print("FAIL: run-ledger telemetry added measurable overhead")
@@ -237,8 +283,9 @@ def main(argv=None) -> int:
     if COLLECTOR.enabled:
         print("FAIL: arch collector is enabled by default")
         return 1
-    arch_repeats = max(args.repeats, 10)
-    arch_off = sweep_seconds(traces, settings, None, arch_repeats)
+    arch_off = min(
+        execute_seconds(ledger_jobs, settings) for _ in range(tele_pairs)
+    )
     ratio = arch_off / ledger_off
     print(f"arch collector off: {arch_off:.3f}s")
     print(f"ratio vs ledger-off baseline: {ratio:.4f} "

@@ -7,13 +7,14 @@ processes (``--jobs 0`` = all CPUs); results are bit-identical at any
 worker count.
 
 Every invocation prints a run profile (wall-clock per experiment driver,
-simulator time per workload, fast-path dispatch mix, trace-cache hit
-rate); full-size runs also write it to ``results/profile.txt``, append a
-machine-readable entry to the performance trajectory in
-``results/BENCH_sweep.json``, and write the per-run provenance ledger to
-``results/run_ledger.jsonl`` (``--ledger PATH`` redirects it and enables
-it for ``--quick`` runs; render it with ``python -m repro.obs.report``,
-gate the trajectory with ``python -m repro.obs.bench --check``).
+simulator time per workload from the run ledger, fast-path dispatch mix,
+trace-cache hit rate); full-size runs also write it to
+``results/profile.txt``, append a machine-readable entry to the
+performance trajectory in ``results/BENCH_sweep.json``, and write the
+per-run provenance ledger to ``results/run_ledger.jsonl`` (``--ledger
+PATH`` redirects it and enables it for ``--quick`` runs; render it with
+``python -m repro.obs.report``, gate the trajectory with ``python -m
+repro.obs.bench --check``).
 ``--arch PATH`` additionally collects per-section architectural
 statistics (buffer occupancy, hazard attribution) and writes the summary
 JSON for ``python -m repro.obs.analyze``.  ``--trace PATH`` (or
@@ -95,8 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--verify", action="store_true",
                         help="dynamically verify every simulation")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip per-workload simulator timing")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the sweep drivers "
                              "(0 = all CPUs; default: $REPRO_JOBS or 1)")
@@ -152,9 +151,7 @@ def main(argv=None) -> int:
             parser.error(f"no sweep server answering at {args.server}")
         install(serve_client)
 
-    settings = EvalSettings(
-        seed=args.seed, verify=args.verify, profile=not args.no_profile
-    )
+    settings = EvalSettings(seed=args.seed, verify=args.verify)
     if args.quick:
         settings = settings.quick()
     n_workers = resolve_workers(args.jobs)
@@ -185,7 +182,7 @@ def main(argv=None) -> int:
             module = __import__(
                 f"repro.eval.{name}", fromlist=["run", "render"]
             )
-            runs_before = PROFILER.total_sim_runs
+            runs_before = telemetry.LEDGER.total_rows()
             with PROFILER.phase(name), telemetry.LEDGER.driver_phase(name), \
                     tracing.TRACER.span(f"driver {name}"):
                 if args.seeds and name in _SEEDED_DRIVERS:
@@ -196,7 +193,7 @@ def main(argv=None) -> int:
                     data = module.run(settings, n_workers=n_workers)
                 else:
                     data = module.run(settings)
-            runs = PROFILER.total_sim_runs - runs_before
+            runs = telemetry.LEDGER.total_rows() - runs_before
             seconds = PROFILER.phases[name]
             driver_stats[name] = {
                 "seconds": round(seconds, 3),
@@ -214,7 +211,8 @@ def main(argv=None) -> int:
 
         # Pooled jobs' counter deltas were merged by run_jobs, so the
         # registry covers the whole evaluation.
-        profile = PROFILER.table(COUNTERS.snapshot())
+        ledger = telemetry.LEDGER
+        profile = PROFILER.table(COUNTERS.snapshot(), ledger.records)
         dispatch = fast_dispatch.dispatch_stats()
         sect = sections.cache_stats()
         disk = artifact_cache.stats()
@@ -222,7 +220,6 @@ def main(argv=None) -> int:
         if serve_client is not None:
             print(f"[{serve_client.summary_line()}]")
 
-        ledger = telemetry.LEDGER
         engines = ledger.engine_counts()
         mix = ", ".join(f"{n} {e}" for e, n in sorted(engines.items()))
         total_rows = ledger.total_rows()
@@ -279,8 +276,7 @@ def main(argv=None) -> int:
             with open(_PROFILE_PATH, "w", encoding="utf-8") as fh:
                 fh.write(profile + "\n")
             print(f"[profile written to {_PROFILE_PATH}]")
-            sim_runs = PROFILER.total_sim_runs
-            sim_seconds = PROFILER.total_sim_seconds
+            sim_seconds = sum(rec.wall_s for rec in ledger.records)
             _append_bench_entry(_BENCH_PATH, {
                 "timestamp": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"
@@ -290,10 +286,10 @@ def main(argv=None) -> int:
                 "server": bool(args.server),
                 "cpus": os.cpu_count(),
                 "wall_clock_s": round(wall_clock, 3),
-                "sim_runs": sim_runs,
+                "sim_runs": total_rows,
                 "sim_seconds": round(sim_seconds, 3),
-                "ms_per_run": round(1000.0 * sim_seconds / sim_runs, 3)
-                if sim_runs else None,
+                "ms_per_run": round(1000.0 * sim_seconds / total_rows, 3)
+                if total_rows else None,
                 "disk_cache": {
                     "enabled": artifact_cache.store() is not None,
                     "hits": disk["hits"],

@@ -40,7 +40,6 @@ from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.metrics import COUNTERS
-from repro.obs.profile import PROFILER
 from repro.obs.tracing import TRACER
 from repro.power.schedules import RuntPower
 from repro.runtime.costs import DEFAULT_COST_MODEL, CostModel
@@ -106,6 +105,8 @@ class SimJob:
             marking) instead of whole-program marking.
         perf_watchdog: Performance Watchdog load (0 off, int, or "auto").
         progress_watchdog: Progress Watchdog load (0 off, int, or "auto").
+            On (``"auto"``) by default: every Clank deployment has it, and
+            Table 1's code-size column counts both watchdog timers.
         progress_watchdog_adaptive: The paper's halving behavior.
         volatile_segments: Memory-map segment names treated as volatile
             (mixed-volatility mode); workers resolve them to word ranges.
@@ -192,9 +193,9 @@ def result_key(job: SimJob, settings: EvalSettings) -> Tuple[str, str]:
     affecting job field, the cost model, and the schedule-determining
     settings fields (seed, mean on-time, clock).  Identical requests from
     any number of clients are identical keys, so N users' sweeps cost one
-    simulation.  Fields that *cannot* affect the result (``profile``,
-    worker counts, ledger state) are deliberately excluded; ``verify`` is
-    excluded too because verified runs never consult this cache at all.
+    simulation.  Fields that *cannot* affect the result (worker counts,
+    ledger state) are deliberately excluded; ``verify`` is excluded too
+    because verified runs never consult this cache at all.
     """
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     kind = "batch-result" if job.n_seeds > 1 else "result"
@@ -238,7 +239,7 @@ _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 _FAMILY_CHUNK = 32
 
 #: Slack added to the auto-sized SectionMap LRU capacity (maps built
-#: outside any plan: tests, ad-hoc run_clank calls).
+#: outside any plan: tests, ad-hoc simulate_fast calls).
 _FAMILY_LRU_SLACK = 256
 
 
@@ -461,9 +462,10 @@ def execute_job(
     With the shared :data:`repro.obs.telemetry.LEDGER` enabled, one
     provenance record per job is appended: which engine produced the
     result (including ``disk-cached-result`` for cache hits), the typed
-    fallback reason, the chain-scan kernel, and the result-cache tier
-    outcome.  Recording happens strictly after dispatch, so telemetry
-    cannot change which engine runs.
+    fallback reason, the chain-scan kernel, the result-cache tier
+    outcome, and the run's wall time (a job's records sum to the
+    seconds returned; 0 for a cache hit).  Recording happens strictly
+    after dispatch, so telemetry cannot change which engine runs.
 
     Seed-repeat jobs (``n_seeds > 1``) return a
     :class:`~repro.sim.batch.BatchResult` instead — see
@@ -569,8 +571,12 @@ def _execute_batch(
     Telemetry folds the whole batch into one ``engine="batch"`` record
     carrying ``rows=<walked rows>``; rows served scalar get their own
     records, so the ledger's row-weighted totals still reconcile
-    run-for-run.  Whole ``BatchResult``s participate in the persistent
-    result cache under their own key namespace.
+    run-for-run.  Each rerun row's record carries that row's seconds;
+    the rest of the job's time (map build, schedule draws, the row walk)
+    goes to the batch record, or to the first rerun row when the walk
+    served none, so the job's records sum to the seconds returned.
+    Whole ``BatchResult``s participate in the persistent result cache
+    under their own key namespace.
     """
     kwargs = _clank_kwargs(job, trace, config, settings)
     schedules = settings.schedule(job.salt).batch(
@@ -585,23 +591,28 @@ def _execute_batch(
     if rkey is not None:
         artifact_cache.store().put("result", rkey, batch.to_dict())
 
+    reruns = [r for r, engine in enumerate(batch.engines)
+              if engine != "batch"]
+    rest = elapsed - sum(batch.seconds[r] for r in reruns)
     batch_rows = batch.batch_rows
     if batch_rows:
         _ledger_record(job, config, telemetry.ENGINE_BATCH,
                        result_cache=result_cache, rows=batch_rows,
-                       wall_s=elapsed, t_start=t_start, kernel="c")
-    for r, engine in enumerate(batch.engines):
-        if engine == "batch":
-            continue
+                       wall_s=rest, t_start=t_start, kernel="c")
+        rest = 0.0
+    for r in reruns:
+        engine = batch.engines[r]
         _ledger_record(
             job, config, engine,
             reason=batch.reasons[r],
             result_cache=result_cache,
             salt=job.salt + r * job.seed_stride,
             stalled=engine == "stalled",
+            wall_s=batch.seconds[r] + rest,
             t_start=t_start,
-            kernel=batch.kernels[r] if batch.kernels else None,
+            kernel=batch.kernels[r],
         )
+        rest = 0.0
     return batch, elapsed
 
 
@@ -617,7 +628,8 @@ def job_payload(job: SimJob, settings: EvalSettings,
 
     ``result`` is the result's ``to_dict`` form (``batch`` says which
     kind), ``records`` the ledger records the job appended (moved out
-    of this process's ledger), ``counters`` the job's
+    of this process's ledger; they carry its rows and wall time),
+    ``counters`` the job's
     :data:`~repro.obs.metrics.COUNTERS` delta — dispatch, batch rows,
     section maps, family scans, trace and disk cache — and ``arch`` the
     architecture-collector folds.  ``span`` (if given) is closed and
@@ -635,7 +647,7 @@ def job_payload(job: SimJob, settings: EvalSettings,
     if ARCH_COLLECTOR.enabled:
         ARCH_COLLECTOR.capture = arch
     try:
-        result, sim_seconds = execute_job(job, settings)
+        result, _ = execute_job(job, settings)
     finally:
         ARCH_COLLECTOR.capture = None
         if span is not None:
@@ -655,8 +667,6 @@ def job_payload(job: SimJob, settings: EvalSettings,
         "result": raw,
         "batch": is_batch,
         "records": records,
-        "sim_seconds": sim_seconds,
-        "rows": max(1, job.n_seeds),
         "counters": COUNTERS.delta(before),
         "arch": arch,
         "spans": [span] if span is not None else [],
@@ -672,18 +682,14 @@ def decode_result(payload: dict) -> Union[SimulationResult, BatchResult,
     return None if raw is None else SimulationResult.from_dict(raw)
 
 
-def fold_payload(payload: dict, job: SimJob, settings: EvalSettings,
-                 ambient: Optional[tuple] = None):
+def fold_payload(payload: dict, ambient: Optional[tuple] = None):
     """Merge one :func:`job_payload` into this process; returns its result.
 
     Called in strict submission order — the determinism contract:
-    profiler float sums, ledger indices, and counters fold in the same
-    order a serial run would produce them.  Worker spans ship rootless
-    and hang under ``ambient``, the span active at dispatch.
+    ledger indices and counters fold in the same order a serial run
+    would produce them.  Worker spans ship rootless and hang under
+    ``ambient``, the span active at dispatch.
     """
-    if settings.profile:
-        PROFILER.record_sim(job.workload, payload["sim_seconds"],
-                            runs=payload["rows"])
     COUNTERS.merge(payload["counters"])
     for rec in payload["records"]:
         telemetry.LEDGER.record(telemetry.RunRecord.from_dict(rec))
@@ -789,13 +795,13 @@ def run_jobs(
     the payloads are merged back in submission order, so the returned list
     is bit-identical either way.
 
-    Each worker job comes back as one :func:`job_payload` — simulator
-    time, :data:`~repro.obs.telemetry.LEDGER` records and a
-    :data:`~repro.obs.metrics.COUNTERS` delta — folded here in
-    **submission order** (:func:`fold_payload`), so the parent's
-    profile, ledger and counters are deterministic and identical (modulo
-    wall-time fields, and trace-cache counts: each worker builds its own
-    traces) at any worker count.
+    Each worker job comes back as one :func:`job_payload` —
+    :data:`~repro.obs.telemetry.LEDGER` records (each run's one timer)
+    and a :data:`~repro.obs.metrics.COUNTERS` delta — folded here in
+    **submission order** (:func:`fold_payload`), so the parent's ledger
+    and counters are deterministic and identical (modulo wall-time
+    fields, and trace-cache counts: each worker builds its own traces)
+    at any worker count.
     """
     if SERVED_EXECUTOR is not None and not settings.verify:
         return SERVED_EXECUTOR.run_jobs(jobs, settings)
@@ -806,11 +812,7 @@ def run_jobs(
         for job in jobs:
             with TRACER.span(f"job {job.workload}", workload=job.workload,
                              config=job.config):
-                result, sim_seconds = execute_job(job, settings)
-            if settings.profile:
-                PROFILER.record_sim(
-                    job.workload, sim_seconds, runs=max(1, job.n_seeds)
-                )
+                result, _ = execute_job(job, settings)
             results.append(result)
         return results
 
@@ -855,7 +857,7 @@ def run_jobs(
             while len(results) in pending:
                 i = len(results)
                 results.append(
-                    fold_payload(pending.pop(i), jobs[i], settings, ambient)
+                    fold_payload(pending.pop(i), ambient)
                 )
     finally:
         pool.close()

@@ -22,10 +22,9 @@ class EvalSettings:
         verify: Run the dynamic verifier inside each simulation.  The
             paper verifies every trial; the sweeps disable it for speed
             after the verification suite has covered the same configs.
-        profile: Account per-workload simulator wall-clock into the shared
-            :data:`repro.obs.profile.PROFILER` (two ``perf_counter`` calls
-            per simulator run; disable for micro-benchmarks that time the
-            runner itself).
+
+    Simulator wall-clock is not a setting: every run is timed once, into
+    its :class:`repro.obs.telemetry.RunRecord` when the run ledger is on.
     """
 
     size: str = "default"
@@ -34,7 +33,6 @@ class EvalSettings:
     avg_on_ms: float = DEFAULT_AVG_ON_MS
     clock_hz: int = DEFAULT_CLOCK_HZ
     verify: bool = False
-    profile: bool = True
 
     @property
     def avg_on_cycles(self) -> int:

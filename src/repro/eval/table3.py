@@ -16,8 +16,7 @@ from repro.baselines.models import (
     MementosBaseline,
     RatchetBaseline,
 )
-from repro.core.config import ClankConfig
-from repro.eval.runner import run_clank
+from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import DEFAULT_SETTINGS, EvalSettings
 from repro.hw.cost_model import hardware_overhead
 from repro.workloads.cache import get_trace
@@ -74,11 +73,12 @@ def run(settings: EvalSettings = DEFAULT_SETTINGS) -> List[Table3Row]:
                 PAPER_TABLE3[baseline.name],
             )
         )
-    config = ClankConfig.from_tuple((16, 8, 4, 4))
-    clank = run_clank(
-        trace, config, settings, salt=7, use_compiler=True, perf_watchdog="auto"
+    job = SimJob(
+        workload="fft", config=(16, 8, 4, 4), size=settings.size, salt=7,
+        use_compiler=True, perf_watchdog="auto",
     )
-    hw = hardware_overhead(config, watchdogs=True).power_fraction
+    [clank] = run_jobs([job], settings, n_workers=1)
+    hw = hardware_overhead(job.clank_config(), watchdogs=True).power_fraction
     rows.append(
         Table3Row(
             "clank",

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.baselines.models import DinoBaseline
-from repro.core.config import ClankConfig
-from repro.eval.runner import run_clank
+from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import DEFAULT_SETTINGS, EvalSettings
 from repro.workloads.cache import get_trace
 
@@ -60,7 +59,6 @@ class Table4Row:
 def run(settings: EvalSettings = DEFAULT_SETTINGS) -> List[Table4Row]:
     """Measure all Table 4 rows on the DS benchmark."""
     trace = get_trace("ds", size=settings.size)
-    volatile = (trace.memory_map.word_range("stack"),)
     rows: List[Table4Row] = []
 
     dino = DinoBaseline().run(trace, settings.schedule(salt=4))
@@ -71,27 +69,31 @@ def run(settings: EvalSettings = DEFAULT_SETTINGS) -> List[Table4Row]:
             PAPER_TABLE4[("dino", "mixed", "-")],
         )
     )
-    for composition, vol_ranges in (("mixed", volatile), ("wholly-nv", None)):
-        for budget, spec in BUDGET_CONFIGS:
-            config = ClankConfig.from_tuple(spec)
-            # The Performance Watchdog is on, as in every headline Clank
-            # result: without it the near-checkpoint-free compositions
-            # invert into re-execution-dominated overhead (Section 7.4).
-            result = run_clank(
-                trace, config, settings, salt=4,
-                volatile_ranges=vol_ranges, perf_watchdog="auto",
+    # The Performance Watchdog is on, as in every headline Clank result:
+    # without it the near-checkpoint-free compositions invert into
+    # re-execution-dominated overhead (Section 7.4).
+    cells = [
+        (composition, budget, SimJob(
+            workload="ds", config=spec, size=settings.size, salt=4,
+            perf_watchdog="auto", volatile_segments=volatile,
+        ))
+        for composition, volatile in (("mixed", ("stack",)),
+                                      ("wholly-nv", ()))
+        for budget, spec in BUDGET_CONFIGS
+    ]
+    results = run_jobs([job for _, _, job in cells], settings, n_workers=1)
+    for (composition, budget, job), result in zip(cells, results):
+        reexec_dom = (
+            result.reexec_overhead + result.restart_overhead
+            > result.checkpoint_overhead
+        )
+        rows.append(
+            Table4Row(
+                "clank", composition, budget, job.clank_config().buffer_bits,
+                100 * result.run_time_overhead, reexec_dom,
+                PAPER_TABLE4.get(("clank", composition, budget)),
             )
-            reexec_dom = (
-                result.reexec_overhead + result.restart_overhead
-                > result.checkpoint_overhead
-            )
-            rows.append(
-                Table4Row(
-                    "clank", composition, budget, config.buffer_bits,
-                    100 * result.run_time_overhead, reexec_dom,
-                    PAPER_TABLE4.get(("clank", composition, budget)),
-                )
-            )
+        )
     return rows
 
 

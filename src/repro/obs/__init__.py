@@ -16,7 +16,8 @@ box in between: this package opens it up without slowing it down.
   ledger) as a Chrome trace-event (``chrome://tracing`` / Perfetto)
   timeline.
 * :mod:`repro.obs.profile` — wall-clock profiling of the experiment drivers
-  (per-driver phases, per-workload simulator time, trace-cache hit rates).
+  (per-driver phases; per-workload simulator time summed from the run
+  ledger; trace-cache hit rates).
 * :mod:`repro.obs.telemetry` — per-run provenance records (engine,
   fallback reason, kernel, cache tier, wall time) collected into the
   shared :data:`~repro.obs.telemetry.LEDGER` and written as the

@@ -2,40 +2,37 @@
 
 The sweep drivers (Figures 5-8, Tables 1-4) replay cached traces through
 thousands of simulator runs; making them "as fast as the hardware allows"
-starts with knowing where the time goes.  A :class:`Profiler` accumulates
+starts with knowing where the time goes.  A :class:`Profiler` times
+*phases* — wall-clock per experiment driver (``with
+PROFILER.phase("fig5")``) — and :meth:`Profiler.table` renders them with
 
-* *phases* — wall-clock per experiment driver (``with PROFILER.phase("fig5")``),
-* *simulator time* — per-workload time inside ``IntermittentSimulator.run()``
-  (recorded by :func:`repro.eval.runner.run_clank`),
+* *simulator time by workload* — Σ ``wall_s`` and Σ ``rows`` of the run
+  ledger's records (:data:`repro.obs.telemetry.LEDGER`), the one per-run
+  timer, and
+* the sweep counters of :data:`repro.obs.metrics.COUNTERS` (dispatch
+  mix, trace, section-map and disk caches, family scans),
 
-and renders both, plus the sweep counters of
-:data:`repro.obs.metrics.COUNTERS` (dispatch mix, trace, section-map and
-disk caches, family scans), as an aligned text table
-(``results/profile.txt``).
+as an aligned text table (``results/profile.txt``).
 """
 
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import by_prefix
 
 
 class Profiler:
-    """Accumulates named wall-clock phases and per-workload simulator time."""
+    """Accumulates named wall-clock phases (one per experiment driver)."""
 
     def __init__(self) -> None:
         self.phases: Dict[str, float] = {}
         self.phase_calls: Dict[str, int] = {}
-        self.sim_seconds: Dict[str, float] = {}
-        self.sim_runs: Dict[str, int] = {}
 
     def reset(self) -> None:
         """Drop all accumulated data (tests and fresh CLI runs)."""
         self.phases.clear()
         self.phase_calls.clear()
-        self.sim_seconds.clear()
-        self.sim_runs.clear()
 
     @contextmanager
     def phase(self, name: str):
@@ -48,28 +45,17 @@ class Profiler:
             self.phases[name] = self.phases.get(name, 0.0) + elapsed
             self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
 
-    def record_sim(self, workload: str, seconds: float, runs: int = 1) -> None:
-        """Account ``runs`` simulator runs of ``workload`` (a batched
-        seed-repeat job reports all its rows in one call)."""
-        self.sim_seconds[workload] = self.sim_seconds.get(workload, 0.0) + seconds
-        self.sim_runs[workload] = self.sim_runs.get(workload, 0) + runs
-
-    @property
-    def total_sim_seconds(self) -> float:
-        return sum(self.sim_seconds.values())
-
-    @property
-    def total_sim_runs(self) -> int:
-        return sum(self.sim_runs.values())
-
     def table(self, counters: Optional[Dict[str, float]] = None,
-              top: int = 10) -> str:
+              records: Iterable = (), top: int = 10) -> str:
         """Aligned text profile: phases, top workloads, sweep counters.
 
         Args:
             counters: A :data:`repro.obs.metrics.COUNTERS` snapshot whose
                 dispatch, trace-cache, section-map, family-scan and disk
                 lines are rendered (none when omitted).
+            records: Run-ledger records (``LEDGER.records``) whose wall
+                times and rows make the per-workload simulator section
+                (none when empty).
             top: Number of slowest workloads to list.
         """
         lines = ["run profile"]
@@ -84,20 +70,26 @@ class Profiler:
                     f"{'s' if self.phase_calls[name] != 1 else ''})"
                 )
             lines.append(f"   {'total':<20s} {total:9.3f}s")
-        if self.sim_seconds:
+        sim: Dict[str, list] = {}
+        for rec in records:
+            acc = sim.setdefault(rec.workload, [0.0, 0])
+            acc[0] += rec.wall_s
+            acc[1] += rec.rows
+        if sim:
+            total_secs = sum(secs for secs, _ in sim.values())
+            total_runs = sum(runs for _, runs in sim.values())
             lines.append(
                 f"-- simulator time by workload "
-                f"({self.total_sim_runs} runs, {self.total_sim_seconds:.3f}s total)"
+                f"({total_runs} runs, {total_secs:.3f}s total)"
             )
-            ranked = sorted(self.sim_seconds.items(), key=lambda kv: -kv[1])
-            for name, secs in ranked[:top]:
-                runs = self.sim_runs[name]
+            ranked = sorted(sim.items(), key=lambda kv: -kv[1][0])
+            for name, (secs, runs) in ranked[:top]:
                 lines.append(
                     f"   {name:<20s} {secs:9.3f}s  {runs:6d} runs  "
                     f"{1000.0 * secs / runs:8.2f} ms/run"
                 )
             if len(ranked) > top:
-                rest = sum(secs for _, secs in ranked[top:])
+                rest = sum(secs for _, (secs, _) in ranked[top:])
                 lines.append(
                     f"   ({len(ranked) - top} more workloads, {rest:.3f}s)"
                 )

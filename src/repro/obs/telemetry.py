@@ -16,13 +16,14 @@ changing which engine runs or how fast it runs.
 * :class:`RunRecord` — one run's provenance: workload, configuration key,
   engine (``fast`` / ``reference`` / ``disk-cached-result`` / ``undo`` /
   ``stalled``), fallback reason, section walker, result-cache tier
-  outcome, and wall time.  :meth:`RunRecord.stable_dict` drops the
+  outcome, and wall time — the one per-run timer (the run profile's
+  simulator section sums it).  :meth:`RunRecord.stable_dict` drops the
   wall-time fields (``wall_s``, ``t_start``, ``worker``) so ledgers can be
   compared across worker counts.
 * :class:`RunLedger` — the per-process collector.  The eval CLI enables
-  the shared :data:`LEDGER`; :func:`repro.eval.runner.run_clank` and
-  :func:`repro.eval.parallel.execute_job` append to it, and
-  :func:`repro.eval.parallel.run_jobs` merges fork-pool workers' records
+  the shared :data:`LEDGER`; :func:`repro.eval.parallel.execute_job`
+  and the sweep-server client (:mod:`repro.serve.client`) append to it,
+  and :func:`repro.eval.parallel.run_jobs` merges fork-pool workers' records
   back in **submission order**, so a sweep's ledger is deterministic at
   any worker count (modulo the wall-time fields).
 * :func:`read_ledger` — load a ledger JSONL file back into a
@@ -30,7 +31,8 @@ changing which engine runs or how fast it runs.
 
 Recording is opt-in (``LEDGER.enabled`` defaults to False) and costs one
 small object append per *run*; the CI guard
-(``benchmarks/null_recorder_guard.py``) holds the overhead under 2%.
+(``benchmarks/null_recorder_guard.py``) checks that cost against a 2%
+budget over a warm ``execute_job`` sweep.
 """
 
 import json

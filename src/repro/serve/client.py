@@ -2,7 +2,7 @@
 
 :class:`ServeClient` implements the same contract as
 :func:`repro.eval.parallel.run_jobs` — jobs in, results in submission
-order out, profiler and ledger fed — but resolves every job against a
+order out, ledger fed — but resolves every job against a
 :class:`~repro.serve.server.SweepServer` instead of a local pool.
 :func:`install` plants it as ``parallel.SERVED_EXECUTOR``, so every
 driver (``fig5``, ``fig8``, sweeps…) transparently becomes a thin
@@ -18,6 +18,8 @@ the client's run ledger whose ``result_cache`` field carries the
 server-side dedupe tier (``memory`` / ``coalesced`` / ``disk`` /
 ``remote`` / ``computed``), so a served sweep's ledger still reconciles
 row-for-row and shows exactly how much simulation actually happened.
+Its ``rows`` and ``wall_s`` sum the server-side records the event
+carries; ``wall_s`` is 0 unless this request computed the job.
 
 Verified runs are never served: :func:`repro.eval.parallel.run_jobs`
 bypasses the client under ``settings.verify`` (and the server would
@@ -34,7 +36,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.eval.parallel import decode_result
 from repro.obs import telemetry
-from repro.obs.profile import PROFILER
 from repro.obs.slog import SLOG
 from repro.obs.tracing import TRACE_HEADER, TRACER, format_traceparent
 from repro.serve import jsonio
@@ -237,13 +238,11 @@ class ServeClient:
             tier = event.get("tier", "computed")
             if tier in self.tier_counts:
                 self.tier_counts[tier] += 1
-            rows = int(event.get("rows", 1))
-            if settings.profile:
-                PROFILER.record_sim(
-                    job.workload, float(event.get("sim_seconds", 0.0)),
-                    runs=rows,
-                )
             if ledger.enabled:
+                records = event["records"]
+                wall_s = 0.0
+                if tier == "computed":
+                    wall_s = sum(rec["wall_s"] for rec in records)
                 ledger.record(telemetry.RunRecord(
                     workload=job.workload,
                     config=job.clank_config().label(),
@@ -253,8 +252,8 @@ class ServeClient:
                     salt=job.salt,
                     driver=ledger.driver,
                     stalled=event["result"] is None and not event["batch"],
-                    rows=rows,
-                    wall_s=0.0,
+                    rows=sum(rec["rows"] for rec in records),
+                    wall_s=wall_s,
                     t_start=ledger.now(),
                     worker=os.getpid(),
                 ))

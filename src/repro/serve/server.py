@@ -413,8 +413,6 @@ class SweepServer:
         # Coalesced/memory replies reuse the original payload, whose
         # "tier" names where the *first* execution was served from.
         event["tier"] = tier
-        if tier != "computed":
-            event["sim_seconds"] = 0.0
         return event
 
     # -- stats --------------------------------------------------------- #

@@ -23,6 +23,7 @@ sequence).  A row is therefore either served by the row walker (provably
 identical) or by the very engines the scalar path would have used.
 """
 
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -77,6 +78,9 @@ class BatchResult:
         kernels: Which walker served each row — ``"c"``, ``"python"``,
             or ``None`` for the reference simulator and stalls.  Run
             provenance only: not part of :meth:`to_dict`.
+        seconds: Wall-clock seconds of each row's scalar rerun (0 for
+            rows the row walker served).  Provenance only, like
+            ``kernels``.
     """
 
     name: str
@@ -85,6 +89,7 @@ class BatchResult:
     engines: List[str] = field(default_factory=list)
     reasons: List[Optional[str]] = field(default_factory=list)
     kernels: List[Optional[str]] = field(default_factory=list)
+    seconds: List[float] = field(default_factory=list)
 
     @property
     def rows(self) -> int:
@@ -265,6 +270,7 @@ def simulate_batch(
         engines=["batch"] * N,
         reasons=[None] * N,
         kernels=["c"] * N,
+        seconds=[0.0] * N,
     )
     lib = cext.chain_scan_lib()
     if lib is None:
@@ -297,6 +303,7 @@ def simulate_batch(
 
     for r in needs_scalar:
         schedule = schedules.row_schedule(r)
+        start = time.perf_counter()
         try:
             batch.results[r] = simulate_fast(
                 trace, config, schedule, **kwargs
@@ -308,7 +315,10 @@ def simulate_batch(
             batch.engines[r] = "stalled"
             batch.reasons[r] = None
             batch.kernels[r] = None
-            continue
-        batch.engines[r], batch.reasons[r] = fast_dispatch.last_dispatch()
-        batch.kernels[r] = fast_dispatch.last_kernel()
+        else:
+            batch.engines[r], batch.reasons[r] = (
+                fast_dispatch.last_dispatch()
+            )
+            batch.kernels[r] = fast_dispatch.last_kernel()
+        batch.seconds[r] = time.perf_counter() - start
     return batch

@@ -844,7 +844,7 @@ _REASONS = {
 }
 
 #: (engine, fallback_reason, walker) of the most recent simulate_fast
-#: dispatch — the hook run_clank/execute_job read to stamp their
+#: dispatch — the hook execute_job and simulate_batch read to stamp
 #: RunRecords without simulate_fast having to know any sweep context.
 _LAST = ("fast", None, "python")
 

@@ -21,9 +21,10 @@ import pytest
 import repro
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
-from repro.eval.parallel import SimJob, run_jobs
+from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.runner import pi_words_for
 from repro.eval.settings import EvalSettings
+from repro.obs import telemetry
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.metrics import COUNTERS
 from repro.power.schedules import ExponentialPower
@@ -277,7 +278,7 @@ class TestSeedRepeatJobs:
         ]
 
     def test_rows_match_scalar_jobs(self):
-        settings = EvalSettings(size="small", verify=False, profile=False)
+        settings = EvalSettings(size="small", verify=False)
         batches = run_jobs(self._jobs(3), settings, None)
         for job, batch in zip(self._jobs(3), batches):
             assert isinstance(batch, BatchResult)
@@ -292,12 +293,54 @@ class TestSeedRepeatJobs:
             ]
 
     def test_parallel_matches_serial(self):
-        settings = EvalSettings(size="small", verify=False, profile=False)
+        settings = EvalSettings(size="small", verify=False)
         serial = run_jobs(self._jobs(4), settings, None)
         pooled = run_jobs(self._jobs(4), settings, 2)
         assert [b.to_dict() for b in serial] == [
             b.to_dict() for b in pooled
         ]
+
+    @pytest.mark.parametrize("route", ["kernel", "no_cext", "arch"])
+    def test_records_sum_to_job_seconds(self, monkeypatch, route):
+        # Whichever engine serves the rows (the C row walker, or every
+        # row rerun scalar without the kernel or under a live arch
+        # collector), the job's ledger records carry all of its rows
+        # and sum to the seconds execute_job returns.
+        job = SimJob(workload="crc", config=(8, 4, 2, 0), size="small",
+                     salt=5, n_seeds=16)
+        if route == "no_cext":
+            monkeypatch.setenv("REPRO_CEXT", "0")
+        cext.reset_for_tests()
+        if route == "arch":
+            ARCH_COLLECTOR.reset()
+            ARCH_COLLECTOR.enable()
+        telemetry.LEDGER.reset()
+        telemetry.LEDGER.enable()
+        try:
+            batch, seconds = execute_job(
+                job, EvalSettings(size="small", verify=False)
+            )
+            records = list(telemetry.LEDGER.records)
+        finally:
+            telemetry.LEDGER.disable()
+            telemetry.LEDGER.reset()
+            ARCH_COLLECTOR.disable()
+            ARCH_COLLECTOR.reset()
+            cext.reset_for_tests()
+        assert sum(rec.rows for rec in records) == 16
+        assert seconds > 0.0
+        assert all(rec.wall_s >= 0.0 for rec in records)
+        assert sum(rec.wall_s for rec in records) == pytest.approx(
+            seconds, rel=1e-9, abs=1e-12
+        )
+        if batch.batch_rows:
+            assert route == "kernel"
+            assert records[0].engine == "batch"
+        else:
+            # Every row reran scalar: one timed record per row.
+            assert route != "kernel" or cext.chain_scan_lib() is None
+            assert len(records) == 16
+            assert all(rec.wall_s > 0.0 for rec in records)
 
     def test_rows_batched_without_numpy(self):
         # NumPy is not a dependency: with it blocked, a seed-repeat job
@@ -318,8 +361,7 @@ class TestSeedRepeatJobs:
             job = SimJob(workload="crc", config=(8, 4, 2, 0), size="small",
                          salt=5, n_seeds=8)
             [batch] = run_jobs(
-                [job], EvalSettings(size="small", verify=False,
-                                    profile=False), 1)
+                [job], EvalSettings(size="small", verify=False), 1)
             records = [(r.engine, r.rows) for r in telemetry.LEDGER.records]
             assert batch.engines == ["batch"] * 8, batch.reasons
             assert records == [("batch", 8)], records

@@ -201,8 +201,7 @@ class TestParallelDeterminism:
         ]
 
     def sweep(self, n_workers):
-        settings = EvalSettings(size="small", sweep_size="tiny", seed=2,
-                                profile=False)
+        settings = EvalSettings(size="small", sweep_size="tiny", seed=2)
         COLLECTOR.reset()
         COLLECTOR.enable()
         try:
@@ -227,8 +226,7 @@ class TestParallelDeterminism:
         assert summary["totals"]["causes"] == dict(sorted(expected.items()))
 
     def test_undo_engine_folds_cause_totals(self):
-        settings = EvalSettings(size="small", sweep_size="tiny", seed=2,
-                                profile=False)
+        settings = EvalSettings(size="small", sweep_size="tiny", seed=2)
         job = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
                      engine="undo", log_entries=8)
         COLLECTOR.reset()
@@ -251,8 +249,7 @@ class TestParallelDeterminism:
         artifact_cache.reset_for_tests()
         clear_cache()
         try:
-            settings = EvalSettings(size="small", sweep_size="tiny", seed=2,
-                                    profile=False)
+            settings = EvalSettings(size="small", sweep_size="tiny", seed=2)
             job = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny")
             cold, _ = execute_job(job, settings)
             artifact_cache.persist_caches()

@@ -32,7 +32,7 @@ from repro.obs.tracing import (
 from repro.serve import ServeClient, start_in_background, uninstall
 from repro.sim import sections
 
-SETTINGS = EvalSettings(size="tiny", verify=False, profile=False)
+SETTINGS = EvalSettings(size="tiny", verify=False)
 
 
 @pytest.fixture(autouse=True)

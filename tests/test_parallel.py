@@ -1,7 +1,5 @@
 """Parallel sweep engine: determinism, serial fallback, payload merge."""
 
-import dataclasses
-
 import pytest
 
 import repro.cache as artifact_cache
@@ -11,7 +9,7 @@ from repro.eval import parallel
 from repro.eval.parallel import SimJob, execute_job, resolve_workers, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.metrics import COUNTERS
-from repro.obs.profile import PROFILER
+from repro.obs.telemetry import LEDGER
 from repro.sim import sections
 from repro.workloads import cache as trace_cache
 
@@ -133,36 +131,66 @@ class TestSerialFallback:
         assert from_engine.to_dict() == direct.to_dict()
 
 
+def _ledger_runs(jobs, settings, n_workers):
+    """The ledger records one ``run_jobs`` call appends, as
+    ``{workload: [Σ rows, Σ wall_s]}``."""
+    LEDGER.reset()
+    LEDGER.enable()
+    try:
+        run_jobs(jobs, settings, n_workers=n_workers)
+        by_workload = {}
+        for rec in LEDGER.records:
+            acc = by_workload.setdefault(rec.workload, [0, 0.0])
+            acc[0] += rec.rows
+            acc[1] += rec.wall_s
+        return by_workload
+    finally:
+        LEDGER.disable()
+        LEDGER.reset()
+
+
 class TestProfilerMerge:
     def test_parallel_run_merges_sim_time_and_worker_cache(self):
-        PROFILER.reset()
         COUNTERS.reset()
         jobs = [
             SimJob(workload="crc", config=(1, 0, 0, 0), size="tiny", salt=s)
             for s in range(4)
         ]
-        run_jobs(jobs, QUICK, n_workers=2)
-        try:
-            assert PROFILER.sim_runs.get("crc") == len(jobs)
-            assert PROFILER.sim_seconds["crc"] > 0.0
-            # Every job resolved its trace through a worker's cache.
-            traces = trace_cache.cache_stats()
-            assert traces["hits"] + traces["misses"] == len(jobs)
-        finally:
-            PROFILER.reset()
+        runs = _ledger_runs(jobs, QUICK, 2)
+        assert runs["crc"][0] == len(jobs)
+        assert runs["crc"][1] > 0.0
+        # Every job resolved its trace through a worker's cache.
+        traces = trace_cache.cache_stats()
+        assert traces["hits"] + traces["misses"] == len(jobs)
 
-    def test_profile_off_skips_sim_accounting(self):
-        PROFILER.reset()
+    def test_ledger_off_skips_sim_accounting(self):
         jobs = [
             SimJob(workload="crc", config=(1, 0, 0, 0), size="tiny", salt=s)
             for s in range(2)
         ]
-        try:
-            run_jobs(jobs, dataclasses.replace(QUICK, profile=False),
-                     n_workers=1)
-            assert PROFILER.total_sim_runs == 0
-        finally:
-            PROFILER.reset()
+        LEDGER.disable()
+        LEDGER.reset()
+        for n_workers in (1, 2):
+            run_jobs(jobs, QUICK, n_workers=n_workers)
+            assert LEDGER.records == []
+
+    def test_run_counts_equal_pooled_and_serial(self):
+        jobs = grid_jobs()[:8] + [
+            SimJob(workload="qsort", config=(8, 4, 2, 0), size="tiny",
+                   salt=5, n_seeds=3),
+            SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                   volatile_segments=("stack",)),
+        ]
+        serial = _ledger_runs(jobs, QUICK, 1)
+        pooled = _ledger_runs(jobs, QUICK, 2)
+        expected = {}
+        for job in jobs:
+            expected[job.workload] = expected.get(job.workload, 0) + \
+                max(1, job.n_seeds)
+        assert {w: acc[0] for w, acc in serial.items()} == expected
+        assert {w: acc[0] for w, acc in pooled.items()} == expected
+        assert all(acc[1] > 0.0 for acc in serial.values())
+        assert all(acc[1] > 0.0 for acc in pooled.values())
 
     def test_counters_equal_pooled_and_serial(self, monkeypatch, tmp_path):
         # Every pooled job's counter delta folds into the parent, so the

@@ -37,7 +37,7 @@ from repro.serve.jsonio import (
 from repro.sim import sections
 from repro.workloads.cache import clear_trace_cache
 
-SETTINGS = EvalSettings(size="tiny", verify=False, profile=False)
+SETTINGS = EvalSettings(size="tiny", verify=False)
 
 #: A small grid with real variety: two workloads, two configs, a
 #: duplicate salt, a compiler job, and a batched seed-repeat job.
@@ -138,7 +138,7 @@ class TestServedByteIdentity:
         settings.verify, so verification executes in this process."""
         client = ServeClient(server.url)
         install(client)
-        verify = EvalSettings(size="tiny", verify=True, profile=False)
+        verify = EvalSettings(size="tiny", verify=True)
         results = run_jobs(GRID[:1], verify, 1)
         assert results[0] is not None and results[0].verified
         assert client.jobs_served == 0
@@ -147,7 +147,7 @@ class TestServedByteIdentity:
         """The server-side guard: a verify batch is rejected with a 400
         even from a client that skipped the local guard."""
         client = ServeClient(server.url)
-        verify = EvalSettings(size="tiny", verify=True, profile=False)
+        verify = EvalSettings(size="tiny", verify=True)
         with pytest.raises(ServeError, match="rejected batch \\(400\\)"):
             client._stream_batch(
                 {
@@ -319,6 +319,10 @@ class TestLedgerReconciliation:
         assert all(r.result_cache in ("computed", "coalesced", "memory")
                    for r in first)
         assert {r.result_cache for r in second} == {"memory"}
+        # Only a job this request computed carries simulator time.
+        assert all((r.wall_s > 0.0) == (r.result_cache == "computed")
+                   for r in records)
+        assert any(r.result_cache == "computed" for r in first)
         # The deterministic projection pairs up exactly, tier aside.
         for a, b in zip(first, second):
             da, db = a.stable_dict(), b.stable_dict()

@@ -13,11 +13,14 @@ The contract under test (see :mod:`repro.obs.telemetry`):
 """
 
 import dataclasses
+import importlib
 import json
+import re
 
 import pytest
 
 import repro.cache as artifact_cache
+from repro.core import cext
 from repro.core.config import ClankConfig
 from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
@@ -313,3 +316,55 @@ class TestCliLedger:
         monkeypatch.chdir(tmp_path)
         assert main(["table3", "--quick"]) == 0
         assert not (tmp_path / "results").exists()
+
+    def test_profile_runs_equal_ledger_rows(self, tmp_path, capsys):
+        """The profile's simulator section is summed from the ledger, so
+        its run count is the ledger's row count."""
+        from repro.eval.__main__ import main
+
+        path = str(tmp_path / "ledger.jsonl")
+        assert main(["table4", "--quick", "--ledger", path]) == 0
+        out = capsys.readouterr().out
+        runs = re.search(r"simulator time by workload \((\d+) runs", out)
+        loaded = telemetry.read_ledger(path)
+        assert runs is not None
+        assert int(runs.group(1)) == loaded.footer["rows"] == 6
+
+
+#: The Clank cells of Tables 3 and 4 at ``--quick`` settings, one ledger
+#: record each, in row order: (workload, config, engine, fallback
+#: reason, salt).  Table 4's mixed-volatility rows fall back to the
+#: reference simulator; every other cell takes the fast path.
+TABLE_CELLS = {
+    "table3": [("fft", "16,8,4,4", "fast", None, 7)],
+    "table4": [
+        ("ds", "1,0,0,0", "reference", "volatile_ranges", 4),
+        ("ds", "1,0,1,1", "reference", "volatile_ranges", 4),
+        ("ds", "16,4,4,2", "reference", "volatile_ranges", 4),
+        ("ds", "1,0,0,0", "fast", None, 4),
+        ("ds", "1,0,1,1", "fast", None, 4),
+        ("ds", "16,4,4,2", "fast", None, 4),
+    ],
+}
+
+
+class TestTableDriverLedgers:
+    @pytest.mark.parametrize("name", sorted(TABLE_CELLS))
+    def test_clank_cells_recorded_in_order(self, name):
+        module = importlib.import_module(f"repro.eval.{name}")
+        LEDGER.enable()
+        with LEDGER.driver_phase(name):
+            module.run(EvalSettings().quick())
+        kernel = "c" if cext.chain_scan_lib() is not None else "python"
+        assert LEDGER.stable_records() == [
+            {
+                "workload": workload, "config": config, "engine": engine,
+                "fallback_reason": reason,
+                "kernel": kernel if engine == "fast" else None,
+                "result_cache": "off", "size": "small", "salt": salt,
+                "driver": name, "stalled": False, "rows": 1, "index": i,
+            }
+            for i, (workload, config, engine, reason, salt)
+            in enumerate(TABLE_CELLS[name])
+        ]
+        assert all(rec.wall_s > 0.0 for rec in LEDGER.records)
