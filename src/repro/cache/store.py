@@ -209,6 +209,15 @@ class CacheStore:
             pass
         return obj
 
+    def touch(self, kind: str, key: str) -> bool:
+        """Freshen a local entry's recency, as a get does; False when it
+        is not stored (or cannot be touched)."""
+        try:
+            os.utime(self._path(kind, key))
+        except OSError:
+            return False
+        return True
+
     def _remote_get(self, kind: str, key: str) -> Optional[Any]:
         """Read-through fetch from the remote tier; ``None`` on any miss
         or failure (the caller accounts the overall miss)."""

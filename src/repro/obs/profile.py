@@ -126,6 +126,7 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
     hits, misses = get("sections.hits", 0), get("sections.misses", 0)
     evictions = get("sections.evictions", 0)
     rebuilds = get("sections.rebuilds", 0)
+    table_bytes = get("sections.table_bytes", 0)
     if hits or misses:
         rate = hits / (hits + misses)
         warm_disk = min(get("sections.disk_loads", 0), misses)
@@ -135,6 +136,10 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
             f"{warm_disk} warm from disk, {misses - warm_disk} cold"
             + (f"; {evictions} evictions" if evictions else "")
             + (f", {rebuilds} rebuilds" if rebuilds else "")
+            + (
+                f"; {get('sections.tables_shared', 0)} tables shared, "
+                f"{table_bytes / 1e6:.1f} MB distinct" if table_bytes else ""
+            )
         )
         if misses and rebuilds > 0.1 * misses:
             # Rebuilds are misses whose key was evicted earlier: the

@@ -52,6 +52,7 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
   to the reference simulator.  See :mod:`repro.sim.fast`.
 """
 
+import hashlib
 import os
 from array import array
 from bisect import bisect_left
@@ -114,15 +115,16 @@ class SectionMap:
     itself is cached per key by :func:`get_section_map`, so every schedule
     swept over the same structure reuses the same enumerations.
 
-    A map holds only what is its own: the flat canonical-chain tables,
-    the off-chain overlay and C walk table once a C walk needs them
-    (:mod:`repro.sim.fast`), and memo dicts.  Whatever depends only on
-    the trace (scan buffers, cycle sums, the forced-checkpoint mask)
-    lives on the compiled trace, and whatever depends only on the
-    configuration (the kernels' capacity and flag ints) is derived
-    from it on demand; an :class:`IdempotencyDetector` is built only
-    for the pure-Python scans.  Nothing a map holds refers back to it,
-    so an evicted map is freed by reference counting.
+    A map holds only what is its own: the off-chain overlay and C walk
+    table once a C walk needs them (:mod:`repro.sim.fast`) and memo
+    dicts.  Its flat canonical-chain tables are shared by every map over
+    the trace with equal tables (:class:`_Tables`).  Whatever depends
+    only on the trace (scan buffers, cycle sums, the forced-checkpoint
+    mask, the shared tables) lives on the compiled trace, and whatever
+    depends only on the configuration (the kernels' capacity and flag
+    ints) is derived from it on demand; an :class:`IdempotencyDetector`
+    is built only for the pure-Python scans.  Nothing a map holds refers
+    back to it, so an evicted map is freed by reference counting.
     """
 
     __slots__ = (
@@ -177,11 +179,12 @@ class SectionMap:
         )
         #: Flat canonical-chain storage installed by a family scan (or a
         #: disk load of one): ``(keys, ends, cause_ids, steps_off,
-        #: steps)`` parallel arrays sorted by key.  The C section walk
-        #: reads them in place; ``section()`` serves them per key into
-        #: the dict memo, and ``_mat_n`` counts those flat-covered dict
-        #: entries so the dirty test sees only genuinely new
-        #: enumerations.
+        #: steps)`` parallel arrays sorted by key, read-only and shared
+        #: with every map over the trace that has equal tables
+        #: (:class:`_Tables`).  The C section walk reads them in place;
+        #: ``section()`` serves them per key into the dict memo, and
+        #: ``_mat_n`` counts those flat-covered dict entries so the dirty
+        #: test sees only genuinely new enumerations.
         self._flat = None
         self._mat_n = 0
         self._flat_persisted = False
@@ -216,19 +219,18 @@ class SectionMap:
                 self._sections.update(loaded)
                 self._loaded_n = len(self._sections)
             elif (
-                isinstance(loaded, tuple) and len(loaded) == 7
-                and loaded[0] == "flat1"
+                isinstance(loaded, tuple) and len(loaded) == 3
+                and loaded[0] == _FLAT_TAG
             ):
-                _DISK_LOADS.inc()
-                # The C kernels read these in place: pin the typecodes.
-                self._flat = tuple(
-                    a if isinstance(a, array) and a.typecode == tc
-                    else array(tc, a)
-                    for a, tc in zip(loaded[1:6], "qiBqi")
-                )
-                self._flat_persisted = True
-                self._sections.update(loaded[6])
-                self._loaded_n = len(self._sections)
+                # A record whose table artifact is gone (evicted) loads
+                # as a clean miss: the map enumerates afresh.
+                flat = _tables(ct).load(st, loaded[1])
+                if flat is not None:
+                    _DISK_LOADS.inc()
+                    self._flat = flat
+                    self._flat_persisted = True
+                    self._sections.update(loaded[2])
+                    self._loaded_n = len(self._sections)
 
     def section(self, start: int, variant: int) -> Section:
         """The memoized section beginning at ``start`` under ``variant``.
@@ -303,14 +305,19 @@ class SectionMap:
         if st is None:
             return
         if self._flat is not None:
-            # Flat canonical chain + the dict entries it does not cover
-            # (non-canonical chains from watchdog-cut starts).
+            # The flat canonical chain by content hash (its table is
+            # stored once, shared by every map with equal tables) + the
+            # dict entries it does not cover (non-canonical chains from
+            # watchdog-cut starts).
+            digest = _tables(self.ct).persist(st, self._flat)
+            if digest is None:
+                return
             extras = {
                 k: v for k, v in self._sections.items()
                 if not self._flat_has(k)
             }
-            payload = ("flat1",) + tuple(self._flat) + (extras,)
-            if st.put("sections", self._disk_key, payload):
+            record = (_FLAT_TAG, digest, extras)
+            if st.put("sections", self._disk_key, record):
                 self._loaded_n = len(extras)
                 self._mat_n = len(self._sections) - len(extras)
                 self._flat_persisted = True
@@ -650,6 +657,11 @@ _FAMILY_PASSES = COUNTERS.counter("sections.family_passes")
 _FAMILY_MAPS = COUNTERS.counter("sections.family_maps")
 _BY_TRACE_PREFIX = "sections.family_by_trace."
 
+#: Table sharing: maps that adopted a flat table already held for their
+#: trace, and the bytes of the distinct tables installed.
+_TABLES_SHARED = COUNTERS.counter("sections.tables_shared")
+_TABLE_BYTES = COUNTERS.counter("sections.table_bytes")
+
 #: Keys evicted from the LRU (rebuild detection).
 _EVICTED_KEYS: set = set()
 
@@ -740,6 +752,116 @@ def ensure_lru_capacity(n: int) -> None:
         return
     if n > _MAX_CACHED_MAPS:
         _MAX_CACHED_MAPS = n
+
+
+# --------------------------------------------------------------------- #
+# Shared flat tables: one copy per distinct table, in memory and on disk.
+# --------------------------------------------------------------------- #
+
+#: Payload tag of a flat map record, ``(tag, table digest, extras)``.
+#: Records under an older tag (``"flat1"`` held the table inline) load
+#: as misses and are rewritten.
+_FLAT_TAG = "flat2"
+
+#: The flat tables' typecodes: keys, ends, cause ids, steps offsets,
+#: steps.  The C kernels read them in place, so a load pins them.
+_TABLE_TYPECODES = "qiBqi"
+
+
+class _Tables:
+    """The distinct flat canonical-chain tables of one compiled trace.
+
+    Most configurations of a sweep reduce to the same canonical chain,
+    so most maps over a trace hold a table another map already holds.
+    :meth:`intern` hands such a map the table installed first; tables
+    are read-only once installed, so sharing is exact.  Candidates are
+    bucketed by ``(sections, steps)`` and confirmed with ``array ==``
+    (newest first: adjacent family members agree most often), which
+    keeps hashing off the enumeration path.  A table is hashed only
+    when it is first persisted (:meth:`persist`): the artifact store
+    holds it once under that digest, and each map record names it.
+
+    The registry lives on :attr:`CompiledTrace.section_tables`, so it
+    and its tables are freed with the trace; nothing in it refers back
+    to a map or the trace.
+    """
+
+    __slots__ = ("by_shape", "by_digest", "digest_of")
+
+    def __init__(self):
+        self.by_shape: Dict[Tuple[int, int], List[tuple]] = {}
+        #: Tables whose digest is known (persisted or loaded), by
+        #: digest, and the reverse (by ``id``: every table here is
+        #: pinned by ``by_shape``).
+        self.by_digest: Dict[str, tuple] = {}
+        self.digest_of: Dict[int, str] = {}
+
+    def intern(self, table: tuple) -> tuple:
+        """The held table equal to ``table``, else ``table``, now held."""
+        keys, ends, causes, soff, steps = table
+        bucket = self.by_shape.setdefault((len(keys), len(steps)), [])
+        for held in reversed(bucket):
+            if (held[1] == ends and held[0] == keys and held[4] == steps
+                    and held[2] == causes and held[3] == soff):
+                _TABLES_SHARED.inc()
+                return held
+        bucket.append(table)
+        _TABLE_BYTES.inc(sum(a.itemsize * len(a) for a in table))
+        return table
+
+    def persist(self, st, table: tuple) -> Optional[str]:
+        """Store ``table`` under its content digest unless the store
+        already holds it; the digest, or ``None`` when the store dropped
+        the write.  The store, not this registry, says what is stored:
+        a sibling worker may have written the table, and a registry
+        outlives a switch of store."""
+        digest = self.digest_of.get(id(table))
+        if digest is None:
+            h = hashlib.sha256(
+                repr((artifact_cache.CACHE_VERSION, _FLAT_TAG,
+                      len(table[0]), len(table[4]))).encode()
+            )
+            for a in table:
+                h.update(a)
+            digest = h.hexdigest()
+            self.by_digest[digest] = table
+            self.digest_of[id(table)] = digest
+        if (st.touch("section_tables", digest)
+                or st.put("section_tables", digest, table)):
+            return digest
+        return None
+
+    def load(self, st, digest: str) -> Optional[tuple]:
+        """The table stored under ``digest``, shared with any equal table
+        already held; ``None`` when the store has no such table."""
+        table = self.by_digest.get(digest)
+        if table is not None:
+            _TABLES_SHARED.inc()
+            return table
+        loaded = st.get("section_tables", digest)
+        if not (isinstance(loaded, tuple) and len(loaded) == 5):
+            return None
+        table = tuple(
+            a if isinstance(a, array) and a.typecode == tc else array(tc, a)
+            for a, tc in zip(loaded, _TABLE_TYPECODES)
+        )
+        keys, ends, causes, soff, steps = table
+        # The C walk indexes steps through soff: check the shape first.
+        if not (len(ends) == len(causes) == len(keys) == len(soff) - 1
+                and soff[0] == 0 and soff[-1] == len(steps)):
+            return None
+        table = self.intern(table)
+        self.by_digest[digest] = table
+        self.digest_of[id(table)] = digest
+        return table
+
+
+def _tables(ct) -> _Tables:
+    """``ct``'s table registry, created on first use."""
+    tables = ct.section_tables
+    if tables is None:
+        tables = ct.section_tables = _Tables()
+    return tables
 
 
 # --------------------------------------------------------------------- #
@@ -835,20 +957,22 @@ def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
     The kernel pre-segments its output (member ``c`` owns event slots
     ``[c * ev_percap, ...)``, steps-offset slots ``[c * (ev_percap + 1),
     ...)`` and steps ``[c * st_percap, ...)``), so each flat array is a
-    single slice copy.
+    single slice copy, and a slice equal to a table already held for
+    the trace is dropped for that table (:meth:`_Tables.intern`).
     """
+    tables = _tables(maps[0].ct)
     for c, m in enumerate(maps):
         k = nev[c]
         base = c * ev_percap
         obase = c * (ev_percap + 1)
         sbase = c * st_percap
-        m._flat = (
+        m._flat = tables.intern((
             ev_key[base:base + k],
             ev_end[base:base + k],
             ev_cause[base:base + k],
             ev_soff[obase:obase + k + 1],
             steps_out[sbase:sbase + nst[c]],
-        )
+        ))
         m._flat_persisted = False
 
 
@@ -924,7 +1048,9 @@ def cache_stats() -> Dict[str, float]:
     guards), ``disk_loads`` counts maps/families seeded from the
     persistent artifact store, and ``enum_seconds`` is the time spent in
     section *enumeration* proper (chain and family scans), separated
-    from driver wall-clock for the profile table.
+    from driver wall-clock for the profile table.  ``tables_shared``
+    counts maps that adopted a flat table another map already held, and
+    ``table_bytes`` the bytes of the distinct tables installed.
     """
     return {
         "hits": _HITS.value,
@@ -937,6 +1063,8 @@ def cache_stats() -> Dict[str, float]:
         "enum_seconds": float(_ENUM_SECONDS.value),
         "family_passes": _FAMILY_PASSES.value,
         "family_maps": _FAMILY_MAPS.value,
+        "tables_shared": _TABLES_SHARED.value,
+        "table_bytes": _TABLE_BYTES.value,
     }
 
 

@@ -44,6 +44,11 @@ class CompiledTrace:
             comparison the ignore-false-writes optimization performs at
             run time; replay is value-deterministic, so it is a trace
             property and can be evaluated once.
+        section_tables: The distinct flat canonical-chain tables of every
+            :class:`~repro.sim.sections.SectionMap` over this trace, which
+            maps with equal tables share (``None`` until the first family
+            pass or disk load creates it).  It lives here, like the
+            forced-checkpoint masks, so it is freed with the trace.
 
     The compiled form is a pure view: replaying it is bit-identical to
     replaying ``accesses`` (the dynamic verifier and the event stream see
@@ -56,7 +61,7 @@ class CompiledTrace:
         "_vol_masks", "_scan_arrays", "_prefix_ids", "_scan_bufs",
         "_prefix_bufs", "_pi_masks", "_c_scratch", "_c_out",
         "_pi_hazards", "_windex", "_cycle_bufs", "_forced_masks",
-        "text_range",
+        "text_range", "section_tables",
     )
 
     def __init__(self, trace: "Trace"):
@@ -111,6 +116,7 @@ class CompiledTrace:
         self._windex: Optional[Dict[int, list]] = None
         self._cycle_bufs: Optional[Tuple[array, array]] = None
         self._forced_masks: Dict[frozenset, array] = {}
+        self.section_tables = None
 
     def volatile_mask(
         self, volatile_ranges: Sequence[Tuple[int, int]]

@@ -10,8 +10,11 @@ whole-result cache round-trips (with the ``--verify`` exclusion and
 the ``"stalled"`` sentinel).
 """
 
+import itertools
 import os
 import pickle
+import shutil
+from array import array
 
 import pytest
 
@@ -20,9 +23,14 @@ from repro.cache.store import CacheStore, _EVICT_CHECK_INTERVAL
 from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.metrics import COUNTERS
+from repro.core import cext
+from repro.core.config import ClankConfig
+from repro.power.schedules import ExponentialPower
 from repro.sim import sections
+from repro.sim.fast import simulate_fast
 from repro.sim.sections import SectionMap, VARIANT_NORMAL
 from repro.workloads.cache import get_trace
+from repro.workloads.registry import get_workload
 
 QUICK = EvalSettings(size="small", sweep_size="tiny", seed=2)
 
@@ -206,6 +214,16 @@ class TestEviction:
         st.get("k", key)
         assert os.stat(path).st_mtime > 0
 
+    def test_touch_reports_and_freshens(self, tmp_path):
+        st = CacheStore(str(tmp_path), 1 << 30)
+        key = "aa" * 32
+        assert not st.touch("k", key)  # not stored
+        st.put("k", key, 1)
+        path = st._path("k", key)
+        os.utime(path, (0, 0))
+        assert st.touch("k", key)
+        assert os.stat(path).st_mtime > 0
+
     def test_store_max_mb_env(self, monkeypatch, tmp_path):
         st = _enable(monkeypatch, tmp_path, max_mb=1)
         assert st.max_bytes == 1024 * 1024
@@ -268,6 +286,98 @@ class TestSectionMapWarmLoad:
         puts = st.puts
         smap.persist()  # nothing new enumerated since the last flush
         assert st.puts == puts
+
+
+#: A small fft family whose members reduce to several distinct tables.
+_GRID = [ClankConfig.from_tuple(t) for t in itertools.product(
+    (1, 8, 16), (0, 4), (0, 2), (0,))]
+
+
+def _fresh_fft():
+    """A trace no in-memory cache holds: its maps and table registry
+    start empty, so anything warm comes from the store."""
+    return get_workload("fft").build(size="small")
+
+
+def _runs(trace):
+    """Fast-path results over the grid, both watchdogs on."""
+    return [
+        simulate_fast(trace, cfg, ExponentialPower(700, seed=3),
+                      verify=False, perf_watchdog="auto",
+                      progress_watchdog="auto").to_dict()
+        for cfg in _GRID
+    ]
+
+
+class TestSharedSectionTables:
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+
+    def _populate(self, monkeypatch, tmp_path):
+        ref = _runs(_fresh_fft())  # cache disabled
+        sections.clear_cache()
+        _enable(monkeypatch, tmp_path)
+        sections.build_family(_fresh_fft(), _GRID)
+        artifact_cache.persist_caches()
+        sections.clear_cache()
+        return ref
+
+    def test_warm_maps_share_tables(self, monkeypatch, tmp_path):
+        self._populate(monkeypatch, tmp_path)
+        trace = _fresh_fft()
+        maps = [sections.get_section_map(trace, cfg) for cfg in _GRID]
+        assert all(m._flat is not None for m in maps)  # loaded warm
+        groups = {}
+        for m in maps:
+            content = tuple(a.tobytes() for a in m._flat)
+            groups.setdefault(content, []).append(m._flat)
+        assert len(groups) > 1 and len(groups) < len(maps)
+        for tables in groups.values():
+            assert all(t is tables[0] for t in tables)
+        # Each distinct table is stored once.
+        stored = sum(len(files) for _d, _s, files
+                     in os.walk(os.path.join(str(tmp_path), "section_tables")))
+        assert stored == len(groups)
+
+    @pytest.mark.parametrize("damage", ["evicted", "malformed"])
+    def test_lost_table_is_a_clean_miss(self, monkeypatch, tmp_path,
+                                        damage):
+        ref = self._populate(monkeypatch, tmp_path)
+        tables_dir = os.path.join(str(tmp_path), "section_tables")
+        if damage == "evicted":
+            shutil.rmtree(tables_dir)
+        else:
+            # Well-formed pickles whose steps offsets overrun the steps.
+            bad = (array("q", [0]), array("i", [1]), array("B", [0]),
+                   array("q", [0, 9]), array("i"))
+            for dirpath, _dirs, files in os.walk(tables_dir):
+                for fname in files:
+                    with open(os.path.join(dirpath, fname), "wb") as fh:
+                        pickle.dump(bad, fh)
+        trace = _fresh_fft()
+        maps = [sections.get_section_map(trace, cfg) for cfg in _GRID]
+        assert all(m._loaded_n == 0 and m._flat is None for m in maps)
+        assert _runs(trace) == ref
+        # The re-enumerated tables are stored again on the next flush.
+        artifact_cache.persist_caches()
+        assert os.path.isdir(tables_dir)
+
+    def test_stale_flat1_entry_is_ignored(self, monkeypatch, tmp_path):
+        trace = get_trace("crc", size="small")
+        config = ClankConfig.from_tuple((8, 4, 2, 2))
+        ref = _walk(SectionMap(trace, config))  # cache disabled
+        st = _enable(monkeypatch, tmp_path)
+        smap = SectionMap(trace, config)
+        # The inline-table layout this store no longer reads, holding a
+        # table that would mis-serve section (0, NORMAL) if it loaded.
+        stale = ("flat1", array("q", [0]), array("i", [1]),
+                 array("B", [0]), array("q", [0, 0]), array("i"), {})
+        assert st.put("sections", smap._disk_key, stale)
+        again = SectionMap(trace, config)
+        assert again._loaded_n == 0 and again._flat is None
+        assert _walk(again) == ref
 
 
 class TestResultCache:

@@ -14,6 +14,7 @@ map to enumerate lazily, with the same tables.
 """
 
 import gc
+import hashlib
 import itertools
 import weakref
 from array import array
@@ -24,10 +25,13 @@ from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.power.schedules import ExponentialPower
-from repro.sim import sections
+from repro.sim import fast, sections
 from repro.sim.fast import simulate_fast
-from repro.sim.sections import build_family, clear_cache, get_section_map
+from repro.sim.sections import (
+    SectionMap, build_family, clear_cache, get_section_map,
+)
 from repro.workloads import get_trace
+from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -257,6 +261,115 @@ def test_walked_map_freed_without_cyclic_gc():
         del smap
         clear_cache()
         assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# --------------------------------------------------------------------- #
+# Shared flat tables.
+# --------------------------------------------------------------------- #
+
+
+def _fresh_trace():
+    """An fft trace no cache holds, so its table registry starts empty
+    (small fft sections differ between ``rf=1`` and larger RFs)."""
+    return get_workload("fft").build(size="small")
+
+
+def _content(table):
+    return tuple(a.tobytes() for a in table)
+
+
+def _by_content(maps):
+    groups = {}
+    for m in maps:
+        groups.setdefault(_content(m._flat), []).append(m)
+    return list(groups.values())
+
+
+def test_equal_chains_share_tables():
+    # Members whose canonical chains are equal hold the very same
+    # arrays; members whose chains differ do not share any.
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
+    trace = _fresh_trace()
+    grid = _grid(rf=(1, 8, 16), wf=(0, 4), wbb=(0, 2), apb=(0, 2))
+    before = sections.cache_stats()
+    maps = build_family(trace, grid)
+    after = sections.cache_stats()
+    groups = _by_content(maps)
+    assert any(len(g) > 1 for g in groups) and len(groups) > 1
+    for group in groups:
+        assert all(m._flat is group[0]._flat for m in group)
+        for a, b in zip(group[0]._flat, group[-1]._flat):
+            assert a is b
+    owners = [g[0]._flat for g in groups]
+    for i, t in enumerate(owners):
+        for u in owners[i + 1:]:
+            assert all(a is not b for a, b in zip(t, u))
+    assert (after["tables_shared"] - before["tables_shared"]
+            == len(maps) - len(groups))
+    assert after["table_bytes"] - before["table_bytes"] == sum(
+        a.itemsize * len(a) for t in owners for a in t
+    )
+
+
+def test_watchdog_sweep_leaves_shared_tables_untouched(monkeypatch):
+    # Off-chain resolves under Performance-Watchdog cuts and per-key
+    # serving out of the flat tables must only read the shared arrays.
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
+    trace = _fresh_trace()
+    grid = _grid(rf=(1, 8, 16), wf=(0, 4), wbb=(0, 2), apb=(0, 2))
+    shared = [g[0]._flat for g in _by_content(build_family(trace, grid))
+              if len(g) > 1]
+    assert shared
+
+    def digests():
+        return [hashlib.sha256(a).hexdigest() for t in shared for a in t]
+
+    before = digests()
+    perf_loads, flat_gets = [], []
+    resolve, flat_get = fast._resolve, SectionMap._flat_get
+
+    def counting_resolve(smap, key, perf_load):
+        perf_loads.append(perf_load)
+        return resolve(smap, key, perf_load)
+
+    def counting_flat_get(self, key):
+        flat_gets.append(key)
+        return flat_get(self, key)
+
+    monkeypatch.setattr(fast, "_resolve", counting_resolve)
+    monkeypatch.setattr(SectionMap, "_flat_get", counting_flat_get)
+    maps = _walk_all(trace, grid)
+    for m in maps:
+        for key in m._flat[0]:
+            m.section(key >> 2, key & 3)
+    assert any(p > 0 for p in perf_loads)
+    assert flat_gets
+    assert digests() == before
+
+
+def test_table_registry_freed_with_trace():
+    # The registry lives on the compiled trace and refers to no map, so
+    # dropping the trace and its maps frees the shared tables by
+    # reference counting alone.
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
+    trace = _fresh_trace()
+    grid = _grid(rf=(1, 8, 16), wf=(0, 4), wbb=(0, 2), apb=(0,))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        maps = _walk_all(trace, grid)
+        tables = trace.compiled().section_tables
+        assert tables is not None and tables.by_shape
+        refs = [weakref.ref(a) for m in maps for a in m._flat]
+        del maps, tables, trace
+        clear_cache()
+        assert all(ref() is None for ref in refs)
     finally:
         if was_enabled:
             gc.enable()
