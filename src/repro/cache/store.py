@@ -259,8 +259,16 @@ class CacheStore:
                 remote=self.remote, **fields,
             )
 
-    def put(self, kind: str, key: str, obj: Any) -> bool:
-        """Store ``obj``; False (silently) when the store is unwritable."""
+    def put(self, kind: str, key: str, obj: Any,
+            exclusive: bool = False) -> bool:
+        """Store ``obj``; False (silently) when the store is unwritable.
+
+        ``exclusive`` is for immutable, content-addressed entries: the
+        entry is created only if absent, atomically, so of several
+        processes racing to store the same entry exactly one writes it
+        (and counts a put); the others return True having written
+        nothing.
+        """
         if not self._writable:
             return False
         path = self._path(kind, key)
@@ -273,7 +281,15 @@ class CacheStore:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(payload)
-                os.replace(tmp, path)  # atomic: racers all win
+                if exclusive:
+                    try:
+                        os.link(tmp, path)  # atomic: exactly one racer wins
+                    except FileExistsError:
+                        return True
+                    finally:
+                        os.unlink(tmp)
+                else:
+                    os.replace(tmp, path)  # atomic: racers all win
             except BaseException:
                 try:
                     os.unlink(tmp)

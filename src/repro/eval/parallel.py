@@ -363,18 +363,20 @@ def _ledger_record(job: SimJob, config: ClankConfig, engine: str,
     ))
 
 
-def _cache_lookup(job: SimJob, settings: EvalSettings, config: ClankConfig):
+def _cache_lookup(job: SimJob, settings: EvalSettings, config: ClankConfig,
+                  key: Optional[str] = None):
     """``(rkey, result)`` from the persistent result cache.
 
     ``rkey`` is ``None`` when the store is off or the run verifies
-    (verified runs never read or write it).  ``result`` is :data:`_MISS`
-    unless the store held the job; a hit is already accounted in the
-    ledger and the architecture collector.
+    (verified runs never read or write it); otherwise it is ``key``, or
+    :func:`result_key` when the caller holds none.  ``result`` is
+    :data:`_MISS` unless the store held the job; a hit is already
+    accounted in the ledger and the architecture collector.
     """
     st = artifact_cache.store()
     if st is None or settings.verify:
         return None, _MISS
-    _, rkey = result_key(job, settings)
+    rkey = key if key is not None else result_key(job, settings)[1]
     cached = st.get("result", rkey)
     label = config.label()
     if isinstance(cached, dict):
@@ -444,7 +446,7 @@ def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
 
 
 def execute_job(
-    job: SimJob, settings: EvalSettings
+    job: SimJob, settings: EvalSettings, key: Optional[str] = None,
 ) -> Tuple[Optional[SimulationResult], float]:
     """Run one job; returns ``(result, simulator_seconds)``.
 
@@ -470,6 +472,9 @@ def execute_job(
     Seed-repeat jobs (``n_seeds > 1``) return a
     :class:`~repro.sim.batch.BatchResult` instead — see
     :func:`_execute_batch`.
+
+    ``key`` is the job's :func:`result_key` when the caller already
+    holds it (the sweep server keys each job once per batch).
     """
     if job.n_seeds > 1 and (job.engine != "clank" or job.schedule != "exp"):
         raise ConfigError(
@@ -478,7 +483,7 @@ def execute_job(
         )
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     config = job.clank_config()
-    rkey, cached = _cache_lookup(job, settings, config)
+    rkey, cached = _cache_lookup(job, settings, config, key)
     if cached is not _MISS:
         return cached, 0.0
     result_cache = "miss" if rkey is not None else "off"
@@ -622,22 +627,22 @@ def _execute_batch(
 
 
 def job_payload(job: SimJob, settings: EvalSettings,
-                span: Optional[dict] = None) -> dict:
+                span: Optional[dict] = None,
+                key: Optional[str] = None) -> dict:
     """Execute ``job`` and package everything its caller's process must
     fold (never a pickled trace or simulator).
 
     ``result`` is the result's ``to_dict`` form (``batch`` says which
     kind), ``records`` the ledger records the job appended (moved out
-    of this process's ledger; they carry its rows and wall time),
-    ``counters`` the job's
-    :data:`~repro.obs.metrics.COUNTERS` delta — dispatch, batch rows,
-    section maps, family scans, trace and disk cache — and ``arch`` the
-    architecture-collector folds.  ``span`` (if given) is closed and
-    shipped in ``spans``.  The fork pool folds a payload with
-    :func:`fold_payload`; the sweep server merges ``counters`` and
-    streams the rest.
+    of this process's ledger; they carry its rows and wall time), and
+    ``arch`` the architecture-collector folds.  ``span`` (if given) is
+    closed and shipped in ``spans``; ``key`` is passed to
+    :func:`execute_job`.  Counters are the caller's: a fork-pool worker
+    adds the job's :data:`~repro.obs.metrics.COUNTERS` delta as
+    ``counters`` (:func:`_worker_run`), the sweep server ships one delta
+    per chunk.  The fork pool folds a payload with :func:`fold_payload`;
+    the sweep server streams it.
     """
-    before = COUNTERS.snapshot()
     ledger = telemetry.LEDGER
     n_records = len(ledger.records)
     # Architecture-stats folds mirror into a per-job capture list so the
@@ -647,7 +652,7 @@ def job_payload(job: SimJob, settings: EvalSettings,
     if ARCH_COLLECTOR.enabled:
         ARCH_COLLECTOR.capture = arch
     try:
-        result, _ = execute_job(job, settings)
+        result, _ = execute_job(job, settings, key)
     finally:
         ARCH_COLLECTOR.capture = None
         if span is not None:
@@ -667,7 +672,6 @@ def job_payload(job: SimJob, settings: EvalSettings,
         "result": raw,
         "batch": is_batch,
         "records": records,
-        "counters": COUNTERS.delta(before),
         "arch": arch,
         "spans": [span] if span is not None else [],
     }
@@ -716,7 +720,7 @@ def _worker_init(settings: EvalSettings) -> None:
 
 def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
     """Execute one job in a worker; returns its submission index and
-    its :func:`job_payload`."""
+    its :func:`job_payload` plus the job's ``counters`` delta."""
     idx, job = item
     # Tracing state is inherited across the pool fork; a per-job worker
     # span ships back in the payload (rootless — the parent re-parents
@@ -729,7 +733,10 @@ def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
             f"job {job.workload}", "worker",
             attrs={"workload": job.workload, "config": job.config},
         )
-    return idx, job_payload(job, _WORKER_SETTINGS, span)
+    before = COUNTERS.snapshot()
+    payload = job_payload(job, _WORKER_SETTINGS, span)
+    payload["counters"] = COUNTERS.delta(before)
+    return idx, payload
 
 
 def _worker_run_group(

@@ -39,7 +39,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -148,14 +148,30 @@ class RunRecord:
     index: int = -1
 
     def to_dict(self) -> dict:
-        d = {"type": "run"}
-        d.update(asdict(self))
-        return d
+        """The ledger line's fields, in declaration order (hand-written:
+        ``dataclasses.asdict`` costs ~37 µs a record)."""
+        return {
+            "type": "run",
+            "workload": self.workload,
+            "config": self.config,
+            "engine": self.engine,
+            "fallback_reason": self.fallback_reason,
+            "kernel": self.kernel,
+            "result_cache": self.result_cache,
+            "size": self.size,
+            "salt": self.salt,
+            "driver": self.driver,
+            "stalled": self.stalled,
+            "rows": self.rows,
+            "wall_s": self.wall_s,
+            "t_start": self.t_start,
+            "worker": self.worker,
+            "index": self.index,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**{k: v for k, v in d.items() if k in _RUN_FIELDS})
 
     def stable_dict(self) -> dict:
         """The deterministic projection: everything but wall-time fields.
@@ -164,10 +180,23 @@ class RunRecord:
         identical ``stable_dict`` sequences (the determinism contract the
         tests pin).
         """
-        d = asdict(self)
-        for key in WALL_TIME_FIELDS:
-            d.pop(key, None)
-        return d
+        return {
+            "workload": self.workload,
+            "config": self.config,
+            "engine": self.engine,
+            "fallback_reason": self.fallback_reason,
+            "kernel": self.kernel,
+            "result_cache": self.result_cache,
+            "size": self.size,
+            "salt": self.salt,
+            "driver": self.driver,
+            "stalled": self.stalled,
+            "rows": self.rows,
+            "index": self.index,
+        }
+
+
+_RUN_FIELDS = frozenset(f.name for f in fields(RunRecord))
 
 
 class RunLedger:

@@ -29,12 +29,19 @@ One :class:`SweepServer` owns three layers:
   (``disk``, or ``remote`` when the store's read-through tier fetched
   it from a peer).  Only a full miss reaches the simulator
   (``computed``).
-* **A thread-pool bridge to the fork worker pool**: each miss occupies
-  one bridge thread, which either executes in-process (``--jobs 1``) or
-  blocks on ``Pool.apply`` into the same fork pool
-  ``repro.eval.parallel`` uses locally — so worker-side behaviour
-  (trace caches, artifact flushes, ledger records) is exactly the local
-  sweep engine's, and the event loop never blocks on a simulation.
+* **A thread-pool bridge to the fork worker pool**, entered per batch
+  and per chunk, never per job.  One bridge call prepares a batch: it
+  decodes every job once, registers the batch's sweep plans and keys
+  each job once.  The loop then triages the keys in submission order
+  and sends the owned misses back in chunks of
+  ``repro.eval.parallel._FAMILY_CHUNK`` jobs, one bridge hop each.  A
+  chunk runs in-process under ``--jobs 1``, else as one ``Pool.apply``
+  into the same fork pool ``repro.eval.parallel`` uses locally, with
+  chunks running concurrently across the bridge threads.  Worker-side
+  behaviour (trace caches, artifact flushes, ledger records) is exactly
+  the local sweep engine's; the chunk runner hands ``execute_job`` the
+  key it already holds and encodes each job's SSE line, so the event
+  loop only does per-job bookkeeping and never blocks on a simulation.
 
 Served batches refuse ``verify=True`` settings with a 400: a served
 result would claim a verification that did not execute in the client's
@@ -64,6 +71,12 @@ __all__ = ["ServerHandle", "SweepServer", "start_in_background"]
 #: In-memory payload LRU entries (``REPRO_SERVE_MEMORY`` overrides).
 DEFAULT_MEMORY_ENTRIES = 4096
 
+#: Largest request body read, bytes: ten times the largest batch a full
+#: ``python -m repro.eval all`` sends (fig5, 13,248 jobs, 6.4 MB).
+#: A longer ``Content-Length`` is refused with 413 before any body
+#: byte is read.
+MAX_BODY_BYTES = 64 << 20
+
 _ARTIFACT_RE = re.compile(r"^/artifact/([A-Za-z0-9_-]+)/([0-9a-f]{64})$")
 
 
@@ -75,68 +88,144 @@ def _memory_cap() -> int:
         return DEFAULT_MEMORY_ENTRIES
 
 
-def _job_key(job_d: dict, settings_d: dict) -> str:
-    """The dedupe key of one wire-format job (bridge-thread work: it may
-    build and compile the trace on first sight of a workload)."""
-    from repro.eval.parallel import result_key
-
-    return result_key(
-        jsonio.job_from_dict(job_d), jsonio.settings_from_dict(settings_d)
-    )[1]
+class _JobFailed(RuntimeError):
+    """Raised from a single-flight future whose owning job failed; its
+    message is the owner's ``error`` text, so every duplicate reports
+    the same error."""
 
 
-def _pool_run(
-    job_d: dict, settings_d: dict, trace_parent: Optional[Tuple[str, str]] = None,
-    family: Optional[list] = None,
-) -> dict:
-    """Execute one wire-format job; runs in a fork-pool worker (or a
-    bridge thread under ``--jobs 1``).
+def _error_text(exc: BaseException) -> str:
+    """A failed job's ``error`` field (its duplicates repeat it verbatim)."""
+    if isinstance(exc, _JobFailed):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
-    Returns the :func:`repro.eval.parallel.job_payload` of the exact
-    function the local sweep engine runs (so served results are
-    byte-identical), with the ledger forced on and the dedupe ``tier``
-    added.  The records travel in the payload, not in process state:
-    this keeps a long-lived server bounded, and keeps an *embedded*
-    server (tests, background-thread harness) from double-counting —
-    the client's ledger gets one engine="served" row per job instead.
-    When the server hands over a ``trace_parent`` context, the
-    simulation is wrapped in a worker span shipped back in the payload
-    (fork children cannot share the parent's tracer buffer; the explicit
-    context also survives the ``run_in_executor`` hop, which does not
-    copy contextvars).  ``family`` is the job's sweep-plan window
-    (:func:`repro.eval.parallel.family_window`) for a worker that forked
-    before the batch registered its plans.
+
+def _sse(event: dict) -> bytes:
+    blob = json.dumps(event, separators=(",", ":")).encode("utf-8")
+    return b"data: " + blob + b"\n\n"
+
+
+def _event_line(idx: int, key: str, tier: str, payload: dict) -> bytes:
+    """One answered job's SSE line.  Coalesced and memory replies reuse
+    the first execution's payload, whose ``tier`` names where *that*
+    execution was served from; the event carries this reply's tier."""
+    event = {"type": "result", "idx": idx, "key": key, "tier": tier}
+    event.update(payload)
+    event["tier"] = tier
+    return _sse(event)
+
+
+def _prepare(job_dicts: list, settings) -> list:
+    """Decode, plan and key a whole batch in one bridge call.
+
+    Returns one ``(job, key, error)`` per wire job; ``error`` is the
+    job's own failure text when it cannot be decoded or keyed.  The
+    batch's sweep plans are registered before any job dispatches, so
+    its cold SectionMaps come from family passes (as in a local
+    ``run_jobs`` sweep).  Keying may build and compile a trace on first
+    sight of a workload.
+    """
+    from repro.common.errors import ConfigError
+    from repro.eval.parallel import _register_family_plans, result_key
+
+    jobs = []
+    for job_d in job_dicts:
+        try:
+            jobs.append(jsonio.job_from_dict(job_d))
+        except Exception as exc:
+            jobs.append(exc)
+    try:
+        _register_family_plans(
+            [job for job in jobs if not isinstance(job, Exception)], settings
+        )
+    except (ConfigError, TypeError, ValueError):
+        # Plans only speed up cold maps; the job with the bad config
+        # fails on its own when it runs.
+        pass
+    out = []
+    for job in jobs:
+        if isinstance(job, Exception):
+            out.append((None, None, _error_text(job)))
+            continue
+        try:
+            out.append((job, result_key(job, settings)[1], None))
+        except Exception as exc:
+            out.append((None, None, _error_text(exc)))
+    return out
+
+
+def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
+    """Execute a chunk of owned misses back to back; runs in a bridge
+    thread under ``--jobs 1``, else in a fork-pool worker
+    (:func:`_pool_chunk`).
+
+    Each item is ``(idx, job, key, trace_parent)``.  Each job yields
+    ``(payload, spans, line)``: the
+    :func:`repro.eval.parallel.job_payload` of the exact function the
+    local sweep engine runs (so served results are byte-identical),
+    with the ledger forced on and the dedupe ``tier`` added, the worker
+    spans it shipped, and its encoded SSE line.  A failing job yields
+    ``(None, None, error)`` and the chunk goes on.  The records travel
+    in the payload, not in process state: this keeps a long-lived
+    server bounded, and keeps an *embedded* server (tests,
+    background-thread harness) from double-counting — the client's
+    ledger gets one engine="served" row per job instead.  Under a
+    ``trace_parent`` context the simulation is wrapped in a worker span
+    (fork children cannot share the parent's tracer buffer; the
+    explicit context also survives the executor hop, which does not
+    copy contextvars).  ``windows`` are the jobs' sweep-plan windows
+    (:func:`repro.eval.parallel.family_window`) for a worker that
+    forked before the batch registered its plans.
     """
     from repro.eval.parallel import adopt_family_window, job_payload
 
-    job = jsonio.job_from_dict(job_d)
-    settings = jsonio.settings_from_dict(settings_d)
-    if family:
-        adopt_family_window(job, family)
-    span = None
-    if trace_parent is not None:
-        span = make_span(
-            "simulate", "worker", trace_id=trace_parent[0],
-            parent_id=trace_parent[1],
-            attrs={"workload": job.workload, "config": job.config},
-        )
+    st = artifact_cache.store()
     ledger = telemetry.LEDGER
     was_enabled = ledger.enabled
     ledger.enable()
+    out = []
     try:
-        payload = job_payload(job, settings, span)
+        for i, (idx, job, key, trace_parent) in enumerate(items):
+            if windows:
+                adopt_family_window(job, windows[i])
+            span = None
+            if trace_parent is not None:
+                span = make_span(
+                    "simulate", "worker", trace_id=trace_parent[0],
+                    parent_id=trace_parent[1],
+                    attrs={"workload": job.workload, "config": job.config},
+                )
+            remote_before = st.remote_hits if st is not None else 0
+            try:
+                payload = job_payload(job, settings, span, key)
+            except Exception as exc:
+                out.append((None, None, _error_text(exc)))
+                continue
+            del payload["arch"]  # --arch refuses --server: nothing to replay
+            spans = payload.pop("spans")
+            engines = [rec["engine"] for rec in payload["records"]]
+            if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
+                remote = st is not None and st.remote_hits > remote_before
+                tier = "remote" if remote else "disk"
+            else:
+                tier = "computed"
+            payload["tier"] = tier
+            if span is not None:
+                span["attrs"]["tier"] = tier
+            out.append((payload, spans, _event_line(idx, key, tier, payload)))
     finally:
         ledger.enabled = was_enabled
-    engines = [rec.get("engine") for rec in payload["records"]]
-    if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
-        remote = payload["counters"].get("cache.remote_hits", 0)
-        tier = "remote" if remote else "disk"
-    else:
-        tier = "computed"
-    payload["tier"] = tier
-    if span is not None:
-        span["attrs"]["tier"] = tier
-    return payload
+    return out
+
+
+def _pool_chunk(items: list, settings, windows: list) -> Tuple[list, dict]:
+    """Fork-pool entry: :func:`_run_chunk` plus the chunk's one
+    :data:`~repro.obs.metrics.COUNTERS` delta (its counters moved in
+    this worker; the server merges the delta once)."""
+    before = COUNTERS.snapshot()
+    out = _run_chunk(items, settings, windows)
+    return out, COUNTERS.delta(before)
 
 
 class SweepServer:
@@ -274,146 +363,192 @@ class SweepServer:
         while len(self._memory) > self._memory_cap:
             self._memory.popitem(last=False)
 
-    def _execute(
-        self, job_d: dict, settings_d: dict,
-        trace_parent: Optional[Tuple[str, str]],
-    ) -> dict:
-        """Bridge-thread entry: run the job in the fork pool, or inline
-        when the server is single-worker.
+    def _execute_chunk(self, items: list, settings) -> list:
+        """Bridge-thread entry: one chunk of owned misses, inline when
+        the server is single-worker, else one ``Pool.apply``.
 
-        A pooled job's counters moved in the worker, so its delta is
-        merged here (``/stats`` and ``/metrics`` then count its disk
-        traffic); an inline job already counted in this process.
+        A pooled chunk's counters moved in the worker, so its one delta
+        is merged here (``/stats`` and ``/metrics`` then count its disk
+        traffic); an inline chunk already counted in this process.
         """
         if self._pool is None:
-            payload = _pool_run(job_d, settings_d, trace_parent)
-            del payload["counters"]
-        else:
-            from repro.eval.parallel import family_window
+            return _run_chunk(items, settings)
+        from repro.eval.parallel import family_window
 
-            family = family_window(jsonio.job_from_dict(job_d))
-            payload = self._pool.apply(
-                _pool_run, (job_d, settings_d, trace_parent, family)
-            )
-            COUNTERS.merge(payload.pop("counters"))
-        del payload["arch"]  # --arch refuses --server: nothing to replay
-        return payload
-
-    @staticmethod
-    def _register_plans(job_dicts: list, settings_d: dict) -> None:
-        """Register a batch's sweep plans before any job dispatches, so
-        its cold SectionMaps come from family passes (as in a local
-        ``run_jobs`` sweep).  Malformed jobs are skipped here; each one
-        fails on its own when it resolves."""
-        from repro.eval.parallel import _register_family_plans
-
-        jobs = []
-        for job_d in job_dicts:
-            try:
-                jobs.append(jsonio.job_from_dict(job_d))
-            except Exception:
-                continue
-        _register_family_plans(jobs, jsonio.settings_from_dict(settings_d))
-
-    async def _resolve(
-        self, key: str, job_d: dict, settings_d: dict,
-        trace_parent: Optional[Tuple[str, str]] = None,
-    ) -> Tuple[str, dict]:
-        """One job through the dedupe funnel; returns ``(tier, payload)``.
-
-        Single-flight: the first request for a key installs a future in
-        ``_inflight`` and executes; every concurrent duplicate awaits
-        that future and is accounted ``coalesced``.  Completed payloads
-        land in the memory LRU, so later duplicates are ``memory`` hits.
-        """
-        payload = self._memory_hit(key)
-        if payload is not None:
-            self.tiers["memory"] += 1
-            return "memory", payload
-        fut = self._inflight.get(key)
-        if fut is not None:
-            self.tiers["coalesced"] += 1
-            return "coalesced", await asyncio.shield(fut)
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-        self._inflight[key] = fut
-        self._m_inflight_keys.set(len(self._inflight))
-        try:
-            payload = await loop.run_in_executor(
-                self._bridge, self._execute, job_d, settings_d, trace_parent
-            )
-        except BaseException as exc:
-            fut.set_exception(exc)
-            fut.exception()  # consumed: no-waiter futures must not warn
-            raise
-        else:
-            # Worker spans ride the payload exactly once: absorb them
-            # into the server tracer *before* the payload is shared with
-            # coalesced waiters and the memory LRU, so replays of the
-            # payload never duplicate spans.
-            spans = payload.pop("spans", None)
-            if spans and TRACER.enabled:
-                TRACER.add_all(spans)
-            fut.set_result(payload)
-            tier = payload["tier"]
-            self.tiers[tier] += 1
-            self._memory_put(key, payload)
-            return tier, payload
-        finally:
-            self._inflight.pop(key, None)
-            self._m_inflight_keys.set(len(self._inflight))
-
-    async def _job_event(
-        self, idx: int, job_d: dict, settings_d: dict,
-        parent: Optional[Tuple[str, str]] = None,
-    ) -> dict:
-        """Resolve one job into its SSE event dict (never raises).
-
-        ``parent`` is the client-side span context for *this job* (from
-        the batch body's trace block, falling back to the request
-        header), so the resolve span nests under the exact client span
-        awaiting this event.
-        """
-        loop = asyncio.get_running_loop()
-        span = TRACER.start("resolve", parent=parent, service="server") \
-            if TRACER.enabled else None
-        self._m_jobs_in_flight.inc()
-        t0 = time.perf_counter()
-        try:
-            key = await loop.run_in_executor(
-                self._bridge, _job_key, job_d, settings_d
-            )
-            trace_parent = (
-                (span["trace_id"], span["span_id"]) if span else None
-            )
-            tier, payload = await self._resolve(
-                key, job_d, settings_d, trace_parent
-            )
-        except Exception as exc:
-            self.counters["errors"] += 1
-            if span is not None:
-                TRACER.finish(span, error=type(exc).__name__)
-            return {
-                "type": "result",
-                "idx": idx,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        finally:
-            self._m_jobs_in_flight.dec()
-        # One observation per served job — the reconciliation invariant:
-        # summed across tiers, this histogram's count equals the number
-        # of jobs the ledger records as engine="served".
-        self._m_resolve_seconds.observe(
-            time.perf_counter() - t0, tier=tier
+        windows = [family_window(job) for _, job, _, _ in items]
+        out, counters = self._pool.apply(
+            _pool_chunk, (items, settings, windows)
         )
-        if span is not None:
-            TRACER.finish(span, tier=tier, key=key[:12])
-        event = {"type": "result", "idx": idx, "key": key, "tier": tier}
-        event.update(payload)
-        # Coalesced/memory replies reuse the original payload, whose
-        # "tier" names where the *first* execution was served from.
-        event["tier"] = tier
-        return event
+        COUNTERS.merge(counters)
+        return out
+
+    async def _resolve_batch(
+        self, writer, job_dicts: list, settings, parents: list, t0: float,
+    ) -> bool:
+        """Resolve one batch through the dedupe funnel, streaming each
+        job's SSE line as it lands; returns whether the client hung up.
+
+        One bridge call prepares the batch (:func:`_prepare`).  Triage
+        then runs on the loop in submission order: a memory hit answers
+        at once; a key already in ``_inflight`` — another batch's, or
+        one owned earlier in this batch — makes the job a ``coalesced``
+        waiter on that future (single flight: two clients posting the
+        same key share one execution); any other key gets its future
+        installed before anything dispatches.  The owned misses go to
+        the bridge in chunks of ``_FAMILY_CHUNK``, all dispatched at
+        once (a pooled server runs as many concurrently as it has
+        bridge threads).  Completed payloads land in the memory LRU, so
+        later duplicates are ``memory`` hits.  Every owned chunk runs to
+        completion even after the client hangs up: waiters and the
+        inflight table depend on it.
+        """
+        from repro.eval.parallel import _FAMILY_CHUNK
+
+        loop = asyncio.get_running_loop()
+        tracing = TRACER.enabled
+        spans: list = [None] * len(job_dicts)
+        left = len(job_dicts)  # jobs still counted in repro_jobs_in_flight
+        broken = False
+        own: Dict[str, asyncio.Future] = {}
+        waiters: Dict[str, list] = {}
+
+        def answered(idx: int, key: str, tier: str, payload: dict,
+                     line: Optional[bytes] = None) -> bytes:
+            nonlocal left
+            # One observation per served job — the reconciliation
+            # invariant: summed across tiers, this histogram's count
+            # equals the number of jobs the ledger records as
+            # engine="served".
+            self._m_resolve_seconds.observe(
+                time.perf_counter() - t0, tier=tier
+            )
+            self._m_jobs_in_flight.dec()
+            left -= 1
+            if spans[idx] is not None:
+                TRACER.finish(spans[idx], tier=tier, key=key[:12])
+            return line or _event_line(idx, key, tier, payload)
+
+        def failed(idx: int, error: str) -> bytes:
+            nonlocal left
+            self.counters["errors"] += 1
+            self._m_jobs_in_flight.dec()
+            left -= 1
+            if spans[idx] is not None:
+                TRACER.finish(spans[idx], error=error.partition(":")[0])
+            return _sse({"type": "result", "idx": idx, "error": error})
+
+        def wake(key: str, fut: asyncio.Future, lines: list) -> None:
+            exc = fut.exception()
+            for idx in waiters.pop(key, ()):
+                if exc is not None:
+                    lines.append(failed(idx, _error_text(exc)))
+                else:
+                    lines.append(
+                        answered(idx, key, "coalesced", fut.result())
+                    )
+
+        async def send(lines: list) -> None:
+            nonlocal broken
+            if broken or not lines:
+                return
+            try:
+                writer.write(b"".join(lines))
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                broken = True
+
+        self._m_jobs_in_flight.inc(left)
+        try:
+            prepared = await loop.run_in_executor(
+                self._bridge, _prepare, job_dicts, settings
+            )
+            lines: list = []
+            owned: list = []
+            foreign: Dict[asyncio.Future, str] = {}
+            for idx, (job, key, error) in enumerate(prepared):
+                span = spans[idx] = (
+                    TRACER.start("resolve", parent=parents[idx],
+                                 service="server")
+                    if tracing else None
+                )
+                if error is not None:
+                    lines.append(failed(idx, error))
+                    continue
+                payload = self._memory_hit(key)
+                if payload is not None:
+                    self.tiers["memory"] += 1
+                    lines.append(answered(idx, key, "memory", payload))
+                    continue
+                fut = self._inflight.get(key)
+                if fut is not None:
+                    self.tiers["coalesced"] += 1
+                    if key not in own:
+                        foreign[fut] = key
+                    waiters.setdefault(key, []).append(idx)
+                    continue
+                own[key] = self._inflight[key] = loop.create_future()
+                owned.append((idx, job, key, (
+                    (span["trace_id"], span["span_id"]) if span else None
+                )))
+            self._m_inflight_keys.set(len(self._inflight))
+            chunks = {}
+            for lo in range(0, len(owned), _FAMILY_CHUNK):
+                items = owned[lo:lo + _FAMILY_CHUNK]
+                chunks[loop.run_in_executor(
+                    self._bridge, self._execute_chunk, items, settings
+                )] = items
+            await send(lines)
+            pending = set(chunks) | set(foreign)
+            while pending:
+                done, pending = await asyncio.wait(
+                    pending, return_when=asyncio.FIRST_COMPLETED
+                )
+                lines = []
+                for done_fut in done:
+                    if done_fut in foreign:
+                        wake(foreign.pop(done_fut), done_fut, lines)
+                        continue
+                    items = chunks.pop(done_fut)
+                    try:
+                        results = done_fut.result()
+                    except Exception as exc:
+                        results = [(None, None, _error_text(exc))] * len(items)
+                    for (idx, _, key, _), (payload, worker_spans, line) in zip(
+                        items, results
+                    ):
+                        fut = own[key]
+                        del self._inflight[key]
+                        if payload is None:
+                            fut.set_exception(_JobFailed(line))
+                            lines.append(failed(idx, line))
+                        else:
+                            # Worker spans ride the payload exactly once:
+                            # absorb them before the payload is shared
+                            # with waiters and the memory LRU.
+                            if worker_spans and tracing:
+                                TRACER.add_all(worker_spans)
+                            fut.set_result(payload)
+                            tier = payload["tier"]
+                            self.tiers[tier] += 1
+                            self._memory_put(key, payload)
+                            lines.append(
+                                answered(idx, key, tier, payload, line)
+                            )
+                        wake(key, fut, lines)
+                    self._m_inflight_keys.set(len(self._inflight))
+                await send(lines)
+        finally:
+            # Only an aborted batch (server shutdown) leaves owned keys
+            # unsettled or jobs unanswered; fail the keys so no waiter
+            # hangs.
+            for key, fut in own.items():
+                if not fut.done():
+                    fut.set_exception(_JobFailed("batch aborted"))
+                    del self._inflight[key]
+                fut.exception()  # consumed: no-waiter futures must not warn
+            self._m_inflight_keys.set(len(self._inflight))
+            self._m_jobs_in_flight.dec(left)
+        return broken
 
     # -- stats --------------------------------------------------------- #
 
@@ -467,35 +602,55 @@ class SweepServer:
                 name, sep, value = line.partition(":")
                 if sep:
                     headers[name.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length", 0) or 0)
-            if length:
-                body = await reader.readexactly(length)
+            if method == "GET" and path in ("/healthz", "/metrics", "/stats"):
+                endpoint = path
+            elif method == "GET" and _ARTIFACT_RE.match(path):
+                endpoint = "/artifact"
+            elif method == "POST" and path == "/jobs":
+                endpoint = "/jobs"
+            else:
+                endpoint = "other"
+            raw_length = headers.get("content-length", "") or "0"
+            try:
+                length = (
+                    int(raw_length)
+                    if raw_length.isascii() and raw_length.isdigit() else -1
+                )
+            except ValueError:  # more digits than int() parses
+                length = MAX_BODY_BYTES + 1
             req_ctx = parse_traceparent(headers.get("x-repro-trace"))
+            body = b""
+            if 0 < length <= MAX_BODY_BYTES:
+                body = await reader.readexactly(length)
 
-            if method == "GET" and path == "/healthz":
-                endpoint = "/healthz"
+            if length < 0:
+                status = self._plain(
+                    writer, 400, b'{"error": "bad Content-Length"}'
+                )
+            elif length > MAX_BODY_BYTES:
+                # Refused unread: the connection closes after the reply.
+                status = self._plain(
+                    writer, 413,
+                    b'{"error": "request body over %d bytes"}'
+                    % MAX_BODY_BYTES,
+                )
+            elif endpoint == "/jobs":
+                status = await self._handle_jobs(writer, body, req_ctx)
+            elif endpoint == "/healthz":
                 status = self._plain(writer, 200, b'{"ok": true}')
-            elif method == "GET" and path == "/metrics":
-                endpoint = "/metrics"
+            elif endpoint == "/metrics":
                 status = self._plain(
                     writer, 200, self.metrics_text().encode("utf-8"),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
-            elif method == "GET" and path == "/stats":
-                endpoint = "/stats"
+            elif endpoint == "/stats":
                 blob = json.dumps(
                     self.stats_snapshot(), indent=2, sort_keys=True
                 ).encode("utf-8")
                 status = self._plain(writer, 200, blob)
-            elif method == "GET" and _ARTIFACT_RE.match(path):
-                endpoint = "/artifact"
+            elif endpoint == "/artifact":
                 status = self._handle_artifact(writer, path)
-            elif method == "POST" and path == "/jobs":
-                endpoint = "/jobs"
-                status = await self._handle_jobs(writer, body, req_ctx)
             else:
-                endpoint = "other"
                 status = self._plain(writer, 404, b'{"error": "not found"}')
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
@@ -528,9 +683,10 @@ class SweepServer:
         writer, status: int, body: bytes,
         content_type: str = "application/json",
     ) -> int:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Error"
-        )
+        reason = {
+            200: "OK", 400: "Bad Request", 404: "Not Found",
+            413: "Payload Too Large",
+        }.get(status, "Error")
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason}\r\n"
@@ -579,13 +735,13 @@ class SweepServer:
             req = json.loads(body.decode("utf-8"))
             settings_d = dict(req["settings"])
             job_dicts = list(req["jobs"])
-            jsonio.settings_from_dict(settings_d)  # validate field names
+            settings = jsonio.settings_from_dict(settings_d)
         except Exception as exc:
             return self._plain(
                 writer, 400,
                 json.dumps({"error": f"bad batch: {exc}"}).encode("utf-8"),
             )
-        if settings_d.get("verify"):
+        if settings.verify:
             return self._plain(
                 writer, 400,
                 b'{"error": "served results cannot claim --verify; '
@@ -604,7 +760,6 @@ class SweepServer:
                         job_parents[i] = (trace_id, span_id)
         self.counters["batches"] += 1
         self.counters["jobs"] += len(job_dicts)
-        self._register_plans(job_dicts, settings_d)
         batch_span = (
             TRACER.start("/jobs", parent=req_ctx, service="server",
                          attrs={"jobs": len(job_dicts)})
@@ -617,29 +772,9 @@ class SweepServer:
             b"Cache-Control: no-cache\r\n"
             b"Connection: close\r\n\r\n"
         )
-        tasks = [
-            asyncio.ensure_future(
-                self._job_event(i, jd, settings_d, job_parents[i])
-            )
-            for i, jd in enumerate(job_dicts)
-        ]
-        broken = False
-        for next_done in asyncio.as_completed(tasks):
-            # Always await every task — coalesced waiters and the
-            # inflight table depend on each one running to completion —
-            # even after the client hangs up.
-            event = await next_done
-            if broken:
-                continue
-            try:
-                writer.write(
-                    b"data: "
-                    + json.dumps(event, separators=(",", ":")).encode("utf-8")
-                    + b"\n\n"
-                )
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                broken = True
+        broken = await self._resolve_batch(
+            writer, job_dicts, settings, job_parents, t0
+        )
         if not broken:
             writer.write(
                 b"data: "

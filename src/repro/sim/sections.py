@@ -827,7 +827,7 @@ class _Tables:
             self.by_digest[digest] = table
             self.digest_of[id(table)] = digest
         if (st.touch("section_tables", digest)
-                or st.put("section_tables", digest, table)):
+                or st.put("section_tables", digest, table, exclusive=True)):
             return digest
         return None
 

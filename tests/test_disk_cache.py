@@ -224,6 +224,22 @@ class TestEviction:
         assert st.touch("k", key)
         assert os.stat(path).st_mtime > 0
 
+    def test_exclusive_put_has_one_writer(self, tmp_path):
+        """Two processes' stores racing to put one content-addressed
+        entry: the first writes it and counts the put, the second
+        writes nothing; a plain put still overwrites."""
+        first = CacheStore(str(tmp_path), 1 << 30)
+        second = CacheStore(str(tmp_path), 1 << 30)
+        key = "ab" * 32
+        assert first.put("k", key, "first", exclusive=True)
+        assert second.put("k", key, "second", exclusive=True)
+        assert (first.puts, second.puts) == (1, 0)
+        assert second.get("k", key) == "first"
+        assert not [name for _, _, names in os.walk(tmp_path)
+                    for name in names if name.endswith(".tmp")]
+        assert second.put("k", key, "second")
+        assert first.get("k", key) == "second"
+
     def test_store_max_mb_env(self, monkeypatch, tmp_path):
         st = _enable(monkeypatch, tmp_path, max_mb=1)
         assert st.max_bytes == 1024 * 1024

@@ -14,8 +14,11 @@ the separate-process path.
 """
 
 import json
+import socket
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -34,6 +37,7 @@ from repro.serve.client import ServeError
 from repro.serve.jsonio import (
     job_from_dict, job_to_dict, settings_from_dict, settings_to_dict,
 )
+from repro.serve.server import MAX_BODY_BYTES
 from repro.sim import sections
 from repro.workloads.cache import clear_trace_cache
 
@@ -72,6 +76,46 @@ def server():
     handle = start_in_background(jobs=1)
     yield handle
     handle.stop()
+
+
+def _post_events(url, jobs, settings=SETTINGS):
+    """POST one batch and return every SSE event, errors included (the
+    client raises on the first failed job)."""
+    body = json.dumps({
+        "settings": settings_to_dict(settings),
+        "jobs": [job_to_dict(job) for job in jobs],
+    }).encode("utf-8")
+    req = urllib.request.Request(url + "/jobs", data=body, method="POST")
+    with urllib.request.urlopen(req, timeout=60) as resp:
+        return [json.loads(line[len(b"data: "):]) for line in resp
+                if line.startswith(b"data: ")]
+
+
+def _raw_exchange(url, request: bytes, hang_up_after=None) -> bytes:
+    """Send raw request bytes; read the reply to EOF, or only until
+    ``hang_up_after`` appears in it and then close the socket."""
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        while hang_up_after is None or hang_up_after not in reply:
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    return reply
+
+
+def _metric_series(url) -> dict:
+    with urllib.request.urlopen(url + "/metrics", timeout=10) as resp:
+        text = resp.read().decode("utf-8")
+    series = {}
+    for line in text.strip().splitlines():
+        if not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            series[name] = float(value)
+    return series
 
 
 def _dicts(results):
@@ -223,6 +267,113 @@ class TestDedupeFunnel:
         assert server.stats()["server"]["errors"] == 1
         ok = ServeClient(server.url).run_jobs(GRID[:1], SETTINGS)
         assert _dicts(ok) == _dicts(run_jobs(GRID[:1], SETTINGS, 1))
+
+
+class TestBatchFunnel:
+    """Batch triage and chunked execution (``SweepServer._resolve_batch``)."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resolve_count_equals_jobs_served(self, jobs):
+        """Three chunks of owned misses plus one in-batch duplicate of
+        each, then a repeat batch: every served job is one resolve
+        observation, and results match a local run at either bridge
+        (inline, or one ``Pool.apply`` per chunk)."""
+        batch = [
+            SimJob(workload=w, config=(8, 4, 2, 0), size="tiny", salt=s)
+            for w in ("crc", "rc4") for s in range(18)
+        ]
+        batch += batch
+        handle = start_in_background(jobs=jobs)
+        try:
+            client = ServeClient(handle.url)
+            first = client.run_jobs(batch, SETTINGS)
+            second = client.run_jobs(batch, SETTINGS)
+            tiers = handle.stats()["server"]["tiers"]
+            series = _metric_series(handle.url)
+        finally:
+            handle.stop()
+            handle.server.close_pools()
+        local = run_jobs(batch, SETTINGS, 1)
+        assert _dicts(first) == _dicts(second) == _dicts(local)
+        assert tiers["computed"] == 36 and tiers["coalesced"] == 36
+        assert tiers["memory"] == 72
+        resolves = sum(v for name, v in series.items()
+                       if name.startswith("repro_resolve_seconds_count"))
+        assert resolves == 2 * len(batch)
+
+    def test_failing_job_fails_alone(self, server):
+        """A job that keys but fails to execute fails alone inside its
+        chunk; its in-batch duplicate reports the same error, the rest
+        of the chunk is served, and the stream still ends with done."""
+        # Seed repeats need the Clank engine: execute_job refuses this.
+        bad = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                     n_seeds=3, engine="undo")
+        batch = [GRID[0], bad, GRID[2], bad]
+        events = _post_events(server.url, batch)
+        assert events[-1] == {"type": "done", "jobs": 4}
+        by_idx = {ev["idx"]: ev for ev in events[:-1]}
+        assert sorted(by_idx) == [0, 1, 2, 3]
+        assert by_idx[1]["error"] == by_idx[3]["error"]
+        assert by_idx[1]["error"].startswith("ConfigError: seed-repeat")
+        local = run_jobs([GRID[0], GRID[2]], SETTINGS, 1)
+        served = [parallel.decode_result(by_idx[i]) for i in (0, 2)]
+        assert _dicts(served) == _dicts(local)
+        stats = server.stats()["server"]
+        assert stats["errors"] == 2 and stats["inflight"] == 0
+
+    def test_hang_up_mid_stream_still_finishes_chunks(self, server):
+        """A client that hangs up before any result leaves the server
+        finishing every owned chunk: the inflight table drains and a
+        repeat batch is answered entirely from memory."""
+        batch = [SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                        salt=s) for s in range(40)]
+        body = json.dumps({
+            "settings": settings_to_dict(SETTINGS),
+            "jobs": [job_to_dict(job) for job in batch],
+        }).encode("utf-8")
+        head = _raw_exchange(
+            server.url,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body),
+            hang_up_after=b"\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 200")
+        deadline = time.monotonic() + 60
+        while True:
+            stats = server.stats()["server"]
+            if stats["tiers"]["computed"] == 40 and stats["inflight"] == 0:
+                break
+            assert time.monotonic() < deadline, stats
+            time.sleep(0.05)
+        repeat = ServeClient(server.url)
+        repeat.run_jobs(batch, SETTINGS)
+        assert repeat.tier_counts["memory"] == 40
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize("length", [
+        str(MAX_BODY_BYTES + 1), "1" + "0" * 5000,
+    ], ids=["over-cap", "5000-digits"])
+    def test_oversized_body_refused_unread(self, server, length):
+        """The 413 arrives although no body byte was ever sent."""
+        reply = _raw_exchange(
+            server.url,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+            % length.encode("ascii"),
+        )
+        assert reply.startswith(b"HTTP/1.1 413 Payload Too Large")
+        assert ServeClient(server.url).healthz()
+
+    @pytest.mark.parametrize("length", ["-1", "ten", "1.5", "+2"])
+    def test_malformed_content_length_is_400(self, server, length):
+        reply = _raw_exchange(
+            server.url,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+            % length.encode("ascii"),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"Content-Length" in reply
+        assert ServeClient(server.url).healthz()
 
 
 class TestRemoteTier:

@@ -90,6 +90,26 @@ class TestRunRecord:
             assert key not in stable
         assert stable["workload"] == "crc"
 
+    @pytest.mark.parametrize("rec", [
+        RunRecord(workload="crc", config="1,0,0,0", engine="fast"),
+        RunRecord(
+            workload="rc4", config="8,4,2,1", engine="reference",
+            fallback_reason="verify", kernel="python", result_cache="miss",
+            size="small", salt=11, driver="fig6", stalled=True, rows=64,
+            wall_s=0.125, t_start=3.5, worker=4321, index=9,
+        ),
+    ], ids=["default", "populated"])
+    def test_hand_written_dicts_equal_asdict_forms(self, rec):
+        """The hand-written encoders cover every field, in declaration
+        order, exactly as the ``dataclasses.asdict`` forms did."""
+        full = {"type": "run", **dataclasses.asdict(rec)}
+        assert list(rec.to_dict().items()) == list(full.items())
+        stable = dataclasses.asdict(rec)
+        for key in telemetry.WALL_TIME_FIELDS:
+            del stable[key]
+        assert list(rec.stable_dict().items()) == list(stable.items())
+        assert RunRecord.from_dict(rec.to_dict()) == rec
+
 
 class TestRunLedger:
     def test_disabled_record_is_a_noop(self):
