@@ -331,81 +331,48 @@ def _family_prefetch(job: SimJob, trace, config, pi_words,
     )
 
 
-#: ``_cache_lookup``'s "not in the result cache" marker (a cached
-#: allowed stall restores as ``None``).
-_MISS = object()
-
-
-def _ledger_record(job: SimJob, config: ClankConfig, engine: str,
-                   reason=None, result_cache="off", rows=1, salt=None,
-                   stalled=False, wall_s=0.0, t_start=None,
-                   kernel=None) -> None:
-    """Append one provenance record for ``job`` (no-op with the ledger
-    off); ``salt`` defaults to the job's own."""
-    ledger = telemetry.LEDGER
-    if not ledger.enabled:
-        return
-    ledger.record(telemetry.RunRecord(
-        workload=job.workload,
-        config=config.label(),
-        engine=engine,
-        fallback_reason=reason,
-        kernel=kernel,
-        result_cache=result_cache,
-        size=job.size,
-        salt=job.salt if salt is None else salt,
-        driver=ledger.driver,
-        stalled=stalled,
-        rows=rows,
-        wall_s=wall_s,
-        t_start=ledger.now() if t_start is None else t_start,
-        worker=os.getpid(),
-    ))
-
-
-def _cache_lookup(job: SimJob, settings: EvalSettings, config: ClankConfig,
+def _cache_lookup(job: SimJob, settings: EvalSettings,
                   key: Optional[str] = None):
-    """``(rkey, result)`` from the persistent result cache.
+    """``(rkey, stored)`` from the persistent result cache.
 
     ``rkey`` is ``None`` when the store is off or the run verifies
     (verified runs never read or write it); otherwise it is ``key``, or
-    :func:`result_key` when the caller holds none.  ``result`` is
-    :data:`_MISS` unless the store held the job; a hit is already
-    accounted in the ledger and the architecture collector.
+    :func:`result_key` when the caller holds none.  ``stored`` is the
+    job's stored form (a ``to_dict``, or ``"stalled"`` for a job that
+    allows stalls), or ``None`` on a miss.
     """
     st = artifact_cache.store()
     if st is None or settings.verify:
-        return None, _MISS
+        return None, None
     rkey = key if key is not None else result_key(job, settings)[1]
-    cached = st.get("result", rkey)
-    label = config.label()
-    if isinstance(cached, dict):
-        _ledger_record(job, config, telemetry.ENGINE_CACHED,
-                       result_cache="hit", rows=max(1, job.n_seeds))
-        if job.n_seeds > 1:
-            result = BatchResult.from_dict(cached)
-            rows = result.results
+    stored = st.get("result", rkey)
+    if isinstance(stored, dict) or (stored == "stalled" and job.allow_stall):
+        return rkey, stored
+    return rkey, None
+
+
+def _restore(job: SimJob, label: str, stored):
+    """The result a stored form encodes, folded into the architecture
+    collector.  A warm run skips the simulation, so attribution folds
+    from the cached cause counts (occupancy detail only exists for
+    simulated runs)."""
+    if stored == "stalled":
+        result, rows = None, [None]
+    elif job.n_seeds > 1:
+        result = BatchResult.from_dict(stored)
+        rows = result.results
+    else:
+        result = SimulationResult.from_dict(stored)
+        rows = [result]
+    for row in rows:
+        if row is None:
+            ARCH_COLLECTOR.fold_stalled(job.workload, label)
         else:
-            result = SimulationResult.from_dict(cached)
-            rows = [result]
-        # A warm run skips the simulation, so attribution folds from the
-        # cached cause counts (occupancy detail only exists for
-        # simulated runs).
-        for row in rows:
-            if row is None:
-                ARCH_COLLECTOR.fold_stalled(job.workload, label)
-            else:
-                ARCH_COLLECTOR.fold_causes(
-                    job.workload, label, row.checkpoints_by_cause,
-                    telemetry.ENGINE_CACHED,
-                )
-        return rkey, result
-    if cached == "stalled" and job.allow_stall:
-        _ledger_record(job, config, telemetry.ENGINE_CACHED,
-                       result_cache="hit", stalled=True)
-        ARCH_COLLECTOR.fold_stalled(job.workload, label)
-        return rkey, None
-    return rkey, _MISS
+            ARCH_COLLECTOR.fold_causes(
+                job.workload, label, row.checkpoints_by_cause,
+                telemetry.ENGINE_CACHED,
+            )
+    return result
 
 
 def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
@@ -445,6 +412,95 @@ def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
     )
 
 
+def _engine_call(job: SimJob, trace, config: ClankConfig,
+                 settings: EvalSettings):
+    """The zero-argument call that simulates ``job``: ``simulate_batch``
+    for a seed-repeat job, the undo-log simulator for ``engine="undo"``,
+    ``simulate_fast`` otherwise (which falls back to the reference
+    simulator inside when the section walk cannot carry the run)."""
+    if job.n_seeds > 1:
+        schedules = settings.schedule(job.salt).batch(
+            job.n_seeds, _BATCH_SEGMENTS, seed_stride=job.seed_stride
+        )
+        return functools.partial(
+            simulate_batch, trace, config, schedules,
+            allow_stall=job.allow_stall,
+            **_clank_kwargs(job, trace, config, settings),
+        )
+    if job.schedule == "runt":
+        schedule = RuntPower(
+            settings.avg_on_cycles,
+            job.runt_mean,
+            runt_fraction=job.runt_fraction,
+            seed=settings.seed,
+        )
+    else:
+        schedule = settings.schedule(job.salt)
+    if job.engine == "undo":
+        return UndoLogSimulator(
+            trace,
+            config,
+            schedule,
+            log_entries=job.log_entries,
+            cost_model=_COST_MODELS[job.cost_model],
+            progress_watchdog=job.progress_watchdog,
+            verify=settings.verify,
+            max_power_cycles=job.max_power_cycles,
+        ).run
+    return functools.partial(
+        simulate_fast, trace, config, schedule,
+        **_clank_kwargs(job, trace, config, settings),
+    )
+
+
+def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
+    """The provenance rows of a simulated seed-repeat job.
+
+    The rows the walk served fold into one ``engine="batch"`` row
+    carrying ``rows=<walked rows>``; each row served scalar gets its own
+    row, so the ledger's row-weighted totals still reconcile run-for-run.
+    Each rerun row carries that row's seconds; the rest of the job's time
+    (map build, schedule draws, the row walk) goes to the first row, so
+    the job's rows sum to ``seconds``.
+    """
+    reruns = [r for r, engine in enumerate(batch.engines)
+              if engine != "batch"]
+    rest = seconds - sum(batch.seconds[r] for r in reruns)
+    rows = []
+    if batch.batch_rows:
+        rows.append((telemetry.ENGINE_BATCH, None, "c", batch.batch_rows,
+                     job.salt, False, rest))
+        rest = 0.0
+    for r in reruns:
+        engine = batch.engines[r]
+        rows.append((engine, batch.reasons[r], batch.kernels[r], 1,
+                     job.salt + r * job.seed_stride,
+                     engine == telemetry.ENGINE_STALLED,
+                     batch.seconds[r] + rest))
+        rest = 0.0
+    return rows
+
+
+def _provenance(job: SimJob, result, seconds: float, cached: bool) -> list:
+    """The job's provenance rows, ``(engine, fallback_reason, kernel,
+    rows, salt, stalled, wall_s)`` each (read right after the run, so
+    :func:`repro.sim.fast.last_dispatch` still names its engine)."""
+    if cached:
+        return [(telemetry.ENGINE_CACHED, None, None, max(1, job.n_seeds),
+                 job.salt, result is None, 0.0)]
+    if isinstance(result, BatchResult):
+        return _batch_rows(job, result, seconds)
+    if result is None:
+        # The abort can come from either simulator mid-run (dispatch
+        # counters never tick), so the stall is its own engine value.
+        engine, reason, kernel = telemetry.ENGINE_STALLED, None, None
+    elif job.engine == "undo":
+        engine, reason, kernel = telemetry.ENGINE_UNDO, None, None
+    else:
+        engine, reason, kernel = fast_dispatch.last_dispatch()
+    return [(engine, reason, kernel, 1, job.salt, result is None, seconds)]
+
+
 def execute_job(
     job: SimJob, settings: EvalSettings, key: Optional[str] = None,
 ) -> Tuple[Optional[SimulationResult], float]:
@@ -461,17 +517,20 @@ def execute_job(
     never served from cache — a cached ``verified`` flag would claim a
     check that did not execute.
 
-    With the shared :data:`repro.obs.telemetry.LEDGER` enabled, one
-    provenance record per job is appended: which engine produced the
-    result (including ``disk-cached-result`` for cache hits), the typed
-    fallback reason, the chain-scan kernel, the result-cache tier
-    outcome, and the run's wall time (a job's records sum to the
-    seconds returned; 0 for a cache hit).  Recording happens strictly
-    after dispatch, so telemetry cannot change which engine runs.
+    Seed-repeat jobs (``n_seeds > 1``) run as one batched replay
+    (:func:`~repro.sim.batch.simulate_batch`) and return a
+    :class:`~repro.sim.batch.BatchResult`.  Row ``i`` is bit-identical to
+    the scalar job at salt ``salt + i*seed_stride``, so a driver can swap
+    N scalar repeats for one seed-repeat job without changing a single
+    result.
 
-    Seed-repeat jobs (``n_seeds > 1``) return a
-    :class:`~repro.sim.batch.BatchResult` instead — see
-    :func:`_execute_batch`.
+    With the shared :data:`repro.obs.telemetry.LEDGER` enabled, the job's
+    provenance records are appended (one per scalar job): which engine
+    produced the result (including ``disk-cached-result`` for cache hits),
+    the typed fallback reason, the section walker, the result-cache tier
+    outcome, and the run's wall time (a job's records sum to the seconds
+    returned; 0 for a cache hit).  Recording happens strictly after
+    dispatch, so telemetry cannot change which engine runs.
 
     ``key`` is the job's :func:`result_key` when the caller already
     holds it (the sweep server keys each job once per batch).
@@ -483,142 +542,65 @@ def execute_job(
         )
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     config = job.clank_config()
-    rkey, cached = _cache_lookup(job, settings, config, key)
-    if cached is not _MISS:
-        return cached, 0.0
-    result_cache = "miss" if rkey is not None else "off"
-    if job.n_seeds > 1:
-        return _execute_batch(job, settings, trace, config, rkey,
-                              result_cache)
-
-    if job.schedule == "runt":
-        schedule = RuntPower(
-            settings.avg_on_cycles,
-            job.runt_mean,
-            runt_fraction=job.runt_fraction,
-            seed=settings.seed,
-        )
+    rkey, stored = _cache_lookup(job, settings, key)
+    if stored is not None:
+        result = _restore(job, config.label(), stored)
+        seconds = 0.0
+        start = None
+        tier = "hit"
     else:
-        schedule = settings.schedule(job.salt)
-
-    if job.engine == "undo":
-        run_one = UndoLogSimulator(
-            trace,
-            config,
-            schedule,
-            log_entries=job.log_entries,
-            cost_model=_COST_MODELS[job.cost_model],
-            progress_watchdog=job.progress_watchdog,
-            verify=settings.verify,
-            max_power_cycles=job.max_power_cycles,
-        ).run
-    else:
-        # Clank jobs go through the section-memoized fast path when
-        # eligible (verify off, no volatile ranges); ineligible ones fall
-        # back to the reference simulator inside simulate_fast.
-        run_one = functools.partial(
-            simulate_fast, trace, config, schedule,
-            **_clank_kwargs(job, trace, config, settings),
-        )
-
-    start = time.perf_counter()
-    t_start = start - telemetry.LEDGER.epoch
-    try:
-        result = run_one()
-    except SimulationError:
-        if not job.allow_stall:
-            raise
+        call = _engine_call(job, trace, config, settings)
+        start = time.perf_counter()
+        try:
+            result = call()
+        except SimulationError:
+            if not job.allow_stall:
+                raise
+            result = None
         if rkey is not None:
-            artifact_cache.store().put("result", rkey, "stalled")
-        elapsed = time.perf_counter() - start
-        # The abort can come from either simulator mid-run (dispatch
-        # counters never tick), so the stall is its own engine value.
-        _ledger_record(job, config, "stalled", result_cache=result_cache,
-                       stalled=True, wall_s=elapsed, t_start=t_start)
-        ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
-        return None, elapsed
-    if rkey is not None:
-        artifact_cache.store().put(
-            "result", rkey, result.to_dict(include_derived=False)
-        )
-    elapsed = time.perf_counter() - start
-    if job.engine == "undo":
-        engine, reason = "undo", None
-        # The undo-log engine has no section enumeration to derive
-        # occupancy from; cause totals still reconcile.
-        ARCH_COLLECTOR.fold_causes(
-            job.workload, config.label(),
-            result.checkpoints_by_cause, "undo",
-        )
-    else:
-        engine, reason = fast_dispatch.last_dispatch()
-    _ledger_record(job, config, engine, reason=reason,
-                   result_cache=result_cache, wall_s=elapsed,
-                   t_start=t_start,
-                   kernel=fast_dispatch.last_kernel()
-                   if engine == "fast" else None)
-    return result, elapsed
-
-
-def _execute_batch(
-    job: SimJob, settings: EvalSettings, trace, config: ClankConfig,
-    rkey: Optional[str], result_cache: str,
-) -> Tuple[BatchResult, float]:
-    """Run one seed-repeat job (a result-cache miss) as a single
-    batched replay.
-
-    Row ``i`` of the returned :class:`~repro.sim.batch.BatchResult` is
-    bit-identical to the scalar job at salt ``salt + i*seed_stride``
-    (rows the batch engine cannot carry rerun through ``simulate_fast``
-    transparently), so a driver can swap N scalar repeats for one
-    seed-repeat job without changing a single result.
-
-    Telemetry folds the whole batch into one ``engine="batch"`` record
-    carrying ``rows=<walked rows>``; rows served scalar get their own
-    records, so the ledger's row-weighted totals still reconcile
-    run-for-run.  Each rerun row's record carries that row's seconds;
-    the rest of the job's time (map build, schedule draws, the row walk)
-    goes to the batch record, or to the first rerun row when the walk
-    served none, so the job's records sum to the seconds returned.
-    Whole ``BatchResult``s participate in the persistent result cache
-    under their own key namespace.
-    """
-    kwargs = _clank_kwargs(job, trace, config, settings)
-    schedules = settings.schedule(job.salt).batch(
-        job.n_seeds, _BATCH_SEGMENTS, seed_stride=job.seed_stride
-    )
-    start = time.perf_counter()
-    t_start = start - telemetry.LEDGER.epoch
-    batch = simulate_batch(
-        trace, config, schedules, allow_stall=job.allow_stall, **kwargs
-    )
-    elapsed = time.perf_counter() - start
-    if rkey is not None:
-        artifact_cache.store().put("result", rkey, batch.to_dict())
-
-    reruns = [r for r, engine in enumerate(batch.engines)
-              if engine != "batch"]
-    rest = elapsed - sum(batch.seconds[r] for r in reruns)
-    batch_rows = batch.batch_rows
-    if batch_rows:
-        _ledger_record(job, config, telemetry.ENGINE_BATCH,
-                       result_cache=result_cache, rows=batch_rows,
-                       wall_s=rest, t_start=t_start, kernel="c")
-        rest = 0.0
-    for r in reruns:
-        engine = batch.engines[r]
-        _ledger_record(
-            job, config, engine,
-            reason=batch.reasons[r],
-            result_cache=result_cache,
-            salt=job.salt + r * job.seed_stride,
-            stalled=engine == "stalled",
-            wall_s=batch.seconds[r] + rest,
-            t_start=t_start,
-            kernel=batch.kernels[r],
-        )
-        rest = 0.0
-    return batch, elapsed
+            if result is None:
+                stored = "stalled"
+            elif job.n_seeds > 1:
+                stored = result.to_dict()
+            else:
+                stored = result.to_dict(include_derived=False)
+            artifact_cache.store().put("result", rkey, stored)
+        seconds = time.perf_counter() - start
+        tier = "off" if rkey is None else "miss"
+        if result is None:
+            ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
+        elif job.engine == "undo":
+            # The undo-log engine has no section enumeration to derive
+            # occupancy from; cause totals still reconcile.
+            ARCH_COLLECTOR.fold_causes(
+                job.workload, config.label(), result.checkpoints_by_cause,
+                telemetry.ENGINE_UNDO,
+            )
+    ledger = telemetry.LEDGER
+    if ledger.enabled:
+        label = config.label()
+        t_start = ledger.now() if start is None else start - ledger.epoch
+        worker = os.getpid()
+        for engine, reason, kernel, rows, salt, stalled, wall_s in (
+            _provenance(job, result, seconds, tier == "hit")
+        ):
+            ledger.record(telemetry.RunRecord(
+                workload=job.workload,
+                config=label,
+                engine=engine,
+                fallback_reason=reason,
+                kernel=kernel,
+                result_cache=tier,
+                size=job.size,
+                salt=salt,
+                driver=ledger.driver,
+                stalled=stalled,
+                rows=rows,
+                wall_s=wall_s,
+                t_start=t_start,
+                worker=worker,
+            ))
+    return result, seconds
 
 
 # --------------------------------------------------------------------- #

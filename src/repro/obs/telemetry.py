@@ -14,12 +14,13 @@ changing which engine runs or how fast it runs.
   :func:`repro.sim.fast.simulate_fast` hands a run to the reference
   simulator.
 * :class:`RunRecord` — one run's provenance: workload, configuration key,
-  engine (``fast`` / ``reference`` / ``disk-cached-result`` / ``undo`` /
-  ``stalled``), fallback reason, section walker, result-cache tier
-  outcome, and wall time — the one per-run timer (the run profile's
-  simulator section sums it).  :meth:`RunRecord.stable_dict` drops the
-  wall-time fields (``wall_s``, ``t_start``, ``worker``) so ledgers can be
-  compared across worker counts.
+  engine (``fast`` / ``reference`` / ``batch`` / ``disk-cached-result`` /
+  ``undo`` / ``stalled`` / ``served``), fallback reason, section walker,
+  result-cache tier outcome, and wall time — the one per-run timer (the
+  run profile's simulator section sums it).
+  :meth:`RunRecord.stable_dict` drops the wall-time fields (``wall_s``,
+  ``t_start``, ``worker``) so ledgers can be compared across worker
+  counts.
 * :class:`RunLedger` — the per-process collector.  The eval CLI enables
   the shared :data:`LEDGER`; :func:`repro.eval.parallel.execute_job`
   and the sweep-server client (:mod:`repro.serve.client`) append to it,
@@ -74,9 +75,7 @@ ENGINE_SERVED = "served"
 class FallbackReason(Enum):
     """Why :func:`repro.sim.fast.simulate_fast` ran the reference simulator.
 
-    The first five mirror the eligibility checks documented in
-    :mod:`repro.sim.fast`; ``DISABLED`` is the ``REPRO_FAST=0`` escape
-    hatch.
+    Each mirrors an eligibility check documented in :mod:`repro.sim.fast`.
     """
 
     VERIFY = "verify"
@@ -84,7 +83,6 @@ class FallbackReason(Enum):
     VOLATILE_RANGES = "volatile_ranges"
     PI_HAZARD = "pi_hazard"
     WATCHDOG_CUT = "watchdog_cut"
-    DISABLED = "disabled"
 
 
 #: Ledger fields that carry wall-clock (non-deterministic) data.
@@ -102,8 +100,10 @@ class RunRecord:
         workload: Workload name.
         config: Configuration key (``ClankConfig.label()``).
         engine: What produced the result — ``fast``, ``reference``,
-            ``disk-cached-result``, ``undo``, or ``stalled`` (the run
-            aborted without forward progress under ``allow_stall``).
+            ``batch`` (the row walker of a seed-repeat job),
+            ``disk-cached-result``, ``undo``, ``stalled`` (the run
+            aborted without forward progress under ``allow_stall``), or
+            ``served`` (a sweep server answered the job).
         fallback_reason: :class:`FallbackReason` value when the engine is
             ``reference`` and the run went through ``simulate_fast``.
         kernel: The section walker that served the run — ``c`` (the C

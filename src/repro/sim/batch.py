@@ -13,9 +13,9 @@ batch's on-time arrays.  The walk is *bit-identical* to N scalar
 optimizations, PI marking, and both chain-scan kernels.
 
 Fallback.  Whole-batch ineligibility (no C kernel — ``REPRO_CEXT=0`` or
-no compiler —, ``REPRO_FAST=0``, ``verify=True``, volatile ranges, the
-static PI hazard, or a live architecture collector) routes every row
-through scalar :func:`simulate_fast`; *per-row* conditions — an
+no compiler —, ``verify=True``, volatile ranges, the static PI hazard,
+or a live architecture collector) routes every row through scalar
+:func:`simulate_fast`; *per-row* conditions — an
 unprovable watchdog cut (:meth:`SectionMap.watchdog_cut_safe`) or a
 no-forward-progress abort — rerun just that row scalar (schedules fully
 re-seed from their row seed, so the rerun consumes the identical on-time
@@ -37,7 +37,7 @@ from repro.sim.fast import (
     _ST_INIT,
     FastPathIneligible,
     FastReplaySimulator,
-    fast_path_enabled,
+    last_dispatch,
     section_walk,
     simulate_fast,
     walk_result,
@@ -46,7 +46,6 @@ from repro.sim.result import SimulationResult
 
 __all__ = [
     "BatchResult",
-    "BatchReplaySimulator",
     "batch_stats",
     "simulate_batch",
 ]
@@ -164,52 +163,40 @@ class BatchResult:
 # --------------------------------------------------------------------- #
 
 
-class BatchReplaySimulator(FastReplaySimulator):
-    """Replay a :class:`ScheduleBatch` row by row over one SectionMap.
+def _walk_rows(sim: FastReplaySimulator, sbatch: ScheduleBatch, lib):
+    """Walk every row of ``sbatch`` through the C section walk.
 
-    Construction mirrors the reference simulator (same ``"auto"`` watchdog
-    resolution, same ``max_power_cycles`` default — both derive from the
-    batch's ``mean_on_time``, which every row shares).  :meth:`run_batch`
-    walks all rows; rows it cannot carry exactly come back flagged for a
-    scalar rerun (:func:`simulate_batch` performs it transparently).
+    ``sim`` carries the run's trace, config and walk parameters: build
+    it with ``sbatch.row_schedule(0)``, so its ``"auto"`` watchdog loads
+    and ``max_power_cycles`` default derive from the batch's
+    ``mean_on_time``, which every row shares.  Returns ``(results,
+    needs_scalar)``: ``results[r]`` is the row's
+    :class:`SimulationResult` (``None`` when flagged) and
+    ``needs_scalar`` lists the rows the walk could not carry (an unsafe
+    watchdog cut or a ``max_power_cycles`` abort — the scalar engines
+    reproduce both exactly).
+
+    Raises :class:`~repro.sim.fast.FastPathIneligible` for a batch no
+    row of which the section walk may carry.
     """
+    smap = sim._section_map()
+    prm = sim._walk_params()
+    trace = sim.trace
+    name = trace.name
+    label = sim.config.label()
+    baseline = trace.total_cycles
+    results: List[Optional[SimulationResult]] = [None] * sbatch.rows
+    needs_scalar: List[int] = []
+    for r, ontimes in enumerate(sbatch.ontimes):
+        def more(ontimes=ontimes):
+            sbatch.ensure_columns(max(8, len(ontimes) * 2))
 
-    def __init__(self, trace, config, schedules: ScheduleBatch, **kwargs):
-        if not isinstance(schedules, ScheduleBatch):
-            raise TypeError("BatchReplaySimulator needs a ScheduleBatch")
-        super().__init__(trace, config, schedules.row_schedule(0), **kwargs)
-        self.schedules = schedules
-
-    def run_batch(self, lib):
-        """Walk every row through the C section walk; returns
-        ``(results, needs_scalar)`` where ``results[r]`` is the row's
-        :class:`SimulationResult` (``None`` when flagged) and
-        ``needs_scalar`` lists the row indices the walk could not carry
-        (an unsafe watchdog cut or a ``max_power_cycles`` abort — the
-        scalar engines reproduce both exactly).
-
-        Raises :class:`~repro.sim.fast.FastPathIneligible` for a batch no
-        row of which the section walk may carry.
-        """
-        smap = self._section_map()
-        sbatch = self.schedules
-        prm = self._walk_params()
-        trace = self.trace
-        name = trace.name
-        label = self.config.label()
-        baseline = trace.total_cycles
-        results: List[Optional[SimulationResult]] = [None] * sbatch.rows
-        needs_scalar: List[int] = []
-        for r, ontimes in enumerate(sbatch.ontimes):
-            def more(ontimes=ontimes):
-                sbatch.ensure_columns(max(8, len(ontimes) * 2))
-
-            st = array("q", _ST_INIT)
-            if section_walk(smap, lib, prm, ontimes, more, st):
-                needs_scalar.append(r)
-            else:
-                results[r] = walk_result(st, name, label, baseline)
-        return results, needs_scalar
+        st = array("q", _ST_INIT)
+        if section_walk(smap, lib, prm, ontimes, more, st):
+            needs_scalar.append(r)
+        else:
+            results[r] = walk_result(st, name, label, baseline)
+    return results, needs_scalar
 
 
 # --------------------------------------------------------------------- #
@@ -249,8 +236,8 @@ def simulate_batch(
     """Replay every schedule row; row walker when eligible, scalar otherwise.
 
     Whole-batch ineligibility (no C kernel, ``verify``, volatile ranges,
-    PI hazard, ``REPRO_FAST=0``, live architecture collector) routes all
-    rows through :func:`simulate_fast`; rows the walker flags mid-flight
+    PI hazard, live architecture collector) routes all rows through
+    :func:`simulate_fast`; rows the walker flags mid-flight
     (unprovable watchdog cut, no-forward-progress abort) rerun scalar
     individually — their fresh row schedule consumes the identical on-time
     sequence, so the outcome is bit-identical to never having batched.
@@ -260,8 +247,6 @@ def simulate_batch(
             scalar rerun aborts without forward progress, instead of
             propagating :class:`SimulationError`.
     """
-    from repro.sim import fast as fast_dispatch
-
     N = schedules.rows
     batch = BatchResult(
         name=trace.name,
@@ -275,8 +260,6 @@ def simulate_batch(
     lib = cext.chain_scan_lib()
     if lib is None:
         whole_batch_reason = "no_cext"
-    elif not fast_path_enabled():
-        whole_batch_reason = "fast_disabled"
     elif ARCH_COLLECTOR.enabled:
         # Introspection folds per run in dispatch order; the row walker
         # has no per-section commit record to attribute, so the scalar
@@ -285,9 +268,11 @@ def simulate_batch(
     else:
         # verify (IntermittentSimulator's default, as in simulate_fast),
         # a live recorder, volatile ranges and the PI hazard raise here.
-        sim = BatchReplaySimulator(trace, config, schedules, **kwargs)
+        sim = FastReplaySimulator(
+            trace, config, schedules.row_schedule(0), **kwargs
+        )
         try:
-            batch.results, needs_scalar = sim.run_batch(lib)
+            batch.results, needs_scalar = _walk_rows(sim, schedules, lib)
             whole_batch_reason = None
         except FastPathIneligible as exc:
             whole_batch_reason = exc.reason.value
@@ -316,9 +301,8 @@ def simulate_batch(
             batch.reasons[r] = None
             batch.kernels[r] = None
         else:
-            batch.engines[r], batch.reasons[r] = (
-                fast_dispatch.last_dispatch()
+            batch.engines[r], batch.reasons[r], batch.kernels[r] = (
+                last_dispatch()
             )
-            batch.kernels[r] = fast_dispatch.last_kernel()
         batch.seconds[r] = time.perf_counter() - start
     return batch

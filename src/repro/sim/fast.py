@@ -48,10 +48,13 @@ verdicts.  :meth:`FastReplaySimulator.run` is the same walk in Python:
 the engine without a kernel, the engine that feeds the architecture
 collector, and the oracle the C walk is pinned against.
 
-Set ``REPRO_FAST=0`` to disable the fast path entirely.
+:func:`simulate_fast` picks among the three scalar engines —
+:meth:`FastReplaySimulator.run_c`, :meth:`FastReplaySimulator.run` and
+:meth:`IntermittentSimulator.run` — and :func:`last_dispatch` reports
+which one served the most recent run.  A test or harness that wants one
+engine calls its method directly.
 """
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Optional
@@ -88,13 +91,6 @@ class FastPathIneligible(Exception):
     def __init__(self, reason: FallbackReason, detail: str = ""):
         self.reason = reason
         super().__init__(detail or reason.value)
-
-
-def fast_path_enabled() -> bool:
-    """The ``REPRO_FAST`` escape hatch (default on)."""
-    return os.environ.get("REPRO_FAST", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 class FastReplaySimulator(IntermittentSimulator):
@@ -867,15 +863,15 @@ def dispatch_stats() -> dict:
 
 
 def last_dispatch():
-    """``(engine, fallback_reason)`` of the most recent dispatch."""
-    return _LAST[:2]
+    """``(engine, fallback_reason, kernel)`` of the most recent dispatch.
 
-
-def last_kernel() -> Optional[str]:
-    """Which walker served the most recent dispatch: ``"c"`` (the C
-    walk), ``"python"`` (:meth:`FastReplaySimulator.run`), or ``None``
-    (the reference simulator ran)."""
-    return _LAST[2]
+    ``engine`` is ``"fast"`` or ``"reference"``; ``fallback_reason`` the
+    :class:`~repro.obs.telemetry.FallbackReason` value of a reference
+    run (else ``None``); ``kernel`` the walker that served a fast run —
+    ``"c"`` (the C walk) or ``"python"``
+    (:meth:`FastReplaySimulator.run`) — and ``None`` for a reference run.
+    """
+    return _LAST
 
 
 def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
@@ -888,25 +884,22 @@ def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
     partially walked attempt — consumes the identical on-time sequence.
     """
     global _LAST
-    if fast_path_enabled():
-        sim = FastReplaySimulator(trace, config, schedule, **kwargs)
-        try:
-            lib = cext.chain_scan_lib()
-            result = None
-            if lib is not None and not ARCH_COLLECTOR.enabled:
-                result = sim.run_c(lib)
-            if result is None:
-                result = sim.run()
-                _LAST = ("fast", None, "python")
-            else:
-                _C_WALK.inc()
-                _LAST = ("fast", None, "c")
-            _FAST.inc()
-            return result
-        except FastPathIneligible as exc:
-            reason = exc.reason.value
-    else:
-        reason = FallbackReason.DISABLED.value
+    sim = FastReplaySimulator(trace, config, schedule, **kwargs)
+    try:
+        lib = cext.chain_scan_lib()
+        result = None
+        if lib is not None and not ARCH_COLLECTOR.enabled:
+            result = sim.run_c(lib)
+        if result is None:
+            result = sim.run()
+            _LAST = ("fast", None, "python")
+        else:
+            _C_WALK.inc()
+            _LAST = ("fast", None, "c")
+        _FAST.inc()
+        return result
+    except FastPathIneligible as exc:
+        reason = exc.reason.value
     _REASONS[reason].inc()
     _LAST = ("reference", reason, None)
     return IntermittentSimulator(trace, config, schedule, **kwargs).run()

@@ -333,13 +333,26 @@ class TestSeedRepeatJobs:
         assert sum(rec.wall_s for rec in records) == pytest.approx(
             seconds, rel=1e-9, abs=1e-12
         )
+        shapes = [(rec.engine, rec.fallback_reason, rec.kernel,
+                   rec.result_cache, rec.rows, rec.salt, rec.stalled)
+                  for rec in records]
         if batch.batch_rows:
+            # One record for the walked rows, then one per rerun row.
             assert route == "kernel"
-            assert records[0].engine == "batch"
+            reruns = [r for r, e in enumerate(batch.engines) if e != "batch"]
+            assert shapes == [
+                ("batch", None, "c", "off", batch.batch_rows, 5, False)
+            ] + [
+                (batch.engines[r], batch.reasons[r], batch.kernels[r],
+                 "off", 1, 5 + r, False)
+                for r in reruns
+            ]
         else:
-            # Every row reran scalar: one timed record per row.
+            # Every row reran scalar on the Python walker: one timed
+            # record per row, at the row's own salt.
             assert route != "kernel" or cext.chain_scan_lib() is None
-            assert len(records) == 16
+            assert shapes == [("fast", None, "python", "off", 1, 5 + r, False)
+                              for r in range(16)]
             assert all(rec.wall_s > 0.0 for rec in records)
 
     def test_rows_batched_without_numpy(self):

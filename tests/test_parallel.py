@@ -205,6 +205,12 @@ class TestProfilerMerge:
         names = ("sections.hits", "sections.misses",
                  "sections.family_passes", "sections.family_maps",
                  "dispatch.fast", "batch.rows_batched", "cache.puts")
+        # Warm the traces' compiled arrays in this process first, with no
+        # store.  Otherwise the serial leg would store them and the
+        # pooled leg's forked workers would inherit them in memory.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        artifact_cache.reset_for_tests()
+        run_jobs(jobs, QUICK, n_workers=1)
         totals = []
         try:
             for n_workers in (1, 2):

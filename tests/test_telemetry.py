@@ -198,14 +198,15 @@ class TestDispatchCounters:
         stats = dispatch_stats()
         assert stats["fast"] == 1
         assert stats["fallback"] == 0
-        assert fast.last_dispatch() == ("fast", None)
+        kernel = "c" if cext.chain_scan_lib() is not None else "python"
+        assert fast.last_dispatch() == ("fast", None, kernel)
 
     def test_verify_fallback_is_typed(self):
         self._run(verify=True)
         stats = dispatch_stats()
         assert stats["reasons"][FallbackReason.VERIFY.value] == 1
         assert stats["fallback"] == 1
-        assert fast.last_dispatch() == ("reference", "verify")
+        assert fast.last_dispatch() == ("reference", "verify", None)
 
     def test_merge_dispatch_stats(self):
         self._run()
@@ -306,6 +307,77 @@ class TestDiskCacheProvenance:
             assert rec.fallback_reason == "verify"
         finally:
             sections.clear_cache()
+
+
+#: A scalar job with an impossible supply, shaped like
+#: ``ablation_progress``'s stalled cells: restart never fits in the
+#: runt on-times and no Progress Watchdog can help.
+STALL_JOB = SimJob(
+    workload="crc", config=(16, 8, 4, 4), size="tiny", schedule="runt",
+    runt_mean=2, runt_fraction=1.0, progress_watchdog=0,
+    max_power_cycles=50, allow_stall=True,
+)
+SCALAR_JOB = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                    salt=3)
+
+#: Every record shape ``execute_job`` emits for a scalar job:
+#: ``(job, gate the C kernel off, read through a warm disk cache,
+#: expected (engine, fallback_reason, kernel, result_cache, rows, salt,
+#: stalled) per record)``.  Seed-repeat jobs are pinned by
+#: ``tests/test_batch_replay.py::TestSeedRepeatJobs::
+#: test_records_sum_to_job_seconds``.
+RECORD_SHAPES = {
+    "c_walk": (SCALAR_JOB, False, False,
+               [("fast", None, "c", "off", 1, 3, False)]),
+    "python_walker": (SCALAR_JOB, True, False,
+                      [("fast", None, "python", "off", 1, 3, False)]),
+    "reference": (
+        dataclasses.replace(SCALAR_JOB, volatile_segments=("stack",)),
+        False, False,
+        [("reference", "volatile_ranges", None, "off", 1, 3, False)],
+    ),
+    "undo": (dataclasses.replace(SCALAR_JOB, engine="undo"), False, False,
+             [("undo", None, None, "off", 1, 3, False)]),
+    "stalled": (STALL_JOB, False, False,
+                [("stalled", None, None, "off", 1, 0, True)]),
+    "disk_cached": (SCALAR_JOB, False, True,
+                    [("disk-cached-result", None, None, "hit", 1, 3,
+                      False)]),
+    "disk_cached_stall": (STALL_JOB, False, True,
+                          [("disk-cached-result", None, None, "hit", 1, 0,
+                            True)]),
+}
+
+
+class TestRecordShapes:
+    @pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+    def test_record_shape(self, shape, tmp_path, monkeypatch):
+        from repro.eval.parallel import execute_job
+
+        job, no_cext, warm, expected = RECORD_SHAPES[shape]
+        if no_cext:
+            monkeypatch.setenv("REPRO_CEXT", "0")
+        cext.reset_for_tests()
+        if shape == "c_walk" and cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        if warm:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+            artifact_cache.reset_for_tests()
+            execute_job(job, QUICK)
+        LEDGER.enable()
+        try:
+            result, seconds = execute_job(job, QUICK)
+        finally:
+            monkeypatch.delenv("REPRO_CEXT", raising=False)
+            cext.reset_for_tests()
+        assert (result is None) == (job is STALL_JOB)
+        assert [
+            (r.engine, r.fallback_reason, r.kernel, r.result_cache, r.rows,
+             r.salt, r.stalled)
+            for r in LEDGER.records
+        ] == expected
+        assert sum(r.wall_s for r in LEDGER.records) == seconds
+        assert (seconds == 0.0) == warm
 
 
 class TestCliLedger:
