@@ -21,8 +21,8 @@ JSON for ``python -m repro.obs.analyze``.  ``--trace PATH`` (or
 ``REPRO_TRACE``) exports driver/job spans as JSONL — for served sweeps
 the client spans carry the trace the server continues, and
 ``python -m repro.obs.tracing merge`` renders the combined Chrome
-timeline.  A ``--ledger`` path streams records live for
-``python -m repro.obs.watch``.
+timeline.  The ledger file grows as the sweep runs (one line per
+record, written once), so ``python -m repro.obs.watch`` can follow it.
 
 ``--server URL`` routes every job through a sweep server
 (``python -m repro.serve``) instead of simulating locally: results are
@@ -164,27 +164,34 @@ def main(argv=None) -> int:
         ARCH_COLLECTOR.reset()
         ARCH_COLLECTOR.enable()
 
-    driver_stats = {}
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     ledger_path = args.ledger
     if ledger_path is None and not args.quick:
         ledger_path = _LEDGER_PATH
     if ledger_path:
-        # Stream records live so `python -m repro.obs.watch PATH` can
-        # follow the sweep; write_jsonl below replaces the stream with
-        # the complete authoritative ledger at the end.
-        telemetry.LEDGER.stream_to(
-            ledger_path, header={"experiments": list(names)}
-        )
+        # The ledger file's one writer: this header now, each record's
+        # line as it lands (so `python -m repro.obs.watch PATH` can
+        # follow the sweep), the driver lines and footer at the end.
+        telemetry.LEDGER.stream_to(ledger_path, header={
+            "timestamp": datetime.now(timezone.utc).isoformat(
+                timespec="seconds"
+            ),
+            "experiments": list(names),
+            "jobs": n_workers,
+            "seed": args.seed,
+            "seeds": args.seeds,
+            "quick": args.quick,
+            "verify": args.verify,
+            "server": args.server,
+            "cache_enabled": artifact_cache.store() is not None,
+        })
     wall_start = time.perf_counter()
     try:
         for name in names:
             module = __import__(
                 f"repro.eval.{name}", fromlist=["run", "render"]
             )
-            runs_before = telemetry.LEDGER.total_rows()
-            with PROFILER.phase(name), telemetry.LEDGER.driver_phase(name), \
-                    tracing.TRACER.span(f"driver {name}"):
+            with PROFILER.phase(name), telemetry.LEDGER.driver_phase(name):
                 if args.seeds and name in _SEEDED_DRIVERS:
                     data = module.run(
                         settings, n_workers=n_workers, seeds=args.seeds
@@ -193,16 +200,9 @@ def main(argv=None) -> int:
                     data = module.run(settings, n_workers=n_workers)
                 else:
                     data = module.run(settings)
-            runs = telemetry.LEDGER.total_rows() - runs_before
-            seconds = PROFILER.phases[name]
-            driver_stats[name] = {
-                "seconds": round(seconds, 3),
-                "runs": runs,
-                "ms_per_run": round(1000.0 * seconds / runs, 3)
-                if runs else None,
-            }
+            mark = PROFILER.marks[-1]
             print(module.render(data))
-            print(f"[{name} completed in {seconds:.1f}s]\n")
+            print(f"[{name} completed in {mark['t1'] - mark['t0']:.1f}s]\n")
         wall_clock = time.perf_counter() - wall_start
 
         # Flush this process's dirty artifacts (worker processes flushed
@@ -229,21 +229,8 @@ def main(argv=None) -> int:
         )
         print(f"[ledger: {total_rows} runs{rows_note} — {mix or 'none'}]")
         if ledger_path:
-            ledger.write_jsonl(
-                ledger_path,
-                header={
-                    "timestamp": datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"
-                    ),
-                    "experiments": list(names),
-                    "jobs": n_workers,
-                    "seed": args.seed,
-                    "seeds": args.seeds,
-                    "quick": args.quick,
-                    "verify": args.verify,
-                    "server": args.server,
-                    "cache_enabled": artifact_cache.store() is not None,
-                },
+            ledger.finish(
+                PROFILER.marks,
                 footer={
                     "wall_clock_s": round(wall_clock, 3),
                     "dispatch": dispatch,
@@ -277,6 +264,18 @@ def main(argv=None) -> int:
                 fh.write(profile + "\n")
             print(f"[profile written to {_PROFILE_PATH}]")
             sim_seconds = sum(rec.wall_s for rec in ledger.records)
+            driver_runs = telemetry.count_rows(ledger.records,
+                                               lambda r: r.driver)
+            driver_stats = {}
+            for mark in PROFILER.marks:
+                seconds = mark["t1"] - mark["t0"]
+                runs = driver_runs.get(mark["name"], 0)
+                driver_stats[mark["name"]] = {
+                    "seconds": round(seconds, 3),
+                    "runs": runs,
+                    "ms_per_run": round(1000.0 * seconds / runs, 3)
+                    if runs else None,
+                }
             _append_bench_entry(_BENCH_PATH, {
                 "timestamp": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"

@@ -698,6 +698,10 @@ _WORKER_SETTINGS: Optional[EvalSettings] = None
 def _worker_init(settings: EvalSettings) -> None:
     global _WORKER_SETTINGS
     _WORKER_SETTINGS = settings
+    # The parent is the ledger file's one writer: drop the inherited
+    # stream (its buffer is empty, the parent flushes every line), so
+    # worker records reach the file only through the parent's fold.
+    telemetry.LEDGER.stop_stream()
 
 
 def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:

@@ -12,18 +12,18 @@ box in between: this package opens it up without slowing it down.
   path is untouched.
 * :mod:`repro.obs.metrics` — counters and fixed-bucket histograms aggregated
   into :attr:`repro.sim.result.SimulationResult.metrics`.
-* :mod:`repro.obs.chrome_trace` — renders an event log (or a sweep's run
-  ledger) as a Chrome trace-event (``chrome://tracing`` / Perfetto)
-  timeline.
+* :mod:`repro.obs.chrome_trace` — renders an event log, or timed spans
+  (tracing exports, a sweep's run ledger), as a Chrome trace-event
+  (``chrome://tracing`` / Perfetto) timeline.
 * :mod:`repro.obs.profile` — wall-clock profiling of the experiment drivers
-  (per-driver phases; per-workload simulator time summed from the run
-  ledger; trace-cache hit rates).
+  (``Profiler.phase``, the one driver clock; per-workload simulator time
+  summed from the run ledger; trace-cache hit rates).
 * :mod:`repro.obs.telemetry` — per-run provenance records (engine,
   fallback reason, kernel, cache tier, wall time) collected into the
-  shared :data:`~repro.obs.telemetry.LEDGER` and written as the
-  ``results/run_ledger.jsonl`` sweep ledger.
+  shared :data:`~repro.obs.telemetry.LEDGER`, which is also the one
+  writer of the ``results/run_ledger.jsonl`` sweep ledger.
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` renders a run
-  ledger as a text or HTML sweep report (plus the worker-lane timeline).
+  ledger as a text or HTML sweep report (plus its span timeline).
 * :mod:`repro.obs.bench` — ``python -m repro.obs.bench --check`` gates CI
   on the ``results/BENCH_sweep.json`` performance trajectory.
 * :mod:`repro.obs.inspect` — ``python -m repro.obs.inspect run.jsonl``
@@ -76,12 +76,7 @@ from repro.obs.recorder import (
     live_recorder,
     read_events,
 )
-from repro.obs.chrome_trace import (
-    sweep_to_chrome_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_sweep_trace,
-)
+from repro.obs.chrome_trace import to_chrome_trace, write_chrome_trace
 from repro.obs.profile import PROFILER, Profiler
 from repro.obs.telemetry import (
     LEDGER,
@@ -121,8 +116,6 @@ __all__ = [
     "render_prometheus",
     "to_chrome_trace",
     "write_chrome_trace",
-    "sweep_to_chrome_trace",
-    "write_sweep_trace",
     "Profiler",
     "PROFILER",
     "FallbackReason",

@@ -1,5 +1,4 @@
-"""Render an event log — or a whole sweep's run ledger — as a Chrome
-trace-event timeline.
+"""Render an event log, or timed spans, as a Chrome trace-event timeline.
 
 The output dict follows the Trace Event Format consumed by
 ``chrome://tracing`` and https://ui.perfetto.dev: load the written JSON file
@@ -16,18 +15,20 @@ simulated cycle = one microsecond) across four lanes:
   attempts are instants.
 * ``signals``    — watchdog firings/halvings, buffer overflows, outputs.
 
-:func:`sweep_to_chrome_trace` renders a *sweep* from its run-provenance
-ledger (:mod:`repro.obs.telemetry`), in real wall-clock microseconds: one
-``drivers`` lane spanning each experiment driver, and one lane per worker
-process carrying a span per simulator run (engine, fallback reason, and
-cache-tier outcome in the span args) — the view that shows fork-pool
-utilization, stragglers, and where fallbacks cluster.  A batched
-seed-repeat record (``rows > 1``) renders as a single span labelled with
-its row count.
+:func:`spans_to_chrome_trace` renders wall-clock *spans*, one Chrome
+process per ``(service, pid)``.  Its inputs are :mod:`repro.obs.tracing`
+exports (``python -m repro.obs.tracing merge``) and a sweep's run ledger
+turned into spans by :func:`ledger_spans` (``python -m repro.obs.report
+--chrome-trace``): an ``eval`` process holding the driver spans and one
+``worker`` process per worker pid carrying a span per simulator run
+(engine, fallback reason and cache-tier outcome in the span args) — the
+view that shows fork-pool utilization, stragglers, and where fallbacks
+cluster.
 """
 
 import json
-from typing import Iterable, List, Sequence
+import math
+from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.events import Event
 
@@ -207,152 +208,106 @@ def write_chrome_trace(
 
 
 # --------------------------------------------------------------------- #
-# Sweep timelines (run-provenance ledgers).
+# Span timelines: repro.obs.tracing exports and run ledgers.
 # --------------------------------------------------------------------- #
 
-_TID_DRIVERS = 1
+#: Stable viewer ordering: the eval process (its driver spans) first,
+#: then the serving pipeline's hops.
+_SERVICE_ORDER = {"eval": 0, "client": 1, "server": 2, "worker": 3}
 
 
-def _num(value, default=0.0) -> float:
-    """Best-effort float: hand-edited or partial ledgers may carry null
-    (or junk) wall-time fields; the timeline should render, not crash."""
+def _num(value) -> Optional[float]:
+    """A finite float, or ``None`` for null or junk: hand-edited or
+    partial files must render, not crash."""
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError):
-        return default
+        return None
+    return value if math.isfinite(value) else None
 
 
-def sweep_to_chrome_trace(
-    records: Sequence,
-    drivers: Sequence[dict] = (),
-    name: str = "sweep",
-) -> dict:
-    """Build a Chrome trace-event dict for a sweep.
+def ledger_spans(ledger) -> List[dict]:
+    """A run ledger's timeline as span dicts for
+    :func:`spans_to_chrome_trace`.
 
-    Args:
-        records: :class:`repro.obs.telemetry.RunRecord` objects (their
-            ``t_start``/``wall_s`` are seconds since the ledger epoch).
-        drivers: Driver marks — dicts with ``name``/``t0``/``t1`` — as
-            collected by the ledger or read back from its JSONL file.
-        name: Process name shown in the viewer.
-
-    One lane per worker PID (submission-merged records keep their
-    originating worker, so a pooled sweep shows true per-lane occupancy);
-    zero-length runs (disk-cache hits) render as 1 µs spans so they stay
-    visible.
+    Each driver mark becomes an ``eval`` span.  Each run record becomes
+    a ``worker`` span on its worker's pid (submission-merged records keep
+    their originating worker, so a pooled sweep shows per-worker
+    occupancy), with its provenance in the attrs.  A batched seed-repeat
+    record (``rows > 1``) is one span labelled ``WORKLOAD xROWS``: there
+    is no per-row wall clock to subdivide by.  Times are seconds since
+    the ledger epoch; a null or junk ``t_start`` reads as the epoch and
+    a null ``wall_s`` as zero.
     """
-    out: List[dict] = [
-        {"name": "process_name", "ph": "M", "pid": _PID,
-         "args": {"name": name}},
-        {"name": "thread_name", "ph": "M", "pid": _PID,
-         "tid": _TID_DRIVERS, "args": {"name": "drivers"}},
-        # Drivers sort first in the viewer regardless of worker PIDs.
-        {"name": "thread_sort_index", "ph": "M", "pid": _PID,
-         "tid": _TID_DRIVERS, "args": {"sort_index": 0}},
+    spans = [
+        {"name": str(mark.get("name", "driver")), "service": "eval",
+         "span_id": f"driver {i}", "pid": None,
+         "t0": mark.get("t0"), "t1": mark.get("t1")}
+        for i, mark in enumerate(ledger.drivers)
     ]
-    # Worker IDs are PIDs in well-formed ledgers, but degenerate inputs
-    # (null or mixed-typed fields) must still get one lane per distinct
-    # value — order by string form, which never raises.
-    workers = sorted({rec.worker for rec in records},
-                     key=lambda w: (w is None, str(w)))
-    tid_of = {}
-    for lane, worker in enumerate(workers, start=2):
-        tid_of[worker] = lane
-        out.append(
-            {"name": "thread_name", "ph": "M", "pid": _PID, "tid": lane,
-             "args": {"name": f"worker {worker}"}}
-        )
-        out.append(
-            {"name": "thread_sort_index", "ph": "M", "pid": _PID,
-             "tid": lane, "args": {"sort_index": lane}}
-        )
-    for mark in drivers:
-        t0 = _num(mark.get("t0"))
-        t1 = _num(mark.get("t1"), default=t0)
-        out.append(
-            _span(str(mark.get("name", "driver")), t0 * 1e6,
-                  (t1 - t0) * 1e6, _TID_DRIVERS)
-        )
-    for rec in records:
-        args = {
+    for i, rec in enumerate(ledger.records):
+        attrs = {
             "engine": rec.engine,
             "config": rec.config,
             "salt": rec.salt,
             "result_cache": rec.result_cache,
         }
         if rec.fallback_reason:
-            args["fallback_reason"] = rec.fallback_reason
+            attrs["fallback_reason"] = rec.fallback_reason
         if rec.kernel:
-            args["kernel"] = rec.kernel
+            attrs["kernel"] = rec.kernel
         if rec.driver:
-            args["driver"] = rec.driver
+            attrs["driver"] = rec.driver
         if rec.stalled:
-            args["stalled"] = True
-        # A batched seed-repeat record covers many schedule rows in one
-        # simulator call: render one span labelled with the row count
-        # (there is no per-row wall-clock to subdivide by).
-        rows = getattr(rec, "rows", 1) or 1
+            attrs["stalled"] = True
         label = rec.workload
-        if rows > 1:
-            args["rows"] = rows
-            label = f"{rec.workload} x{rows}"
-        out.append(
-            _span(label, _num(rec.t_start) * 1e6,
-                  max(1.0, _num(rec.wall_s) * 1e6), tid_of[rec.worker], args)
-        )
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": "repro.obs.telemetry", "runs": len(records)},
-    }
-
-
-def write_sweep_trace(
-    records: Sequence,
-    path: str,
-    drivers: Sequence[dict] = (),
-    name: str = "sweep",
-) -> dict:
-    """Write the sweep Chrome trace JSON to ``path``; returns it."""
-    trace = sweep_to_chrome_trace(records, drivers=drivers, name=name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh)
-    return trace
-
-
-# --------------------------------------------------------------------- #
-# Distributed-trace timelines (repro.obs.tracing span exports).
-# --------------------------------------------------------------------- #
-
-#: Stable viewer ordering for the serving pipeline's hops.
-_SERVICE_ORDER = {"client": 0, "server": 1, "worker": 2, "eval": 3}
+        if rec.rows > 1:
+            attrs["rows"] = rec.rows
+            label = f"{rec.workload} x{rec.rows}"
+        t0 = _num(rec.t_start) or 0.0
+        spans.append({
+            "name": label, "service": "worker", "span_id": f"run {i}",
+            "pid": rec.worker, "t0": t0,
+            "t1": t0 + (_num(rec.wall_s) or 0.0), "attrs": attrs,
+        })
+    return spans
 
 
 def spans_to_chrome_trace(spans: Sequence[dict], name: str = "trace") -> dict:
-    """Render :mod:`repro.obs.tracing` spans as a Chrome trace.
+    """Render span dicts — :mod:`repro.obs.tracing` exports or
+    :func:`ledger_spans` — as a Chrome trace.
 
     Each ``(service, pid)`` pair becomes one Chrome *process* — a merged
     client + server + worker export of a loopback served sweep shows the
-    whole causal pipeline stacked in one viewer.  Within a process,
-    spans are laid out so nesting is visible: each top-level span (no
-    same-process ancestor) claims the first lane that is free at its
-    start time, and its same-process descendants ride that lane, where
-    Chrome nests them by time containment.  Timestamps are normalized to
-    the earliest span, which is only meaningful when every process
-    shares a clock (``perf_counter`` is system-wide ``CLOCK_MONOTONIC``
-    on Linux — the loopback case this repo benchmarks).
+    whole causal pipeline stacked in one viewer.  Pids of mixed types
+    each get their own process, ordered by their string form.  Within a
+    process, spans are laid out so nesting is visible: each top-level
+    span (no same-process ancestor) claims the first lane that is free
+    at its start time, and its same-process descendants ride that lane,
+    where Chrome nests them by time containment.  Timestamps are
+    microseconds relative to the earliest span, which is only meaningful
+    when every process shares a clock (``perf_counter`` is system-wide
+    ``CLOCK_MONOTONIC`` on Linux — the loopback case this repo
+    benchmarks).  A null or non-numeric ``t0`` renders at 0, a null or
+    non-numeric ``t1`` as an open span reaching the latest timestamp,
+    and every span is at least 1 µs wide.
     """
-    spans = [s for s in spans if s.get("t0") is not None]
     if not spans:
         return {"traceEvents": [], "displayTimeUnit": "ms",
                 "otherData": {"source": "repro.obs.tracing", "spans": 0}}
 
+    starts = [_num(s.get("t0")) for s in spans]
+    ends = [_num(s.get("t1")) for s in spans]
+    t_min = min((t for t in starts if t is not None), default=0.0)
+    t_max = max((t for t in starts + ends if t is not None), default=t_min)
+    spans = [
+        dict(s, t0=t_min if t0 is None else t0, t1=t_max if t1 is None else t1)
+        for s, t0, t1 in zip(spans, starts, ends)
+    ]
     by_id = {s["span_id"]: s for s in spans}
-    t_min = min(s["t0"] for s in spans)
-    t_max = max(s["t1"] if s.get("t1") is not None else s["t0"] for s in spans)
 
     def group_of(span: dict):
-        return (str(span.get("service") or "eval"), span.get("pid") or 0)
+        return (str(span.get("service") or "eval"), span.get("pid"))
 
     def local_root(span: dict) -> dict:
         # Topmost ancestor living in the same (service, pid) group; hops
@@ -369,14 +324,15 @@ def spans_to_chrome_trace(spans: Sequence[dict], name: str = "trace") -> dict:
 
     groups = sorted(
         {group_of(s) for s in spans},
-        key=lambda g: (_SERVICE_ORDER.get(g[0], 99), g[0], g[1]),
+        key=lambda g: (_SERVICE_ORDER.get(g[0], 99), g[0], str(g[1])),
     )
     pid_of = {g: i for i, g in enumerate(groups, start=1)}
 
     out: List[dict] = []
     for (service, ospid), pid in pid_of.items():
+        label = service if ospid is None else f"{service} (pid {ospid})"
         out.append({"name": "process_name", "ph": "M", "pid": pid,
-                    "args": {"name": f"{service} (pid {ospid})"}})
+                    "args": {"name": label}})
         out.append({"name": "process_sort_index", "ph": "M", "pid": pid,
                     "args": {"sort_index": pid}})
 
@@ -390,24 +346,23 @@ def spans_to_chrome_trace(spans: Sequence[dict], name: str = "trace") -> dict:
         tid = lane_of_root.get(root["span_id"])
         if tid is None:
             ends = lane_ends[group]
-            end = root["t1"] if root.get("t1") is not None else t_max
             for i, busy_until in enumerate(ends):
                 if busy_until <= root["t0"]:
-                    ends[i] = end
+                    ends[i] = root["t1"]
                     tid = i + 1
                     break
             else:
-                ends.append(end)
+                ends.append(root["t1"])
                 tid = len(ends)
             lane_of_root[root["span_id"]] = tid
-        t1 = span["t1"] if span.get("t1") is not None else t_max
         args = dict(span.get("attrs") or {})
-        args["trace_id"] = span.get("trace_id")
+        if span.get("trace_id"):
+            args["trace_id"] = span["trace_id"]
         args["span_id"] = span["span_id"]
         if span.get("parent_id"):
             args["parent_id"] = span["parent_id"]
         ev = _span(str(span.get("name", "span")), (span["t0"] - t_min) * 1e6,
-                   max(1.0, (t1 - span["t0"]) * 1e6), tid, args)
+                   max(1.0, (span["t1"] - span["t0"]) * 1e6), tid, args)
         ev["pid"] = pid_of[group]
         out.append(ev)
 

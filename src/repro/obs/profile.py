@@ -2,9 +2,13 @@
 
 The sweep drivers (Figures 5-8, Tables 1-4) replay cached traces through
 thousands of simulator runs; making them "as fast as the hardware allows"
-starts with knowing where the time goes.  A :class:`Profiler` times
-*phases* — wall-clock per experiment driver (``with
-PROFILER.phase("fig5")``) — and :meth:`Profiler.table` renders them with
+starts with knowing where the time goes.  :meth:`Profiler.phase` is the
+one driver clock (``with PROFILER.phase("fig5")``): it appends a
+``{"name", "t0", "t1"}`` mark on the run ledger's timebase and opens the
+``driver NAME`` tracer span.  The marks feed the ledger's ``driver``
+lines, the eval CLI's ``[NAME completed in Xs]`` line and
+``BENCH_sweep.json``'s per-driver seconds, and :meth:`Profiler.table`
+renders them with
 
 * *simulator time by workload* — Σ ``wall_s`` and Σ ``rows`` of the run
   ledger's records (:data:`repro.obs.telemetry.LEDGER`), the one per-run
@@ -15,35 +19,39 @@ PROFILER.phase("fig5")``) — and :meth:`Profiler.table` renders them with
 as an aligned text table (``results/profile.txt``).
 """
 
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import by_prefix
+from repro.obs.telemetry import LEDGER
 
 
 class Profiler:
-    """Accumulates named wall-clock phases (one per experiment driver)."""
+    """Driver phase marks, in the order the phases ran."""
 
     def __init__(self) -> None:
-        self.phases: Dict[str, float] = {}
-        self.phase_calls: Dict[str, int] = {}
+        self.marks: List[dict] = []
 
     def reset(self) -> None:
-        """Drop all accumulated data (tests and fresh CLI runs)."""
-        self.phases.clear()
-        self.phase_calls.clear()
+        """Drop all marks (tests and fresh CLI runs)."""
+        self.marks.clear()
 
     @contextmanager
     def phase(self, name: str):
-        """Time a block of work under ``name`` (accumulates across calls)."""
-        start = time.perf_counter()
+        """Time a driver under ``name``: one mark, stamped with
+        :meth:`~repro.obs.telemetry.RunLedger.now` so it shares the
+        records' ``t_start`` timebase, plus a ``driver NAME`` span."""
+        # Imported here: the package __init__ imports this module, and
+        # ``python -m repro.obs.tracing`` must not find tracing loaded.
+        from repro.obs.tracing import TRACER
+
+        mark = {"name": name, "t0": LEDGER.now(), "t1": None}
         try:
-            yield self
+            with TRACER.span(f"driver {name}"):
+                yield self
         finally:
-            elapsed = time.perf_counter() - start
-            self.phases[name] = self.phases.get(name, 0.0) + elapsed
-            self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
+            mark["t1"] = LEDGER.now()
+            self.marks.append(mark)
 
     def table(self, counters: Optional[Dict[str, float]] = None,
               records: Iterable = (), top: int = 10) -> str:
@@ -59,15 +67,20 @@ class Profiler:
             top: Number of slowest workloads to list.
         """
         lines = ["run profile"]
-        if self.phases:
+        phases: Dict[str, list] = {}
+        for mark in self.marks:
+            acc = phases.setdefault(mark["name"], [0.0, 0])
+            acc[0] += mark["t1"] - mark["t0"]
+            acc[1] += 1
+        if phases:
             lines.append("-- experiment drivers (wall-clock)")
-            total = sum(self.phases.values())
-            for name, secs in sorted(self.phases.items(), key=lambda kv: -kv[1]):
+            total = sum(secs for secs, _ in phases.values())
+            for name, (secs, calls) in sorted(phases.items(),
+                                              key=lambda kv: -kv[1][0]):
                 share = secs / total if total else 0.0
                 lines.append(
                     f"   {name:<20s} {secs:9.3f}s  {share:6.1%}  "
-                    f"({self.phase_calls[name]} run"
-                    f"{'s' if self.phase_calls[name] != 1 else ''})"
+                    f"({calls} run{'s' if calls != 1 else ''})"
                 )
             lines.append(f"   {'total':<20s} {total:9.3f}s")
         sim: Dict[str, list] = {}

@@ -19,9 +19,13 @@ CLI::
     python -m repro.obs.report results/run_ledger.jsonl --html report.html
     python -m repro.obs.report results/run_ledger.jsonl --chrome-trace t.json
 
-The HTML report is a single static dependency-free file.  The
-``--chrome-trace`` export writes the worker-lane sweep timeline
-(:func:`repro.obs.chrome_trace.write_sweep_trace`).  ``--arch PATH``
+Every run count is row-weighted (:func:`repro.obs.telemetry.count_rows`):
+a batched seed-repeat record stands for its ``rows`` runs.  The HTML
+report is a single static dependency-free file.  The ``--chrome-trace``
+export renders the ledger's driver marks and run records as spans
+(:func:`repro.obs.chrome_trace.ledger_spans`) with the span renderer
+(:func:`repro.obs.chrome_trace.spans_to_chrome_trace`): one process for
+the drivers and one per worker.  ``--arch PATH``
 embeds the architectural statistics written by ``repro.eval --arch``
 (:mod:`repro.obs.analyze`) as an extra report section.
 """
@@ -33,23 +37,14 @@ import sys
 from typing import Dict, List
 
 from repro.obs import analyze, telemetry
-from repro.obs.chrome_trace import write_sweep_trace
-
-
-def _count_by(records, key) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for rec in records:
-        k = key(rec)
-        if k is None:
-            continue
-        out[k] = out.get(k, 0) + 1
-    return out
+from repro.obs.chrome_trace import ledger_spans, spans_to_chrome_trace
+from repro.obs.telemetry import count_rows
 
 
 def _driver_rows(ledger: telemetry.Ledger) -> List[dict]:
     """Per-driver timing rows: driver-mark wall-clock joined with the
     run counts and summed engine seconds of that driver's records."""
-    runs = _count_by(ledger.records, lambda r: r.driver)
+    runs = count_rows(ledger.records, lambda r: r.driver)
     sim_s: Dict[str, float] = {}
     for rec in ledger.records:
         if rec.driver:
@@ -81,15 +76,16 @@ def summary(ledger: telemetry.Ledger, top: int = 10) -> dict:
     slowest = sorted(records, key=lambda r: -r.wall_s)[:top]
     footer = ledger.footer or {}
     return {
-        "runs": len(records),
+        "runs": sum(r.rows for r in records),
+        "records": len(records),
         "header": {
             k: v for k, v in (ledger.header or {}).items() if k != "type"
         },
-        "engines": _count_by(records, lambda r: r.engine),
-        "fallback_reasons": _count_by(records, lambda r: r.fallback_reason),
-        "kernels": _count_by(records, lambda r: r.kernel),
-        "result_cache": _count_by(records, lambda r: r.result_cache),
-        "stalled": sum(1 for r in records if r.stalled),
+        "engines": count_rows(records, lambda r: r.engine),
+        "fallback_reasons": count_rows(records, lambda r: r.fallback_reason),
+        "kernels": count_rows(records, lambda r: r.kernel),
+        "result_cache": count_rows(records, lambda r: r.result_cache),
+        "stalled": sum(r.rows for r in records if r.stalled),
         "aggregates": footer.get("aggregates", {}),
         "dispatch": footer.get("dispatch", {}),
         "wall_clock_s": footer.get("wall_clock_s"),
@@ -107,6 +103,14 @@ def summary(ledger: telemetry.Ledger, top: int = 10) -> dict:
     }
 
 
+def _runs_label(s: dict) -> str:
+    """``N runs``, or ``N runs in M records`` when batch records fold
+    several runs each (the eval CLI's ledger line reads the same)."""
+    if s["runs"] == s["records"]:
+        return f"{s['runs']} runs"
+    return f"{s['runs']} runs in {s['records']} records"
+
+
 def _share_lines(counts: Dict[str, int], total: int, indent: str) -> List[str]:
     lines = []
     for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -120,7 +124,7 @@ def render_text(ledger: telemetry.Ledger, top: int = 10,
     """Aligned text report over a loaded ledger."""
     s = summary(ledger, top=top)
     total = s["runs"]
-    lines = [f"sweep report — {total} runs"]
+    lines = [f"sweep report — {_runs_label(s)}"]
     header = s["header"]
     if header:
         bits = []
@@ -247,7 +251,7 @@ def render_html(ledger: telemetry.Ledger, top: int = 10,
         "<!doctype html><html><head><meta charset='utf-8'>",
         "<title>sweep report</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>Sweep report &mdash; {total} runs</h1>",
+        f"<h1>Sweep report &mdash; {_runs_label(s)}</h1>",
     ]
     header = s["header"]
     if header or s["wall_clock_s"] is not None:
@@ -362,9 +366,9 @@ def main(argv=None) -> int:
                                  arch_summary=arch_summary) + "\n")
         print(f"[html report written to {args.html}]", file=sys.stderr)
     if args.chrome_trace:
-        write_sweep_trace(
-            ledger.records, args.chrome_trace, drivers=ledger.drivers
-        )
+        with open(args.chrome_trace, "w", encoding="utf-8") as fh:
+            json.dump(spans_to_chrome_trace(ledger_spans(ledger),
+                                            name="sweep"), fh)
         print(f"[sweep trace written to {args.chrome_trace}]",
               file=sys.stderr)
     return 0

@@ -26,7 +26,12 @@ changing which engine runs or how fast it runs.
   and the sweep-server client (:mod:`repro.serve.client`) append to it,
   and :func:`repro.eval.parallel.run_jobs` merges fork-pool workers' records
   back in **submission order**, so a sweep's ledger is deterministic at
-  any worker count (modulo the wall-time fields).
+  any worker count (modulo the wall-time fields).  It is also the
+  ledger file's one writer, in one process (fork-pool workers drop the
+  stream they inherit): ``sweep_start`` when the sweep starts, each
+  ``run`` line as its record lands, and the ``driver`` lines and
+  ``sweep_end`` at the end (:meth:`RunLedger.finish`).
+* :func:`count_rows` — the row-weighted counter behind every run count.
 * :func:`read_ledger` — load a ledger JSONL file back into a
   :class:`Ledger` (header, run records, driver marks, footer).
 
@@ -42,7 +47,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "ENGINE_BATCH",
@@ -57,6 +62,7 @@ __all__ = [
     "Ledger",
     "RunLedger",
     "RunRecord",
+    "count_rows",
     "read_ledger",
 ]
 
@@ -199,6 +205,21 @@ class RunRecord:
 _RUN_FIELDS = frozenset(f.name for f in fields(RunRecord))
 
 
+def count_rows(records: Iterable[RunRecord], key) -> Dict[str, int]:
+    """Row-weighted counts of ``key(rec)`` (``None`` keys skipped).
+
+    A batch record stands for ``rows`` runs, so every run count — the
+    ledger's aggregates, the sweep report, the eval CLI's per-driver
+    runs — reconciles against per-run totals.
+    """
+    out: Dict[str, int] = {}
+    for rec in records:
+        k = key(rec)
+        if k is not None:
+            out[k] = out.get(k, 0) + rec.rows
+    return out
+
+
 class RunLedger:
     """Per-process run-provenance collector (see module docstring).
 
@@ -211,7 +232,6 @@ class RunLedger:
         self.enabled = False
         self.records: List[RunRecord] = []
         self.driver: Optional[str] = None
-        self.driver_marks: List[dict] = []
         self.epoch = time.perf_counter()
         self._stream = None
 
@@ -225,9 +245,8 @@ class RunLedger:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop all records and marks and restart the epoch."""
+        """Drop all records, close the stream and restart the epoch."""
         self.records.clear()
-        self.driver_marks.clear()
         self.driver = None
         self.epoch = time.perf_counter()
         self.stop_stream()
@@ -237,30 +256,54 @@ class RunLedger:
         the epoch and ``perf_counter`` is system-wide on Linux)."""
         return time.perf_counter() - self.epoch
 
-    # -- live streaming ------------------------------------------------
+    # -- the ledger file -----------------------------------------------
 
     def stream_to(self, path: str, header: Optional[dict] = None) -> None:
-        """Append every subsequent record to ``path`` as it lands.
+        """Start the ledger file at ``path`` with its ``sweep_start`` line.
 
-        The stream is a live, *incomplete* view for ``python -m
-        repro.obs.watch`` to tail — a ``sweep_start`` line then one
-        ``run`` line per record, flushed per record so a follower sees
-        them mid-sweep.  :meth:`write_jsonl` to the same path at sweep
-        end replaces it with the complete authoritative ledger (driver
-        marks, footer aggregates).
+        Every later :meth:`record` appends its ``run`` line, flushed per
+        record so ``python -m repro.obs.watch`` can follow the sweep;
+        :meth:`finish` completes the file.
         """
         self.stop_stream()
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        head = {"type": "sweep_start", "version": 1, "streaming": True}
+        head = {"type": "sweep_start", "version": 1}
         head.update(header or {})
         self._stream = open(path, "w", encoding="utf-8")
-        self._stream.write(json.dumps(head) + "\n")
+        self._write(head)
+
+    def _write(self, line: dict) -> None:
+        self._stream.write(json.dumps(line) + "\n")
         self._stream.flush()
 
+    def finish(self, drivers: Iterable[dict] = (),
+               footer: Optional[dict] = None) -> None:
+        """Append one ``driver`` line per mark (``name``/``t0``/``t1``,
+        :attr:`repro.obs.profile.Profiler.marks`) and the closing
+        ``sweep_end`` line — the engine/fallback/kernel/cache-tier
+        aggregates plus whatever the caller folds into ``footer`` — then
+        close the file.  No-op without a stream."""
+        if self._stream is None:
+            return
+        for mark in drivers:
+            self._write({"type": "driver", **mark})
+        tail = {
+            "type": "sweep_end",
+            "runs": len(self.records),
+            "rows": self.total_rows(),
+            "engines": self.engine_counts(),
+            "fallback_reasons": self.fallback_counts(),
+            "kernels": self.kernel_counts(),
+            "result_cache": self.result_cache_counts(),
+        }
+        tail.update(footer or {})
+        self._write(tail)
+        self.stop_stream()
+
     def stop_stream(self) -> None:
-        """Close the live stream, if any (idempotent)."""
+        """Close the ledger file, if any (idempotent)."""
         if self._stream is not None:
             try:
                 self._stream.close()
@@ -282,96 +325,40 @@ class RunLedger:
         rec.index = len(self.records)
         self.records.append(rec)
         if self._stream is not None:
-            self._stream.write(json.dumps(rec.to_dict()) + "\n")
-            self._stream.flush()
+            self._write(rec.to_dict())
 
     @contextmanager
     def driver_phase(self, name: str):
-        """Mark a driver's span; runs recorded inside carry its name."""
+        """Tag runs recorded inside with the driver's name (the driver's
+        clock is :meth:`repro.obs.profile.Profiler.phase`)."""
         prev = self.driver
         self.driver = name
-        t0 = self.now()
         try:
             yield self
         finally:
             self.driver = prev
-            if self.enabled:
-                self.driver_marks.append(
-                    {"name": name, "t0": t0, "t1": self.now()}
-                )
 
     # -- aggregation ---------------------------------------------------
-
-    def _count_by(self, key) -> Dict[str, int]:
-        """Row-weighted counts: a batch record stands for ``rows`` runs,
-        so aggregates reconcile against per-run totals either way."""
-        out: Dict[str, int] = {}
-        for rec in self.records:
-            k = key(rec)
-            if k is None:
-                continue
-            out[k] = out.get(k, 0) + rec.rows
-        return out
 
     def total_rows(self) -> int:
         """Simulator runs represented (each record weighted by its rows)."""
         return sum(rec.rows for rec in self.records)
 
     def engine_counts(self) -> Dict[str, int]:
-        return self._count_by(lambda r: r.engine)
+        return count_rows(self.records, lambda r: r.engine)
 
     def fallback_counts(self) -> Dict[str, int]:
-        return self._count_by(lambda r: r.fallback_reason)
+        return count_rows(self.records, lambda r: r.fallback_reason)
 
     def kernel_counts(self) -> Dict[str, int]:
-        return self._count_by(lambda r: r.kernel)
+        return count_rows(self.records, lambda r: r.kernel)
 
     def result_cache_counts(self) -> Dict[str, int]:
-        return self._count_by(lambda r: r.result_cache)
+        return count_rows(self.records, lambda r: r.result_cache)
 
     def stable_records(self) -> List[dict]:
         """The deterministic ledger projection (see ``RunRecord``)."""
         return [rec.stable_dict() for rec in self.records]
-
-    # -- serialization -------------------------------------------------
-
-    def write_jsonl(
-        self,
-        path: str,
-        header: Optional[dict] = None,
-        footer: Optional[dict] = None,
-    ) -> None:
-        """Write the ledger as JSONL: one ``sweep_start`` line, one line
-        per run, one per driver mark, and a closing ``sweep_end`` line
-        carrying the engine/fallback/kernel/cache-tier aggregates (plus
-        whatever the caller folds into ``footer``)."""
-        head = {"type": "sweep_start", "version": 1}
-        head.update(header or {})
-        tail = {
-            "type": "sweep_end",
-            "runs": len(self.records),
-            "rows": self.total_rows(),
-            "engines": self.engine_counts(),
-            "fallback_reasons": self.fallback_counts(),
-            "kernels": self.kernel_counts(),
-            "result_cache": self.result_cache_counts(),
-        }
-        tail.update(footer or {})
-        # The complete ledger supersedes any live stream (possibly to
-        # this very path) — close it before rewriting.
-        self.stop_stream()
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(head) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_dict()) + "\n")
-            for mark in self.driver_marks:
-                line = {"type": "driver"}
-                line.update(mark)
-                fh.write(json.dumps(line) + "\n")
-            fh.write(json.dumps(tail) + "\n")
 
 
 @dataclass

@@ -357,12 +357,15 @@ def read_spans(path: str) -> List[dict]:
 def merge_spans(span_lists: Iterable[List[dict]]) -> List[dict]:
     """Merge span collections, dropping duplicate span ids (a worker
     span can legitimately appear in both a server export and a client
-    export that absorbed the same payload), ordered by start time."""
+    export that absorbed the same payload), ordered by start time (a
+    null or non-numeric ``t0`` sorts as 0)."""
     seen: Dict[str, dict] = {}
     for spans in span_lists:
         for span in spans:
             seen.setdefault(span.get("span_id"), span)
-    return sorted(seen.values(), key=lambda s: (s.get("t0") or 0.0))
+    return sorted(seen.values(), key=lambda s: (
+        s["t0"] if isinstance(s.get("t0"), (int, float)) else 0.0
+    ))
 
 
 def configure_from_env(service: str) -> Optional[str]:

@@ -1,8 +1,9 @@
 """Live terminal view of an in-progress sweep.
 
 ``python -m repro.obs.watch results/run_ledger.jsonl`` follows a run
-ledger as the eval CLI streams it (``repro.eval ... --ledger PATH`` now
-appends each record live; see :meth:`RunLedger.stream_to`), and
+ledger as the eval CLI writes it (``repro.eval ... --ledger PATH``
+appends each record's line once, as it lands, from the parent process;
+see :meth:`RunLedger.stream_to`), and
 ``python -m repro.obs.watch --server http://127.0.0.1:8077`` polls a
 sweep server's ``/stats`` instead.  Either way it redraws one compact
 block per interval::
@@ -122,8 +123,8 @@ class LedgerFollower:
         try:
             size = os.path.getsize(self.path)
             if size < self._offset:
-                # The file was rewritten (write_jsonl replacing the
-                # stream at sweep end): start over from the top.
+                # The file shrank: a new sweep truncated the path and
+                # started its own ledger.  Start over from the top.
                 self._offset = 0
                 self._partial = b""
             with open(self.path, "rb") as fh:

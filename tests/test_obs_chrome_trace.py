@@ -4,7 +4,8 @@ import json
 
 from repro.core.config import ClankConfig
 from repro.obs.chrome_trace import (
-    sweep_to_chrome_trace,
+    ledger_spans,
+    spans_to_chrome_trace,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -80,6 +81,15 @@ class TestChromeTrace:
                 assert e["dur"] >= 0
 
 
+def sweep_trace(ledger):
+    return spans_to_chrome_trace(ledger_spans(ledger), name="sweep")
+
+
+def process_names(trace):
+    return {e["args"]["name"] for e in trace["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"}
+
+
 class TestDegenerateSweepLedgers:
     """Hand-edited or partial ledgers must render, not crash."""
 
@@ -100,14 +110,15 @@ class TestDegenerateSweepLedgers:
 
     def test_empty_ledger(self, tmp_path):
         led = self._ledger(tmp_path, [])
-        trace = sweep_to_chrome_trace(led.records, drivers=led.drivers)
-        assert trace["otherData"]["runs"] == 0
+        trace = sweep_trace(led)
+        assert trace["traceEvents"] == []
+        assert trace["otherData"]["spans"] == 0
 
     def test_stalled_only_ledger(self, tmp_path):
         led = self._ledger(tmp_path, [
             dict(self.RUN, engine="stalled", stalled=True),
         ])
-        trace = sweep_to_chrome_trace(led.records, drivers=led.drivers)
+        trace = sweep_trace(led)
         [span] = [e for e in trace["traceEvents"]
                   if e["ph"] == "X" and "engine" in e.get("args", {})]
         assert span["args"]["stalled"] is True
@@ -117,7 +128,7 @@ class TestDegenerateSweepLedgers:
             dict(self.RUN, t_start=None, wall_s=None, worker=None),
             self.RUN,
         ])
-        trace = sweep_to_chrome_trace(led.records, drivers=led.drivers)
+        trace = sweep_trace(led)
         spans = [e for e in trace["traceEvents"]
                  if e["ph"] == "X" and "engine" in e.get("args", {})]
         assert len(spans) == 2
@@ -127,28 +138,35 @@ class TestDegenerateSweepLedgers:
 
     def test_mixed_typed_workers_get_distinct_lanes(self, tmp_path):
         led = self._ledger(tmp_path, [
+            {"type": "driver", "name": "fig7", "t0": 0.0, "t1": 2.0},
             dict(self.RUN, worker="w1"),
             dict(self.RUN, worker=None, index=1),
             dict(self.RUN, index=2),
         ])
-        trace = sweep_to_chrome_trace(led.records, drivers=led.drivers)
-        lanes = {e["args"]["name"] for e in trace["traceEvents"]
-                 if e["ph"] == "M" and e["name"] == "thread_name"}
-        assert lanes == {"drivers", "worker w1", "worker None",
-                         "worker 101"}
+        trace = sweep_trace(led)
+        # One process for the drivers, one per distinct worker value.
+        assert process_names(trace) == {
+            "eval", "worker (pid w1)", "worker", "worker (pid 101)"}
+        runs = [e for e in trace["traceEvents"]
+                if e["ph"] == "X" and "engine" in e.get("args", {})]
+        assert len({e["pid"] for e in runs}) == 3
 
-    def test_null_driver_marks(self, tmp_path):
+    def test_null_driver_mark_times(self, tmp_path):
         led = self._ledger(tmp_path, [
             {"type": "driver", "name": "fig7", "t0": None, "t1": None},
             self.RUN,
         ])
-        trace = sweep_to_chrome_trace(led.records, drivers=led.drivers)
+        trace = sweep_trace(led)
         driver = next(e for e in trace["traceEvents"]
                       if e.get("name") == "fig7")
-        assert driver["ts"] == 0.0 and driver["dur"] == 0.0
+        assert driver["ts"] == 0.0
 
     def test_degenerate_ledger_json_serializable(self, tmp_path):
         import json as _json
 
-        led = self._ledger(tmp_path, [dict(self.RUN, wall_s=None)])
-        _json.dumps(sweep_to_chrome_trace(led.records))
+        led = self._ledger(tmp_path, [
+            dict(self.RUN, wall_s=None),
+            dict(self.RUN, t_start="soon", index=1),
+            {"type": "driver", "name": "fig7", "t0": "x", "t1": 1.0},
+        ])
+        _json.loads(_json.dumps(sweep_trace(led)))

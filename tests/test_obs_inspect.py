@@ -78,10 +78,11 @@ class TestCli:
     def test_run_ledger_input_delegates_to_report(self, tmp_path, capsys):
         led = RunLedger()
         led.enable()
+        path = str(tmp_path / "ledger.jsonl")
+        led.stream_to(path)
         led.record(RunRecord(workload="crc", config="1,0,0,0",
                              engine="fast", kernel="c"))
-        path = str(tmp_path / "ledger.jsonl")
-        led.write_jsonl(path)
+        led.finish()
         assert main([path]) == 0
         assert "engine mix" in capsys.readouterr().out
         assert main([path, "--format", "json"]) == 0

@@ -21,8 +21,31 @@ class TestProfiler:
             pass
         with p.phase("fig5"):
             pass
-        assert p.phase_calls["fig5"] == 2
-        assert p.phases["fig5"] >= 0.0
+        assert [m["name"] for m in p.marks] == ["fig5", "fig5"]
+        assert all(m["t1"] >= m["t0"] for m in p.marks)
+        assert "fig5" in p.table() and "(2 runs)" in p.table()
+
+    def test_phase_marks_use_ledger_timebase(self):
+        p = Profiler()
+        before = LEDGER.now()
+        with p.phase("fig5"):
+            pass
+        [mark] = p.marks
+        assert before <= mark["t0"] <= mark["t1"] <= LEDGER.now()
+
+    def test_phase_opens_driver_span(self):
+        from repro.obs.tracing import TRACER
+
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            with Profiler().phase("fig5"):
+                pass
+            [span] = TRACER.drain()
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        assert span["name"] == "driver fig5"
 
     def test_phase_records_on_exception(self):
         p = Profiler()
@@ -31,7 +54,8 @@ class TestProfiler:
                 raise RuntimeError
         except RuntimeError:
             pass
-        assert "boom" in p.phases
+        assert [m["name"] for m in p.marks] == ["boom"]
+        assert p.marks[0]["t1"] is not None
 
     def test_sim_totals_from_ledger_records(self):
         text = Profiler().table(records=[
@@ -107,7 +131,8 @@ class TestProfiler:
         with p.phase("x"):
             pass
         p.reset()
-        assert not p.phases and not p.phase_calls
+        assert not p.marks
+        assert p.table() == "run profile"
 
 
 class TestRunnerIntegration:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import report, telemetry
-from repro.obs.chrome_trace import sweep_to_chrome_trace
+from repro.obs.chrome_trace import ledger_spans, spans_to_chrome_trace
 from repro.obs.telemetry import Ledger, RunRecord
 
 
@@ -68,6 +68,25 @@ class TestSummary:
         assert by_name["fig5"]["wall_s"] == 0.25
         assert by_name["fig7"]["runs"] == 2
 
+    def test_counts_rows_not_records(self):
+        """A batch record stands for its rows in every count."""
+        ledger = Ledger(records=[
+            RunRecord(workload="crc", config="8,4,2,0", engine="batch",
+                      kernel="c", driver="fig5", rows=60, index=0),
+            RunRecord(workload="crc", config="8,4,2,0", engine="fast",
+                      kernel="c", driver="fig5", index=1),
+        ])
+        s = report.summary(ledger)
+        assert (s["runs"], s["records"]) == (61, 2)
+        assert s["engines"] == {"batch": 60, "fast": 1}
+        assert s["kernels"] == {"c": 61}
+        assert s["result_cache"] == {"off": 61}
+        assert [row["runs"] for row in s["drivers"]] == [61]
+        text = report.render_text(ledger)
+        assert "sweep report — 61 runs in 2 records" in text
+        assert "batch                       60   98.4%" in text
+        assert "61 runs in 2 records" in report.render_html(ledger)
+
     def test_empty_ledger(self):
         s = report.summary(Ledger())
         assert s["runs"] == 0
@@ -128,15 +147,21 @@ class TestRenderHtml:
         assert "&lt;script&gt;" in html_out
 
 
+def sweep_trace(ledger):
+    return spans_to_chrome_trace(ledger_spans(ledger), name="sweep")
+
+
 class TestSweepTrace:
     def test_lanes_and_spans(self):
         ledger = sample_ledger()
-        trace = sweep_to_chrome_trace(ledger.records, ledger.drivers)
+        trace = sweep_trace(ledger)
         events = trace["traceEvents"]
         names = {e["args"]["name"] for e in events
-                 if e["name"] == "thread_name"}
-        assert names == {"drivers", "worker 100", "worker 101"}
+                 if e["name"] == "process_name"}
+        assert names == {"eval", "worker (pid 100)", "worker (pid 101)"}
         spans = [e for e in events if e["ph"] == "X"]
+        drivers = [e for e in spans if e["name"] in ("fig5", "fig7")]
+        assert len(drivers) == 2 and len({e["pid"] for e in drivers}) == 1
         # 2 driver spans + 5 run spans.
         assert len(spans) == 7
         run_spans = [e for e in spans if "engine" in e.get("args", {})]
@@ -148,12 +173,33 @@ class TestSweepTrace:
         assert cached["dur"] == 1.0
 
     def test_times_are_microseconds(self):
+        """Relative to the earliest span (here the first driver mark and
+        the first run, both at 0)."""
         ledger = sample_ledger()
-        trace = sweep_to_chrome_trace(ledger.records, ledger.drivers)
+        trace = sweep_trace(ledger)
         aes = next(e for e in trace["traceEvents"]
                    if e.get("name") == "aes")
         assert aes["ts"] == pytest.approx(0.011 * 1e6)
         assert aes["dur"] == pytest.approx(0.200 * 1e6)
+        for rec in ledger.records:
+            rec.t_start += 5.0
+        for mark in ledger.drivers:
+            mark["t0"] += 5.0
+            mark["t1"] += 5.0
+        shifted = next(e for e in sweep_trace(ledger)["traceEvents"]
+                       if e.get("name") == "aes")
+        assert shifted["ts"] == pytest.approx(aes["ts"])
+
+    def test_batch_records_labelled_with_rows(self):
+        ledger = Ledger(records=[RunRecord(
+            workload="crc", config="8,4,2,0", engine="batch", kernel="c",
+            rows=60, wall_s=0.5, worker=100,
+        )])
+        [span] = [e for e in sweep_trace(ledger)["traceEvents"]
+                  if e["ph"] == "X"]
+        assert span["name"] == "crc x60"
+        assert span["args"]["rows"] == 60
+        assert span["args"]["engine"] == "batch"
 
 
 class TestCli:
@@ -161,15 +207,15 @@ class TestCli:
         ledger = sample_ledger()
         led = telemetry.RunLedger()
         led.enable()
+        path = str(tmp_path / "ledger.jsonl")
+        led.stream_to(path, header={"jobs": 2})
         for rec in ledger.records:
             led.record(RunRecord.from_dict(rec.to_dict()))
-        led.driver_marks = [
-            {"name": m["name"], "t0": m["t0"], "t1": m["t1"]}
-            for m in ledger.drivers
-        ]
-        path = str(tmp_path / "ledger.jsonl")
-        led.write_jsonl(path, header={"jobs": 2},
-                        footer=ledger.footer)
+        led.finish(
+            [{"name": m["name"], "t0": m["t0"], "t1": m["t1"]}
+             for m in ledger.drivers],
+            footer=ledger.footer,
+        )
         return path
 
     def test_text_and_artifacts(self, tmp_path, capsys):
@@ -183,7 +229,10 @@ class TestCli:
         with open(html_path) as fh:
             assert "Engine mix" in fh.read()
         with open(trace_path) as fh:
-            assert json.load(fh)["otherData"]["runs"] == 5
+            events = json.load(fh)["traceEvents"]
+        runs = [e for e in events
+                if e["ph"] == "X" and "engine" in e.get("args", {})]
+        assert len(runs) == 5
 
     def test_json_output(self, tmp_path, capsys):
         path = self._write(tmp_path)

@@ -16,6 +16,7 @@ import pytest
 import repro.cache as artifact_cache
 from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
+from repro.obs import tracing
 from repro.obs.chrome_trace import spans_to_chrome_trace
 from repro.obs.tracing import (
     TRACER,
@@ -187,6 +188,30 @@ class TestChromeRendering:
 
     def test_empty_input(self):
         assert spans_to_chrome_trace([])["traceEvents"] == []
+
+    def test_merge_survives_bad_span_files(self, tmp_path):
+        """Mixed-type pids and non-numeric times render instead of
+        raising: each pid gets its own process, a bad t0 renders at 0."""
+        good = finish_span(make_span("job", "worker"))
+        path = tmp_path / "spans.jsonl"
+        write_spans([
+            good,
+            dict(good, span_id="a1", pid="w1"),
+            dict(good, span_id="a2", t0="soon", t1=None),
+            dict(good, span_id="a3", pid=None, t0=None),
+        ], str(path))
+        out = tmp_path / "merged.json"
+        assert tracing.main(["merge", str(path), "--out", str(out)]) == 0
+        with open(out) as fh:
+            trace = json.load(fh)
+        names = {ev["args"]["name"] for ev in trace["traceEvents"]
+                 if ev["name"] == "process_name"}
+        assert names == {f"worker (pid {good['pid']})", "worker (pid w1)",
+                         "worker"}
+        spans = [ev for ev in trace["traceEvents"] if ev["ph"] == "X"]
+        assert len(spans) == 4
+        assert min(ev["ts"] for ev in spans) == 0.0
+        assert all(ev["dur"] >= 1.0 for ev in spans)
 
 
 @pytest.fixture()

@@ -3,8 +3,8 @@
 WatchState folding (row-weighted engine/tier mixes, header/footer,
 server-stats snapshots), the sliding-window RateMeter, the incremental
 LedgerFollower (missing file, partial trailing line, rewrite detection),
-the render block, and the ledger streaming hook it tails
-(:meth:`RunLedger.stream_to`).
+the render block, and the ledger file it tails
+(:meth:`RunLedger.stream_to` / :meth:`RunLedger.finish`).
 """
 
 import io
@@ -104,8 +104,9 @@ class TestLedgerFollower:
         assert len(follower.poll()) == 1  # completed on the next poll
 
     def test_rewrite_restarts_from_top(self, tmp_path):
-        """write_jsonl replacing the stream at sweep end shrinks the
-        file; the follower must re-read rather than seek past the end."""
+        """A new sweep truncating the path shrinks the file (the ledger
+        is written once, so only a new sweep shrinks it); the follower
+        must re-read rather than seek past the end."""
         path = tmp_path / "ledger.jsonl"
         long_line = json.dumps(_run_line(driver="x" * 120))
         path.write_text((long_line + "\n") * 3)
@@ -158,8 +159,8 @@ class TestLedgerStreaming:
         ledger.stream_to(path, header={"experiments": ["fig5"]})
         follower = LedgerFollower(path)
         lines = follower.poll()
-        assert lines and lines[0]["type"] == "sweep_start"
-        assert lines[0]["streaming"] is True
+        assert [obj["type"] for obj in lines] == ["sweep_start"]
+        assert lines[0]["experiments"] == ["fig5"]
         ledger.record(self._record(0))
         assert [obj["type"] for obj in follower.poll()] == ["run"]
         ledger.record(self._record(1))
@@ -167,16 +168,23 @@ class TestLedgerStreaming:
         ledger.stop_stream()
         ledger.disable()
 
-    def test_write_jsonl_supersedes_stream(self, tmp_path):
+    def test_finish_completes_stream(self, tmp_path):
+        """finish appends driver lines and the footer after the streamed
+        runs; a follower that saw the runs live sees each one once."""
         path = str(tmp_path / "stream.jsonl")
         ledger = RunLedger()
         ledger.enable()
         ledger.stream_to(path)
-        ledger.record(self._record(0))
-        ledger.write_jsonl(path)
-        ledger.disable()
+        follower = LedgerFollower(path)
         state = WatchState()
-        for obj in LedgerFollower(path).poll():
+        ledger.record(self._record(0))
+        for obj in follower.poll():
+            state.apply_line(obj)
+        ledger.finish([{"name": "fig5", "t0": 0.0, "t1": 1.0}])
+        ledger.disable()
+        tail = follower.poll()
+        assert [obj["type"] for obj in tail] == ["driver", "sweep_end"]
+        for obj in tail:
             state.apply_line(obj)
         assert state.done and state.runs == 1
 
@@ -184,8 +192,9 @@ class TestLedgerStreaming:
         path = str(tmp_path / "done.jsonl")
         ledger = RunLedger()
         ledger.enable()
+        ledger.stream_to(path)
         ledger.record(self._record(0))
-        ledger.write_jsonl(path)
+        ledger.finish()
         ledger.disable()
         out = io.StringIO()
         assert watch_ledger(path, once=True, out=out) == 0

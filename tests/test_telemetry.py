@@ -26,6 +26,7 @@ from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.metrics import COUNTERS
+from repro.obs.profile import Profiler
 from repro.obs.telemetry import LEDGER, FallbackReason, RunRecord
 from repro.sim import fast, sections
 from repro.sim.fast import dispatch_stats, simulate_fast
@@ -123,15 +124,33 @@ class TestRunLedger:
         assert [r.index for r in LEDGER.records] == [0, 1, 2]
 
     def test_driver_phase_tags_records_and_marks(self):
+        """The ledger tags records; the driver's one clock is the
+        profiler, whose mark shares the ledger's timebase."""
+        profiler = Profiler()
         LEDGER.enable()
-        with LEDGER.driver_phase("fig9"):
+        with profiler.phase("fig9"), LEDGER.driver_phase("fig9"):
             LEDGER.record(RunRecord(workload="w", config="c", engine="fast",
-                                    driver=LEDGER.driver))
+                                    driver=LEDGER.driver,
+                                    t_start=LEDGER.now()))
         assert LEDGER.records[0].driver == "fig9"
         assert LEDGER.driver is None
-        [mark] = LEDGER.driver_marks
+        [mark] = profiler.marks
         assert mark["name"] == "fig9"
-        assert mark["t1"] >= mark["t0"]
+        assert mark["t0"] <= LEDGER.records[0].t_start <= mark["t1"]
+
+    def test_counts_are_row_weighted(self):
+        """A batch record counts as its rows everywhere: the ledger's
+        aggregates and the module-level counter agree."""
+        LEDGER.enable()
+        LEDGER.record(RunRecord(workload="a", config="c", engine="batch",
+                                kernel="c", rows=60, driver="fig5"))
+        LEDGER.record(RunRecord(workload="b", config="c", engine="fast",
+                                kernel="c", driver="fig5"))
+        assert LEDGER.engine_counts() == {"batch": 60, "fast": 1}
+        assert LEDGER.kernel_counts() == {"c": 61}
+        assert telemetry.count_rows(LEDGER.records,
+                                    lambda r: r.driver) == {"fig5": 61}
+        assert LEDGER.total_rows() == 61
 
     def test_counts(self):
         LEDGER.enable()
@@ -146,17 +165,16 @@ class TestRunLedger:
 
 
 class TestLedgerFile:
-    def _populate(self):
+    def test_write_read_round_trip(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        profiler = Profiler()
         LEDGER.enable()
-        with LEDGER.driver_phase("fig5"):
+        LEDGER.stream_to(path, header={"jobs": 2})
+        with profiler.phase("fig5"), LEDGER.driver_phase("fig5"):
             LEDGER.record(RunRecord(workload="crc", config="1,0,0,0",
                                     engine="fast", kernel="c",
                                     driver=LEDGER.driver))
-
-    def test_write_read_round_trip(self, tmp_path):
-        self._populate()
-        path = str(tmp_path / "ledger.jsonl")
-        LEDGER.write_jsonl(path, header={"jobs": 2}, footer={"wall_clock_s": 1})
+        LEDGER.finish(profiler.marks, footer={"wall_clock_s": 1})
         loaded = telemetry.read_ledger(path)
         assert loaded.header["jobs"] == 2
         assert loaded.header["version"] == 1
@@ -164,6 +182,27 @@ class TestLedgerFile:
         assert loaded.footer["engines"] == {"fast": 1}
         assert [m["name"] for m in loaded.drivers] == ["fig5"]
         assert loaded.stable_records() == LEDGER.stable_records()
+
+    def test_pooled_sweep_writes_each_record_once(self, tmp_path):
+        """Fork-pool workers drop the inherited stream: mid-sweep the
+        file holds one ``run`` line per record, in submission order,
+        all written by the parent's fold."""
+        path = str(tmp_path / "ledger.jsonl")
+        LEDGER.enable()
+        LEDGER.stream_to(path, header={"jobs": 2})
+        run_jobs(grid_jobs(), QUICK, n_workers=2)
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh]
+        runs = [line for line in lines if line["type"] == "run"]
+        assert [line["type"] for line in lines] == (
+            ["sweep_start"] + ["run"] * len(runs)
+        )
+        assert [line["index"] for line in runs] == list(
+            range(len(LEDGER.records))
+        )
+        assert len(runs) == len(grid_jobs())
+        LEDGER.finish()
+        assert telemetry.read_ledger(path).footer["runs"] == len(runs)
 
     def test_read_rejects_event_logs_with_line_number(self, tmp_path):
         path = tmp_path / "events.jsonl"
