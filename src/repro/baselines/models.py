@@ -231,8 +231,8 @@ class RatchetBaseline:
         marker_at: Set[int] = {m.index for m in trace.markers}
         res = BaselineResult(self.name, trace.name, trace.total_cycles)
         restore = 17 * _NV_WORD + 10
-        accesses = trace.accesses
-        n = len(accesses)
+        cycles = trace.cycles
+        n = len(trace)
         i = 0
         ckpt_i = 0
         since = 0
@@ -240,7 +240,7 @@ class RatchetBaseline:
         def power_fail(cur_i: int) -> int:
             nonlocal i, since
             res.reexec_cycles += on_left
-            res.reexec_cycles += sum(a.cycles for a in accesses[ckpt_i:cur_i])
+            res.reexec_cycles += sum(cycles[ckpt_i:cur_i])
             i = ckpt_i
             since = 0
             res.power_cycles += 1
@@ -271,7 +271,7 @@ class RatchetBaseline:
                 pending -= 1
             if failed:
                 continue
-            c = accesses[i].cycles
+            c = cycles[i]
             if c > on_left:
                 on_left = power_fail(i)
                 continue
@@ -303,8 +303,8 @@ class DinoBaseline:
         marker_at: Set[int] = {m.index for m in trace.markers}
         res = BaselineResult(self.name, trace.name, trace.total_cycles)
         restore = 17 * _NV_WORD + 10
-        accesses = trace.accesses
-        n = len(accesses)
+        kinds, waddrs, cycles = trace.kinds, trace.waddrs, trace.cycles
+        n = len(trace)
         i = 0
         task_i = 0
         written: Set[int] = set()
@@ -313,7 +313,7 @@ class DinoBaseline:
         def fail(cur_i: int) -> int:
             nonlocal i, written
             res.reexec_cycles += on_left
-            res.reexec_cycles += sum(a.cycles for a in accesses[task_i:cur_i])
+            res.reexec_cycles += sum(cycles[task_i:cur_i])
             i = task_i
             written = set()
             res.power_cycles += 1
@@ -333,13 +333,13 @@ class DinoBaseline:
                 res.checkpoints += 1
                 task_i = i
                 written = set()
-            acc = accesses[i]
-            if acc.cycles > on_left:
+            c = cycles[i]
+            if c > on_left:
                 on_left = fail(i)
                 continue
-            on_left -= acc.cycles
-            if acc.kind == WRITE:
-                written.add(acc.waddr)
+            on_left -= c
+            if kinds[i] == WRITE:
+                written.add(waddrs[i])
             i += 1
         res.checkpoint_cycles += self.boundary_cost + 2 * _NV_WORD * len(written)
         res.checkpoints += 1

@@ -61,7 +61,7 @@ from repro.obs.slog import SLOG
 
 #: Format-version salt folded into every key by :func:`content_key`;
 #: bump when any cached payload's layout changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Puts between directory-size scans (eviction is amortized).
 _EVICT_CHECK_INTERVAL = 32

@@ -22,7 +22,7 @@ by the test suite's dynamic verifier.)
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Set
 
-from repro.trace.access import READ
+from repro.compiler.program_idempotence import not_w_star_r_star
 from repro.trace.trace import Trace
 
 
@@ -46,7 +46,7 @@ class EpochPlan:
 
     def coverage(self, trace: Trace) -> float:
         """Fraction of the trace's accesses marked ignorable."""
-        return len(self.ignorable) / max(1, len(trace.accesses))
+        return len(self.ignorable) / max(1, len(trace))
 
 
 def plan_boundaries(trace: Trace, target_epoch_cycles: int) -> List[int]:
@@ -58,8 +58,9 @@ def plan_boundaries(trace: Trace, target_epoch_cycles: int) -> List[int]:
     boundaries: List[int] = []
     elapsed = 0
     next_marker = 0
-    for i, acc in enumerate(trace.accesses):
-        elapsed += acc.cycles
+    cycles = trace.cycles
+    for i, c in enumerate(cycles):
+        elapsed += c
         if elapsed >= target_epoch_cycles and i + 1 < len(trace):
             cut = i + 1
             # Snap to a marker within a quarter-epoch of the cut.
@@ -67,10 +68,7 @@ def plan_boundaries(trace: Trace, target_epoch_cycles: int) -> List[int]:
                 next_marker += 1
             if next_marker < len(markers):
                 marker = markers[next_marker]
-                ahead = sum(
-                    a.cycles for a in trace.accesses[cut:marker]
-                )
-                if ahead <= target_epoch_cycles // 4:
+                if sum(cycles[cut:marker]) <= target_epoch_cycles // 4:
                     cut = marker
             if not boundaries or cut > boundaries[-1]:
                 boundaries.append(cut)
@@ -86,27 +84,15 @@ def epoch_program_idempotence(
     Output (MMIO/unmapped) addresses are never marked — they must flow
     through the output-commit machinery regardless.
     """
-    mmap = trace.memory_map
-    edges = [0] + sorted(boundaries) + [len(trace.accesses)]
+    edges = [0] + sorted(boundaries) + [len(trace)]
     ignorable: Set[int] = set()
     for lo, hi in zip(edges, edges[1:]):
-        read_seen: Set[int] = set()
-        disqualified: Set[int] = set()
-        touched_at: dict = {}
-        for i in range(lo, hi):
-            acc = trace.accesses[i]
-            w = acc.waddr
-            touched_at.setdefault(w, []).append(i)
-            if acc.kind == READ:
-                read_seen.add(w)
-            else:
-                if w in read_seen:
-                    disqualified.add(w)
-                if mmap.is_output(w << 2):
-                    disqualified.add(w)
-        for w, indices in touched_at.items():
-            if w not in disqualified:
-                ignorable.update(indices)
+        waddrs = trace.waddrs[lo:hi]
+        disqualified = not_w_star_r_star(
+            trace.kinds[lo:hi], waddrs, trace.memory_map)
+        ignorable.update(
+            i for i, w in zip(range(lo, hi), waddrs) if w not in disqualified
+        )
     return EpochPlan(
         boundaries=frozenset(boundaries), ignorable=frozenset(ignorable)
     )

@@ -12,10 +12,30 @@ flow through the output-commit machinery (Section 3.3) even when their
 access pattern looks idempotent.
 """
 
-from typing import FrozenSet, Set
+from typing import FrozenSet, Iterable, Set
 
+from repro.mem.map import MemoryMap
 from repro.trace.access import READ
 from repro.trace.trace import Trace
+
+
+def not_w_star_r_star(kinds: Iterable[int], waddrs: Iterable[int],
+                      memory_map: MemoryMap) -> Set[int]:
+    """Words of one pass over the columns whose pattern is not ``W*->R*``:
+    written after a read, or written at an output (MMIO/unmapped)
+    address."""
+    read_seen: Set[int] = set()
+    written: Set[int] = set()
+    disqualified: Set[int] = set()
+    for k, w in zip(kinds, waddrs):
+        if k == READ:
+            read_seen.add(w)
+        elif w in read_seen:
+            disqualified.add(w)  # a write after a read: not W*->R*
+        else:
+            written.add(w)
+    disqualified.update(w for w in written if memory_map.is_output(w << 2))
+    return disqualified
 
 
 def profile_program_idempotent(trace: Trace) -> FrozenSet[int]:
@@ -28,24 +48,11 @@ def profile_program_idempotent(trace: Trace) -> FrozenSet[int]:
         The set of word addresses with a ``W*->R*`` whole-program access
         pattern, excluding output (MMIO/unmapped) addresses.
     """
-    read_seen: Set[int] = set()
-    disqualified: Set[int] = set()
-    touched: Set[int] = set()
-    mmap = trace.memory_map
-    for acc in trace.accesses:
-        w = acc.waddr
-        touched.add(w)
-        if acc.kind == READ:
-            read_seen.add(w)
-        else:
-            if w in read_seen:
-                disqualified.add(w)  # a write after a read: not W*->R*
-            if mmap.is_output(w << 2):
-                disqualified.add(w)
-    return frozenset(touched - disqualified)
+    return frozenset(set(trace.waddrs) - not_w_star_r_star(
+        trace.kinds, trace.waddrs, trace.memory_map))
 
 
 def ignorable_access_count(trace: Trace, pi_words: FrozenSet[int]) -> int:
     """How many of the trace's accesses the marking removes from the
     hardware's view — the buffer-pressure relief the compiler buys."""
-    return sum(1 for acc in trace.accesses if acc.waddr in pi_words)
+    return sum(w in pi_words for w in trace.waddrs)

@@ -206,9 +206,9 @@ class ChainScanEngine:
     def __init__(self, lib, ct, params, forced_sorted, pi_words, pi_indices):
         (rf_cap, wf_cap, wbb_cap, apb_cap, flags,
          text_lo, text_hi, shift) = params
-        ops_b, wids_b, n_words = ct.scan_buffers(text_lo, text_hi)
+        ops_b, wids_b, n_words = ct.scan_arrays(text_lo, text_hi)
         if flags & F_APB_ON:
-            pids_b, n_prefixes = ct.prefix_buffers(shift)
+            pids_b, n_prefixes = ct.prefix_ids(shift)
             pids_addr = _addr(pids_b)
         else:
             pids_b, n_prefixes = None, 1
@@ -230,7 +230,7 @@ class ChainScanEngine:
          self.out_cause, self.out_steps_off, self.out_steps,
          self.out_dw) = out
         fs_b = array("i", forced_sorted) if forced_sorted else array("i", [0])
-        gcum_b = ct.cycle_buffers()[0]
+        gcum_b = ct.cum_cycles
         self._fn = lib.chain_scan
         self._args = (
             _addr(ops_b) if ct.n else 0,
@@ -330,7 +330,7 @@ class FamilyScanEngine:
     :class:`ChainScanEngine` scan of that member, by construction.
 
     Membership scratch is the per-trace memoized family block array
-    (:meth:`~repro.trace.trace.ConcreteTrace.c_family_scratch`): the
+    (:meth:`~repro.trace.trace.CompiledTrace.c_family_scratch`): the
     persistent generation counter makes stale stamps invisible, so no
     per-call zeroing happens.  Output segments grow by doubling when the
     kernel reports overflow; the learned size sticks process-wide, and
@@ -345,9 +345,9 @@ class FamilyScanEngine:
         nk = len(members)
         if not 0 < nk <= FAMILY_MAX:
             raise ValueError(f"family size {nk} outside 1..{FAMILY_MAX}")
-        ops_b, wids_b, n_words = ct.scan_buffers(text_lo, text_hi)
+        ops_b, wids_b, n_words = ct.scan_arrays(text_lo, text_hi)
         if any(m[4] & F_APB_ON for m in members):
-            pids_b, n_prefixes = ct.prefix_buffers(shift)
+            pids_b, n_prefixes = ct.prefix_ids(shift)
             pids_addr = _addr(pids_b)
             scratch_shift = shift
         else:

@@ -188,8 +188,8 @@ def result_key(job: SimJob, settings: EvalSettings) -> Tuple[str, str]:
 
     This is the *dedupe discipline* shared by the local result cache and
     the sweep server (:mod:`repro.serve`): the key covers every input
-    that determines the simulation outcome — trace content (via the
-    compiled-trace content key), memory-map ranges, every behaviour-
+    that determines the simulation outcome — trace content and memory
+    map (:attr:`~repro.trace.trace.Trace.digest`), every behaviour-
     affecting job field, the cost model, and the schedule-determining
     settings fields (seed, mean on-time, clock).  Identical requests from
     any number of clients are identical keys, so N users' sweeps cost one
@@ -200,23 +200,20 @@ def result_key(job: SimJob, settings: EvalSettings) -> Tuple[str, str]:
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     kind = "batch-result" if job.n_seeds > 1 else "result"
     return "result", artifact_cache.content_key(
-        kind, detector.POLICY_REV, trace.compiled().content_key,
-        trace.memory_map.text_word_range,
-        trace.memory_map.word_range("mmio"),
-        job, _COST_MODELS[job.cost_model],
-        settings.seed, settings.avg_on_ms, settings.clock_hz,
+        kind, detector.POLICY_REV, trace.digest, job,
+        _COST_MODELS[job.cost_model], settings.seed, settings.avg_on_ms, settings.clock_hz,
     )
 
 
-#: Cache of epoch compilation plans, content-keyed like ``_PI_CACHE``.
+#: Cache of epoch compilation plans, keyed by trace digest like
+#: ``_PI_CACHE``.
 _EPOCH_CACHE: Dict[tuple, object] = {}
 
 
 def _epoch_plan(trace, epoch_cycles: int):
     from repro.compiler.epoch_analysis import compile_with_epochs
-    from repro.eval.runner import _trace_key
 
-    key = _trace_key(trace) + (epoch_cycles,)
+    key = (trace.digest, epoch_cycles)
     if key not in _EPOCH_CACHE:
         _EPOCH_CACHE[key] = compile_with_epochs(trace, epoch_cycles)
     return _EPOCH_CACHE[key]

@@ -9,21 +9,22 @@ compared against the live full-system run of the same binary
 (see ``benchmarks/test_live_crossvalidation.py``).
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.isa.assembler import Program
 from repro.isa.cpu import Cpu
 from repro.mem.main_memory import MainMemory
-from repro.trace.access import Access, READ, WRITE
-from repro.trace.trace import Trace
+from repro.mem.map import MemoryMap
+from repro.trace.access import READ, WRITE
+from repro.trace.trace import AccessLog, Trace
 
 
 class RecordingPort:
     """Memory port that logs accesses with inter-access cycle costs."""
 
-    def __init__(self, memory: MainMemory):
+    def __init__(self, memory: MainMemory, memory_map: MemoryMap):
         self.memory = memory
-        self.accesses: List[Access] = []
+        self.log = AccessLog(memory_map)
         self.initial: Dict[int, int] = {}
         self._cpu: Cpu = None  # attached after construction
         self._last_cycle = 0
@@ -48,29 +49,28 @@ class RecordingPort:
     def read(self, addr: int, size: int) -> int:
         waddr = addr >> 2
         word = self._touch(waddr)
-        self.accesses.append(Access(READ, waddr, word, self._cycles_since_last()))
+        self.log.append(READ, waddr, word, self._cycles_since_last())
         return self.memory.read(addr, size)
 
     def write(self, addr: int, value: int, size: int) -> None:
         waddr = addr >> 2
         self._touch(waddr)
         self.memory.write(addr, value, size)
-        self.accesses.append(
-            Access(WRITE, waddr, self.memory.read_word(waddr), self._cycles_since_last())
+        self.log.append(
+            WRITE, waddr, self.memory.read_word(waddr), self._cycles_since_last()
         )
 
 
 def extract_trace(program: Program, name: str = "iss") -> Trace:
     """Run ``program`` to completion and return its memory-access trace."""
     memory = MainMemory(program.initial_word_image())
-    port = RecordingPort(memory)
+    port = RecordingPort(memory, program.memory_map)
     cpu = Cpu(program, port)
     port.attach(cpu)
     cpu.run()
     return Trace(
         name=name,
-        accesses=port.accesses,
+        log=port.log,
         initial_image=port.initial,
-        memory_map=program.memory_map,
         final_cycles=cpu.cycle_count,
     )

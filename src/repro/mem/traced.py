@@ -3,7 +3,8 @@
 This plays the role of the paper's cycle-accurate instruction-set simulator
 as a *trace source*: workloads (re-implementations of the MiBench2 kernels)
 perform their loads and stores through a ``TracedMemory``, which logs every
-access with word address, observed/produced word value, and a cycle cost.
+access with word address, observed/produced word value, and a cycle cost
+into the columns of an :class:`~repro.trace.trace.AccessLog`.
 
 Cycle model (ARM Cortex-M0+, two-stage pipeline):
 
@@ -23,8 +24,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.errors import MemoryError_
 from repro.common.words import extract_bytes, insert_bytes, mask_value
 from repro.mem.map import MemoryMap, default_memory_map
-from repro.trace.access import Access, READ, WRITE
-from repro.trace.trace import Marker, Trace
+from repro.trace.access import READ, WRITE
+from repro.trace.trace import AccessLog, Marker, Trace
 
 #: Cortex-M0+ data-access latencies (cycles).
 LOAD_CYCLES = 2
@@ -63,7 +64,8 @@ class TracedMemory:
         self.compute_overhead = compute_overhead
         self._words: Dict[int, int] = {}
         self._initial: Dict[int, int] = {}
-        self._accesses: List[Access] = []
+        self._log = AccessLog(self.memory_map)
+        self._append = self._log.append
         self._markers: List[Marker] = []
         self._pending_cycles = 0
         self._alloc_cursor = {
@@ -149,7 +151,7 @@ class TracedMemory:
     def _record(self, kind: int, waddr: int, value: int, latency: int) -> None:
         cycles = self._pending_cycles + latency + self.compute_overhead
         self._pending_cycles = 0
-        self._accesses.append(Access(kind, waddr, value, cycles))
+        self._append(kind, waddr, value, cycles)
 
     def _touch(self, waddr: int) -> int:
         value = self._words.get(waddr, 0)
@@ -216,11 +218,11 @@ class TracedMemory:
 
     def call(self, label: str) -> None:
         """Mark a function-call boundary at the current trace position."""
-        self._markers.append(Marker(len(self._accesses), "call", label))
+        self._markers.append(Marker(len(self._log), "call", label))
 
     def ret(self, label: str = "") -> None:
         """Mark a function-return boundary at the current trace position."""
-        self._markers.append(Marker(len(self._accesses), "ret", label))
+        self._markers.append(Marker(len(self._log), "ret", label))
 
     # ------------------------------------------------------------------ #
     # Bulk helpers used by several kernels.
@@ -244,11 +246,6 @@ class TracedMemory:
     # Finalization.
     # ------------------------------------------------------------------ #
 
-    @property
-    def access_count(self) -> int:
-        """Number of accesses logged so far."""
-        return len(self._accesses)
-
     def text_bytes_used(self) -> int:
         """Bytes allocated in the text segment (tables/rodata)."""
         return self._alloc_cursor["text"] - self.memory_map.segment("text").base
@@ -269,9 +266,8 @@ class TracedMemory:
             code_bytes = self.text_bytes_used() + 4096
         return Trace(
             name=self.name,
-            accesses=self._accesses,
+            log=self._log,
             initial_image=self._initial,
-            memory_map=self.memory_map,
             markers=self._markers,
             checksum=checksum & 0xFFFF_FFFF,
             code_bytes=code_bytes,

@@ -706,7 +706,7 @@ def _walk_table(smap) -> array:
     if tab is None:
         smap.ensure_flat()
         ct = smap.ct
-        gcum, acc = ct.cycle_buffers()
+        gcum, acc = ct.cum_cycles, ct.cycles
         keys, ends, causes, soff, steps = smap._flat
         tab = smap._tab = array("q", (
             _addr(gcum), _addr(acc), ct.n, _addr(ct.forced_mask(smap.forced)),

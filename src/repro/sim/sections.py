@@ -202,9 +202,7 @@ class SectionMap:
         st = artifact_cache.store()
         if st is not None:
             self._disk_key = artifact_cache.content_key(
-                "sections", POLICY_REV, ct.content_key,
-                trace.memory_map.text_word_range,
-                trace.memory_map.word_range("mmio"),
+                "sections", POLICY_REV, trace.digest,
                 config.as_tuple(), config.prefix_low_bits,
                 (opts.ignore_false_writes, opts.remove_duplicates,
                  opts.no_wf_overflow, opts.ignore_text,
@@ -688,12 +686,7 @@ def _map_key(
 ) -> tuple:
     """Content-derived cache key (id-reuse safe, like ``_PI_CACHE``)."""
     return (
-        trace.name,
-        len(trace.accesses),
-        trace.total_cycles,
-        trace.checksum,
-        trace.memory_map.text_word_range,
-        trace.memory_map.word_range("mmio"),
+        trace.digest,
         config,
         pi_words or _EMPTY,
         pi_access_indices or _EMPTY,

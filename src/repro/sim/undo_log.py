@@ -93,15 +93,16 @@ class UndoLogSimulator:
         ``wbb_words_flushed`` reports total undo entries appended.
         """
         trace = self.trace
-        accesses = trace.accesses
-        n = len(accesses)
+        # Per-run list copies of the columns, as in the reference simulator.
+        kinds, waddrs, values, cycles, outs = (col.tolist() for col in (
+            trace.kinds, trace.waddrs, trace.values, trace.cycles, trace.outs))
+        n = len(trace)
         cost = self.cost
         verify = self.verify
         schedule = self.schedule
         schedule.reset()
         detector = IdempotencyDetector(self.config, trace.memory_map.text_word_range)
         prog_wdt = ProgressWatchdog(self.progress_watchdog)
-        mmio_lo, mmio_hi = trace.memory_map.word_range("mmio")
 
         nv: Dict[int, int] = dict(trace.initial_image)
         undo_log: List[Tuple[int, int]] = []  # NV: survives power loss
@@ -179,42 +180,42 @@ class UndoLogSimulator:
                 if ok:
                     break
                 continue
-            acc = accesses[i]
-            w = acc.waddr
-            c = acc.cycles
+            w = waddrs[i]
+            c = cycles[i]
+            v = values[i]
             if on_left < c:
                 wasted += on_left
                 on_left = power_loss()
                 continue
 
             post_output = False
-            if acc.kind != READ and mmio_lo <= w < mmio_hi:
+            if outs[i]:
                 if output_ready != i:
                     ok, on_left = checkpoint(on_left, "output")
                     if ok:
                         output_ready = i
                     continue
-                nv[w] = acc.value
+                nv[w] = v
                 outputs += 1
                 if i < furthest:
                     duplicate_outputs += 1
                 output_ready = -1
                 on_left -= c
                 post_output = True
-            elif acc.kind == READ:
+            elif kinds[i] == READ:
                 action, cause = detector.on_read(w)
                 if action == CHECKPOINT:
                     ok, on_left = checkpoint(on_left, cause)
                     continue
-                if verify and nv.get(w, 0) != acc.value:
+                if verify and nv.get(w, 0) != v:
                     raise VerificationError(
                         f"{trace.name}@{i}: undo-log read of {w:#x} saw "
-                        f"{nv.get(w, 0):#x}, oracle {acc.value:#x}"
+                        f"{nv.get(w, 0):#x}, oracle {v:#x}"
                     )
                 on_left -= c
             else:
                 cur = nv.get(w, 0)
-                action, cause = detector.on_write(w, acc.value, cur)
+                action, cause = detector.on_write(w, v, cur)
                 if action == CHECKPOINT and cause == "violation":
                     # The architectural difference: log the old value to
                     # NV and commit the write in place, no checkpoint.
@@ -234,7 +235,7 @@ class UndoLogSimulator:
                         # Log-append cycles are run-time overhead: book
                         # them as checkpoint-class cycles.
                         ckpt_cycles += extra
-                    nv[w] = acc.value
+                    nv[w] = v
                     on_left -= c
                 elif action in (CHECKPOINT, CHECKPOINT_THEN_WRITE):
                     ok, on_left = checkpoint(on_left, cause)
@@ -243,13 +244,13 @@ class UndoLogSimulator:
                             wasted += on_left
                             on_left = power_loss()
                             continue
-                        nv[w] = acc.value
+                        nv[w] = v
                         on_left -= c
                     else:
                         continue
                 else:
                     if action == PROCEED:
-                        nv[w] = acc.value
+                        nv[w] = v
                     on_left -= c
 
             if i < furthest:

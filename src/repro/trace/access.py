@@ -1,4 +1,6 @@
-"""A single entry of a memory-access log."""
+"""A single entry of a memory-access log, and a view of a log as entries."""
+
+from collections.abc import Sequence
 
 #: Access kinds.  Plain ints, not an Enum: traces contain hundreds of
 #: thousands of entries and the policy simulator compares kinds in its inner
@@ -16,6 +18,8 @@ def kind_name(kind: int) -> str:
 
 class Access:
     """One memory access as logged by the instruction-set simulator.
+
+    Traces store accesses as columns; :class:`AccessView` builds these.
 
     Attributes:
         kind: ``READ`` or ``WRITE``.
@@ -56,3 +60,25 @@ class Access:
 
     def __hash__(self) -> int:
         return hash((self.kind, self.waddr, self.value, self.cycles))
+
+
+class AccessView(Sequence):
+    """A read-only sequence of :class:`Access`, each built on demand from
+    one index of a trace's ``kinds``/``waddrs``/``values``/``cycles``
+    columns (tests and diagnostics; replay and analysis read columns)."""
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, *columns):
+        self._cols = columns
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AccessView(*(col[i] for col in self._cols))
+        return Access(*(col[i] for col in self._cols))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AccessView) and self._cols == other._cols

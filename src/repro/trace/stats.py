@@ -6,9 +6,10 @@ and the supply of Program-Idempotent accesses (Section 4.3).
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Set
 
-from repro.trace.access import READ
+from repro.trace.access import READ, WRITE
 from repro.trace.trace import Trace
 
 
@@ -63,35 +64,26 @@ def compute_stats(trace: Trace, prefix_low_bits: int = 6) -> TraceStats:
     """
     text_lo, text_hi = trace.memory_map.text_word_range
     mmap = trace.memory_map
-    reads = writes = text_reads = text_writes = output_writes = 0
-    prefixes: Set[int] = set()
+    touched = set(trace.waddrs)
+    writes = trace.kinds.count(WRITE)
+    written = list(compress(trace.waddrs, trace.kinds))
+    text_writes = sum(text_lo <= w < text_hi for w in written)
+    text_reads = sum(text_lo <= w < text_hi for w in trace.waddrs) - text_writes
+    output_writes = sum(mmap.is_output(w << 2) for w in written)
+    prefixes = {w >> prefix_low_bits for w in touched}
     read_seen: Set[int] = set()
-    not_program_idempotent: Set[int] = set()
-    touched: Set[int] = set()
+    written_after_read: Set[int] = set()
+    for k, w in zip(trace.kinds, trace.waddrs):
+        if k == READ:
+            read_seen.add(w)
+        elif w in read_seen:
+            written_after_read.add(w)
 
-    for acc in trace.accesses:
-        touched.add(acc.waddr)
-        prefixes.add(acc.waddr >> prefix_low_bits)
-        in_text = text_lo <= acc.waddr < text_hi
-        if acc.kind == READ:
-            reads += 1
-            if in_text:
-                text_reads += 1
-            read_seen.add(acc.waddr)
-        else:
-            writes += 1
-            if in_text:
-                text_writes += 1
-            if mmap.is_output(acc.waddr << 2):
-                output_writes += 1
-            if acc.waddr in read_seen:
-                not_program_idempotent.add(acc.waddr)
-
-    program_idempotent = len(touched) - len(not_program_idempotent)
+    program_idempotent = len(touched) - len(written_after_read)
     return TraceStats(
         name=trace.name,
-        accesses=len(trace.accesses),
-        reads=reads,
+        accesses=len(trace),
+        reads=len(trace) - writes,
         writes=writes,
         total_cycles=trace.total_cycles,
         footprint_words=len(touched),

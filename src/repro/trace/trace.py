@@ -1,195 +1,203 @@
-"""The memory-access log of one program execution."""
+"""The memory-access log of one program execution, stored as columns."""
 
+import hashlib
 from array import array
-from itertools import accumulate
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, compress
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import repro.cache as artifact_cache
 from repro.common.errors import TraceError
 from repro.mem.map import MemoryMap, default_memory_map
-from repro.trace.access import Access, READ, WRITE
+from repro.trace.access import READ, WRITE, Access, AccessView
+
+#: The access log's columns and their ``array`` typecodes: the access
+#: kind, the word address, the word value, the cycles since the previous
+#: access, and whether the access is a write into the MMIO segment.
+COLUMNS = (("kinds", "B"), ("waddrs", "I"), ("values", "I"),
+           ("cycles", "q"), ("outs", "B"))
+
+
+class AccessLog:
+    """The column writer every trace producer records through.
+
+    One typed ``array`` per access attribute (:data:`COLUMNS`); each
+    access costs five C-level appends and no Python object.  The output
+    flag is classified here, against the memory map the log is recorded
+    under, so no later pass re-tests addresses.
+
+    Args:
+        memory_map: The device memory map the accesses are made under.
+        columns: Existing columns to wrap, in :data:`COLUMNS` order
+            (default: empty ones).
+    """
+
+    __slots__ = ("memory_map", "append") + tuple(n for n, _ in COLUMNS)
+
+    def __init__(self, memory_map: MemoryMap, columns=None):
+        self.memory_map = memory_map
+        cols = columns or [array(code) for _, code in COLUMNS]
+        for (name, _), col in zip(COLUMNS, cols):
+            setattr(self, name, col)
+        k, w, v, c, o = (col.append for col in cols)
+        lo, hi = memory_map.word_range("mmio")
+
+        def append(kind: int, waddr: int, value: int, cycles: int) -> None:
+            k(kind)
+            w(waddr)
+            v(value)
+            c(cycles)
+            o(kind != READ and lo <= waddr < hi)
+
+        #: ``append(kind, waddr, value, cycles)`` logs one access.
+        self.append = append
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
 class CompiledTrace:
-    """A :class:`Trace` flattened into parallel tuples for hot-loop replay.
+    """The replay form of a :class:`Trace`: its columns plus derived ones.
 
-    The policy simulator replays a trace hundreds of times per sweep; per-
-    :class:`~repro.trace.access.Access` attribute lookups dominate its inner
-    loop.  The compiled form stores one immutable tuple per attribute so the
-    loop does a single indexed fetch instead, plus precomputed per-access
-    classifications that are properties of the trace alone:
+    ``kinds``/``waddrs``/``values``/``cycles``/``out_writes`` are the
+    trace's own column buffers, not copies.  The derived columns are
+    built once, straight into ``array`` buffers that the C kernels
+    (:mod:`repro.core.cext`) read in place:
 
     Attributes:
         n: Number of accesses.
-        kinds: ``accesses[i].kind`` (``READ``/``WRITE``).
-        waddrs: ``accesses[i].waddr``.
-        values: ``accesses[i].value``.
-        cycles: ``accesses[i].cycles``.
-        out_writes: True where access ``i`` is a write into the MMIO/output
+        kinds: Access kinds (``READ``/``WRITE``), ``uint8``.
+        waddrs: Word addresses, ``uint32``.
+        values: Word values, ``uint32``.
+        cycles: Per-access cycle costs, ``int64``.
+        out_writes: 1 where access ``i`` is a write into the MMIO/output
             region (the output-commit rule of Section 3.3) — the only
             memory-map test the simulator's hot loop needs per access.
         text_range: The memory map's text-segment word range (the
             ignore-TEXT bounds of every detector and chain scan).
-        cum_cycles: Cycle prefix sums, length ``n + 1``: ``cum_cycles[k]``
-            is the total cycles of accesses ``[0, k)``.  Strictly
-            increasing (every access costs >= 1 cycle), so the
+        cum_cycles: Cycle prefix sums (``int64``), length ``n + 1``:
+            ``cum_cycles[k]`` is the total cycles of accesses ``[0, k)``.
+            Strictly increasing (every access costs >= 1 cycle), so the
             section-memoized fast path can place power failures and
             watchdog firings inside any contiguous access span with one
             ``bisect`` instead of an access-by-access walk.
-        false_writes: True where access ``i`` is a *false write* — a write
+        false_writes: 1 where access ``i`` is a *false write* — a write
             whose value equals what the program already observes at that
             word (the last write before ``i``, else the initial image,
             else 0).  This is exactly the ``new_value == cur_value``
             comparison the ignore-false-writes optimization performs at
             run time; replay is value-deterministic, so it is a trace
             property and can be evaluated once.
+        digest: The trace's :attr:`Trace.digest`.
         section_tables: The distinct flat canonical-chain tables of every
             :class:`~repro.sim.sections.SectionMap` over this trace, which
             maps with equal tables share (``None`` until the first family
             pass or disk load creates it).  It lives here, like the
             forced-checkpoint masks, so it is freed with the trace.
-
-    The compiled form is a pure view: replaying it is bit-identical to
-    replaying ``accesses`` (the dynamic verifier and the event stream see
-    exactly the same values in the same order).
     """
 
     __slots__ = (
         "n", "kinds", "waddrs", "values", "cycles", "out_writes",
-        "cum_cycles", "false_writes", "content_key", "_first", "_last",
-        "_vol_masks", "_scan_arrays", "_prefix_ids", "_scan_bufs",
-        "_prefix_bufs", "_pi_masks", "_c_scratch", "_c_out",
-        "_pi_hazards", "_windex", "_cycle_bufs", "_forced_masks",
-        "text_range", "section_tables",
+        "cum_cycles", "false_writes", "digest", "_vol_masks",
+        "_scan_arrays", "_prefix_ids", "_pi_masks", "_c_scratch", "_c_out",
+        "_pi_hazards", "_windex", "_forced_masks", "text_range",
+        "section_tables",
     )
 
     def __init__(self, trace: "Trace"):
-        accesses = trace.accesses
-        self.n = len(accesses)
-        self.kinds = tuple(a.kind for a in accesses)
-        self.waddrs = tuple(a.waddr for a in accesses)
-        self.values = tuple(a.value for a in accesses)
-        self.cycles = tuple(a.cycles for a in accesses)
-        mmio_lo, mmio_hi = trace.memory_map.word_range("mmio")
+        self.n = n = len(trace)
+        self.kinds = kinds = trace.kinds
+        self.waddrs = trace.waddrs
+        self.values = trace.values
+        self.cycles = trace.cycles
+        self.out_writes = trace.outs
         self.text_range = trace.memory_map.text_word_range
-        self.out_writes = tuple(
-            a.kind != READ and mmio_lo <= a.waddr < mmio_hi for a in accesses
-        )
-        self.cum_cycles = tuple(accumulate(self.cycles, initial=0))
+        self.cum_cycles = array("q", accumulate(trace.cycles, initial=0))
+        self.false_writes = false_writes = array("B", bytes(n))
         view = dict(trace.initial_image)
         view_get = view.get
-        false_writes = []
-        for a in accesses:
-            if a.kind == READ:
-                false_writes.append(False)
-            else:
-                false_writes.append(view_get(a.waddr, 0) == a.value)
-                view[a.waddr] = a.value
-        self.false_writes = tuple(false_writes)
-        #: Content fingerprint addressing this trace in the persistent
-        #: artifact store (:mod:`repro.cache`).  Tuple hashes over int
-        #: sequences are process-stable (PYTHONHASHSEED only perturbs str
-        #: and bytes), and the access-stream hashes distinguish traces
-        #: that share a name/length/cycle count but differ in content —
-        #: a collision the cheap in-memory keys never face within one
-        #: process but a shared on-disk store must rule out.
-        self.content_key = (
-            trace.name, self.n, trace.final_cycles, trace.checksum,
-            hash(self.kinds), hash(self.waddrs), hash(self.values),
-            hash(self.cycles),
-            hash(tuple(sorted(trace.initial_image.items()))),
-        )
-        # Staleness sentinels: identity of the boundary Access objects lets
-        # Trace.compiled() catch same-length edge mutations for free.
-        self._first = accesses[0] if accesses else None
-        self._last = accesses[-1] if accesses else None
-        self._vol_masks: Dict[Tuple[Tuple[int, int], ...], Tuple[bool, ...]] = {}
+        for i, w, v in zip(compress(range(n), kinds),
+                           compress(trace.waddrs, kinds),
+                           compress(trace.values, kinds)):
+            if view_get(w, 0) == v:
+                false_writes[i] = 1
+            view[w] = v
+        self.digest = trace.digest
+        self._vol_masks: Dict[Tuple[Tuple[int, int], ...], bytes] = {}
         self._scan_arrays: Dict[Tuple[int, int], tuple] = {}
         self._prefix_ids: Dict[int, tuple] = {}
-        self._scan_bufs: Dict[Tuple[int, int], tuple] = {}
-        self._prefix_bufs: Dict[int, tuple] = {}
         self._pi_masks: Dict[tuple, array] = {}
         self._c_scratch: Dict[int, tuple] = {}
         self._c_out: Optional[tuple] = None
         self._pi_hazards: Dict[tuple, bool] = {}
         self._windex: Optional[Dict[int, list]] = None
-        self._cycle_bufs: Optional[Tuple[array, array]] = None
         self._forced_masks: Dict[frozenset, array] = {}
         self.section_tables = None
 
-    def volatile_mask(
-        self, volatile_ranges: Sequence[Tuple[int, int]]
-    ) -> Tuple[bool, ...]:
-        """Per-access mask: True where the access falls in a volatile range
+    def volatile_mask(self, volatile_ranges: Sequence[Tuple[int, int]]) -> bytes:
+        """Per-access mask: 1 where the access falls in a volatile range
         (mixed-volatility mode).  Memoized per range tuple so the simulator
         hot loop does one indexed fetch instead of a per-access range scan.
         """
         key = tuple(volatile_ranges)
         mask = self._vol_masks.get(key)
         if mask is None:
-            mask = tuple(
-                any(lo <= w < hi for lo, hi in key) for w in self.waddrs
-            )
+            mask = bytes(any(lo <= w < hi for lo, hi in key)
+                         for w in self.waddrs)
             self._vol_masks[key] = mask
         return mask
 
-    def scan_arrays(
-        self, text_lo: int, text_hi: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    def _stored(self, what: str, param, build):
+        """``build()``, through the persistent store's ``compiled`` kind
+        when one is configured (a stored form must cover all ``n``)."""
+        st = artifact_cache.store()
+        if st is None:
+            return build()
+        dkey = artifact_cache.content_key(what, self.digest, param)
+        loaded = st.get("compiled", dkey)
+        if (
+            isinstance(loaded, tuple) and loaded
+            and isinstance(loaded[0], array) and len(loaded[0]) == self.n
+        ):
+            return loaded
+        built = build()
+        st.put("compiled", dkey, built)
+        return built
+
+    def scan_arrays(self, text_lo: int, text_hi: int) -> Tuple[array, array, int]:
         """``(ops, word_ids, n_words)`` for the section-structure scan.
 
-        ``ops[i]`` folds every per-access classification the straight-line
-        scan branches on into one small int (bit 0: write, bit 1: in the
-        text range, bit 2: output write, bit 3: false write), and
-        ``word_ids[i]`` maps ``waddrs[i]`` onto dense ids ``[0, n_words)``
-        so buffer membership becomes a flat-array generation check instead
-        of a hash probe.  Both are properties of the trace (plus the text
-        range) alone, so one build amortizes over every configuration a
-        sweep replays the trace under.  Memoized per ``(text_lo, text_hi)``.
+        ``ops[i]`` (``uint8``) folds every per-access classification the
+        straight-line scan branches on into one small int (bit 0: write,
+        bit 1: in the text range, bit 2: output write, bit 3: false
+        write), and ``word_ids[i]`` (``int32``) maps ``waddrs[i]`` onto
+        dense ids ``[0, n_words)`` so buffer membership becomes a
+        flat-array generation check instead of a hash probe.  Both are
+        properties of the trace (plus the text range) alone, so one build
+        amortizes over every configuration a sweep replays the trace
+        under.  Memoized per ``(text_lo, text_hi)``.
         """
         key = (text_lo, text_hi)
         cached = self._scan_arrays.get(key)
         if cached is None:
-            st = artifact_cache.store()
-            dkey = None
-            if st is not None:
-                dkey = artifact_cache.content_key(
-                    "scan_arrays", self.content_key, key
-                )
-                loaded = st.get("compiled", dkey)
-                if (
-                    isinstance(loaded, tuple) and len(loaded) == 3
-                    and len(loaded[0]) == self.n
-                ):
-                    cached = loaded
-            if cached is None:
+            def build():
                 ids: Dict[int, int] = {}
-                wids = []
-                ops = []
-                for i in range(self.n):
-                    w = self.waddrs[i]
-                    vid = ids.get(w)
-                    if vid is None:
-                        vid = len(ids)
-                        ids[w] = vid
-                    wids.append(vid)
-                    op = 0 if self.kinds[i] == READ else 1
-                    if text_lo <= w < text_hi:
-                        op |= 2
-                    if self.out_writes[i]:
-                        op |= 4
-                    if self.false_writes[i]:
-                        op |= 8
-                    ops.append(op)
-                cached = (tuple(ops), tuple(wids), len(ids))
-                if dkey is not None:
-                    st.put("compiled", dkey, cached)
-            self._scan_arrays[key] = cached
+                intern = ids.setdefault
+                wids = array("i", [intern(w, len(ids)) for w in self.waddrs])
+                ops = array("B", [
+                    k | (text_lo <= w < text_hi) << 1 | o << 2 | f << 3
+                    for k, w, o, f in zip(self.kinds, self.waddrs,
+                                          self.out_writes, self.false_writes)
+                ])
+                return ops, wids, len(ids)
+
+            cached = self._scan_arrays[key] = self._stored(
+                "scan_arrays", key, build)
         return cached
 
-    def prefix_ids(self, shift: int) -> Tuple[Tuple[int, ...], int]:
-        """``(prefix_ids, n_prefixes)``: dense ids of ``waddr >> shift``.
+    def prefix_ids(self, shift: int) -> Tuple[array, int]:
+        """``(prefix_ids, n_prefixes)``: dense ``int32`` ids of
+        ``waddr >> shift``.
 
         The Address Prefix Buffer tracks address prefixes; the scan needs
         membership over them, so they get the same dense-id treatment as
@@ -197,32 +205,15 @@ class CompiledTrace:
         """
         cached = self._prefix_ids.get(shift)
         if cached is None:
-            st = artifact_cache.store()
-            dkey = None
-            if st is not None:
-                dkey = artifact_cache.content_key(
-                    "prefix_ids", self.content_key, shift
-                )
-                loaded = st.get("compiled", dkey)
-                if (
-                    isinstance(loaded, tuple) and len(loaded) == 2
-                    and len(loaded[0]) == self.n
-                ):
-                    cached = loaded
-            if cached is None:
+            def build():
                 ids: Dict[int, int] = {}
-                pids = []
-                for w in self.waddrs:
-                    p = w >> shift
-                    pid = ids.get(p)
-                    if pid is None:
-                        pid = len(ids)
-                        ids[p] = pid
-                    pids.append(pid)
-                cached = (tuple(pids), len(ids))
-                if dkey is not None:
-                    st.put("compiled", dkey, cached)
-            self._prefix_ids[shift] = cached
+                intern = ids.setdefault
+                pids = array("i", [intern(w >> shift, len(ids))
+                                   for w in self.waddrs])
+                return pids, len(ids)
+
+            cached = self._prefix_ids[shift] = self._stored(
+                "prefix_ids", shift, build)
         return cached
 
     def pi_write_hazard(self, pi_words, pi_indices) -> bool:
@@ -235,25 +226,18 @@ class CompiledTrace:
         key = (pi_words, pi_indices)
         hazard = self._pi_hazards.get(key)
         if hazard is None:
-            hazard = False
             kinds = self.kinds
             waddrs = self.waddrs
-            out_writes = self.out_writes
             pi_written = {
                 waddrs[j]
                 for j in pi_indices
                 if j < self.n and kinds[j] != READ
             } - set(pi_words or ())
-            if pi_written:
-                for m in range(self.n):
-                    if (
-                        kinds[m] != READ
-                        and waddrs[m] in pi_written
-                        and m not in pi_indices
-                        and not out_writes[m]
-                    ):
-                        hazard = True
-                        break
+            hazard = bool(pi_written) and any(
+                k and not o and w in pi_written and m not in pi_indices
+                for m, k, w, o in zip(range(self.n), kinds, waddrs,
+                                      self.out_writes)
+            )
             self._pi_hazards[key] = hazard
         return hazard
 
@@ -267,38 +251,16 @@ class CompiledTrace:
         windex = self._windex
         if windex is None:
             windex = {}
-            kinds = self.kinds
             waddrs = self.waddrs
-            for j in range(self.n):
-                if kinds[j] != READ:
-                    windex.setdefault(waddrs[j], []).append(j)
+            for j in compress(range(self.n), self.kinds):
+                windex.setdefault(waddrs[j], []).append(j)
             self._windex = windex
         return windex
 
     # ----------------------------------------------------------------- #
-    # C-kernel buffer forms (repro.core.cext).  All memoized: built once
-    # per trace, shared by every configuration's ChainScanEngine.
+    # C-kernel buffers (repro.core.cext).  All memoized: built once per
+    # trace, shared by every configuration's ChainScanEngine.
     # ----------------------------------------------------------------- #
-
-    def scan_buffers(
-        self, text_lo: int, text_hi: int
-    ) -> Tuple[array, array, int]:
-        """:meth:`scan_arrays` as C-addressable ``array`` buffers."""
-        key = (text_lo, text_hi)
-        cached = self._scan_bufs.get(key)
-        if cached is None:
-            ops, wids, n_words = self.scan_arrays(text_lo, text_hi)
-            cached = (array("B", ops), array("i", wids), n_words)
-            self._scan_bufs[key] = cached
-        return cached
-
-    def cycle_buffers(self) -> Tuple[array, array]:
-        """``(cum_cycles, cycles)`` as ``int64`` buffers (the C section
-        walk and watchdog-cut chain scans)."""
-        if self._cycle_bufs is None:
-            self._cycle_bufs = (array("q", self.cum_cycles),
-                                array("q", self.cycles))
-        return self._cycle_bufs
 
     def forced_mask(self, forced: frozenset) -> array:
         """Compiler-checkpoint mask (``uint8``, length ``n + 1``) of the C
@@ -313,15 +275,6 @@ class CompiledTrace:
             self._forced_masks[forced] = mask
         return mask
 
-    def prefix_buffers(self, shift: int) -> Tuple[array, int]:
-        """:meth:`prefix_ids` as a C-addressable ``array`` buffer."""
-        cached = self._prefix_bufs.get(shift)
-        if cached is None:
-            pids, n_prefixes = self.prefix_ids(shift)
-            cached = (array("i", pids), n_prefixes)
-            self._prefix_bufs[shift] = cached
-        return cached
-
     def pi_mask_buffer(self, pi_words, pi_indices) -> array:
         """Per-access Program-Idempotent membership mask (``uint8``).
 
@@ -334,12 +287,8 @@ class CompiledTrace:
         key = (pi_words, pi_indices)
         mask = self._pi_masks.get(key)
         if mask is None:
-            mask = array("B", bytes(self.n))
-            if pi_words:
-                waddrs = self.waddrs
-                for i in range(self.n):
-                    if waddrs[i] in pi_words:
-                        mask[i] = 1
+            words = pi_words or ()
+            mask = array("B", [w in words for w in self.waddrs])
             for i in pi_indices or ():
                 if 0 <= i < self.n:
                     mask[i] = 1
@@ -441,15 +390,19 @@ class Marker:
     label: str
 
 
-@dataclass
 class Trace:
     """A complete memory access log plus the context needed to replay it.
 
+    The log is the sealed columns of the :class:`AccessLog` it was
+    recorded through (``kinds``, ``waddrs``, ``values``, ``cycles``,
+    ``outs``; see :data:`COLUMNS`).  Nothing writes them afterwards, so
+    the compiled form and every memoized derivation stay valid for the
+    trace's lifetime.
+
     Attributes:
         name: Workload name.
-        accesses: The ordered access log.
         initial_image: Word values, before execution, of every word the
-            program touches.  Replaying ``accesses`` against this image with
+            program touches.  Replaying the log against this image with
             a correct intermittence scheme must end in the same final memory
             as a single continuous replay.
         memory_map: The device memory map the trace was produced under.
@@ -461,54 +414,85 @@ class Trace:
             (Table 1's Size column).
     """
 
-    name: str
-    accesses: List[Access]
-    initial_image: Dict[int, int]
-    memory_map: MemoryMap = field(default_factory=default_memory_map)
-    markers: List[Marker] = field(default_factory=list)
-    final_cycles: int = 0
-    checksum: int = 0
-    code_bytes: int = 0
-    _compiled: Optional[CompiledTrace] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("name", "initial_image", "memory_map", "markers",
+                 "final_cycles", "checksum", "code_bytes", "_compiled",
+                 "_digest", "_final") + tuple(n for n, _ in COLUMNS)
 
-    def __post_init__(self) -> None:
-        if self.final_cycles == 0:
-            self.final_cycles = sum(a.cycles for a in self.accesses)
+    def __init__(
+        self,
+        name: str,
+        log: AccessLog,
+        initial_image: Dict[int, int],
+        markers: Iterable[Marker] = (),
+        final_cycles: int = 0,
+        checksum: int = 0,
+        code_bytes: int = 0,
+    ):
+        self.name = name
+        for col, _ in COLUMNS:
+            setattr(self, col, getattr(log, col))
+        self.initial_image = initial_image
+        self.memory_map = log.memory_map
+        self.markers = list(markers)
+        self.final_cycles = final_cycles or sum(self.cycles)
+        self.checksum = checksum
+        self.code_bytes = code_bytes
+        self._compiled: Optional[CompiledTrace] = None
+        self._digest: Optional[str] = None
+        self._final: Optional[Dict[int, int]] = None
+
+    @classmethod
+    def from_accesses(cls, name: str, accesses: Iterable[Access],
+                      initial_image: Dict[int, int],
+                      memory_map: Optional[MemoryMap] = None,
+                      **kwargs) -> "Trace":
+        """A trace of explicit :class:`Access` entries (tests and examples;
+        producers record through an :class:`AccessLog`)."""
+        log = AccessLog(memory_map or default_memory_map())
+        for a in accesses:
+            log.append(a.kind, a.waddr, a.value, a.cycles)
+        return cls(name, log, initial_image, **kwargs)
+
+    @property
+    def accesses(self) -> AccessView:
+        """The log as a read-only sequence of :class:`Access` entries,
+        each built on demand."""
+        return AccessView(self.kinds, self.waddrs, self.values, self.cycles)
 
     def compiled(self) -> CompiledTrace:
-        """The lazily-built array form of this trace (cached).
-
-        The access list must not be mutated after the first call; all trace
-        producers in this repository build the list once and never touch it
-        again.  Code that does mutate ``accesses`` afterwards must call
-        :meth:`invalidate`.  As a safety net the cache also checks length
-        and boundary-element identity, which catches appends, pops, and
-        element replacement at either end — but not interior same-length
-        edits, hence the explicit ``invalidate()``.
-        """
-        cached = self._compiled
-        accesses = self.accesses
-        if (
-            cached is None
-            or cached.n != len(accesses)
-            or (cached.n > 0 and (
-                cached._first is not accesses[0]
-                or cached._last is not accesses[-1]
-            ))
-        ):
+        """The replay form of this trace, built on first use."""
+        if self._compiled is None:
             self._compiled = CompiledTrace(self)
         return self._compiled
 
-    def invalidate(self) -> None:
-        """Drop the cached compiled form after mutating ``accesses`` (or
-        ``initial_image``/``memory_map``).  The next :meth:`compiled` call
-        rebuilds from current contents."""
-        self._compiled = None
+    @property
+    def digest(self) -> str:
+        """sha256 hex over everything a replay of this trace depends on.
+
+        Covers the name, checksum, total cycles, text and MMIO word
+        ranges, markers and the sorted initial image, then the raw bytes
+        of the kind, address, value and cycle columns (the output flags
+        follow from those).  It keys every per-trace cache, in memory and
+        in the persistent store, so two traces share an entry only when
+        their contents are equal.
+        """
+        if self._digest is None:
+            mmap = self.memory_map
+            h = hashlib.sha256()
+            h.update(repr((
+                self.name, self.checksum, self.final_cycles,
+                mmap.text_word_range, mmap.word_range("mmio"),
+                [(m.index, m.kind) for m in self.markers],
+                COLUMNS,
+                sorted(self.initial_image.items()),
+            )).encode())
+            for col, _ in COLUMNS[:4]:
+                h.update(getattr(self, col))
+            self._digest = h.hexdigest()
+        return self._digest
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.kinds)
 
     @property
     def total_cycles(self) -> int:
@@ -518,15 +502,22 @@ class Trace:
     @property
     def footprint_words(self) -> int:
         """Number of distinct words the program touches."""
-        return len({a.waddr for a in self.accesses})
+        return len(set(self.waddrs))
+
+    def _image_at(self, stop: int) -> Dict[int, int]:
+        """Memory image after accesses ``[0, stop)``."""
+        image = dict(self.initial_image)
+        image.update(zip(compress(self.waddrs[:stop], self.kinds),
+                         compress(self.values[:stop], self.kinds)))
+        return image
 
     def final_memory(self) -> Dict[int, int]:
-        """Memory image after one continuous execution (the oracle)."""
-        image = dict(self.initial_image)
-        for acc in self.accesses:
-            if acc.kind == WRITE:
-                image[acc.waddr] = acc.value
-        return image
+        """Memory image after one continuous execution (the oracle): a
+        copy of an image built once per trace, since every verified run
+        compares against it."""
+        if self._final is None:
+            self._final = self._image_at(len(self))
+        return dict(self._final)
 
     def validate(self) -> None:
         """Check internal consistency: reads observe the value produced by
@@ -538,49 +529,48 @@ class Trace:
         it, so workload tests validate every generated trace.
         """
         image = dict(self.initial_image)
-        for i, acc in enumerate(self.accesses):
-            if acc.cycles <= 0:
+        for i, k, w, v, c in zip(range(len(self)), self.kinds, self.waddrs,
+                                 self.values, self.cycles):
+            if c <= 0:
                 raise TraceError(f"{self.name}: access {i} has cycles <= 0")
-            if acc.kind == READ:
-                expect = image.get(acc.waddr)
+            if k == READ:
+                expect = image.get(w)
                 if expect is None:
                     raise TraceError(
-                        f"{self.name}: access {i} reads word {acc.waddr:#x} "
+                        f"{self.name}: access {i} reads word {w:#x} "
                         f"absent from the initial image"
                     )
-                if expect != acc.value:
+                if expect != v:
                     raise TraceError(
-                        f"{self.name}: access {i} read {acc.value:#x} from "
-                        f"word {acc.waddr:#x} but memory holds {expect:#x}"
+                        f"{self.name}: access {i} read {v:#x} from "
+                        f"word {w:#x} but memory holds {expect:#x}"
                     )
-            elif acc.kind == WRITE:
-                image[acc.waddr] = acc.value
+            elif k == WRITE:
+                image[w] = v
             else:
                 raise TraceError(f"{self.name}: access {i} has bad kind")
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering ``accesses[start:stop]``.
+        """A sub-trace covering accesses ``[start, stop)``.
 
         The initial image is advanced to position ``start`` so the slice is
         replayable on its own.  Markers are re-indexed; those outside the
         window are dropped.
         """
-        if not (0 <= start <= stop <= len(self.accesses)):
+        if not (0 <= start <= stop <= len(self)):
             raise TraceError(f"bad slice [{start}:{stop}] of {len(self)}")
-        image = dict(self.initial_image)
-        for acc in self.accesses[:start]:
-            if acc.kind == WRITE:
-                image[acc.waddr] = acc.value
         markers = [
             Marker(m.index - start, m.kind, m.label)
             for m in self.markers
             if start <= m.index < stop
         ]
+        log = AccessLog(self.memory_map, [
+            getattr(self, col)[start:stop] for col, _ in COLUMNS
+        ])
         return Trace(
             name=f"{self.name}[{start}:{stop}]",
-            accesses=self.accesses[start:stop],
-            initial_image=image,
-            memory_map=self.memory_map,
+            log=log,
+            initial_image=self._image_at(start),
             markers=markers,
             checksum=self.checksum,
             code_bytes=self.code_bytes,
@@ -588,5 +578,5 @@ class Trace:
 
     def counts(self) -> Tuple[int, int]:
         """(number of reads, number of writes)."""
-        reads = sum(1 for a in self.accesses if a.kind == READ)
-        return reads, len(self.accesses) - reads
+        writes = self.kinds.count(WRITE)
+        return len(self) - writes, writes

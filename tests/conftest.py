@@ -33,7 +33,7 @@ def make_trace(ops, name="synthetic", cycles=4, initial=None):
             image.setdefault(waddr, mem.get(waddr, 0))
             mem[waddr] = value
         accesses.append(Access(kind, waddr, value, cycles))
-    trace = Trace(name=name, accesses=accesses, initial_image=image)
+    trace = Trace.from_accesses(name, accesses, image)
     trace.validate()
     return trace
 

@@ -37,7 +37,7 @@ class TestProgramIdempotence:
 
     def test_outputs_never_marked(self):
         mmio = 0x4000_0000 >> 2
-        trace = Trace(
+        trace = Trace.from_accesses(
             "o", [Access(WRITE, mmio, 1, 4)], initial_image={mmio: 0}
         )
         assert mmio not in profile_program_idempotent(trace)

@@ -515,21 +515,6 @@ class TestCaches:
         stats = dispatch_stats()
         assert stats["fast"] == 1 and stats["fallback"] == 1
 
-    def test_compiled_trace_staleness(self):
-        trace = make_trace([(WRITE, 0, 1), (READ, 0), (WRITE, 1, 2)])
-        ct = trace.compiled()
-        assert trace.compiled() is ct  # cached
-        # Boundary-element identity is the safety net...
-        trace.accesses.append(trace.accesses.pop())  # same objects: cached
-        assert trace.compiled() is ct
-        from repro.trace.access import Access
-        trace.accesses.append(Access(READ, DATA_WORD, 1, 4))
-        assert trace.compiled() is not ct  # length changed: rebuilt
-        # ...and invalidate() is the explicit contract for interior edits.
-        ct2 = trace.compiled()
-        trace.invalidate()
-        assert trace.compiled() is not ct2
-
 
 class TestVolDirtyRollback:
     def test_rolled_back_volatile_words_not_billed(self):

@@ -199,8 +199,8 @@ class TestWatchdogEvents:
             Access(WRITE, data_word, 7, 4),
             Access(WRITE, mmio_word, 42, 4),
         ]
-        trace = Trace(
-            name="out", accesses=accesses,
+        trace = Trace.from_accesses(
+            "out", accesses,
             initial_image={data_word: 0, mmio_word: 0}, memory_map=mmap,
         )
         rec = MemoryRecorder()

@@ -145,7 +145,7 @@ class TestOutputCommit:
             Access(WRITE, DATA_WORD + 1, 2, 4),
         ]
         image = {DATA_WORD: 0, DATA_WORD + 1: 0, mmio_word: 0}
-        return Trace("out", accesses, image)
+        return Trace.from_accesses("out", accesses, image)
 
     def test_output_surrounded_by_checkpoints(self):
         res = run(self._trace_with_output(), schedule=ContinuousPower())
@@ -178,7 +178,9 @@ class TestDynamicVerification:
         trace = rmw_trace(30)
         # Corrupt the oracle: claim a read observed a different value.
         bad = Access(READ, trace.accesses[0].waddr, 0xDEAD, 4)
-        trace.accesses.insert(0, bad)
+        trace = Trace.from_accesses(
+            trace.name, [bad, *trace.accesses], trace.initial_image
+        )
         with pytest.raises(VerificationError):
             run(trace, schedule=ContinuousPower())
 

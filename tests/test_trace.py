@@ -41,19 +41,22 @@ class TestTrace:
         stream_trace(50).validate()
 
     def test_validate_rejects_wrong_read_value(self):
-        trace = make_trace([(WRITE, 0, 5)])
-        trace.accesses.append(Access(READ, DATA_WORD, 6, 4))
+        trace = Trace.from_accesses(
+            "bad", [Access(WRITE, DATA_WORD, 5, 4), Access(READ, DATA_WORD, 6, 4)],
+            initial_image={DATA_WORD: 0},
+        )
         with pytest.raises(TraceError):
             trace.validate()
 
     def test_validate_rejects_missing_initial(self):
-        trace = Trace("bad", [Access(READ, 0x999, 0, 4)], initial_image={})
+        trace = Trace.from_accesses("bad", [Access(READ, 0x999, 0, 4)], initial_image={})
         with pytest.raises(TraceError):
             trace.validate()
 
     def test_validate_rejects_nonpositive_cycles(self):
-        trace = make_trace([(WRITE, 0, 5)])
-        trace.accesses[0] = Access(WRITE, DATA_WORD, 5, 0)
+        trace = Trace.from_accesses(
+            "bad", [Access(WRITE, DATA_WORD, 5, 0)], initial_image={DATA_WORD: 0}
+        )
         with pytest.raises(TraceError):
             trace.validate()
 
