@@ -3,11 +3,11 @@
 The expensive artifacts of a sweep — enumerated
 :class:`~repro.sim.sections.SectionMap` contents, compiled-trace
 arrays, whole simulation results — are pure functions of trace content, configuration, and
-marking.  This package spills them to ``REPRO_CACHE_DIR`` so parallel
-workers share enumeration work across processes and a repeat
-evaluation starts warm.  Everything is best-effort: with the variable
-unset nothing touches the filesystem, and any I/O failure degrades to
-the in-memory behaviour the callers already have.
+marking.  This package spills them to ``REPRO_CACHE_DIR`` so processes
+sharing the directory (a sweep server, local evals) share enumeration
+work and a repeat evaluation starts warm.  Everything is best-effort:
+with the variable unset nothing touches the filesystem, and any I/O
+failure degrades to the in-memory behaviour the callers already have.
 
 Public surface:
 
@@ -20,12 +20,12 @@ Public surface:
   (plus the format version), the addressing scheme every caller uses.
 * :func:`register_persist` / :func:`persist_caches` — flush hooks.
   Modules holding dirty in-memory artifacts register a flusher;
-  the eval CLI and every cleanly exiting fork-pool worker (via
-  ``atexit``) call :func:`persist_caches`.
+  the eval CLI, the sweep server after each job, and every cleanly
+  exiting process (via ``atexit``) call :func:`persist_caches`.
 * :func:`stats` — hit/miss/put/eviction/error plus remote-tier
-  counters (``cache.*`` in :data:`repro.obs.metrics.COUNTERS`: worker
-  deltas merged there, plus the live store's own lock-protected
-  counts), rendered in ``results/profile.txt`` so "warm from memory"
+  counters (``cache.*`` in :data:`repro.obs.metrics.COUNTERS`: the
+  live store's own lock-protected counts, plus those of stores dropped
+  by :func:`reset_for_tests`), rendered in ``results/profile.txt`` so "warm from memory"
   vs "warm from disk" vs "cold" are distinguishable, and surfaced by
   the :mod:`repro.serve` ``/stats`` endpoint.
 """
@@ -106,7 +106,7 @@ COUNTERS.attach("cache.", _store_stats, _reset_store_stats)
 
 
 def stats() -> Dict[str, int]:
-    """Disk-cache counters for this process, pooled workers' included."""
+    """Disk-cache counters for this process."""
     snap = COUNTERS.snapshot()
     return {k: snap.get("cache." + k, 0) for k in _KEYS}
 
@@ -148,7 +148,6 @@ def reset_for_tests() -> None:
     _RESOLVED = False
 
 
-# Cleanly exiting processes (including fork-pool workers, which leave
-# Pool.close() through a normal interpreter shutdown) flush whatever
-# dirty artifacts they still hold.  Guarded inside persist_caches.
+# Cleanly exiting processes flush whatever dirty artifacts they still
+# hold.  Guarded inside persist_caches.
 atexit.register(persist_caches)

@@ -14,8 +14,9 @@ Robustness contract (exercised by ``tests/test_disk_cache.py``):
 
 * **Atomic writes** — every put writes a temp file in the cache
   directory and ``os.replace``-s it into place.  Readers racing a
-  writer (the fork-pool workers share one directory) see either the
-  complete old file or the complete new file, never a partial one.
+  writer (processes sharing one directory, such as a sweep server and
+  a local eval) see either the complete old file or the complete new
+  file, never a partial one.
 * **Corruption tolerance** — a truncated, corrupted, or wrong-format
   entry loads as a miss; the offending file is deleted so the next put
   repairs it.  A load must never raise.
@@ -98,8 +99,7 @@ class CacheStore:
         self.remote_misses = 0
         self.remote_errors = 0
         # Counter bumps happen concurrently under a sweep server — its
-        # async handlers, bridge threads, and pool children all share
-        # one store — and ``+=`` on an int attribute is not atomic under
+        # async handlers and bridge thread share one store — and ``+=`` on an int attribute is not atomic under
         # the GIL (read/add/store interleave).  One lock, held only for
         # the bump, keeps the totals exact.
         self._stats_lock = threading.Lock()

@@ -196,8 +196,8 @@ class ChainScanEngine:
     scratch, and the per-trace output staging buffers), so each
     :meth:`scan` call is a single foreign-function invocation.  The
     output buffers are staging only — the caller copies what it keeps —
-    and are shared per trace, which is safe single-threaded (the
-    process-parallel engine gives each worker its own process).
+    and are shared per trace, which is safe because scans run on one
+    thread (the eval CLI's, or the sweep server's one bridge thread).
     """
 
     __slots__ = ("_fn", "_args", "out_start", "out_variant", "out_end",

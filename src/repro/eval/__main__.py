@@ -1,10 +1,8 @@
 """Command-line entry point: ``python -m repro.eval <experiment>``.
 
 Experiments: table1, fig5, fig6, table2, fig7, fig8, table3, table4, all.
-Pass ``--quick`` for smoke-test sizes and ``--jobs N`` (or the
-``REPRO_JOBS`` environment variable) to run the sweep drivers on N worker
-processes (``--jobs 0`` = all CPUs); results are bit-identical at any
-worker count.
+Pass ``--quick`` for smoke-test sizes.  Every job runs in this process,
+one after another (:func:`repro.eval.parallel.run_jobs`).
 
 Every invocation prints a run profile (wall-clock per experiment driver,
 simulator time per workload from the run ledger, fast-path dispatch mix,
@@ -40,7 +38,6 @@ import time
 from datetime import datetime, timezone
 
 import repro.cache as artifact_cache
-from repro.eval.parallel import resolve_workers
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.eval.settings import EvalSettings
 from repro.obs import slog, telemetry, tracing
@@ -54,16 +51,14 @@ _EXPERIMENTS = (
     "ablation_compiler", "ablation_progress", "ablation_apb", "ablation_undo",
 )
 
-#: Drivers refactored onto the parallel sweep engine (accept ``n_workers``).
-PARALLEL_DRIVERS = frozenset(
-    ("fig5", "fig6", "fig7", "fig8", "table2",
-     "ablation_compiler", "ablation_progress", "ablation_apb",
-     "ablation_undo")
-)
-
 #: Drivers with a Monte Carlo ``--seeds N`` variant (batched seed-repeat
 #: jobs reporting mean ± 95% CI).
 _SEEDED_DRIVERS = frozenset(("fig5", "fig8"))
+
+#: Worker count written to the ledger header and each bench entry.  Jobs
+#: run serially, so it is always 1; ``repro.obs.bench`` buckets entries
+#: by it, and every committed entry is in the ``jobs == 1`` bucket.
+_JOBS = 1
 
 _PROFILE_PATH = os.path.join("results", "profile.txt")
 _BENCH_PATH = os.path.join("results", "BENCH_sweep.json")
@@ -96,9 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--verify", action="store_true",
                         help="dynamically verify every simulation")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the sweep drivers "
-                             "(0 = all CPUs; default: $REPRO_JOBS or 1)")
     parser.add_argument("--ledger", metavar="PATH", default=None,
                         help="write the run-provenance ledger (JSONL) to "
                              "PATH; full runs default to "
@@ -154,7 +146,6 @@ def main(argv=None) -> int:
     settings = EvalSettings(seed=args.seed, verify=args.verify)
     if args.quick:
         settings = settings.quick()
-    n_workers = resolve_workers(args.jobs)
 
     PROFILER.reset()
     COUNTERS.reset()
@@ -177,7 +168,7 @@ def main(argv=None) -> int:
                 timespec="seconds"
             ),
             "experiments": list(names),
-            "jobs": n_workers,
+            "jobs": _JOBS,
             "seed": args.seed,
             "seeds": args.seeds,
             "quick": args.quick,
@@ -193,11 +184,7 @@ def main(argv=None) -> int:
             )
             with PROFILER.phase(name), telemetry.LEDGER.driver_phase(name):
                 if args.seeds and name in _SEEDED_DRIVERS:
-                    data = module.run(
-                        settings, n_workers=n_workers, seeds=args.seeds
-                    )
-                elif name in PARALLEL_DRIVERS:
-                    data = module.run(settings, n_workers=n_workers)
+                    data = module.run(settings, seeds=args.seeds)
                 else:
                     data = module.run(settings)
             mark = PROFILER.marks[-1]
@@ -205,12 +192,10 @@ def main(argv=None) -> int:
             print(f"[{name} completed in {mark['t1'] - mark['t0']:.1f}s]\n")
         wall_clock = time.perf_counter() - wall_start
 
-        # Flush this process's dirty artifacts (worker processes flushed
-        # their own after each job) before reading the final disk counters.
+        # Flush this process's dirty artifacts before reading the final
+        # disk counters.
         artifact_cache.persist_caches()
 
-        # Pooled jobs' counter deltas were merged by run_jobs, so the
-        # registry covers the whole evaluation.
         ledger = telemetry.LEDGER
         profile = PROFILER.table(COUNTERS.snapshot(), ledger.records)
         dispatch = fast_dispatch.dispatch_stats()
@@ -281,7 +266,7 @@ def main(argv=None) -> int:
                     timespec="seconds"
                 ),
                 "experiments": list(names),
-                "jobs": n_workers,
+                "jobs": _JOBS,
                 "server": bool(args.server),
                 "cpus": os.cpu_count(),
                 "wall_clock_s": round(wall_clock, 3),

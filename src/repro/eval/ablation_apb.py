@@ -11,7 +11,7 @@ composition (a 2-entry APB keeps prefix pressure visible).
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval.parallel import SimJob, run_jobs
@@ -43,7 +43,6 @@ class ApbAblationRow:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> List[ApbAblationRow]:
     """Sweep the prefix split across the benchmark suite."""
     names = mibench2_names()
@@ -59,7 +58,7 @@ def run(
         for low in LOW_BITS
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     rows = []
     for low in LOW_BITS:
         config = dataclasses.replace(

@@ -18,7 +18,7 @@ of future exploration".
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.compiler.program_idempotence import ignorable_access_count
@@ -46,13 +46,12 @@ class CompilerAblationRow:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> List[CompilerAblationRow]:
     """Measure every benchmark under the three variants.
 
     Coverage is a pure static-analysis figure computed in-process; the
-    simulations go through the parallel engine, whose workers re-derive
-    the same (cached) compiler plans from the job descriptors.
+    simulations go through the sweep engine, which re-derives the same
+    (cached) compiler plans from the job descriptors.
     """
     traces = benchmark_traces(settings, size=settings.sweep_size)
     jobs = [
@@ -67,7 +66,7 @@ def run(
         for salt, (name, trace) in enumerate(traces)
         for variant in VARIANTS
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     rows = []
     for name, trace in traces:
         pi_words = pi_words_for(trace)

@@ -45,7 +45,6 @@ class ProgressAblationRow:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> List[ProgressAblationRow]:
     """Sweep runt fractions across the three watchdog designs."""
     jobs = [
@@ -68,7 +67,7 @@ def run(
         for fraction in RUNT_FRACTIONS
         for variant in VARIANTS
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     rows = []
     for fraction in RUNT_FRACTIONS:
         overhead: Dict[str, Optional[float]] = {}

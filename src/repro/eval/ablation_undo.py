@@ -14,7 +14,7 @@ why this is a per-benchmark table.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.runner import average
@@ -42,7 +42,6 @@ class UndoAblationRow:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> List[UndoAblationRow]:
     """Compare the two designs on every benchmark."""
     names = mibench2_names()
@@ -66,7 +65,7 @@ def run(
                 log_entries=UNDO_LOG_ENTRIES,
             )
         )
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     rows = []
     for name in names:
         clank = next(results)

@@ -18,7 +18,7 @@ the ``R`` family.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import ClankConfig
 from repro.eval.parallel import SimJob, run_jobs
@@ -71,7 +71,6 @@ class Fig5Data:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
     seeds: int = 1,
 ) -> Fig5Data:
     """Sweep all families over the benchmark suite (sweep-size traces).
@@ -80,7 +79,7 @@ def run(
     (composition, compiler) pairs — keyed by the entry-count *tuple*, not
     the label string, so distinct compositions can never collide — then
     runs one benchmark-suite job batch per unique pair through the
-    parallel engine.
+    sweep engine.
 
     With ``seeds > 1`` a *frontier refinement* pass follows: the full
     grid at 100 seeds would be ~1.3M simulator runs, so the standard
@@ -112,7 +111,7 @@ def run(
         for key in keys
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     overhead: Dict[Tuple[int, int, int, int, bool], float] = {}
     for key in keys:
         overhead[key] = average(
@@ -163,7 +162,7 @@ def run(
         for key in refine
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     stats: Dict[Tuple[int, int, int, int, bool], Tuple[float, float]] = {}
     for key in refine:
         columns = [

@@ -9,7 +9,7 @@ overhead.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import (
     ClankConfig,
@@ -48,7 +48,6 @@ def _settings_for(label: str) -> List[PolicyOptimizations]:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> Fig6Data:
     """Sweep the 32 policy settings over the buffer grid.
 
@@ -69,7 +68,7 @@ def run(
         for opts in all_opts
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     # overhead[(spec, opt_label)][benchmark] -> checkpoint overhead
     per_bench: Dict[tuple, List[float]] = {}
     for spec in _GRID:

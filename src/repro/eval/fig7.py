@@ -8,7 +8,7 @@ are starred, as in the paper.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import ClankConfig, TABLE2_CONFIGS
 from repro.eval.parallel import SimJob, run_jobs
@@ -66,7 +66,6 @@ class Fig7Data:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> Fig7Data:
     """Simulate every benchmark under the five Table 2 configurations."""
     names = mibench2_names()
@@ -84,7 +83,7 @@ def run(
         for spec, use_compiler, wdt in variants
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     bars: List[Fig7Bar] = []
     for spec, use_compiler, wdt in variants:
         config = ClankConfig.from_tuple(spec)

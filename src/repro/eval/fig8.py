@@ -73,7 +73,6 @@ class Fig8Data:
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
     repeats: int = 6,
-    n_workers: Optional[int] = None,
     seeds: Optional[int] = None,
 ) -> Fig8Data:
     """Sweep the Performance Watchdog with infinite buffers.
@@ -87,7 +86,6 @@ def run(
     Args:
         settings: Experiment settings.
         repeats: Runs (with different power seeds) averaged per point.
-        n_workers: Parallel sweep workers (None = serial / REPRO_JOBS).
         seeds: When given, overrides ``repeats`` and annotates every
             point with 95% confidence half-widths (``--seeds N`` mode).
     """
@@ -108,7 +106,7 @@ def run(
             )
             for value in SWEEP_VALUES
         ]
-        for value, batch in zip(SWEEP_VALUES, run_jobs(jobs, settings, n_workers)):
+        for value, batch in zip(SWEEP_VALUES, run_jobs(jobs, settings)):
             cks = [r.checkpoint_overhead for r in batch.results]
             rxs = [
                 r.reexec_overhead + r.restart_overhead for r in batch.results
@@ -141,7 +139,7 @@ def run(
             )
             for value in SWEEP_VALUES
         ]
-        for value, result in zip(SWEEP_VALUES, run_jobs(jobs, settings, n_workers)):
+        for value, result in zip(SWEEP_VALUES, run_jobs(jobs, settings)):
             points.append(
                 Fig8Point(
                     value,

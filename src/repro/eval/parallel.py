@@ -1,32 +1,26 @@
-"""Parallel sweep engine for the experiment drivers.
+"""Sweep engine for the experiment drivers.
 
 The paper's design-space exploration is embarrassingly parallel — "several
 million configurations" across "over eight CPU-months" (Section 7.1) — and
 so are this repo's scaled-down sweeps: every simulator run is a pure
-function of (workload, configuration, power schedule).  This module turns
-that purity into a process-parallel executor with three invariants:
+function of (workload, configuration, power schedule).  This module runs
+them in-process, one job after another, with two invariants:
 
-* **Determinism** — results are bit-identical to the serial path.  Every
-  run's power schedule is seeded from the settings and the job's salt, and
-  results are merged in submission order regardless of completion order.
+* **Determinism** — every run's power schedule is seeded from the
+  settings and the job's salt, so a job's result depends on nothing but
+  its descriptor, and results come back in submission order.
 * **Tiny job descriptors** — a :class:`SimJob` names its workload; it never
-  carries a trace.  Workers materialize traces from the in-process cache
+  carries a trace.  Traces come from the in-process cache
   (:mod:`repro.workloads.cache`), so a descriptor pickles in ~tens of
-  bytes while a trace would pickle in megabytes.  Each worker's trace and
-  Program-Idempotence caches (:data:`repro.eval.runner._PI_CACHE`) warm up
-  on first use and amortize across all jobs it drains.
-* **Cost-aware dispatch** — jobs are handed to workers heaviest-workload
-  first (aes, rsa, blowfish lead; weights from measured ms/run), so a
-  straggling heavy job cannot serialize the tail of a sweep.
+  bytes while a trace would pickle in megabytes — which is what lets the
+  sweep server (:mod:`repro.serve`) take jobs over the wire.
 
-``run_jobs(jobs, settings, n_workers=1)`` is the single entry point; with
-``n_workers=1`` (the default) it executes in-process on the exact serial
-path — no pool, no pickling — which is also the fallback when a platform
-lacks ``fork``-ed multiprocessing.
+``run_jobs(jobs, settings)`` is the single entry point for a sweep and
+:func:`execute_job` runs one job; the sweep server calls the same
+:func:`execute_job` through :func:`job_payload`.
 """
 
 import functools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -39,7 +33,6 @@ from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
-from repro.obs.metrics import COUNTERS
 from repro.obs.tracing import TRACER
 from repro.power.schedules import RuntPower
 from repro.runtime.costs import DEFAULT_COST_MODEL, CostModel
@@ -67,31 +60,12 @@ _COST_MODELS: Dict[str, CostModel] = {
     "fixed": FIXED_COST_MODEL,
 }
 
-#: Static dispatch weights: measured simulator ms/run per workload from a
-#: full-size evaluation (results/profile.txt).  Only the *ordering*
-#: matters — heavy workloads leave the queue first so no worker is left
-#: finishing an aes run alone while the others idle.
-_WORKLOAD_WEIGHTS: Dict[str, float] = {
-    "aes": 18.1,
-    "rsa": 16.8,
-    "blowfish": 15.4,
-    "picojpeg": 14.5,
-    "fft": 12.3,
-    "rc4": 12.2,
-    "adpcm_encode": 10.1,
-    "susan": 9.2,
-    "adpcm_decode": 8.6,
-    "qsort": 7.1,
-}
-_DEFAULT_WEIGHT = 8.0
-
-
 @dataclass(frozen=True)
 class SimJob:
     """One policy-simulator run, described by value (picklable, ~50 bytes).
 
     Attributes:
-        workload: Workload name (resolved via the worker's trace cache).
+        workload: Workload name (resolved via the trace cache).
         config: ``(R, W, WB, AP)`` entry counts (Table 2 notation).
         size: Workload size preset the trace is built at.
         trace_seed: Workload-input seed passed to the trace builder.
@@ -109,7 +83,7 @@ class SimJob:
             Table 1's code-size column counts both watchdog timers.
         progress_watchdog_adaptive: The paper's halving behavior.
         volatile_segments: Memory-map segment names treated as volatile
-            (mixed-volatility mode); workers resolve them to word ranges.
+            (mixed-volatility mode), resolved to word ranges at run time.
         schedule: ``"exp"`` (exponential, seeded from settings + salt) or
             ``"runt"`` (runt mixture, seeded from settings only — matching
             the progress-watchdog ablation).
@@ -169,11 +143,6 @@ class SimJob:
             )
         return config
 
-    def weight(self) -> float:
-        """Dispatch weight (expected relative cost)."""
-        base = _WORKLOAD_WEIGHTS.get(self.workload, _DEFAULT_WEIGHT)
-        return base * max(1, self.n_seeds)
-
 
 #: Installed by :func:`repro.serve.client.install`: when set, ``run_jobs``
 #: routes whole job batches through a sweep server instead of executing
@@ -193,8 +162,8 @@ def result_key(job: SimJob, settings: EvalSettings) -> Tuple[str, str]:
     affecting job field, the cost model, and the schedule-determining
     settings fields (seed, mean on-time, clock).  Identical requests from
     any number of clients are identical keys, so N users' sweeps cost one
-    simulation.  Fields that *cannot* affect the result (worker counts,
-    ledger state) are deliberately excluded; ``verify`` is excluded too
+    simulation.  State that *cannot* affect the result (ledger,
+    tracing) is deliberately excluded; ``verify`` is excluded too
     because verified runs never consult this cache at all.
     """
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
@@ -225,14 +194,14 @@ def _epoch_plan(trace, epoch_cycles: int):
 #: plan right before simulating, so a cold SectionMap triggers one
 #: batched family pass over the next ``_FAMILY_CHUNK`` plan members
 #: instead of a scalar chain scan per config.  The registry persists
-#: across run_jobs calls (fork-pool workers inherit it at pool creation)
-#: and only ever grows — its total size also drives the SectionMap LRU
-#: auto-sizing, so a sweep's whole working set stays resident.
+#: across run_jobs calls and only ever grows — its total size also
+#: drives the SectionMap LRU auto-sizing, so a sweep's whole working set
+#: stays resident.
 _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 
-#: Configs per batched family pass.  Matches the C kernel's budget
-#: (≤ FAMILY_MAX = 64) while keeping the prefetch wave small enough
-#: that pool groups stay well under a straggler's worth of work.
+#: Configs per batched family pass, within the C kernel's budget
+#: (≤ FAMILY_MAX = 64).  The sweep server also sends owned misses to
+#: its bridge in chunks of this many jobs.
 _FAMILY_CHUNK = 32
 
 #: Slack added to the auto-sized SectionMap LRU capacity (maps built
@@ -284,28 +253,6 @@ def _register_family_plans(jobs: List[SimJob],
     total = sum(len(configs) for configs, _ in _FAMILY_PLANS.values())
     if total:
         sections.ensure_lru_capacity(total + _FAMILY_LRU_SLACK)
-
-
-def family_window(job: SimJob) -> list:
-    """The registered plan configs a worker needs to prefetch for
-    ``job``: its own config and up to ``_FAMILY_CHUNK - 1`` successors
-    (empty when no plan covers the job)."""
-    plan = _FAMILY_PLANS.get(_family_plan_key(job))
-    if plan is None:
-        return []
-    configs, pos = plan
-    p = pos.get(job.clank_config())
-    return [] if p is None else configs[p:p + _FAMILY_CHUNK]
-
-
-def adopt_family_window(job: SimJob, window: list) -> None:
-    """Make ``window`` (a parent's :func:`family_window`) this process's
-    plan for ``job``'s enumeration context — how a fork-pool worker
-    created before the plan was registered still family-scans."""
-    if window:
-        _FAMILY_PLANS[_family_plan_key(job)] = (
-            list(window), {c: i for i, c in enumerate(window)}
-        )
 
 
 def _family_prefetch(job: SimJob, trace, config, pi_words,
@@ -504,8 +451,9 @@ def execute_job(
     """Run one job; returns ``(result, simulator_seconds)``.
 
     ``result`` is ``None`` only when the run stalled and the job allows it.
-    Pure with respect to the job and settings: this is the function whose
-    outputs the parallel path must reproduce bit-identically.
+    Pure with respect to the job and settings: the sweep server runs
+    this same function, so served results are bit-identical to local
+    ones.
 
     That purity makes whole results cacheable: with ``REPRO_CACHE_DIR``
     set, the result is stored under a key derived from the *trace
@@ -601,46 +549,34 @@ def execute_job(
 
 
 # --------------------------------------------------------------------- #
-# Job payloads: one job's outcome, packaged to cross a process boundary.
+# Job payloads: one job's outcome, packaged for the sweep server's wire.
 # --------------------------------------------------------------------- #
 
 
 def job_payload(job: SimJob, settings: EvalSettings,
                 span: Optional[dict] = None,
                 key: Optional[str] = None) -> dict:
-    """Execute ``job`` and package everything its caller's process must
-    fold (never a pickled trace or simulator).
+    """Execute ``job`` and package what the sweep server streams for it
+    (never a pickled trace or simulator).
 
     ``result`` is the result's ``to_dict`` form (``batch`` says which
-    kind), ``records`` the ledger records the job appended (moved out
-    of this process's ledger; they carry its rows and wall time), and
-    ``arch`` the architecture-collector folds.  ``span`` (if given) is
-    closed and shipped in ``spans``; ``key`` is passed to
-    :func:`execute_job`.  Counters are the caller's: a fork-pool worker
-    adds the job's :data:`~repro.obs.metrics.COUNTERS` delta as
-    ``counters`` (:func:`_worker_run`), the sweep server ships one delta
-    per chunk.  The fork pool folds a payload with :func:`fold_payload`;
-    the sweep server streams it.
+    kind) and ``records`` the ledger records the job appended (moved out
+    of this process's ledger; they carry its rows and wall time).
+    ``span`` (if given) is closed and shipped in ``spans``; ``key`` is
+    passed to :func:`execute_job`.
     """
     ledger = telemetry.LEDGER
     n_records = len(ledger.records)
-    # Architecture-stats folds mirror into a per-job capture list so the
-    # parent can replay them in submission order (determinism at any
-    # worker count); an empty list costs nothing when collection is off.
-    arch: list = []
-    if ARCH_COLLECTOR.enabled:
-        ARCH_COLLECTOR.capture = arch
     try:
         result, _ = execute_job(job, settings, key)
     finally:
-        ARCH_COLLECTOR.capture = None
         if span is not None:
             span["t1"] = time.perf_counter()
     records = [rec.to_dict() for rec in ledger.records[n_records:]]
     del ledger.records[n_records:]
-    # Pool children exit via os._exit (no atexit), so flush newly
-    # enumerated artifacts to the shared store now.  Dirty tracking in
-    # repro.sim.sections makes this O(maps this job grew) — usually one.
+    # A long-lived server must not hold newly enumerated artifacts back
+    # from its peers until it exits, so flush them now.  Dirty tracking
+    # in repro.sim.sections makes this O(maps this job grew) — usually one.
     artifact_cache.persist_caches()
     is_batch = isinstance(result, BatchResult)
     if is_batch:
@@ -651,7 +587,6 @@ def job_payload(job: SimJob, settings: EvalSettings,
         "result": raw,
         "batch": is_batch,
         "records": records,
-        "arch": arch,
         "spans": [span] if span is not None else [],
     }
 
@@ -665,195 +600,35 @@ def decode_result(payload: dict) -> Union[SimulationResult, BatchResult,
     return None if raw is None else SimulationResult.from_dict(raw)
 
 
-def fold_payload(payload: dict, ambient: Optional[tuple] = None):
-    """Merge one :func:`job_payload` into this process; returns its result.
-
-    Called in strict submission order — the determinism contract:
-    ledger indices and counters fold in the same order a serial run
-    would produce them.  Worker spans ship rootless and hang under
-    ``ambient``, the span active at dispatch.
-    """
-    COUNTERS.merge(payload["counters"])
-    for rec in payload["records"]:
-        telemetry.LEDGER.record(telemetry.RunRecord.from_dict(rec))
-    ARCH_COLLECTOR.merge_entries(payload["arch"])
-    if TRACER.enabled:
-        for span in payload["spans"]:
-            if ambient is not None and not span.get("parent_id"):
-                span["trace_id"], span["parent_id"] = ambient
-            TRACER.add(span)
-    return decode_result(payload)
-
-
-# --------------------------------------------------------------------- #
-# Worker side.
-# --------------------------------------------------------------------- #
-
-_WORKER_SETTINGS: Optional[EvalSettings] = None
-
-
-def _worker_init(settings: EvalSettings) -> None:
-    global _WORKER_SETTINGS
-    _WORKER_SETTINGS = settings
-    # The parent is the ledger file's one writer: drop the inherited
-    # stream (its buffer is empty, the parent flushes every line), so
-    # worker records reach the file only through the parent's fold.
-    telemetry.LEDGER.stop_stream()
-
-
-def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
-    """Execute one job in a worker; returns its submission index and
-    its :func:`job_payload` plus the job's ``counters`` delta."""
-    idx, job = item
-    # Tracing state is inherited across the pool fork; a per-job worker
-    # span ships back in the payload (rootless — the parent re-parents
-    # it under its ambient span when folding).
-    span = None
-    if TRACER.enabled:
-        from repro.obs.tracing import make_span
-
-        span = make_span(
-            f"job {job.workload}", "worker",
-            attrs={"workload": job.workload, "config": job.config},
-        )
-    before = COUNTERS.snapshot()
-    payload = job_payload(job, _WORKER_SETTINGS, span)
-    payload["counters"] = COUNTERS.delta(before)
-    return idx, payload
-
-
-def _worker_run_group(
-    items: List[Tuple[int, SimJob]]
-) -> List[Tuple[int, dict]]:
-    """Execute one family group's jobs back-to-back in this worker.
-
-    The group shares a family-plan chunk, so the first cold job's
-    prefetch enumerates the whole chunk in one batched pass and the
-    rest replay from the worker's SectionMap cache; payloads stay
-    per-job so the parent's submission-order merge is unchanged.
-    """
-    return [_worker_run(item) for item in items]
-
-
-# --------------------------------------------------------------------- #
-# Parent side.
-# --------------------------------------------------------------------- #
-
-
-def resolve_workers(n_workers: Optional[int] = None) -> int:
-    """Worker-count resolution: explicit argument, then the ``REPRO_JOBS``
-    environment variable, then 1 (serial).  0 means "all CPUs"."""
-    if n_workers is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                n_workers = 1
-        else:
-            n_workers = 1
-    if n_workers == 0:
-        n_workers = os.cpu_count() or 1
-    return max(1, n_workers)
-
-
-def _make_pool(n_workers: int, settings: EvalSettings):
-    """A worker pool (separated out so tests can intercept creation)."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(
-        processes=n_workers, initializer=_worker_init, initargs=(settings,)
-    )
-
-
 def run_jobs(
     jobs: List[SimJob],
     settings: EvalSettings,
     n_workers: Optional[int] = None,
 ) -> List[Union[SimulationResult, BatchResult, None]]:
-    """Execute ``jobs`` and return their results in submission order.
+    """Execute ``jobs`` in-process and return their results in
+    submission order.
 
     A seed-repeat job (``n_seeds > 1``) yields one
     :class:`~repro.sim.batch.BatchResult` in its slot; everything else
     yields a :class:`SimulationResult` (or ``None`` for allowed stalls).
+    With a sweep server installed (:data:`SERVED_EXECUTOR`) and
+    ``settings.verify`` off, the batch is resolved by the server instead.
 
-    With ``n_workers`` resolving to 1 every job runs in-process — the
-    exact serial path the drivers always had.  Otherwise jobs are
-    dispatched (heaviest workload first) to a pool of fork-ed workers and
-    the payloads are merged back in submission order, so the returned list
-    is bit-identical either way.
-
-    Each worker job comes back as one :func:`job_payload` —
-    :data:`~repro.obs.telemetry.LEDGER` records (each run's one timer)
-    and a :data:`~repro.obs.metrics.COUNTERS` delta — folded here in
-    **submission order** (:func:`fold_payload`), so the parent's ledger
-    and counters are deterministic and identical (modulo wall-time
-    fields, and trace-cache counts: each worker builds its own traces)
-    at any worker count.
+    ``n_workers`` must be ``None`` or 1: sweeps run serially, and a
+    request for more workers is refused rather than silently ignored.
     """
+    if n_workers not in (None, 1):
+        raise ConfigError(
+            f"run_jobs executes serially; n_workers must be None or 1, "
+            f"got {n_workers!r}"
+        )
     if SERVED_EXECUTOR is not None and not settings.verify:
         return SERVED_EXECUTOR.run_jobs(jobs, settings)
-    n_workers = resolve_workers(n_workers)
     _register_family_plans(jobs, settings)
-    if n_workers <= 1 or len(jobs) <= 1:
-        results = []
-        for job in jobs:
-            with TRACER.span(f"job {job.workload}", workload=job.workload,
-                             config=job.config):
-                result, _ = execute_job(job, settings)
-            results.append(result)
-        return results
-
-    # Family-aware grouping: jobs sharing a family-plan chunk form one
-    # group task so a single worker enumerates the chunk once and its
-    # groupmates replay warm; every other job is its own singleton
-    # group.  Groups leave the queue heaviest-total-weight first (the
-    # original cost-aware ordering, lifted from jobs to groups), ties
-    # keeping submission order.
-    groups: Dict[tuple, List[int]] = {}
-    for i, job in enumerate(jobs):
-        gkey: tuple = ("solo", i)
-        if not settings.verify and _family_eligible(job):
-            plan = _FAMILY_PLANS.get(_family_plan_key(job))
-            if plan is not None:
-                pos = plan[1].get(job.clank_config())
-                if pos is not None:
-                    gkey = (_family_plan_key(job), pos // _FAMILY_CHUNK)
-        groups.setdefault(gkey, []).append(i)
-    ordered = sorted(
-        groups.values(),
-        key=lambda idxs: (-sum(jobs[i].weight() for i in idxs), idxs[0]),
-    )
-    ambient = TRACER.current() if TRACER.enabled else None
-
-    # Payloads are folded *eagerly* over the longest contiguous
-    # submission-order prefix as they arrive, so live observers (a
-    # streaming ledger tailed by ``repro.obs.watch``) see progress
-    # mid-sweep; out-of-order arrivals wait in ``pending``.  Fold order
-    # is unchanged from the all-at-the-end merge, so every downstream
-    # aggregate stays bit-identical.
-    results: List[Union[SimulationResult, BatchResult, None]] = []
-    pending: Dict[int, dict] = {}
-    pool = _make_pool(n_workers, settings)
-    try:
-        for group_payloads in pool.imap_unordered(
-            _worker_run_group,
-            [[(i, jobs[i]) for i in idxs] for idxs in ordered],
-            chunksize=1,
-        ):
-            pending.update(group_payloads)
-            while len(results) in pending:
-                i = len(results)
-                results.append(
-                    fold_payload(pending.pop(i), ambient)
-                )
-    finally:
-        pool.close()
-        pool.join()
-    if len(results) != len(jobs):
-        raise SimulationError(
-            f"pool returned {len(results)} of {len(jobs)} payloads"
-        )
+    results = []
+    for job in jobs:
+        with TRACER.span(f"job {job.workload}", workload=job.workload,
+                         config=job.config):
+            result, _ = execute_job(job, settings)
+        results.append(result)
     return results

@@ -46,7 +46,6 @@ class Table2Row:
 
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
-    n_workers: Optional[int] = None,
 ) -> List[Table2Row]:
     """Measure all five rows."""
     names = mibench2_names()
@@ -65,7 +64,7 @@ def run(
         for spec, use_compiler, wdt in variants
         for salt, name in enumerate(names)
     ]
-    results = iter(run_jobs(jobs, settings, n_workers))
+    results = iter(run_jobs(jobs, settings))
     for spec, use_compiler, wdt in variants:
         config = ClankConfig.from_tuple(spec)
         label = config.label() + ("+C+WDT" if use_compiler else "")

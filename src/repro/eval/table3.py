@@ -77,7 +77,7 @@ def run(settings: EvalSettings = DEFAULT_SETTINGS) -> List[Table3Row]:
         workload="fft", config=(16, 8, 4, 4), size=settings.size, salt=7,
         use_compiler=True, perf_watchdog="auto",
     )
-    [clank] = run_jobs([job], settings, n_workers=1)
+    [clank] = run_jobs([job], settings)
     hw = hardware_overhead(job.clank_config(), watchdogs=True).power_fraction
     rows.append(
         Table3Row(

@@ -81,7 +81,7 @@ def run(settings: EvalSettings = DEFAULT_SETTINGS) -> List[Table4Row]:
                                       ("wholly-nv", ()))
         for budget, spec in BUDGET_CONFIGS
     ]
-    results = run_jobs([job for _, _, job in cells], settings, n_workers=1)
+    results = run_jobs([job for _, _, job in cells], settings)
     for (composition, budget, job), result in zip(cells, results):
         reexec_dom = (
             result.reexec_overhead + result.restart_overhead

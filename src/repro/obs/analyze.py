@@ -180,8 +180,8 @@ class ArchAccumulator:
         self.section_cycles += other.section_cycles
 
     def to_dict(self) -> Dict[str, Any]:
-        """Transfer form (worker payloads; also JSON-safe after key
-        stringification in :meth:`ArchCollector.to_summary`)."""
+        """Plain-dict form (JSON-safe after key stringification in
+        :meth:`ArchCollector.to_summary`)."""
         return {
             "causes": dict(self.causes),
             "ckpt_cycles_by_cause": dict(self.ckpt_cycles_by_cause),
@@ -229,17 +229,12 @@ class ArchCollector:
 
     Disabled by default — both engines ask :meth:`run_accumulator` once
     per run and get ``None``, so introspection-off runs pay a single flag
-    check.  ``repro.eval --arch`` enables it around a sweep;
-    :mod:`repro.eval.parallel` mirrors worker-side folds into per-job
-    capture lists and replays them in submission order on the parent, so
-    the aggregate is identical at any ``--jobs N``.
+    check.  ``repro.eval --arch`` enables it around a sweep, whose jobs
+    fold here in submission order.
     """
 
     def __init__(self):
         self.enabled = False
-        #: When set (worker processes), every fold also appends its
-        #: transfer-form entry here for the parent to replay.
-        self.capture: Optional[List[dict]] = None
         self._slots: Dict[Tuple[str, str], Dict[str, Any]] = {}
 
     # -- lifecycle ----------------------------------------------------- #
@@ -252,7 +247,6 @@ class ArchCollector:
 
     def reset(self) -> None:
         self._slots = {}
-        self.capture = None
 
     def run_accumulator(self) -> Optional[ArchAccumulator]:
         """A fresh per-run accumulator, or ``None`` when disabled (the
@@ -282,11 +276,6 @@ class ArchCollector:
         """Fold one completed simulated run's accumulator."""
         if not self.enabled:
             return
-        if self.capture is not None:
-            self.capture.append({
-                "kind": "run", "workload": workload, "config": config,
-                "engine": engine, "acc": acc.to_dict(),
-            })
         slot = self._slot(workload, config)
         slot["acc"].merge(acc)
         slot["engines"][engine] = slot["engines"].get(engine, 0) + 1
@@ -302,11 +291,6 @@ class ArchCollector:
         cache hits, undo-log engine runs)."""
         if not self.enabled:
             return
-        if self.capture is not None:
-            self.capture.append({
-                "kind": "causes", "workload": workload, "config": config,
-                "engine": engine, "causes": dict(causes),
-            })
         slot = self._slot(workload, config)
         slot["acc"].fold_causes(causes)
         slot["engines"][engine] = slot["engines"].get(engine, 0) + 1
@@ -315,30 +299,7 @@ class ArchCollector:
         """Count a run that ended in a stall abort (no commit stream)."""
         if not self.enabled:
             return
-        if self.capture is not None:
-            self.capture.append({
-                "kind": "stalled", "workload": workload, "config": config,
-            })
         self._slot(workload, config)["stalled"] += 1
-
-    def merge_entries(self, entries: Iterable[dict]) -> None:
-        """Replay a worker's captured folds (in submission order, so the
-        parallel aggregate is deterministic)."""
-        if not self.enabled:
-            return
-        for e in entries:
-            kind = e.get("kind")
-            if kind == "run":
-                self.fold_run(
-                    e["workload"], e["config"],
-                    ArchAccumulator.from_dict(e["acc"]), e["engine"],
-                )
-            elif kind == "causes":
-                self.fold_causes(
-                    e["workload"], e["config"], e["causes"], e["engine"]
-                )
-            elif kind == "stalled":
-                self.fold_stalled(e["workload"], e["config"])
 
     # -- views --------------------------------------------------------- #
 

@@ -6,8 +6,9 @@ This module reads the trajectory back and answers one question: *did the
 newest entry regress against the best comparable prior entry?*
 
 "Comparable" matters — a warm-cache sweep at 0.003 ms/run is not a fair
-baseline for a cache-off sweep at 0.5 ms/run, and a ``--jobs 8`` sweep's
-per-run time is not comparable to a serial one.  Entries are bucketed by
+baseline for a cache-off sweep at 0.5 ms/run, and a multi-worker sweep's
+per-run time is not comparable to a serial one (sweeps now run
+serially and record ``jobs: 1``; the bucket keeps older entries apart).  Entries are bucketed by
 :func:`comparable_key`: (sorted experiment set, worker count, cache state,
 engine mix, serve mode), where cache state classifies the disk-cache
 counters as ``off`` (no store), ``warm`` (zero misses), or ``cold``

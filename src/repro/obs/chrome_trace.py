@@ -22,8 +22,7 @@ turned into spans by :func:`ledger_spans` (``python -m repro.obs.report
 --chrome-trace``): an ``eval`` process holding the driver spans and one
 ``worker`` process per worker pid carrying a span per simulator run
 (engine, fallback reason and cache-tier outcome in the span args) — the
-view that shows fork-pool utilization, stragglers, and where fallbacks
-cluster.
+view that shows slow runs, and where fallbacks cluster.
 """
 
 import json
@@ -231,9 +230,8 @@ def ledger_spans(ledger) -> List[dict]:
     :func:`spans_to_chrome_trace`.
 
     Each driver mark becomes an ``eval`` span.  Each run record becomes
-    a ``worker`` span on its worker's pid (submission-merged records keep
-    their originating worker, so a pooled sweep shows per-worker
-    occupancy), with its provenance in the attrs.  A batched seed-repeat
+    a ``worker`` span on the pid that ran it, with its provenance in the
+    attrs.  A batched seed-repeat
     record (``rows > 1``) is one span labelled ``WORKLOAD xROWS``: there
     is no per-row wall clock to subdivide by.  Times are seconds since
     the ledger epoch; a null or junk ``t_start`` reads as the epoch and

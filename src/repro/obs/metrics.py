@@ -12,11 +12,11 @@ Two tiers of primitives live here:
   they are only ever touched from the single simulator thread that owns
   the run, and a lock there would tax the hot loop for nothing.
   :data:`COUNTERS`, the process-wide sweep registry, is one too; only
-  its cross-process :meth:`~MetricsRegistry.merge` takes a lock.
+  its :meth:`~MetricsRegistry.merge` takes a lock.
 * :class:`Gauge` and the labeled families (:class:`CounterFamily`,
   :class:`GaugeFamily`, :class:`HistogramFamily`) — serving-side metrics
   bumped concurrently from the sweep server's asyncio handlers and its
-  pool-bridge threads, so each family guards its children with a lock.
+  bridge thread, so each family guards its children with a lock.
   :func:`render_prometheus` emits the whole set in Prometheus text
   exposition format for ``GET /metrics``.
 """
@@ -123,9 +123,7 @@ class MetricsRegistry:
     """Named counters and histograms; get-or-create access.
 
     :data:`COUNTERS` is the process-wide instance every sweep layer
-    counts into.  Its counters cross process boundaries only as a
-    :meth:`delta` between two :meth:`snapshot` calls, folded into the
-    receiving process with :meth:`merge`.
+    counts into.
     """
 
     def __init__(self) -> None:
@@ -156,18 +154,10 @@ class MetricsRegistry:
                 out[prefix + name] = out.get(prefix + name, 0) + value
         return out
 
-    def delta(self, before: Dict[str, float]) -> Dict[str, float]:
-        """The non-zero counts moved since ``before`` (a :meth:`snapshot`)."""
-        out = {}
-        for name, value in self.snapshot().items():
-            moved = value - before.get(name, 0)
-            if moved:
-                out[name] = moved
-        return out
-
     def merge(self, delta: Dict[str, float]) -> None:
-        """Add another process's :meth:`delta` to these counters.  Locked:
-        the sweep server merges from several bridge threads at once."""
+        """Add ``{name: count}`` to these counters (the disk store's
+        counts when the store is dropped).  Locked, so concurrent merges
+        never lose an update."""
         with self._lock:
             for name, value in delta.items():
                 self.counter(name).inc(value)

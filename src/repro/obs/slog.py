@@ -44,7 +44,7 @@ class StructuredLog:
     """Process-wide JSON-line event sink.
 
     A single lock serializes writes — events arrive concurrently from
-    the server's event loop and its pool-bridge threads, and interleaved
+    the server's event loop and its bridge thread, and interleaved
     partial lines would defeat the whole point of line-oriented logs.
     """
 

@@ -1,7 +1,7 @@
 """Run-provenance telemetry: which engine ran each simulation, and why.
 
-The performance stack (fork pool, compiled replay, section-memoized fast
-path, persistent result cache) serves almost every simulator run, and the
+The performance stack (compiled replay, section-memoized fast path,
+batched replay, persistent result cache, sweep server) serves almost every simulator run, and the
 paper's methodology rests on every path being bit-identical.  Trusting
 that acceleration requires *provenance*: for each run, which engine
 actually produced the result, which cache tier served it, which section
@@ -19,18 +19,15 @@ changing which engine runs or how fast it runs.
   result-cache tier outcome, and wall time — the one per-run timer (the
   run profile's simulator section sums it).
   :meth:`RunRecord.stable_dict` drops the wall-time fields (``wall_s``,
-  ``t_start``, ``worker``) so ledgers can be compared across worker
-  counts.
+  ``t_start``, ``worker``) so ledgers can be compared across runs.
 * :class:`RunLedger` — the per-process collector.  The eval CLI enables
   the shared :data:`LEDGER`; :func:`repro.eval.parallel.execute_job`
-  and the sweep-server client (:mod:`repro.serve.client`) append to it,
-  and :func:`repro.eval.parallel.run_jobs` merges fork-pool workers' records
-  back in **submission order**, so a sweep's ledger is deterministic at
-  any worker count (modulo the wall-time fields).  It is also the
-  ledger file's one writer, in one process (fork-pool workers drop the
-  stream they inherit): ``sweep_start`` when the sweep starts, each
-  ``run`` line as its record lands, and the ``driver`` lines and
-  ``sweep_end`` at the end (:meth:`RunLedger.finish`).
+  and the sweep-server client (:mod:`repro.serve.client`) append to it
+  in **submission order**, so a sweep's ledger is deterministic (modulo
+  the wall-time fields).  It is also the ledger file's one writer:
+  ``sweep_start`` when the sweep starts, each ``run`` line as its record
+  lands, and the ``driver`` lines and ``sweep_end`` at the end
+  (:meth:`RunLedger.finish`).
 * :func:`count_rows` — the row-weighted counter behind every run count.
 * :func:`read_ledger` — load a ledger JSONL file back into a
   :class:`Ledger` (header, run records, driver marks, footer).
@@ -134,7 +131,7 @@ class RunRecord:
         t_start: Run start, seconds since the ledger epoch.
         worker: PID of the process that executed the run.
         index: Submission-order position in the ledger (assigned on
-            append, identical at any worker count).
+            append).
     """
 
     workload: str
@@ -182,9 +179,8 @@ class RunRecord:
     def stable_dict(self) -> dict:
         """The deterministic projection: everything but wall-time fields.
 
-        Two sweeps of the same jobs at different worker counts produce
-        identical ``stable_dict`` sequences (the determinism contract the
-        tests pin).
+        Two sweeps of the same jobs produce identical ``stable_dict``
+        sequences (the determinism contract the tests pin).
         """
         return {
             "workload": self.workload,
@@ -252,8 +248,7 @@ class RunLedger:
         self.stop_stream()
 
     def now(self) -> float:
-        """Seconds since the ledger epoch (fork-safe: children inherit
-        the epoch and ``perf_counter`` is system-wide on Linux)."""
+        """Seconds since the ledger epoch."""
         return time.perf_counter() - self.epoch
 
     # -- the ledger file -----------------------------------------------
@@ -316,9 +311,7 @@ class RunLedger:
     def record(self, rec: RunRecord) -> None:
         """Append one run record (no-op when disabled).
 
-        The submission-order ``index`` is assigned here, so merged
-        worker records land with the same indices a serial run would
-        produce.
+        The submission-order ``index`` is assigned here.
         """
         if not self.enabled:
             return

@@ -1,8 +1,8 @@
 """Distributed request tracing across the serving and eval stacks.
 
 A *span* is one timed operation — a client batch POST, the server's
-``/jobs`` handler, one job's trip through the dedupe funnel, a fork-pool
-worker's simulation — carrying a ``trace_id`` shared by everything one
+``/jobs`` handler, one job's trip through the dedupe funnel, the
+server's simulation of one job — carrying a ``trace_id`` shared by everything one
 client request caused, its own ``span_id``, and its ``parent_id``, so a
 served sweep reconstructs as a causal tree: client job span → server
 resolve-tier span → worker compute span.
@@ -19,8 +19,8 @@ Design constraints (DESIGN.md decision 15):
   ledger follows).
 * **Monotonic, cross-process clocks.**  Span times are raw
   ``time.perf_counter()`` values.  On Linux that is ``CLOCK_MONOTONIC``,
-  which is system-wide — so client, server, and fork-pool worker spans
-  recorded on one machine share a timebase and merge into one aligned
+  which is system-wide — so client and server spans recorded on one
+  machine share a timebase and merge into one aligned
   timeline (the loopback serving setup this repo benchmarks).  Spans
   merged across *machines* do not align; the merge CLI still renders
   them, one process group per service.
@@ -32,9 +32,10 @@ Design constraints (DESIGN.md decision 15):
   ``X-Repro-Trace`` header; the serve client additionally ships its
   per-job span ids in the batch body so the server can parent each
   job's resolve span under the exact client span that awaits it.
-  Fork-pool workers receive their parent context as a plain argument
-  (:func:`make_span` needs no tracer state) and ship the finished span
-  back in the result payload.
+  The server's bridge thread receives each job's parent context as a
+  plain argument (:func:`make_span` needs no tracer state; the executor
+  hop does not copy contextvars) and ships the finished span back in
+  the job payload.
 
 Export is JSON Lines, one span per line; merge any number of span files
 (client + server) into a single Chrome trace with::
@@ -90,10 +91,10 @@ def make_span(
 ) -> dict:
     """A started span as a plain dict (no tracer state required).
 
-    The fork-pool worker side uses this directly: a worker only knows
-    its parent context ``(trace_id, parent_id)`` handed over in the job
-    payload, stamps ``t0``/``t1`` around the simulation, and ships the
-    dict back for the server to absorb.
+    The server's bridge thread uses this directly: it only knows a
+    job's parent context ``(trace_id, parent_id)`` handed over with the
+    job, stamps ``t0``/``t1`` around the simulation, and ships the dict
+    back in the job payload for the event loop to absorb.
     """
     return {
         "name": name,

@@ -8,8 +8,8 @@ content-hash key the local result cache uses
 (:func:`repro.eval.parallel.result_key`).
 
 * :mod:`repro.serve.server` — the HTTP front, the memory/coalesced/
-  disk/remote dedupe funnel, and the thread-pool bridge to the fork
-  worker pool.  ``python -m repro.serve`` runs it.
+  disk/remote dedupe funnel, and the one-thread bridge to the sweep
+  engine.  ``python -m repro.serve`` runs it.
 * :mod:`repro.serve.client` — the ``run_jobs``-shaped client the eval
   CLI installs under ``--server URL``.
 * :mod:`repro.serve.jsonio` — strict round-trip JSON codecs for jobs

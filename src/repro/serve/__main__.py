@@ -32,9 +32,10 @@ def main(argv=None) -> int:
                         help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8077,
                         help="bind port; 0 picks one (default 8077)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default REPRO_JOBS or 1; "
-                        "0 = all CPUs)")
+    # Jobs run serially in one bridge thread; ``--jobs 1`` is still
+    # accepted so existing launch scripts keep working.
+    parser.add_argument("--jobs", type=int, choices=[1], default=1,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--memory", type=int, default=None,
                         help="in-memory payload LRU entries "
                         "(default REPRO_SERVE_MEMORY or 4096; 0 disables)")
@@ -56,8 +57,7 @@ def main(argv=None) -> int:
         slog.configure_from_env()
 
     server = SweepServer(
-        host=args.host, port=args.port, jobs=args.jobs,
-        memory_entries=args.memory,
+        host=args.host, port=args.port, memory_entries=args.memory,
     )
     loop = asyncio.new_event_loop()
     asyncio.set_event_loop(loop)
@@ -65,8 +65,7 @@ def main(argv=None) -> int:
         loop.run_until_complete(server.start())
         print(f"serving on {server.url}", flush=True)
         print(
-            f"  workers={server.n_workers}  "
-            f"POST /jobs | GET /artifact/{{kind}}/{{key}} | GET /stats "
+            f"  POST /jobs | GET /artifact/{{kind}}/{{key}} | GET /stats "
             f"| GET /metrics | GET /healthz",
             flush=True,
         )

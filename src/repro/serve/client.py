@@ -3,13 +3,13 @@
 :class:`ServeClient` implements the same contract as
 :func:`repro.eval.parallel.run_jobs` — jobs in, results in submission
 order out, ledger fed — but resolves every job against a
-:class:`~repro.serve.server.SweepServer` instead of a local pool.
+:class:`~repro.serve.server.SweepServer` instead of in-process.
 :func:`install` plants it as ``parallel.SERVED_EXECUTOR``, so every
 driver (``fig5``, ``fig8``, sweeps…) transparently becomes a thin
 client; :func:`uninstall` restores local execution.
 
-Determinism contract: the server returns the same ``to_dict`` payloads
-the fork pool ships between processes, and the client merges them in
+Determinism contract: the server returns each job's ``to_dict`` payload
+(:func:`repro.eval.parallel.job_payload`), and the client merges them in
 submission order — so served results are byte-identical to a local run
 of the same batch, whatever mix of cache tiers served them.
 

@@ -1,7 +1,7 @@
 """JSON codecs for the serving layer's wire format.
 
-Everything that crosses the HTTP boundary is plain JSON built from the
-same value types the fork pool already pickles: :class:`SimJob`
+Everything that crosses the HTTP boundary is plain JSON built from
+small value types: :class:`SimJob`
 descriptors (~50 bytes of primitives), :class:`EvalSettings`, and the
 ``to_dict`` forms of :class:`~repro.sim.result.SimulationResult` /
 :class:`~repro.sim.batch.BatchResult`.  The codecs here are strict

@@ -29,19 +29,17 @@ One :class:`SweepServer` owns three layers:
   (``disk``, or ``remote`` when the store's read-through tier fetched
   it from a peer).  Only a full miss reaches the simulator
   (``computed``).
-* **A thread-pool bridge to the fork worker pool**, entered per batch
-  and per chunk, never per job.  One bridge call prepares a batch: it
+* **A one-thread bridge** to the sweep engine, entered per batch and
+  per chunk, never per job.  One bridge call prepares a batch: it
   decodes every job once, registers the batch's sweep plans and keys
   each job once.  The loop then triages the keys in submission order
   and sends the owned misses back in chunks of
   ``repro.eval.parallel._FAMILY_CHUNK`` jobs, one bridge hop each.  A
-  chunk runs in-process under ``--jobs 1``, else as one ``Pool.apply``
-  into the same fork pool ``repro.eval.parallel`` uses locally, with
-  chunks running concurrently across the bridge threads.  Worker-side
-  behaviour (trace caches, artifact flushes, ledger records) is exactly
-  the local sweep engine's; the chunk runner hands ``execute_job`` the
-  key it already holds and encodes each job's SSE line, so the event
-  loop only does per-job bookkeeping and never blocks on a simulation.
+  chunk runs exactly what the local sweep engine runs (trace caches,
+  artifact flushes, ledger records); the chunk runner hands
+  ``execute_job`` the key it already holds and encodes each job's SSE
+  line, so the event loop only does per-job bookkeeping and never
+  blocks on a simulation.
 
 Served batches refuse ``verify=True`` settings with a 400: a served
 result would claim a verification that did not execute in the client's
@@ -61,7 +59,7 @@ from typing import Dict, Optional, Tuple
 
 import repro.cache as artifact_cache
 from repro.obs import telemetry
-from repro.obs.metrics import COUNTERS, ServingMetrics
+from repro.obs.metrics import ServingMetrics
 from repro.obs.slog import SLOG, new_request_id
 from repro.obs.tracing import TRACER, make_span, parse_traceparent
 from repro.serve import jsonio
@@ -155,10 +153,8 @@ def _prepare(job_dicts: list, settings) -> list:
     return out
 
 
-def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
-    """Execute a chunk of owned misses back to back; runs in a bridge
-    thread under ``--jobs 1``, else in a fork-pool worker
-    (:func:`_pool_chunk`).
+def _run_chunk(items: list, settings) -> list:
+    """Execute a chunk of owned misses back to back in the bridge thread.
 
     Each item is ``(idx, job, key, trace_parent)``.  Each job yields
     ``(payload, spans, line)``: the
@@ -172,13 +168,10 @@ def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
     background-thread harness) from double-counting — the client's
     ledger gets one engine="served" row per job instead.  Under a
     ``trace_parent`` context the simulation is wrapped in a worker span
-    (fork children cannot share the parent's tracer buffer; the
-    explicit context also survives the executor hop, which does not
-    copy contextvars).  ``windows`` are the jobs' sweep-plan windows
-    (:func:`repro.eval.parallel.family_window`) for a worker that
-    forked before the batch registered its plans.
+    (the explicit context survives the executor hop, which does not copy
+    contextvars).
     """
-    from repro.eval.parallel import adopt_family_window, job_payload
+    from repro.eval.parallel import job_payload
 
     st = artifact_cache.store()
     ledger = telemetry.LEDGER
@@ -186,9 +179,7 @@ def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
     ledger.enable()
     out = []
     try:
-        for i, (idx, job, key, trace_parent) in enumerate(items):
-            if windows:
-                adopt_family_window(job, windows[i])
+        for idx, job, key, trace_parent in items:
             span = None
             if trace_parent is not None:
                 span = make_span(
@@ -202,7 +193,6 @@ def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
             except Exception as exc:
                 out.append((None, None, _error_text(exc)))
                 continue
-            del payload["arch"]  # --arch refuses --server: nothing to replay
             spans = payload.pop("spans")
             engines = [rec["engine"] for rec in payload["records"]]
             if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
@@ -219,15 +209,6 @@ def _run_chunk(items: list, settings, windows: Optional[list] = None) -> list:
     return out
 
 
-def _pool_chunk(items: list, settings, windows: list) -> Tuple[list, dict]:
-    """Fork-pool entry: :func:`_run_chunk` plus the chunk's one
-    :data:`~repro.obs.metrics.COUNTERS` delta (its counters moved in
-    this worker; the server merges the delta once)."""
-    before = COUNTERS.snapshot()
-    out = _run_chunk(items, settings, windows)
-    return out, COUNTERS.delta(before)
-
-
 class SweepServer:
     """The asyncio job server (see module docstring).
 
@@ -235,9 +216,6 @@ class SweepServer:
         host: Bind address (loopback by default).
         port: Bind port; 0 picks an ephemeral port (read ``url`` after
             :meth:`start`).
-        jobs: Worker processes behind the bridge, resolved like the eval
-            CLI's ``--jobs`` (``None`` → ``REPRO_JOBS`` or 1; 0 → all
-            CPUs).  1 executes in bridge threads without a fork pool.
         memory_entries: In-memory payload LRU cap (``None`` →
             ``REPRO_SERVE_MEMORY`` or 4096; 0 disables the tier).
     """
@@ -246,14 +224,10 @@ class SweepServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: Optional[int] = None,
         memory_entries: Optional[int] = None,
     ):
-        from repro.eval.parallel import resolve_workers
-
         self.host = host
         self.port = port
-        self.n_workers = resolve_workers(jobs)
         self._memory_cap = (
             _memory_cap() if memory_entries is None else max(0, memory_entries)
         )
@@ -261,21 +235,8 @@ class SweepServer:
         self._inflight: Dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._bridge = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="serve-bridge"
+            max_workers=1, thread_name_prefix="serve-bridge"
         )
-        self._pool = None
-        if self.n_workers > 1:
-            # Created before the event loop runs anything (the
-            # constructor is called from plain sync code), so the fork
-            # happens on a quiet process; workers inherit warm parent
-            # caches exactly like the local sweep engine's pool.
-            import multiprocessing
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                ctx = multiprocessing.get_context()
-            self._pool = ctx.Pool(processes=self.n_workers)
         self.counters = {
             "batches": 0,
             "jobs": 0,
@@ -337,15 +298,7 @@ class SweepServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self.close_pools()
-
-    def close_pools(self) -> None:
-        """Tear down the bridge and fork pool (idempotent, sync)."""
         self._bridge.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
 
     # -- dedupe + execution -------------------------------------------- #
 
@@ -363,25 +316,6 @@ class SweepServer:
         while len(self._memory) > self._memory_cap:
             self._memory.popitem(last=False)
 
-    def _execute_chunk(self, items: list, settings) -> list:
-        """Bridge-thread entry: one chunk of owned misses, inline when
-        the server is single-worker, else one ``Pool.apply``.
-
-        A pooled chunk's counters moved in the worker, so its one delta
-        is merged here (``/stats`` and ``/metrics`` then count its disk
-        traffic); an inline chunk already counted in this process.
-        """
-        if self._pool is None:
-            return _run_chunk(items, settings)
-        from repro.eval.parallel import family_window
-
-        windows = [family_window(job) for _, job, _, _ in items]
-        out, counters = self._pool.apply(
-            _pool_chunk, (items, settings, windows)
-        )
-        COUNTERS.merge(counters)
-        return out
-
     async def _resolve_batch(
         self, writer, job_dicts: list, settings, parents: list, t0: float,
     ) -> bool:
@@ -396,8 +330,7 @@ class SweepServer:
         same key share one execution); any other key gets its future
         installed before anything dispatches.  The owned misses go to
         the bridge in chunks of ``_FAMILY_CHUNK``, all dispatched at
-        once (a pooled server runs as many concurrently as it has
-        bridge threads).  Completed payloads land in the memory LRU, so
+        once and run one after another.  Completed payloads land in the memory LRU, so
         later duplicates are ``memory`` hits.  Every owned chunk runs to
         completion even after the client hangs up: waiters and the
         inflight table depend on it.
@@ -495,7 +428,7 @@ class SweepServer:
             for lo in range(0, len(owned), _FAMILY_CHUNK):
                 items = owned[lo:lo + _FAMILY_CHUNK]
                 chunks[loop.run_in_executor(
-                    self._bridge, self._execute_chunk, items, settings
+                    self._bridge, _run_chunk, items, settings
                 )] = items
             await send(lines)
             pending = set(chunks) | set(foreign)
@@ -560,7 +493,6 @@ class SweepServer:
                 "inflight": len(self._inflight),
                 "memory_entries": len(self._memory),
                 "memory_cap": self._memory_cap,
-                "workers": self.n_workers,
             },
             "cache": artifact_cache.stats(),
         }
@@ -825,7 +757,6 @@ class ServerHandle:
 def start_in_background(
     host: str = "127.0.0.1",
     port: int = 0,
-    jobs: Optional[int] = 1,
     memory_entries: Optional[int] = None,
 ) -> ServerHandle:
     """Start a :class:`SweepServer` on its own event-loop thread and
@@ -838,7 +769,7 @@ def start_in_background(
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         server = SweepServer(
-            host=host, port=port, jobs=jobs, memory_entries=memory_entries
+            host=host, port=port, memory_entries=memory_entries
         )
         box["loop"], box["server"] = loop, server
         try:

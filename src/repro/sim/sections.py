@@ -671,8 +671,8 @@ _SPILL: list = []
 _MAX_SPILLED = 8192
 
 #: Cached maps whose memo grew since their last persist.  The flush hook
-#: walks only this set (plus the spill list), so the per-job flush a
-#: fork-pool worker issues is O(maps that job actually dirtied), not
+#: walks only this set (plus the spill list), so the per-job flush the
+#: sweep server issues is O(maps that job actually dirtied), not
 #: O(everything cached).
 _DIRTY: set = set()
 
@@ -1016,10 +1016,10 @@ def prefetch_family(
 def _flush_to_store() -> None:
     """Persist dirty maps (spilled and still-cached) to the artifact
     store.  Registered with :func:`repro.cache.persist_caches`, which
-    the eval CLI invokes at exit and every fork-pool worker invokes
-    after each job (pool children exit via ``os._exit`` and never run
-    ``atexit`` hooks, so the flush must happen inline); warm runs are
-    ~free because only maps whose memo actually grew are visited."""
+    the eval CLI invokes at exit and the sweep server invokes after each
+    job (a long-lived server must not hold its maps back from peers
+    until it exits); warm runs are ~free because only maps whose memo
+    actually grew are visited."""
     spilled, _SPILL[:] = _SPILL[:], []
     for smap in spilled:
         smap.persist()
@@ -1034,7 +1034,7 @@ artifact_cache.register_persist(_flush_to_store)
 
 def cache_stats() -> Dict[str, float]:
     """Counters of the per-process SectionMap cache (since the last
-    ``COUNTERS.reset()``, pooled workers' included).
+    ``COUNTERS.reset()``).
 
     ``evictions`` counts maps pushed out of the in-memory LRU (silent
     thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the

@@ -268,7 +268,7 @@ class TestBatchResult:
 
 
 class TestSeedRepeatJobs:
-    """``SimJob.n_seeds`` through the sweep engine, serial and pooled."""
+    """``SimJob.n_seeds`` through the sweep engine."""
 
     def _jobs(self, n_seeds):
         return [
@@ -291,14 +291,6 @@ class TestSeedRepeatJobs:
             assert _batch_dicts(batch) == [
                 r.to_dict(include_derived=False) for r in scalar
             ]
-
-    def test_parallel_matches_serial(self):
-        settings = EvalSettings(size="small", verify=False)
-        serial = run_jobs(self._jobs(4), settings, None)
-        pooled = run_jobs(self._jobs(4), settings, 2)
-        assert [b.to_dict() for b in serial] == [
-            b.to_dict() for b in pooled
-        ]
 
     @pytest.mark.parametrize("route", ["kernel", "no_cext", "arch"])
     def test_records_sum_to_job_seconds(self, monkeypatch, route):

@@ -2,8 +2,8 @@
 
 Exercises the contract documented in :mod:`repro.cache.store`:
 corrupted entries load as misses and are repaired, eviction respects
-the size cap, concurrent fork-pool writers never observe partial
-files, and a disabled or unwritable store degrades silently.  On top
+the size cap, a sweep's writers never leave partial files, and a
+disabled or unwritable store degrades silently.  On top
 of the store, the integration layers are checked end-to-end: a
 SectionMap warm-loaded from disk answers bit-identically, and the
 whole-result cache round-trips (with the ``--verify`` exclusion and
@@ -109,8 +109,8 @@ class TestStoreBasics:
         assert artifact_cache.store() is None
 
     def test_counters_exact_under_thread_hammer(self, tmp_path):
-        """The sweep server's pool-bridge threads bump one store's
-        counters concurrently; the stats lock must keep them exact
+        """The sweep server's event loop and bridge thread bump one
+        store's counters concurrently; the stats lock must keep them exact
         (bare ``+=`` on the attributes loses updates under the GIL)."""
         import threading
 
@@ -439,42 +439,41 @@ class TestResultCache:
         assert st.hits > hits
 
 
-class TestConcurrentWorkers:
-    def test_fork_pool_writers_leave_a_clean_store(
+class TestSweepWriters:
+    def test_sweep_writers_leave_a_clean_store(
         self, monkeypatch, tmp_path
     ):
-        """Two workers race puts into one directory; afterwards every
-        entry unpickles (atomic os.replace — no partial files) and no
-        temp litter remains."""
+        """A sweep's puts land in one directory; afterwards every entry
+        unpickles (atomic os.replace — no partial files), no temp
+        litter remains, and cold, warm and cache-off results agree."""
         jobs = [
             SimJob(workload=w, config=c, size="tiny", salt=s)
             for w in ("crc", "qsort")
             for c in ((1, 0, 0, 0), (8, 4, 2, 0))
             for s in (0, 1)
         ]
-        serial = run_jobs(jobs, QUICK, n_workers=1)  # cache disabled
+        off = run_jobs(jobs, QUICK)  # cache disabled
         _enable(monkeypatch, tmp_path)
-        first = run_jobs(jobs, QUICK, n_workers=2)
+        first = run_jobs(jobs, QUICK)
+        artifact_cache.persist_caches()
         for dirpath, _dirnames, filenames in os.walk(str(tmp_path)):
             for fname in filenames:
                 assert not fname.endswith(".tmp"), "temp litter"
                 with open(os.path.join(dirpath, fname), "rb") as fh:
                     pickle.load(fh)  # every entry is complete
-        warm = run_jobs(jobs, QUICK, n_workers=2)
-        for a, b, c in zip(serial, first, warm):
+        warm = run_jobs(jobs, QUICK)
+        for a, b, c in zip(off, first, warm):
             assert a.to_dict() == b.to_dict() == c.to_dict()
 
-    def test_worker_stats_merge_reports_disk_traffic(
-        self, monkeypatch, tmp_path
-    ):
+    def test_stats_report_disk_traffic(self, monkeypatch, tmp_path):
         _enable(monkeypatch, tmp_path)
         jobs = [
             SimJob(workload="crc", config=(1, 0, 0, 0), size="tiny", salt=s)
             for s in range(4)
         ]
         COUNTERS.reset()
-        run_jobs(jobs, QUICK, n_workers=2)
+        run_jobs(jobs, QUICK)
         assert artifact_cache.stats()["puts"] > 0
         assert artifact_cache.stats()["misses"] > 0
-        run_jobs(jobs, QUICK, n_workers=2)
+        run_jobs(jobs, QUICK)
         assert artifact_cache.stats()["hits"] >= len(jobs)

@@ -111,29 +111,26 @@ class TestMetricsRegistry:
         assert d["histograms"]["len"]["counts"] == [0, 1, 0]
         json.dumps(d)
 
-    def test_snapshot_delta_merge_reset(self):
+    def test_snapshot_merge_reset(self):
         source = {"hits": 2}
         reg = MetricsRegistry()
         reg.attach("disk.", lambda: dict(source), source.clear)
         reg.counter("runs").inc(3)
-        before = reg.snapshot()
-        assert before == {"runs": 3, "disk.hits": 2}
+        assert reg.snapshot() == {"runs": 3, "disk.hits": 2}
         reg.counter("runs").inc()
         source["hits"] = 5
-        delta = reg.delta(before)
-        assert delta == {"runs": 1, "disk.hits": 3}
+        assert reg.snapshot() == {"runs": 4, "disk.hits": 5}
 
-        parent = MetricsRegistry()
-        parent.merge(delta)
-        parent.merge(delta)
-        assert parent.snapshot() == {"runs": 2, "disk.hits": 6}
+        # A merged count adds to an attached source of the same name.
+        reg.merge({"runs": 1, "disk.hits": 3})
+        reg.merge({"runs": 1, "disk.hits": 3})
+        assert reg.snapshot() == {"runs": 6, "disk.hits": 11}
         reg.reset()
-        assert reg.snapshot() == {"runs": 0}
-        assert reg.delta(reg.snapshot()) == {}
+        assert reg.snapshot() == {"runs": 0, "disk.hits": 0}
 
     def test_concurrent_merges_never_lost(self):
-        """The sweep server merges payload deltas from several bridge
-        threads at once; the totals must be exact."""
+        """Merges from several threads at once must never lose an
+        update."""
         reg = MetricsRegistry()
         n_threads, n_ops = 8, 2000
 

@@ -224,7 +224,7 @@ def served_tracer(monkeypatch, tmp_path):
     uninstall()
     TRACER.reset()
     TRACER.enable(service="client")
-    handle = start_in_background(jobs=1)
+    handle = start_in_background()
     yield handle
     handle.stop()
     uninstall()
@@ -289,7 +289,7 @@ class TestEndToEndPropagation:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         artifact_cache.reset_for_tests()
-        disk_server = start_in_background(jobs=1, memory_entries=0)
+        disk_server = start_in_background(memory_entries=0)
         try:
             c = ServeClient(disk_server.url)
             c.run_jobs([dup], SETTINGS)
@@ -305,6 +305,6 @@ class TestEndToEndPropagation:
         jobs = [SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny")]
         traced = ServeClient(served_tracer.url).run_jobs(jobs, SETTINGS)
         TRACER.disable()
-        plain = run_jobs(jobs, SETTINGS, 1)
+        plain = run_jobs(jobs, SETTINGS)
         assert [r.to_dict(include_derived=False) for r in traced] == \
                [r.to_dict(include_derived=False) for r in plain]

@@ -73,7 +73,7 @@ def _isolated(monkeypatch):
 
 @pytest.fixture()
 def server():
-    handle = start_in_background(jobs=1)
+    handle = start_in_background()
     yield handle
     handle.stop()
 
@@ -164,16 +164,16 @@ class TestJsonio:
 
 class TestServedByteIdentity:
     def test_grid_matches_local(self, server):
-        local = run_jobs(GRID, SETTINGS, 1)
+        local = run_jobs(GRID, SETTINGS)
         served = ServeClient(server.url).run_jobs(GRID, SETTINGS)
         assert _dicts(served) == _dicts(local)
 
     def test_run_jobs_routes_through_installed_client(self, server):
         client = ServeClient(server.url)
         install(client)
-        served = run_jobs(GRID, SETTINGS, 1)
+        served = run_jobs(GRID, SETTINGS)
         uninstall()
-        local = run_jobs(GRID, SETTINGS, 1)
+        local = run_jobs(GRID, SETTINGS)
         assert _dicts(served) == _dicts(local)
         assert client.jobs_served == len(GRID)
 
@@ -183,7 +183,7 @@ class TestServedByteIdentity:
         client = ServeClient(server.url)
         install(client)
         verify = EvalSettings(size="tiny", verify=True)
-        results = run_jobs(GRID[:1], verify, 1)
+        results = run_jobs(GRID[:1], verify)
         assert results[0] is not None and results[0].verified
         assert client.jobs_served == 0
 
@@ -209,7 +209,7 @@ class TestDedupeFunnel:
         ] * 4
         client = ServeClient(server.url)
         results = client.run_jobs(jobs, SETTINGS)
-        assert _dicts(results) == _dicts(run_jobs(jobs, SETTINGS, 1))
+        assert _dicts(results) == _dicts(run_jobs(jobs, SETTINGS))
         tiers = server.stats()["server"]["tiers"]
         assert tiers["computed"] == 1
         assert tiers["coalesced"] == 3
@@ -247,7 +247,7 @@ class TestDedupeFunnel:
     def test_memoryless_server_uses_disk_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         artifact_cache.reset_for_tests()
-        handle = start_in_background(jobs=1, memory_entries=0)
+        handle = start_in_background(memory_entries=0)
         try:
             client = ServeClient(handle.url)
             client.run_jobs(GRID[:2], SETTINGS)
@@ -266,24 +266,22 @@ class TestDedupeFunnel:
             client.run_jobs([bad], SETTINGS)
         assert server.stats()["server"]["errors"] == 1
         ok = ServeClient(server.url).run_jobs(GRID[:1], SETTINGS)
-        assert _dicts(ok) == _dicts(run_jobs(GRID[:1], SETTINGS, 1))
+        assert _dicts(ok) == _dicts(run_jobs(GRID[:1], SETTINGS))
 
 
 class TestBatchFunnel:
     """Batch triage and chunked execution (``SweepServer._resolve_batch``)."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_resolve_count_equals_jobs_served(self, jobs):
+    def test_resolve_count_equals_jobs_served(self):
         """Three chunks of owned misses plus one in-batch duplicate of
         each, then a repeat batch: every served job is one resolve
-        observation, and results match a local run at either bridge
-        (inline, or one ``Pool.apply`` per chunk)."""
+        observation, and results match a local run."""
         batch = [
             SimJob(workload=w, config=(8, 4, 2, 0), size="tiny", salt=s)
             for w in ("crc", "rc4") for s in range(18)
         ]
         batch += batch
-        handle = start_in_background(jobs=jobs)
+        handle = start_in_background()
         try:
             client = ServeClient(handle.url)
             first = client.run_jobs(batch, SETTINGS)
@@ -292,8 +290,7 @@ class TestBatchFunnel:
             series = _metric_series(handle.url)
         finally:
             handle.stop()
-            handle.server.close_pools()
-        local = run_jobs(batch, SETTINGS, 1)
+        local = run_jobs(batch, SETTINGS)
         assert _dicts(first) == _dicts(second) == _dicts(local)
         assert tiers["computed"] == 36 and tiers["coalesced"] == 36
         assert tiers["memory"] == 72
@@ -315,7 +312,7 @@ class TestBatchFunnel:
         assert sorted(by_idx) == [0, 1, 2, 3]
         assert by_idx[1]["error"] == by_idx[3]["error"]
         assert by_idx[1]["error"].startswith("ConfigError: seed-repeat")
-        local = run_jobs([GRID[0], GRID[2]], SETTINGS, 1)
+        local = run_jobs([GRID[0], GRID[2]], SETTINGS)
         served = [parallel.decode_result(by_idx[i]) for i in (0, 2)]
         assert _dicts(served) == _dicts(local)
         stats = server.stats()["server"]
@@ -392,7 +389,7 @@ class TestRemoteTier:
         self, tmp_path, monkeypatch
     ):
         kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        peer = start_in_background(jobs=1)
+        peer = start_in_background()
         try:
             local = CacheStore(
                 str(tmp_path / "local"), 1 << 30, remote=peer.url
@@ -409,7 +406,7 @@ class TestRemoteTier:
 
     def test_remote_miss_is_clean(self, tmp_path, monkeypatch):
         kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        peer = start_in_background(jobs=1)
+        peer = start_in_background()
         try:
             local = CacheStore(
                 str(tmp_path / "local"), 1 << 30, remote=peer.url
@@ -423,7 +420,7 @@ class TestRemoteTier:
         kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
         with open(artifact_cache.store().raw_path(kind, key), "wb") as fh:
             fh.write(b"not a pickle")
-        peer = start_in_background(jobs=1)
+        peer = start_in_background()
         try:
             local = CacheStore(
                 str(tmp_path / "local"), 1 << 30, remote=peer.url
@@ -536,46 +533,32 @@ class TestStatsEndpoint:
         # The cache stats ride along as unlabeled extra counters.
         assert "repro_cache_hits" in series
 
-    def test_cache_counters_match_across_worker_counts(
+    def test_cache_counters_match_stats_and_metrics(
         self, tmp_path, monkeypatch
     ):
-        """A pooled server's disk gets and puts happen in fork children;
-        their counter deltas must still reach ``/stats`` and
-        ``/metrics``, exactly as an inline server counts them."""
-        # One job per workload, so no trace or SectionMap is shared
-        # between jobs a pool could place on different workers.
+        """The server's disk gets and puts reach ``/stats`` and
+        ``/metrics`` alike."""
         jobs = [GRID[0], GRID[2],
                 SimJob(workload="fft", config=(8, 4, 2, 0), size="tiny",
                        use_compiler=True),
                 SimJob(workload="qsort", config=(8, 4, 2, 0), size="tiny",
                        salt=2, n_seeds=3, seed_stride=1)]
-        # Pooled first: an inline run would leave in-process memos (PI
-        # marking) that the pool's fork children inherit.
-        seen = []
-        for n_workers in (2, 1):
-            monkeypatch.setenv("REPRO_CACHE_DIR",
-                               str(tmp_path / str(n_workers)))
-            artifact_cache.reset_for_tests()
-            sections.clear_cache()
-            clear_trace_cache()
-            COUNTERS.reset()
-            handle = start_in_background(jobs=n_workers)
-            try:
-                ServeClient(handle.url).run_jobs(jobs, SETTINGS)
-                cache = handle.stats()["cache"]
-                with urllib.request.urlopen(
-                    handle.url + "/metrics", timeout=10
-                ) as resp:
-                    text = resp.read().decode("utf-8")
-            finally:
-                handle.stop()
-                handle.server.close_pools()
-            puts = [line for line in text.splitlines()
-                    if line.startswith("repro_cache_puts ")]
-            seen.append((cache, puts))
-        (pooled, pooled_puts), (inline, inline_puts) = seen
-        assert inline["misses"] > 0 and inline["puts"] > 0
-        assert pooled == inline
-        assert pooled_puts == inline_puts == [
-            f"repro_cache_puts {inline['puts']}"
-        ]
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        artifact_cache.reset_for_tests()
+        sections.clear_cache()
+        clear_trace_cache()
+        COUNTERS.reset()
+        handle = start_in_background()
+        try:
+            ServeClient(handle.url).run_jobs(jobs, SETTINGS)
+            cache = handle.stats()["cache"]
+            with urllib.request.urlopen(
+                handle.url + "/metrics", timeout=10
+            ) as resp:
+                text = resp.read().decode("utf-8")
+        finally:
+            handle.stop()
+        puts = [line for line in text.splitlines()
+                if line.startswith("repro_cache_puts ")]
+        assert cache["misses"] > 0 and cache["puts"] > 0
+        assert puts == [f"repro_cache_puts {cache['puts']}"]

@@ -4,8 +4,7 @@ The contract under test (see :mod:`repro.obs.telemetry`):
 
 * one record per run at the dispatch point, carrying engine / typed
   fallback reason / kernel / cache-tier outcome;
-* a sweep's ledger is identical at any worker count, modulo the
-  wall-time fields (``wall_s``, ``t_start``, ``worker``);
+* the ledger file holds one line per record, in submission order;
 * enabling the ledger never changes which engine runs or what it
   returns;
 * the ledger's engine counts reconcile exactly with the fast-path
@@ -183,14 +182,13 @@ class TestLedgerFile:
         assert [m["name"] for m in loaded.drivers] == ["fig5"]
         assert loaded.stable_records() == LEDGER.stable_records()
 
-    def test_pooled_sweep_writes_each_record_once(self, tmp_path):
-        """Fork-pool workers drop the inherited stream: mid-sweep the
-        file holds one ``run`` line per record, in submission order,
-        all written by the parent's fold."""
+    def test_sweep_streams_each_record_once(self, tmp_path):
+        """Mid-sweep the file holds one ``run`` line per record, in
+        submission order."""
         path = str(tmp_path / "ledger.jsonl")
         LEDGER.enable()
-        LEDGER.stream_to(path, header={"jobs": 2})
-        run_jobs(grid_jobs(), QUICK, n_workers=2)
+        LEDGER.stream_to(path, header={"jobs": 1})
+        run_jobs(grid_jobs(), QUICK)
         with open(path) as fh:
             lines = [json.loads(line) for line in fh]
         runs = [line for line in lines if line["type"] == "run"]
@@ -257,31 +255,16 @@ class TestDispatchCounters:
 
 class TestSweepTelemetry:
     @pytest.mark.slow
-    def test_ledger_deterministic_across_worker_counts(self):
-        """The tentpole contract: jobs=1 and jobs=4 produce identical
-        ledgers modulo the wall-time fields."""
-        jobs = grid_jobs()
-        LEDGER.reset()
-        LEDGER.enable()
-        run_jobs(jobs, QUICK, n_workers=1)
-        serial = LEDGER.stable_records()
-        LEDGER.reset()
-        run_jobs(jobs, QUICK, n_workers=4)
-        pooled = LEDGER.stable_records()
-        assert len(serial) == len(jobs)
-        assert serial == pooled
-
-    @pytest.mark.slow
     def test_telemetry_never_flips_engine_decisions(self):
         """Same jobs with the ledger off and on: identical results and
         identical dispatch deltas."""
         jobs = grid_jobs()
-        off = run_jobs(jobs, QUICK, n_workers=2)
+        off = run_jobs(jobs, QUICK)
         stats_off = dispatch_stats()
         COUNTERS.reset()
         LEDGER.reset()
         LEDGER.enable()
-        on = run_jobs(jobs, QUICK, n_workers=2)
+        on = run_jobs(jobs, QUICK)
         stats_on = dispatch_stats()
         assert [r.to_dict() for r in off] == [r.to_dict() for r in on]
         assert stats_off == stats_on
@@ -291,7 +274,7 @@ class TestSweepTelemetry:
     def test_ledger_reconciles_with_dispatch_stats(self):
         jobs = grid_jobs()
         LEDGER.enable()
-        run_jobs(jobs, QUICK, n_workers=1)
+        run_jobs(jobs, QUICK)
         stats = dispatch_stats()
         engines = LEDGER.engine_counts()
         assert engines.get("fast", 0) == stats["fast"]
@@ -300,7 +283,7 @@ class TestSweepTelemetry:
 
     def test_records_carry_kernel_and_salt(self):
         LEDGER.enable()
-        run_jobs(grid_jobs()[:2], QUICK, n_workers=1)
+        run_jobs(grid_jobs()[:2], QUICK)
         for rec in LEDGER.records:
             assert rec.size == "tiny"
             if rec.engine == "fast":
@@ -315,13 +298,13 @@ class TestDiskCacheProvenance:
         jobs = grid_jobs()[:2]
         try:
             LEDGER.enable()
-            run_jobs(jobs, QUICK, n_workers=1)
+            run_jobs(jobs, QUICK)
             artifact_cache.persist_caches()
             cold = [(r.engine, r.result_cache) for r in LEDGER.records]
             assert all(cache == "miss" for _, cache in cold)
 
             LEDGER.reset()
-            warm = run_jobs(jobs, QUICK, n_workers=1)
+            warm = run_jobs(jobs, QUICK)
             hits = [(r.engine, r.result_cache) for r in LEDGER.records]
             assert hits == [("disk-cached-result", "hit")] * len(jobs)
             assert all(r is not None for r in warm)
@@ -339,7 +322,7 @@ class TestDiskCacheProvenance:
         try:
             LEDGER.enable()
             run_jobs(grid_jobs()[:1],
-                     dataclasses.replace(QUICK, verify=True), n_workers=1)
+                     dataclasses.replace(QUICK, verify=True))
             [rec] = LEDGER.records
             assert rec.result_cache == "off"
             assert rec.engine == "reference"
