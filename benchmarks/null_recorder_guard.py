@@ -47,11 +47,13 @@ baseline (both engines pay exactly one flag check per run when it is
 off), and a collector-on sweep must fold every run and reconcile its
 cause totals exactly against the per-run ``checkpoints_by_cause``.
 
-A sixth check guards the persistent artifact cache
-(``REPRO_CACHE_DIR``): a sweep against a fresh store populates it, every
-in-memory SectionMap is then dropped, and the repeat sweep must seed its
-maps from disk (no cold re-enumeration) while reproducing bit-identical
-results.
+A sixth check guards the persistent result store
+(``REPRO_CACHE_DIR``), which holds whole results only: an
+``execute_job`` sweep over the ledger check's jobs fills a fresh store,
+every in-memory SectionMap is then dropped, and the repeat sweep must
+answer every job from the store — each ledger record a
+``disk-cached-result`` hit, with no fast-path or fallback dispatch —
+while reproducing the cold sweep's results exactly.
 
 A seventh check guards the batched Monte Carlo engine
 (:mod:`repro.sim.batch`): a seed-repeat sweep (``SimJob.n_seeds > 1``,
@@ -96,7 +98,7 @@ from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import NullRecorder
-from repro.obs.telemetry import ENGINE_BATCH, LEDGER
+from repro.obs.telemetry import ENGINE_BATCH, ENGINE_CACHED, LEDGER
 from repro.obs.tracing import TRACER
 from repro.sim.fast import dispatch_stats, simulate_fast
 from repro.sim.sections import cache_stats, clear_cache
@@ -149,6 +151,52 @@ def execute_seconds(jobs, settings) -> float:
     for job in jobs:
         execute_job(job, settings)
     return time.perf_counter() - start
+
+
+def result_store_check(jobs, settings) -> int:
+    """The sixth check: a repeat ``execute_job`` sweep over ``jobs``
+    against the store its cold sweep filled, with every in-memory
+    SectionMap dropped in between, is served wholly from the store and
+    reproduces the cold results.  0 on success, 1 on failure."""
+    with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
+        try:
+            artifact_cache.reset_for_tests()
+            clear_cache()
+            cold = [execute_job(job, settings)[0] for job in jobs]
+            clear_cache()
+            COUNTERS.reset()
+            LEDGER.reset()
+            LEDGER.enable()
+            before = dispatch_stats()
+            warm = [execute_job(job, settings)[0] for job in jobs]
+            after = dispatch_stats()
+            served = sum(
+                1 for rec in LEDGER.records
+                if rec.engine == ENGINE_CACHED and rec.result_cache == "hit"
+            )
+            recorded = len(LEDGER.records)
+        finally:
+            LEDGER.disable()
+            LEDGER.reset()
+            del os.environ["REPRO_CACHE_DIR"]
+            artifact_cache.reset_for_tests()
+            clear_cache()
+    print(f"result-store warm sweep: {served} of {recorded} records "
+          f"served from the store ({len(jobs)} jobs); dispatch "
+          f"{before['fast'] + before['fallback']} -> "
+          f"{after['fast'] + after['fallback']}")
+    if [r.to_dict() for r in warm] != [r.to_dict() for r in cold]:
+        print("FAIL: store-served sweep diverged from the cold sweep")
+        return 1
+    if served != len(jobs) or recorded != len(jobs):
+        print("FAIL: warm sweep simulated jobs the store should hold")
+        return 1
+    if after != before:
+        print("FAIL: warm sweep dispatched simulations")
+        return 1
+    print("OK: repeat sweep served whole from the result store, identical")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -323,33 +371,9 @@ def main(argv=None) -> int:
         return 1
     print("OK: introspection off is free, on reconciles exactly")
 
-    # Warm-disk-cache guard: populate a fresh store, drop every
-    # in-memory map, and demand the repeat sweep seeds from disk — no
-    # cold re-enumeration — with bit-identical results.
-    with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-        try:
-            artifact_cache.reset_for_tests()
-            clear_cache()
-            cold = sweep_results(traces, settings)
-            artifact_cache.persist_caches()
-            clear_cache()
-            COUNTERS.reset()
-            warm = sweep_results(traces, settings)
-            stats = cache_stats()
-        finally:
-            del os.environ["REPRO_CACHE_DIR"]
-            artifact_cache.reset_for_tests()
-            clear_cache()
-    print(f"disk-cache warm sweep: {stats['disk_loads']} maps from disk, "
-          f"{stats['misses']} in-memory misses")
-    if warm != cold:
-        print("FAIL: warm-from-disk sweep diverged from the cold sweep")
+    # Result-store guard: a store-backed repeat sweep simulates nothing.
+    if result_store_check(ledger_jobs, settings):
         return 1
-    if stats["disk_loads"] < stats["misses"]:
-        print("FAIL: warm sweep re-enumerated maps the store should hold")
-        return 1
-    print("OK: warm-from-disk sweep is bit-identical, no cold enumeration")
 
     # Batch-engaged guard: a seed-repeat sweep (the --seeds N figure
     # shape) must route its rows through the batched engine.  The scalar

@@ -1,13 +1,16 @@
-"""Persistent content-addressed artifact cache (``repro.cache``).
+"""Persistent content-addressed result store (``repro.cache``).
 
-The expensive artifacts of a sweep — enumerated
-:class:`~repro.sim.sections.SectionMap` contents, compiled-trace
-arrays, whole simulation results — are pure functions of trace content, configuration, and
-marking.  This package spills them to ``REPRO_CACHE_DIR`` so processes
-sharing the directory (a sweep server, local evals) share enumeration
-work and a repeat evaluation starts warm.  Everything is best-effort:
-with the variable unset nothing touches the filesystem, and any I/O
-failure degrades to the in-memory behaviour the callers already have.
+A sweep job's whole result is a pure function of its workload, trace
+content, configuration, power schedule and marking.  This package
+keeps those results (kind ``result``, written and read by
+:mod:`repro.eval.parallel`) under ``REPRO_CACHE_DIR``, so processes
+sharing the directory (a sweep server, local evals) share finished
+runs and a repeat evaluation answers without simulating.  Every
+intermediate artifact — compiled-trace arrays, Program-Idempotence
+profiles, section maps and their tables — is rebuilt in memory:
+re-deriving them costs less than pickling and loading them.
+Everything is best-effort: with the variable unset nothing touches
+the filesystem, and any I/O failure degrades to a plain miss.
 
 Public surface:
 
@@ -17,38 +20,34 @@ Public surface:
   ``REPRO_CACHE_REMOTE`` (read-through peer URL, see
   :mod:`repro.cache.store`); :func:`reset_for_tests` re-resolves.
 * :func:`content_key` — sha256 over a canonical ``repr`` of the parts
-  (plus the format version), the addressing scheme every caller uses.
-* :func:`register_persist` / :func:`persist_caches` — flush hooks.
-  Modules holding dirty in-memory artifacts register a flusher;
-  the eval CLI, the sweep server after each job, and every cleanly
-  exiting process (via ``atexit``) call :func:`persist_caches`.
+  (plus the format version), the addressing scheme of result keys.
 * :func:`stats` — hit/miss/put/eviction/error plus remote-tier
   counters (``cache.*`` in :data:`repro.obs.metrics.COUNTERS`: the
   live store's own lock-protected counts, plus those of stores dropped
-  by :func:`reset_for_tests`), rendered in ``results/profile.txt`` so "warm from memory"
-  vs "warm from disk" vs "cold" are distinguishable, and surfaced by
-  the :mod:`repro.serve` ``/stats`` endpoint.
+  by :func:`reset_for_tests`), rendered in ``results/profile.txt`` and
+  surfaced by the :mod:`repro.serve` ``/stats`` endpoint.
+* :func:`persist_caches` — a no-op: each result is written when its
+  job finishes, so nothing is held back for a flush.  It stays because
+  the benchmark's layer tracer (``bench/layers.py``) times it by name.
 """
 
-import atexit
 import hashlib
+import math
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cache.store import CACHE_VERSION, CacheStore
 from repro.obs.metrics import COUNTERS
 
 __all__ = [
     "CACHE_VERSION", "CacheStore", "content_key", "store", "stats",
-    "register_persist", "persist_caches", "reset_for_tests",
+    "persist_caches", "reset_for_tests",
 ]
 
 _STORE: Optional[CacheStore] = None
 _RESOLVED = False
 _KEYS = ("hits", "misses", "puts", "evictions", "errors", "remote_hits",
          "remote_misses", "remote_errors")
-
-_PERSIST_HOOKS: List[Callable[[], None]] = []
 
 
 def store() -> Optional[CacheStore]:
@@ -59,22 +58,29 @@ def store() -> Optional[CacheStore]:
         _RESOLVED = True
         root = os.environ.get("REPRO_CACHE_DIR", "").strip()
         if root:
-            try:
-                max_mb = float(
-                    os.environ.get("REPRO_CACHE_MAX_MB", "512") or "512"
-                )
-            except ValueError:
-                max_mb = 512.0
+            max_bytes = _max_bytes(os.environ.get("REPRO_CACHE_MAX_MB", ""))
             remote = os.environ.get("REPRO_CACHE_REMOTE", "").strip() or None
             try:
                 os.makedirs(root, exist_ok=True)
             except OSError:
                 _STORE = None
             else:
-                _STORE = CacheStore(
-                    root, int(max_mb * 1024 * 1024), remote=remote
-                )
+                _STORE = CacheStore(root, max_bytes, remote=remote)
     return _STORE
+
+
+def _max_bytes(raw: str) -> int:
+    """The store cap in bytes from ``REPRO_CACHE_MAX_MB``: 512 MB unless
+    ``raw`` is a finite number of MB worth at least one byte (a NaN or
+    infinite cap would crash the byte conversion, and a non-positive
+    one would evict the whole store at every check)."""
+    try:
+        max_mb = float(raw)
+    except ValueError:
+        max_mb = math.nan
+    if not (math.isfinite(max_mb) and max_mb * 1024 * 1024 >= 1):
+        max_mb = 512.0
+    return int(max_mb * 1024 * 1024)
 
 
 def content_key(*parts) -> str:
@@ -111,26 +117,9 @@ def stats() -> Dict[str, int]:
     return {k: snap.get("cache." + k, 0) for k in _KEYS}
 
 
-def register_persist(hook: Callable[[], None]) -> None:
-    """Register a flusher invoked by :func:`persist_caches`."""
-    if hook not in _PERSIST_HOOKS:
-        _PERSIST_HOOKS.append(hook)
-
-
 def persist_caches() -> None:
-    """Flush all registered dirty in-memory artifacts to the store.
-
-    No-op when the store is disabled.  Never raises: a failing hook
-    must not take down an otherwise finished evaluation (or a worker
-    mid-teardown).
-    """
-    if store() is None:
-        return
-    for hook in list(_PERSIST_HOOKS):
-        try:
-            hook()
-        except Exception:
-            pass
+    """No-op: the store holds only results, and each is written when
+    its job finishes, so there is nothing to flush."""
 
 
 def reset_for_tests() -> None:
@@ -146,8 +135,3 @@ def reset_for_tests() -> None:
         COUNTERS.merge({"cache." + k: v for k, v in st.stats().items()})
     _STORE = None
     _RESOLVED = False
-
-
-# Cleanly exiting processes flush whatever dirty artifacts they still
-# hold.  Guarded inside persist_caches.
-atexit.register(persist_caches)

@@ -1,10 +1,15 @@
-"""Persistent content-addressed artifact store (``REPRO_CACHE_DIR``).
+"""Persistent content-addressed result store (``REPRO_CACHE_DIR``).
 
-One :class:`CacheStore` holds pickled artifacts on disk, addressed by a
-content hash the *caller* derives from everything that determines the
-artifact (trace content, configuration, PI marking, format version).
+One :class:`CacheStore` holds pickled sweep results on disk — the
+stored form of each job's whole result, under kind ``result`` —
+addressed by a content hash the *caller* derives from everything that
+determines it (trace content, configuration, schedule, cost model,
+policy and format version; see :func:`repro.eval.parallel.result_key`).
+Intermediate artifacts are never stored: rebuilding them in memory is
+cheaper than loading them.  Entries an older layout wrote under other
+kinds are never read and age out under the size cap.
 Content addressing makes every operation idempotent: two processes that
-compute the same artifact write byte-equivalent files under the same
+compute the same result write byte-equivalent files under the same
 name, so there is nothing to coordinate — the store needs no cross-
 process locks, no manifest, and no invalidation protocol.  (The only
 in-process lock guards the *stats counters*, which the sweep server
@@ -25,7 +30,8 @@ Robustness contract (exercised by ``tests/test_disk_cache.py``):
   but drops writes after the first failure.  Callers never need to
   guard their puts.
 * **Size-capped sharded eviction** — ``REPRO_CACHE_MAX_MB`` (default
-  512) bounds the directory.  Entries fan out under two-level
+  512, also for any value that is not a finite number of MB worth at
+  least one byte) bounds the directory.  Entries fan out under two-level
   ``kind/key[:2]/`` shard directories (sha256 keys spread uniformly, so
   the 256 shards per kind stay balanced), and the store keeps a
   per-shard byte estimate: after one seeding walk per process, an
@@ -161,15 +167,6 @@ class CacheStore:
             pass
         return entries, total
 
-    def entry_count(self, kind: str, prefix: str) -> int:
-        """Entries in one shard — an O(shard) listing, never O(store)."""
-        shard = os.path.join(self.root, kind, prefix)
-        try:
-            with os.scandir(shard) as it:
-                return sum(1 for e in it if e.name.endswith(".pkl"))
-        except OSError:
-            return 0
-
     # -- operations ---------------------------------------------------- #
 
     def _bump(self, name: str, n: int = 1) -> None:
@@ -208,15 +205,6 @@ class CacheStore:
         except OSError:
             pass
         return obj
-
-    def touch(self, kind: str, key: str) -> bool:
-        """Freshen a local entry's recency, as a get does; False when it
-        is not stored (or cannot be touched)."""
-        try:
-            os.utime(self._path(kind, key))
-        except OSError:
-            return False
-        return True
 
     def _remote_get(self, kind: str, key: str) -> Optional[Any]:
         """Read-through fetch from the remote tier; ``None`` on any miss
@@ -259,16 +247,8 @@ class CacheStore:
                 remote=self.remote, **fields,
             )
 
-    def put(self, kind: str, key: str, obj: Any,
-            exclusive: bool = False) -> bool:
-        """Store ``obj``; False (silently) when the store is unwritable.
-
-        ``exclusive`` is for immutable, content-addressed entries: the
-        entry is created only if absent, atomically, so of several
-        processes racing to store the same entry exactly one writes it
-        (and counts a put); the others return True having written
-        nothing.
-        """
+    def put(self, kind: str, key: str, obj: Any) -> bool:
+        """Store ``obj``; False (silently) when the store is unwritable."""
         if not self._writable:
             return False
         path = self._path(kind, key)
@@ -281,15 +261,7 @@ class CacheStore:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(payload)
-                if exclusive:
-                    try:
-                        os.link(tmp, path)  # atomic: exactly one racer wins
-                    except FileExistsError:
-                        return True
-                    finally:
-                        os.unlink(tmp)
-                else:
-                    os.replace(tmp, path)  # atomic: racers all win
+                os.replace(tmp, path)  # atomic: racers all win
             except BaseException:
                 try:
                     os.unlink(tmp)

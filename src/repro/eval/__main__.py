@@ -192,10 +192,6 @@ def main(argv=None) -> int:
             print(f"[{name} completed in {mark['t1'] - mark['t0']:.1f}s]\n")
         wall_clock = time.perf_counter() - wall_start
 
-        # Flush this process's dirty artifacts before reading the final
-        # disk counters.
-        artifact_cache.persist_caches()
-
         ledger = telemetry.LEDGER
         profile = PROFILER.table(COUNTERS.snapshot(), ledger.records)
         dispatch = fast_dispatch.dispatch_stats()
@@ -222,7 +218,6 @@ def main(argv=None) -> int:
                     "aggregates": {
                         "section_cache_hits": sect["hits"],
                         "section_cache_misses": sect["misses"],
-                        "section_disk_loads": sect["disk_loads"],
                         "disk_cache_hits": disk["hits"],
                         "disk_cache_misses": disk["misses"],
                         "disk_cache_puts": disk["puts"],

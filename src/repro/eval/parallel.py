@@ -574,10 +574,6 @@ def job_payload(job: SimJob, settings: EvalSettings,
             span["t1"] = time.perf_counter()
     records = [rec.to_dict() for rec in ledger.records[n_records:]]
     del ledger.records[n_records:]
-    # A long-lived server must not hold newly enumerated artifacts back
-    # from its peers until it exits, so flush them now.  Dirty tracking
-    # in repro.sim.sections makes this O(maps this job grew) — usually one.
-    artifact_cache.persist_caches()
     is_batch = isinstance(result, BatchResult)
     if is_batch:
         raw = result.to_dict()

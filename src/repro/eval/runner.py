@@ -2,7 +2,6 @@
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import repro.cache as artifact_cache
 from repro.compiler.program_idempotence import profile_program_idempotent
 from repro.eval.settings import EvalSettings
 from repro.trace.trace import Trace
@@ -18,27 +17,12 @@ _PI_CACHE: Dict[str, frozenset] = {}
 
 
 def pi_words_for(trace: Trace) -> frozenset:
-    """Cached Program-Idempotence word set of a trace.
-
-    Backed by the persistent artifact store when ``REPRO_CACHE_DIR`` is
-    set: the profile is a pure function of trace content, so a warm
-    worker skips the whole-trace idempotence walk."""
+    """Cached Program-Idempotence word set of a trace."""
     key = trace.digest
     words = _PI_CACHE.get(key)
     if words is None:
-        disk_key = None
-        st = artifact_cache.store()
-        if st is not None:
-            disk_key = artifact_cache.content_key("pi_words", key)
-            loaded = st.get("pi", disk_key)
-            if isinstance(loaded, (set, frozenset)):
-                words = frozenset(loaded)
-        if words is None:
-            words = profile_program_idempotent(trace)
-            if disk_key is not None:
-                st.put("pi", disk_key, words)
-        _PI_CACHE[key] = words
-    return _PI_CACHE[key]
+        words = _PI_CACHE[key] = profile_program_idempotent(trace)
+    return words
 
 
 def benchmark_traces(settings: EvalSettings, size: Optional[str] = None) -> List[Tuple[str, Trace]]:

@@ -179,50 +179,6 @@ class ArchAccumulator:
         self.section_accesses += other.section_accesses
         self.section_cycles += other.section_cycles
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-safe after key stringification in
-        :meth:`ArchCollector.to_summary`)."""
-        return {
-            "causes": dict(self.causes),
-            "ckpt_cycles_by_cause": dict(self.ckpt_cycles_by_cause),
-            "occ_commit": {b: list(h) for b, h in self.occ_commit.items()},
-            "hazards": [
-                [waddr, cause, n]
-                for (waddr, cause), n in self.hazards.items()
-            ],
-            "hazards_dropped": self.hazards_dropped,
-            "sections": [
-                [key, list(peaks)] for key, peaks in self.sections.items()
-            ],
-            "sections_dropped": self.sections_dropped,
-            "commits": self.commits,
-            "section_accesses": self.section_accesses,
-            "section_cycles": self.section_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ArchAccumulator":
-        acc = cls()
-        acc.causes = dict(d.get("causes", {}))
-        acc.ckpt_cycles_by_cause = dict(d.get("ckpt_cycles_by_cause", {}))
-        occ = d.get("occ_commit", {})
-        for b in BUFFERS:
-            h = occ.get(b)
-            if h:
-                acc.occ_commit[b] = list(h)
-        acc.hazards = {
-            (int(waddr), cause): n for waddr, cause, n in d.get("hazards", ())
-        }
-        acc.hazards_dropped = d.get("hazards_dropped", 0)
-        acc.sections = {
-            int(key): tuple(peaks) for key, peaks in d.get("sections", ())
-        }
-        acc.sections_dropped = d.get("sections_dropped", 0)
-        acc.commits = d.get("commits", 0)
-        acc.section_accesses = d.get("section_accesses", 0)
-        acc.section_cycles = d.get("section_cycles", 0)
-        return acc
-
 
 class ArchCollector:
     """Process-wide aggregation point, keyed ``(workload, config)``.

@@ -188,8 +188,8 @@ class MetricsRegistry:
 
 #: The process-wide sweep counters: trace cache (``traces.*``), section
 #: maps and family scans (``sections.*``), fast-path dispatch
-#: (``dispatch.*``), batched replay (``batch.*``) and the disk artifact
-#: cache (``cache.*``).  Each owning module reads its keys back through
+#: (``dispatch.*``), batched replay (``batch.*``) and the disk result
+#: store (``cache.*``).  Each owning module reads its keys back through
 #: its own ``*_stats()`` view.
 COUNTERS = MetricsRegistry()
 

@@ -142,11 +142,10 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
     table_bytes = get("sections.table_bytes", 0)
     if hits or misses:
         rate = hits / (hits + misses)
-        warm_disk = min(get("sections.disk_loads", 0), misses)
         lines.append(
             f"-- section maps: {hits} hits / {misses} misses "
             f"({rate:.1%} hit rate); {hits} warm from memory, "
-            f"{warm_disk} warm from disk, {misses - warm_disk} cold"
+            f"{misses} cold"
             + (f"; {evictions} evictions" if evictions else "")
             + (f", {rebuilds} rebuilds" if rebuilds else "")
             + (

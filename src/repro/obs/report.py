@@ -8,7 +8,7 @@ This module turns that file into the questions people actually ask of it:
   simulator vs the persistent result cache,
 * **fallback reasons** — when the fast path refused, why (typed),
 * **cache-tier funnel** — result-cache outcomes per run, plus the
-  section-map and disk-artifact aggregates from the sweep footer,
+  section-map and result-store aggregates from the sweep footer,
 * **per-driver timings** — wall-clock and run counts per experiment
   driver, from the ledger's driver marks,
 * **slowest runs** — the stragglers worth profiling next.
@@ -167,8 +167,7 @@ def render_text(ledger: telemetry.Ledger, top: int = 10,
             rate = sh / (sh + sm) if (sh + sm) else 0.0
             lines.append(
                 f"   section maps: {sh} hits / {sm} misses "
-                f"({rate:.1%} hit rate), "
-                f"{agg.get('section_disk_loads', 0)} warm from disk"
+                f"({rate:.1%} hit rate)"
             )
         dh = agg.get("disk_cache_hits", 0)
         dm = agg.get("disk_cache_misses", 0)

@@ -2,7 +2,7 @@
 
 Binds, prints ``serving on http://host:port`` (flushed, so wrappers can
 wait for readiness by reading one line), then serves until interrupted.
-Set ``REPRO_CACHE_DIR`` to give the server a persistent artifact store
+Set ``REPRO_CACHE_DIR`` to give the server a persistent result store
 — without it only the in-memory and coalescing tiers dedupe — and
 ``REPRO_CACHE_REMOTE`` to read through to another server's
 ``/artifact`` endpoint.

@@ -25,7 +25,7 @@ One :class:`SweepServer` owns three layers:
   payloads (``memory``), in-flight **single-flight coalescing**
   (``coalesced``: a request whose key is already simulating awaits the
   same future — two clients posting the same key share one execution),
-  and the persistent artifact store consulted inside ``execute_job``
+  and the persistent result store consulted inside ``execute_job``
   (``disk``, or ``remote`` when the store's read-through tier fetched
   it from a peer).  Only a full miss reaches the simulator
   (``computed``).

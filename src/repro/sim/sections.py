@@ -52,7 +52,6 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
   to the reference simulator.  See :mod:`repro.sim.fast`.
 """
 
-import hashlib
 import os
 from array import array
 from bisect import bisect_left
@@ -60,12 +59,10 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import repro.cache as artifact_cache
 from repro.core import cext as _cext
 from repro.core.cext import CAUSE_NAMES as _CAUSE_NAMES
 from repro.core.config import ClankConfig
 from repro.core.detector import (
-    POLICY_REV,
     IdempotencyDetector,
     chain_scan_engine,
     kernel_params,
@@ -131,8 +128,7 @@ class SectionMap:
         "ct", "config", "n", "pi_words", "pi_indices", "forced",
         "_forced_sorted", "_sections", "pi_hazard", "_detector",
         "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
-        "_disk_key", "_loaded_n", "_flat", "_mat_n", "_flat_persisted",
-        "_ov", "_tab", "walk_draws", "__weakref__",
+        "_flat", "_ov", "_tab", "walk_draws", "__weakref__",
     )
 
     def __init__(
@@ -177,17 +173,13 @@ class SectionMap:
             and bool(self.pi_indices)
             and ct.pi_write_hazard(self.pi_words, self.pi_indices)
         )
-        #: Flat canonical-chain storage installed by a family scan (or a
-        #: disk load of one): ``(keys, ends, cause_ids, steps_off,
-        #: steps)`` parallel arrays sorted by key, read-only and shared
-        #: with every map over the trace that has equal tables
-        #: (:class:`_Tables`).  The C section walk reads them in place;
-        #: ``section()`` serves them per key into the dict memo, and
-        #: ``_mat_n`` counts those flat-covered dict entries so the dirty
-        #: test sees only genuinely new enumerations.
+        #: Flat canonical-chain storage installed by a family scan:
+        #: ``(keys, ends, cause_ids, steps_off, steps)`` parallel arrays
+        #: sorted by key, read-only and shared with every map over the
+        #: trace that has equal tables (:class:`_Tables`).  The C section
+        #: walk reads them in place; ``section()`` serves them per key
+        #: into the dict memo.
         self._flat = None
-        self._mat_n = 0
-        self._flat_persisted = False
         #: The C section walk's state (:mod:`repro.sim.fast`): the
         #: overlay of off-chain sections (built on the first off-chain
         #: resolve), the walk's table (built on the first C-walked run),
@@ -195,40 +187,6 @@ class SectionMap:
         self._ov = None
         self._tab = None
         self.walk_draws = 1
-        # Persistent artifact store: seed the memo from a previous run's
-        # (or a sibling worker's) enumeration of this exact key.
-        self._disk_key = None
-        self._loaded_n = 0
-        st = artifact_cache.store()
-        if st is not None:
-            self._disk_key = artifact_cache.content_key(
-                "sections", POLICY_REV, trace.digest,
-                config.as_tuple(), config.prefix_low_bits,
-                (opts.ignore_false_writes, opts.remove_duplicates,
-                 opts.no_wf_overflow, opts.ignore_text,
-                 opts.latest_checkpoint),
-                tuple(sorted(self.pi_words)),
-                tuple(sorted(self.pi_indices)),
-                self._forced_sorted,
-            )
-            loaded = st.get("sections", self._disk_key)
-            if isinstance(loaded, dict):
-                _DISK_LOADS.inc()
-                self._sections.update(loaded)
-                self._loaded_n = len(self._sections)
-            elif (
-                isinstance(loaded, tuple) and len(loaded) == 3
-                and loaded[0] == _FLAT_TAG
-            ):
-                # A record whose table artifact is gone (evicted) loads
-                # as a clean miss: the map enumerates afresh.
-                flat = _tables(ct).load(st, loaded[1])
-                if flat is not None:
-                    _DISK_LOADS.inc()
-                    self._flat = flat
-                    self._flat_persisted = True
-                    self._sections.update(loaded[2])
-                    self._loaded_n = len(self._sections)
 
     def section(self, start: int, variant: int) -> Section:
         """The memoized section beginning at ``start`` under ``variant``.
@@ -249,8 +207,6 @@ class SectionMap:
             self._ingest_chain(start, variant)
             _ENUM_SECONDS.inc(perf_counter() - t0)
             sec = self._sections[key]
-            if self._disk_key is not None:
-                _DIRTY.add(self)
         return sec
 
     def _flat_has(self, key: int) -> bool:
@@ -264,7 +220,7 @@ class SectionMap:
 
     def _flat_get(self, key: int) -> Optional[Section]:
         """Serve ``key`` from flat storage, materializing into the dict
-        memo (not counted as growth by the persist dirty test)."""
+        memo."""
         keys, ends, causes, soff, sval = self._flat
         j = bisect_left(keys, key)
         if j >= len(keys) or keys[j] != key:
@@ -273,7 +229,6 @@ class SectionMap:
         a, b = soff[j], soff[j + 1]
         sec = (ends[j], cause, kind, sval[a:b] if b > a else ())
         self._sections[key] = sec
-        self._mat_n += 1
         return sec
 
     def ensure_flat(self) -> None:
@@ -285,43 +240,6 @@ class SectionMap:
         """
         if self._flat is None:
             _family_scan_chunk(self.config.prefix_low_bits, [self])
-
-    def _needs_persist(self) -> bool:
-        """Whether a persist would write anything new to the store."""
-        if self._disk_key is None:
-            return False
-        if self._flat is not None and not self._flat_persisted:
-            return True
-        return len(self._sections) - self._mat_n > self._loaded_n
-
-    def persist(self) -> None:
-        """Write newly-enumerated sections to the artifact store (no-op
-        when clean, never loaded against a store, or the store is gone)."""
-        if not self._needs_persist():
-            return
-        st = artifact_cache.store()
-        if st is None:
-            return
-        if self._flat is not None:
-            # The flat canonical chain by content hash (its table is
-            # stored once, shared by every map with equal tables) + the
-            # dict entries it does not cover (non-canonical chains from
-            # watchdog-cut starts).
-            digest = _tables(self.ct).persist(st, self._flat)
-            if digest is None:
-                return
-            extras = {
-                k: v for k, v in self._sections.items()
-                if not self._flat_has(k)
-            }
-            record = (_FLAT_TAG, digest, extras)
-            if st.put("sections", self._disk_key, record):
-                self._loaded_n = len(extras)
-                self._mat_n = len(self._sections) - len(extras)
-                self._flat_persisted = True
-            return
-        if st.put("sections", self._disk_key, self._sections):
-            self._loaded_n = len(self._sections)
 
     def _chain_engine(self):
         """The map's C chain-scan engine, or ``None`` without a kernel.
@@ -645,7 +563,6 @@ _HITS = COUNTERS.counter("sections.hits")
 _MISSES = COUNTERS.counter("sections.misses")
 _EVICTIONS = COUNTERS.counter("sections.evictions")
 _REBUILDS = COUNTERS.counter("sections.rebuilds")
-_DISK_LOADS = COUNTERS.counter("sections.disk_loads")
 _ENUM_SECONDS = COUNTERS.counter("sections.enum_seconds")
 
 #: Family-scan amortization: passes of the batched kernel, maps those
@@ -662,19 +579,6 @@ _TABLE_BYTES = COUNTERS.counter("sections.table_bytes")
 
 #: Keys evicted from the LRU (rebuild detection).
 _EVICTED_KEYS: set = set()
-
-#: Maps evicted from the LRU while dirty wait here for the next
-#: :func:`repro.cache.persist_caches` flush — spilling to disk mid-run
-#: would put file I/O on the enumeration hot path.  Bounded: overflow
-#: simply drops the oldest spill (it re-enumerates on a future miss).
-_SPILL: list = []
-_MAX_SPILLED = 8192
-
-#: Cached maps whose memo grew since their last persist.  The flush hook
-#: walks only this set (plus the spill list), so the per-job flush the
-#: sweep server issues is O(maps that job actually dirtied), not
-#: O(everything cached).
-_DIRTY: set = set()
 
 
 def _map_key(
@@ -719,16 +623,7 @@ def get_section_map(
     _CACHE[key] = smap
     while len(_CACHE) > _MAX_CACHED_MAPS:
         _EVICTIONS.inc()
-        ekey, evicted = _CACHE.popitem(last=False)
-        _EVICTED_KEYS.add(ekey)
-        _DIRTY.discard(evicted)
-        if evicted._needs_persist():
-            if len(_SPILL) < _MAX_SPILLED:
-                _SPILL.append(evicted)
-            else:
-                # Spill queue full: persist inline rather than silently
-                # dropping the enumeration (a re-miss would rebuild it).
-                evicted.persist()
+        _EVICTED_KEYS.add(_CACHE.popitem(last=False)[0])
     return smap
 
 
@@ -748,17 +643,8 @@ def ensure_lru_capacity(n: int) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Shared flat tables: one copy per distinct table, in memory and on disk.
+# Shared flat tables: one copy per distinct table.
 # --------------------------------------------------------------------- #
-
-#: Payload tag of a flat map record, ``(tag, table digest, extras)``.
-#: Records under an older tag (``"flat1"`` held the table inline) load
-#: as misses and are rewritten.
-_FLAT_TAG = "flat2"
-
-#: The flat tables' typecodes: keys, ends, cause ids, steps offsets,
-#: steps.  The C kernels read them in place, so a load pins them.
-_TABLE_TYPECODES = "qiBqi"
 
 
 class _Tables:
@@ -770,24 +656,17 @@ class _Tables:
     are read-only once installed, so sharing is exact.  Candidates are
     bucketed by ``(sections, steps)`` and confirmed with ``array ==``
     (newest first: adjacent family members agree most often), which
-    keeps hashing off the enumeration path.  A table is hashed only
-    when it is first persisted (:meth:`persist`): the artifact store
-    holds it once under that digest, and each map record names it.
+    keeps hashing off the enumeration path.
 
     The registry lives on :attr:`CompiledTrace.section_tables`, so it
     and its tables are freed with the trace; nothing in it refers back
     to a map or the trace.
     """
 
-    __slots__ = ("by_shape", "by_digest", "digest_of")
+    __slots__ = ("by_shape",)
 
     def __init__(self):
         self.by_shape: Dict[Tuple[int, int], List[tuple]] = {}
-        #: Tables whose digest is known (persisted or loaded), by
-        #: digest, and the reverse (by ``id``: every table here is
-        #: pinned by ``by_shape``).
-        self.by_digest: Dict[str, tuple] = {}
-        self.digest_of: Dict[int, str] = {}
 
     def intern(self, table: tuple) -> tuple:
         """The held table equal to ``table``, else ``table``, now held."""
@@ -800,52 +679,6 @@ class _Tables:
                 return held
         bucket.append(table)
         _TABLE_BYTES.inc(sum(a.itemsize * len(a) for a in table))
-        return table
-
-    def persist(self, st, table: tuple) -> Optional[str]:
-        """Store ``table`` under its content digest unless the store
-        already holds it; the digest, or ``None`` when the store dropped
-        the write.  The store, not this registry, says what is stored:
-        a sibling worker may have written the table, and a registry
-        outlives a switch of store."""
-        digest = self.digest_of.get(id(table))
-        if digest is None:
-            h = hashlib.sha256(
-                repr((artifact_cache.CACHE_VERSION, _FLAT_TAG,
-                      len(table[0]), len(table[4]))).encode()
-            )
-            for a in table:
-                h.update(a)
-            digest = h.hexdigest()
-            self.by_digest[digest] = table
-            self.digest_of[id(table)] = digest
-        if (st.touch("section_tables", digest)
-                or st.put("section_tables", digest, table, exclusive=True)):
-            return digest
-        return None
-
-    def load(self, st, digest: str) -> Optional[tuple]:
-        """The table stored under ``digest``, shared with any equal table
-        already held; ``None`` when the store has no such table."""
-        table = self.by_digest.get(digest)
-        if table is not None:
-            _TABLES_SHARED.inc()
-            return table
-        loaded = st.get("section_tables", digest)
-        if not (isinstance(loaded, tuple) and len(loaded) == 5):
-            return None
-        table = tuple(
-            a if isinstance(a, array) and a.typecode == tc else array(tc, a)
-            for a, tc in zip(loaded, _TABLE_TYPECODES)
-        )
-        keys, ends, causes, soff, steps = table
-        # The C walk indexes steps through soff: check the shape first.
-        if not (len(ends) == len(causes) == len(keys) == len(soff) - 1
-                and soff[0] == 0 and soff[-1] == len(steps)):
-            return None
-        table = self.intern(table)
-        self.by_digest[digest] = table
-        self.digest_of[id(table)] = digest
         return table
 
 
@@ -881,11 +714,11 @@ def build_family(
     batched kernel call (:mod:`repro.core` family chain scan)
     enumerates all of their section tables — bit-identical to the
     per-config scalar scans, by construction.  Members already
-    enumerated (memory- or disk-warm) are skipped; a single remaining
-    member gets a one-member pass, which the family counters do not
-    count.  Returns the maps in ``configs`` order (the LRU and disk
-    cache are populated either way).  Without the C kernel there is no
-    pass here: maps then enumerate lazily per config.
+    enumerated are skipped; a single remaining member gets a one-member
+    pass, which the family counters do not count.  Returns the maps in
+    ``configs`` order (the LRU is populated either way).  Without the C
+    kernel there is no pass here: maps then enumerate lazily per
+    config.
     """
     maps = [
         get_section_map(
@@ -936,9 +769,6 @@ def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
         [kernel_params(m.config) for m in maps],
     )
     _distribute_events(maps, *eng.scan(0))
-    for m in maps:
-        if m._disk_key is not None:
-            _DIRTY.add(m)
     _ENUM_SECONDS.inc(perf_counter() - t0)
 
 
@@ -966,7 +796,6 @@ def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
             ev_soff[obase:obase + k + 1],
             steps_out[sbase:sbase + nst[c]],
         ))
-        m._flat_persisted = False
 
 
 def prefetch_family(
@@ -1013,33 +842,13 @@ def prefetch_family(
         )
 
 
-def _flush_to_store() -> None:
-    """Persist dirty maps (spilled and still-cached) to the artifact
-    store.  Registered with :func:`repro.cache.persist_caches`, which
-    the eval CLI invokes at exit and the sweep server invokes after each
-    job (a long-lived server must not hold its maps back from peers
-    until it exits); warm runs are ~free because only maps whose memo
-    actually grew are visited."""
-    spilled, _SPILL[:] = _SPILL[:], []
-    for smap in spilled:
-        smap.persist()
-    dirty = list(_DIRTY)
-    _DIRTY.clear()
-    for smap in dirty:
-        smap.persist()
-
-
-artifact_cache.register_persist(_flush_to_store)
-
-
 def cache_stats() -> Dict[str, float]:
     """Counters of the per-process SectionMap cache (since the last
     ``COUNTERS.reset()``).
 
     ``evictions`` counts maps pushed out of the in-memory LRU (silent
     thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the
-    guards), ``disk_loads`` counts maps/families seeded from the
-    persistent artifact store, and ``enum_seconds`` is the time spent in
+    guards), and ``enum_seconds`` is the time spent in
     section *enumeration* proper (chain and family scans), separated
     from driver wall-clock for the profile table.  ``tables_shared``
     counts maps that adopted a flat table another map already held, and
@@ -1052,7 +861,6 @@ def cache_stats() -> Dict[str, float]:
         "capacity": _MAX_CACHED_MAPS,
         "evictions": _EVICTIONS.value,
         "rebuilds": _REBUILDS.value,
-        "disk_loads": _DISK_LOADS.value,
         "enum_seconds": float(_ENUM_SECONDS.value),
         "family_passes": _FAMILY_PASSES.value,
         "family_maps": _FAMILY_MAPS.value,
@@ -1062,8 +870,6 @@ def cache_stats() -> Dict[str, float]:
 
 
 def clear_cache() -> None:
-    """Drop all cached maps and pending spills (tests)."""
+    """Drop all cached maps (tests)."""
     _CACHE.clear()
-    _SPILL.clear()
-    _DIRTY.clear()
     _EVICTED_KEYS.clear()

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-import repro.cache as artifact_cache
 from repro.common.errors import TraceError
 from repro.mem.map import MemoryMap, default_memory_map
 from repro.trace.access import READ, WRITE, Access, AccessView
@@ -92,7 +91,7 @@ class CompiledTrace:
         section_tables: The distinct flat canonical-chain tables of every
             :class:`~repro.sim.sections.SectionMap` over this trace, which
             maps with equal tables share (``None`` until the first family
-            pass or disk load creates it).  It lives here, like the
+            pass creates it).  It lives here, like the
             forced-checkpoint masks, so it is freed with the trace.
     """
 
@@ -147,23 +146,6 @@ class CompiledTrace:
             self._vol_masks[key] = mask
         return mask
 
-    def _stored(self, what: str, param, build):
-        """``build()``, through the persistent store's ``compiled`` kind
-        when one is configured (a stored form must cover all ``n``)."""
-        st = artifact_cache.store()
-        if st is None:
-            return build()
-        dkey = artifact_cache.content_key(what, self.digest, param)
-        loaded = st.get("compiled", dkey)
-        if (
-            isinstance(loaded, tuple) and loaded
-            and isinstance(loaded[0], array) and len(loaded[0]) == self.n
-        ):
-            return loaded
-        built = build()
-        st.put("compiled", dkey, built)
-        return built
-
     def scan_arrays(self, text_lo: int, text_hi: int) -> Tuple[array, array, int]:
         """``(ops, word_ids, n_words)`` for the section-structure scan.
 
@@ -180,19 +162,15 @@ class CompiledTrace:
         key = (text_lo, text_hi)
         cached = self._scan_arrays.get(key)
         if cached is None:
-            def build():
-                ids: Dict[int, int] = {}
-                intern = ids.setdefault
-                wids = array("i", [intern(w, len(ids)) for w in self.waddrs])
-                ops = array("B", [
-                    k | (text_lo <= w < text_hi) << 1 | o << 2 | f << 3
-                    for k, w, o, f in zip(self.kinds, self.waddrs,
-                                          self.out_writes, self.false_writes)
-                ])
-                return ops, wids, len(ids)
-
-            cached = self._scan_arrays[key] = self._stored(
-                "scan_arrays", key, build)
+            ids: Dict[int, int] = {}
+            intern = ids.setdefault
+            wids = array("i", [intern(w, len(ids)) for w in self.waddrs])
+            ops = array("B", [
+                k | (text_lo <= w < text_hi) << 1 | o << 2 | f << 3
+                for k, w, o, f in zip(self.kinds, self.waddrs,
+                                      self.out_writes, self.false_writes)
+            ])
+            cached = self._scan_arrays[key] = (ops, wids, len(ids))
         return cached
 
     def prefix_ids(self, shift: int) -> Tuple[array, int]:
@@ -205,15 +183,11 @@ class CompiledTrace:
         """
         cached = self._prefix_ids.get(shift)
         if cached is None:
-            def build():
-                ids: Dict[int, int] = {}
-                intern = ids.setdefault
-                pids = array("i", [intern(w >> shift, len(ids))
-                                   for w in self.waddrs])
-                return pids, len(ids)
-
-            cached = self._prefix_ids[shift] = self._stored(
-                "prefix_ids", shift, build)
+            ids: Dict[int, int] = {}
+            intern = ids.setdefault
+            pids = array("i", [intern(w >> shift, len(ids))
+                               for w in self.waddrs])
+            cached = self._prefix_ids[shift] = (pids, len(ids))
         return cached
 
     def pi_write_hazard(self, pi_words, pi_indices) -> bool:

@@ -1,20 +1,16 @@
-"""Persistent artifact cache: robustness contract + warm equivalence.
+"""Persistent result store: robustness contract + warm equivalence.
 
 Exercises the contract documented in :mod:`repro.cache.store`:
 corrupted entries load as misses and are repaired, eviction respects
-the size cap, a sweep's writers never leave partial files, and a
-disabled or unwritable store degrades silently.  On top
-of the store, the integration layers are checked end-to-end: a
-SectionMap warm-loaded from disk answers bit-identically, and the
-whole-result cache round-trips (with the ``--verify`` exclusion and
-the ``"stalled"`` sentinel).
+the size cap, a sweep's writers never leave partial files and store
+only whole results, and a disabled or unwritable store degrades
+silently.  On top of the store, the whole-result cache is checked
+end-to-end: it round-trips (with the ``--verify`` exclusion and the
+``"stalled"`` sentinel).
 """
 
-import itertools
 import os
 import pickle
-import shutil
-from array import array
 
 import pytest
 
@@ -23,14 +19,7 @@ from repro.cache.store import CacheStore, _EVICT_CHECK_INTERVAL
 from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.metrics import COUNTERS
-from repro.core import cext
-from repro.core.config import ClankConfig
-from repro.power.schedules import ExponentialPower
 from repro.sim import sections
-from repro.sim.fast import simulate_fast
-from repro.sim.sections import SectionMap, VARIANT_NORMAL
-from repro.workloads.cache import get_trace
-from repro.workloads.registry import get_workload
 
 QUICK = EvalSettings(size="small", sweep_size="tiny", seed=2)
 
@@ -58,30 +47,6 @@ def _enable(monkeypatch, tmp_path, max_mb=None):
     return st
 
 
-def _walk(smap):
-    """Materialize the failure-free chain from (0, NORMAL)."""
-    from repro.sim.sections import (
-        SEC_FORCED, SEC_OUTPUT, SEC_TEXT, VARIANT_DIRECT,
-        VARIANT_FORCED_DONE,
-    )
-
-    out = []
-    s, v = 0, VARIANT_NORMAL
-    while s < smap.n:
-        sec = smap.section(s, v)
-        out.append(((s, v), sec))
-        end, _, kind, _ = sec
-        if end >= smap.n:
-            break
-        if kind == SEC_FORCED:
-            s, v = end, VARIANT_FORCED_DONE
-        elif kind == SEC_TEXT:
-            s, v = end, VARIANT_DIRECT
-        else:
-            s, v = (end + 1 if kind == SEC_OUTPUT else end), VARIANT_NORMAL
-    return out
-
-
 class TestStoreBasics:
     def test_round_trip_and_stats(self, tmp_path):
         st = CacheStore(str(tmp_path), 1 << 30)
@@ -101,7 +66,6 @@ class TestStoreBasics:
 
     def test_disabled_without_env(self):
         assert artifact_cache.store() is None
-        artifact_cache.persist_caches()  # must no-op, not raise
 
     def test_blank_env_is_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "   ")
@@ -166,29 +130,6 @@ class TestCorruption:
         assert st.get("k", key) is None
         assert st.errors == 1
 
-    def test_corrupt_sections_entry_recomputes_identically(
-        self, monkeypatch, tmp_path
-    ):
-        trace = get_trace("crc", size="small")
-        from repro.core.config import ClankConfig
-
-        config = ClankConfig.from_tuple((8, 4, 2, 2))
-        ref = _walk(SectionMap(trace, config))  # cache off: ground truth
-        sections.clear_cache()
-
-        st = _enable(monkeypatch, tmp_path)
-        smap = SectionMap(trace, config)
-        _walk(smap)
-        smap.persist()
-        path = st._path("sections", smap._disk_key)
-        assert os.path.exists(path)
-        with open(path, "wb") as fh:
-            fh.write(b"\x80corrupt")
-        sections.clear_cache()
-        again = SectionMap(trace, config)
-        assert again._loaded_n == 0  # corrupt load fell back to cold
-        assert _walk(again) == ref
-
 
 class TestEviction:
     def test_eviction_respects_size_cap(self, tmp_path):
@@ -214,35 +155,16 @@ class TestEviction:
         st.get("k", key)
         assert os.stat(path).st_mtime > 0
 
-    def test_touch_reports_and_freshens(self, tmp_path):
-        st = CacheStore(str(tmp_path), 1 << 30)
-        key = "aa" * 32
-        assert not st.touch("k", key)  # not stored
-        st.put("k", key, 1)
-        path = st._path("k", key)
-        os.utime(path, (0, 0))
-        assert st.touch("k", key)
-        assert os.stat(path).st_mtime > 0
-
-    def test_exclusive_put_has_one_writer(self, tmp_path):
-        """Two processes' stores racing to put one content-addressed
-        entry: the first writes it and counts the put, the second
-        writes nothing; a plain put still overwrites."""
-        first = CacheStore(str(tmp_path), 1 << 30)
-        second = CacheStore(str(tmp_path), 1 << 30)
-        key = "ab" * 32
-        assert first.put("k", key, "first", exclusive=True)
-        assert second.put("k", key, "second", exclusive=True)
-        assert (first.puts, second.puts) == (1, 0)
-        assert second.get("k", key) == "first"
-        assert not [name for _, _, names in os.walk(tmp_path)
-                    for name in names if name.endswith(".tmp")]
-        assert second.put("k", key, "second")
-        assert first.get("k", key) == "second"
-
     def test_store_max_mb_env(self, monkeypatch, tmp_path):
-        st = _enable(monkeypatch, tmp_path, max_mb=1)
-        assert st.max_bytes == 1024 * 1024
+        """A finite cap of at least one byte is taken as given.  Any
+        other value neither crashes the store nor empties it: it falls
+        back to the 512 MB default, as an unparsable one does."""
+        for raw, want in [("1", 1 << 20), ("nan", 512 << 20),
+                          ("inf", 512 << 20), ("-5", 512 << 20),
+                          ("0", 512 << 20), ("1e-9", 512 << 20),
+                          ("lots", 512 << 20)]:
+            st = _enable(monkeypatch, tmp_path, max_mb=raw)
+            assert st.max_bytes == want, raw
 
 
 class TestDegradation:
@@ -269,131 +191,6 @@ class TestDegradation:
             f for dp, _, fs in os.walk(str(tmp_path)) for f in fs
         ]
         assert leftovers == []
-
-
-class TestSectionMapWarmLoad:
-    def test_warm_load_is_bit_identical(self, monkeypatch, tmp_path):
-        trace = get_trace("crc", size="small")
-        from repro.core.config import ClankConfig
-
-        config = ClankConfig.from_tuple((8, 4, 2, 2))
-        ref = _walk(SectionMap(trace, config))  # cache disabled
-        sections.clear_cache()
-
-        _enable(monkeypatch, tmp_path)
-        cold = SectionMap(trace, config)
-        assert cold._loaded_n == 0
-        _walk(cold)
-        artifact_cache.persist_caches()  # the registered flush hook
-        sections.clear_cache()
-
-        warm = SectionMap(trace, config)
-        assert warm._loaded_n > 0
-        assert _walk(warm) == ref
-
-    def test_persist_skips_clean_maps(self, monkeypatch, tmp_path):
-        trace = get_trace("crc", size="small")
-        from repro.core.config import ClankConfig
-
-        st = _enable(monkeypatch, tmp_path)
-        smap = SectionMap(trace, ClankConfig.from_tuple((8, 4, 2, 2)))
-        _walk(smap)
-        smap.persist()
-        puts = st.puts
-        smap.persist()  # nothing new enumerated since the last flush
-        assert st.puts == puts
-
-
-#: A small fft family whose members reduce to several distinct tables.
-_GRID = [ClankConfig.from_tuple(t) for t in itertools.product(
-    (1, 8, 16), (0, 4), (0, 2), (0,))]
-
-
-def _fresh_fft():
-    """A trace no in-memory cache holds: its maps and table registry
-    start empty, so anything warm comes from the store."""
-    return get_workload("fft").build(size="small")
-
-
-def _runs(trace):
-    """Fast-path results over the grid, both watchdogs on."""
-    return [
-        simulate_fast(trace, cfg, ExponentialPower(700, seed=3),
-                      verify=False, perf_watchdog="auto",
-                      progress_watchdog="auto").to_dict()
-        for cfg in _GRID
-    ]
-
-
-class TestSharedSectionTables:
-    @pytest.fixture(autouse=True)
-    def _kernel(self):
-        if cext.chain_scan_lib() is None:
-            pytest.skip("C kernel unavailable")
-
-    def _populate(self, monkeypatch, tmp_path):
-        ref = _runs(_fresh_fft())  # cache disabled
-        sections.clear_cache()
-        _enable(monkeypatch, tmp_path)
-        sections.build_family(_fresh_fft(), _GRID)
-        artifact_cache.persist_caches()
-        sections.clear_cache()
-        return ref
-
-    def test_warm_maps_share_tables(self, monkeypatch, tmp_path):
-        self._populate(monkeypatch, tmp_path)
-        trace = _fresh_fft()
-        maps = [sections.get_section_map(trace, cfg) for cfg in _GRID]
-        assert all(m._flat is not None for m in maps)  # loaded warm
-        groups = {}
-        for m in maps:
-            content = tuple(a.tobytes() for a in m._flat)
-            groups.setdefault(content, []).append(m._flat)
-        assert len(groups) > 1 and len(groups) < len(maps)
-        for tables in groups.values():
-            assert all(t is tables[0] for t in tables)
-        # Each distinct table is stored once.
-        stored = sum(len(files) for _d, _s, files
-                     in os.walk(os.path.join(str(tmp_path), "section_tables")))
-        assert stored == len(groups)
-
-    @pytest.mark.parametrize("damage", ["evicted", "malformed"])
-    def test_lost_table_is_a_clean_miss(self, monkeypatch, tmp_path,
-                                        damage):
-        ref = self._populate(monkeypatch, tmp_path)
-        tables_dir = os.path.join(str(tmp_path), "section_tables")
-        if damage == "evicted":
-            shutil.rmtree(tables_dir)
-        else:
-            # Well-formed pickles whose steps offsets overrun the steps.
-            bad = (array("q", [0]), array("i", [1]), array("B", [0]),
-                   array("q", [0, 9]), array("i"))
-            for dirpath, _dirs, files in os.walk(tables_dir):
-                for fname in files:
-                    with open(os.path.join(dirpath, fname), "wb") as fh:
-                        pickle.dump(bad, fh)
-        trace = _fresh_fft()
-        maps = [sections.get_section_map(trace, cfg) for cfg in _GRID]
-        assert all(m._loaded_n == 0 and m._flat is None for m in maps)
-        assert _runs(trace) == ref
-        # The re-enumerated tables are stored again on the next flush.
-        artifact_cache.persist_caches()
-        assert os.path.isdir(tables_dir)
-
-    def test_stale_flat1_entry_is_ignored(self, monkeypatch, tmp_path):
-        trace = get_trace("crc", size="small")
-        config = ClankConfig.from_tuple((8, 4, 2, 2))
-        ref = _walk(SectionMap(trace, config))  # cache disabled
-        st = _enable(monkeypatch, tmp_path)
-        smap = SectionMap(trace, config)
-        # The inline-table layout this store no longer reads, holding a
-        # table that would mis-serve section (0, NORMAL) if it loaded.
-        stale = ("flat1", array("q", [0]), array("i", [1]),
-                 array("B", [0]), array("q", [0, 0]), array("i"), {})
-        assert st.put("sections", smap._disk_key, stale)
-        again = SectionMap(trace, config)
-        assert again._loaded_n == 0 and again._flat is None
-        assert _walk(again) == ref
 
 
 class TestResultCache:
@@ -443,9 +240,10 @@ class TestSweepWriters:
     def test_sweep_writers_leave_a_clean_store(
         self, monkeypatch, tmp_path
     ):
-        """A sweep's puts land in one directory; afterwards every entry
-        unpickles (atomic os.replace — no partial files), no temp
-        litter remains, and cold, warm and cache-off results agree."""
+        """A sweep's puts land in one directory and hold only whole
+        results; afterwards every entry unpickles (atomic os.replace —
+        no partial files), no temp litter remains, and cold, warm and
+        cache-off results agree."""
         jobs = [
             SimJob(workload=w, config=c, size="tiny", salt=s)
             for w in ("crc", "qsort")
@@ -453,9 +251,13 @@ class TestSweepWriters:
             for s in (0, 1)
         ]
         off = run_jobs(jobs, QUICK)  # cache disabled
+        sections.clear_cache()  # the store-backed sweep builds its maps
         _enable(monkeypatch, tmp_path)
         first = run_jobs(jobs, QUICK)
+        # Everything a finishing process would write is written: the
+        # store holds whole results and nothing else.
         artifact_cache.persist_caches()
+        assert os.listdir(str(tmp_path)) == ["result"]
         for dirpath, _dirnames, filenames in os.walk(str(tmp_path)):
             for fname in filenames:
                 assert not fname.endswith(".tmp"), "temp litter"

@@ -42,7 +42,6 @@ def sample_ledger():
                 "dispatch": {"fast": 2, "fallback": 1},
                 "aggregates": {"section_cache_hits": 3,
                                "section_cache_misses": 2,
-                               "section_disk_loads": 1,
                                "disk_cache_hits": 1,
                                "disk_cache_misses": 3,
                                "disk_cache_puts": 3}},
@@ -104,6 +103,7 @@ class TestRenderText:
         assert "cache-tier funnel" in text
         assert "per-driver timings" in text
         assert "slowest runs" in text
+        assert "section maps: 3 hits / 2 misses (60.0% hit rate)\n" in text
         assert "artifact cache (disk): 1 hits / 3 misses" in text
 
     def test_empty_ledger_renders(self):

@@ -380,7 +380,6 @@ class TestRemoteTier:
         artifact_cache.reset_for_tests()
         job = GRID[0]
         parallel.execute_job(job, SETTINGS)
-        artifact_cache.persist_caches()
         kind, key = result_key(job, SETTINGS)
         assert artifact_cache.store().get(kind, key) is not None
         return kind, key

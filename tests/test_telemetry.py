@@ -299,7 +299,6 @@ class TestDiskCacheProvenance:
         try:
             LEDGER.enable()
             run_jobs(jobs, QUICK)
-            artifact_cache.persist_caches()
             cold = [(r.engine, r.result_cache) for r in LEDGER.records]
             assert all(cache == "miss" for _, cache in cold)
 
