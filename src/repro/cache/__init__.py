@@ -1,34 +1,31 @@
 """Persistent content-addressed result store (``repro.cache``).
 
 A sweep job's whole result is a pure function of its workload, trace
-content, configuration, power schedule and marking.  This package
-keeps those results (kind ``result``, written and read by
-:mod:`repro.eval.parallel`) under ``REPRO_CACHE_DIR``, so processes
-sharing the directory (a sweep server, local evals) share finished
-runs and a repeat evaluation answers without simulating.  Every
-intermediate artifact — compiled-trace arrays, Program-Idempotence
-profiles, section maps and their tables — is rebuilt in memory:
-re-deriving them costs less than pickling and loading them.
-Everything is best-effort: with the variable unset nothing touches
-the filesystem, and any I/O failure degrades to a plain miss.
+content, configuration, power schedule and marking.  This package keeps
+those results (kind ``result``, written and read by
+:mod:`repro.eval.parallel`) under ``REPRO_CACHE_DIR`` as checksummed JSON
+in append-only pack segments (:mod:`repro.cache.store`), so processes
+sharing the directory (a sweep server, local evals) share finished runs
+and a repeat evaluation answers without simulating.  Intermediate
+artifacts are rebuilt in memory.  Everything is best-effort: with the
+variable unset nothing touches the filesystem, and a damaged entry or
+failed write degrades to a counted miss.
 
 Public surface:
 
 * :func:`store` — the process's :class:`~repro.cache.store.CacheStore`
-  (``None`` when disabled).  Resolved once per process from
-  ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_MB`` /
-  ``REPRO_CACHE_REMOTE`` (read-through peer URL, see
-  :mod:`repro.cache.store`); :func:`reset_for_tests` re-resolves.
+  (``None`` when disabled), resolved once from ``REPRO_CACHE_DIR`` /
+  ``REPRO_CACHE_MAX_MB`` / ``REPRO_CACHE_REMOTE`` (a read-through peer);
+  :func:`reset_for_tests` re-resolves.
 * :func:`content_key` — sha256 over a canonical ``repr`` of the parts
   (plus the format version), the addressing scheme of result keys.
-* :func:`stats` — hit/miss/put/eviction/error plus remote-tier
-  counters (``cache.*`` in :data:`repro.obs.metrics.COUNTERS`: the
-  live store's own lock-protected counts, plus those of stores dropped
+* :func:`stats` — the store's counters (``cache.*`` in
+  :data:`repro.obs.metrics.COUNTERS`, including those of stores dropped
   by :func:`reset_for_tests`), rendered in ``results/profile.txt`` and
-  surfaced by the :mod:`repro.serve` ``/stats`` endpoint.
+  served on the :mod:`repro.serve` ``/stats`` endpoint.
 * :func:`persist_caches` — a no-op: each result is written when its
-  job finishes, so nothing is held back for a flush.  It stays because
-  the benchmark's layer tracer (``bench/layers.py``) times it by name.
+  job finishes.  It stays because the benchmark's layer tracer
+  (``bench/layers.py``) times it by name.
 """
 
 import hashlib
@@ -36,7 +33,7 @@ import math
 import os
 from typing import Dict, Optional
 
-from repro.cache.store import CACHE_VERSION, CacheStore
+from repro.cache.store import CACHE_VERSION, COUNTER_NAMES, CacheStore
 from repro.obs.metrics import COUNTERS
 
 __all__ = [
@@ -46,8 +43,6 @@ __all__ = [
 
 _STORE: Optional[CacheStore] = None
 _RESOLVED = False
-_KEYS = ("hits", "misses", "puts", "evictions", "errors", "remote_hits",
-         "remote_misses", "remote_errors")
 
 
 def store() -> Optional[CacheStore]:
@@ -114,7 +109,7 @@ COUNTERS.attach("cache.", _store_stats, _reset_store_stats)
 def stats() -> Dict[str, int]:
     """Disk-cache counters for this process."""
     snap = COUNTERS.snapshot()
-    return {k: snap.get("cache." + k, 0) for k in _KEYS}
+    return {k: snap.get("cache." + k, 0) for k in COUNTER_NAMES}
 
 
 def persist_caches() -> None:
@@ -133,5 +128,6 @@ def reset_for_tests() -> None:
     st = _STORE
     if st is not None:
         COUNTERS.merge({"cache." + k: v for k, v in st.stats().items()})
+        st.close()
     _STORE = None
     _RESOLVED = False

@@ -1,89 +1,158 @@
 """Persistent content-addressed result store (``REPRO_CACHE_DIR``).
 
-One :class:`CacheStore` holds pickled sweep results on disk — the
-stored form of each job's whole result, under kind ``result`` —
-addressed by a content hash the *caller* derives from everything that
-determines it (trace content, configuration, schedule, cost model,
-policy and format version; see :func:`repro.eval.parallel.result_key`).
-Intermediate artifacts are never stored: rebuilding them in memory is
-cheaper than loading them.  Entries an older layout wrote under other
-kinds are never read and age out under the size cap.
-Content addressing makes every operation idempotent: two processes that
-compute the same result write byte-equivalent files under the same
-name, so there is nothing to coordinate — the store needs no cross-
-process locks, no manifest, and no invalidation protocol.  (The only
-in-process lock guards the *stats counters*, which the sweep server
-bumps from several threads at once.)
+A :class:`CacheStore` keeps JSON values — each sweep job's whole result,
+kind ``result`` — under a content hash the *caller* derives from
+everything that determines the value (see
+:func:`repro.eval.parallel.result_key`).  Intermediate artifacts are
+never stored: rebuilding them in memory is cheaper than loading them.
 
-Robustness contract (exercised by ``tests/test_disk_cache.py``):
+Each writing process appends to a segment of its own,
+``<root>/<creation ns>-<pid>.seg``, created with ``O_EXCL`` on its first
+put and sealed once it holds an eighth of the size cap.  A put is one
+``os.write`` of one entry: an 88-byte header (magic, the sha256 of every
+byte after it, kind, 32-byte key, payload length), then the payload in
+compact JSON.  An in-memory index maps a hash of ``(kind, key)`` to one
+int packing segment, offset and length; opening the store fills it by
+scanning headers in bounded chunks.  A get is one ``pread``, a header
+and sha256 check, ``json.loads`` and the caller's ``decode``.  A miss
+first refreshes the index — one ``stat`` of the root finds new segments,
+one ``fstat`` per foreign segment finds appends — so processes sharing
+the directory (a sweep server, local evals) see each other's results.
+Two writers of one key write equal values, so duplicates are harmless.
 
-* **Atomic writes** — every put writes a temp file in the cache
-  directory and ``os.replace``-s it into place.  Readers racing a
-  writer (processes sharing one directory, such as a sweep server and
-  a local eval) see either the complete old file or the complete new
-  file, never a partial one.
-* **Corruption tolerance** — a truncated, corrupted, or wrong-format
-  entry loads as a miss; the offending file is deleted so the next put
-  repairs it.  A load must never raise.
-* **Silent degradation** — ``REPRO_CACHE_DIR`` unset disables the store
-  entirely (every helper no-ops); an unwritable directory serves reads
-  but drops writes after the first failure.  Callers never need to
-  guard their puts.
-* **Size-capped sharded eviction** — ``REPRO_CACHE_MAX_MB`` (default
-  512, also for any value that is not a finite number of MB worth at
-  least one byte) bounds the directory.  Entries fan out under two-level
-  ``kind/key[:2]/`` shard directories (sha256 keys spread uniformly, so
-  the 256 shards per kind stay balanced), and the store keeps a
-  per-shard byte estimate: after one seeding walk per process, an
-  eviction re-stats **only the shards it evicts from** — O(shard), not
-  O(store) — visiting largest shards first and evicting oldest-``mtime``
-  entries within each.  Gets freshen ``mtime`` so recency survives
-  across runs.  (Global LRU is approximate across shards; uniform
-  hashing makes per-shard oldest-first a close proxy.)
-* **Remote read-through tier** — ``REPRO_CACHE_REMOTE`` names the base
-  URL of a :mod:`repro.serve` instance; a local miss is retried as
-  ``GET {remote}/artifact/{kind}/{key}`` and a hit is written through
-  to the local directory, so multiple server instances converge on one
-  warm store.  Any remote failure (connection refused, 404, corrupt
-  payload, timeout) silently degrades to a plain local miss — the
-  remote tier can never make a get slower than one bounded timeout or
-  make it fail.
+Robustness contract (``tests/test_disk_cache.py``, ``tests/test_serve.py``):
 
-The pickle format is trusted: the cache directory is a local working
-directory the user controls (and, with a remote tier configured, a
-server the user points at deliberately), exactly like the ``_sha``-cached
-``.so`` of :mod:`repro.core.cext`.
+* **Torn appends** — a writer killed mid-append leaves a partial entry
+  at the end of its segment.  Scans stop there, every earlier entry
+  stays readable, and the next process appends to a fresh segment.
+* **Corruption tolerance** — an entry whose header or sha256 does not
+  match, whose JSON does not parse, or whose value ``decode`` refuses is
+  counted in ``errors`` and read as a miss.  It leaves the index, so
+  the next put of its key repairs it.  Nothing the directory holds
+  makes a get raise.
+* **Silent degradation** — with ``REPRO_CACHE_DIR`` unset nothing
+  touches the filesystem; an unwritable directory serves reads but
+  drops writes after the first failure; a value JSON cannot encode is a
+  counted error.  Callers never need to guard their puts.
+* **Size cap** — ``REPRO_CACHE_MAX_MB`` bounds the known segments plus
+  the pickle trees an older layout left (:data:`LEGACY_DIRS`).
+  Eviction removes those trees first, then whole segments oldest first
+  (names sort by age), never the one this process writes, down to 90%
+  of the cap; at most ``_MAX_SEGMENTS`` segments stay open for reads.
+* **Remote read-through tier** — ``REPRO_CACHE_REMOTE`` names a
+  :mod:`repro.serve` peer; a local miss is retried as ``GET
+  {remote}/artifact/{kind}/{key}``, which relays the peer's stored
+  entry.  Its header, sha256 and ``decode`` are checked before it is
+  written through, so a dead, corrupt or hostile peer is a counted
+  ``remote_errors`` miss costing at most one bounded timeout.
+
+Values are JSON, never pickles: nothing a peer or a damaged file holds
+is executed.
 """
 
+import hashlib
+import io
+import json
 import os
-import pickle
-import tempfile
+import shutil
+import struct
 import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.slog import SLOG
 
 #: Format-version salt folded into every key by :func:`content_key`;
-#: bump when any cached payload's layout changes.
+#: bump when any stored value's layout changes.
 CACHE_VERSION = 2
 
-#: Puts between directory-size scans (eviction is amortized).
-_EVICT_CHECK_INTERVAL = 32
+#: Counters every store keeps (``cache.*`` in the metrics registry).
+COUNTER_NAMES = ("hits", "misses", "puts", "evictions", "errors",
+                 "remote_hits", "remote_misses", "remote_errors")
 
-#: Evict down to this fraction of the cap so back-to-back puts do not
-#: re-trigger a full scan each time the cap is grazed.
-_EVICT_TARGET = 0.9
+#: Entry header: magic, sha256 of every byte after it, kind (NUL padded),
+#: key, payload length.
+_HEAD = struct.Struct(">4s32s16s32sI")
+_TAIL = struct.Struct(">16s32sI")
+HEADER = _HEAD.size
+_MAGIC = b"RPK1"
+
+#: Directories of the one-pickle-per-entry layout this store replaced.
+LEGACY_DIRS = ("result", "sections", "section_tables", "compiled", "pi")
+
+_SUFFIX = ".seg"
+_ROLL_FRACTION = 8        # a segment is sealed at this fraction of the cap
+_EVICT_TARGET = 0.9       # eviction frees down to this fraction of the cap
+_MAX_SEGMENTS = 256       # read handles a process keeps open at most
+_SCAN_CHUNK = 1 << 16     # bytes per ``pread`` while scanning headers
+
+#: A root mtime this close to the last listing may hide a segment
+#: created within the same timestamp tick (a few ms on local
+#: filesystems), so the root is listed again.
+_MTIME_SLACK_NS = 100_000_000
+
+#: Index values pack (segment number, offset, payload length).
+_LEN_BITS, _OFF_BITS = 32, 40
+_SEG_SHIFT = _LEN_BITS + _OFF_BITS
+_LEN_MASK, _OFF_MASK = (1 << _LEN_BITS) - 1, (1 << _OFF_BITS) - 1
+
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Default remote-tier fetch timeout (seconds); ``REPRO_CACHE_REMOTE``
 #: names a loopback/LAN peer, so a slow remote must degrade quickly.
 DEFAULT_REMOTE_TIMEOUT = 5.0
 
 
+def _slot(kind_f: bytes, key_b: bytes) -> int:
+    """A key's index slot: 60 bits of a hash.  A collision reads as a
+    damaged entry, since a get checks the whole key."""
+    return hash((kind_f, key_b)) & ((1 << 60) - 1)
+
+
+def _fields(kind: str, key: str):
+    """The header's kind and key fields, and the key's index slot."""
+    kind_f, key_b = kind.encode("ascii").ljust(16, b"\0"), bytes.fromhex(key)
+    return kind_f, key_b, _slot(kind_f, key_b)
+
+
+def encode_entry(kind: str, key: str, payload: bytes) -> bytes:
+    """One stored entry: the header, then ``payload`` (JSON bytes)."""
+    kind_f, key_b, _ = _fields(kind, key)
+    tail = _TAIL.pack(kind_f, key_b, len(payload))
+    digest = hashlib.sha256(tail)
+    digest.update(payload)
+    return b"".join((_MAGIC, digest.digest(), tail, payload))
+
+
+def _decode(blob: bytes, kind_f: bytes, key_b: bytes,
+            decode: Optional[Callable[[Any], Any]]) -> Any:
+    """The value of one entry stored under ``(kind_f, key_b)``; raises
+    when its header, sha256 or JSON does not check out or ``decode``
+    refuses it."""
+    magic, digest, entry_kind, entry_key, length = _HEAD.unpack_from(blob)
+    if (magic != _MAGIC or entry_kind != kind_f or entry_key != key_b
+            or len(blob) != HEADER + length
+            or hashlib.sha256(memoryview(blob)[36:]).digest() != digest):
+        raise ValueError("entry does not match its key or digest")
+    value = json.loads(blob[HEADER:])
+    return value if decode is None else decode(value)
+
+
+class _Segment:
+    __slots__ = ("no", "name", "fh", "fd", "end", "seen", "entries", "own")
+
+    def __init__(self, no: int, name: str, fh: io.FileIO, own: bool):
+        self.no, self.name, self.fh, self.fd = no, name, fh, fh.fileno()
+        self.end = 0      # end of the last whole entry indexed
+        self.seen = 0     # file size at the last scan
+        self.entries = 0
+        self.own = own
+
+
 class CacheStore:
-    """Pickle store over one directory; see the module docstring."""
+    """Pack-segment store over one directory; see the module docstring."""
 
     def __init__(
         self,
@@ -96,76 +165,138 @@ class CacheStore:
         self.max_bytes = max_bytes
         self.remote = remote.rstrip("/") if remote else None
         self.remote_timeout = remote_timeout
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
-        self.errors = 0
-        self.remote_hits = 0
-        self.remote_misses = 0
-        self.remote_errors = 0
         # Counter bumps happen concurrently under a sweep server — its
-        # async handlers and bridge thread share one store — and ``+=`` on an int attribute is not atomic under
-        # the GIL (read/add/store interleave).  One lock, held only for
-        # the bump, keeps the totals exact.
+        # async handlers and bridge thread share one store — and ``+=`` on
+        # an int attribute is not atomic under the GIL.  One lock, held
+        # only for the bump, keeps the totals exact.
         self._stats_lock = threading.Lock()
+        self.reset_counters()
+        # Guards the index, the segments and the live segment: puts from
+        # several threads serialize, and no file closes under a read.
+        self._lock = threading.Lock()
         self._writable = True
-        self._puts_since_check = 0
-        # Per-shard byte estimates, keyed by shard directory path: seeded
-        # by one walk the first time an eviction check actually fires,
-        # then advanced by each put's payload size.  Eviction re-stats
-        # only the shards it drains, so steady-state eviction work is
-        # O(shards touched) — a store comfortably under its cap never
-        # walks more than once per process.
-        self._shard_bytes: Optional[Dict[str, int]] = None
-        self._approx_bytes: Optional[int] = None
+        self._roll = max(1, max_bytes // _ROLL_FRACTION)
+        self._index: Dict[int, int] = {}
+        self._segments: Dict[int, _Segment] = {}
+        self._next_no = 0
+        self._live: Optional[_Segment] = None
+        self._legacy: Dict[str, List[int]] = {}  # name -> [bytes, files]
+        self._bytes = 0
+        self._root_mtime: Optional[int] = None
+        self._listed_ns = 0
+        with self._lock:
+            self._refresh()
 
-    # -- paths --------------------------------------------------------- #
+    # -- index --------------------------------------------------------- #
 
-    def _path(self, kind: str, key: str) -> str:
-        # Two-level fanout keeps any one directory listing small.
-        return os.path.join(self.root, kind, key[:2], key + ".pkl")
-
-    def raw_path(self, kind: str, key: str) -> str:
-        """Filesystem path of an entry (the ``/artifact`` endpoint serves
-        these bytes verbatim; they are the pickled payload)."""
-        return self._path(kind, key)
-
-    def _shards(self) -> List[str]:
-        """All shard directories (``root/kind/prefix``) currently on disk."""
-        shards = []
+    def _refresh(self) -> None:
+        """Index what other processes wrote since the last look: one
+        ``stat`` of the root, a listing only when it may have changed,
+        one ``fstat`` per foreign segment."""
         try:
-            with os.scandir(self.root) as kinds:
-                kind_dirs = [e.path for e in kinds if e.is_dir()]
+            mtime = os.stat(self.root).st_mtime_ns
         except OSError:
-            return shards
-        for kind_dir in kind_dirs:
+            return
+        if (mtime != self._root_mtime
+                or mtime >= self._listed_ns - _MTIME_SLACK_NS):
+            self._root_mtime, self._listed_ns = mtime, time.time_ns()
+            self._relist()
+        for seg in list(self._segments.values()):
+            if not seg.own:
+                self._scan(seg)
+
+    def _relist(self) -> None:
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return
+        present = set(names)
+        known = {seg.name for seg in self._segments.values()}
+        # Segments another process evicted, then new ones, oldest first.
+        self._forget([seg.no for seg in self._segments.values()
+                      if seg.name not in present])
+        for name in names:
+            if name.endswith(_SUFFIX) and name not in known:
+                try:
+                    fh = io.FileIO(os.path.join(self.root, name), "r")
+                except OSError:
+                    continue  # evicted between the listing and the open
+                self._scan(self._add(name, fh, own=False))
+            elif name in LEGACY_DIRS and name not in self._legacy:
+                self._legacy[name] = _tree_size(os.path.join(self.root, name))
+                self._bytes += self._legacy[name][0]
+        for name in [n for n in self._legacy if n not in present]:
+            self._bytes -= self._legacy.pop(name)[0]
+
+    def _add(self, name: str, fh: io.FileIO, own: bool) -> _Segment:
+        seg = self._segments[self._next_no] = _Segment(
+            self._next_no, name, fh, own)
+        self._next_no += 1
+        return seg
+
+    def _scan(self, seg: _Segment) -> None:
+        """Index the whole entries appended to ``seg`` since its last
+        scan, reading ``_SCAN_CHUNK`` bytes at a time; stop at a torn or
+        unrecognised entry."""
+        try:
+            size = os.fstat(seg.fd).st_size
+        except OSError:
+            return
+        if size == seg.seen:
+            return
+        seg.seen = size
+        pos = base = seg.end
+        buf = b""
+        while pos + HEADER <= size:
+            if pos + HEADER > base + len(buf):
+                try:
+                    buf, base = os.pread(seg.fd, _SCAN_CHUNK, pos), pos
+                except OSError:
+                    break
+                if len(buf) < HEADER:
+                    break
+            magic, _digest, kind_f, key_b, length = _HEAD.unpack_from(
+                buf, pos - base)
+            end = pos + HEADER + length
+            if magic != _MAGIC or end > size:
+                break
+            self._index[_slot(kind_f, key_b)] = (
+                seg.no << _SEG_SHIFT | pos << _LEN_BITS | length)
+            seg.entries += 1
+            pos = end
+        self._bytes += pos - seg.end
+        seg.end = pos
+
+    def _forget(self, nos: List[int]) -> None:
+        """Close dropped segments and purge their index entries."""
+        if not nos:
+            return
+        for no in nos:
+            seg = self._segments.pop(no)
+            self._bytes -= seg.end
+            seg.fh.close()
+            if seg is self._live:
+                self._live = None
+        dead = set(nos)
+        for slot in [s for s, loc in self._index.items()
+                     if loc >> _SEG_SHIFT in dead]:
+            del self._index[slot]
+
+    def _locate(self, slot: int):
+        """``(loc, entry bytes)`` of an index slot, or ``(None, None)``."""
+        with self._lock:
+            loc = self._index.get(slot)
+            if loc is None:
+                self._refresh()
+                loc = self._index.get(slot)
+                if loc is None:
+                    return None, None
             try:
-                with os.scandir(kind_dir) as prefixes:
-                    shards.extend(e.path for e in prefixes if e.is_dir())
+                return loc, os.pread(
+                    self._segments[loc >> _SEG_SHIFT].fd,
+                    HEADER + (loc & _LEN_MASK), loc >> _LEN_BITS & _OFF_MASK)
             except OSError:
-                continue
-        return shards
-
-    @staticmethod
-    def _scan_shard(shard: str) -> Tuple[List[Tuple[float, int, str]], int]:
-        """One shard's ``(mtime, size, path)`` entries and total bytes."""
-        entries: List[Tuple[float, int, str]] = []
-        total = 0
-        try:
-            with os.scandir(shard) as it:
-                for entry in it:
-                    if not entry.name.endswith(".pkl"):
-                        continue
-                    try:
-                        st = entry.stat()
-                    except OSError:
-                        continue  # a racing eviction got there first
-                    entries.append((st.st_mtime, st.st_size, entry.path))
-                    total += st.st_size
-        except OSError:
-            pass
-        return entries, total
+                return loc, b""
 
     # -- operations ---------------------------------------------------- #
 
@@ -174,39 +305,42 @@ class CacheStore:
         with self._stats_lock:
             setattr(self, name, getattr(self, name) + n)
 
-    def get(self, kind: str, key: str) -> Optional[Any]:
-        """The stored object, or ``None`` (miss, corrupt, unreadable).
+    def get(self, kind: str, key: str,
+            decode: Optional[Callable[[Any], Any]] = None) -> Optional[Any]:
+        """The stored value passed through ``decode`` (when given), or
+        ``None``: a miss, or a corrupt or undecodable entry.
 
         A local miss consults the remote tier (when configured) before
         reporting the miss; a remote hit is written through locally.
         """
-        path = self._path(kind, key)
-        try:
-            with open(path, "rb") as fh:
-                obj = pickle.load(fh)
-        except FileNotFoundError:
-            obj = self._remote_get(kind, key)
-            if obj is None:
+        kind_f, key_b, slot = _fields(kind, key)
+        loc, blob = self._locate(slot)
+        if loc is None:
+            value = self._remote_get(kind, key, decode)
+            if value is None:
                 self._bump("misses")
-            return obj
+            return value
+        try:
+            value = _decode(blob, kind_f, key_b, decode)
         except Exception:
-            # Truncated/corrupted/wrong-format entry: count it, delete
-            # it so a later put repairs it, and report a plain miss.
+            # Damaged entry or one the caller cannot use: count it, and
+            # drop it from the index so a later put repairs it.
             self._bump("errors")
             self._bump("misses")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            with self._lock:
+                if self._index.get(slot) == loc:
+                    del self._index[slot]
             return None
         self._bump("hits")
-        try:
-            os.utime(path)  # freshen LRU recency
-        except OSError:
-            pass
-        return obj
+        return value
 
-    def _remote_get(self, kind: str, key: str) -> Optional[Any]:
+    def raw_entry(self, kind: str, key: str) -> Optional[bytes]:
+        """A key's stored entry, header and all, as the ``/artifact``
+        endpoint relays it to a read-through peer (which checks it)."""
+        return self._locate(_fields(kind, key)[2])[1]
+
+    def _remote_get(self, kind: str, key: str,
+                    decode: Optional[Callable[[Any], Any]]) -> Optional[Any]:
         """Read-through fetch from the remote tier; ``None`` on any miss
         or failure (the caller accounts the overall miss)."""
         if not self.remote:
@@ -218,24 +352,26 @@ class CacheStore:
                 url, timeout=self.remote_timeout
             ) as resp:
                 blob = resp.read()
-            obj = pickle.loads(blob)
+            kind_f, key_b, _slot = _fields(kind, key)
+            value = _decode(blob, kind_f, key_b, decode)
         except urllib.error.HTTPError:
             # The peer answered and does not have it: a clean remote miss.
             self._bump("remote_misses")
             self._log_remote("miss", kind, key, t0)
             return None
         except Exception as exc:
-            # Unreachable peer, timeout, corrupt payload: degrade.
+            # Unreachable peer, timeout, corrupt or hostile entry: degrade.
             self._bump("remote_errors")
             self._log_remote("error", kind, key, t0,
                              error=type(exc).__name__)
             return None
         self._bump("remote_hits")
         self._log_remote("hit", kind, key, t0, bytes=len(blob))
-        # Write through so the next get (this process or a sibling
-        # sharing the directory) is a local hit.
-        self.put(kind, key, obj)
-        return obj
+        # Write the checked entry through, so the next get (this process
+        # or a sibling sharing the directory) is a local hit.
+        if self._writable:
+            self._append(blob)
+        return value
 
     def _log_remote(self, outcome: str, kind: str, key: str,
                     t0: float, **fields) -> None:
@@ -248,102 +384,117 @@ class CacheStore:
             )
 
     def put(self, kind: str, key: str, obj: Any) -> bool:
-        """Store ``obj``; False (silently) when the store is unwritable."""
+        """Store ``obj`` (a JSON-encodable value); False (silently) when
+        it cannot be encoded or the store is unwritable."""
         if not self._writable:
             return False
-        path = self._path(kind, key)
         try:
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                suffix=".tmp", dir=os.path.dirname(path)
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp, path)  # atomic: racers all win
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            # Read-only directory, disk full, unpicklable payload:
-            # degrade to read-only behaviour, keep serving gets.
+            entry = encode_entry(kind, key, _ENCODE(obj).encode("utf-8"))
+        except (TypeError, ValueError):  # not JSON, or not a hex key
             self._bump("errors")
-            self._writable = False
             return False
-        self._bump("puts")
-        if self._approx_bytes is not None:
-            self._approx_bytes += len(payload)
-        if self._shard_bytes is not None:
-            shard = os.path.dirname(path)
-            self._shard_bytes[shard] = (
-                self._shard_bytes.get(shard, 0) + len(payload)
-            )
-        self._puts_since_check += 1
-        if self._puts_since_check >= _EVICT_CHECK_INTERVAL:
-            self._puts_since_check = 0
-            if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
-                self._evict_to_cap()
-        return True
+        return self._append(entry)
 
-    def _evict_to_cap(self) -> None:
-        """Sharded eviction: evict oldest entries, largest shards first.
+    def _append(self, entry: bytes) -> bool:
+        """Append one encoded entry to this process's live segment."""
+        _magic, _digest, kind_f, key_b, length = _HEAD.unpack_from(entry)
+        with self._lock:
+            try:
+                seg = self._live
+                if seg is None:
+                    seg = self._live = self._open_live()
+                if os.write(seg.fd, entry) != len(entry):
+                    raise OSError("short write")
+            except OSError:
+                # Read-only directory, disk full: keep serving gets.  A
+                # short write leaves a torn tail, so nothing may follow it.
+                self._writable, self._live = False, None
+                ok = False
+            else:
+                self._index[_slot(kind_f, key_b)] = (
+                    seg.no << _SEG_SHIFT | seg.end << _LEN_BITS | length)
+                seg.end = seg.seen = seg.end + len(entry)
+                seg.entries += 1
+                self._bytes += len(entry)
+                if seg.end >= self._roll:
+                    self._live = None
+                if (self._bytes > self.max_bytes
+                        or len(self._segments) > _MAX_SEGMENTS):
+                    self._evict()
+                ok = True
+        self._bump("puts" if ok else "errors")
+        return ok
 
-        The first call seeds the per-shard byte estimates (one walk,
-        shard by shard); later calls re-stat only the shards they drain.
-        """
-        if self._shard_bytes is None:
-            seeded: Dict[str, int] = {}
-            for shard in self._shards():
-                _entries, total = self._scan_shard(shard)
-                if total:
-                    seeded[shard] = total
-            self._shard_bytes = seeded
-        total = sum(self._shard_bytes.values())
-        if total <= self.max_bytes:
-            self._approx_bytes = total
-            return
+    def _open_live(self) -> _Segment:
+        os.makedirs(self.root, exist_ok=True)
+        flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND
+        while True:
+            name = f"{time.time_ns():020d}-{os.getpid()}{_SUFFIX}"
+            try:
+                fd = os.open(os.path.join(self.root, name), flags, 0o644)
+            except FileExistsError:
+                continue  # same nanosecond, same pid: take the next one
+            return self._add(name, io.FileIO(fd, "r+"), own=True)
+
+    def _evict(self) -> None:
+        """Remove legacy pickle trees, then whole segments oldest first
+        (never the live one), until the store fits ``_EVICT_TARGET`` of
+        the cap and ``_MAX_SEGMENTS``."""
         target = int(self.max_bytes * _EVICT_TARGET)
-        for shard in sorted(
-            self._shard_bytes, key=lambda s: -self._shard_bytes[s]
-        ):
-            if total <= target:
+        for name in list(self._legacy):
+            if self._bytes <= target:
                 break
-            entries, actual = self._scan_shard(shard)
-            total += actual - self._shard_bytes.get(shard, 0)
-            self._shard_bytes[shard] = actual
-            entries.sort()  # oldest mtime first within the shard
-            for _mtime, size, fpath in entries:
-                if total <= target:
-                    break
-                try:
-                    os.unlink(fpath)
-                except OSError:
-                    continue  # already gone (racing worker): not ours
-                total -= size
-                self._shard_bytes[shard] -= size
-                self._bump("evictions")
-        self._approx_bytes = total
+            shutil.rmtree(os.path.join(self.root, name), ignore_errors=True)
+            size, files = self._legacy.pop(name)
+            self._bytes -= size
+            self._bump("evictions", files)
+        dropped, evicted = [], 0
+        size, keep = self._bytes, len(self._segments)
+        for seg in sorted(self._segments.values(), key=lambda s: s.name):
+            if size <= target and keep <= _MAX_SEGMENTS:
+                break
+            if seg is self._live:
+                continue
+            try:
+                os.unlink(os.path.join(self.root, seg.name))
+            except FileNotFoundError:
+                pass  # another process evicted it first
+            except OSError:
+                continue
+            dropped.append(seg.no)
+            evicted += seg.entries
+            size -= seg.end
+            keep -= 1
+        self._forget(dropped)
+        if evicted:
+            self._bump("evictions", evicted)
+
+    def close(self) -> None:
+        """Close every segment handle; a later get or put reopens what
+        it needs."""
+        with self._lock:
+            self._forget(list(self._segments))
+            self._root_mtime = None
 
     def stats(self) -> Dict[str, int]:
         with self._stats_lock:  # one consistent snapshot across counters
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "puts": self.puts,
-                "evictions": self.evictions,
-                "errors": self.errors,
-                "remote_hits": self.remote_hits,
-                "remote_misses": self.remote_misses,
-                "remote_errors": self.remote_errors,
-            }
+            return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def reset_counters(self) -> None:
         """Zero every counter atomically (tests, per-sweep profiling)."""
         with self._stats_lock:
-            self.hits = self.misses = self.puts = 0
-            self.evictions = self.errors = 0
-            self.remote_hits = self.remote_misses = self.remote_errors = 0
+            for name in COUNTER_NAMES:
+                setattr(self, name, 0)
+
+
+def _tree_size(path: str) -> List[int]:
+    """``[bytes, files]`` under a legacy pickle tree."""
+    size = files = 0
+    for dirpath, _dirnames, filenames in os.walk(path):
+        for name in filenames:
+            try:
+                size += os.path.getsize(os.path.join(dirpath, name))
+            except OSError:
+                continue
+            files += 1
+    return [size, files]

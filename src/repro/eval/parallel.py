@@ -23,8 +23,8 @@ them in-process, one job after another, with two invariants:
 import functools
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Tuple, Union, get_origin
 
 import repro.cache as artifact_cache
 from repro.common.errors import ConfigError, SimulationError
@@ -282,32 +282,52 @@ def _cache_lookup(job: SimJob, settings: EvalSettings,
     ``rkey`` is ``None`` when the store is off or the run verifies
     (verified runs never read or write it); otherwise it is ``key``, or
     :func:`result_key` when the caller holds none.  ``stored`` is the
-    job's stored form (a ``to_dict``, or ``"stalled"`` for a job that
-    allows stalls), or ``None`` on a miss.
+    job's ``(result, rows)`` decoded from its stored form, or ``None``
+    on a miss.  A stored form that does not decode for this job is
+    counted as a store error and read as a miss, so the job simulates
+    again and its put repairs the entry.
     """
     st = artifact_cache.store()
     if st is None or settings.verify:
         return None, None
     rkey = key if key is not None else result_key(job, settings)[1]
-    stored = st.get("result", rkey)
-    if isinstance(stored, dict) or (stored == "stalled" and job.allow_stall):
-        return rkey, stored
-    return rkey, None
+    return rkey, st.get("result", rkey, functools.partial(_decode, job))
 
 
-def _restore(job: SimJob, label: str, stored):
-    """The result a stored form encodes, folded into the architecture
-    collector.  A warm run skips the simulation, so attribution folds
-    from the cached cause counts (occupancy detail only exists for
-    simulated runs)."""
-    if stored == "stalled":
-        result, rows = None, [None]
-    elif job.n_seeds > 1:
+#: ``(field, type)`` of every :class:`SimulationResult` field, checked
+#: on each decoded row so a stored form with a field of the wrong type
+#: is refused at the store instead of failing later in the sweep.
+_ROW_TYPES = tuple(
+    (f.name, get_origin(f.type) or f.type) for f in fields(SimulationResult)
+)
+
+
+def _decode(job: SimJob, stored) -> tuple:
+    """``(result, rows)`` of a stored form (a ``to_dict``, or
+    ``"stalled"`` for a job that allows stalls); raises on a form that
+    does not fit the job."""
+    if stored == "stalled" and job.allow_stall:
+        return None, [None]
+    if job.n_seeds > 1:
         result = BatchResult.from_dict(stored)
         rows = result.results
     else:
         result = SimulationResult.from_dict(stored)
         rows = [result]
+    for row in rows:
+        if row is not None and not all(
+            isinstance(getattr(row, name), kind) for name, kind in _ROW_TYPES
+        ):
+            raise TypeError("stored result has a field of the wrong type")
+    return result, rows
+
+
+def _restore(job: SimJob, label: str, stored):
+    """The result of a decoded stored form, folded into the architecture
+    collector.  A warm run skips the simulation, so attribution folds
+    from the cached cause counts (occupancy detail only exists for
+    simulated runs)."""
+    result, rows = stored
     for row in rows:
         if row is None:
             ARCH_COLLECTOR.fold_stalled(job.workload, label)

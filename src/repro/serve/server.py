@@ -8,7 +8,7 @@ One :class:`SweepServer` owns three layers:
   Event per job as it lands (each ``data:`` line is a JSON object with
   the job's submission index, dedupe tier, result payload, and the
   server-side :class:`RunRecord` ledger lines), ``GET /artifact/{kind}/
-  {key}`` serves raw artifact-store bytes to read-through peers
+  {key}`` relays one stored entry to read-through peers
   (``REPRO_CACHE_REMOTE``), ``GET /stats`` reports the dedupe
   funnel plus :func:`repro.cache.stats`, ``GET /metrics`` exposes
   Prometheus-text latency histograms (per-endpoint requests, per-tier
@@ -631,19 +631,15 @@ class SweepServer:
         return status
 
     def _handle_artifact(self, writer, path: str) -> int:
-        """Serve one artifact's raw pickled bytes to a read-through peer."""
+        """Relay one stored entry, header and sha256 included, to a
+        read-through peer, which checks it before using it."""
         self.counters["artifact_requests"] += 1
         match = _ARTIFACT_RE.match(path)
-        kind, key = match.group(1), match.group(2)
         st = artifact_cache.store()
         blob = None
         if st is not None:
-            try:
-                with open(st.raw_path(kind, key), "rb") as fh:
-                    blob = fh.read()
-            except OSError:
-                blob = None
-        if blob is None:
+            blob = st.raw_entry(match.group(1), match.group(2))
+        if not blob:
             return self._plain(writer, 404, b'{"error": "artifact not found"}')
         self.counters["artifact_hits"] += 1
         return self._plain(

@@ -4,16 +4,20 @@ Byte identity (served results == local results on a config grid, batch
 jobs included), the dedupe funnel (single-flight coalescing simulates a
 duplicate key once; repeat batches are answered from memory/disk
 without re-simulating), the remote read-through tier (peer hit,
-write-through, clean miss, and corrupt/absent-peer degradation to a
-plain miss), the ledger's ``engine="served"`` reconciliation, and the
-``--verify`` refusal on both sides of the wire.
+write-through, clean miss, and corrupt, hostile or absent peers
+degrading to a plain miss with nothing unpickled), the ledger's
+``engine="served"`` reconciliation, and the ``--verify`` refusal on
+both sides of the wire.
 
 Servers run in-process on a background event-loop thread
 (:func:`repro.serve.start_in_background`); the CI loopback job covers
 the separate-process path.
 """
 
+import functools
 import json
+import os
+import pickle
 import socket
 import threading
 import time
@@ -24,7 +28,7 @@ import urllib.request
 import pytest
 
 import repro.cache as artifact_cache
-from repro.cache.store import CacheStore
+from repro.cache.store import HEADER, CacheStore, encode_entry
 from repro.eval import parallel
 from repro.eval.parallel import SimJob, result_key, run_jobs
 from repro.eval.settings import EvalSettings
@@ -400,6 +404,7 @@ class TestRemoteTier:
             again = local.get(kind, key)
             assert again == obj
             assert local.hits == 1 and local.remote_hits == 1
+            local.close()
         finally:
             peer.stop()
 
@@ -417,8 +422,13 @@ class TestRemoteTier:
 
     def test_corrupt_remote_degrades(self, tmp_path, monkeypatch):
         kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        with open(artifact_cache.store().raw_path(kind, key), "wb") as fh:
-            fh.write(b"not a pickle")
+        (name,) = [n for n in os.listdir(str(tmp_path / "peer"))
+                   if n.endswith(".seg")]
+        with open(str(tmp_path / "peer" / name), "r+b") as fh:
+            fh.seek(HEADER)  # the payload's first byte
+            first = fh.read(1)
+            fh.seek(HEADER)
+            fh.write(bytes([first[0] ^ 0x20]))
         peer = start_in_background()
         try:
             local = CacheStore(
@@ -426,8 +436,59 @@ class TestRemoteTier:
             )
             assert local.get(kind, key) is None
             assert local.remote_errors == 1 and local.remote_hits == 0
+            assert not (tmp_path / "local").exists()  # nothing written
         finally:
             peer.stop()
+
+    @pytest.mark.parametrize("payload", [
+        b'{"bogus": 1}',
+        b"[1, 2, 3]",
+        pickle.dumps({"name": "crc"}),
+        b"cos\nsystem\n(S'exit 3'\ntR.",
+    ], ids=["wrong-keys", "list", "pickled-dict", "pickled-call"])
+    def test_hostile_remote_is_a_clean_miss(self, tmp_path, monkeypatch,
+                                            payload):
+        """A peer that signs what it sends — a valid sha256 over JSON of
+        the wrong shape, or over pickle bytes — is a counted remote
+        error and a plain miss: nothing is unpickled and nothing is
+        written through."""
+        kind, key = result_key(GRID[0], SETTINGS)
+        peer_dir = tmp_path / "peer"
+        peer_dir.mkdir()
+        (peer_dir / "00000000000000000001-1.seg").write_bytes(
+            encode_entry(kind, key, payload))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(peer_dir))
+        artifact_cache.reset_for_tests()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a peer's bytes were unpickled")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "Unpickler", refuse)
+        peer = start_in_background()
+        try:
+            local = CacheStore(
+                str(tmp_path / "local"), 1 << 30, remote=peer.url
+            )
+            decode = functools.partial(parallel._decode, GRID[0])
+            assert local.get(kind, key, decode) is None
+            assert local.remote_errors == 1 and local.remote_hits == 0
+            assert local.misses == 1 and local.puts == 0
+            assert not (tmp_path / "local").exists()
+        finally:
+            peer.stop()
+
+    def test_store_never_imports_pickle(self):
+        """Stored and fetched values are JSON: the store has no pickle
+        to hand a peer's bytes to."""
+        import importlib
+
+        for name in ("repro.cache", "repro.cache.store"):
+            module = importlib.import_module(name)
+            assert "pickle" not in vars(module)
+            with open(module.__file__, encoding="utf-8") as fh:
+                assert "import pickle" not in fh.read()
 
     def test_absent_remote_degrades(self, tmp_path):
         local = CacheStore(
