@@ -14,9 +14,8 @@ failed write degrades to a counted miss.
 Public surface:
 
 * :func:`store` — the process's :class:`~repro.cache.store.CacheStore`
-  (``None`` when disabled), resolved once from ``REPRO_CACHE_DIR`` /
-  ``REPRO_CACHE_MAX_MB`` / ``REPRO_CACHE_REMOTE`` (a read-through peer);
-  :func:`reset_for_tests` re-resolves.
+  (``None`` when disabled), resolved once from ``REPRO_CACHE_DIR`` and
+  ``REPRO_CACHE_MAX_MB``; :func:`reset_for_tests` re-resolves.
 * :func:`content_key` — sha256 over a canonical ``repr`` of the parts
   (plus the format version), the addressing scheme of result keys.
 * :func:`stats` — the store's counters (``cache.*`` in
@@ -54,13 +53,12 @@ def store() -> Optional[CacheStore]:
         root = os.environ.get("REPRO_CACHE_DIR", "").strip()
         if root:
             max_bytes = _max_bytes(os.environ.get("REPRO_CACHE_MAX_MB", ""))
-            remote = os.environ.get("REPRO_CACHE_REMOTE", "").strip() or None
             try:
                 os.makedirs(root, exist_ok=True)
             except OSError:
                 _STORE = None
             else:
-                _STORE = CacheStore(root, max_bytes, remote=remote)
+                _STORE = CacheStore(root, max_bytes)
     return _STORE
 
 

@@ -39,15 +39,9 @@ Robustness contract (``tests/test_disk_cache.py``, ``tests/test_serve.py``):
   Eviction removes those trees first, then whole segments oldest first
   (names sort by age), never the one this process writes, down to 90%
   of the cap; at most ``_MAX_SEGMENTS`` segments stay open for reads.
-* **Remote read-through tier** — ``REPRO_CACHE_REMOTE`` names a
-  :mod:`repro.serve` peer; a local miss is retried as ``GET
-  {remote}/artifact/{kind}/{key}``, which relays the peer's stored
-  entry.  Its header, sha256 and ``decode`` are checked before it is
-  written through, so a dead, corrupt or hostile peer is a counted
-  ``remote_errors`` miss costing at most one bounded timeout.
 
-Values are JSON, never pickles: nothing a peer or a damaged file holds
-is executed.
+Values are JSON, never pickles: nothing a damaged file holds is
+executed.
 """
 
 import hashlib
@@ -58,19 +52,14 @@ import shutil
 import struct
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.obs.slog import SLOG
 
 #: Format-version salt folded into every key by :func:`content_key`;
 #: bump when any stored value's layout changes.
 CACHE_VERSION = 2
 
 #: Counters every store keeps (``cache.*`` in the metrics registry).
-COUNTER_NAMES = ("hits", "misses", "puts", "evictions", "errors",
-                 "remote_hits", "remote_misses", "remote_errors")
+COUNTER_NAMES = ("hits", "misses", "puts", "evictions", "errors")
 
 #: Entry header: magic, sha256 of every byte after it, kind (NUL padded),
 #: key, payload length.
@@ -99,10 +88,6 @@ _SEG_SHIFT = _LEN_BITS + _OFF_BITS
 _LEN_MASK, _OFF_MASK = (1 << _LEN_BITS) - 1, (1 << _OFF_BITS) - 1
 
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-#: Default remote-tier fetch timeout (seconds); ``REPRO_CACHE_REMOTE``
-#: names a loopback/LAN peer, so a slow remote must degrade quickly.
-DEFAULT_REMOTE_TIMEOUT = 5.0
 
 
 def _slot(kind_f: bytes, key_b: bytes) -> int:
@@ -154,17 +139,9 @@ class _Segment:
 class CacheStore:
     """Pack-segment store over one directory; see the module docstring."""
 
-    def __init__(
-        self,
-        root: str,
-        max_bytes: int,
-        remote: Optional[str] = None,
-        remote_timeout: float = DEFAULT_REMOTE_TIMEOUT,
-    ):
+    def __init__(self, root: str, max_bytes: int):
         self.root = root
         self.max_bytes = max_bytes
-        self.remote = remote.rstrip("/") if remote else None
-        self.remote_timeout = remote_timeout
         # Counter bumps happen concurrently under a sweep server — its
         # async handlers and bridge thread share one store — and ``+=`` on
         # an int attribute is not atomic under the GIL.  One lock, held
@@ -308,18 +285,12 @@ class CacheStore:
     def get(self, kind: str, key: str,
             decode: Optional[Callable[[Any], Any]] = None) -> Optional[Any]:
         """The stored value passed through ``decode`` (when given), or
-        ``None``: a miss, or a corrupt or undecodable entry.
-
-        A local miss consults the remote tier (when configured) before
-        reporting the miss; a remote hit is written through locally.
-        """
+        ``None``: a miss, or a corrupt or undecodable entry."""
         kind_f, key_b, slot = _fields(kind, key)
         loc, blob = self._locate(slot)
         if loc is None:
-            value = self._remote_get(kind, key, decode)
-            if value is None:
-                self._bump("misses")
-            return value
+            self._bump("misses")
+            return None
         try:
             value = _decode(blob, kind_f, key_b, decode)
         except Exception:
@@ -334,55 +305,6 @@ class CacheStore:
         self._bump("hits")
         return value
 
-    def raw_entry(self, kind: str, key: str) -> Optional[bytes]:
-        """A key's stored entry, header and all, as the ``/artifact``
-        endpoint relays it to a read-through peer (which checks it)."""
-        return self._locate(_fields(kind, key)[2])[1]
-
-    def _remote_get(self, kind: str, key: str,
-                    decode: Optional[Callable[[Any], Any]]) -> Optional[Any]:
-        """Read-through fetch from the remote tier; ``None`` on any miss
-        or failure (the caller accounts the overall miss)."""
-        if not self.remote:
-            return None
-        url = f"{self.remote}/artifact/{kind}/{key}"
-        t0 = time.perf_counter()
-        try:
-            with urllib.request.urlopen(
-                url, timeout=self.remote_timeout
-            ) as resp:
-                blob = resp.read()
-            kind_f, key_b, _slot = _fields(kind, key)
-            value = _decode(blob, kind_f, key_b, decode)
-        except urllib.error.HTTPError:
-            # The peer answered and does not have it: a clean remote miss.
-            self._bump("remote_misses")
-            self._log_remote("miss", kind, key, t0)
-            return None
-        except Exception as exc:
-            # Unreachable peer, timeout, corrupt or hostile entry: degrade.
-            self._bump("remote_errors")
-            self._log_remote("error", kind, key, t0,
-                             error=type(exc).__name__)
-            return None
-        self._bump("remote_hits")
-        self._log_remote("hit", kind, key, t0, bytes=len(blob))
-        # Write the checked entry through, so the next get (this process
-        # or a sibling sharing the directory) is a local hit.
-        if self._writable:
-            self._append(blob)
-        return value
-
-    def _log_remote(self, outcome: str, kind: str, key: str,
-                    t0: float, **fields) -> None:
-        if SLOG.enabled:
-            SLOG.request(
-                "cache.remote_get",
-                (time.perf_counter() - t0) * 1000.0,
-                outcome=outcome, kind=kind, key=key[:12],
-                remote=self.remote, **fields,
-            )
-
     def put(self, kind: str, key: str, obj: Any) -> bool:
         """Store ``obj`` (a JSON-encodable value); False (silently) when
         it cannot be encoded or the store is unwritable."""
@@ -393,10 +315,6 @@ class CacheStore:
         except (TypeError, ValueError):  # not JSON, or not a hex key
             self._bump("errors")
             return False
-        return self._append(entry)
-
-    def _append(self, entry: bytes) -> bool:
-        """Append one encoded entry to this process's live segment."""
         _magic, _digest, kind_f, key_b, length = _HEAD.unpack_from(entry)
         with self._lock:
             try:

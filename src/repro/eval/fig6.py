@@ -36,16 +36,6 @@ class Fig6Data:
     frontiers: Dict[str, List[Point]]
 
 
-def _settings_for(label: str) -> List[PolicyOptimizations]:
-    if label == "none":
-        return [PolicyOptimizations.none()]
-    if label == "all":
-        return [PolicyOptimizations.all()]
-    if label == "profiled":
-        return PolicyOptimizations.all_settings()
-    return [PolicyOptimizations.only(label)]
-
-
 def run(
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> Fig6Data:

@@ -17,7 +17,11 @@ them in-process, one job after another, with two invariants:
 
 ``run_jobs(jobs, settings)`` is the single entry point for a sweep and
 :func:`execute_job` runs one job; the sweep server calls the same
-:func:`execute_job` through :func:`job_payload`.
+:func:`execute_job` through :func:`job_payload`.  A sweep's config
+families are registered before its first job, so a cold SectionMap is
+enumerated with the next members of its family in one pass
+(:func:`repro.sim.sections.prefetch_family`); the maps then stay in the
+process's map cache.
 """
 
 import functools
@@ -194,19 +198,13 @@ def _epoch_plan(trace, epoch_cycles: int):
 #: plan right before simulating, so a cold SectionMap triggers one
 #: batched family pass over the next ``_FAMILY_CHUNK`` plan members
 #: instead of a scalar chain scan per config.  The registry persists
-#: across run_jobs calls and only ever grows — its total size also
-#: drives the SectionMap LRU auto-sizing, so a sweep's whole working set
-#: stays resident.
+#: across run_jobs calls and only ever grows.
 _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 
 #: Configs per batched family pass, within the C kernel's budget
 #: (≤ FAMILY_MAX = 64).  The sweep server also sends owned misses to
 #: its bridge in chunks of this many jobs.
 _FAMILY_CHUNK = 32
-
-#: Slack added to the auto-sized SectionMap LRU capacity (maps built
-#: outside any plan: tests, ad-hoc simulate_fast calls).
-_FAMILY_LRU_SLACK = 256
 
 
 def _family_plan_key(job: SimJob) -> tuple:
@@ -228,13 +226,10 @@ def _family_eligible(job: SimJob) -> bool:
 
 def _register_family_plans(jobs: List[SimJob],
                            settings: EvalSettings) -> None:
-    """Register ``jobs``'s config families and auto-size the LRU.
+    """Register ``jobs``'s config families.
 
     Verified runs never touch the section-memoized path, so they
-    register nothing.  The LRU is raised to the registry's total
-    distinct (context, config) count plus slack — the ISSUE's "family
-    size × in-flight traces" sweep working set — unless the
-    ``REPRO_SECTIONMAP_LRU`` override pins it.
+    register nothing.
     """
     if settings.verify:
         return
@@ -250,9 +245,6 @@ def _register_family_plans(jobs: List[SimJob],
         if config not in pos:
             pos[config] = len(configs)
             configs.append(config)
-    total = sum(len(configs) for configs, _ in _FAMILY_PLANS.values())
-    if total:
-        sections.ensure_lru_capacity(total + _FAMILY_LRU_SLACK)
 
 
 def _family_prefetch(job: SimJob, trace, config, pi_words,

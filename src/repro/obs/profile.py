@@ -137,8 +137,6 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
         f"({rate:.1%} hit rate)"
     )
     hits, misses = get("sections.hits", 0), get("sections.misses", 0)
-    evictions = get("sections.evictions", 0)
-    rebuilds = get("sections.rebuilds", 0)
     table_bytes = get("sections.table_bytes", 0)
     if hits or misses:
         rate = hits / (hits + misses)
@@ -146,27 +144,11 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
             f"-- section maps: {hits} hits / {misses} misses "
             f"({rate:.1%} hit rate); {hits} warm from memory, "
             f"{misses} cold"
-            + (f"; {evictions} evictions" if evictions else "")
-            + (f", {rebuilds} rebuilds" if rebuilds else "")
             + (
                 f"; {get('sections.tables_shared', 0)} tables shared, "
                 f"{table_bytes / 1e6:.1f} MB distinct" if table_bytes else ""
             )
         )
-        if misses and rebuilds > 0.1 * misses:
-            # Rebuilds are misses whose key was evicted earlier: the
-            # LRU is cycling the sweep's working set instead of
-            # holding it (first-touch cold builds don't count).
-            from repro.sim import sections
-
-            lines.append(
-                "   WARNING: section-map LRU thrash — "
-                f"{rebuilds} of {misses} builds re-enumerated "
-                "evicted maps; the sweep's (trace, config) working "
-                "set exceeds the cache capacity "
-                f"({sections.cache_stats()['capacity']} maps).  "
-                "Raise REPRO_SECTIONMAP_LRU."
-            )
     family_maps = get("sections.family_maps", 0)
     if family_maps:
         passes = get("sections.family_passes", 0)

@@ -118,7 +118,7 @@ class RunRecord:
             call site has no result key, e.g. ``--verify``).  For
             ``engine="served"`` records it instead names the server-side
             dedupe tier that answered: ``memory``, ``coalesced``,
-            ``disk``, ``remote``, or ``computed``.
+            ``disk``, or ``computed``.
         size: Workload size preset.
         salt: Power-schedule salt.
         driver: Experiment driver active when the run was dispatched.

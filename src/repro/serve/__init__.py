@@ -8,7 +8,7 @@ content-hash key the local result cache uses
 (:func:`repro.eval.parallel.result_key`).
 
 * :mod:`repro.serve.server` — the HTTP front, the memory/coalesced/
-  disk/remote dedupe funnel, and the one-thread bridge to the sweep
+  disk dedupe funnel, and the one-thread bridge to the sweep
   engine.  ``python -m repro.serve`` runs it.
 * :mod:`repro.serve.client` — the ``run_jobs``-shaped client the eval
   CLI installs under ``--server URL``.

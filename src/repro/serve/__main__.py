@@ -2,10 +2,8 @@
 
 Binds, prints ``serving on http://host:port`` (flushed, so wrappers can
 wait for readiness by reading one line), then serves until interrupted.
-Set ``REPRO_CACHE_DIR`` to give the server a persistent result store
-— without it only the in-memory and coalescing tiers dedupe — and
-``REPRO_CACHE_REMOTE`` to read through to another server's
-``/artifact`` endpoint.
+Set ``REPRO_CACHE_DIR`` to give the server a persistent result store;
+without it only the in-memory and coalescing tiers dedupe.
 
 Observability: ``--trace PATH`` (or ``REPRO_TRACE``) exports server-side
 request/resolve/worker spans as JSONL, flushed after every request;
@@ -38,7 +36,7 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--memory", type=int, default=None,
                         help="in-memory payload LRU entries "
-                        "(default REPRO_SERVE_MEMORY or 4096; 0 disables)")
+                        "(default 4096; 0 disables)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="export request/resolve/worker spans as JSONL "
                         "to PATH (default REPRO_TRACE; off without either)")
@@ -65,8 +63,7 @@ def main(argv=None) -> int:
         loop.run_until_complete(server.start())
         print(f"serving on {server.url}", flush=True)
         print(
-            f"  POST /jobs | GET /artifact/{{kind}}/{{key}} | GET /stats "
-            f"| GET /metrics | GET /healthz",
+            "  POST /jobs | GET /stats | GET /metrics | GET /healthz",
             flush=True,
         )
         loop.run_until_complete(server.serve_forever())

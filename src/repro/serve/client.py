@@ -16,7 +16,7 @@ of the same batch, whatever mix of cache tiers served them.
 Provenance: each served job appends one ``engine="served"`` record to
 the client's run ledger whose ``result_cache`` field carries the
 server-side dedupe tier (``memory`` / ``coalesced`` / ``disk`` /
-``remote`` / ``computed``), so a served sweep's ledger still reconciles
+``computed``), so a served sweep's ledger still reconciles
 row-for-row and shows exactly how much simulation actually happened.
 Its ``rows`` and ``wall_s`` sum the server-side records the event
 carries; ``wall_s`` is 0 unless this request computed the job.
@@ -77,8 +77,7 @@ class ServeClient:
         #: Cumulative per-tier job counts across every batch this client
         #: resolved (the CLI prints them as the served summary).
         self.tier_counts = {
-            "memory": 0, "coalesced": 0, "disk": 0, "remote": 0,
-            "computed": 0,
+            "memory": 0, "coalesced": 0, "disk": 0, "computed": 0,
         }
         self.batches = 0
         self.jobs_served = 0
@@ -93,12 +92,6 @@ class ServeClient:
                 return resp.status == 200
         except (urllib.error.URLError, OSError):
             return False
-
-    def server_stats(self) -> dict:
-        with urllib.request.urlopen(
-            self.url + "/stats", timeout=self.timeout
-        ) as resp:
-            return json.loads(resp.read().decode("utf-8"))
 
     def _stream_batch(
         self,

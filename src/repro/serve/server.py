@@ -7,10 +7,8 @@ One :class:`SweepServer` owns three layers:
   ``{"settings": {...}, "jobs": [...]}`` and streams one Server-Sent
   Event per job as it lands (each ``data:`` line is a JSON object with
   the job's submission index, dedupe tier, result payload, and the
-  server-side :class:`RunRecord` ledger lines), ``GET /artifact/{kind}/
-  {key}`` relays one stored entry to read-through peers
-  (``REPRO_CACHE_REMOTE``), ``GET /stats`` reports the dedupe
-  funnel plus :func:`repro.cache.stats`, ``GET /metrics`` exposes
+  server-side :class:`RunRecord` ledger lines), ``GET /stats`` reports
+  the dedupe funnel plus :func:`repro.cache.stats`, ``GET /metrics`` exposes
   Prometheus-text latency histograms (per-endpoint requests, per-tier
   resolves, SSE stream durations) and gauges, and ``GET /healthz`` is
   the liveness probe.  Requests carrying an ``X-Repro-Trace`` header
@@ -26,9 +24,7 @@ One :class:`SweepServer` owns three layers:
   (``coalesced``: a request whose key is already simulating awaits the
   same future — two clients posting the same key share one execution),
   and the persistent result store consulted inside ``execute_job``
-  (``disk``, or ``remote`` when the store's read-through tier fetched
-  it from a peer).  Only a full miss reaches the simulator
-  (``computed``).
+  (``disk``).  Only a full miss reaches the simulator (``computed``).
 * **A one-thread bridge** to the sweep engine, entered per batch and
   per chunk, never per job.  One bridge call prepares a batch: it
   decodes every job once, registers the batch's sweep plans and keys
@@ -48,8 +44,6 @@ process (DESIGN decision 13).
 
 import asyncio
 import json
-import os
-import re
 import threading
 import time
 import urllib.request
@@ -66,7 +60,7 @@ from repro.serve import jsonio
 
 __all__ = ["ServerHandle", "SweepServer", "start_in_background"]
 
-#: In-memory payload LRU entries (``REPRO_SERVE_MEMORY`` overrides).
+#: In-memory payload LRU entries (``--memory`` overrides).
 DEFAULT_MEMORY_ENTRIES = 4096
 
 #: Largest request body read, bytes: ten times the largest batch a full
@@ -74,16 +68,6 @@ DEFAULT_MEMORY_ENTRIES = 4096
 #: A longer ``Content-Length`` is refused with 413 before any body
 #: byte is read.
 MAX_BODY_BYTES = 64 << 20
-
-_ARTIFACT_RE = re.compile(r"^/artifact/([A-Za-z0-9_-]+)/([0-9a-f]{64})$")
-
-
-def _memory_cap() -> int:
-    try:
-        return max(0, int(os.environ.get("REPRO_SERVE_MEMORY", "") or
-                          DEFAULT_MEMORY_ENTRIES))
-    except ValueError:
-        return DEFAULT_MEMORY_ENTRIES
 
 
 class _JobFailed(RuntimeError):
@@ -173,7 +157,6 @@ def _run_chunk(items: list, settings) -> list:
     """
     from repro.eval.parallel import job_payload
 
-    st = artifact_cache.store()
     ledger = telemetry.LEDGER
     was_enabled = ledger.enabled
     ledger.enable()
@@ -187,7 +170,6 @@ def _run_chunk(items: list, settings) -> list:
                     parent_id=trace_parent[1],
                     attrs={"workload": job.workload, "config": job.config},
                 )
-            remote_before = st.remote_hits if st is not None else 0
             try:
                 payload = job_payload(job, settings, span, key)
             except Exception as exc:
@@ -196,8 +178,7 @@ def _run_chunk(items: list, settings) -> list:
             spans = payload.pop("spans")
             engines = [rec["engine"] for rec in payload["records"]]
             if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
-                remote = st is not None and st.remote_hits > remote_before
-                tier = "remote" if remote else "disk"
+                tier = "disk"
             else:
                 tier = "computed"
             payload["tier"] = tier
@@ -217,7 +198,7 @@ class SweepServer:
         port: Bind port; 0 picks an ephemeral port (read ``url`` after
             :meth:`start`).
         memory_entries: In-memory payload LRU cap (``None`` →
-            ``REPRO_SERVE_MEMORY`` or 4096; 0 disables the tier).
+            :data:`DEFAULT_MEMORY_ENTRIES`; 0 disables the tier).
     """
 
     def __init__(
@@ -229,7 +210,8 @@ class SweepServer:
         self.host = host
         self.port = port
         self._memory_cap = (
-            _memory_cap() if memory_entries is None else max(0, memory_entries)
+            DEFAULT_MEMORY_ENTRIES if memory_entries is None
+            else max(0, memory_entries)
         )
         self._memory: "OrderedDict[str, dict]" = OrderedDict()
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -237,17 +219,8 @@ class SweepServer:
         self._bridge = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-bridge"
         )
-        self.counters = {
-            "batches": 0,
-            "jobs": 0,
-            "errors": 0,
-            "artifact_requests": 0,
-            "artifact_hits": 0,
-        }
-        self.tiers = {
-            "memory": 0, "coalesced": 0, "disk": 0, "remote": 0,
-            "computed": 0,
-        }
+        self.counters = {"batches": 0, "jobs": 0, "errors": 0}
+        self.tiers = {"memory": 0, "coalesced": 0, "disk": 0, "computed": 0}
         self.metrics = ServingMetrics()
         self._m_requests = self.metrics.counter(
             "repro_http_requests_total", "HTTP requests by endpoint and status"
@@ -536,8 +509,6 @@ class SweepServer:
                     headers[name.strip().lower()] = value.strip()
             if method == "GET" and path in ("/healthz", "/metrics", "/stats"):
                 endpoint = path
-            elif method == "GET" and _ARTIFACT_RE.match(path):
-                endpoint = "/artifact"
             elif method == "POST" and path == "/jobs":
                 endpoint = "/jobs"
             else:
@@ -580,8 +551,6 @@ class SweepServer:
                     self.stats_snapshot(), indent=2, sort_keys=True
                 ).encode("utf-8")
                 status = self._plain(writer, 200, blob)
-            elif endpoint == "/artifact":
-                status = self._handle_artifact(writer, path)
             else:
                 status = self._plain(writer, 404, b'{"error": "not found"}')
             await writer.drain()
@@ -629,22 +598,6 @@ class SweepServer:
             + body
         )
         return status
-
-    def _handle_artifact(self, writer, path: str) -> int:
-        """Relay one stored entry, header and sha256 included, to a
-        read-through peer, which checks it before using it."""
-        self.counters["artifact_requests"] += 1
-        match = _ARTIFACT_RE.match(path)
-        st = artifact_cache.store()
-        blob = None
-        if st is not None:
-            blob = st.raw_entry(match.group(1), match.group(2))
-        if not blob:
-            return self._plain(writer, 404, b'{"error": "artifact not found"}')
-        self.counters["artifact_hits"] += 1
-        return self._plain(
-            writer, 200, blob, content_type="application/octet-stream"
-        )
 
     async def _handle_jobs(
         self, writer, body: bytes,

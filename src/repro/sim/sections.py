@@ -21,6 +21,9 @@ records ``(end, cause, kind, wbb_steps)``:
   ``bisect`` against a cut point yields the flush size of any
   checkpoint inside the section, keeping the map cost-model independent.
 
+:func:`get_section_map` builds each map once per process and keeps it
+in a plain dict under a content key; :func:`clear_cache` empties it.
+
 Section *variants* capture the three ways a start can be entered:
 
 * ``VARIANT_NORMAL`` — fresh buffers, compiler-inserted checkpoints fire.
@@ -52,10 +55,8 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
   to the reference simulator.  See :mod:`repro.sim.fast`.
 """
 
-import os
 from array import array
 from bisect import bisect_left
-from collections import OrderedDict
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -528,41 +529,19 @@ class SectionMap:
 # Map cache.
 # --------------------------------------------------------------------- #
 
-#: Bounded LRU of SectionMaps.  Sweeps revisit a (trace, config) key once
-#: per schedule point (fig7's on-time sweep, fig8's watchdog x seed grid),
-#: but job orders are config-major (fig5 revisits a trace only after a
-#: full pass over the other 22), so the capacity must cover a sweep's
-#: whole (trace, config) working set or the cache thrashes to 0%.
-#: ``REPRO_SECTIONMAP_LRU`` overrides the default for machines where the
-#: working set exceeds it (the profile table warns when evictions say it
-#: does) or where memory is tighter than the default assumes.
-_DEFAULT_MAX_CACHED_MAPS = 1024
-
-
-def _resolve_max_cached_maps() -> int:
-    raw = os.environ.get("REPRO_SECTIONMAP_LRU", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _DEFAULT_MAX_CACHED_MAPS
-
-
-_MAX_CACHED_MAPS = _resolve_max_cached_maps()
-
-_CACHE: "OrderedDict[tuple, SectionMap]" = OrderedDict()
+#: Every SectionMap this process built, by content key.  Sweeps revisit
+#: a (trace, config) key once per schedule point (fig7's on-time sweep,
+#: fig8's watchdog x seed grid) and in config-major order (fig5 comes back
+#: to a trace only after a pass over the other 22), so the cache holds a
+#: sweep's whole working set.  It is unbounded: a full evaluation holds
+#: about 16k maps, most of them sharing their flat table (``_Tables``).
+_CACHE: Dict[tuple, SectionMap] = {}
 
 #: Cache counters in the process-wide registry (``sections.*``).
 #: ``enum_seconds`` is time in section enumeration proper (chain and
-#: family scans).  A *rebuild* is a miss on a key evicted earlier — the
-#: only eviction that actually cost a re-enumeration.  Raw eviction
-#: counts stay high even under a perfectly-ordered sweep (the working
-#: set simply ends), so the thrash warning keys on rebuilds.
+#: family scans).
 _HITS = COUNTERS.counter("sections.hits")
 _MISSES = COUNTERS.counter("sections.misses")
-_EVICTIONS = COUNTERS.counter("sections.evictions")
-_REBUILDS = COUNTERS.counter("sections.rebuilds")
 _ENUM_SECONDS = COUNTERS.counter("sections.enum_seconds")
 
 #: Family-scan amortization: passes of the batched kernel, maps those
@@ -576,9 +555,6 @@ _BY_TRACE_PREFIX = "sections.family_by_trace."
 #: trace, and the bytes of the distinct tables installed.
 _TABLES_SHARED = COUNTERS.counter("sections.tables_shared")
 _TABLE_BYTES = COUNTERS.counter("sections.table_bytes")
-
-#: Keys evicted from the LRU (rebuild detection).
-_EVICTED_KEYS: set = set()
 
 
 def _map_key(
@@ -605,41 +581,19 @@ def get_section_map(
     pi_access_indices: Optional[FrozenSet[int]] = None,
     forced_checkpoints: Optional[FrozenSet[int]] = None,
 ) -> SectionMap:
-    """The shared SectionMap for this key (LRU-cached per process)."""
+    """The shared SectionMap for this key (built once per process)."""
     key = _map_key(
         trace, config, pi_words, pi_access_indices, forced_checkpoints
     )
     smap = _CACHE.get(key)
     if smap is not None:
         _HITS.inc()
-        _CACHE.move_to_end(key)
         return smap
     _MISSES.inc()
-    if key in _EVICTED_KEYS:
-        _REBUILDS.inc()
-    smap = SectionMap(
+    smap = _CACHE[key] = SectionMap(
         trace, config, pi_words, pi_access_indices, forced_checkpoints
     )
-    _CACHE[key] = smap
-    while len(_CACHE) > _MAX_CACHED_MAPS:
-        _EVICTIONS.inc()
-        _EVICTED_KEYS.add(_CACHE.popitem(last=False)[0])
     return smap
-
-
-def ensure_lru_capacity(n: int) -> None:
-    """Raise the LRU capacity to at least ``n`` maps (sweep-plan sizing).
-
-    The eval driver calls this with its sweep's (family chunk x
-    in-flight traces) working-set estimate before dispatching jobs.
-    Never shrinks, and defers to an explicit ``REPRO_SECTIONMAP_LRU``
-    override.
-    """
-    global _MAX_CACHED_MAPS
-    if os.environ.get("REPRO_SECTIONMAP_LRU", "").strip():
-        return
-    if n > _MAX_CACHED_MAPS:
-        _MAX_CACHED_MAPS = n
 
 
 # --------------------------------------------------------------------- #
@@ -716,7 +670,7 @@ def build_family(
     per-config scalar scans, by construction.  Members already
     enumerated are skipped; a single remaining member gets a one-member
     pass, which the family counters do not count.  Returns the maps in
-    ``configs`` order (the LRU is populated either way).  Without the C
+    ``configs`` order (the map cache is populated either way).  Without the C
     kernel there is no pass here: maps then enumerate lazily per
     config.
     """
@@ -846,10 +800,8 @@ def cache_stats() -> Dict[str, float]:
     """Counters of the per-process SectionMap cache (since the last
     ``COUNTERS.reset()``).
 
-    ``evictions`` counts maps pushed out of the in-memory LRU (silent
-    thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the
-    guards), and ``enum_seconds`` is the time spent in
-    section *enumeration* proper (chain and family scans), separated
+    ``cached`` is the number of maps held, and ``enum_seconds`` the
+    time spent in section *enumeration* proper (chain and family scans), separated
     from driver wall-clock for the profile table.  ``tables_shared``
     counts maps that adopted a flat table another map already held, and
     ``table_bytes`` the bytes of the distinct tables installed.
@@ -858,9 +810,6 @@ def cache_stats() -> Dict[str, float]:
         "hits": _HITS.value,
         "misses": _MISSES.value,
         "cached": len(_CACHE),
-        "capacity": _MAX_CACHED_MAPS,
-        "evictions": _EVICTIONS.value,
-        "rebuilds": _REBUILDS.value,
         "enum_seconds": float(_ENUM_SECONDS.value),
         "family_passes": _FAMILY_PASSES.value,
         "family_maps": _FAMILY_MAPS.value,
@@ -872,4 +821,3 @@ def cache_stats() -> Dict[str, float]:
 def clear_cache() -> None:
     """Drop all cached maps (tests)."""
     _CACHE.clear()
-    _EVICTED_KEYS.clear()

@@ -97,8 +97,21 @@ class TestStoreBasics:
         assert st.get("k", "ab" * 32) == {"x": [1, 2]}
         assert st.stats() == {
             "hits": 1, "misses": 1, "puts": 1, "evictions": 0, "errors": 0,
-            "remote_hits": 0, "remote_misses": 0, "remote_errors": 0,
         }
+
+    def test_store_never_imports_pickle(self):
+        """Stored values are JSON: the store has no pickle to hand a
+        damaged file's bytes to, and no network client to fetch any."""
+        import importlib
+
+        for name in ("repro.cache", "repro.cache.store"):
+            module = importlib.import_module(name)
+            assert "pickle" not in vars(module)
+            with open(module.__file__, encoding="utf-8") as fh:
+                source = fh.read()
+            assert "import pickle" not in source
+            assert "urllib" not in vars(module)
+            assert "urllib" not in source
 
     def test_content_key_is_deterministic_and_versioned(self):
         a = artifact_cache.content_key("sections", "h", (1, 2))

@@ -498,10 +498,28 @@ class TestCaches:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["cached"] == 1
-        assert stats["evictions"] == 0
         # A different config is a different key.
         get_section_map(trace, ClankConfig.from_tuple((1, 0, 0, 0)))
         assert cache_stats()["misses"] == 2
+
+    def test_map_cache_keeps_every_map_built(self):
+        """Maps built outside any sweep plan are kept too: a second
+        pass over 1,100 distinct configs returns the very same maps."""
+        clear_cache()
+        COUNTERS.reset()
+        trace = get_trace("crc", "small")
+        configs = [ClankConfig.from_tuple((r, w, wb, 0))
+                   for r in range(1, 12) for w in range(10)
+                   for wb in range(10)]
+        first = [get_section_map(trace, c) for c in configs]
+        assert cache_stats()["misses"] == len(configs) == 1100
+        assert cache_stats()["hits"] == 0
+        second = [get_section_map(trace, c) for c in configs]
+        assert sum(a is b for a, b in zip(first, second)) == 1100
+        stats = cache_stats()
+        assert stats["misses"] == 1100 and stats["hits"] == 1100
+        assert stats["cached"] == 1100
+        clear_cache()
 
     def test_fast_stats_counts(self):
         COUNTERS.reset()

@@ -105,7 +105,6 @@ class TestProfiler:
             "traces.hits": 3, "traces.misses": 1,
             "dispatch.fast": 9, "dispatch.reasons.verify": 1,
             "sections.hits": 6, "sections.misses": 4,
-            "sections.rebuilds": 1,
             "sections.family_passes": 1, "sections.family_maps": 3,
             "sections.family_by_trace.crc": 3,
             "cache.hits": 1, "cache.misses": 1, "cache.puts": 2,
@@ -116,8 +115,7 @@ class TestProfiler:
         assert "75.0% hit rate" in text
         assert "9 fast / 1 fallback (90.0% fast)" in text
         assert "fallback reasons: verify 1" in text
-        assert "6 warm from memory, 4 cold, 1 rebuilds" in text
-        assert "LRU thrash" in text
+        assert "6 warm from memory, 4 cold" in text
         assert "3 maps in 1 trace passes (3.0 maps/pass)" in text
         assert "1 built scalar" in text
         assert "by trace: crc 3" in text

@@ -218,7 +218,6 @@ class TestChromeRendering:
 def served_tracer(monkeypatch, tmp_path):
     """A loopback server plus both-sided tracing, isolated caches."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_REMOTE", raising=False)
     artifact_cache.reset_for_tests()
     sections.clear_cache()
     uninstall()

@@ -3,9 +3,7 @@
 Byte identity (served results == local results on a config grid, batch
 jobs included), the dedupe funnel (single-flight coalescing simulates a
 duplicate key once; repeat batches are answered from memory/disk
-without re-simulating), the remote read-through tier (peer hit,
-write-through, clean miss, and corrupt, hostile or absent peers
-degrading to a plain miss with nothing unpickled), the ledger's
+without re-simulating), the ledger's
 ``engine="served"`` reconciliation, and the ``--verify`` refusal on
 both sides of the wire.
 
@@ -14,23 +12,18 @@ Servers run in-process on a background event-loop thread
 the separate-process path.
 """
 
-import functools
 import json
-import os
-import pickle
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 
 import pytest
 
 import repro.cache as artifact_cache
-from repro.cache.store import HEADER, CacheStore, encode_entry
 from repro.eval import parallel
-from repro.eval.parallel import SimJob, result_key, run_jobs
+from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.metrics import COUNTERS
@@ -64,7 +57,6 @@ GRID = [
 def _isolated(monkeypatch):
     """No ambient store, no leaked SERVED_EXECUTOR, clean section cache."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_REMOTE", raising=False)
     artifact_cache.reset_for_tests()
     sections.clear_cache()
     uninstall()
@@ -377,134 +369,6 @@ class TestRequestLimits:
         assert ServeClient(server.url).healthz()
 
 
-class TestRemoteTier:
-    def _seed_peer_store(self, monkeypatch, path):
-        """A store with one real result entry, served by a peer server."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-        artifact_cache.reset_for_tests()
-        job = GRID[0]
-        parallel.execute_job(job, SETTINGS)
-        kind, key = result_key(job, SETTINGS)
-        assert artifact_cache.store().get(kind, key) is not None
-        return kind, key
-
-    def test_read_through_hit_and_write_through(
-        self, tmp_path, monkeypatch
-    ):
-        kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        peer = start_in_background()
-        try:
-            local = CacheStore(
-                str(tmp_path / "local"), 1 << 30, remote=peer.url
-            )
-            obj = local.get(kind, key)
-            assert isinstance(obj, dict)
-            assert local.remote_hits == 1
-            # Write-through: the same key is now a local file hit.
-            again = local.get(kind, key)
-            assert again == obj
-            assert local.hits == 1 and local.remote_hits == 1
-            local.close()
-        finally:
-            peer.stop()
-
-    def test_remote_miss_is_clean(self, tmp_path, monkeypatch):
-        kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        peer = start_in_background()
-        try:
-            local = CacheStore(
-                str(tmp_path / "local"), 1 << 30, remote=peer.url
-            )
-            assert local.get(kind, "f" * 64) is None
-            assert local.remote_misses == 1 and local.remote_errors == 0
-        finally:
-            peer.stop()
-
-    def test_corrupt_remote_degrades(self, tmp_path, monkeypatch):
-        kind, key = self._seed_peer_store(monkeypatch, tmp_path / "peer")
-        (name,) = [n for n in os.listdir(str(tmp_path / "peer"))
-                   if n.endswith(".seg")]
-        with open(str(tmp_path / "peer" / name), "r+b") as fh:
-            fh.seek(HEADER)  # the payload's first byte
-            first = fh.read(1)
-            fh.seek(HEADER)
-            fh.write(bytes([first[0] ^ 0x20]))
-        peer = start_in_background()
-        try:
-            local = CacheStore(
-                str(tmp_path / "local"), 1 << 30, remote=peer.url
-            )
-            assert local.get(kind, key) is None
-            assert local.remote_errors == 1 and local.remote_hits == 0
-            assert not (tmp_path / "local").exists()  # nothing written
-        finally:
-            peer.stop()
-
-    @pytest.mark.parametrize("payload", [
-        b'{"bogus": 1}',
-        b"[1, 2, 3]",
-        pickle.dumps({"name": "crc"}),
-        b"cos\nsystem\n(S'exit 3'\ntR.",
-    ], ids=["wrong-keys", "list", "pickled-dict", "pickled-call"])
-    def test_hostile_remote_is_a_clean_miss(self, tmp_path, monkeypatch,
-                                            payload):
-        """A peer that signs what it sends — a valid sha256 over JSON of
-        the wrong shape, or over pickle bytes — is a counted remote
-        error and a plain miss: nothing is unpickled and nothing is
-        written through."""
-        kind, key = result_key(GRID[0], SETTINGS)
-        peer_dir = tmp_path / "peer"
-        peer_dir.mkdir()
-        (peer_dir / "00000000000000000001-1.seg").write_bytes(
-            encode_entry(kind, key, payload))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(peer_dir))
-        artifact_cache.reset_for_tests()
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("a peer's bytes were unpickled")
-
-        monkeypatch.setattr(pickle, "loads", refuse)
-        monkeypatch.setattr(pickle, "load", refuse)
-        monkeypatch.setattr(pickle, "Unpickler", refuse)
-        peer = start_in_background()
-        try:
-            local = CacheStore(
-                str(tmp_path / "local"), 1 << 30, remote=peer.url
-            )
-            decode = functools.partial(parallel._decode, GRID[0])
-            assert local.get(kind, key, decode) is None
-            assert local.remote_errors == 1 and local.remote_hits == 0
-            assert local.misses == 1 and local.puts == 0
-            assert not (tmp_path / "local").exists()
-        finally:
-            peer.stop()
-
-    def test_store_never_imports_pickle(self):
-        """Stored and fetched values are JSON: the store has no pickle
-        to hand a peer's bytes to."""
-        import importlib
-
-        for name in ("repro.cache", "repro.cache.store"):
-            module = importlib.import_module(name)
-            assert "pickle" not in vars(module)
-            with open(module.__file__, encoding="utf-8") as fh:
-                assert "import pickle" not in fh.read()
-
-    def test_absent_remote_degrades(self, tmp_path):
-        local = CacheStore(
-            str(tmp_path), 1 << 30, remote="http://127.0.0.1:9",
-            remote_timeout=0.2,
-        )
-        assert local.get("result", "a" * 64) is None
-        assert local.remote_errors == 1
-
-    def test_artifact_endpoint_validates_path(self, server):
-        for bad in ("/artifact/result/zz", "/artifact/../x/" + "a" * 64):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url + bad, timeout=10)
-            assert err.value.code == 404
-
-
 class TestLedgerReconciliation:
     def test_served_rows_carry_engine_and_tier(self, server):
         ledger = telemetry.LEDGER
@@ -547,9 +411,11 @@ class TestStatsEndpoint:
         assert snap["server"]["jobs"] == 2
         assert snap["server"]["batches"] == 1
         assert set(snap["server"]["tiers"]) == {
-            "memory", "coalesced", "disk", "remote", "computed"
+            "memory", "coalesced", "disk", "computed"
         }
-        assert "hits" in snap["cache"] and "remote_hits" in snap["cache"]
+        assert set(snap["cache"]) == {
+            "hits", "misses", "puts", "evictions", "errors"
+        }
 
     def test_healthz(self, server):
         assert ServeClient(server.url).healthz()
