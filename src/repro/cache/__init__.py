@@ -1,7 +1,7 @@
 """Persistent content-addressed result store (``repro.cache``).
 
-A sweep job's whole result is a pure function of its workload, trace
-content, configuration, power schedule and marking.  This package keeps
+A sweep job's whole result is a pure function of its workload,
+configuration, power schedule and marking.  This package keeps
 those results (kind ``result``, written and read by
 :mod:`repro.eval.parallel`) under ``REPRO_CACHE_DIR`` as checksummed JSON
 in append-only pack segments (:mod:`repro.cache.store`), so processes
@@ -17,7 +17,8 @@ Public surface:
   (``None`` when disabled), resolved once from ``REPRO_CACHE_DIR`` and
   ``REPRO_CACHE_MAX_MB``; :func:`reset_for_tests` re-resolves.
 * :func:`content_key` — sha256 over a canonical ``repr`` of the parts
-  (plus the format version), the addressing scheme of result keys.
+  (plus the format version), the addressing scheme of result keys
+  (:func:`repro.eval.parallel.result_key` names what goes in).
 * :func:`stats` — the store's counters (``cache.*`` in
   :data:`repro.obs.metrics.COUNTERS`, including those of stores dropped
   by :func:`reset_for_tests`), rendered in ``results/profile.txt`` and

@@ -13,11 +13,14 @@ put and sealed once it holds an eighth of the size cap.  A put is one
 byte after it, kind, 32-byte key, payload length), then the payload in
 compact JSON.  An in-memory index maps a hash of ``(kind, key)`` to one
 int packing segment, offset and length; opening the store fills it by
-scanning headers in bounded chunks.  A get is one ``pread``, a header
-and sha256 check, ``json.loads`` and the caller's ``decode``.  A miss
-first refreshes the index — one ``stat`` of the root finds new segments,
-one ``fstat`` per foreign segment finds appends — so processes sharing
-the directory (a sweep server, local evals) see each other's results.
+scanning headers in bounded chunks.  A get is one ``pread`` and a
+header and sha256 check; it returns the checked payload bytes, or what
+the caller's ``decode`` makes of them (the local sweep engine parses
+and decodes them; the sweep server splices them into its reply
+unparsed).  A miss first refreshes the index — one ``stat`` of the root
+finds new segments, one ``fstat`` per foreign segment finds appends —
+so processes sharing the directory (a sweep server, local evals) see
+each other's results.
 Two writers of one key write equal values, so duplicates are harmless.
 
 Robustness contract (``tests/test_disk_cache.py``, ``tests/test_serve.py``):
@@ -26,14 +29,16 @@ Robustness contract (``tests/test_disk_cache.py``, ``tests/test_serve.py``):
   at the end of its segment.  Scans stop there, every earlier entry
   stays readable, and the next process appends to a fresh segment.
 * **Corruption tolerance** — an entry whose header or sha256 does not
-  match, whose JSON does not parse, or whose value ``decode`` refuses is
-  counted in ``errors`` and read as a miss.  It leaves the index, so
-  the next put of its key repairs it.  Nothing the directory holds
-  makes a get raise.
+  match, or whose payload ``decode`` refuses (JSON that does not parse,
+  a value of the wrong shape), is counted in ``errors`` and read as a
+  miss.  It leaves the index, so the next put of its key repairs it.
+  Nothing the directory holds makes a get raise.
 * **Silent degradation** — with ``REPRO_CACHE_DIR`` unset nothing
   touches the filesystem; an unwritable directory serves reads but
   drops writes after the first failure; a value JSON cannot encode is a
-  counted error.  Callers never need to guard their puts.
+  counted error.  Callers never need to guard their puts.  A put of
+  ``bytes`` stores them as the payload verbatim: the caller already
+  holds the encoded JSON.
 * **Size cap** — ``REPRO_CACHE_MAX_MB`` bounds the known segments plus
   the pickle trees an older layout left (:data:`LEGACY_DIRS`).
   Eviction removes those trees first, then whole segments oldest first
@@ -90,6 +95,11 @@ _LEN_MASK, _OFF_MASK = (1 << _LEN_BITS) - 1, (1 << _OFF_BITS) - 1
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def encode_json(obj: Any) -> bytes:
+    """``obj`` as the compact JSON bytes the store keeps as a payload."""
+    return _ENCODE(obj).encode("utf-8")
+
+
 def _slot(kind_f: bytes, key_b: bytes) -> int:
     """A key's index slot: 60 bits of a hash.  A collision reads as a
     damaged entry, since a get checks the whole key."""
@@ -111,18 +121,18 @@ def encode_entry(kind: str, key: str, payload: bytes) -> bytes:
     return b"".join((_MAGIC, digest.digest(), tail, payload))
 
 
-def _decode(blob: bytes, kind_f: bytes, key_b: bytes,
-            decode: Optional[Callable[[Any], Any]]) -> Any:
-    """The value of one entry stored under ``(kind_f, key_b)``; raises
-    when its header, sha256 or JSON does not check out or ``decode``
-    refuses it."""
+def _payload(blob: bytes, kind_f: bytes, key_b: bytes,
+             decode: Optional[Callable[[bytes], Any]]) -> Any:
+    """The payload bytes of one entry stored under ``(kind_f, key_b)``,
+    passed through ``decode`` when given; raises when its header or
+    sha256 does not check out or ``decode`` refuses it."""
     magic, digest, entry_kind, entry_key, length = _HEAD.unpack_from(blob)
     if (magic != _MAGIC or entry_kind != kind_f or entry_key != key_b
             or len(blob) != HEADER + length
             or hashlib.sha256(memoryview(blob)[36:]).digest() != digest):
         raise ValueError("entry does not match its key or digest")
-    value = json.loads(blob[HEADER:])
-    return value if decode is None else decode(value)
+    payload = blob[HEADER:]
+    return payload if decode is None else decode(payload)
 
 
 class _Segment:
@@ -283,16 +293,18 @@ class CacheStore:
             setattr(self, name, getattr(self, name) + n)
 
     def get(self, kind: str, key: str,
-            decode: Optional[Callable[[Any], Any]] = None) -> Optional[Any]:
-        """The stored value passed through ``decode`` (when given), or
-        ``None``: a miss, or a corrupt or undecodable entry."""
+            decode: Optional[Callable[[bytes], Any]] = None) -> Optional[Any]:
+        """The sha256-checked payload bytes stored under ``(kind, key)``,
+        or what ``decode`` returns for them (``json.loads`` gives the
+        value back); ``None`` on a miss, or for a corrupt entry or one
+        ``decode`` raises on."""
         kind_f, key_b, slot = _fields(kind, key)
         loc, blob = self._locate(slot)
         if loc is None:
             self._bump("misses")
             return None
         try:
-            value = _decode(blob, kind_f, key_b, decode)
+            value = _payload(blob, kind_f, key_b, decode)
         except Exception:
             # Damaged entry or one the caller cannot use: count it, and
             # drop it from the index so a later put repairs it.
@@ -306,12 +318,14 @@ class CacheStore:
         return value
 
     def put(self, kind: str, key: str, obj: Any) -> bool:
-        """Store ``obj`` (a JSON-encodable value); False (silently) when
-        it cannot be encoded or the store is unwritable."""
+        """Store ``obj``: a JSON-encodable value, or its JSON as
+        ``bytes`` (stored verbatim).  False (silently) when it cannot be
+        encoded or the store is unwritable."""
         if not self._writable:
             return False
         try:
-            entry = encode_entry(kind, key, _ENCODE(obj).encode("utf-8"))
+            payload = obj if isinstance(obj, bytes) else encode_json(obj)
+            entry = encode_entry(kind, key, payload)
         except (TypeError, ValueError):  # not JSON, or not a hex key
             self._bump("errors")
             return False

@@ -25,12 +25,16 @@ process's map cache.
 """
 
 import functools
+import hashlib
+import json
 import os
+import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple, Union, get_origin
 
 import repro.cache as artifact_cache
+from repro.cache.store import encode_json
 from repro.common.errors import ConfigError, SimulationError
 from repro.core import detector
 from repro.core.config import ClankConfig, PolicyOptimizations
@@ -156,25 +160,81 @@ class SimJob:
 SERVED_EXECUTOR = None
 
 
+#: The packages a trace build runs: the workload programs, the traced
+#: memory, the trace columns and the helpers they share.  Their source
+#: stands in for trace content in :func:`result_key`;
+#: ``tests/test_disk_cache.py`` checks that they import no other
+#: ``repro`` package.
+TRACE_SOURCES = tuple(
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), package)
+    for package in ("workloads", "mem", "trace", "common")
+)
+
+#: The result classes whose fields the stored and wire forms carry.
+RESULT_TYPES = (SimulationResult, BatchResult)
+
+
+def source_fingerprint(roots) -> str:
+    """sha256 over every ``.py`` file under each directory of ``roots``:
+    its path relative to that root, then its bytes."""
+    digest = hashlib.sha256()
+    for root in roots:
+        digest.update(b"\0root\0")
+        paths = sorted(
+            os.path.relpath(os.path.join(dirpath, name), root)
+            for dirpath, _dirnames, names in os.walk(root)
+            for name in names if name.endswith(".py")
+        )
+        for rel in paths:
+            with open(os.path.join(root, rel), "rb") as fh:
+                data = fh.read()
+            digest.update(b"%s\0%d\0" % (rel.encode("utf-8"), len(data)))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _key_salt() -> str:
+    """What every result key folds in besides the job, computed once
+    per process: the trace packages' source fingerprint, the
+    interpreter version that runs their seeded generators, and the
+    result schema (each class's field names and types)."""
+    schema = tuple(
+        (cls.__name__, tuple((f.name, repr(f.type)) for f in fields(cls)))
+        for cls in RESULT_TYPES
+    )
+    return artifact_cache.content_key(
+        source_fingerprint(TRACE_SOURCES), tuple(sys.version_info[:2]),
+        schema,
+    )
+
+
 def result_key(job: SimJob, settings: EvalSettings) -> Tuple[str, str]:
     """The whole-result cache address of one job: ``(kind, sha256 key)``.
 
     This is the *dedupe discipline* shared by the local result cache and
-    the sweep server (:mod:`repro.serve`): the key covers every input
-    that determines the simulation outcome — trace content and memory
-    map (:attr:`~repro.trace.trace.Trace.digest`), every behaviour-
-    affecting job field, the cost model, and the schedule-determining
-    settings fields (seed, mean on-time, clock).  Identical requests from
-    any number of clients are identical keys, so N users' sweeps cost one
-    simulation.  State that *cannot* affect the result (ledger,
-    tracing) is deliberately excluded; ``verify`` is excluded too
-    because verified runs never consult this cache at all.
+    the sweep server (:mod:`repro.serve`).  The key covers every input
+    that determines the simulation outcome, and it needs no trace:
+
+    * the job itself, whose workload name, size and trace seed name its
+      trace, and every behaviour-affecting field;
+    * :func:`_key_salt`: one sha256 over the source of the packages a
+      trace build runs (:data:`TRACE_SOURCES`), so editing a workload
+      orphans its old results, plus the result schema, so a changed
+      result class does too;
+    * the policy revision, the cost model and the schedule-determining
+      settings fields (seed, mean on-time, clock).
+
+    Identical requests from any number of clients are identical keys, so
+    N users' sweeps cost one simulation.  State that *cannot* affect the
+    result (ledger, tracing) is deliberately excluded; ``verify`` is
+    excluded too because verified runs never consult this cache at all.
     """
-    trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     kind = "batch-result" if job.n_seeds > 1 else "result"
     return "result", artifact_cache.content_key(
-        kind, detector.POLICY_REV, trace.digest, job,
-        _COST_MODELS[job.cost_model], settings.seed, settings.avg_on_ms, settings.clock_hz,
+        kind, detector.POLICY_REV, _key_salt(), job,
+        _COST_MODELS[job.cost_model], settings.seed, settings.avg_on_ms,
+        settings.clock_hz,
     )
 
 
@@ -267,25 +327,6 @@ def _family_prefetch(job: SimJob, trace, config, pi_words,
     )
 
 
-def _cache_lookup(job: SimJob, settings: EvalSettings,
-                  key: Optional[str] = None):
-    """``(rkey, stored)`` from the persistent result cache.
-
-    ``rkey`` is ``None`` when the store is off or the run verifies
-    (verified runs never read or write it); otherwise it is ``key``, or
-    :func:`result_key` when the caller holds none.  ``stored`` is the
-    job's ``(result, rows)`` decoded from its stored form, or ``None``
-    on a miss.  A stored form that does not decode for this job is
-    counted as a store error and read as a miss, so the job simulates
-    again and its put repairs the entry.
-    """
-    st = artifact_cache.store()
-    if st is None or settings.verify:
-        return None, None
-    rkey = key if key is not None else result_key(job, settings)[1]
-    return rkey, st.get("result", rkey, functools.partial(_decode, job))
-
-
 #: ``(field, type)`` of every :class:`SimulationResult` field, checked
 #: on each decoded row so a stored form with a field of the wrong type
 #: is refused at the store instead of failing later in the sweep.
@@ -295,9 +336,10 @@ _ROW_TYPES = tuple(
 
 
 def _decode(job: SimJob, stored) -> tuple:
-    """``(result, rows)`` of a stored form (a ``to_dict``, or
+    """``(result, rows)`` of a parsed stored form (a ``to_dict``, or
     ``"stalled"`` for a job that allows stalls); raises on a form that
-    does not fit the job."""
+    does not fit the job.  The local store path and the sweep client's
+    merge of served results both decode through here."""
     if stored == "stalled" and job.allow_stall:
         return None, [None]
     if job.n_seeds > 1:
@@ -312,6 +354,27 @@ def _decode(job: SimJob, stored) -> tuple:
         ):
             raise TypeError("stored result has a field of the wrong type")
     return result, rows
+
+
+def _load(job: SimJob, payload: bytes) -> tuple:
+    """:func:`_decode` of a stored payload's JSON bytes (the store's
+    ``decode`` on the local path)."""
+    return _decode(job, json.loads(payload))
+
+
+#: A stalled job's stored form, as JSON bytes.
+_STALLED = b'"stalled"'
+
+
+def _encode(job: SimJob, result) -> bytes:
+    """The stored form of a job's result as JSON bytes: the result's
+    ``to_dict`` (a scalar one without derived fields), or ``"stalled"``.
+    These bytes go to the store and, on the sweep server, to the wire."""
+    if result is None:
+        return _STALLED
+    if job.n_seeds > 1:
+        return encode_json(result.to_dict())
+    return encode_json(result.to_dict(include_derived=False))
 
 
 def _restore(job: SimJob, label: str, stored):
@@ -459,7 +522,8 @@ def _provenance(job: SimJob, result, seconds: float, cached: bool) -> list:
 
 def execute_job(
     job: SimJob, settings: EvalSettings, key: Optional[str] = None,
-) -> Tuple[Optional[SimulationResult], float]:
+    raw: bool = False,
+) -> Tuple[Union[SimulationResult, BatchResult, bytes, None], float]:
     """Run one job; returns ``(result, simulator_seconds)``.
 
     ``result`` is ``None`` only when the run stalled and the job allows it.
@@ -468,11 +532,13 @@ def execute_job(
     ones.
 
     That purity makes whole results cacheable: with ``REPRO_CACHE_DIR``
-    set, the result is stored under a key derived from the *trace
-    content* plus every behavior-affecting job and settings field, so a
-    warm run skips the simulation outright.  Runs under ``--verify`` are
-    never served from cache — a cached ``verified`` flag would claim a
-    check that did not execute.
+    set, the result is stored under :func:`result_key`, which names the
+    workload by identity (name, size, trace seed and a fingerprint of
+    the trace packages' source) plus every behavior-affecting job and
+    settings field.  A warm hit therefore builds no trace and skips the
+    simulation outright; the trace is built only on a miss.  Runs under
+    ``--verify`` are never served from cache — a cached ``verified``
+    flag would claim a check that did not execute.
 
     Seed-repeat jobs (``n_seeds > 1``) run as one batched replay
     (:func:`~repro.sim.batch.simulate_batch`) and return a
@@ -490,22 +556,34 @@ def execute_job(
     dispatch, so telemetry cannot change which engine runs.
 
     ``key`` is the job's :func:`result_key` when the caller already
-    holds it (the sweep server keys each job once per batch).
+    holds it (the sweep server keys each job once per batch).  With
+    ``raw`` the result comes back as its stored form's JSON bytes
+    (:func:`_encode`), for the sweep server to splice into its reply: a
+    hit returns the store's payload without parsing it, and a miss
+    encodes its result once for both the store and the caller.
     """
     if job.n_seeds > 1 and (job.engine != "clank" or job.schedule != "exp"):
         raise ConfigError(
             "seed-repeat jobs (n_seeds > 1) require engine='clank' with "
             "the exponential schedule"
         )
-    trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     config = job.clank_config()
-    rkey, stored = _cache_lookup(job, settings, key)
+    st = artifact_cache.store()
+    rkey = stored = start = None
+    if st is not None and not settings.verify:
+        rkey = key if key is not None else result_key(job, settings)[1]
+        stored = st.get("result", rkey,
+                        None if raw else functools.partial(_load, job))
     if stored is not None:
-        result = _restore(job, config.label(), stored)
+        if raw:
+            value = stored
+            result = None if stored == _STALLED else stored
+        else:
+            value = result = _restore(job, config.label(), stored)
         seconds = 0.0
-        start = None
         tier = "hit"
     else:
+        trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
         call = _engine_call(job, trace, config, settings)
         start = time.perf_counter()
         try:
@@ -514,14 +592,13 @@ def execute_job(
             if not job.allow_stall:
                 raise
             result = None
-        if rkey is not None:
-            if result is None:
-                stored = "stalled"
-            elif job.n_seeds > 1:
-                stored = result.to_dict()
-            else:
-                stored = result.to_dict(include_derived=False)
-            artifact_cache.store().put("result", rkey, stored)
+        value = result
+        if rkey is not None or raw:
+            encoded = _encode(job, result)
+            if rkey is not None:
+                st.put("result", rkey, encoded)
+            if raw:
+                value = encoded
         seconds = time.perf_counter() - start
         tier = "off" if rkey is None else "miss"
         if result is None:
@@ -557,7 +634,7 @@ def execute_job(
                 t_start=t_start,
                 worker=worker,
             ))
-    return result, seconds
+    return value, seconds
 
 
 # --------------------------------------------------------------------- #
@@ -571,41 +648,28 @@ def job_payload(job: SimJob, settings: EvalSettings,
     """Execute ``job`` and package what the sweep server streams for it
     (never a pickled trace or simulator).
 
-    ``result`` is the result's ``to_dict`` form (``batch`` says which
-    kind) and ``records`` the ledger records the job appended (moved out
-    of this process's ledger; they carry its rows and wall time).
+    ``result`` is the job's stored form as JSON bytes (``execute_job``
+    with ``raw``): a store hit's payload exactly as the store holds it,
+    or a computed result encoded once for the store and the wire.
+    ``records`` are the ledger records the job appended, as dicts (moved
+    out of this process's ledger; they carry its rows and wall time).
     ``span`` (if given) is closed and shipped in ``spans``; ``key`` is
     passed to :func:`execute_job`.
     """
     ledger = telemetry.LEDGER
     n_records = len(ledger.records)
     try:
-        result, _ = execute_job(job, settings, key)
+        raw, _ = execute_job(job, settings, key, raw=True)
     finally:
         if span is not None:
             span["t1"] = time.perf_counter()
     records = [rec.to_dict() for rec in ledger.records[n_records:]]
     del ledger.records[n_records:]
-    is_batch = isinstance(result, BatchResult)
-    if is_batch:
-        raw = result.to_dict()
-    else:
-        raw = None if result is None else result.to_dict(include_derived=False)
     return {
         "result": raw,
-        "batch": is_batch,
         "records": records,
         "spans": [span] if span is not None else [],
     }
-
-
-def decode_result(payload: dict) -> Union[SimulationResult, BatchResult,
-                                          None]:
-    """The result object a :func:`job_payload` (or an SSE event) carries."""
-    raw = payload["result"]
-    if payload["batch"]:
-        return BatchResult.from_dict(raw)
-    return None if raw is None else SimulationResult.from_dict(raw)
 
 
 def run_jobs(

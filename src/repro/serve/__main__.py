@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, choices=[1], default=1,
                         help=argparse.SUPPRESS)
     parser.add_argument("--memory", type=int, default=None,
-                        help="in-memory payload LRU entries "
+                        help="in-memory reply LRU entries "
                         "(default 4096; 0 disables)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="export request/resolve/worker spans as JSONL "

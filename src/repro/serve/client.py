@@ -8,10 +8,13 @@ order out, ledger fed — but resolves every job against a
 driver (``fig5``, ``fig8``, sweeps…) transparently becomes a thin
 client; :func:`uninstall` restores local execution.
 
-Determinism contract: the server returns each job's ``to_dict`` payload
-(:func:`repro.eval.parallel.job_payload`), and the client merges them in
-submission order — so served results are byte-identical to a local run
-of the same batch, whatever mix of cache tiers served them.
+Determinism contract: the server returns each job's stored ``to_dict``
+JSON verbatim (:func:`repro.eval.parallel.job_payload`), the client
+decodes it with the store path's :func:`repro.eval.parallel._decode`
+and merges the results in submission order — so served results are
+byte-identical to a local run of the same batch, whatever mix of cache
+tiers served them, and a result that does not fit its job raises
+:class:`ServeError` naming the job.
 
 Provenance: each served job appends one ``engine="served"`` record to
 the client's run ledger whose ``result_cache`` field carries the
@@ -34,7 +37,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Union
 
-from repro.eval.parallel import decode_result
+from repro.eval.parallel import _decode
 from repro.obs import telemetry
 from repro.obs.slog import SLOG
 from repro.obs.tracing import TRACE_HEADER, TRACER, format_traceparent
@@ -227,7 +230,16 @@ class ServeClient:
         self.jobs_served += len(jobs)
         ledger = telemetry.LEDGER
         results: List[Union[SimulationResult, BatchResult, None]] = []
-        for job, event in zip(jobs, events):
+        for idx, (job, event) in enumerate(zip(jobs, events)):
+            try:
+                result, _rows = _decode(job, event["result"])
+            except Exception as exc:
+                raise ServeError(
+                    f"server sent job {idx} ({job.workload} "
+                    f"{job.clank_config().label()} salt={job.salt}) a "
+                    f"result that does not fit it: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             tier = event.get("tier", "computed")
             if tier in self.tier_counts:
                 self.tier_counts[tier] += 1
@@ -244,13 +256,13 @@ class ServeClient:
                     size=job.size,
                     salt=job.salt,
                     driver=ledger.driver,
-                    stalled=event["result"] is None and not event["batch"],
+                    stalled=result is None,
                     rows=sum(rec["rows"] for rec in records),
                     wall_s=wall_s,
                     t_start=ledger.now(),
                     worker=os.getpid(),
                 ))
-            results.append(decode_result(event))
+            results.append(result)
         return results
 
     def summary_line(self) -> str:

@@ -8,8 +8,8 @@ One :class:`SweepServer` owns three layers:
   Event per job as it lands (each ``data:`` line is a JSON object with
   the job's submission index, dedupe tier, result payload, and the
   server-side :class:`RunRecord` ledger lines), ``GET /stats`` reports
-  the dedupe funnel plus :func:`repro.cache.stats`, ``GET /metrics`` exposes
-  Prometheus-text latency histograms (per-endpoint requests, per-tier
+  the dedupe funnel, :func:`repro.cache.stats` and the trace-cache
+  counters, ``GET /metrics`` exposes Prometheus-text latency histograms (per-endpoint requests, per-tier
   resolves, SSE stream durations) and gauges, and ``GET /healthz`` is
   the liveness probe.  Requests carrying an ``X-Repro-Trace`` header
   (plus an optional per-job ``trace`` block in the batch body) get their
@@ -20,11 +20,12 @@ One :class:`SweepServer` owns three layers:
   — the same content hash the local result cache uses, so "identical
   request" is decided by simulation inputs, never by client identity.
   Three tiers answer without simulating: an in-memory LRU of recent
-  payloads (``memory``), in-flight **single-flight coalescing**
+  replies (``memory``), in-flight **single-flight coalescing**
   (``coalesced``: a request whose key is already simulating awaits the
   same future — two clients posting the same key share one execution),
   and the persistent result store consulted inside ``execute_job``
-  (``disk``).  Only a full miss reaches the simulator (``computed``).
+  (``disk``).  Only a full miss builds a trace and simulates
+  (``computed``).
 * **A one-thread bridge** to the sweep engine, entered per batch and
   per chunk, never per job.  One bridge call prepares a batch: it
   decodes every job once, registers the batch's sweep plans and keys
@@ -32,10 +33,14 @@ One :class:`SweepServer` owns three layers:
   and sends the owned misses back in chunks of
   ``repro.eval.parallel._FAMILY_CHUNK`` jobs, one bridge hop each.  A
   chunk runs exactly what the local sweep engine runs (trace caches,
-  artifact flushes, ledger records); the chunk runner hands
-  ``execute_job`` the key it already holds and encodes each job's SSE
-  line, so the event loop only does per-job bookkeeping and never
-  blocks on a simulation.
+  store reads and puts, ledger records); the chunk runner hands
+  ``execute_job`` the key it already holds and encodes the body of each
+  job's SSE line, so the event loop only does per-job bookkeeping and
+  never blocks on a simulation.
+
+A job's SSE line carries its result's stored JSON verbatim: a disk hit
+is one ``pread``, one sha256 check and a splice, with no decode or
+re-encode here, and memory and coalesced replies reuse the same bytes.
 
 Served batches refuse ``verify=True`` settings with a 400: a served
 result would claim a verification that did not execute in the client's
@@ -52,15 +57,17 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 import repro.cache as artifact_cache
+from repro.cache.store import encode_json
 from repro.obs import telemetry
 from repro.obs.metrics import ServingMetrics
 from repro.obs.slog import SLOG, new_request_id
 from repro.obs.tracing import TRACER, make_span, parse_traceparent
 from repro.serve import jsonio
+from repro.workloads.cache import cache_stats as trace_cache_stats
 
 __all__ = ["ServerHandle", "SweepServer", "start_in_background"]
 
-#: In-memory payload LRU entries (``--memory`` overrides).
+#: In-memory reply LRU entries (``--memory`` overrides).
 DEFAULT_MEMORY_ENTRIES = 4096
 
 #: Largest request body read, bytes: ten times the largest batch a full
@@ -88,14 +95,22 @@ def _sse(event: dict) -> bytes:
     return b"data: " + blob + b"\n\n"
 
 
-def _event_line(idx: int, key: str, tier: str, payload: dict) -> bytes:
-    """One answered job's SSE line.  Coalesced and memory replies reuse
-    the first execution's payload, whose ``tier`` names where *that*
-    execution was served from; the event carries this reply's tier."""
-    event = {"type": "result", "idx": idx, "key": key, "tier": tier}
-    event.update(payload)
-    event["tier"] = tier
-    return _sse(event)
+def _event_body(records: list, raw: bytes) -> bytes:
+    """An answered job's SSE line after its header: the ledger records
+    of the execution that produced the result, then the result's stored
+    JSON bytes, verbatim.  Coalesced and memory replies reuse it."""
+    return b"".join((
+        b',"records":', encode_json(records),
+        b',"result":', raw, b"}\n\n",
+    ))
+
+
+def _event_line(idx: int, key: str, tier: str, body: bytes) -> bytes:
+    """One answered job's SSE line: this reply's header (a hex key and a
+    tier name need no escaping), then ``body``."""
+    return b'data: {"type":"result","idx":%d,"key":"%s","tier":"%s"%s' % (
+        idx, key.encode("ascii"), tier.encode("ascii"), body,
+    )
 
 
 def _prepare(job_dicts: list, settings) -> list:
@@ -105,8 +120,8 @@ def _prepare(job_dicts: list, settings) -> list:
     job's own failure text when it cannot be decoded or keyed.  The
     batch's sweep plans are registered before any job dispatches, so
     its cold SectionMaps come from family passes (as in a local
-    ``run_jobs`` sweep).  Keying may build and compile a trace on first
-    sight of a workload.
+    ``run_jobs`` sweep).  Keying builds no trace: a result key names
+    its workload by identity (:func:`repro.eval.parallel.result_key`).
     """
     from repro.common.errors import ConfigError
     from repro.eval.parallel import _register_family_plans, result_key
@@ -141,12 +156,12 @@ def _run_chunk(items: list, settings) -> list:
     """Execute a chunk of owned misses back to back in the bridge thread.
 
     Each item is ``(idx, job, key, trace_parent)``.  Each job yields
-    ``(payload, spans, line)``: the
-    :func:`repro.eval.parallel.job_payload` of the exact function the
-    local sweep engine runs (so served results are byte-identical),
-    with the ledger forced on and the dedupe ``tier`` added, the worker
-    spans it shipped, and its encoded SSE line.  A failing job yields
-    ``(None, None, error)`` and the chunk goes on.  The records travel
+    ``(tier, spans, body)``: ``disk`` or ``computed``, the worker spans
+    it shipped, and its SSE line body (:func:`_event_body`) built from
+    the :func:`repro.eval.parallel.job_payload` of the exact function
+    the local sweep engine runs (so served results are byte-identical),
+    with the ledger forced on.  A failing job yields ``(None, None,
+    error)`` and the chunk goes on.  The records travel
     in the payload, not in process state: this keeps a long-lived
     server bounded, and keeps an *embedded* server (tests,
     background-thread harness) from double-counting — the client's
@@ -175,16 +190,16 @@ def _run_chunk(items: list, settings) -> list:
             except Exception as exc:
                 out.append((None, None, _error_text(exc)))
                 continue
-            spans = payload.pop("spans")
-            engines = [rec["engine"] for rec in payload["records"]]
+            records = payload["records"]
+            engines = [rec["engine"] for rec in records]
             if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
                 tier = "disk"
             else:
                 tier = "computed"
-            payload["tier"] = tier
             if span is not None:
                 span["attrs"]["tier"] = tier
-            out.append((payload, spans, _event_line(idx, key, tier, payload)))
+            out.append((tier, payload["spans"],
+                        _event_body(records, payload["result"])))
     finally:
         ledger.enabled = was_enabled
     return out
@@ -197,7 +212,7 @@ class SweepServer:
         host: Bind address (loopback by default).
         port: Bind port; 0 picks an ephemeral port (read ``url`` after
             :meth:`start`).
-        memory_entries: In-memory payload LRU cap (``None`` →
+        memory_entries: In-memory reply LRU cap (``None`` →
             :data:`DEFAULT_MEMORY_ENTRIES`; 0 disables the tier).
     """
 
@@ -213,7 +228,7 @@ class SweepServer:
             DEFAULT_MEMORY_ENTRIES if memory_entries is None
             else max(0, memory_entries)
         )
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._inflight: Dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._bridge = ThreadPoolExecutor(
@@ -275,16 +290,16 @@ class SweepServer:
 
     # -- dedupe + execution -------------------------------------------- #
 
-    def _memory_hit(self, key: str) -> Optional[dict]:
-        payload = self._memory.get(key)
-        if payload is not None:
+    def _memory_hit(self, key: str) -> Optional[bytes]:
+        body = self._memory.get(key)
+        if body is not None:
             self._memory.move_to_end(key)
-        return payload
+        return body
 
-    def _memory_put(self, key: str, payload: dict) -> None:
+    def _memory_put(self, key: str, body: bytes) -> None:
         if self._memory_cap <= 0:
             return
-        self._memory[key] = payload
+        self._memory[key] = body
         self._memory.move_to_end(key)
         while len(self._memory) > self._memory_cap:
             self._memory.popitem(last=False)
@@ -303,8 +318,9 @@ class SweepServer:
         same key share one execution); any other key gets its future
         installed before anything dispatches.  The owned misses go to
         the bridge in chunks of ``_FAMILY_CHUNK``, all dispatched at
-        once and run one after another.  Completed payloads land in the memory LRU, so
-        later duplicates are ``memory`` hits.  Every owned chunk runs to
+        once and run one after another.  Completed SSE line bodies land
+        in the memory LRU, so later duplicates are ``memory`` hits that
+        reuse the same bytes.  Every owned chunk runs to
         completion even after the client hangs up: waiters and the
         inflight table depend on it.
         """
@@ -318,8 +334,7 @@ class SweepServer:
         own: Dict[str, asyncio.Future] = {}
         waiters: Dict[str, list] = {}
 
-        def answered(idx: int, key: str, tier: str, payload: dict,
-                     line: Optional[bytes] = None) -> bytes:
+        def answered(idx: int, key: str, tier: str, body: bytes) -> bytes:
             nonlocal left
             # One observation per served job — the reconciliation
             # invariant: summed across tiers, this histogram's count
@@ -332,7 +347,7 @@ class SweepServer:
             left -= 1
             if spans[idx] is not None:
                 TRACER.finish(spans[idx], tier=tier, key=key[:12])
-            return line or _event_line(idx, key, tier, payload)
+            return _event_line(idx, key, tier, body)
 
         def failed(idx: int, error: str) -> bytes:
             nonlocal left
@@ -380,10 +395,10 @@ class SweepServer:
                 if error is not None:
                     lines.append(failed(idx, error))
                     continue
-                payload = self._memory_hit(key)
-                if payload is not None:
+                body = self._memory_hit(key)
+                if body is not None:
                     self.tiers["memory"] += 1
-                    lines.append(answered(idx, key, "memory", payload))
+                    lines.append(answered(idx, key, "memory", body))
                     continue
                 fut = self._inflight.get(key)
                 if fut is not None:
@@ -419,27 +434,24 @@ class SweepServer:
                         results = done_fut.result()
                     except Exception as exc:
                         results = [(None, None, _error_text(exc))] * len(items)
-                    for (idx, _, key, _), (payload, worker_spans, line) in zip(
+                    for (idx, _, key, _), (tier, worker_spans, body) in zip(
                         items, results
                     ):
                         fut = own[key]
                         del self._inflight[key]
-                        if payload is None:
-                            fut.set_exception(_JobFailed(line))
-                            lines.append(failed(idx, line))
+                        if tier is None:
+                            fut.set_exception(_JobFailed(body))
+                            lines.append(failed(idx, body))
                         else:
-                            # Worker spans ride the payload exactly once:
-                            # absorb them before the payload is shared
-                            # with waiters and the memory LRU.
+                            # Worker spans come back once, with the owning
+                            # execution; waiters and the memory LRU share
+                            # only the body.
                             if worker_spans and tracing:
                                 TRACER.add_all(worker_spans)
-                            fut.set_result(payload)
-                            tier = payload["tier"]
+                            fut.set_result(body)
                             self.tiers[tier] += 1
-                            self._memory_put(key, payload)
-                            lines.append(
-                                answered(idx, key, tier, payload, line)
-                            )
+                            self._memory_put(key, body)
+                            lines.append(answered(idx, key, tier, body))
                         wake(key, fut, lines)
                     self._m_inflight_keys.set(len(self._inflight))
                 await send(lines)
@@ -468,6 +480,7 @@ class SweepServer:
                 "memory_cap": self._memory_cap,
             },
             "cache": artifact_cache.stats(),
+            "traces": trace_cache_stats(),
         }
 
     def metrics_text(self) -> str:
@@ -657,12 +670,7 @@ class SweepServer:
             writer, job_dicts, settings, job_parents, t0
         )
         if not broken:
-            writer.write(
-                b"data: "
-                + json.dumps({"type": "done", "jobs": len(job_dicts)})
-                .encode("utf-8")
-                + b"\n\n"
-            )
+            writer.write(_sse({"type": "done", "jobs": len(job_dicts)}))
         stream_s = time.perf_counter() - t0
         self._m_sse_seconds.observe(stream_s)
         if batch_span is not None:

@@ -446,9 +446,9 @@ class Trace:
         Covers the name, checksum, total cycles, text and MMIO word
         ranges, markers and the sorted initial image, then the raw bytes
         of the kind, address, value and cycle columns (the output flags
-        follow from those).  It keys every per-trace cache, in memory and
-        in the persistent store, so two traces share an entry only when
-        their contents are equal.
+        follow from those).  It keys the in-memory per-trace caches, so
+        two traces share an entry only when their contents are equal;
+        stored results are keyed by workload identity instead.
         """
         if self._digest is None:
             mmap = self.memory_map

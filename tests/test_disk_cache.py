@@ -12,7 +12,9 @@ of the wrong shape re-simulates, and a warm sweep opens each segment
 once.
 """
 
+import json
 import os
+import shutil
 import sys
 import threading
 
@@ -20,10 +22,13 @@ import pytest
 
 import repro.cache as artifact_cache
 from repro.cache.store import HEADER, CacheStore
+from repro.eval import parallel
 from repro.eval.parallel import SimJob, execute_job, result_key, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.metrics import COUNTERS
 from repro.sim import sections
+from repro.workloads.cache import cache_stats as trace_cache_stats
+from repro.workloads.cache import clear_trace_cache
 
 QUICK = EvalSettings(size="small", sweep_size="tiny", seed=2)
 
@@ -94,7 +99,9 @@ class TestStoreBasics:
         st = _store(tmp_path)
         assert st.get("k", "ab" * 32) is None
         assert st.put("k", "ab" * 32, {"x": [1, 2]})
-        assert st.get("k", "ab" * 32) == {"x": [1, 2]}
+        # A get without ``decode`` is the checked payload, unparsed.
+        raw = st.get("k", "ab" * 32)
+        assert raw == b'{"x":[1,2]}' and json.loads(raw) == {"x": [1, 2]}
         assert st.stats() == {
             "hits": 1, "misses": 1, "puts": 1, "evictions": 0, "errors": 0,
         }
@@ -187,7 +194,7 @@ class TestStoreBasics:
         for slot in range(4):
             for i in range(200):
                 key = f"{slot:02x}{i:04x}" * 8 + "ab" * 8
-                assert fresh.get("k", key) == [slot, i]
+                assert fresh.get("k", key, json.loads) == [slot, i]
         assert fresh.errors == 0
 
     def test_store_sees_writes_of_a_store_opened_later(self, tmp_path):
@@ -198,11 +205,12 @@ class TestStoreBasics:
         assert early.get("k", "ab" * 32) is None
         late = _store(tmp_path)
         late.put("k", "ab" * 32, {"from": "late"})
-        assert early.get("k", "ab" * 32) == {"from": "late"}
+        assert early.get("k", "ab" * 32, json.loads) == {"from": "late"}
         late.put("k", "cd" * 32, {"from": "late", "n": 2})
-        assert early.get("k", "cd" * 32) == {"from": "late", "n": 2}
+        assert early.get("k", "cd" * 32, json.loads) == {
+            "from": "late", "n": 2}
         early.put("k", "ef" * 32, [3])
-        assert late.get("k", "ef" * 32) == [3]
+        assert late.get("k", "ef" * 32, json.loads) == [3]
         assert early.errors == late.errors == 0
 
 
@@ -220,9 +228,9 @@ class TestCorruption:
         assert st.get("k", key) is None
         assert st.errors == 1 and st.misses == 1
         assert st.put("k", key, [4])
-        assert st.get("k", key) == [4]
+        assert st.get("k", key, json.loads) == [4]
         # A later process reads the repair, not the damaged copy.
-        assert _store(tmp_path).get("k", key) == [4]
+        assert _store(tmp_path).get("k", key, json.loads) == [4]
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         """A torn append (a writer killed mid-entry) keeps every earlier
@@ -237,15 +245,15 @@ class TestCorruption:
         size = os.path.getsize(path)
         os.truncate(path, size - 50)
         fresh = _store(tmp_path)
-        assert fresh.get("k", keys[0]) == list(range(100))
-        assert fresh.get("k", keys[1]) == list(range(100, 200))
+        assert fresh.get("k", keys[0], json.loads) == list(range(100))
+        assert fresh.get("k", keys[1], json.loads) == list(range(100, 200))
         assert fresh.get("k", keys[2]) is None
         assert fresh.errors == 0
         assert fresh.put("k", keys[2], ["again"])
-        assert fresh.get("k", keys[2]) == ["again"]
+        assert fresh.get("k", keys[2], json.loads) == ["again"]
         assert len(_segments(tmp_path)) == 2
         assert os.path.getsize(path) == size - 50
-        assert _store(tmp_path).get("k", keys[2]) == [
+        assert _store(tmp_path).get("k", keys[2], json.loads) == [
             "again"]
 
 
@@ -258,7 +266,7 @@ class TestEviction:
             st.put("k", ("%064x" % i), payload)
             assert _dir_bytes(tmp_path) <= cap
         assert st.evictions > 0
-        assert st.get("k", "%064x" % 127) == payload
+        assert st.get("k", "%064x" % 127, json.loads) == payload
 
     def test_oldest_segment_evicted_first(self, tmp_path):
         """Recency is segment age: eviction drops the oldest segments
@@ -294,7 +302,8 @@ class TestEviction:
         left = [k for k in legacy if (tmp_path / k).is_dir()]
         assert 0 < len(left) < len(legacy)
         assert st.evictions == 2 * (len(legacy) - len(left))
-        assert st.get("k", "ab" * 32) == "first"  # no segment went first
+        # No segment went first.
+        assert st.get("k", "ab" * 32, json.loads) == "first"
         assert _dir_bytes(tmp_path) <= cap
         for i in range(8, 24):
             st.put("k", "%064x" % i, "x" * 4096)
@@ -338,7 +347,7 @@ class TestDegradation:
         # No litter from the failed writes, and the store still writes.
         assert os.listdir(str(tmp_path)) == []
         assert st.put("k", "ab" * 32, 1)
-        assert st.get("k", "ab" * 32) == 1
+        assert st.get("k", "ab" * 32, json.loads) == 1
 
 
 class TestResultCache:
@@ -405,6 +414,131 @@ class TestResultCache:
             assert warm.to_dict() == cold.to_dict()
 
 
+    def test_warm_hit_builds_no_trace(self, monkeypatch, tmp_path):
+        """A hit needs no trace: its key names the workload, so a warm
+        job in a process that never built the workload builds nothing."""
+        _enable(monkeypatch, tmp_path)
+        cold, _ = execute_job(self.JOB, QUICK)
+        clear_trace_cache()
+        builds = trace_cache_stats()["misses"]
+        warm, secs = execute_job(self.JOB, QUICK)
+        assert secs == 0.0 and warm.to_dict() == cold.to_dict()
+        assert trace_cache_stats()["misses"] == builds
+
+
+@pytest.fixture()
+def _fresh_salt():
+    """Recompute the key salt under a test's patches, and again after."""
+    parallel._key_salt.cache_clear()
+    yield
+    parallel._key_salt.cache_clear()
+
+
+@pytest.mark.usefixtures("_fresh_salt")
+class TestResultKeys:
+    """A result key names its workload by identity — the job's name,
+    size and trace seed, the trace packages' source and the result
+    schema — instead of by trace content, so keying builds no trace."""
+
+    JOB = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny")
+
+    def _key(self, job=None):
+        return result_key(job or self.JOB, QUICK)[1]
+
+    def _sources_with(self, monkeypatch, workloads_dir):
+        monkeypatch.setattr(parallel, "TRACE_SOURCES", (
+            str(workloads_dir),) + parallel.TRACE_SOURCES[1:])
+        parallel._key_salt.cache_clear()
+
+    def test_editing_a_workload_changes_its_key(self, monkeypatch, tmp_path):
+        original = self._key()
+        src = parallel.TRACE_SOURCES[0]
+        assert os.path.basename(src) == "workloads"
+        copy = tmp_path / "copy"
+        shutil.copytree(src, str(copy),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # An unedited copy elsewhere fingerprints the same.
+        self._sources_with(monkeypatch, copy)
+        assert self._key() == original
+        path = copy / "math_kernels.py"
+        text = path.read_text(encoding="utf-8")
+        edited = text.replace("crc = 0xFFFFFFFF", "crc = 0xFFFFFFFE", 1)
+        assert edited != text
+        path.write_text(edited, encoding="utf-8")
+        self._sources_with(monkeypatch, copy)
+        assert self._key() != original
+
+    def test_result_schema_changes_key(self, monkeypatch):
+        from dataclasses import dataclass
+
+        from repro.sim.result import SimulationResult
+
+        original = self._key()
+
+        @dataclass
+        class SimulationResult(SimulationResult):  # noqa: F811
+            extra_cycles: int = 0
+
+        monkeypatch.setattr(parallel, "RESULT_TYPES",
+                            (SimulationResult,) + parallel.RESULT_TYPES[1:])
+        parallel._key_salt.cache_clear()
+        assert self._key() != original
+
+    def test_identity_fields_change_key(self):
+        import dataclasses
+
+        clear_trace_cache()
+        builds = trace_cache_stats()["misses"]
+        base = self._key()
+        assert self._key(dataclasses.replace(self.JOB)) == base
+        keys = {
+            self._key(dataclasses.replace(self.JOB, **change))
+            for change in ({"workload": "rc4"}, {"size": "small"},
+                           {"trace_seed": 1})
+        }
+        assert len(keys) == 3 and base not in keys
+        assert trace_cache_stats()["misses"] == builds
+
+    def test_trace_packages_import_only_fingerprinted_packages(self):
+        """Every ``repro`` module a module of the fingerprinted packages
+        imports is itself fingerprinted, so no source a trace build runs
+        can change without changing every key.  If a trace build comes
+        to depend on another package, add it to ``TRACE_SOURCES``."""
+        import ast
+
+        packages = {os.path.basename(root): root
+                    for root in parallel.TRACE_SOURCES}
+        # The trace cache's hit/miss counters live in the metrics
+        # registry; no trace byte depends on them.
+        counters_only = {("workloads/cache.py", "repro.obs.metrics")}
+        outside = []
+        for name, root in packages.items():
+            for dirpath, _dirnames, files in os.walk(root):
+                for fname in files:
+                    if not fname.endswith(".py"):
+                        continue
+                    path = os.path.join(dirpath, fname)
+                    rel = f"{name}/{os.path.relpath(path, root)}"
+                    with open(path, encoding="utf-8") as fh:
+                        tree = ast.parse(fh.read(), path)
+                    for node in ast.walk(tree):
+                        if isinstance(node, ast.Import):
+                            mods = [alias.name for alias in node.names]
+                        elif isinstance(node, ast.ImportFrom):
+                            assert node.level == 0, f"{rel}: relative import"
+                            mods = [node.module]
+                        else:
+                            continue
+                        for mod in mods:
+                            parts = mod.split(".")
+                            if parts[0] != "repro":
+                                continue
+                            if len(parts) < 2 or parts[1] not in packages:
+                                if (rel, mod) not in counters_only:
+                                    outside.append((rel, mod))
+        assert not outside, outside
+
+
 class TestSweepWriters:
     JOBS = [
         SimJob(workload=w, config=c, size="tiny", salt=s)
@@ -432,7 +566,8 @@ class TestSweepWriters:
         assert len(_segments(tmp_path)) == 1
         fresh = _store(tmp_path)
         for job in jobs:
-            assert isinstance(fresh.get(*result_key(job, QUICK)), dict)
+            assert isinstance(
+                fresh.get(*result_key(job, QUICK), json.loads), dict)
         assert fresh.errors == 0
         warm = run_jobs(jobs, QUICK)
         for a, b, c in zip(off, first, warm):

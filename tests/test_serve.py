@@ -23,7 +23,7 @@ import pytest
 
 import repro.cache as artifact_cache
 from repro.eval import parallel
-from repro.eval.parallel import SimJob, run_jobs
+from repro.eval.parallel import SimJob, result_key, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.metrics import COUNTERS
@@ -142,6 +142,22 @@ class TestJsonio:
         )
         encoded = json.loads(json.dumps(job_to_dict(job)))
         assert job_from_dict(encoded) == job
+
+    def test_job_to_dict_equals_asdict_form(self):
+        from dataclasses import asdict
+
+        from repro.core.config import PolicyOptimizations
+
+        jobs = GRID + [SimJob(workload="crc", config=(16, 8, 4, 2),
+                              opts=PolicyOptimizations.none(),
+                              volatile_segments=("stack",))]
+        for job in jobs:
+            expected = asdict(job)
+            expected["config"] = list(job.config)
+            expected["volatile_segments"] = list(job.volatile_segments)
+            encoded = job_to_dict(job)
+            assert encoded == expected
+            assert list(encoded) == list(expected)
 
     def test_settings_round_trip(self):
         encoded = json.loads(json.dumps(settings_to_dict(SETTINGS)))
@@ -309,7 +325,8 @@ class TestBatchFunnel:
         assert by_idx[1]["error"] == by_idx[3]["error"]
         assert by_idx[1]["error"].startswith("ConfigError: seed-repeat")
         local = run_jobs([GRID[0], GRID[2]], SETTINGS)
-        served = [parallel.decode_result(by_idx[i]) for i in (0, 2)]
+        served = [parallel._decode(batch[i], by_idx[i]["result"])[0]
+                  for i in (0, 2)]
         assert _dicts(served) == _dicts(local)
         stats = server.stats()["server"]
         assert stats["errors"] == 2 and stats["inflight"] == 0
@@ -341,6 +358,128 @@ class TestBatchFunnel:
         repeat = ServeClient(server.url)
         repeat.run_jobs(batch, SETTINGS)
         assert repeat.tier_counts["memory"] == 40
+
+
+#: One of each stored form: scalar, seed-repeat rows, an allowed stall.
+FORMS = [
+    GRID[0],
+    GRID[4],
+    SimJob(workload="crc", config=(16, 8, 4, 4), size="tiny",
+           schedule="runt", runt_mean=2, runt_fraction=1.0,
+           max_power_cycles=50, allow_stall=True),
+]
+
+
+def _post_lines(url, jobs):
+    """POST one batch and return its raw SSE ``data:`` lines."""
+    body = json.dumps({
+        "settings": settings_to_dict(SETTINGS),
+        "jobs": [job_to_dict(job) for job in jobs],
+    }).encode("utf-8")
+    req = urllib.request.Request(url + "/jobs", data=body, method="POST")
+    with urllib.request.urlopen(req, timeout=60) as resp:
+        return [line.rstrip(b"\n") for line in resp
+                if line.startswith(b"data: ")]
+
+
+def _result_bytes(line):
+    """The result bytes an answered job's line ends with."""
+    assert line.endswith(b"}")
+    return line.split(b',"result":', 1)[1][:-1]
+
+
+def _by_idx(lines):
+    """The answered jobs' lines in submission order (events arrive as
+    jobs land; the last line is ``done``)."""
+    events = [json.loads(line[len(b"data: "):]) for line in lines[:-1]]
+    order = sorted(range(len(events)), key=lambda i: events[i]["idx"])
+    return [lines[i] for i in order]
+
+
+def _body(line):
+    """An answered job's line after its per-reply header."""
+    return line[line.index(b',"records":'):]
+
+
+class TestSplicedReplies:
+    """A warm served hit is the stored payload spliced into the SSE line:
+    the server builds no trace and decodes or encodes no result."""
+
+    @pytest.fixture()
+    def warm(self, tmp_path, monkeypatch):
+        """A store filled by a local run, then a fresh server on it with
+        cold trace and section caches; yields ``(handle, store, local)``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        artifact_cache.reset_for_tests()
+        local = run_jobs(FORMS, SETTINGS)
+        clear_trace_cache()
+        sections.clear_cache()
+        handle = start_in_background()
+        try:
+            yield handle, artifact_cache.store(), local
+        finally:
+            handle.stop()
+
+    def test_disk_hits_build_and_decode_nothing(self, warm, monkeypatch):
+        from repro.sim.batch import BatchResult
+        from repro.sim.result import SimulationResult
+        from repro.workloads.cache import cache_stats
+
+        handle, st, local = warm
+        calls = []
+
+        def spy(cls, name):
+            inner = cls.__dict__[name]
+            fn = getattr(inner, "__func__", inner)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread().name))
+                return fn(*args, **kwargs)
+
+            wrapped = classmethod(wrapper) if isinstance(
+                inner, classmethod) else wrapper
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in (SimulationResult, BatchResult):
+            spy(cls, "to_dict")
+            spy(cls, "from_dict")
+        builds = cache_stats()["misses"]
+        lines = _by_idx(_post_lines(handle.url, FORMS))
+        served = ServeClient(handle.url).run_jobs(FORMS, SETTINGS)
+        me = threading.current_thread().name
+        assert [c for c in calls if c[1] != me] == []
+        assert cache_stats()["misses"] == builds
+        assert handle.stats()["traces"]["misses"] == builds
+        assert handle.stats()["server"]["tiers"]["disk"] == len(FORMS)
+        assert _dicts(served) == _dicts(local)
+        assert served[2] is None
+        for job, line in zip(FORMS, lines):
+            stored = st.get(*result_key(job, SETTINGS))
+            assert _result_bytes(line) == stored
+        assert _result_bytes(lines[2]) == b'"stalled"'
+
+    def test_memory_and_coalesced_replies_equal_disk(self, warm):
+        handle, _st, _local = warm
+        first = _by_idx(_post_lines(handle.url, FORMS + FORMS))
+        again = _by_idx(_post_lines(handle.url, FORMS))
+        tiers = [json.loads(line[len(b"data: "):])["tier"]
+                 for line in first + again]
+        n = len(FORMS)
+        assert tiers == ["disk"] * n + ["coalesced"] * n + ["memory"] * n
+        for i in range(n):
+            disk = _body(first[i])
+            assert _body(first[n + i]) == disk == _body(again[i])
+
+    def test_wrong_shape_entry_fails_the_client(self, warm):
+        handle, st, local = warm
+        bad = SimJob(workload="rc4", config=(4, 2, 1, 0), size="tiny",
+                     salt=5)
+        st.put(*result_key(bad, SETTINGS), {"bogus": 1})
+        with pytest.raises(ServeError, match=r"job 1 \(rc4 4,2,1,0 salt=5\)"):
+            ServeClient(handle.url).run_jobs([FORMS[0], bad], SETTINGS)
+        assert ServeClient(handle.url).healthz()
+        again = ServeClient(handle.url).run_jobs(FORMS, SETTINGS)
+        assert _dicts(again) == _dicts(local)
 
 
 class TestRequestLimits:
