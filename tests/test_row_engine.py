@@ -1,0 +1,339 @@
+"""The sweep engine against the engines it dispatches to.
+
+``run_jobs`` may execute a job list in any internal order and share any
+work between jobs, but what it hands back must be indistinguishable from
+running each job alone.  Two properties pin that:
+
+* **Differential.**  Hypothesis generates seeded, bounded job lists over
+  small and micro workloads: mixed configurations and policy
+  optimizations, repeated and distinct schedule salts, both watchdogs,
+  PI and epoch marking, stalls (some forced by a tiny
+  ``max_power_cycles``), volatile segments and seed-repeat jobs.  Every
+  result's ``to_dict`` must equal a reference
+  :class:`~repro.sim.simulator.IntermittentSimulator` run with
+  verification off, and the Python section walker's wherever that walker
+  is eligible; the run ledger's ``stable_records`` must equal those of a
+  one-job-at-a-time :func:`~repro.eval.parallel.execute_job` loop.  Both
+  run with the C kernel and with ``REPRO_CEXT=0``.
+* **Order and store.**  One interleaved list over several traces, with a
+  partly filled result store and undo, volatile, runt and stalled jobs:
+  results, the store's segment bytes, ledger indices and the profile's
+  run count all equal the per-job path's.
+"""
+
+import contextlib
+import dataclasses
+import os
+import re
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.cache as artifact_cache
+from repro.common.errors import SimulationError
+from repro.compiler.epoch_analysis import compile_with_epochs
+from repro.core import cext
+from repro.core.config import PolicyOptimizations
+from repro.eval import parallel
+from repro.eval.parallel import SimJob, execute_job, run_jobs
+from repro.eval.runner import pi_words_for
+from repro.eval.settings import EvalSettings
+from repro.obs.profile import Profiler
+from repro.obs.telemetry import LEDGER
+from repro.power.schedules import RuntPower
+from repro.sim.batch import BatchResult
+from repro.sim.fast import FastPathIneligible, FastReplaySimulator
+from repro.sim.simulator import IntermittentSimulator
+from repro.workloads.cache import get_trace
+
+#: Small MiBench2 kernels and the micro regression benchmarks.
+WORKLOADS = ("crc", "qsort", "rc4", "limits", "overflow", "regress",
+             "vcflags")
+
+#: ``(use_compiler, epoch_cycles)``: unmarked, whole-program PI, epochs.
+MARKINGS = ((False, 0), (True, 0), (False, 300))
+
+
+@contextlib.contextmanager
+def kernel(enabled: bool):
+    """Run the body with the C kernel loaded or gated off."""
+    old = os.environ.get("REPRO_CEXT")
+    if enabled:
+        os.environ.pop("REPRO_CEXT", None)
+    else:
+        os.environ["REPRO_CEXT"] = "0"
+    cext.reset_for_tests()
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_CEXT", None)
+        else:
+            os.environ["REPRO_CEXT"] = old
+        cext.reset_for_tests()
+
+
+@contextlib.contextmanager
+def ledger():
+    LEDGER.reset()
+    LEDGER.enable()
+    try:
+        yield LEDGER
+    finally:
+        LEDGER.disable()
+        LEDGER.reset()
+
+
+# ---- strategies -------------------------------------------------------- #
+
+configs = st.tuples(
+    st.integers(1, 16), st.integers(0, 8), st.integers(0, 4),
+    st.integers(0, 4),
+)
+opts = st.one_of(
+    st.none(), st.sampled_from(PolicyOptimizations.all_settings())
+)
+watchdog = st.sampled_from((0, "auto", 150, 600))
+
+
+@st.composite
+def job_lists(draw):
+    """1–10 jobs over 1–3 templates (trace, marking and watchdogs), so
+    a list holds jobs that share a trace and differ in config, opts,
+    salt and shape, as sweeps do."""
+    templates = draw(st.lists(st.fixed_dictionaries(dict(
+        workload=st.sampled_from(WORKLOADS),
+        marking=st.sampled_from(MARKINGS),
+        perf_watchdog=watchdog,
+        progress_watchdog=watchdog,
+        progress_watchdog_adaptive=st.booleans(),
+    )), min_size=1, max_size=3))
+    jobs = []
+    for _ in range(draw(st.integers(1, 10))):
+        t = draw(st.sampled_from(templates))
+        use_compiler, epoch_cycles = t["marking"]
+        job = SimJob(
+            workload=t["workload"],
+            config=draw(configs),
+            size="tiny",
+            opts=draw(opts),
+            salt=draw(st.integers(0, 2)),
+            use_compiler=use_compiler,
+            epoch_cycles=epoch_cycles,
+            perf_watchdog=t["perf_watchdog"],
+            progress_watchdog=t["progress_watchdog"],
+            progress_watchdog_adaptive=t["progress_watchdog_adaptive"],
+            # Without a progress watchdog, short on-times can starve a
+            # run.
+            allow_stall=True,
+        )
+        shape = draw(st.sampled_from(
+            ("plain", "plain", "plain", "stall", "seeds", "volatile")
+        ))
+        if shape == "stall":
+            job = dataclasses.replace(
+                job, max_power_cycles=draw(st.sampled_from((2, 4, 12))),
+            )
+        elif shape == "seeds":
+            job = dataclasses.replace(
+                job, n_seeds=draw(st.integers(2, 3)),
+                seed_stride=draw(st.sampled_from((1, 5))),
+            )
+        elif shape == "volatile":
+            job = dataclasses.replace(job, volatile_segments=("stack",))
+        jobs.append(job)
+    return jobs
+
+
+eval_settings = st.builds(
+    EvalSettings, size=st.just("tiny"), sweep_size=st.just("tiny"),
+    seed=st.integers(1, 3), avg_on_ms=st.sampled_from((0.15, 0.4, 1.0)),
+)
+
+
+# ---- the engines a job stands for --------------------------------------- #
+
+
+def _engine_kwargs(job: SimJob, trace) -> dict:
+    """A Clank job's simulator keyword arguments, built from scratch."""
+    kw = dict(
+        cost_model=parallel._COST_MODELS[job.cost_model],
+        perf_watchdog=job.perf_watchdog,
+        progress_watchdog=job.progress_watchdog,
+        progress_watchdog_adaptive=job.progress_watchdog_adaptive,
+        max_power_cycles=job.max_power_cycles,
+        verify=False,
+    )
+    if job.epoch_cycles > 0:
+        plan = compile_with_epochs(trace, job.epoch_cycles)
+        kw.update(pi_access_indices=plan.ignorable,
+                  forced_checkpoints=plan.boundaries)
+    elif job.use_compiler:
+        kw.update(pi_words=pi_words_for(trace))
+    if job.volatile_segments:
+        kw.update(volatile_ranges=tuple(
+            trace.memory_map.word_range(name)
+            for name in job.volatile_segments
+        ))
+    return kw
+
+
+def _row_salts(job: SimJob):
+    return [job.salt + r * job.seed_stride for r in range(job.n_seeds)]
+
+
+def _expected(job: SimJob, settings: EvalSettings, engine) -> list:
+    """Per-row ``to_dict`` of ``engine(trace, config, schedule, kw)`` at
+    the job's salts (``None`` for a stall); a row the engine refuses is
+    ``"ineligible"``."""
+    trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
+    kw = _engine_kwargs(job, trace)
+    rows = []
+    for salt in _row_salts(job):
+        try:
+            result = engine(trace, job.clank_config(),
+                            settings.schedule(salt), kw)
+        except FastPathIneligible:
+            rows.append("ineligible")
+        except SimulationError:
+            assert job.allow_stall
+            rows.append(None)
+        else:
+            rows.append(result.to_dict(include_derived=False))
+    return rows
+
+
+def _reference(trace, config, schedule, kw):
+    return IntermittentSimulator(trace, config, schedule, **kw).run()
+
+
+def _python_walker(trace, config, schedule, kw):
+    return FastReplaySimulator(trace, config, schedule, **kw).run()
+
+
+def _rows(job: SimJob, result) -> list:
+    if isinstance(result, BatchResult):
+        assert job.n_seeds > 1 and result.rows == job.n_seeds
+        results = result.results
+    else:
+        assert job.n_seeds == 1
+        results = [result]
+    return [None if r is None else r.to_dict(include_derived=False)
+            for r in results]
+
+
+def _check_differential(jobs, settings_):
+    with ledger() as led:
+        got = run_jobs(jobs, settings_)
+        grouped = led.stable_records()
+    with ledger() as led:
+        alone = [execute_job(job, settings_)[0] for job in jobs]
+        one_by_one = led.stable_records()
+    assert grouped == one_by_one
+    for job, result, single in zip(jobs, got, alone):
+        rows = _rows(job, result)
+        assert rows == _rows(job, single), job
+        assert rows == _expected(job, settings_, _reference), job
+        walked = _expected(job, settings_, _python_walker)
+        for row, walker_row in zip(rows, walked):
+            if walker_row != "ineligible":
+                assert row == walker_row, job
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jobs=job_lists(), settings_=eval_settings)
+def test_matches_reference_with_kernel(jobs, settings_):
+    with kernel(True):
+        _check_differential(jobs, settings_)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(jobs=job_lists(), settings_=eval_settings)
+def test_matches_reference_without_kernel(jobs, settings_):
+    with kernel(False):
+        _check_differential(jobs, settings_)
+
+
+# ---- order and store ---------------------------------------------------- #
+
+ORDER_SETTINGS = EvalSettings(size="tiny", sweep_size="tiny", seed=2,
+                              avg_on_ms=0.4)
+
+
+def _order_jobs() -> list:
+    """One list interleaving traces and every job shape."""
+    base = [
+        SimJob(workload=name, config=config, size="tiny", salt=salt)
+        for config in ((1, 0, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4))
+        for salt, name in enumerate(("crc", "qsort", "rc4", "limits"))
+    ]
+    crc = base[0]
+    extra = [
+        dataclasses.replace(crc, engine="undo", log_entries=16),
+        dataclasses.replace(crc, volatile_segments=("stack",)),
+        dataclasses.replace(crc, schedule="runt", runt_mean=60,
+                            runt_fraction=0.5),
+        dataclasses.replace(crc, schedule="runt", runt_mean=2,
+                            runt_fraction=1.0, max_power_cycles=20,
+                            allow_stall=True),
+        dataclasses.replace(base[5], n_seeds=3, seed_stride=4),
+        dataclasses.replace(base[2], use_compiler=True),
+        base[7],  # a repeat: a store hit once its twin is stored
+    ]
+    jobs = []
+    for i, job in enumerate(base):
+        jobs.append(job)
+        if i % 2 and extra:
+            jobs.append(extra.pop(0))
+    return jobs + extra
+
+
+def _segment_bytes(root) -> bytes:
+    """Every store segment's bytes, oldest first."""
+    return b"".join(
+        (root / name).read_bytes() for name in sorted(os.listdir(root))
+    )
+
+
+def _run_path(root, monkeypatch, grouped: bool):
+    """Pre-fill a store at ``root`` with every third job, then run the
+    list ``grouped`` (one ``run_jobs`` call) or job by job."""
+    jobs = _order_jobs()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    artifact_cache.reset_for_tests()
+    try:
+        for job in jobs[::3]:
+            execute_job(job, ORDER_SETTINGS)
+        with ledger() as led:
+            if grouped:
+                results = run_jobs(jobs, ORDER_SETTINGS)
+            else:
+                results = [execute_job(job, ORDER_SETTINGS)[0]
+                           for job in jobs]
+            records = led.stable_records()
+            profile = Profiler().table(records=led.records)
+    finally:
+        artifact_cache.reset_for_tests()
+    rendered = [None if r is None else r.to_dict() for r in results]
+    runs = re.findall(r"\((\d+) runs,", profile)
+    return rendered, records, runs, _segment_bytes(root)
+
+
+@pytest.mark.parametrize("with_kernel", [True, False],
+                         ids=["cext", "no_cext"])
+def test_order_and_store_match_per_job_path(tmp_path, monkeypatch,
+                                            with_kernel):
+    with kernel(with_kernel):
+        grouped = _run_path(tmp_path / "grouped", monkeypatch, True)
+        single = _run_path(tmp_path / "single", monkeypatch, False)
+    results, records, runs, segments = grouped
+    assert results == single[0]
+    assert records == single[1]
+    assert [r["index"] for r in records] == list(range(len(records)))
+    assert {r["result_cache"] for r in records} == {"hit", "miss"}
+    assert {r["engine"] for r in records} >= {
+        "disk-cached-result", "undo", "reference", "stalled",
+    }
+    assert runs == single[2] and runs
+    assert segments == single[3] and segments
