@@ -41,6 +41,7 @@ import repro.cache as artifact_cache
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.eval.settings import EvalSettings
 from repro.obs import slog, telemetry, tracing
+from repro.obs.bench import instrumented
 from repro.obs.metrics import COUNTERS
 from repro.obs.profile import PROFILER
 from repro.sim import fast as fast_dispatch
@@ -264,6 +265,7 @@ def main(argv=None) -> int:
                 "jobs": _JOBS,
                 "server": bool(args.server),
                 "cpus": os.cpu_count(),
+                "profiled": instrumented(),
                 "wall_clock_s": round(wall_clock, 3),
                 "sim_runs": total_rows,
                 "sim_seconds": round(sim_seconds, 3),

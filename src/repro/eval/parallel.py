@@ -4,7 +4,7 @@ The paper's design-space exploration is embarrassingly parallel — "several
 million configurations" across "over eight CPU-months" (Section 7.1) — and
 so are this repo's scaled-down sweeps: every simulator run is a pure
 function of (workload, configuration, power schedule).  This module runs
-them in-process, one job after another, with two invariants:
+them in-process, one group of jobs after another, with two invariants:
 
 * **Determinism** — every run's power schedule is seeded from the
   settings and the job's salt, so a job's result depends on nothing but
@@ -15,15 +15,17 @@ them in-process, one job after another, with two invariants:
   bytes while a trace would pickle in megabytes — which is what lets the
   sweep server (:mod:`repro.serve`) take jobs over the wire.
 
-``run_jobs(jobs, settings)`` is the single entry point for a sweep and
-:func:`execute_job` runs one job; the sweep server calls the same
-:func:`execute_job` through :func:`job_payload`.  A sweep's config
-families are registered before its first job, so a cold SectionMap is
+``run_jobs(jobs, settings)`` is the single entry point for a sweep.  It
+walks each trace's jobs as one group, the rows of one
+:func:`repro.sim.batch.simulate_batch` call: they share the trace, its
+marking, and one on-time array per schedule salt.  :func:`execute_job`
+is a group of one; the sweep server runs it through :func:`job_payload`.
+A sweep's config families are registered first, so a cold SectionMap is
 enumerated with the next members of its family in one pass
-(:func:`repro.sim.sections.prefetch_family`); the maps then stay in the
-process's map cache.
+(:func:`repro.sim.sections.prefetch_family`).
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -42,21 +44,19 @@ from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.tracing import TRACER
-from repro.power.schedules import RuntPower
+from repro.power.schedules import RuntPower, ScheduleBatch, ScheduleRow
 from repro.runtime.costs import DEFAULT_COST_MODEL, CostModel
-from repro.sim import fast as fast_dispatch
 from repro.sim import sections
 from repro.sim.batch import BatchResult, simulate_batch
-from repro.sim.fast import simulate_fast
 from repro.sim.result import SimulationResult
 from repro.sim.undo_log import UndoLogSimulator
 from repro.workloads.cache import get_trace
 
-#: Initial on-times drawn per row for batched seed-repeat jobs.  Small on
-#: purpose: most runs span a handful of power cycles at the default mean
-#: on-time, and the batch engine doubles columns on demand — over-drawing
-#: here costs real time (one Python expovariate call per cell per row).
-_BATCH_SEGMENTS = 8
+#: Initial on-times drawn per schedule seed of a group.  One on purpose:
+#: the row walk first grows the arrays to what its map's previous run
+#: consumed, then on demand — over-drawing costs real time (one Python
+#: expovariate call per cell).
+_BATCH_SEGMENTS = 1
 
 #: Fixed-cost checkpoints (no per-word flush cost), as Section 7.4's
 #: analytic treatment assumes.  Lives here (not in fig8) so job descriptors
@@ -141,15 +141,17 @@ class SimJob:
     seed_stride: int = 1
 
     def clank_config(self) -> ClankConfig:
-        """The job's hardware configuration object."""
-        config = ClankConfig.from_tuple(self.config, self.opts)
-        if self.prefix_low_bits != 6:
-            import dataclasses
+        """The job's hardware configuration object (one shared object
+        per distinct ``(config, opts, prefix_low_bits)``)."""
+        return _clank_config(self.config, self.opts, self.prefix_low_bits)
 
-            config = dataclasses.replace(
-                config, prefix_low_bits=self.prefix_low_bits
-            )
-        return config
+
+@functools.lru_cache(maxsize=None)
+def _clank_config(spec, opts, prefix_low_bits: int) -> ClankConfig:
+    config = ClankConfig.from_tuple(spec, opts)
+    if prefix_low_bits != 6:
+        config = dataclasses.replace(config, prefix_low_bits=prefix_low_bits)
+    return config
 
 
 #: Installed by :func:`repro.serve.client.install`: when set, ``run_jobs``
@@ -254,8 +256,8 @@ def _epoch_plan(trace, epoch_cycles: int):
 
 #: Family sweep plans: every run_jobs call registers, per shared
 #: enumeration context (one trace + one PI/forced marking), the ordered
-#: distinct configs its jobs will sweep.  ``execute_job`` consults the
-#: plan right before simulating, so a cold SectionMap triggers one
+#: distinct configs its jobs will sweep.  Each group consults the plan
+#: right before simulating, so a cold SectionMap triggers one
 #: batched family pass over the next ``_FAMILY_CHUNK`` plan members
 #: instead of a scalar chain scan per config.  The registry persists
 #: across run_jobs calls and only ever grows.
@@ -279,52 +281,41 @@ def _family_plan_key(job: SimJob) -> tuple:
             job.epoch_cycles)
 
 
-def _family_eligible(job: SimJob) -> bool:
-    """Jobs whose simulation path consumes SectionMaps at all."""
-    return job.engine == "clank" and not job.volatile_segments
-
-
 def _register_family_plans(jobs: List[SimJob],
                            settings: EvalSettings) -> None:
     """Register ``jobs``'s config families.
 
     Verified runs never touch the section-memoized path, so they
-    register nothing.
+    register nothing; nor do undo-log and mixed-volatility jobs.
     """
     if settings.verify:
         return
     for job in jobs:
-        if not _family_eligible(job):
+        if job.engine != "clank" or job.volatile_segments:
             continue
-        plan = _FAMILY_PLANS.get(_family_plan_key(job))
-        if plan is None:
-            plan = ([], {})
-            _FAMILY_PLANS[_family_plan_key(job)] = plan
-        configs, pos = plan
+        configs, pos = _FAMILY_PLANS.setdefault(_family_plan_key(job),
+                                                ([], {}))
         config = job.clank_config()
         if config not in pos:
             pos[config] = len(configs)
             configs.append(config)
 
 
-def _family_prefetch(job: SimJob, trace, config, pi_words,
-                     pi_access_indices, forced_checkpoints) -> None:
-    """Run the job's family prefetch if a plan covers it (see
+def _family_prefetch(job: SimJob, trace, configs, kwargs: dict) -> None:
+    """Run the family prefetch of each of ``configs`` (in order) that a
+    sweep plan of ``job``'s trace and marking covers (see
     :func:`repro.sim.sections.prefetch_family`)."""
-    plan = _FAMILY_PLANS.get(_family_plan_key(job))
-    if plan is None:
-        return
-    configs, pos = plan
-    p = pos.get(config)
-    if p is None:
-        return
-    sections.prefetch_family(
-        trace, config, configs, p,
-        pi_words=pi_words,
-        pi_access_indices=pi_access_indices,
-        forced_checkpoints=forced_checkpoints,
-        chunk=_FAMILY_CHUNK,
-    )
+    plan, pos = _FAMILY_PLANS.get(_family_plan_key(job), ((), {}))
+    for config in configs:
+        p = pos.get(config)
+        if p is not None:
+            sections.prefetch_family(
+                trace, config, plan, p,
+                pi_words=kwargs["pi_words"],
+                pi_access_indices=kwargs["pi_access_indices"],
+                forced_checkpoints=kwargs["forced_checkpoints"],
+                chunk=_FAMILY_CHUNK,
+            )
 
 
 #: ``(field, type)`` of every :class:`SimulationResult` field, checked
@@ -394,11 +385,9 @@ def _restore(job: SimJob, label: str, stored):
     return result
 
 
-def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
-                  settings: EvalSettings) -> dict:
-    """The ``simulate_fast``/``simulate_batch`` keyword arguments of a
-    Clank job: PI or epoch marking, volatile ranges, watchdogs.  Runs
-    the job's family prefetch when a sweep plan covers it."""
+def _clank_kwargs(job: SimJob, trace, settings: EvalSettings) -> dict:
+    """The ``simulate_batch`` keyword arguments of a Clank job: its PI or
+    epoch marking, volatile ranges, watchdogs, cost model and limits."""
     from repro.eval.runner import pi_words_for
 
     pi_words = pi_access_indices = forced_checkpoints = None
@@ -408,15 +397,6 @@ def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
         forced_checkpoints = plan.boundaries
     elif job.use_compiler:
         pi_words = pi_words_for(trace)
-    volatile_ranges = None
-    if job.volatile_segments:
-        volatile_ranges = tuple(
-            trace.memory_map.word_range(name)
-            for name in job.volatile_segments
-        )
-    elif not settings.verify:
-        _family_prefetch(job, trace, config, pi_words,
-                         pi_access_indices, forced_checkpoints)
     return dict(
         cost_model=_COST_MODELS[job.cost_model],
         perf_watchdog=job.perf_watchdog,
@@ -425,51 +405,110 @@ def _clank_kwargs(job: SimJob, trace, config: ClankConfig,
         pi_words=pi_words,
         pi_access_indices=pi_access_indices,
         forced_checkpoints=forced_checkpoints,
-        volatile_ranges=volatile_ranges,
+        volatile_ranges=tuple(
+            trace.memory_map.word_range(name)
+            for name in job.volatile_segments
+        ) or None,
         verify=settings.verify,
         max_power_cycles=job.max_power_cycles,
     )
 
 
-def _engine_call(job: SimJob, trace, config: ClankConfig,
-                 settings: EvalSettings):
-    """The zero-argument call that simulates ``job``: ``simulate_batch``
-    for a seed-repeat job, the undo-log simulator for ``engine="undo"``,
-    ``simulate_fast`` otherwise (which falls back to the reference
-    simulator inside when the section walk cannot carry the run)."""
-    if job.n_seeds > 1:
-        schedules = settings.schedule(job.salt).batch(
-            job.n_seeds, _BATCH_SEGMENTS, seed_stride=job.seed_stride
-        )
-        return functools.partial(
-            simulate_batch, trace, config, schedules,
-            allow_stall=job.allow_stall,
-            **_clank_kwargs(job, trace, config, settings),
-        )
+def _group_key(job: SimJob, index: int) -> tuple:
+    """What the rows of one ``simulate_batch`` call share: one trace and
+    marking, one set of walk parameters, one stall policy and one row
+    stamp.  An undo-log or runt-schedule job is a group of its own."""
+    if job.engine != "clank" or job.schedule != "exp":
+        return (index,)
+    return (_family_plan_key(job), job.n_seeds > 1, job.volatile_segments,
+            job.cost_model, job.perf_watchdog, job.progress_watchdog,
+            job.progress_watchdog_adaptive, job.max_power_cycles,
+            job.allow_stall)
+
+
+def _simulate_group(group: list, settings: EvalSettings) -> list:
+    """Simulate one group's ``(job, config)`` pairs as the rows of one
+    :func:`~repro.sim.batch.simulate_batch` call; returns ``(result,
+    stamp, seconds, start)`` per job.  ``stamp`` is a scalar job's
+    ``(engine, fallback_reason, kernel)`` (``None`` for a seed-repeat
+    job: its ``BatchResult`` stamps its rows).  Each job's seconds are
+    its rows' own, and the first job's also carry the group's set-up.
+    """
+    for job, _ in group:
+        trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
+    job, config = group[0]
+    if job.engine == "undo":
+        start = time.perf_counter()
+        try:
+            result = UndoLogSimulator(
+                trace,
+                config,
+                settings.schedule(job.salt),
+                log_entries=job.log_entries,
+                cost_model=_COST_MODELS[job.cost_model],
+                progress_watchdog=job.progress_watchdog,
+                verify=settings.verify,
+                max_power_cycles=job.max_power_cycles,
+            ).run()
+        except SimulationError:
+            if not job.allow_stall:
+                raise
+            result = None
+        stamp = (telemetry.ENGINE_STALLED if result is None
+                 else telemetry.ENGINE_UNDO,
+                 None, None)
+        return [(result, stamp, time.perf_counter() - start, start)]
+    kwargs = _clank_kwargs(job, trace, settings)
+    if not (settings.verify or job.volatile_segments):
+        _family_prefetch(job, trace, [cfg for _, cfg in group], kwargs)
+    start = time.perf_counter()
     if job.schedule == "runt":
-        schedule = RuntPower(
+        schedules = ScheduleRow(RuntPower(
             settings.avg_on_cycles,
             job.runt_mean,
             runt_fraction=job.runt_fraction,
             seed=settings.seed,
-        )
+        ))
+        configs = [config]
     else:
-        schedule = settings.schedule(job.salt)
-    if job.engine == "undo":
-        return UndoLogSimulator(
-            trace,
-            config,
-            schedule,
-            log_entries=job.log_entries,
-            cost_model=_COST_MODELS[job.cost_model],
-            progress_watchdog=job.progress_watchdog,
-            verify=settings.verify,
-            max_power_cycles=job.max_power_cycles,
-        ).run
-    return functools.partial(
-        simulate_fast, trace, config, schedule,
-        **_clank_kwargs(job, trace, config, settings),
-    )
+        configs, seeds = [], []
+        for member, cfg in group:
+            configs += [cfg] * member.n_seeds
+            seeds += [
+                settings.schedule_seed(member.salt + r * member.seed_stride)
+                for r in range(member.n_seeds)
+            ]
+        schedules = ScheduleBatch(settings.avg_on_cycles, seeds,
+                                  _BATCH_SEGMENTS)
+    seed_repeat = job.n_seeds > 1
+    engine = telemetry.ENGINE_BATCH if seed_repeat else telemetry.ENGINE_FAST
+    batch = simulate_batch(trace, configs, schedules, engine=engine,
+                           allow_stall=job.allow_stall, **kwargs)
+    rest = time.perf_counter() - start - sum(batch.seconds)
+    out = []
+    r = 0
+    for member, cfg in group:
+        k = member.n_seeds
+        seconds = sum(batch.seconds[r:r + k]) + rest
+        if seed_repeat:
+            result = BatchResult(
+                name=trace.name,
+                config_label=cfg.label(),
+                results=batch.results[r:r + k],
+                engines=batch.engines[r:r + k],
+                reasons=batch.reasons[r:r + k],
+                kernels=batch.kernels[r:r + k],
+                seconds=batch.seconds[r:r + k],
+            )
+            stamp = None
+        else:
+            result = batch.results[r]
+            stamp = (batch.engines[r], batch.reasons[r], batch.kernels[r])
+        out.append((result, stamp, seconds, start))
+        start += seconds
+        rest = 0.0
+        r += k
+    return out
 
 
 def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
@@ -479,8 +518,8 @@ def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
     carrying ``rows=<walked rows>``; each row served scalar gets its own
     row, so the ledger's row-weighted totals still reconcile run-for-run.
     Each rerun row carries that row's seconds; the rest of the job's time
-    (map build, schedule draws, the row walk) goes to the first row, so
-    the job's rows sum to ``seconds``.
+    (the walked rows and the job's share of set-up) goes to the first
+    row, so the job's rows sum to ``seconds``.
     """
     reruns = [r for r, engine in enumerate(batch.engines)
               if engine != "batch"]
@@ -500,141 +539,154 @@ def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
     return rows
 
 
-def _provenance(job: SimJob, result, seconds: float, cached: bool) -> list:
-    """The job's provenance rows, ``(engine, fallback_reason, kernel,
-    rows, salt, stalled, wall_s)`` each (read right after the run, so
-    :func:`repro.sim.fast.last_dispatch` still names its engine)."""
-    if cached:
-        return [(telemetry.ENGINE_CACHED, None, None, max(1, job.n_seeds),
-                 job.salt, result is None, 0.0)]
-    if isinstance(result, BatchResult):
-        return _batch_rows(job, result, seconds)
-    if result is None:
-        # The abort can come from either simulator mid-run (dispatch
-        # counters never tick), so the stall is its own engine value.
-        engine, reason, kernel = telemetry.ENGINE_STALLED, None, None
-    elif job.engine == "undo":
-        engine, reason, kernel = telemetry.ENGINE_UNDO, None, None
-    else:
-        engine, reason, kernel = fast_dispatch.last_dispatch()
-    return [(engine, reason, kernel, 1, job.salt, result is None, seconds)]
+def _execute(jobs: List[SimJob], settings: EvalSettings,
+             keys: Optional[list] = None, raw: bool = False) -> list:
+    """Run ``jobs``; ``[(value, seconds)]`` in submission order.
+
+    Three passes.  The first validates every job and probes the store
+    in submission order; a job whose key an earlier job of the list
+    missed is probed again when its turn comes, as it would be run
+    alone.  The second simulates the misses, one
+    :func:`_simulate_group` per group (:func:`_group_key`), groups in
+    order of first appearance.  The third stores, folds and records
+    each job in submission order.  A job that raises aborts the call
+    before anything is stored or recorded.
+    """
+    st = None if settings.verify else artifact_cache.store()
+    n = len(jobs)
+    configs = [None] * n
+    rkeys = [None] * n
+    slots = [None] * n  # ("hit", stored), a _simulate_group entry, or None
+    groups: Dict[tuple, List[int]] = {}
+    missed = set()
+
+    def probe(i: int):
+        stored = st.get("result", rkeys[i], None if raw
+                        else functools.partial(_load, jobs[i]))
+        return None if stored is None else ("hit", stored)
+
+    for i, job in enumerate(jobs):
+        if job.n_seeds > 1 and (job.engine != "clank"
+                                or job.schedule != "exp"):
+            raise ConfigError(
+                "seed-repeat jobs (n_seeds > 1) require engine='clank' "
+                "with the exponential schedule"
+            )
+        configs[i] = job.clank_config()
+        if st is not None:
+            rkey = rkeys[i] = (keys[i] if keys and keys[i] is not None
+                               else result_key(job, settings)[1])
+            if rkey in missed:
+                continue
+            slots[i] = probe(i)
+            if slots[i] is not None:
+                continue
+            missed.add(rkey)
+        groups.setdefault(_group_key(job, i), []).append(i)
+    for members in groups.values():
+        job = jobs[members[0]]
+        with TRACER.span(f"group {job.workload}", workload=job.workload,
+                         jobs=len(members)):
+            done = _simulate_group([(jobs[i], configs[i]) for i in members],
+                                   settings)
+        for i, entry in zip(members, done):
+            slots[i] = entry
+
+    ledger = telemetry.LEDGER
+    out = []
+    for i, job in enumerate(jobs):
+        slot, rkey, label = slots[i], rkeys[i], configs[i].label()
+        if slot is None:
+            slot = (probe(i)
+                    or _simulate_group([(job, configs[i])], settings)[0])
+        if len(slot) == 2:
+            stored = slot[1]
+            if raw:
+                value = stored
+                result = None if stored == _STALLED else stored
+            else:
+                value = result = _restore(job, label, stored)
+            seconds, start, tier = 0.0, None, "hit"
+            rows = [(telemetry.ENGINE_CACHED, None, None, max(1, job.n_seeds),
+                     job.salt, result is None, 0.0)]
+        else:
+            result, stamp, seconds, start = slot
+            value = result
+            if rkey is not None or raw:
+                t0 = time.perf_counter()
+                encoded = _encode(job, result)
+                if rkey is not None:
+                    st.put("result", rkey, encoded)
+                if raw:
+                    value = encoded
+                seconds += time.perf_counter() - t0
+            tier = "off" if rkey is None else "miss"
+            if result is None:
+                ARCH_COLLECTOR.fold_stalled(job.workload, label)
+            elif job.engine == "undo":
+                # The undo-log engine has no section enumeration to
+                # derive occupancy from; cause totals still reconcile.
+                ARCH_COLLECTOR.fold_causes(
+                    job.workload, label, result.checkpoints_by_cause,
+                    telemetry.ENGINE_UNDO,
+                )
+            if stamp is None:
+                rows = _batch_rows(job, result, seconds)
+            else:
+                rows = [stamp + (1, job.salt, result is None, seconds)]
+        if ledger.enabled:
+            t_start = ledger.now() if start is None else start - ledger.epoch
+            worker = os.getpid()
+            for engine, reason, kernel, n_rows, salt, stalled, wall_s in rows:
+                ledger.record(telemetry.RunRecord(
+                    workload=job.workload,
+                    config=label,
+                    engine=engine,
+                    fallback_reason=reason,
+                    kernel=kernel,
+                    result_cache=tier,
+                    size=job.size,
+                    salt=salt,
+                    driver=ledger.driver,
+                    stalled=stalled,
+                    rows=n_rows,
+                    wall_s=wall_s,
+                    t_start=t_start,
+                    worker=worker,
+                ))
+        out.append((value, seconds))
+    return out
 
 
 def execute_job(
     job: SimJob, settings: EvalSettings, key: Optional[str] = None,
     raw: bool = False,
 ) -> Tuple[Union[SimulationResult, BatchResult, bytes, None], float]:
-    """Run one job; returns ``(result, simulator_seconds)``.
+    """Run one job, a group of one; returns ``(result, seconds)``.
 
-    ``result`` is ``None`` only when the run stalled and the job allows it.
-    Pure with respect to the job and settings: the sweep server runs
-    this same function, so served results are bit-identical to local
-    ones.
+    ``result`` is ``None`` only when the run stalled and the job allows
+    it; a seed-repeat job (``n_seeds > 1``) returns a
+    :class:`~repro.sim.batch.BatchResult` whose row ``i`` is the scalar
+    job at salt ``salt + i*seed_stride``.  Pure with respect to the job
+    and settings, so the sweep server runs this same function and its
+    results are bit-identical to local ones.
 
-    That purity makes whole results cacheable: with ``REPRO_CACHE_DIR``
-    set, the result is stored under :func:`result_key`, which names the
-    workload by identity (name, size, trace seed and a fingerprint of
-    the trace packages' source) plus every behavior-affecting job and
-    settings field.  A warm hit therefore builds no trace and skips the
-    simulation outright; the trace is built only on a miss.  Runs under
-    ``--verify`` are never served from cache — a cached ``verified``
-    flag would claim a check that did not execute.
+    With ``REPRO_CACHE_DIR`` set, the result is stored under
+    :func:`result_key`, which needs no trace: a warm hit builds no trace
+    and skips the simulation.  Runs under ``--verify`` never use the
+    store — a cached ``verified`` flag would claim a check that did not
+    execute.  With :data:`repro.obs.telemetry.LEDGER` enabled, the job's
+    provenance records are appended: the engine (``disk-cached-result``
+    for a hit), typed fallback reason, walker, store tier and wall time;
+    they sum to the seconds returned (0 for a hit).
 
-    Seed-repeat jobs (``n_seeds > 1``) run as one batched replay
-    (:func:`~repro.sim.batch.simulate_batch`) and return a
-    :class:`~repro.sim.batch.BatchResult`.  Row ``i`` is bit-identical to
-    the scalar job at salt ``salt + i*seed_stride``, so a driver can swap
-    N scalar repeats for one seed-repeat job without changing a single
-    result.
-
-    With the shared :data:`repro.obs.telemetry.LEDGER` enabled, the job's
-    provenance records are appended (one per scalar job): which engine
-    produced the result (including ``disk-cached-result`` for cache hits),
-    the typed fallback reason, the section walker, the result-cache tier
-    outcome, and the run's wall time (a job's records sum to the seconds
-    returned; 0 for a cache hit).  Recording happens strictly after
-    dispatch, so telemetry cannot change which engine runs.
-
-    ``key`` is the job's :func:`result_key` when the caller already
-    holds it (the sweep server keys each job once per batch).  With
-    ``raw`` the result comes back as its stored form's JSON bytes
-    (:func:`_encode`), for the sweep server to splice into its reply: a
-    hit returns the store's payload without parsing it, and a miss
-    encodes its result once for both the store and the caller.
+    ``key`` is the job's :func:`result_key` when the caller holds it.
+    With ``raw`` the result comes back as its stored form's JSON bytes
+    (:func:`_encode`) for the sweep server to splice into its reply: a
+    hit returns the store's payload unparsed, and a miss encodes once
+    for the store and the caller.
     """
-    if job.n_seeds > 1 and (job.engine != "clank" or job.schedule != "exp"):
-        raise ConfigError(
-            "seed-repeat jobs (n_seeds > 1) require engine='clank' with "
-            "the exponential schedule"
-        )
-    config = job.clank_config()
-    st = artifact_cache.store()
-    rkey = stored = start = None
-    if st is not None and not settings.verify:
-        rkey = key if key is not None else result_key(job, settings)[1]
-        stored = st.get("result", rkey,
-                        None if raw else functools.partial(_load, job))
-    if stored is not None:
-        if raw:
-            value = stored
-            result = None if stored == _STALLED else stored
-        else:
-            value = result = _restore(job, config.label(), stored)
-        seconds = 0.0
-        tier = "hit"
-    else:
-        trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
-        call = _engine_call(job, trace, config, settings)
-        start = time.perf_counter()
-        try:
-            result = call()
-        except SimulationError:
-            if not job.allow_stall:
-                raise
-            result = None
-        value = result
-        if rkey is not None or raw:
-            encoded = _encode(job, result)
-            if rkey is not None:
-                st.put("result", rkey, encoded)
-            if raw:
-                value = encoded
-        seconds = time.perf_counter() - start
-        tier = "off" if rkey is None else "miss"
-        if result is None:
-            ARCH_COLLECTOR.fold_stalled(job.workload, config.label())
-        elif job.engine == "undo":
-            # The undo-log engine has no section enumeration to derive
-            # occupancy from; cause totals still reconcile.
-            ARCH_COLLECTOR.fold_causes(
-                job.workload, config.label(), result.checkpoints_by_cause,
-                telemetry.ENGINE_UNDO,
-            )
-    ledger = telemetry.LEDGER
-    if ledger.enabled:
-        label = config.label()
-        t_start = ledger.now() if start is None else start - ledger.epoch
-        worker = os.getpid()
-        for engine, reason, kernel, rows, salt, stalled, wall_s in (
-            _provenance(job, result, seconds, tier == "hit")
-        ):
-            ledger.record(telemetry.RunRecord(
-                workload=job.workload,
-                config=label,
-                engine=engine,
-                fallback_reason=reason,
-                kernel=kernel,
-                result_cache=tier,
-                size=job.size,
-                salt=salt,
-                driver=ledger.driver,
-                stalled=stalled,
-                rows=rows,
-                wall_s=wall_s,
-                t_start=t_start,
-                worker=worker,
-            ))
-    return value, seconds
+    return _execute([job], settings, [key], raw)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -696,11 +748,8 @@ def run_jobs(
         )
     if SERVED_EXECUTOR is not None and not settings.verify:
         return SERVED_EXECUTOR.run_jobs(jobs, settings)
+    if ARCH_COLLECTOR.enabled:
+        # The collector folds in dispatch order: keep it job by job.
+        return [execute_job(job, settings)[0] for job in jobs]
     _register_family_plans(jobs, settings)
-    results = []
-    for job in jobs:
-        with TRACER.span(f"job {job.workload}", workload=job.workload,
-                         config=job.config):
-            result, _ = execute_job(job, settings)
-        results.append(result)
-    return results
+    return [value for value, _ in _execute(jobs, settings)]

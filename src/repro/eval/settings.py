@@ -39,9 +39,14 @@ class EvalSettings:
         """Mean power-on duration in cycles."""
         return ms_to_cycles(self.avg_on_ms, self.clock_hz)
 
+    def schedule_seed(self, salt: int = 0) -> int:
+        """The seed of :meth:`schedule` at ``salt``."""
+        return self.seed * 1000003 + salt
+
     def schedule(self, salt: int = 0) -> ExponentialPower:
         """A fresh exponential power schedule for one simulation run."""
-        return ExponentialPower(self.avg_on_cycles, seed=self.seed * 1000003 + salt)
+        return ExponentialPower(self.avg_on_cycles,
+                                seed=self.schedule_seed(salt))
 
     def quick(self) -> "EvalSettings":
         """A cheaper variant for smoke tests."""

@@ -18,7 +18,9 @@ per-run scalar sweeps (``scalar``), and serve mode separates sweeps
 resolved by a sweep server (``serve``, measuring round trips and dedupe
 tiers) from local simulation (``local``).  Entries written before these
 fields existed derive the mix from their engine counts and default to
-``local``.
+``local``.  An entry marked ``profiled`` (written with a profiler or
+tracer attached) measures the instrumentation, so it is in no bucket:
+it is never a baseline, and as the newest entry it is not checked.
 
 CLI (wired into CI as the ``bench-regression`` job)::
 
@@ -102,8 +104,26 @@ def serve_mode(entry: dict) -> str:
     return "serve" if entry.get("server") else "local"
 
 
-def comparable_key(entry: dict) -> Tuple[tuple, Optional[int], str, str, str]:
-    """The bucket within which two entries' metrics are comparable."""
+def instrumented() -> bool:
+    """Whether a profiler or tracer is attached to this interpreter
+    (``sys.setprofile``/``sys.settrace``, or a ``sys.monitoring`` tool):
+    an entry written then is marked ``profiled``."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    mon = getattr(sys, "monitoring", None)
+    return mon is not None and any(
+        mon.get_tool(tool) is not None
+        for tool in (mon.DEBUGGER_ID, mon.COVERAGE_ID, mon.PROFILER_ID)
+    )
+
+
+def comparable_key(
+    entry: dict,
+) -> Optional[Tuple[tuple, Optional[int], str, str, str]]:
+    """The bucket within which two entries' metrics are comparable;
+    ``None`` for a ``profiled`` entry, which is comparable to nothing."""
+    if entry.get("profiled"):
+        return None
     experiments = entry.get("experiments") or []
     return (tuple(sorted(experiments)), entry.get("jobs"),
             cache_state(entry), engine_mix(entry), serve_mode(entry))
@@ -137,6 +157,12 @@ def check_history(
             newest=newest, metric=metric,
         )
     key = comparable_key(newest)
+    if key is None:
+        return BenchVerdict(
+            True, "newest entry ran under a profiler or tracer — "
+                  "nothing to check",
+            newest=newest, metric=metric,
+        )
     candidates = [
         e for e in history[:-1]
         if comparable_key(e) == key
@@ -186,6 +212,7 @@ def render(history: List[dict], verdict: BenchVerdict,
             f"jobs={jobs} cache={state:<5s}"
             + (f" mix={mix}" if mix != "scalar" else "")
             + (f" mode={mode}" if mode != "local" else "")
+            + (" profiled" if entry.get("profiled") else "")
             + (f"  <- {', '.join(marks)}" if marks else "")
         )
     lines.append(f"{'PASS' if verdict.ok else 'FAIL'}: {verdict.reason}")

@@ -112,10 +112,11 @@ class ScheduleBatch:
     """A batch of exponential power schedules (rows) for batched replay.
 
     Row ``i`` reproduces, draw for draw, the scalar
-    :class:`ExponentialPower` seeded ``seeds[i]``: each row has its own
-    ``random.Random`` and fills its on-times in the exact order
+    :class:`ExponentialPower` seeded ``seeds[i]``: each distinct seed has
+    its own ``random.Random`` and fills its on-times in the exact order
     ``next_on_time()`` would consume them, so a batch replay and N scalar
-    replays see identical schedules.  Columns grow on demand
+    replays see identical schedules.  Rows with equal seeds share one
+    generator and one on-time array, drawn once.  Columns grow on demand
     (:meth:`ensure_columns`) when a row outlives the initial guess.
 
     ``ontimes[i]`` is row ``i``'s on-times as one ``array('q')``,
@@ -134,24 +135,25 @@ class ScheduleBatch:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         self.rows = len(self.seeds)
-        self._rngs = [random.Random(s) for s in self.seeds]
+        by_seed = {s: array("q") for s in self.seeds}
+        self._rngs = [(random.Random(s), row) for s, row in by_seed.items()]
         self.columns = 0
-        self.ontimes = [array("q") for _ in self.seeds]
+        self.ontimes = [by_seed[s] for s in self.seeds]
         self.ensure_columns(segments)
 
     def ensure_columns(self, columns: int) -> None:
         """Grow every row to at least ``columns`` on-times.
 
-        Every row advances its own RNG in draw order, so previously
-        generated columns are never re-drawn and row ``i`` stays equal to
-        the scalar generator's first ``columns`` samples.
+        Every generator advances in draw order, so previously generated
+        columns are never re-drawn and row ``i`` stays equal to the
+        scalar generator's first ``columns`` samples.
         """
         have = self.columns
         if columns <= have:
             return
         mean = 1.0 / self._mean
         floor = self._min
-        for row, rng in zip(self.ontimes, self._rngs):
+        for rng, row in self._rngs:
             expo = rng.expovariate
             row.extend([
                 max(floor, int(expo(mean))) for _ in range(columns - have)
@@ -168,6 +170,35 @@ class ScheduleBatch:
         return ExponentialPower(
             self._mean, seed=self.seeds[i], min_cycles=self._min
         )
+
+
+class ScheduleRow:
+    """Any one :class:`PowerSchedule` as a one-row :class:`ScheduleBatch`
+    (the same attributes), drawn on demand from the schedule itself."""
+
+    rows = 1
+
+    def __init__(self, schedule: PowerSchedule):
+        schedule.reset()
+        self._schedule = schedule
+        self.columns = 0
+        self.ontimes = [array("q")]
+
+    def ensure_columns(self, columns: int) -> None:
+        if columns > self.columns:
+            next_on = self._schedule.next_on_time
+            self.ontimes[0].extend(
+                [next_on() for _ in range(columns - self.columns)]
+            )
+            self.columns = columns
+
+    @property
+    def mean_on_time(self) -> float:
+        return self._schedule.mean_on_time
+
+    def row_schedule(self, i: int) -> PowerSchedule:
+        """The schedule itself (a run resets it before drawing)."""
+        return self._schedule
 
 
 class UniformPower(PowerSchedule):

@@ -1,48 +1,55 @@
-"""Batched schedule-vector replay: N power schedules against one SectionMap.
+"""The one dispatcher: rows of (configuration, power schedule) over a trace.
 
-The fast path (:mod:`repro.sim.fast`) replays exactly one schedule per
-call, so a Monte Carlo sweep pays per-schedule dispatch (simulator set-up,
-schedule object, result) for every seed.  This module replays a whole
-:class:`~repro.power.schedules.ScheduleBatch` against one shared
-:class:`~repro.sim.sections.SectionMap` through the same C section walk
-scalar runs use (``section_walk`` in ``_chainscan.c``, driven by
-:func:`repro.sim.fast.section_walk`), one row after another over the
-batch's on-time arrays.  The walk is *bit-identical* to N scalar
-:func:`~repro.sim.fast.simulate_fast` calls — the equivalence grid in
-``tests/test_batch_replay.py`` pins this across configurations, policy
-optimizations, PI marking, and both chain-scan kernels.
+A sweep replays one trace under many configurations and schedules.
+:func:`simulate_batch` takes such a *group*: one trace and marking, and
+rows that may differ in configuration as well as in schedule seed.  Each
+row walks its configuration's :class:`~repro.sim.sections.SectionMap`
+through the C section walk (``section_walk`` in ``_chainscan.c``, driven
+by :func:`repro.sim.fast.section_walk`), one row after another over the
+:class:`~repro.power.schedules.ScheduleBatch`'s on-time arrays.  Rows that
+share a seed share one array, drawn once and grown in place.  The walk is
+*bit-identical* to one :func:`~repro.sim.fast.simulate_fast` call per row
+— ``tests/test_batch_replay.py`` pins this on fixed grids and
+``tests/test_row_engine.py`` on generated sweeps.
+:func:`~repro.sim.fast.simulate_fast` is itself a one-row call.
 
-Fallback.  Whole-batch ineligibility (no C kernel — ``REPRO_CEXT=0`` or
-no compiler —, ``verify=True``, volatile ranges, the static PI hazard,
-or a live architecture collector) routes every row through scalar
-:func:`simulate_fast`; *per-row* conditions — an
-unprovable watchdog cut (:meth:`SectionMap.watchdog_cut_safe`) or a
-no-forward-progress abort — rerun just that row scalar (schedules fully
-re-seed from their row seed, so the rerun consumes the identical on-time
-sequence).  A row is therefore either served by the row walker (provably
-identical) or by the very engines the scalar path would have used.
+Fallback.  A row the C walk cannot carry runs on the Python walker
+(:meth:`~repro.sim.fast.FastReplaySimulator.run`): every row without the
+C kernel (``REPRO_CEXT=0`` or no compiler) or under a live architecture
+collector, and a row whose walk hit ``max_power_cycles`` or overflowed its
+reach buffer.  A row no section walk may carry runs on the reference
+simulator, with the typed reason: ``verify``, a live recorder, volatile
+ranges, its config's static PI hazard, or an unprovable watchdog cut
+(:meth:`SectionMap.watchdog_cut_safe`).  Either rerun starts from a fresh
+row schedule, which re-seeds and consumes the identical on-time
+sequence.  A row is therefore served by the row walk (provably
+identical) or by the very engines a scalar run would have used.
 """
 
-import time
 from array import array
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core import cext
+from repro.core.config import ClankConfig
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.metrics import COUNTERS, by_prefix
-from repro.power.schedules import ScheduleBatch
+from repro.obs.telemetry import FallbackReason
 from repro.sim.fast import (
+    _C_WALK,
+    _FAST,
+    _REASONS,
     _ST_INIT,
+    _SW_NEED_CUT,
     FastPathIneligible,
     FastReplaySimulator,
-    last_dispatch,
     section_walk,
-    simulate_fast,
     walk_result,
 )
 from repro.sim.result import SimulationResult
+from repro.sim.simulator import IntermittentSimulator
 
 __all__ = [
     "BatchResult",
@@ -77,9 +84,8 @@ class BatchResult:
         kernels: Which walker served each row — ``"c"``, ``"python"``,
             or ``None`` for the reference simulator and stalls.  Run
             provenance only: not part of :meth:`to_dict`.
-        seconds: Wall-clock seconds of each row's scalar rerun (0 for
-            rows the row walker served).  Provenance only, like
-            ``kernels``.
+        seconds: Wall-clock seconds of each row: its walk, or its
+            scalar rerun.  Provenance only, like ``kernels``.
     """
 
     name: str
@@ -159,54 +165,13 @@ class BatchResult:
 
 
 # --------------------------------------------------------------------- #
-# The row walker.
-# --------------------------------------------------------------------- #
-
-
-def _walk_rows(sim: FastReplaySimulator, sbatch: ScheduleBatch, lib):
-    """Walk every row of ``sbatch`` through the C section walk.
-
-    ``sim`` carries the run's trace, config and walk parameters: build
-    it with ``sbatch.row_schedule(0)``, so its ``"auto"`` watchdog loads
-    and ``max_power_cycles`` default derive from the batch's
-    ``mean_on_time``, which every row shares.  Returns ``(results,
-    needs_scalar)``: ``results[r]`` is the row's
-    :class:`SimulationResult` (``None`` when flagged) and
-    ``needs_scalar`` lists the rows the walk could not carry (an unsafe
-    watchdog cut or a ``max_power_cycles`` abort — the scalar engines
-    reproduce both exactly).
-
-    Raises :class:`~repro.sim.fast.FastPathIneligible` for a batch no
-    row of which the section walk may carry.
-    """
-    smap = sim._section_map()
-    prm = sim._walk_params()
-    trace = sim.trace
-    name = trace.name
-    label = sim.config.label()
-    baseline = trace.total_cycles
-    results: List[Optional[SimulationResult]] = [None] * sbatch.rows
-    needs_scalar: List[int] = []
-    for r, ontimes in enumerate(sbatch.ontimes):
-        def more(ontimes=ontimes):
-            sbatch.ensure_columns(max(8, len(ontimes) * 2))
-
-        st = array("q", _ST_INIT)
-        if section_walk(smap, lib, prm, ontimes, more, st):
-            needs_scalar.append(r)
-        else:
-            results[r] = walk_result(st, name, label, baseline)
-    return results, needs_scalar
-
-
-# --------------------------------------------------------------------- #
 # Dispatch.
 # --------------------------------------------------------------------- #
 
-#: Batch dispatch counters in the process-wide registry: batches walked,
-#: rows served by the row walker, rows handed to the scalar engines, and
-#: why (``batch.reasons.<reason>``).
-_BATCHES = COUNTERS.counter("batch.batches")
+#: Seed-repeat counters in the process-wide registry: rows served by the
+#: row walk, rows handed to the scalar engines, and why
+#: (``batch.reasons.<reason>``).  Rows stamped as scalar runs
+#: (``engine="fast"``) count under ``dispatch.*`` instead.
 _ROWS = COUNTERS.counter("batch.rows_batched")
 _ROWS_FALLBACK = COUNTERS.counter("batch.rows_fallback")
 _REASON_PREFIX = "batch.reasons."
@@ -214,95 +179,134 @@ _REASON_PREFIX = "batch.reasons."
 
 def batch_stats() -> dict:
     """Batch dispatch counts since the last ``COUNTERS.reset()``:
-    ``{"batches", "rows_batched", "rows_fallback": int, "reasons":
+    ``{"rows_batched", "rows_fallback": int, "reasons":
     {reason: rows}}`` (reasons that moved only)."""
     return {
-        "batches": _BATCHES.value,
         "rows_batched": _ROWS.value,
         "rows_fallback": _ROWS_FALLBACK.value,
         "reasons": by_prefix(COUNTERS.snapshot(), _REASON_PREFIX),
     }
 
 
-def _count_fallback(reason: str, rows: int = 1) -> None:
-    _ROWS_FALLBACK.inc(rows)
-    COUNTERS.counter(_REASON_PREFIX + reason).inc(rows)
+def _rerun(trace, config, schedule, kwargs, reason):
+    """One run off the C walk: the Python walker, unless ``reason``
+    already names why the reference must serve it.  Returns ``(result,
+    (engine, fallback_reason, kernel))``; a stall raises."""
+    if reason is None:
+        try:
+            result = FastReplaySimulator(trace, config, schedule,
+                                         **kwargs).run()
+        except FastPathIneligible as exc:
+            reason = exc.reason.value
+        else:
+            _FAST.inc()
+            return result, ("fast", None, "python")
+    _REASONS[reason].inc()
+    result = IntermittentSimulator(trace, config, schedule, **kwargs).run()
+    return result, ("reference", reason, None)
 
 
 def simulate_batch(
-    trace, config, schedules: ScheduleBatch, allow_stall: bool = False,
-    **kwargs,
+    trace, config, schedules, allow_stall: bool = False,
+    engine: str = "batch", **kwargs,
 ) -> BatchResult:
-    """Replay every schedule row; row walker when eligible, scalar otherwise.
-
-    Whole-batch ineligibility (no C kernel, ``verify``, volatile ranges,
-    PI hazard, live architecture collector) routes all rows through
-    :func:`simulate_fast`; rows the walker flags mid-flight
-    (unprovable watchdog cut, no-forward-progress abort) rerun scalar
-    individually — their fresh row schedule consumes the identical on-time
-    sequence, so the outcome is bit-identical to never having batched.
+    """Replay every schedule row: the C row walk when it can carry the
+    row, the scalar engines otherwise (see the module docstring).
 
     Args:
+        config: One :class:`~repro.core.config.ClankConfig` for every row
+            (the result's ``config_label``), or one per row (the label is
+            the first row's); all share ``kwargs`` and the trace.
+        schedules: A :class:`~repro.power.schedules.ScheduleBatch`, or a
+            :class:`~repro.power.schedules.ScheduleRow` for one run.
         allow_stall: Return ``None`` (engine ``"stalled"``) for rows whose
-            scalar rerun aborts without forward progress, instead of
-            propagating :class:`SimulationError`.
+            rerun aborts without forward progress, instead of raising.
+        engine: The stamp of rows the C walk serves: ``"batch"`` (rows of
+            seed-repeat jobs, counted under ``batch.*``) or ``"fast"``
+            (scalar runs, counted under ``dispatch.*`` like every rerun).
     """
-    N = schedules.rows
+    n = schedules.rows
+    configs = [config] * n if isinstance(config, ClankConfig) else config
     batch = BatchResult(
         name=trace.name,
-        config_label=config.label(),
-        results=[None] * N,
-        engines=["batch"] * N,
-        reasons=[None] * N,
-        kernels=["c"] * N,
-        seconds=[0.0] * N,
+        config_label=configs[0].label(),
+        results=[None] * n,
+        engines=[engine] * n,
+        reasons=[None] * n,
+        kernels=["c"] * n,
+        seconds=[0.0] * n,
     )
     lib = cext.chain_scan_lib()
     if lib is None:
-        whole_batch_reason = "no_cext"
+        off = "no_cext"
     elif ARCH_COLLECTOR.enabled:
-        # Introspection folds per run in dispatch order; the row walker
-        # has no per-section commit record to attribute, so the scalar
-        # engines (which reconcile exactly) serve instead.
-        whole_batch_reason = "arch_collector"
+        # Introspection folds per run in dispatch order; the row walk
+        # has no per-section commit record to attribute, so the Python
+        # walker (which reconciles exactly) serves instead.
+        off = "arch_collector"
     else:
-        # verify (IntermittentSimulator's default, as in simulate_fast),
-        # a live recorder, volatile ranges and the PI hazard raise here.
-        sim = FastReplaySimulator(
-            trace, config, schedules.row_schedule(0), **kwargs
-        )
-        try:
-            batch.results, needs_scalar = _walk_rows(sim, schedules, lib)
-            whole_batch_reason = None
-        except FastPathIneligible as exc:
-            whole_batch_reason = exc.reason.value
+        off = None
+    counted = engine == "batch"
+    # The rows' schedules share a mean on-time, so ``schedules`` stands in
+    # for each: it resolves the "auto" watchdog loads and the default
+    # max_power_cycles every row walks with.
+    sim = FastReplaySimulator(trace, configs[0], schedules, **kwargs)
+    plans = {}  # config -> (map, walk parameters, label), or a reason
+    ontimes = schedules.ontimes
+    name, baseline = trace.name, trace.total_cycles
+    results, seconds = batch.results, batch.seconds
+    walked = 0
 
-    if whole_batch_reason is None:
-        _BATCHES.inc()
-        _ROWS.inc(N - len(needs_scalar))
-        if needs_scalar:
-            _count_fallback("row_rerun", len(needs_scalar))
-    else:
-        needs_scalar = list(range(N))
-        _count_fallback(whole_batch_reason, N)
+    def more():
+        schedules.ensure_columns(max(8, 2 * schedules.columns))
 
-    for r in needs_scalar:
-        schedule = schedules.row_schedule(r)
-        start = time.perf_counter()
+    for r in range(n):
+        t0 = perf_counter()
+        cfg = configs[r]
+        reason, rerun = off, None
+        if off is None:
+            plan = plans.get(cfg)
+            if plan is None:
+                try:
+                    smap = sim._section_map(cfg)
+                    plan = (smap, sim._walk_params(cfg), cfg.label())
+                except FastPathIneligible as exc:
+                    plan = exc.reason.value
+                plans[cfg] = plan
+            if isinstance(plan, str):
+                reason = rerun = plan
+            else:
+                smap, prm, label = plan
+                if schedules.columns < smap.walk_draws:
+                    schedules.ensure_columns(smap.walk_draws)
+                st = array("q", _ST_INIT)
+                rc = section_walk(smap, lib, prm, ontimes[r], more, st)
+                if not rc:
+                    results[r] = walk_result(st, name, label, baseline)
+                    seconds[r] = perf_counter() - t0
+                    walked += 1
+                    continue
+                reason = "row_rerun"
+                rerun = (FallbackReason.WATCHDOG_CUT.value
+                         if rc == _SW_NEED_CUT else None)
+        if counted:
+            _ROWS_FALLBACK.inc()
+            COUNTERS.counter(_REASON_PREFIX + reason).inc()
         try:
-            batch.results[r] = simulate_fast(
-                trace, config, schedule, **kwargs
+            results[r], (batch.engines[r], batch.reasons[r],
+                         batch.kernels[r]) = _rerun(
+                trace, cfg, schedules.row_schedule(r), kwargs, rerun
             )
         except SimulationError:
             if not allow_stall:
                 raise
-            batch.results[r] = None
+            results[r] = None
             batch.engines[r] = "stalled"
-            batch.reasons[r] = None
             batch.kernels[r] = None
-        else:
-            batch.engines[r], batch.reasons[r], batch.kernels[r] = (
-                last_dispatch()
-            )
-        batch.seconds[r] = time.perf_counter() - start
+        seconds[r] = perf_counter() - t0
+    if counted:
+        _ROWS.inc(walked)
+    else:
+        _FAST.inc(walked)
+        _C_WALK.inc(walked)
     return batch

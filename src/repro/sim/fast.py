@@ -38,21 +38,20 @@ needs state the section walk does not carry:
   simulator re-runs the schedule (bit-identical: every schedule re-seeds
   itself on ``reset()``).
 
-Walkers.  One walk kernel serves scalar and batched replay: when the C
-kernel is loaded (:mod:`repro.core.cext`) and the architecture collector
-is off, :func:`simulate_fast` runs the walk as ``section_walk`` in
-``_chainscan.c`` (:meth:`FastReplaySimulator.run_c`), which reads the
-map's flat canonical-chain tables in place and returns to Python only for
-off-chain sections, more schedule on-times and ``watchdog_cut_safe``
-verdicts.  :meth:`FastReplaySimulator.run` is the same walk in Python:
-the engine without a kernel, the engine that feeds the architecture
-collector, and the oracle the C walk is pinned against.
+Walkers.  When the C kernel is loaded (:mod:`repro.core.cext`) and the
+architecture collector is off, a run walks as ``section_walk`` in
+``_chainscan.c`` (:func:`section_walk`), which reads the map's flat
+canonical-chain tables in place and returns to Python only for off-chain
+sections, more schedule on-times and ``watchdog_cut_safe`` verdicts.
+:meth:`FastReplaySimulator.run` is the same walk in Python: the engine
+without a kernel, the engine that feeds the architecture collector, and
+the oracle the C walk is pinned against (``run_c`` drives the C walk
+alone for that).
 
-:func:`simulate_fast` picks among the three scalar engines —
-:meth:`FastReplaySimulator.run_c`, :meth:`FastReplaySimulator.run` and
-:meth:`IntermittentSimulator.run` — and :func:`last_dispatch` reports
-which one served the most recent run.  A test or harness that wants one
-engine calls its method directly.
+Dispatch.  :func:`repro.sim.batch.simulate_batch` is the one dispatcher
+among the C walk, the Python walker and :meth:`IntermittentSimulator.run`;
+:func:`simulate_fast` is its one-row call, and :func:`last_dispatch`
+reports which engine served the most recent one.
 """
 
 from array import array
@@ -66,6 +65,7 @@ from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
+from repro.power.schedules import ScheduleRow
 from repro.sim.result import SimulationResult
 from repro.sim.sections import (
     SEC_DETECTOR,
@@ -103,8 +103,9 @@ class FastReplaySimulator(IntermittentSimulator):
     :func:`simulate_fast` for transparent fallback.
     """
 
-    def _section_map(self):
-        """The run's SectionMap, once the eligibility checks pass."""
+    def _section_map(self, config=None):
+        """The SectionMap of ``config`` (default: the run's own) over the
+        run's trace and marking, once the eligibility checks pass."""
         if self.verify:
             raise FastPathIneligible(
                 FallbackReason.VERIFY,
@@ -120,10 +121,9 @@ class FastReplaySimulator(IntermittentSimulator):
                 FallbackReason.VOLATILE_RANGES,
                 "mixed-volatility is not section-memoized",
             )
-        trace = self.trace
         smap = get_section_map(
-            trace,
-            self.config,
+            self.trace,
+            config or self.config,
             self.pi_words,
             self.pi_access_indices,
             self.forced_checkpoints,
@@ -136,15 +136,17 @@ class FastReplaySimulator(IntermittentSimulator):
             )
         return smap
 
-    def _walk_params(self) -> array:
-        """The C walk's per-run parameters (``P_*`` in ``_chainscan.c``)."""
+    def _walk_params(self, config=None) -> array:
+        """The C walk's parameters (``P_*`` in ``_chainscan.c``) for
+        ``config`` (default: the run's own)."""
         cost = self.cost_model
+        config = config or self.config
         return array("q", (
             cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
             cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
             self.perf_watchdog_load, self.progress_watchdog_load,
             1 if self.progress_watchdog_adaptive else 0,
-            1 if self.config.optimizations.ignore_false_writes else 0,
+            1 if config.optimizations.ignore_false_writes else 0,
             self.max_power_cycles, _REACH_CAP,
         ))
 
@@ -157,17 +159,14 @@ class FastReplaySimulator(IntermittentSimulator):
         overflow, both of which the Python walker reproduces exactly.
         """
         smap = self._section_map()
-        schedule = self.schedule
-        schedule.reset()
-        next_on = schedule.next_on_time
         # Start from the on-time count the map's previous run consumed.
-        ontimes = array("q", [next_on() for _ in range(smap.walk_draws)])
-
-        def more():
-            ontimes.extend([next_on() for _ in range(len(ontimes) + 4)])
-
+        draws = ScheduleRow(self.schedule)
+        draws.ensure_columns(smap.walk_draws)
         st = array("q", _ST_INIT)
-        rc = section_walk(smap, lib, self._walk_params(), ontimes, more, st)
+        rc = section_walk(
+            smap, lib, self._walk_params(), draws.ontimes[0],
+            lambda: draws.ensure_columns(max(8, 2 * draws.columns)), st,
+        )
         if rc == _SW_NEED_CUT:
             raise FastPathIneligible(
                 FallbackReason.WATCHDOG_CUT,
@@ -215,7 +214,29 @@ class FastReplaySimulator(IntermittentSimulator):
             arch_stats = smap.arch_stats
             arch_waddrs = ct.waddrs
             rm_dup = self.config.optimizations.remove_duplicates
-            arch_last_t = 0
+            arch_last = [0]  # cycles elapsed at the previous commit
+            record_commit = arch.record_commit
+            record_section = arch.record_section
+
+            def arch_commit(cause, s, variant, cut, nwbb, nsteps, addr,
+                            span, e, c):
+                """Record a commit of section ``(s, variant)`` cut before
+                access ``cut`` (``None``: the whole section), ``e``
+                cycles into the run."""
+                rf_s, wf_s, apb_s, rf_peak = arch_stats(s, variant)
+                if cut is None:
+                    nrf, nwf, napb = len(rf_s), len(wf_s), len(apb_s)
+                else:
+                    nrf = bisect_left(rf_s, cut)
+                    nwf = bisect_left(wf_s, cut)
+                    napb = bisect_left(apb_s, cut)
+                record_commit(
+                    cause, (nrf - (nwbb if rm_dup else 0), nwf, nwbb, napb),
+                    addr, span, (e - c) - arch_last[0], c,
+                )
+                record_section((s << 2) | variant,
+                               (rf_peak, len(wf_s), nsteps, len(apb_s)))
+                arch_last[0] = e
 
         perf_load = self.perf_watchdog_load
         perf_on = perf_load > 0
@@ -406,26 +427,9 @@ class FastReplaySimulator(IntermittentSimulator):
                 wbb_flushed += nwbb
                 ckpt_counts[fire_cause] = ckpt_get(fire_cause, 0) + 1
                 if arch is not None:
-                    rf_s, wf_s, apb_s, rf_peak = arch_stats(s, variant)
-                    e = useful + reexec + wasted + ckpt_cycles + restart_cycles
-                    arch.record_commit(
-                        fire_cause,
-                        (
-                            bisect_left(rf_s, m1) - (nwbb if rm_dup else 0),
-                            bisect_left(wf_s, m1),
-                            nwbb,
-                            bisect_left(apb_s, m1),
-                        ),
-                        None,
-                        m1 - s,
-                        (e - c) - arch_last_t,
-                        c,
-                    )
-                    arch.record_section(
-                        (s << 2) | variant,
-                        (rf_peak, len(wf_s), len(steps), len(apb_s)),
-                    )
-                    arch_last_t = e
+                    arch_commit(fire_cause, s, variant, m1, nwbb, len(steps),
+                                None, m1 - s, useful + reexec + wasted
+                                + ckpt_cycles + restart_cycles, c)
                 if prog_configured:
                     prog_enabled = False
                     prog_nv_load = 0
@@ -472,26 +476,10 @@ class FastReplaySimulator(IntermittentSimulator):
                 wbb_flushed += nwbb
                 ckpt_counts[cause] = ckpt_get(cause, 0) + 1
                 if arch is not None:
-                    rf_s, wf_s, apb_s, rf_peak = arch_stats(s, variant)
-                    e = useful + reexec + wasted + ckpt_cycles + restart_cycles
-                    arch.record_commit(
-                        cause,
-                        (
-                            len(rf_s) - (nwbb if rm_dup else 0),
-                            len(wf_s),
-                            nwbb,
-                            len(apb_s),
-                        ),
-                        arch_waddrs[end] if cause in HAZARD_CAUSES else None,
-                        end - s,
-                        (e - c) - arch_last_t,
-                        c,
-                    )
-                    arch.record_section(
-                        (s << 2) | variant,
-                        (rf_peak, len(wf_s), nwbb, len(apb_s)),
-                    )
-                    arch_last_t = e
+                    arch_commit(cause, s, variant, None, nwbb, nwbb,
+                                arch_waddrs[end] if cause in HAZARD_CAUSES
+                                else None, end - s, useful + reexec + wasted
+                                + ckpt_cycles + restart_cycles, c)
                 if prog_configured:
                     prog_enabled = False
                     prog_nv_load = 0
@@ -543,9 +531,9 @@ class FastReplaySimulator(IntermittentSimulator):
                     e = useful + reexec + wasted + ckpt_cycles + restart_cycles
                     arch.record_commit(
                         "output", (0, 0, 0, 0), None, 1,
-                        (e - base_ck) - arch_last_t, base_ck,
+                        (e - base_ck) - arch_last[0], base_ck,
                     )
-                    arch_last_t = e
+                    arch_last[0] = e
                 if prog_configured:
                     prog_enabled = False
                     prog_nv_load = 0
@@ -568,26 +556,9 @@ class FastReplaySimulator(IntermittentSimulator):
                 wbb_flushed += nwbb
                 ckpt_counts[cause] = ckpt_get(cause, 0) + 1
                 if arch is not None:
-                    rf_s, wf_s, apb_s, rf_peak = arch_stats(s, variant)
-                    e = useful + reexec + wasted + ckpt_cycles + restart_cycles
-                    arch.record_commit(
-                        cause,
-                        (
-                            len(rf_s) - (nwbb if rm_dup else 0),
-                            len(wf_s),
-                            nwbb,
-                            len(apb_s),
-                        ),
-                        None,
-                        end - s,
-                        (e - c) - arch_last_t,
-                        c,
-                    )
-                    arch.record_section(
-                        (s << 2) | variant,
-                        (rf_peak, len(wf_s), nwbb, len(apb_s)),
-                    )
-                    arch_last_t = e
+                    arch_commit(cause, s, variant, None, nwbb, nwbb, None,
+                                end - s, useful + reexec + wasted
+                                + ckpt_cycles + restart_cycles, c)
                 if prog_configured:
                     prog_enabled = False
                     prog_nv_load = 0
@@ -611,25 +582,9 @@ class FastReplaySimulator(IntermittentSimulator):
             wbb_flushed += nwbb
             ckpt_counts[cause] = ckpt_get(cause, 0) + 1
             if arch is not None:
-                rf_s, wf_s, apb_s, rf_peak = arch_stats(s, variant)
-                e = useful + reexec + wasted + ckpt_cycles + restart_cycles
-                arch.record_commit(
-                    cause,
-                    (
-                        len(rf_s) - (nwbb if rm_dup else 0),
-                        len(wf_s),
-                        nwbb,
-                        len(apb_s),
-                    ),
-                    None,
-                    n - s,
-                    (e - c) - arch_last_t,
-                    c,
-                )
-                arch.record_section(
-                    (s << 2) | variant,
-                    (rf_peak, len(wf_s), nwbb, len(apb_s)),
-                )
+                arch_commit(cause, s, variant, None, nwbb, nwbb, None, n - s,
+                            useful + reexec + wasted + ckpt_cycles
+                            + restart_cycles, c)
             if prog_configured:
                 prog_enabled = False
                 prog_nv_load = 0
@@ -840,8 +795,7 @@ _REASONS = {
 }
 
 #: (engine, fallback_reason, walker) of the most recent simulate_fast
-#: dispatch — the hook execute_job and simulate_batch read to stamp
-#: RunRecords without simulate_fast having to know any sweep context.
+#: run, for callers that stamp provenance without sweep context.
 _LAST = ("fast", None, "python")
 
 
@@ -863,7 +817,8 @@ def dispatch_stats() -> dict:
 
 
 def last_dispatch():
-    """``(engine, fallback_reason, kernel)`` of the most recent dispatch.
+    """``(engine, fallback_reason, kernel)`` of the most recent
+    :func:`simulate_fast` run.
 
     ``engine`` is ``"fast"`` or ``"reference"``; ``fallback_reason`` the
     :class:`~repro.obs.telemetry.FallbackReason` value of a reference
@@ -877,29 +832,16 @@ def last_dispatch():
 def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
     """Run on the fast path when eligible, else on the reference simulator.
 
-    The C walk serves the run when the kernel is loaded and the
-    architecture collector is off; the Python walker otherwise, and for
-    the runs the C walk hands back.  The fallback is exact: power
-    schedules fully re-seed on ``reset()``, so a rerun — even after a
-    partially walked attempt — consumes the identical on-time sequence.
+    One run is a one-row :func:`repro.sim.batch.simulate_batch` (the one
+    dispatcher) over ``schedule``'s on-times, stamped and counted as a
+    scalar run.  The fallback is exact: power schedules fully re-seed on
+    ``reset()``, so a rerun consumes the identical on-time sequence.
     """
     global _LAST
-    sim = FastReplaySimulator(trace, config, schedule, **kwargs)
-    try:
-        lib = cext.chain_scan_lib()
-        result = None
-        if lib is not None and not ARCH_COLLECTOR.enabled:
-            result = sim.run_c(lib)
-        if result is None:
-            result = sim.run()
-            _LAST = ("fast", None, "python")
-        else:
-            _C_WALK.inc()
-            _LAST = ("fast", None, "c")
-        _FAST.inc()
-        return result
-    except FastPathIneligible as exc:
-        reason = exc.reason.value
-    _REASONS[reason].inc()
-    _LAST = ("reference", reason, None)
-    return IntermittentSimulator(trace, config, schedule, **kwargs).run()
+    from repro.sim.batch import simulate_batch
+
+    batch = simulate_batch(
+        trace, config, ScheduleRow(schedule), engine="fast", **kwargs
+    )
+    _LAST = (batch.engines[0], batch.reasons[0], batch.kernels[0])
+    return batch.results[0]

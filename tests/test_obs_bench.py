@@ -109,6 +109,44 @@ _REPO_BENCH = os.path.join(
 )
 
 
+class TestProfiledEntries:
+    """An entry written under a profiler or tracer compares with
+    nothing: it is never a baseline and never checked as the newest."""
+
+    def test_profiled_entry_has_no_bucket(self):
+        assert comparable_key(entry(1.0, profiled=True)) is None
+        assert comparable_key(entry(1.0, profiled=False)) == \
+            comparable_key(entry(1.0))
+
+    def test_profiled_newest_is_not_checked(self):
+        verdict = check_history([entry(1.0), entry(2.8, profiled=True)])
+        assert verdict.ok and verdict.baseline is None
+        assert "profiler" in verdict.reason
+
+    def test_profiled_entry_is_never_the_baseline(self):
+        history = [entry(1.0), entry(0.2, profiled=True), entry(1.1)]
+        verdict = check_history(history)
+        assert verdict.ok and verdict.baseline is history[0]
+
+    def test_eval_marks_entries_written_under_a_profiler(
+        self, tmp_path, monkeypatch,
+    ):
+        import sys
+
+        from repro.eval.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig7", "--ledger="]) == 0
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            assert main(["fig7", "--ledger="]) == 0
+        finally:
+            sys.setprofile(None)
+        history = load_history(os.path.join("results", "BENCH_sweep.json"))
+        assert [e["profiled"] for e in history] == [False, True]
+        assert check_history(history).ok
+
+
 class TestCommittedTrajectory:
     def test_repo_history_passes_the_gate(self):
         """The committed BENCH_sweep.json must pass its own CI gate."""
