@@ -434,7 +434,7 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
     job: its ``BatchResult`` stamps its rows).  Each job's seconds are
     its rows' own, and the first job's also carry the group's set-up.
     """
-    for job, _ in group:
+    for job, _ in group:  # one trace-cache lookup per job, as run alone
         trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     job, config = group[0]
     if job.engine == "undo":
