@@ -19,7 +19,8 @@ them in-process, one group of jobs after another, with two invariants:
 walks each trace's jobs as one group, the rows of one
 :func:`repro.sim.batch.simulate_batch` call: they share the trace, its
 marking, and one on-time array per schedule salt.  :func:`execute_job`
-is a group of one; the sweep server runs it through :func:`job_payload`.
+is a group of one.  The sweep server's bridge runs its owned misses
+through :func:`_execute` too, one call per chunk of one group.
 A sweep's config families are registered first, so a cold SectionMap is
 enumerated with the next members of its family in one pass
 (:func:`repro.sim.sections.prefetch_family`).
@@ -264,8 +265,8 @@ def _epoch_plan(trace, epoch_cycles: int):
 _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 
 #: Configs per batched family pass, within the C kernel's budget
-#: (≤ FAMILY_MAX = 64).  The sweep server also sends owned misses to
-#: its bridge in chunks of this many jobs.
+#: (≤ FAMILY_MAX = 64).  The sweep server also cuts each group of its
+#: owned misses into chunks of this many jobs, one bridge hop each.
 _FAMILY_CHUNK = 32
 
 
@@ -540,8 +541,9 @@ def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
 
 
 def _execute(jobs: List[SimJob], settings: EvalSettings,
-             keys: Optional[list] = None, raw: bool = False) -> list:
-    """Run ``jobs``; ``[(value, seconds)]`` in submission order.
+             keys: Optional[list] = None, raw: bool = False,
+             ledger: Optional[telemetry.RunLedger] = None) -> list:
+    """Run ``jobs``; ``[(value, seconds, end)]`` in submission order.
 
     Three passes.  The first validates every job and probes the store
     in submission order; a job whose key an earlier job of the list
@@ -551,6 +553,15 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
     order of first appearance.  The third stores, folds and records
     each job in submission order.  A job that raises aborts the call
     before anything is stored or recorded.
+
+    ``keys`` are the jobs' :func:`result_key` when the caller holds
+    them.  With ``raw`` each value is its stored form's JSON bytes
+    (:func:`_encode`) for the sweep server to splice into its reply: a
+    hit returns the store's payload unparsed, and a miss encodes once
+    for the store and the caller.  Records go to ``ledger`` (default
+    :data:`telemetry.LEDGER`); ``end`` is the job's record boundary, the
+    length of ``ledger.records`` once the job's records are in, so a
+    caller can split them by job.
     """
     st = None if settings.verify else artifact_cache.store()
     n = len(jobs)
@@ -592,7 +603,7 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
         for i, entry in zip(members, done):
             slots[i] = entry
 
-    ledger = telemetry.LEDGER
+    ledger = ledger or telemetry.LEDGER
     out = []
     for i, job in enumerate(jobs):
         slot, rkey, label = slots[i], rkeys[i], configs[i].label()
@@ -654,22 +665,21 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
                     t_start=t_start,
                     worker=worker,
                 ))
-        out.append((value, seconds))
+        out.append((value, seconds, len(ledger.records)))
     return out
 
 
 def execute_job(
-    job: SimJob, settings: EvalSettings, key: Optional[str] = None,
-    raw: bool = False,
-) -> Tuple[Union[SimulationResult, BatchResult, bytes, None], float]:
+    job: SimJob, settings: EvalSettings,
+) -> Tuple[Union[SimulationResult, BatchResult, None], float]:
     """Run one job, a group of one; returns ``(result, seconds)``.
 
     ``result`` is ``None`` only when the run stalled and the job allows
     it; a seed-repeat job (``n_seeds > 1``) returns a
     :class:`~repro.sim.batch.BatchResult` whose row ``i`` is the scalar
     job at salt ``salt + i*seed_stride``.  Pure with respect to the job
-    and settings, so the sweep server runs this same function and its
-    results are bit-identical to local ones.
+    and settings; the sweep server's bridge runs the same
+    :func:`_execute`, so its results are bit-identical to local ones.
 
     With ``REPRO_CACHE_DIR`` set, the result is stored under
     :func:`result_key`, which needs no trace: a warm hit builds no trace
@@ -679,49 +689,8 @@ def execute_job(
     provenance records are appended: the engine (``disk-cached-result``
     for a hit), typed fallback reason, walker, store tier and wall time;
     they sum to the seconds returned (0 for a hit).
-
-    ``key`` is the job's :func:`result_key` when the caller holds it.
-    With ``raw`` the result comes back as its stored form's JSON bytes
-    (:func:`_encode`) for the sweep server to splice into its reply: a
-    hit returns the store's payload unparsed, and a miss encodes once
-    for the store and the caller.
     """
-    return _execute([job], settings, [key], raw)[0]
-
-
-# --------------------------------------------------------------------- #
-# Job payloads: one job's outcome, packaged for the sweep server's wire.
-# --------------------------------------------------------------------- #
-
-
-def job_payload(job: SimJob, settings: EvalSettings,
-                span: Optional[dict] = None,
-                key: Optional[str] = None) -> dict:
-    """Execute ``job`` and package what the sweep server streams for it
-    (never a pickled trace or simulator).
-
-    ``result`` is the job's stored form as JSON bytes (``execute_job``
-    with ``raw``): a store hit's payload exactly as the store holds it,
-    or a computed result encoded once for the store and the wire.
-    ``records`` are the ledger records the job appended, as dicts (moved
-    out of this process's ledger; they carry its rows and wall time).
-    ``span`` (if given) is closed and shipped in ``spans``; ``key`` is
-    passed to :func:`execute_job`.
-    """
-    ledger = telemetry.LEDGER
-    n_records = len(ledger.records)
-    try:
-        raw, _ = execute_job(job, settings, key, raw=True)
-    finally:
-        if span is not None:
-            span["t1"] = time.perf_counter()
-    records = [rec.to_dict() for rec in ledger.records[n_records:]]
-    del ledger.records[n_records:]
-    return {
-        "result": raw,
-        "records": records,
-        "spans": [span] if span is not None else [],
-    }
+    return _execute([job], settings)[0][:2]
 
 
 def run_jobs(
@@ -752,4 +721,4 @@ def run_jobs(
         # The collector folds in dispatch order: keep it job by job.
         return [execute_job(job, settings)[0] for job in jobs]
     _register_family_plans(jobs, settings)
-    return [value for value, _ in _execute(jobs, settings)]
+    return [value for value, _, _ in _execute(jobs, settings)]

@@ -93,8 +93,9 @@ def make_span(
 
     The server's bridge thread uses this directly: it only knows a
     job's parent context ``(trace_id, parent_id)`` handed over with the
-    job, stamps ``t0``/``t1`` around the simulation, and ships the dict
-    back in the job payload for the event loop to absorb.
+    job, stamps ``t0``/``t1`` to the job's own window inside its group,
+    and ships the dict back with the job's reply for the event loop to
+    absorb.
     """
     return {
         "name": name,

@@ -9,10 +9,11 @@ driver (``fig5``, ``fig8``, sweeps…) transparently becomes a thin
 client; :func:`uninstall` restores local execution.
 
 Determinism contract: the server returns each job's stored ``to_dict``
-JSON verbatim (:func:`repro.eval.parallel.job_payload`), the client
-decodes it with the store path's :func:`repro.eval.parallel._decode`
-and merges the results in submission order — so served results are
-byte-identical to a local run of the same batch, whatever mix of cache
+JSON verbatim (the ``raw`` form of the sweep engine's own
+:func:`repro.eval.parallel._execute`), the client decodes it with the
+store path's :func:`repro.eval.parallel._decode` and merges the results
+in submission order — so served results are byte-identical to a local
+run of the same batch, whatever mix of cache
 tiers served them, and a result that does not fit its job raises
 :class:`ServeError` naming the job.
 

@@ -23,20 +23,21 @@ One :class:`SweepServer` owns three layers:
   replies (``memory``), in-flight **single-flight coalescing**
   (``coalesced``: a request whose key is already simulating awaits the
   same future — two clients posting the same key share one execution),
-  and the persistent result store consulted inside ``execute_job``
-  (``disk``).  Only a full miss builds a trace and simulates
-  (``computed``).
+  and the persistent result store the bridge probes first (``disk``).
+  Only a full miss builds a trace and simulates (``computed``).
 * **A one-thread bridge** to the sweep engine, entered per batch and
   per chunk, never per job.  One bridge call prepares a batch: it
-  decodes every job once, registers the batch's sweep plans and keys
-  each job once.  The loop then triages the keys in submission order
-  and sends the owned misses back in chunks of
+  decodes, keys and groups every job once and registers the batch's
+  sweep plans.  The loop then triages the keys in submission order,
+  buckets the owned misses by group (one trace, marking and set of walk
+  parameters) and sends each bucket back in chunks of
   ``repro.eval.parallel._FAMILY_CHUNK`` jobs, one bridge hop each.  A
-  chunk runs exactly what the local sweep engine runs (trace caches,
-  store reads and puts, ledger records); the chunk runner hands
-  ``execute_job`` the key it already holds and encodes the body of each
-  job's SSE line, so the event loop only does per-job bookkeeping and
-  never blocks on a simulation.
+  chunk is one call of the local sweep engine (trace caches, store
+  reads and puts, ledger records), so its misses walk as the rows of
+  one ``simulate_batch`` call; the chunk runner hands it the keys it
+  already holds and encodes the body of each job's SSE line, so the
+  event loop only does per-job bookkeeping and never blocks on a
+  simulation.
 
 A job's SSE line carries its result's stored JSON verbatim: a disk hit
 is one ``pread``, one sha256 check and a splice, with no decode or
@@ -116,15 +117,17 @@ def _event_line(idx: int, key: str, tier: str, body: bytes) -> bytes:
 def _prepare(job_dicts: list, settings) -> list:
     """Decode, plan and key a whole batch in one bridge call.
 
-    Returns one ``(job, key, error)`` per wire job; ``error`` is the
-    job's own failure text when it cannot be decoded or keyed.  The
-    batch's sweep plans are registered before any job dispatches, so
-    its cold SectionMaps come from family passes (as in a local
-    ``run_jobs`` sweep).  Keying builds no trace: a result key names
-    its workload by identity (:func:`repro.eval.parallel.result_key`).
+    Returns one ``(job, key, group, error)`` per wire job; ``group`` is
+    the job's ``_group_key`` and ``error`` its own failure text when it
+    cannot be decoded, keyed or grouped.  The batch's sweep plans are
+    registered before any job dispatches, so its cold SectionMaps come
+    from family passes (as in a local ``run_jobs`` sweep).  Keying builds
+    no trace: a result key names its workload by identity
+    (:func:`repro.eval.parallel.result_key`).
     """
     from repro.common.errors import ConfigError
-    from repro.eval.parallel import _register_family_plans, result_key
+    from repro.eval.parallel import (_group_key, _register_family_plans,
+                                     result_key)
 
     jobs = []
     for job_d in job_dicts:
@@ -141,67 +144,87 @@ def _prepare(job_dicts: list, settings) -> list:
         # fails on its own when it runs.
         pass
     out = []
-    for job in jobs:
+    groups: dict = {}
+    for idx, job in enumerate(jobs):
         if isinstance(job, Exception):
-            out.append((None, None, _error_text(job)))
+            out.append((None, None, None, _error_text(job)))
             continue
         try:
-            out.append((job, result_key(job, settings)[1], None))
+            group = _group_key(job, idx)
+            # One tuple per group; an unhashable field fails here, alone.
+            group = groups.setdefault(group, group)
+            out.append((job, result_key(job, settings)[1], group, None))
         except Exception as exc:
-            out.append((None, None, _error_text(exc)))
+            out.append((None, None, None, _error_text(exc)))
+    return out
+
+
+def _run_group(items: list, settings) -> list:
+    """Answer ``items`` (see :func:`_run_chunk`) with one
+    :func:`repro.eval.parallel._execute` call, or fail them all with its
+    error.  Each job's ledger records are split off at the record
+    boundaries ``_execute`` reports.  They go to a private ledger and
+    travel in the reply, never in process state: a long-lived server
+    stays bounded, and an *embedded* server (tests, background-thread
+    harness) neither double-counts nor races the client's ledger, which
+    gets one ``engine="served"`` row per job instead."""
+    from repro.eval.parallel import _execute
+
+    ledger = telemetry.RunLedger().enable()
+    ledger.epoch = telemetry.LEDGER.epoch
+    ledger.driver = telemetry.LEDGER.driver
+    try:
+        done = _execute([item[1] for item in items], settings,
+                        [item[2] for item in items], raw=True, ledger=ledger)
+    except Exception as exc:
+        # A rerun must not store or record anything twice.
+        assert not ledger.records, "a failed _execute call recorded runs"
+        return [(None, None, _error_text(exc))] * len(items)
+    out, lo = [], 0
+    for (_, job, _, trace_parent), (raw, _, end) in zip(items, done):
+        records, lo = ledger.records[lo:end], end
+        tier = "computed"
+        if all(rec.engine == telemetry.ENGINE_CACHED for rec in records):
+            tier = "disk"
+        spans = []
+        if trace_parent is not None:
+            span = make_span(
+                "simulate", "worker", trace_id=trace_parent[0],
+                parent_id=trace_parent[1],
+                attrs={"workload": job.workload, "config": job.config,
+                       "tier": tier},
+            )
+            span["t0"] = ledger.epoch + records[0].t_start
+            span["t1"] = span["t0"] + sum(rec.wall_s for rec in records)
+            spans.append(span)
+        out.append((tier, spans, _event_body(
+            [rec.to_dict() for rec in records], raw,
+        )))
     return out
 
 
 def _run_chunk(items: list, settings) -> list:
-    """Execute a chunk of owned misses back to back in the bridge thread.
+    """Execute a chunk of owned misses in the bridge thread.
 
-    Each item is ``(idx, job, key, trace_parent)``.  Each job yields
-    ``(tier, spans, body)``: ``disk`` or ``computed``, the worker spans
-    it shipped, and its SSE line body (:func:`_event_body`) built from
-    the :func:`repro.eval.parallel.job_payload` of the exact function
-    the local sweep engine runs (so served results are byte-identical),
-    with the ledger forced on.  A failing job yields ``(None, None,
-    error)`` and the chunk goes on.  The records travel
-    in the payload, not in process state: this keeps a long-lived
-    server bounded, and keeps an *embedded* server (tests,
-    background-thread harness) from double-counting — the client's
-    ledger gets one engine="served" row per job instead.  Under a
-    ``trace_parent`` context the simulation is wrapped in a worker span
-    (the explicit context survives the executor hop, which does not copy
-    contextvars).
+    Each item is ``(idx, job, key, trace_parent)``; the jobs of a chunk
+    share one :func:`repro.eval.parallel._group_key`, so the chunk is
+    one :func:`_run_group`: the local sweep engine's own path (store
+    probes and puts and ledger records per job, in submission order;
+    the misses walk as the rows of one ``simulate_batch`` call), so
+    served results are byte-identical.  If that call raises, which it
+    does before anything is stored or recorded, the chunk reruns job by
+    job as groups of one, so a failing job fails alone.
+
+    Each job yields ``(tier, spans, body)``: ``disk`` or ``computed``,
+    its worker spans and its SSE line body (:func:`_event_body`), or
+    ``(None, None, error)``.  Under a ``trace_parent`` context a job's
+    worker ``simulate`` span covers its own window inside the group,
+    read off its records (the explicit context survives the executor
+    hop, which does not copy contextvars).
     """
-    from repro.eval.parallel import job_payload
-
-    ledger = telemetry.LEDGER
-    was_enabled = ledger.enabled
-    ledger.enable()
-    out = []
-    try:
-        for idx, job, key, trace_parent in items:
-            span = None
-            if trace_parent is not None:
-                span = make_span(
-                    "simulate", "worker", trace_id=trace_parent[0],
-                    parent_id=trace_parent[1],
-                    attrs={"workload": job.workload, "config": job.config},
-                )
-            try:
-                payload = job_payload(job, settings, span, key)
-            except Exception as exc:
-                out.append((None, None, _error_text(exc)))
-                continue
-            records = payload["records"]
-            engines = [rec["engine"] for rec in records]
-            if engines and all(e == telemetry.ENGINE_CACHED for e in engines):
-                tier = "disk"
-            else:
-                tier = "computed"
-            if span is not None:
-                span["attrs"]["tier"] = tier
-            out.append((tier, payload["spans"],
-                        _event_body(records, payload["result"])))
-    finally:
-        ledger.enabled = was_enabled
+    out = _run_group(items, settings)
+    if len(items) > 1 and out[0][0] is None:
+        out = [_run_group([item], settings)[0] for item in items]
     return out
 
 
@@ -316,11 +339,13 @@ class SweepServer:
         one owned earlier in this batch — makes the job a ``coalesced``
         waiter on that future (single flight: two clients posting the
         same key share one execution); any other key gets its future
-        installed before anything dispatches.  The owned misses go to
-        the bridge in chunks of ``_FAMILY_CHUNK``, all dispatched at
-        once and run one after another.  Completed SSE line bodies land
-        in the memory LRU, so later duplicates are ``memory`` hits that
-        reuse the same bytes.  Every owned chunk runs to
+        installed before anything dispatches.  The owned misses are
+        bucketed by group, buckets in order of first appearance, and
+        each bucket is cut into chunks of ``_FAMILY_CHUNK``
+        (:func:`_run_chunk`, one row-engine call each), all dispatched
+        at once and run one after another.  Completed SSE line bodies
+        land in the memory LRU, so later duplicates are ``memory`` hits
+        that reuse the same bytes.  Every owned chunk runs to
         completion even after the client hangs up: waiters and the
         inflight table depend on it.
         """
@@ -384,9 +409,9 @@ class SweepServer:
                 self._bridge, _prepare, job_dicts, settings
             )
             lines: list = []
-            owned: list = []
+            owned: Dict[tuple, list] = {}  # group -> owned items, in order
             foreign: Dict[asyncio.Future, str] = {}
-            for idx, (job, key, error) in enumerate(prepared):
+            for idx, (job, key, group, error) in enumerate(prepared):
                 span = spans[idx] = (
                     TRACER.start("resolve", parent=parents[idx],
                                  service="server")
@@ -408,16 +433,17 @@ class SweepServer:
                     waiters.setdefault(key, []).append(idx)
                     continue
                 own[key] = self._inflight[key] = loop.create_future()
-                owned.append((idx, job, key, (
+                owned.setdefault(group, []).append((idx, job, key, (
                     (span["trace_id"], span["span_id"]) if span else None
                 )))
             self._m_inflight_keys.set(len(self._inflight))
             chunks = {}
-            for lo in range(0, len(owned), _FAMILY_CHUNK):
-                items = owned[lo:lo + _FAMILY_CHUNK]
-                chunks[loop.run_in_executor(
-                    self._bridge, _run_chunk, items, settings
-                )] = items
+            for bucket in owned.values():
+                for lo in range(0, len(bucket), _FAMILY_CHUNK):
+                    items = bucket[lo:lo + _FAMILY_CHUNK]
+                    chunks[loop.run_in_executor(
+                        self._bridge, _run_chunk, items, settings
+                    )] = items
             await send(lines)
             pending = set(chunks) | set(foreign)
             while pending:

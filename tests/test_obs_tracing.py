@@ -273,6 +273,23 @@ class TestEndToEndPropagation:
         assert tiers.count("computed") == 2
         assert tiers.count("memory") >= 3
 
+    def test_worker_spans_cover_each_job_window_in_its_group(
+            self, served_tracer):
+        """Jobs that walk as rows of one group each get a worker span
+        over their own window, inside their resolve span in time."""
+        jobs = [SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
+                       salt=s) for s in range(4)]
+        ServeClient(served_tracer.url).run_jobs(jobs, SETTINGS)
+        by_id = {s["span_id"]: s for s in TRACER.spans}
+        workers = sorted((s for s in TRACER.spans
+                          if s["service"] == "worker"),
+                         key=lambda s: s["t0"])
+        assert len(workers) == len(jobs)
+        for w in workers:
+            parent = by_id[w["parent_id"]]
+            assert parent["t0"] <= w["t0"] < w["t1"] <= parent["t1"]
+        assert len({w["t0"] for w in workers}) == len(jobs)
+
     def test_five_tiers_reach_the_resolve_span(self, served_tracer,
                                                monkeypatch, tmp_path):
         """The resolve span's tier attribute spans the dedupe funnel:

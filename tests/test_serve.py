@@ -22,6 +22,7 @@ import urllib.request
 import pytest
 
 import repro.cache as artifact_cache
+from repro.core.config import PolicyOptimizations
 from repro.eval import parallel
 from repro.eval.parallel import SimJob, result_key, run_jobs
 from repro.eval.settings import EvalSettings
@@ -51,6 +52,19 @@ GRID = [
     SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny", salt=2,
            n_seeds=3, seed_stride=1),
 ]
+
+
+def _fig6_order(workloads, n_configs):
+    """A sweep shaped like fig6's: configs (buffer spec, policy setting)
+    outer, workloads inner, one schedule salt per workload."""
+    configs = [(spec, opts) for spec in ((4, 2, 1, 0), (8, 4, 2, 0))
+               for opts in PolicyOptimizations.all_settings()]
+    return [
+        SimJob(workload=name, config=spec, size="tiny", salt=salt,
+               opts=opts)
+        for spec, opts in configs[:n_configs]
+        for salt, name in enumerate(workloads)
+    ]
 
 
 @pytest.fixture(autouse=True)
@@ -330,6 +344,122 @@ class TestBatchFunnel:
         assert _dicts(served) == _dicts(local)
         stats = server.stats()["server"]
         assert stats["errors"] == 2 and stats["inflight"] == 0
+
+    def test_bridge_walks_each_group_chunk_as_rows(self, server,
+                                                   monkeypatch):
+        """A cold batch in fig6 order (config outer, workload inner)
+        walks as one ``simulate_batch`` call per (group, chunk), not one
+        per job, and still matches a local run result for result and
+        record for record; each event carries exactly its job's rows."""
+        batch = _fig6_order(("crc", "rc4"), 40) + [GRID[4]]
+        calls = []
+        inner = parallel.simulate_batch
+
+        def counting(trace, configs, *args, **kwargs):
+            calls.append(len(configs))
+            return inner(trace, configs, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate_batch", counting)
+        events = _post_events(server.url, batch)
+        monkeypatch.setattr(parallel, "simulate_batch", inner)
+        # Per workload, 40 configs are two chunks (32 + 8); the
+        # seed-repeat job is a group of its own (3 rows).
+        assert sorted(calls) == [3, 8, 8, 32, 32]
+
+        ledger = telemetry.LEDGER
+        ledger.reset()
+        ledger.enable()
+        try:
+            local = run_jobs(batch, SETTINGS)
+            local_records = ledger.stable_records()
+        finally:
+            ledger.disable()
+            ledger.reset()
+        by_idx = {ev["idx"]: ev for ev in events[:-1]}
+        served = [parallel._decode(job, by_idx[i]["result"])[0]
+                  for i, job in enumerate(batch)]
+        assert _dicts(served) == _dicts(local)
+        fields = [name for name in local_records[0] if name != "index"]
+        served_records = []
+        for i, job in enumerate(batch):
+            records = by_idx[i]["records"]
+            assert sum(rec["rows"] for rec in records) == max(1, job.n_seeds)
+            served_records += [{name: rec[name] for name in fields}
+                               for rec in records]
+        assert served_records == [
+            {name: rec[name] for name in fields} for rec in local_records
+        ]
+
+    def test_failure_mid_walk_stays_isolated(self, tmp_path, monkeypatch):
+        """A group walk that raises for one job of a chunk fails that
+        job alone: the chunk reruns job by job, every other job is
+        computed and stored once, and no event carries another job's
+        records or a record twice."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        artifact_cache.reset_for_tests()
+        batch = _fig6_order(("crc", "rc4"), 40)
+        bad = batch[11]  # rc4, in the first chunk of its group
+        assert bad.workload == "rc4"
+        batch.append(bad)  # an in-batch duplicate of the failing job
+        inner = parallel._simulate_group
+
+        def failing(group, settings):
+            if any(job == bad for job, _ in group):
+                raise RuntimeError("walk failed")
+            return inner(group, settings)
+
+        puts = []
+        put = type(artifact_cache.store()).put
+
+        def counting_put(self, kind, key, obj):
+            puts.append(key)
+            return put(self, kind, key, obj)
+
+        monkeypatch.setattr(parallel, "_simulate_group", failing)
+        monkeypatch.setattr(type(artifact_cache.store()), "put",
+                            counting_put)
+        handle = start_in_background()
+        try:
+            events = _post_events(handle.url, batch)
+            stats = handle.stats()["server"]
+        finally:
+            handle.stop()
+        assert events[-1] == {"type": "done", "jobs": len(batch)}
+        by_idx = {ev["idx"]: ev for ev in events[:-1]}
+        failed = sorted(i for i, ev in by_idx.items() if "error" in ev)
+        assert failed == [11, len(batch) - 1]
+        assert by_idx[11]["error"] == "RuntimeError: walk failed"
+        assert by_idx[len(batch) - 1]["error"] == by_idx[11]["error"]
+        good = [i for i in range(len(batch)) if i not in failed]
+        assert all(by_idx[i]["tier"] == "computed" for i in good)
+        assert stats["tiers"]["computed"] == len(good)
+        assert sorted(puts) == sorted(
+            result_key(batch[i], SETTINGS)[1] for i in good
+        )
+        for i in good:
+            job, records = batch[i], by_idx[i]["records"]
+            assert [(r["workload"], r["config"], r["salt"], r["rows"])
+                    for r in records] == [
+                (job.workload, job.clank_config().label(), job.salt, 1)
+            ]
+
+    def test_unhashable_field_fails_alone(self, server):
+        """A wire job whose field cannot be grouped fails in the batch's
+        preparation, alone; its neighbours are still served."""
+        bad = job_to_dict(GRID[1])
+        bad["perf_watchdog"] = [1]
+        body = json.dumps({
+            "settings": settings_to_dict(SETTINGS),
+            "jobs": [job_to_dict(GRID[0]), bad, job_to_dict(GRID[2])],
+        }).encode("utf-8")
+        req = urllib.request.Request(server.url + "/jobs", data=body,
+                                     method="POST")
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            events = [json.loads(line[len(b"data: "):]) for line in resp
+                      if line.startswith(b"data: ")]
+        by_idx = {ev["idx"]: ev for ev in events[:-1]}
+        assert by_idx[1]["error"] == "TypeError: unhashable type: 'list'"
+        assert by_idx[0]["tier"] == by_idx[2]["tier"] == "computed"
 
     def test_hang_up_mid_stream_still_finishes_chunks(self, server):
         """A client that hangs up before any result leaves the server
