@@ -71,15 +71,18 @@ come out of batched family chain scans (``family_maps`` in
 config — at least 80% of the cold builds, at more than one map per
 trace pass.  A regression that quietly dropped every config back to
 scalar scans would still be bit-identical, just N times the enumeration
-cost.  The same sweep must serve at least 90% of its fast-path runs
-through the C section walk (``c_walk`` in
-:func:`repro.sim.fast.dispatch_stats`), not the Python walker.
+cost.  The same sweep must serve at least 90% of its runs through the
+C section walk (``fast`` in :func:`repro.sim.fast.dispatch_stats`), not
+the reference simulator.
 
 A ninth check guards distributed tracing (:mod:`repro.obs.tracing`): the
 shared :data:`~repro.obs.tracing.TRACER` must be disabled by default, a
 tracing-off sweep must stay within the tracing threshold (default 2%)
 of the ledger-off baseline (instrumented call sites pay one attribute
 check and share one no-op span), and the off sweep must buffer no spans.
+
+Every check runs and prints its verdict; the guard exits non-zero at
+the end if any failed, naming them.
 
 Run:  PYTHONPATH=src python benchmarks/null_recorder_guard.py
 """
@@ -216,6 +219,11 @@ def main(argv=None) -> int:
 
     settings = EvalSettings(size=args.size, verify=False)
     traces = [get_trace(name, size=args.size) for name in WORKLOADS]
+    failed = []
+
+    def fail(check: str, why: str) -> None:
+        print(f"FAIL: {why}")
+        failed.append(check)
 
     # Warm-up pass so trace building and imports are off the clock.
     sweep_seconds(traces, settings, None, 1)
@@ -227,17 +235,19 @@ def main(argv=None) -> int:
     print(f"NullRecorder attached:   {null:.3f}s")
     print(f"ratio: {ratio:.4f} (threshold {args.threshold:.2f})")
     if ratio > args.threshold:
-        print("FAIL: NullRecorder added measurable per-access overhead")
-        return 1
-    print("OK: recording off is free")
+        fail("null-recorder",
+             "NullRecorder added measurable per-access overhead")
+    else:
+        print("OK: recording off is free")
 
     # Compiled-replay guard: the lazy compile must be cached (same object
     # back every time) and repeat sweeps over compiled traces must agree
     # run-to-run within the same threshold.
-    for trace in traces:
-        if trace.compiled() is not trace.compiled():
-            print(f"FAIL: {trace.name}: Trace.compiled() rebuilt on reuse")
-            return 1
+    rebuilt = [trace.name for trace in traces
+               if trace.compiled() is not trace.compiled()]
+    if rebuilt:
+        fail("compiled-replay",
+             f"{', '.join(rebuilt)}: Trace.compiled() rebuilt on reuse")
     # Best-of-N on both sides; extra repeats keep the tiny sweep times
     # from turning scheduler noise into a spurious failure.
     stability_repeats = max(args.repeats, 5)
@@ -248,9 +258,10 @@ def main(argv=None) -> int:
     print(f"compiled replay, sweep 2: {second:.3f}s")
     print(f"run-to-run spread: {spread:.4f} (threshold {args.threshold:.2f})")
     if spread > args.threshold:
-        print("FAIL: compiled-trace replay is unstable run-to-run")
-        return 1
-    print("OK: compiled replay cached and stable")
+        fail("compiled-replay",
+             "compiled-trace replay is unstable run-to-run")
+    elif not rebuilt:
+        print("OK: compiled replay cached and stable")
 
     # Fast-path guard: with every SectionMap already built by the sweeps
     # above, a repeat sweep must be all cache hits, and the fast path
@@ -262,14 +273,13 @@ def main(argv=None) -> int:
     runs = dispatch_stats()
     print(f"SectionMap cache: {sections}")
     print(f"fast-path runs:   {runs}")
-    if sections["misses"]:
-        print("FAIL: warm sweep rebuilt SectionMaps (cache misses)")
-        return 1
     total = runs["fast"] + runs["fallback"]
-    if total == 0 or runs["fast"] < 0.9 * total:
-        print("FAIL: fast path no longer carries the sweep")
-        return 1
-    print("OK: section maps cached, fast path engaged")
+    if sections["misses"]:
+        fail("fast-path", "warm sweep rebuilt SectionMaps (cache misses)")
+    elif total == 0 or runs["fast"] < 0.9 * total:
+        fail("fast-path", "fast path no longer carries the sweep")
+    else:
+        print("OK: section maps cached, fast path engaged")
 
     # Telemetry guard: execute_job records once per run, at the dispatch
     # point; enabling the ledger must not slow an execute_job sweep
@@ -315,22 +325,20 @@ def main(argv=None) -> int:
           f"(quartiles {q1:.4f}-{q3:.4f}; "
           f"threshold {args.telemetry_threshold:.2f})")
     if recorded != tele_pairs * len(ledger_jobs):
-        print(f"FAIL: ledger recorded {recorded} runs, expected "
-              f"{tele_pairs * len(ledger_jobs)}")
-        return 1
-    if untimed:
-        print(f"FAIL: {untimed} ledger records carry no wall time")
-        return 1
-    if ratio > args.telemetry_threshold:
-        print("FAIL: run-ledger telemetry added measurable overhead")
-        return 1
-    print("OK: telemetry records every run within the overhead budget")
+        fail("ledger", f"ledger recorded {recorded} runs, expected "
+                       f"{tele_pairs * len(ledger_jobs)}")
+    elif untimed:
+        fail("ledger", f"{untimed} ledger records carry no wall time")
+    elif ratio > args.telemetry_threshold:
+        fail("ledger", "run-ledger telemetry added measurable overhead")
+    else:
+        print("OK: telemetry records every run within the overhead budget")
 
     # Architectural-introspection guard.  Off is the default and must
     # stay free: the engines ask the collector once per run and get None.
-    if COLLECTOR.enabled:
-        print("FAIL: arch collector is enabled by default")
-        return 1
+    arch_ok = not COLLECTOR.enabled
+    if not arch_ok:
+        fail("arch", "arch collector is enabled by default")
     arch_off = min(
         execute_seconds(ledger_jobs, settings) for _ in range(tele_pairs)
     )
@@ -339,8 +347,8 @@ def main(argv=None) -> int:
     print(f"ratio vs ledger-off baseline: {ratio:.4f} "
           f"(threshold {args.arch_threshold:.2f})")
     if ratio > args.arch_threshold:
-        print("FAIL: introspection-off sweep exceeds the overhead budget")
-        return 1
+        arch_ok = False
+        fail("arch", "introspection-off sweep exceeds the overhead budget")
     # Collector on: every run must fold, and the aggregated cause totals
     # must reconcile exactly with the per-run results.
     COLLECTOR.reset()
@@ -362,18 +370,19 @@ def main(argv=None) -> int:
     print(f"arch collector on:  {arch_on:.3f}s for one sweep "
           f"({folded} runs folded)")
     if folded != runs_per_sweep:
-        print(f"FAIL: collector folded {folded} runs, "
-              f"expected {runs_per_sweep}")
-        return 1
+        arch_ok = False
+        fail("arch", f"collector folded {folded} runs, "
+                     f"expected {runs_per_sweep}")
     if totals != expected:
-        print(f"FAIL: collector cause totals {totals} != per-run "
-              f"checkpoint totals {expected}")
-        return 1
-    print("OK: introspection off is free, on reconciles exactly")
+        arch_ok = False
+        fail("arch", f"collector cause totals {totals} != per-run "
+                     f"checkpoint totals {expected}")
+    if arch_ok:
+        print("OK: introspection off is free, on reconciles exactly")
 
     # Result-store guard: a store-backed repeat sweep simulates nothing.
     if result_store_check(ledger_jobs, settings):
-        return 1
+        failed.append("result-store")
 
     # Batch-engaged guard: a seed-repeat sweep (the --seeds N figure
     # shape) must route its rows through the batched engine.  The scalar
@@ -401,16 +410,15 @@ def main(argv=None) -> int:
     print(f"seed-repeat sweep: {expected_rows} rows over "
           f"{len(batch_jobs)} jobs; {batch_rows} rows via batch engine")
     if ledger_rows != expected_rows:
-        print(f"FAIL: ledger accounts {ledger_rows} rows, "
-              f"expected {expected_rows}")
-        return 1
-    if any(result.rows != n_seeds for result in batch_results):
-        print("FAIL: a seed-repeat job returned the wrong row count")
-        return 1
-    if batch_rows < 0.9 * expected_rows:
-        print("FAIL: batched engine no longer carries seed-repeat sweeps")
-        return 1
-    print("OK: seed-repeat rows served by the batched engine")
+        fail("seed-repeat", f"ledger accounts {ledger_rows} rows, "
+                            f"expected {expected_rows}")
+    elif any(result.rows != n_seeds for result in batch_results):
+        fail("seed-repeat", "a seed-repeat job returned the wrong row count")
+    elif batch_rows < 0.9 * expected_rows:
+        fail("seed-repeat",
+             "batched engine no longer carries seed-repeat sweeps")
+    else:
+        print("OK: seed-repeat rows served by the batched engine")
 
     # Family-amortization guard: a cold fig5-shaped run_jobs sweep must
     # enumerate (nearly) all of its SectionMaps through batched family
@@ -429,31 +437,29 @@ def main(argv=None) -> int:
     print(f"cold sweep maps: {stats['misses']} built, "
           f"{stats['family_maps']} via {stats['family_passes']} family "
           f"passes")
-    print(f"cold sweep walks: {walks['c_walk']} of {walks['fast']} fast "
-          f"runs via the C section walk")
+    walked = walks["fast"] + walks["fallback"]
+    print(f"cold sweep walks: {walks['fast']} of {walked} runs via the C "
+          f"section walk")
     if stats["misses"] == 0:
-        print("FAIL: cold sweep built no SectionMaps (stale cache?)")
-        return 1
-    if stats["family_maps"] < 0.8 * stats["misses"]:
-        print("FAIL: family scans no longer amortize the sweep's "
-              "section enumeration")
-        return 1
-    if stats["family_maps"] <= stats["family_passes"]:
-        print("FAIL: family passes stopped batching (one map per pass)")
-        return 1
-    print("OK: section maps enumerated by batched family scans")
-    if walks["fast"] == 0 or walks["c_walk"] < 0.9 * walks["fast"]:
-        print("FAIL: the C section walk no longer serves the fast path")
-        return 1
-    print("OK: fast runs served by the C section walk")
+        fail("family", "cold sweep built no SectionMaps (stale cache?)")
+    elif stats["family_maps"] < 0.8 * stats["misses"]:
+        fail("family", "family scans no longer amortize the sweep's "
+                       "section enumeration")
+    elif stats["family_maps"] <= stats["family_passes"]:
+        fail("family", "family passes stopped batching (one map per pass)")
+    else:
+        print("OK: section maps enumerated by batched family scans")
+    if walks["fast"] == 0 or walks["fast"] < 0.9 * walked:
+        fail("c-walk", "the C section walk no longer serves the sweep")
+    else:
+        print("OK: runs served by the C section walk")
 
     # Tracing guard: spans are per job, behind one enabled check; the
     # default-off sweep must pay nothing and buffer nothing.  The warm
     # section caches from the family guard keep this sweep tiny, so
     # best-of-many absorbs scheduler noise in the 2% budget.
     if TRACER.enabled:
-        print("FAIL: tracer is enabled by default")
-        return 1
+        fail("tracing", "tracer is enabled by default")
 
     def jobs_seconds(repeats: int) -> float:
         best = float("inf")
@@ -473,13 +479,17 @@ def main(argv=None) -> int:
     print(f"run_jobs tracing off: {trace_off:.3f}s")
     print(f"ratio: {ratio:.4f} (threshold {args.tracing_threshold:.2f})")
     if TRACER.spans or TRACER.dropped:
-        print(f"FAIL: tracing-off sweep buffered {len(TRACER.spans)} spans "
-              f"({TRACER.dropped} dropped)")
+        fail("tracing", f"tracing-off sweep buffered {len(TRACER.spans)} "
+                        f"spans ({TRACER.dropped} dropped)")
+    elif ratio > args.tracing_threshold:
+        fail("tracing", "tracing-off sweep exceeds the overhead budget")
+    elif not TRACER.enabled:
+        print("OK: tracing off buffers nothing within the overhead budget")
+
+    if failed:
+        print(f"FAILED checks: {', '.join(dict.fromkeys(failed))}")
         return 1
-    if ratio > args.tracing_threshold:
-        print("FAIL: tracing-off sweep exceeds the overhead budget")
-        return 1
-    print("OK: tracing off buffers nothing within the overhead budget")
+    print("all checks passed")
     return 0
 
 

@@ -3,9 +3,9 @@
  * A C port of the inner loop of
  * ``repro.core.detector.IdempotencyDetector.straightline_chain`` — the
  * one O(n-accesses) pass the section-memoized fast path cannot avoid.
- * The Python generator remains the reference implementation (and the
- * fallback when no C compiler is available); this kernel must replay its
- * decision sequence branch-for-branch.  Inputs are the same precomputed
+ * The Python generator remains the reference implementation (the test
+ * oracle of this scan); this kernel must replay its decision sequence
+ * branch-for-branch.  Inputs are the same precomputed
  * per-trace arrays (``CompiledTrace.scan_arrays`` / ``prefix_ids``) and
  * the same generation-stamped flat membership scratch, so the two
  * implementations share every data-structure invariant.
@@ -388,30 +388,38 @@ int64_t chain_scan(
 /* ------------------------------------------------------------------ *
  * Section walk: one power schedule replayed over a SectionMap.
  *
- * A C port of the section walk in ``repro.sim.fast.FastReplaySimulator``
- * that serves scalar runs (``simulate_fast``) and batched schedule rows
- * (``repro.sim.batch``) alike.  It reads the map's flat canonical-chain
+ * The one section walk: it serves scalar runs (``simulate_fast``) and
+ * batched schedule rows (``repro.sim.batch``) alike, and is pinned
+ * against the reference ``repro.sim.simulator.IntermittentSimulator``.
+ * Within one section attempt the only schedule-dependent questions are
+ * which access the remaining on-time cannot complete and which access a
+ * watchdog fires after, both a bisection over the trace's cycle prefix
+ * sums; the checkpoint's WBB flush size is a bisection over the
+ * section's growth steps.  It reads the map's flat canonical-chain
  * arrays in place — sorted ``keys``, ``ends``, ``causes``, ``soff`` and
  * ``steps``, exactly as the family kernel emits them — finding a section
  * by searching ``keys`` and deriving its kind from its cause id.  A small
  * sorted overlay table holds the off-chain sections (watchdog cuts,
  * direct re-entries) Python has resolved so far.  Checkpoints are
  * counted per fixed cause id, with the ids' first-appearance order, so
- * the caller rebuilds ``checkpoints_by_cause`` in the Python walker's
- * key order.
+ * the caller rebuilds ``checkpoints_by_cause`` in the reference's key
+ * order.
  *
  * One call replays until the run finishes or needs Python — a section
  * neither table holds, more schedule on-times, a ``watchdog_cut_safe``
- * verdict — and is then re-entered with the same state array once Python
- * has supplied what was missing.  Resumability is by construction: every
- * return to Python happens either before any state mutation of the
- * current section attempt (SW_NEED_SECTION, SW_NEED_CUT — the re-entered
- * walk re-derives the identical decision point) or with the attempt
- * fully accounted and only the restart sequence pending
- * (SW_NEED_ONTIMES, marked by PH_RESTART, where each restart iteration is
- * itself atomic around its single schedule draw).  SW_FALLBACK runs
- * (power-cycle budget exhausted, reach-buffer overflow) are rerun whole
- * by the Python walker — schedules re-seed, so the rerun is exact.
+ * verdict, or (under P_ARCH) the record of a commit — and is then
+ * re-entered with the same state array once Python has supplied what was
+ * missing.  Resumability is by construction: every return to Python
+ * happens either before any state mutation of the current section
+ * attempt (SW_NEED_SECTION, SW_NEED_CUT — the re-entered walk re-derives
+ * the identical decision point), with the attempt fully accounted and
+ * only the restart sequence pending (SW_NEED_ONTIMES, marked by
+ * PH_RESTART, where each restart iteration is itself atomic around its
+ * single schedule draw), or right after a commit (SW_COMMIT, resuming at
+ * the next section, the output's GO phase (PH_GO) or the finished run
+ * (PH_DONE)).  SW_STALL ends the run where the reference raises its
+ * no-forward-progress error; SW_REACH_FULL hands a run whose failed-cycle
+ * reaches overflow their buffer to the reference.
  */
 
 /* Stop codes. */
@@ -419,7 +427,9 @@ int64_t chain_scan(
 #define SW_NEED_SECTION 1   /* st[ST_OUT] = (start<<2)|variant */
 #define SW_NEED_ONTIMES 2
 #define SW_NEED_CUT 3       /* st[ST_OUT..+3] = start, variant, cut, furthest */
-#define SW_FALLBACK 4
+#define SW_REACH_FULL 4
+#define SW_STALL 5          /* st[ST_OUT] = trace position, -1 at restart */
+#define SW_COMMIT 6         /* st[ST_COMMIT..+6] describe the commit */
 
 /* Watchdog cause ids follow the section causes. */
 #define CAUSE_PROGRESS_WDT 10
@@ -456,6 +466,7 @@ int64_t chain_scan(
 #define P_IG_FW 7
 #define P_MAX_PC 8
 #define P_REACH_CAP 9
+#define P_ARCH 10           /* 1: stop with SW_COMMIT after each commit */
 
 /* Persistent run state (int64 slots). */
 #define ST_I 0
@@ -486,9 +497,22 @@ int64_t chain_scan(
 #define ST_NORDER 28
 #define ST_COUNTS 29        /* [SW_NCAUSES] checkpoints per cause id */
 #define ST_ORDER 41         /* [SW_NCAUSES] cause ids, first appearance */
+#define ST_COMMIT 53        /* [7] the last commit, under P_ARCH: */
+#define CM_HOW 0            /*   CM_CUT, CM_WHOLE or CM_POST */
+#define CM_CAUSE 1
+#define CM_START 2
+#define CM_VARIANT 3
+#define CM_AT 4             /*   the cut, or the section's end */
+#define CM_NWBB 5           /*   WBB entries flushed */
+#define CM_CYCLES 6         /*   checkpoint cycles */
+#define CM_CUT 0            /* a watchdog checkpoint inside the section */
+#define CM_WHOLE 1          /* the checkpoint at the section's boundary */
+#define CM_POST 2           /* an output's GO-phase post-checkpoint */
 
 #define PH_WALK 0
 #define PH_RESTART 1        /* mid power-loss: resume the boot loop */
+#define PH_GO 2             /* an output's pre-checkpoint committed */
+#define PH_DONE 3           /* the final checkpoint committed */
 
 /* Section kinds / entry variants; repro.sim.sections mirrors them. */
 #define BSEC_DETECTOR 0
@@ -647,12 +671,16 @@ static int sw_restart(const int64_t *ontimes, int64_t n_ontimes,
         if (on >= rcost) {
             st[ST_RESTART] += rcost;
             st[ST_ONLEFT] = on - rcost;
+            st[ST_PHASE] = PH_WALK;
             return 0;
         }
         st[ST_RESTART] += on;
         st[ST_PC] += 1;
         st[ST_WASTED_PC] += 1;
-        if (st[ST_PC] > prm[P_MAX_PC]) return SW_FALLBACK;
+        if (st[ST_PC] > prm[P_MAX_PC]) {
+            st[ST_OUT] = -1;
+            return SW_STALL;
+        }
     }
 }
 
@@ -669,7 +697,7 @@ static int sw_power_loss(int64_t at_i,
         while (nr > 0 && reach[2 * (nr - 1) + 1] == i
                && reach[2 * (nr - 1)] <= at_i)
             nr--;
-        if (nr >= prm[P_REACH_CAP]) return SW_FALLBACK;
+        if (nr >= prm[P_REACH_CAP]) return SW_REACH_FULL;
         reach[2 * nr] = at_i;
         reach[2 * nr + 1] = i;
         nr++;
@@ -688,7 +716,10 @@ static int sw_power_loss(int64_t at_i,
     }
     if (!st[ST_PROGRESS]) st[ST_WASTED_PC] += 1;
     st[ST_PC] += 1;
-    if (st[ST_PC] > prm[P_MAX_PC]) return SW_FALLBACK;
+    if (st[ST_PC] > prm[P_MAX_PC]) {
+        st[ST_OUT] = at_i;
+        return SW_STALL;
+    }
     st[ST_PHASE] = PH_RESTART;
     return sw_restart(ontimes, n_ontimes, prm, st);
 }
@@ -711,6 +742,65 @@ static void sw_account(int64_t m, const int64_t *gcum, int64_t *st)
     }
 }
 
+/* Under P_ARCH, describe the commit just made in st[ST_COMMIT..] and
+ * stop with SW_COMMIT; otherwise go on (0). */
+static int sw_report(const int64_t *prm, int64_t *st, int64_t how,
+                     int64_t cause, int64_t start, int64_t variant,
+                     int64_t at, int64_t nwbb, int64_t c)
+{
+    int64_t *cm = st + ST_COMMIT;
+    if (!prm[P_ARCH]) return 0;
+    cm[CM_HOW] = how;
+    cm[CM_CAUSE] = cause;
+    cm[CM_START] = start;
+    cm[CM_VARIANT] = variant;
+    cm[CM_AT] = at;
+    cm[CM_NWBB] = nwbb;
+    cm[CM_CYCLES] = c;
+    return SW_COMMIT;
+}
+
+/* The GO phase of the output at st[ST_I], whose pre-checkpoint just
+ * committed: the output executes between its two checkpoints and never
+ * ticks the watchdogs; any power loss forgets the pre-checkpoint
+ * (output_ready is volatile), so a retry re-runs the whole protocol from
+ * the committed start. */
+static int sw_go(const int64_t *acc, const int64_t *ontimes,
+                 int64_t n_ontimes, const int64_t *prm, int64_t *reach,
+                 int64_t *st)
+{
+    const int64_t end = st[ST_I];
+    const int64_t ce = acc[end];
+    const int64_t base_ck = prm[P_BASE_CK];
+    int64_t on_left = st[ST_ONLEFT];
+    if (on_left < ce) {
+        st[ST_WASTED] += on_left;
+        st[ST_FORCED_DONE] = -1;
+        return sw_power_loss(end, ontimes, n_ontimes, prm, reach, st);
+    }
+    st[ST_ONLEFT] = on_left = on_left - ce;
+    st[ST_OUTPUTS] += 1;
+    if (end < st[ST_FURTHEST]) {
+        st[ST_DUP] += 1;
+        st[ST_REEXEC] += ce;
+    } else {
+        st[ST_USEFUL] += ce;
+        st[ST_FURTHEST] = end + 1;
+        st[ST_PROGRESS] = 1;
+    }
+    if (on_left < base_ck) {
+        st[ST_WASTED] += on_left;
+        return sw_power_loss(end + 1, ontimes, n_ontimes, prm, reach, st);
+    }
+    st[ST_ONLEFT] -= base_ck;
+    st[ST_CKPT] += base_ck;
+    sw_count(st, CAUSE_OUTPUT);
+    sw_committed(st, prm[P_PROG_DEFAULT]);
+    st[ST_I] = end + 1;
+    return sw_report(prm, st, CM_POST, CAUSE_OUTPUT, end, 0, end + 1, 0,
+                     base_ck);
+}
+
 /* Power fails at ``at``: the attempt is accounted, so lose power, boot,
  * and resume the walk (or hand the stop code to Python). */
 #define SW_LOSE(at)                                                     \
@@ -718,7 +808,14 @@ static void sw_account(int64_t m, const int64_t *gcum, int64_t *st)
         int rc_ = sw_power_loss((at), ontimes, n_ontimes, prm, reach,   \
                                 st);                                    \
         if (rc_) return rc_;                                            \
-        st[ST_PHASE] = PH_WALK;                                         \
+    } while (0)
+
+/* A commit is made: stop if it must be reported. */
+#define SW_REPORT(how, cause, at, nwbb, c)                              \
+    do {                                                                \
+        int rc_ = sw_report(prm, st, (how), (cause), s, variant, (at),  \
+                            (nwbb), (c));                               \
+        if (rc_) return rc_;                                            \
     } while (0)
 
 int64_t section_walk(
@@ -741,10 +838,21 @@ int64_t section_walk(
     const int64_t prog_default = prm[P_PROG_DEFAULT];
     const int64_t ig_fw = prm[P_IG_FW];
 
-    if (st[ST_PHASE] == PH_RESTART) {
+    switch (st[ST_PHASE]) {
+    case PH_RESTART: {
         int rc = sw_restart(ontimes, n_ontimes, prm, st);
         if (rc) return rc;
+        break;
+    }
+    case PH_GO: {
+        int rc;
         st[ST_PHASE] = PH_WALK;
+        rc = sw_go(acc, ontimes, n_ontimes, prm, reach, st);
+        if (rc) return rc;
+        break;
+    }
+    case PH_DONE:
+        return SW_DONE;
     }
     for (;;) {
         int64_t s = st[ST_I];
@@ -839,6 +947,8 @@ int64_t section_walk(
             sw_committed(st, prog_default);
             st[ST_I] = m1;
             st[ST_DIRECT] = 0;
+            SW_REPORT(CM_CUT, fire_prog ? CAUSE_PROGRESS_WDT : CAUSE_PERF_WDT,
+                      m1, nwbb, c);
             continue;
         }
 
@@ -866,50 +976,26 @@ int64_t section_walk(
                 SW_LOSE(end);
                 continue;
             }
-            st[ST_ONLEFT] = on_left = on_left - c;
+            st[ST_ONLEFT] = on_left - c;
             st[ST_CKPT] += c;
             st[ST_WBB] += nwbb;
             sw_count(st, sec.cause);
             sw_committed(st, prog_default);
             st[ST_I] = end;
-
-            if (kind == BSEC_DETECTOR) {
-                st[ST_DIRECT] = 0;
+            /* A text write commits directly as the first access of the
+             * next section (VARIANT_DIRECT). */
+            st[ST_DIRECT] = kind == BSEC_TEXT;
+            if (kind == BSEC_OUTPUT) {
+                int rc;
+                if (prm[P_ARCH]) {
+                    st[ST_PHASE] = PH_GO;
+                    SW_REPORT(CM_WHOLE, sec.cause, end, nwbb, c);
+                }
+                rc = sw_go(acc, ontimes, n_ontimes, prm, reach, st);
+                if (rc) return rc;
                 continue;
             }
-            if (kind == BSEC_TEXT) {
-                st[ST_DIRECT] = 1;
-                continue;
-            }
-
-            /* BSEC_OUTPUT: the GO phase. */
-            st[ST_DIRECT] = 0;
-            if (on_left < ce) {
-                st[ST_WASTED] += on_left;
-                st[ST_FORCED_DONE] = -1;
-                SW_LOSE(end);
-                continue;
-            }
-            st[ST_ONLEFT] = on_left = on_left - ce;
-            st[ST_OUTPUTS] += 1;
-            if (end < st[ST_FURTHEST]) {
-                st[ST_DUP] += 1;
-                st[ST_REEXEC] += ce;
-            } else {
-                st[ST_USEFUL] += ce;
-                st[ST_FURTHEST] = end + 1;
-                st[ST_PROGRESS] = 1;
-            }
-            if (on_left < base_ck) {
-                st[ST_WASTED] += on_left;
-                SW_LOSE(end + 1);
-                continue;
-            }
-            st[ST_ONLEFT] -= base_ck;
-            st[ST_CKPT] += base_ck;
-            sw_count(st, CAUSE_OUTPUT);
-            sw_committed(st, prog_default);
-            st[ST_I] = end + 1;
+            SW_REPORT(CM_WHOLE, sec.cause, end, nwbb, c);
             continue;
         }
 
@@ -929,11 +1015,15 @@ int64_t section_walk(
             st[ST_WBB] += nwbb;
             sw_count(st, sec.cause);
             sw_committed(st, prog_default);
-            if (kind == BSEC_FINAL)
+            if (kind == BSEC_FINAL) {
+                st[ST_PHASE] = PH_DONE;
+                SW_REPORT(CM_WHOLE, sec.cause, n, nwbb, c);
                 return SW_DONE;
+            }
             st[ST_FORCED_DONE] = end;
             st[ST_I] = end;
             st[ST_DIRECT] = 0;
+            SW_REPORT(CM_WHOLE, sec.cause, end, nwbb, c);
         }
     }
 }

@@ -1,18 +1,20 @@
-"""Optional C acceleration for the section-chain scan.
+"""The C kernel behind the section scans and the section walk.
 
-The section-memoized fast path (:mod:`repro.sim.sections`) spends almost
-all of its remaining time in one O(n) pass per ``(trace, config)`` key:
-:meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`.  The
-loop is branch-light integer code over flat arrays — exactly the shape a
-C compiler turns into a ~20x faster kernel — so this module compiles the
-line-for-line C port in ``_chainscan.c`` on demand with whatever system C
+The section-memoized fast path (:mod:`repro.sim.sections`,
+:mod:`repro.sim.fast`) runs in one C source, ``_chainscan.c``: the O(n)
+chain scan per ``(trace, config)`` key — a line-for-line port of
+:meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`,
+branch-light integer code over flat arrays — its config-family batch,
+and the section walk that replays power schedules over the scanned
+tables.  This module compiles it on demand with whatever system C
 compiler is present and drives it through :mod:`ctypes`.
 
-This is strictly optional infrastructure:
+The kernel is optional:
 
 * no compiler, a failed compile, a failed load, or ``REPRO_CEXT=0`` all
-  degrade silently to the pure-Python generator (the reference
-  implementation, which stays the source of truth for semantics);
+  send every run to the reference simulator, the source of truth for
+  semantics (the pure-Python generator stays the chain scan's test
+  oracle);
 * the shared library is cached in the system temp directory keyed by a
   hash of the C source, so each source revision compiles once per
   machine, not once per process;

@@ -86,9 +86,8 @@ def chain_scan_engine(config: ClankConfig, ct, forced_sorted, pi_words,
     Returns a :class:`repro.core.cext.ChainScanEngine` bound to the
     configuration and the given trace/marking, or ``None`` when the
     optional C kernel is unavailable (no compiler, ``REPRO_CEXT=0``, or
-    any build/load failure) — callers then use
-    :meth:`IdempotencyDetector.straightline_chain`, the pure-Python
-    reference.
+    any build/load failure).  The chain scan's pure-Python reference is
+    :meth:`IdempotencyDetector.straightline_chain`.
     """
     lib = cext.chain_scan_lib()
     if lib is None:
@@ -633,7 +632,7 @@ class IdempotencyDetector:
         pi_words,
         pi_indices,
         scratch: "Optional[ChainScratch]" = None,
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int]:
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int, int]:
         """Growth-step indices of one section's tracking buffers.
 
         Replays exactly the decision walk of :meth:`straightline_chain`
@@ -641,7 +640,7 @@ class IdempotencyDetector:
         as in :mod:`repro.sim.sections`: ``0`` normal, ``1`` compiler
         checkpoint at ``start`` already committed, ``2`` direct text
         write at ``start``) and records *where* each buffer grew,
-        returning ``(rf_steps, wf_steps, apb_steps, rf_peak)``:
+        returning ``(rf_steps, wf_steps, apb_steps, rf_peak, wbb_peak)``:
 
         * ``rf_steps`` / ``wf_steps`` / ``apb_steps`` — ascending trace
           indices at which the Read-First, Write-First, and
@@ -657,6 +656,9 @@ class IdempotencyDetector:
           Remove-duplicates can shrink the RF mid-section, so unlike the
           other three (monotone; peak = ``len(steps)``) the RF's
           at-commit count is not its maximum.
+        * ``wbb_peak`` — the Write-back Buffer entries the whole section
+          captures (its ``wbb_steps`` count, whatever cut a chain scan
+          left the section open at).
 
         Like the ``wbb_steps`` prefix sums, these are schedule-independent
         — computed once per section and reused by every schedule that
@@ -698,7 +700,7 @@ class IdempotencyDetector:
         at_forced = j < len(fs) and fs[j] == start
         if variant == 0 and at_forced:
             # Zero-length compiler section: nothing is classified.
-            return (), (), (), 0
+            return (), (), (), 0, 0
         nf_idx = j + 1 if at_forced else j
         next_forced = fs[nf_idx] if nf_idx < len(fs) else n + 1
         scan_from = start + 1 if variant == 2 else start
@@ -796,7 +798,7 @@ class IdempotencyDetector:
                 rf_peak = rf_len
             rf_i.append(i)
             i += 1
-        return tuple(rf_i), tuple(wf_i), tuple(apb_i), rf_peak
+        return tuple(rf_i), tuple(wf_i), tuple(apb_i), rf_peak, wbb_len
 
     # ------------------------------------------------------------------ #
     # View and lifecycle.

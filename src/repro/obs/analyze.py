@@ -14,17 +14,20 @@ architectural view behind the paper's capacity sweeps:
   cause, per workload and configuration,
 * **section shape** — accesses and consumed cycles between commits.
 
-The statistics are *schedule-independent per section*: the fast path
-derives them once per section from the memoized
+The statistics are *schedule-independent per section*: the C section
+walk reports each commit to :mod:`repro.sim.batch`, which derives its
+occupancy from the memoized
 :meth:`~repro.sim.sections.SectionMap.arch_stats` growth steps (bisect
 arithmetic per commit, no per-access work), and the reference simulator
 snapshots ``detector.occupancy()`` at each commit — the same numbers, so
-the two engines reconcile exactly.  Aggregation is bounded-memory
+the two engines reconcile exactly.  Section peaks come from the walk
+only.  Aggregation is bounded-memory
 everywhere: fixed-width histograms, a capped hazard table, and a capped
 per-section peak table, each with an explicit dropped counter.
 
 Collection is **off by default** (the module-level :data:`COLLECTOR` is
-disabled); when off, the engines pay one flag check per run.  Enable it
+disabled); when off, the engines pay one flag check per run (the walk's
+commit stops are off too).  Enable it
 with ``python -m repro.eval ... --arch results/arch_stats.json`` and
 render the written summary with the CLI::
 

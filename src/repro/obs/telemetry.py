@@ -4,18 +4,18 @@ The performance stack (compiled replay, section-memoized fast path,
 batched replay, persistent result cache, sweep server) serves almost every simulator run, and the
 paper's methodology rests on every path being bit-identical.  Trusting
 that acceleration requires *provenance*: for each run, which engine
-actually produced the result, which cache tier served it, which section
-walker (C or Python) replayed it, and — when the fast path refused — the
-typed reason.  This module records exactly that, once per run at the
+actually produced the result, which cache tier served it, whether the
+section walk replayed it, and — when the walk refused — the typed
+reason.  This module records exactly that, once per run at the
 dispatch point (never per access), so telemetry can stay on without
 changing which engine runs or how fast it runs.
 
 * :class:`FallbackReason` — the closed set of reasons
-  :func:`repro.sim.fast.simulate_fast` hands a run to the reference
+  :func:`repro.sim.batch.simulate_batch` hands a run to the reference
   simulator.
 * :class:`RunRecord` — one run's provenance: workload, configuration key,
   engine (``fast`` / ``reference`` / ``batch`` / ``disk-cached-result`` /
-  ``undo`` / ``stalled`` / ``served``), fallback reason, section walker,
+  ``undo`` / ``stalled`` / ``served``), fallback reason, section walk,
   result-cache tier outcome, and wall time — the one per-run timer (the
   run profile's simulator section sums it).
   :meth:`RunRecord.stable_dict` drops the wall-time fields (``wall_s``,
@@ -76,16 +76,19 @@ ENGINE_SERVED = "served"
 
 
 class FallbackReason(Enum):
-    """Why :func:`repro.sim.fast.simulate_fast` ran the reference simulator.
+    """Why :func:`repro.sim.batch.simulate_batch` ran a row on the
+    reference simulator instead of the section walk.
 
     Each mirrors an eligibility check documented in :mod:`repro.sim.fast`.
     """
 
+    NO_CEXT = "no_cext"
     VERIFY = "verify"
     LIVE_RECORDER = "live_recorder"
     VOLATILE_RANGES = "volatile_ranges"
     PI_HAZARD = "pi_hazard"
     WATCHDOG_CUT = "watchdog_cut"
+    REACH_OVERFLOW = "reach_overflow"
 
 
 #: Ledger fields that carry wall-clock (non-deterministic) data.
@@ -108,11 +111,10 @@ class RunRecord:
             aborted without forward progress under ``allow_stall``), or
             ``served`` (a sweep server answered the job).
         fallback_reason: :class:`FallbackReason` value when the engine is
-            ``reference`` and the run went through ``simulate_fast``.
-        kernel: The section walker that served the run — ``c`` (the C
-            section walk, which also serves every ``batch`` row) or
-            ``python`` (``FastReplaySimulator.run``); ``None`` for runs
-            no section walk served.
+            ``reference`` and the run went through ``simulate_batch``.
+        kernel: ``c`` when the section walk (the C kernel) served the
+            run — every ``fast`` and ``batch`` run; ``None`` for runs no
+            section walk served.
         result_cache: Whole-result disk-cache tier outcome — ``hit``,
             ``miss``, or ``off`` (tier not consulted: no store, or the
             call site has no result key, e.g. ``--verify``).  For

@@ -7,48 +7,66 @@ row walks its configuration's :class:`~repro.sim.sections.SectionMap`
 through the C section walk (``section_walk`` in ``_chainscan.c``, driven
 by :func:`repro.sim.fast.section_walk`), one row after another over the
 :class:`~repro.power.schedules.ScheduleBatch`'s on-time arrays.  Rows that
-share a seed share one array, drawn once and grown in place.  The walk is
-*bit-identical* to one :func:`~repro.sim.fast.simulate_fast` call per row
-— ``tests/test_batch_replay.py`` pins this on fixed grids and
-``tests/test_row_engine.py`` on generated sweeps.
-:func:`~repro.sim.fast.simulate_fast` is itself a one-row call.
+share a seed share one array, drawn once and grown in place.
+:func:`~repro.sim.fast.simulate_fast` is a one-row call.  The walk is
+*bit-identical* to the reference simulator —
+``tests/test_fast_replay.py`` and ``tests/test_batch_replay.py`` pin this
+on fixed grids and ``tests/test_row_engine.py`` on generated sweeps —
+down to its no-forward-progress error: a row that exceeds
+``max_power_cycles`` stops in the walk, and comes back stalled (``None``
+under ``allow_stall``) or raises the reference's
+:class:`~repro.common.errors.SimulationError`.
 
-Fallback.  A row the C walk cannot carry runs on the Python walker
-(:meth:`~repro.sim.fast.FastReplaySimulator.run`): every row without the
-C kernel (``REPRO_CEXT=0`` or no compiler) or under a live architecture
-collector, and a row whose walk hit ``max_power_cycles`` or overflowed its
-reach buffer.  A row no section walk may carry runs on the reference
-simulator, with the typed reason: ``verify``, a live recorder, volatile
-ranges, its config's static PI hazard, or an unprovable watchdog cut
-(:meth:`SectionMap.watchdog_cut_safe`).  Either rerun starts from a fresh
-row schedule, which re-seeds and consumes the identical on-time
+Under a live architecture collector (:mod:`repro.obs.analyze`) the walk
+stops after each commit with its record — cause, section, cut, WBB
+entries and checkpoint cycles — and :class:`_ArchFold` derives the
+commit-instant occupancy from the section's memoized growth steps
+(:meth:`~repro.sim.sections.SectionMap.arch_stats`), the numbers the
+reference snapshots from its live detector.
+
+Fallback.  A row the walk cannot carry runs on the reference simulator
+(:meth:`~repro.sim.simulator.IntermittentSimulator.run`) with its typed
+:class:`~repro.obs.telemetry.FallbackReason`: every row without the C
+kernel (``no_cext``: ``REPRO_CEXT=0`` or no compiler), ``verify``, a
+live recorder, volatile ranges, its config's static PI hazard, an
+unprovable watchdog cut (:meth:`SectionMap.watchdog_cut_safe`), or a
+reach-buffer overflow (``reach_overflow``).  The rerun starts from a
+fresh row schedule, which re-seeds and consumes the identical on-time
 sequence.  A row is therefore served by the row walk (provably
-identical) or by the very engines a scalar run would have used.
+identical) or by the reference itself.
 """
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core import cext
+from repro.core.cext import WALK_CAUSE_NAMES
 from repro.core.config import ClankConfig
-from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
+from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.metrics import COUNTERS, by_prefix
+from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
+from repro.sim import fast
 from repro.sim.fast import (
-    _C_WALK,
+    _CM_CUT,
+    _CM_POST,
     _FAST,
     _REASONS,
+    _ST_COMMIT,
     _ST_INIT,
     _SW_NEED_CUT,
-    FastPathIneligible,
-    FastReplaySimulator,
+    _SW_REACH_FULL,
+    _SW_STALL,
     section_walk,
+    stall_message,
     walk_result,
 )
 from repro.sim.result import SimulationResult
+from repro.sim.sections import get_section_map
 from repro.sim.simulator import IntermittentSimulator
 
 __all__ = [
@@ -76,16 +94,16 @@ class BatchResult:
         results: One :class:`SimulationResult` per schedule row, in row
             order; ``None`` marks a row that stalled (no forward progress)
             under ``allow_stall``.
-        engines: What served each row — ``"batch"`` (the row walker),
-            ``"fast"``/``"reference"`` (per-row or whole-batch scalar
-            fallback), or ``"stalled"``.
-        reasons: Typed fallback reason per non-batch row (``None`` for
-            batch-served rows).
-        kernels: Which walker served each row — ``"c"``, ``"python"``,
-            or ``None`` for the reference simulator and stalls.  Run
-            provenance only: not part of :meth:`to_dict`.
+        engines: What served each row — ``"batch"`` or ``"fast"`` (the
+            section walk, by the caller's stamp), ``"reference"``, or
+            ``"stalled"``.
+        reasons: Typed fallback reason per reference row (``None`` for
+            the others).
+        kernels: ``"c"`` for each row the section walk served, ``None``
+            for the reference simulator and stalls.  Run provenance
+            only: not part of :meth:`to_dict`.
         seconds: Wall-clock seconds of each row: its walk, or its
-            scalar rerun.  Provenance only, like ``kernels``.
+            reference rerun.  Provenance only, like ``kernels``.
     """
 
     name: str
@@ -169,12 +187,18 @@ class BatchResult:
 # --------------------------------------------------------------------- #
 
 #: Seed-repeat counters in the process-wide registry: rows served by the
-#: row walk, rows handed to the scalar engines, and why
+#: row walk, rows handed to the reference, and why
 #: (``batch.reasons.<reason>``).  Rows stamped as scalar runs
 #: (``engine="fast"``) count under ``dispatch.*`` instead.
 _ROWS = COUNTERS.counter("batch.rows_batched")
 _ROWS_FALLBACK = COUNTERS.counter("batch.rows_fallback")
 _REASON_PREFIX = "batch.reasons."
+
+#: The walk's stops that hand a row to the reference, by stop code.
+_STOP_REASONS = {
+    _SW_NEED_CUT: FallbackReason.WATCHDOG_CUT.value,
+    _SW_REACH_FULL: FallbackReason.REACH_OVERFLOW.value,
+}
 
 
 def batch_stats() -> dict:
@@ -188,22 +212,90 @@ def batch_stats() -> dict:
     }
 
 
-def _rerun(trace, config, schedule, kwargs, reason):
-    """One run off the C walk: the Python walker, unless ``reason``
-    already names why the reference must serve it.  Returns ``(result,
-    (engine, fallback_reason, kernel))``; a stall raises."""
-    if reason is None:
-        try:
-            result = FastReplaySimulator(trace, config, schedule,
-                                         **kwargs).run()
-        except FastPathIneligible as exc:
-            reason = exc.reason.value
+def _plan(sim: IntermittentSimulator, config: ClankConfig, walk: bool,
+          arch: bool):
+    """``(map, walk parameters, label)`` for the rows of ``config``, or
+    the :class:`FallbackReason` value that sends them to the reference.
+
+    ``sim`` holds the rows' shared keyword arguments as the reference
+    resolves them ("auto" watchdog loads, the default
+    ``max_power_cycles``); ``walk`` says whether the C kernel is loaded.
+    A reason the run itself carries wins over ``no_cext``.
+    """
+    if sim.verify:
+        return FallbackReason.VERIFY.value
+    if live_recorder(sim.recorder) is not None:
+        return FallbackReason.LIVE_RECORDER.value
+    if sim.volatile_ranges:
+        return FallbackReason.VOLATILE_RANGES.value
+    smap = get_section_map(sim.trace, config, sim.pi_words,
+                           sim.pi_access_indices, sim.forced_checkpoints)
+    if smap.pi_hazard:
+        return FallbackReason.PI_HAZARD.value
+    if not walk:
+        return FallbackReason.NO_CEXT.value
+    cost = sim.cost_model
+    # The C walk's parameters (``P_*`` in ``_chainscan.c``).
+    prm = array("q", (
+        cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
+        cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
+        sim.perf_watchdog_load, sim.progress_watchdog_load,
+        1 if sim.progress_watchdog_adaptive else 0,
+        1 if config.optimizations.ignore_false_writes else 0,
+        sim.max_power_cycles, fast._REACH_CAP, 1 if arch else 0,
+    ))
+    return smap, prm, config.label()
+
+
+class _ArchFold:
+    """Folds one walked run's commit records into an accumulator.
+
+    Each commit's occupancy is bisect arithmetic over the section's
+    memoized growth steps (:meth:`SectionMap.arch_stats`), and its
+    section peaks are recorded once per section key — no per-access
+    work, and the same numbers the reference snapshots at each commit.
+    """
+
+    __slots__ = ("smap", "acc", "rm_dup", "waddrs", "last")
+
+    def __init__(self, smap, config: ClankConfig, acc):
+        self.smap = smap
+        self.acc = acc
+        self.rm_dup = config.optimizations.remove_duplicates
+        self.waddrs = smap.ct.waddrs
+        self.last = 0  # cycles elapsed at the previous commit
+
+    def commit(self, st: array) -> None:
+        """Fold the commit ``st[_ST_COMMIT:]`` describes (``CM_*`` in
+        ``_chainscan.c``), made ``e`` cycles into the run."""
+        how, cid, s, variant, at, nwbb, c = st[_ST_COMMIT:]
+        e = st[7] + st[8] + st[9] + st[10] + st[11]  # every cycle bucket
+        cause = WALK_CAUSE_NAMES[cid]
+        acc = self.acc
+        if how == _CM_POST:
+            # GO-phase post-commit: the buffers were reset by the
+            # pre-checkpoint and the output bypasses the detector.
+            acc.record_commit(cause, (0, 0, 0, 0), None, 1,
+                              (e - c) - self.last, c)
+            self.last = e
+            return
+        rf_s, wf_s, apb_s, rf_peak, wbb_peak = self.smap.arch_stats(
+            s, variant)
+        if how == _CM_CUT:
+            nrf = bisect_left(rf_s, at)
+            nwf = bisect_left(wf_s, at)
+            napb = bisect_left(apb_s, at)
+            addr = None
         else:
-            _FAST.inc()
-            return result, ("fast", None, "python")
-    _REASONS[reason].inc()
-    result = IntermittentSimulator(trace, config, schedule, **kwargs).run()
-    return result, ("reference", reason, None)
+            nrf, nwf, napb = len(rf_s), len(wf_s), len(apb_s)
+            addr = self.waddrs[at] if cause in HAZARD_CAUSES else None
+        acc.record_commit(
+            cause, (nrf - (nwbb if self.rm_dup else 0), nwf, nwbb, napb),
+            addr, at - s, (e - c) - self.last, c,
+        )
+        acc.record_section((s << 2) | variant,
+                           (rf_peak, len(wf_s), wbb_peak, len(apb_s)))
+        self.last = e
 
 
 def simulate_batch(
@@ -211,7 +303,7 @@ def simulate_batch(
     engine: str = "batch", **kwargs,
 ) -> BatchResult:
     """Replay every schedule row: the C row walk when it can carry the
-    row, the scalar engines otherwise (see the module docstring).
+    row, the reference simulator otherwise (see the module docstring).
 
     Args:
         config: One :class:`~repro.core.config.ClankConfig` for every row
@@ -219,8 +311,8 @@ def simulate_batch(
             the first row's); all share ``kwargs`` and the trace.
         schedules: A :class:`~repro.power.schedules.ScheduleBatch`, or a
             :class:`~repro.power.schedules.ScheduleRow` for one run.
-        allow_stall: Return ``None`` (engine ``"stalled"``) for rows whose
-            rerun aborts without forward progress, instead of raising.
+        allow_stall: Return ``None`` (engine ``"stalled"``) for rows that
+            make no forward progress, instead of raising.
         engine: The stamp of rows the C walk serves: ``"batch"`` (rows of
             seed-repeat jobs, counted under ``batch.*``) or ``"fast"``
             (scalar runs, counted under ``dispatch.*`` like every rerun).
@@ -237,20 +329,12 @@ def simulate_batch(
         seconds=[0.0] * n,
     )
     lib = cext.chain_scan_lib()
-    if lib is None:
-        off = "no_cext"
-    elif ARCH_COLLECTOR.enabled:
-        # Introspection folds per run in dispatch order; the row walk
-        # has no per-section commit record to attribute, so the Python
-        # walker (which reconciles exactly) serves instead.
-        off = "arch_collector"
-    else:
-        off = None
+    arch = ARCH_COLLECTOR.enabled
     counted = engine == "batch"
     # The rows' schedules share a mean on-time, so ``schedules`` stands in
     # for each: it resolves the "auto" watchdog loads and the default
     # max_power_cycles every row walks with.
-    sim = FastReplaySimulator(trace, configs[0], schedules, **kwargs)
+    sim = IntermittentSimulator(trace, configs[0], schedules, **kwargs)
     plans = {}  # config -> (map, walk parameters, label), or a reason
     ontimes = schedules.ontimes
     name, baseline = trace.name, trace.total_cycles
@@ -260,53 +344,62 @@ def simulate_batch(
     def more():
         schedules.ensure_columns(max(8, 2 * schedules.columns))
 
+    def stalled(r):
+        results[r] = None
+        batch.engines[r] = "stalled"
+        batch.reasons[r] = batch.kernels[r] = None
+
     for r in range(n):
         t0 = perf_counter()
         cfg = configs[r]
-        reason, rerun = off, None
-        if off is None:
-            plan = plans.get(cfg)
-            if plan is None:
-                try:
-                    smap = sim._section_map(cfg)
-                    plan = (smap, sim._walk_params(cfg), cfg.label())
-                except FastPathIneligible as exc:
-                    plan = exc.reason.value
-                plans[cfg] = plan
-            if isinstance(plan, str):
-                reason = rerun = plan
-            else:
-                smap, prm, label = plan
-                if schedules.columns < smap.walk_draws:
-                    schedules.ensure_columns(smap.walk_draws)
-                st = array("q", _ST_INIT)
-                rc = section_walk(smap, lib, prm, ontimes[r], more, st)
-                if not rc:
-                    results[r] = walk_result(st, name, label, baseline)
-                    seconds[r] = perf_counter() - t0
-                    walked += 1
-                    continue
-                reason = "row_rerun"
-                rerun = (FallbackReason.WATCHDOG_CUT.value
-                         if rc == _SW_NEED_CUT else None)
+        plan = plans.get(cfg)
+        if plan is None:
+            plan = plans[cfg] = _plan(sim, cfg, lib is not None, arch)
+        if isinstance(plan, str):
+            reason = plan
+        else:
+            smap, prm, label = plan
+            if schedules.columns < smap.walk_draws:
+                schedules.ensure_columns(smap.walk_draws)
+            st = array("q", _ST_INIT)
+            fold = (_ArchFold(smap, cfg, ARCH_COLLECTOR.run_accumulator())
+                    if arch else None)
+            rc = section_walk(smap, lib, prm, ontimes[r], more, st,
+                              fold and fold.commit)
+            if rc == 0:
+                results[r] = walk_result(st, name, label, baseline)
+                if fold is not None:
+                    ARCH_COLLECTOR.fold_run(name, label, fold.acc, "fast")
+                seconds[r] = perf_counter() - t0
+                walked += 1
+                continue
+            if rc == _SW_STALL:
+                if not allow_stall:
+                    raise SimulationError(
+                        stall_message(st, name, prm, smap.n))
+                stalled(r)
+                seconds[r] = perf_counter() - t0
+                continue
+            reason = _STOP_REASONS[rc]
         if counted:
             _ROWS_FALLBACK.inc()
             COUNTERS.counter(_REASON_PREFIX + reason).inc()
+        _REASONS[reason].inc()
         try:
-            results[r], (batch.engines[r], batch.reasons[r],
-                         batch.kernels[r]) = _rerun(
-                trace, cfg, schedules.row_schedule(r), kwargs, rerun
-            )
+            results[r] = IntermittentSimulator(
+                trace, cfg, schedules.row_schedule(r), **kwargs
+            ).run()
         except SimulationError:
             if not allow_stall:
                 raise
-            results[r] = None
-            batch.engines[r] = "stalled"
+            stalled(r)
+        else:
+            batch.engines[r] = "reference"
+            batch.reasons[r] = reason
             batch.kernels[r] = None
         seconds[r] = perf_counter() - t0
     if counted:
         _ROWS.inc(walked)
     else:
         _FAST.inc(walked)
-        _C_WALK.inc(walked)
     return batch

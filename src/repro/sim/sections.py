@@ -8,18 +8,22 @@ configuration, and the compiler marking.  The power schedule only decides
 *where inside a section* power fails and how much re-executes.
 
 A :class:`SectionMap` caches that schedule-independent structure: for each
-section start (and variant, below) it runs the
-:class:`~repro.core.detector.IdempotencyDetector` straight-line once and
-records ``(end, cause, kind, wbb_steps)``:
+section start (and variant, below) the C chain scan runs the idempotency
+detector straight-line once and records ``(end, cause, wbb_steps)``:
 
 * ``end`` — index of the boundary access (``n`` for the final checkpoint);
   the section executes exactly the accesses ``[start, end)``.
-* ``cause`` — checkpoint cause charged at the boundary.
-* ``kind`` — how the boundary behaves under power failure (see constants).
+* ``cause`` — checkpoint cause charged at the boundary; it also decides
+  how the boundary behaves under power failure.
 * ``wbb_steps`` — ascending trace indices where the Write-back Buffer
-  grew (a tuple, or an ``array('i')`` when the C kernel enumerated it);
-  ``bisect`` against a cut point yields the flush size of any
-  checkpoint inside the section, keeping the map cost-model independent.
+  grew; bisecting a cut point yields the flush size of any checkpoint
+  inside the section, keeping the map cost-model independent.
+
+The canonical chain — every section a failure-free run from the start
+commits — is held as flat parallel arrays installed by one family pass
+(:func:`build_family`); the C section walk (:mod:`repro.sim.fast`) reads
+them in place and resolves the off-chain sections it meets into a
+per-map overlay.
 
 :func:`get_section_map` builds each map once per process and keeps it
 in a plain dict under a content key; :func:`clear_cache` empties it.
@@ -49,7 +53,7 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
   earlier (checkpoint-free) power cycle executed further into, leaving
   stale directly-committed words ahead of the new start whose next
   false-write comparison can then disagree with the oracle — checked
-  exactly at run time by the walker via :meth:`SectionMap.watchdog_cut_safe`
+  exactly at run time by the walk via :meth:`SectionMap.watchdog_cut_safe`
   whenever a watchdog commit lands below the furthest-executed index while
   ``ignore_false_writes`` is on; only a genuinely divergent cut bails out
   to the reference simulator.  See :mod:`repro.sim.fast`.
@@ -61,7 +65,6 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core import cext as _cext
-from repro.core.cext import CAUSE_NAMES as _CAUSE_NAMES
 from repro.core.config import ClankConfig
 from repro.core.detector import (
     IdempotencyDetector,
@@ -71,34 +74,10 @@ from repro.core.detector import (
 from repro.obs.metrics import COUNTERS
 from repro.trace.trace import Trace
 
-#: Boundary kinds — they differ in how power failure interacts with the
-#: boundary access (see the walker in :mod:`repro.sim.fast`).
-SEC_DETECTOR = 0  #: detector-demanded checkpoint; boundary access retries
-SEC_TEXT = 1      #: text write: checkpoint, then the write commits directly
-SEC_FORCED = 2    #: compiler-inserted checkpoint call (epoch boundary)
-SEC_OUTPUT = 3    #: output write: pre-checkpoint (the GO phase follows)
-SEC_FINAL = 4     #: end of trace
-
-_KIND_BY_CAUSE = {
-    "compiler": SEC_FORCED,
-    "output": SEC_OUTPUT,
-    "text_write": SEC_TEXT,
-    "final": SEC_FINAL,
-}
-
-#: (cause name, kind) indexed by the C kernel's cause id — turns the
-#: ingest copy loop's two dict lookups into one list index.
-_NAME_KIND_BY_ID = [
-    (name, _KIND_BY_CAUSE.get(name, SEC_DETECTOR)) for name in _CAUSE_NAMES
-]
-
 #: Section-entry variants.
 VARIANT_NORMAL = 0
 VARIANT_FORCED_DONE = 1
 VARIANT_DIRECT = 2
-
-#: A memoized section: (end, cause, kind, wbb_steps).
-Section = Tuple[int, str, int, Sequence[int]]
 
 #: The empty marking/forced set every unmarked map and key shares.
 _EMPTY: FrozenSet[int] = frozenset()
@@ -108,10 +87,11 @@ class SectionMap:
     """Lazily-enumerated section structure of one (trace, config,
     pi_words, pi_access_indices, forced_checkpoints) tuple.
 
-    Sections are enumerated on demand (power schedules visit only the
-    starts they actually commit at) and memoized forever: the map object
-    itself is cached per key by :func:`get_section_map`, so every schedule
-    swept over the same structure reuses the same enumerations.
+    The canonical chain comes from a family pass and off-chain sections
+    are enumerated on demand (power schedules visit only the starts they
+    actually commit at); both are kept forever, and the map object itself
+    is cached per key by :func:`get_section_map`, so every schedule swept
+    over the same structure reuses the same enumerations.
 
     A map holds only what is its own: the off-chain overlay and C walk
     table once a C walk needs them (:mod:`repro.sim.fast`) and memo
@@ -121,13 +101,13 @@ class SectionMap:
     mask, the shared tables) lives on the compiled trace, and whatever
     depends only on the configuration (the kernels' capacity and flag
     ints) is derived from it on demand; an :class:`IdempotencyDetector`
-    is built only for the pure-Python scans.  Nothing a map holds refers
+    is built only for :meth:`arch_stats`.  Nothing a map holds refers
     back to it, so an evicted map is freed by reference counting.
     """
 
     __slots__ = (
         "ct", "config", "n", "pi_words", "pi_indices", "forced",
-        "_forced_sorted", "_sections", "pi_hazard", "_detector",
+        "_forced_sorted", "pi_hazard", "_detector",
         "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
         "_flat", "_ov", "_tab", "walk_draws", "__weakref__",
     )
@@ -151,11 +131,8 @@ class SectionMap:
         # A compiler checkpoint at index n never fires: the final
         # checkpoint precedes the forced check in the replay loop.
         self._forced_sorted = tuple(sorted(f for f in forced if f < ct.n))
-        self._detector = None  # pure-Python scans only (_python_scan)
+        self._detector = None  # arch_stats scans only (_python_scan)
         self._scratch = None
-        #: Memoized sections, keyed ``(start << 2) | variant`` — one int
-        #: probe in the fast path's hot loop instead of a tuple hash.
-        self._sections: Dict[int, Section] = {}
         self._dw_cache: Dict[Tuple[int, int], array] = {}
         self._dw_groups: Dict[Tuple[int, int], Dict[int, array]] = {}
         self._arch_cache: Dict[int, tuple] = {}
@@ -178,8 +155,7 @@ class SectionMap:
         #: ``(keys, ends, cause_ids, steps_off, steps)`` parallel arrays
         #: sorted by key, read-only and shared with every map over the
         #: trace that has equal tables (:class:`_Tables`).  The C section
-        #: walk reads them in place; ``section()`` serves them per key
-        #: into the dict memo.
+        #: walk reads them in place.
         self._flat = None
         #: The C section walk's state (:mod:`repro.sim.fast`): the
         #: overlay of off-chain sections (built on the first off-chain
@@ -189,65 +165,19 @@ class SectionMap:
         self._tab = None
         self.walk_draws = 1
 
-    def section(self, start: int, variant: int) -> Section:
-        """The memoized section beginning at ``start`` under ``variant``.
-
-        Served from the dict memo, else from the flat canonical chain
-        (per key), else enumerated: the failure-free chain from this
-        entry is scanned into the memo up to where it rejoins sections
-        already held.
-        """
-        key = (start << 2) | variant
-        sec = self._sections.get(key)
-        if sec is None:
-            if self._flat is not None:
-                sec = self._flat_get(key)
-                if sec is not None:
-                    return sec
-            t0 = perf_counter()
-            self._ingest_chain(start, variant)
-            _ENUM_SECONDS.inc(perf_counter() - t0)
-            sec = self._sections[key]
-        return sec
-
-    def _flat_has(self, key: int) -> bool:
-        """Whether the flat canonical-chain storage covers ``key``."""
-        flat = self._flat
-        if flat is None:
-            return False
-        keys = flat[0]
-        j = bisect_left(keys, key)
-        return j < len(keys) and keys[j] == key
-
-    def _flat_get(self, key: int) -> Optional[Section]:
-        """Serve ``key`` from flat storage, materializing into the dict
-        memo."""
-        keys, ends, causes, soff, sval = self._flat
-        j = bisect_left(keys, key)
-        if j >= len(keys) or keys[j] != key:
-            return None
-        cause, kind = _NAME_KIND_BY_ID[causes[j]]
-        a, b = soff[j], soff[j + 1]
-        sec = (ends[j], cause, kind, sval[a:b] if b > a else ())
-        self._sections[key] = sec
-        return sec
-
     def ensure_flat(self) -> None:
         """Give the map flat canonical-chain storage if it has none.
 
-        The C section walk reads only flat tables, so a map enumerated
-        lazily outside any sweep plan gets its canonical chain from a
+        The C section walk reads only flat tables, so a map built
+        outside any sweep plan gets its canonical chain from a
         one-member family pass (the C kernel must be loaded).
         """
         if self._flat is None:
             _family_scan_chunk(self.config.prefix_low_bits, [self])
 
     def _chain_engine(self):
-        """The map's C chain-scan engine, or ``None`` without a kernel.
-
-        Only a built engine is memoized: a map first scanned with the
-        kernel gated off gets its engine once the kernel loads.
-        """
+        """The map's C chain-scan engine, built on first use (the C
+        kernel must be loaded)."""
         eng = self._engine
         if eng is None:
             eng = self._engine = chain_scan_engine(
@@ -257,9 +187,8 @@ class SectionMap:
         return eng
 
     def _python_scan(self):
-        """``(detector, scratch)`` for the pure-Python scans — no kernel,
-        :meth:`arch_stats`, or direct writes without the kernel — built
-        on first use."""
+        """``(detector, scratch)`` for :meth:`arch_stats`'s pure-Python
+        scans, built on first use."""
         det = self._detector
         if det is None:
             det = self._detector = IdempotencyDetector(
@@ -298,52 +227,12 @@ class SectionMap:
             )
         ]
 
-    def _ingest_chain(self, start: int, variant: int) -> None:
-        """Enumerate the failure-free section chain from ``(start, variant)``.
-
-        One scan enumerates every section from ``start`` to the final
-        checkpoint, amortizing per-section overhead across the whole
-        chain.  Consumption stops at the first already-held entry: the
-        boundary sequence from any shared ``(start, variant)`` onward is
-        identical, so the rest of the chain is guaranteed present (every
-        stored entry's successor was either stored by the same chain or
-        was the stop reason of the chain that stored it).  The C kernel
-        (:meth:`scan_chain`) runs the scan when loaded; otherwise the
-        pure-Python generator, the reference implementation, does.
-        """
-        secs = self._sections
-        if self._chain_engine() is not None:
-            chain = [
-                (key, end) + _NAME_KIND_BY_ID[cid] + (steps,)
-                for key, end, cid, steps in self.scan_chain(start, variant)
-            ]
-        else:
-            det, scratch = self._python_scan()
-            chain = (
-                ((s << 2) | v, end, cause,
-                 _KIND_BY_CAUSE.get(cause, SEC_DETECTOR), steps)
-                for s, v, end, cause, steps, _ in det.straightline_chain(
-                    self.ct,
-                    start,
-                    variant == VARIANT_DIRECT,
-                    start if variant == VARIANT_FORCED_DONE else -1,
-                    self._forced_sorted,
-                    self.pi_words,
-                    self.pi_indices,
-                    scratch,
-                )
-            )
-        for key, end, cause, kind, steps in chain:
-            if key in secs or self._flat_has(key):
-                break
-            secs[key] = (end, cause, kind, steps)
-
     def _direct_writes(self, start: int, variant: int) -> array:
         """The section's direct-commit write indices (memoized, ascending
         ``array('i')``).
 
-        Re-runs the straight-line scan of just this section with
-        ``collect_dw`` on.  Only :meth:`watchdog_cut_safe` needs these,
+        Re-runs the C chain scan of just this section, collecting its
+        direct commits.  Only :meth:`watchdog_cut_safe` needs these,
         and only for the rare sections a watchdog checkpoint cuts below
         the furthest-executed index, so deriving them lazily keeps the
         bulk enumeration free of per-write bookkeeping.
@@ -351,35 +240,20 @@ class SectionMap:
         key = (start, variant)
         dw = self._dw_cache.get(key)
         if dw is None:
-            eng = self._chain_engine()
-            direct = variant == VARIANT_DIRECT
-            fd = start if variant == VARIANT_FORCED_DONE else -1
-            if eng is not None:
-                dw = eng.scan_first_dw(start, 1 if direct else 0, fd)
-            else:
-                det, scratch = self._python_scan()
-                chain = det.straightline_chain(
-                    self.ct,
-                    start,
-                    direct,
-                    fd,
-                    self._forced_sorted,
-                    self.pi_words,
-                    self.pi_indices,
-                    scratch,
-                    collect_dw=True,
-                )
-                dw = array("i", next(chain)[5])
-                chain.close()
-            self._dw_cache[key] = dw
+            dw = self._dw_cache[key] = self._chain_engine().scan_first_dw(
+                start,
+                1 if variant == VARIANT_DIRECT else 0,
+                start if variant == VARIANT_FORCED_DONE else -1,
+            )
         return dw
 
     def arch_stats(
         self, start: int, variant: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int]:
-        """The section's buffer growth steps and RF peak (memoized).
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int, int]:
+        """The section's buffer growth steps and RF and WBB peaks
+        (memoized).
 
-        ``(rf_steps, wf_steps, apb_steps, rf_peak)`` from
+        ``(rf_steps, wf_steps, apb_steps, rf_peak, wbb_peak)`` from
         :meth:`~repro.core.detector.IdempotencyDetector.section_arch_scan`
         — schedule-independent, like the ``wbb_steps`` already stored on
         the section record, so every schedule that commits this section
@@ -671,8 +545,8 @@ def build_family(
     enumerated are skipped; a single remaining member gets a one-member
     pass, which the family counters do not count.  Returns the maps in
     ``configs`` order (the map cache is populated either way).  Without the C
-    kernel there is no pass here: maps then enumerate lazily per
-    config.
+    kernel there is no pass here: no section walk runs, so nothing reads
+    the maps' tables.
     """
     maps = [
         get_section_map(

@@ -11,6 +11,7 @@ of a :class:`~repro.power.schedules.ScheduleBatch` must equal, draw for
 draw, the ``ExponentialPower`` seeded ``base + i*stride``.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import textwrap
 import pytest
 
 import repro
+from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.eval.parallel import SimJob, execute_job, run_jobs
@@ -33,7 +35,9 @@ from repro.sim.batch import (
     batch_stats,
     simulate_batch,
 )
+from repro.sim import fast
 from repro.sim.fast import simulate_fast
+from repro.sim.simulator import IntermittentSimulator
 from repro.workloads import get_trace
 
 CONFIGS = [(1, 0, 0, 0), (8, 4, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
@@ -192,8 +196,8 @@ class TestFallback:
         assert all(r.verified for r in batch.results)
 
     def test_no_cext_falls_back_per_row(self, monkeypatch):
-        # Without the C kernel every row runs as a scalar simulate_fast
-        # call, counted under one whole-batch reason.
+        # Without the C kernel every row runs on the reference, counted
+        # under one whole-batch reason.
         trace, config = self._setup()
         scalar = _rows(trace, config, 900, 4, 3, **_WDTS)
         monkeypatch.setenv("REPRO_CEXT", "0")
@@ -205,25 +209,66 @@ class TestFallback:
         finally:
             cext.reset_for_tests()
         assert batch.batch_rows == 0
-        assert batch.engines == ["fast"] * 3
+        assert batch.engines == ["reference"] * 3
+        assert batch.reasons == ["no_cext"] * 3
+        assert batch.kernels == [None] * 3
         assert _batch_dicts(batch) == scalar
         assert stats["rows_fallback"] == 3
         assert stats["reasons"] == {"no_cext": 3}
 
-    def test_arch_collector_forces_scalar(self):
-        # A live architecture collector needs the instrumented engines;
-        # the batch must fall back whole and still agree row for row.
+    def test_arch_collector_rows_stay_on_the_walk(self):
+        # A live architecture collector is fed by the row walk itself:
+        # every row stays on it, agrees row for row, and folds once.
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
         trace, config = self._setup()
         scalar = _rows(trace, config, 900, 2, 2, **_WDTS)
         ARCH_COLLECTOR.reset()
         ARCH_COLLECTOR.enable()
         try:
             batch = _batch(trace, config, 900, 2, 2, **_WDTS)
+            folded = ARCH_COLLECTOR.run_totals()
+            causes = ARCH_COLLECTOR.cause_totals()
         finally:
             ARCH_COLLECTOR.disable()
             ARCH_COLLECTOR.reset()
-        assert batch.batch_rows == 0
+        assert batch.batch_rows == 2
         assert _batch_dicts(batch) == scalar
+        assert folded == {"fast": 2}
+        expected = {}
+        for row in scalar:
+            for cause, k in row["checkpoints_by_cause"].items():
+                expected[cause] = expected.get(cause, 0) + k
+        assert causes == expected
+
+    def test_reach_overflow_runs_the_reference(self, monkeypatch):
+        # The reach buffer's size travels in the walk parameters: shrunk
+        # to one pair, a run whose failed cycles stack reaches past its
+        # committed start overflows it and goes to the reference whole.
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        trace = get_trace("crc", "small")
+        config = ClankConfig(
+            1, 0, 0, 0,
+            optimizations=PolicyOptimizations(ignore_false_writes=True),
+        )
+        kw = dict(perf_watchdog=0, progress_watchdog="auto")
+        monkeypatch.setattr(fast, "_REACH_CAP", 1)
+        batch = _batch(trace, config, 800, 1, 4, **kw)
+        monkeypatch.undo()
+        assert "reach_overflow" in batch.reasons
+        for r, reason in enumerate(batch.reasons):
+            if reason == "reach_overflow":
+                assert batch.engines[r] == "reference"
+                assert batch.kernels[r] is None
+        ref = [
+            IntermittentSimulator(
+                trace, config, ExponentialPower(800, seed=1 + i),
+                verify=False, **kw,
+            ).run().to_dict(include_derived=False)
+            for i in range(4)
+        ]
+        assert _batch_dicts(batch) == ref
 
     def test_stats_account_every_row(self):
         trace, config = self._setup()
@@ -294,10 +339,10 @@ class TestSeedRepeatJobs:
 
     @pytest.mark.parametrize("route", ["kernel", "no_cext", "arch"])
     def test_records_sum_to_job_seconds(self, monkeypatch, route):
-        # Whichever engine serves the rows (the C row walker, or every
-        # row rerun scalar without the kernel or under a live arch
-        # collector), the job's ledger records carry all of its rows
-        # and sum to the seconds execute_job returns.
+        # Whichever engine serves the rows (the C row walker, with or
+        # without a live arch collector, or the reference for every row
+        # without the kernel), the job's ledger records carry all of its
+        # rows and sum to the seconds execute_job returns.
         job = SimJob(workload="crc", config=(8, 4, 2, 0), size="small",
                      salt=5, n_seeds=16)
         if route == "no_cext":
@@ -330,7 +375,7 @@ class TestSeedRepeatJobs:
                   for rec in records]
         if batch.batch_rows:
             # One record for the walked rows, then one per rerun row.
-            assert route == "kernel"
+            assert route != "no_cext"
             reruns = [r for r, e in enumerate(batch.engines) if e != "batch"]
             assert shapes == [
                 ("batch", None, "c", "off", batch.batch_rows, 5, False)
@@ -340,11 +385,13 @@ class TestSeedRepeatJobs:
                 for r in reruns
             ]
         else:
-            # Every row reran scalar on the Python walker: one timed
-            # record per row, at the row's own salt.
-            assert route != "kernel" or cext.chain_scan_lib() is None
-            assert shapes == [("fast", None, "python", "off", 1, 5 + r, False)
-                              for r in range(16)]
+            # Every row ran on the reference: one timed record per row,
+            # at the row's own salt.
+            assert route == "no_cext" or cext.chain_scan_lib() is None
+            assert shapes == [
+                ("reference", "no_cext", None, "off", 1, 5 + r, False)
+                for r in range(16)
+            ]
             assert all(rec.wall_s > 0.0 for rec in records)
 
     def test_rows_batched_without_numpy(self):
@@ -377,3 +424,67 @@ class TestSeedRepeatJobs:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestStallStop:
+    """A run without forward progress ends in the walk itself, where the
+    reference would raise — no engine reruns it."""
+
+    def _jobs(self, settings):
+        # ablation_progress's stalled cells: every power cycle a runt,
+        # the Progress Watchdog off or at its fixed nominal period.
+        from repro.eval.ablation_progress import RUNT_MEAN, WORKLOAD
+
+        return [
+            SimJob(
+                workload=WORKLOAD, config=(16, 8, 4, 4), size=settings.size,
+                schedule="runt", runt_mean=RUNT_MEAN, runt_fraction=1.0,
+                progress_watchdog=wdt, progress_watchdog_adaptive=False,
+                max_power_cycles=30_000, allow_stall=True,
+            )
+            for wdt in (0, settings.avg_on_cycles // 2)
+        ]
+
+    def _reference_error(self, job, settings):
+        from repro.eval import parallel
+        from repro.power.schedules import RuntPower
+
+        trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
+        schedule = RuntPower(settings.avg_on_cycles, job.runt_mean,
+                             runt_fraction=job.runt_fraction,
+                             seed=settings.seed)
+        with pytest.raises(SimulationError) as exc:
+            IntermittentSimulator(
+                trace, job.clank_config(), schedule,
+                **parallel._clank_kwargs(job, trace, settings),
+            ).run()
+        return str(exc.value)
+
+    def test_runt_stalls_stop_in_the_walk(self, monkeypatch):
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        from repro.eval import parallel
+
+        settings = EvalSettings()
+        jobs = self._jobs(settings)
+        expected = [self._reference_error(job, settings) for job in jobs]
+
+        def no_rerun(self):
+            raise AssertionError("a stalled row was rerun")
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            batch = simulate_batch(*args, **kwargs)
+            calls.append((batch.rows, list(batch.engines)))
+            return batch
+
+        monkeypatch.setattr(IntermittentSimulator, "run", no_rerun)
+        monkeypatch.setattr(parallel, "simulate_batch", spy)
+        assert run_jobs(jobs, settings) == [None, None]
+        assert calls == [(1, ["stalled"])] * 2
+        for job, message in zip(jobs, expected):
+            strict = dataclasses.replace(job, allow_stall=False)
+            with pytest.raises(SimulationError) as exc:
+                execute_job(strict, settings)
+            assert str(exc.value) == message

@@ -4,13 +4,13 @@ The batched family kernel (C ``family_chain_scan``) enumerates a whole
 sweep family's section tables in one kernel call.  Every test here
 builds the same family twice — once through
 :func:`repro.sim.sections.build_family` and once config-by-config
-through lazy per-key chain scans — and requires the fully-materialized
-section dictionaries to match exactly, across PI markings, forced-checkpoint
-resume variants, ragged member depths, and the output-segment overflow
-retry.  The scalar chain scan is the oracle.  Without the C kernel
-(the ``python`` parametrization, or ``REPRO_CEXT=0`` for the whole
-file) ``build_family`` must make no family pass at all and leave every
-map to enumerate lazily, with the same tables.
+through scalar chain scans — and requires the canonical chains to match
+exactly, across PI markings, forced-checkpoint resume variants, ragged
+member depths, and the output-segment overflow retry.  The scalar oracle
+is the C chain scan (the ``cext`` parametrization) or the pure-Python
+generator it ports (``python``).  Without the C kernel (``REPRO_CEXT=0``)
+``build_family`` must make no family pass at all: every run then goes to
+the reference simulator, and no map grows a table.
 """
 
 import gc
@@ -24,11 +24,12 @@ import pytest
 from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
+from repro.core.detector import IdempotencyDetector
 from repro.power.schedules import ExponentialPower
 from repro.sim import fast, sections
 from repro.sim.fast import simulate_fast
 from repro.sim.sections import (
-    SectionMap, build_family, clear_cache, get_section_map,
+    build_family, clear_cache, get_section_map,
 )
 from repro.workloads import get_trace
 from repro.workloads.registry import get_workload
@@ -50,34 +51,46 @@ def _grid(rf=(1, 2, 8, 16), wf=(0, 1, 8), wbb=(0, 2), apb=(0, 2)):
             for t in itertools.product(rf, wf, wbb, apb)]
 
 
-def _scalar_tables(trace, configs, **kw):
-    """Reference: per-config scalar scans (``section()`` on a map no
-    family pass touched enumerates lazily)."""
+def _python_chain(m):
+    """The canonical chain of map ``m`` from the pure-Python generator."""
+    det = IdempotencyDetector(m.config, m.ct.text_range)
+    return [
+        ((start << 2) | variant, end, cext.CAUSE_NAMES.index(cause),
+         tuple(steps))
+        for start, variant, end, cause, steps, _ in det.straightline_chain(
+            m.ct, 0, False, -1, m._forced_sorted, m.pi_words, m.pi_indices,
+            det.chain_scratch(m.ct),
+        )
+    ]
+
+
+def _scalar_tables(trace, configs, oracle="cext", **kw):
+    """Reference: per-config scalar scans of the canonical chain, on maps
+    no family pass touched."""
     clear_cache()
     out = []
     for cfg in configs:
         m = get_section_map(trace, cfg, **kw)
-        m.section(0, 0)  # walk the whole canonical chain
-        out.append(dict(m._sections))
+        if oracle == "python":
+            out.append(_python_chain(m))
+        else:
+            out.append([(key, end, cid, tuple(steps))
+                        for key, end, cid, steps in m.scan_chain(0, 0)])
     clear_cache()
     return out
 
 
+def _flat_chain(m):
+    """Map ``m``'s flat canonical chain, one tuple per section."""
+    keys, ends, causes, soff, steps = m._flat
+    return [
+        (keys[j], ends[j], causes[j], tuple(steps[soff[j]:soff[j + 1]]))
+        for j in range(len(keys))
+    ]
+
+
 def _family_tables(trace, configs, **kw):
-    before = sections.cache_stats()["family_passes"]
-    maps = build_family(trace, configs, **kw)
-    if cext.chain_scan_lib() is None:
-        # No kernel, no family pass: every map enumerates lazily.
-        assert sections.cache_stats()["family_passes"] == before
-    out = []
-    for m in maps:
-        m.section(0, 0)
-        # Serve every flat-stored section through the per-key path.
-        flat_keys = m._flat[0] if m._flat is not None else ()
-        for key in flat_keys:
-            m.section(key >> 2, key & 3)
-        out.append(dict(m._sections))
-    return out
+    return [_flat_chain(m) for m in build_family(trace, configs, **kw)]
 
 
 def _assert_equal(scalar, family, configs):
@@ -85,59 +98,71 @@ def _assert_equal(scalar, family, configs):
         assert a == b, cfg
 
 
-def _set_cext(monkeypatch, enabled):
-    monkeypatch.setenv("REPRO_CEXT", "1" if enabled else "0")
-    cext.reset_for_tests()
-    assert (cext.chain_scan_lib() is not None) == enabled
+@pytest.fixture
+def c_kernel():
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
 
 
-@pytest.mark.parametrize("use_cext", [True, False],
-                         ids=["cext", "python"])
+@pytest.mark.parametrize("oracle", ["cext", "python"])
+@pytest.mark.usefixtures("c_kernel")
 class TestFamilyEquivalence:
-    def test_capacity_grid(self, monkeypatch, use_cext):
-        _set_cext(monkeypatch, use_cext)
+    def test_capacity_grid(self, oracle):
         trace = get_trace("crc", "small")
         grid = _grid()
-        scalar = _scalar_tables(trace, grid)
+        scalar = _scalar_tables(trace, grid, oracle)
         family = _family_tables(trace, grid)
         _assert_equal(scalar, family, grid)
 
-    def test_pi_marking(self, monkeypatch, use_cext):
-        _set_cext(monkeypatch, use_cext)
+    def test_pi_marking(self, oracle):
         trace = get_trace("crc", "small")
         grid = _grid(rf=(2, 8), wf=(0, 4), wbb=(0, 2), apb=(0, 2))
         pi = frozenset(range(0, trace.compiled().n, 7))
         kw = dict(pi_access_indices=pi)
-        scalar = _scalar_tables(trace, grid, **kw)
+        scalar = _scalar_tables(trace, grid, oracle, **kw)
         family = _family_tables(trace, grid, **kw)
         _assert_equal(scalar, family, grid)
 
-    def test_forced_resume_variants(self, monkeypatch, use_cext):
+    def test_forced_resume_variants(self, oracle):
         # Forced checkpoints at index 0 and mid-trace exercise the
         # zero-length compiler section and the variant-1 resume, plus
         # the variant-2 direct re-entry after text writes.
-        _set_cext(monkeypatch, use_cext)
         trace = get_trace("qsort", "small")
         n = trace.compiled().n
         forced = frozenset({0, n // 3, n // 2})
         grid = _grid(rf=(1, 8), wf=(0, 4), wbb=(0, 2), apb=(0,))
         kw = dict(forced_checkpoints=forced)
-        scalar = _scalar_tables(trace, grid, **kw)
+        scalar = _scalar_tables(trace, grid, oracle, **kw)
         family = _family_tables(trace, grid, **kw)
         _assert_equal(scalar, family, grid)
 
-    def test_ragged_depths(self, monkeypatch, use_cext):
+    def test_ragged_depths(self, oracle):
         # rf=1/wbb=0 fragments into many short sections while rf=24
         # spans the trace in a few — one family, wildly different
         # member depths.
-        _set_cext(monkeypatch, use_cext)
         trace = get_trace("fft", "small")
         grid = [ClankConfig.from_tuple(t)
                 for t in ((1, 0, 0, 0), (1, 1, 1, 0), (4, 4, 4, 4),
                           (24, 8, 4, 0), (16, 0, 2, 2))]
-        scalar = _scalar_tables(trace, grid)
+        scalar = _scalar_tables(trace, grid, oracle)
         family = _family_tables(trace, grid)
         _assert_equal(scalar, family, grid)
+
+
+def test_no_kernel_makes_no_family_pass(monkeypatch):
+    # Without the kernel nothing walks a section map: build_family makes
+    # no pass, and runs over its maps go to the reference untouched.
+    monkeypatch.setenv("REPRO_CEXT", "0")
+    cext.reset_for_tests()
+    trace = get_trace("crc", "small")
+    grid = _grid(rf=(2, 8), wf=(0, 4), wbb=(0, 2), apb=(0,))
+    before = sections.cache_stats()
+    maps = _walk_all(trace, grid)
+    build_family(trace, grid)
+    after = sections.cache_stats()
+    assert fast.last_dispatch() == ("reference", "no_cext", None)
+    assert after["family_passes"] == before["family_passes"]
+    assert all(m._flat is None and m._tab is None for m in maps)
 
 
 def test_overflow_retry_is_exact(monkeypatch):
@@ -161,14 +186,17 @@ def test_overflow_retry_is_exact(monkeypatch):
 
 def test_single_member_degrades_to_scalar(monkeypatch):
     # A one-config family is a one-member pass (or, without the kernel,
-    # a lazy scalar scan); the family counters must not claim a batched
-    # pass for it.
+    # no pass); the family counters must not claim a batched pass for
+    # it.
     trace = get_trace("crc", "small")
+    config = ClankConfig.from_tuple((8, 4, 2, 0))
     before = sections.cache_stats()
-    maps = build_family(trace, [ClankConfig.from_tuple((8, 4, 2, 0))])
-    maps[0].section(0, 0)
+    maps = build_family(trace, [config])
     after = sections.cache_stats()
-    assert maps[0]._sections
+    if cext.chain_scan_lib() is None:
+        assert maps[0]._flat is None
+    else:
+        assert _flat_chain(maps[0]) == _scalar_tables(trace, [config])[0]
     assert after["family_passes"] == before["family_passes"]
     assert after["family_maps"] == before["family_maps"]
 
@@ -316,8 +344,8 @@ def test_equal_chains_share_tables():
 
 
 def test_watchdog_sweep_leaves_shared_tables_untouched(monkeypatch):
-    # Off-chain resolves under Performance-Watchdog cuts and per-key
-    # serving out of the flat tables must only read the shared arrays.
+    # Off-chain resolves under Performance-Watchdog cuts and walks over
+    # the flat tables must only read the shared arrays.
     if cext.chain_scan_lib() is None:
         pytest.skip("C kernel unavailable")
     trace = _fresh_trace()
@@ -330,25 +358,16 @@ def test_watchdog_sweep_leaves_shared_tables_untouched(monkeypatch):
         return [hashlib.sha256(a).hexdigest() for t in shared for a in t]
 
     before = digests()
-    perf_loads, flat_gets = [], []
-    resolve, flat_get = fast._resolve, SectionMap._flat_get
+    perf_loads = []
+    resolve = fast._resolve
 
     def counting_resolve(smap, key, perf_load):
         perf_loads.append(perf_load)
         return resolve(smap, key, perf_load)
 
-    def counting_flat_get(self, key):
-        flat_gets.append(key)
-        return flat_get(self, key)
-
     monkeypatch.setattr(fast, "_resolve", counting_resolve)
-    monkeypatch.setattr(SectionMap, "_flat_get", counting_flat_get)
-    maps = _walk_all(trace, grid)
-    for m in maps:
-        for key in m._flat[0]:
-            m.section(key >> 2, key & 3)
+    _walk_all(trace, grid)
     assert any(p > 0 for p in perf_loads)
-    assert flat_gets
     assert digests() == before
 
 

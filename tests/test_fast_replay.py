@@ -1,12 +1,14 @@
 """The section-memoized fast path: equivalence, eligibility, caches.
 
-The contract under test is strong: :class:`repro.sim.fast.FastReplaySimulator`
-must be *bit-identical* to the reference :class:`IntermittentSimulator` on
-every eligible run — same cycle buckets, same ``checkpoints_by_cause``,
-same power-cycle and output counts — and :func:`simulate_fast` must fall
-back to the reference (transparently and exactly) whenever a run is not
-eligible.  The optional C chain-scan kernel (:mod:`repro.core.cext`) must
-in turn be branch-identical to the pure-Python generator it ports.
+The contract under test is strong: the C section walk behind
+:func:`repro.sim.fast.simulate_fast` must be *bit-identical* to the
+reference :class:`IntermittentSimulator` on every eligible run — same
+cycle buckets, same ``checkpoints_by_cause`` (key order included), same
+power-cycle and output counts, the same no-forward-progress error — and
+:func:`simulate_fast` must fall back to the reference (transparently and
+exactly) whenever a run is not eligible.  The C chain-scan kernel
+(:mod:`repro.core.cext`) must in turn be branch-identical to the
+pure-Python generator it ports.
 """
 
 import pytest
@@ -19,13 +21,7 @@ from repro.eval.runner import pi_words_for
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import MemoryRecorder, NullRecorder
 from repro.power.schedules import ExponentialPower, ReplayPower
-from repro.sim.fast import (
-    FastPathIneligible,
-    FastReplaySimulator,
-    dispatch_stats,
-    last_dispatch,
-    simulate_fast,
-)
+from repro.sim.fast import dispatch_stats, last_dispatch, simulate_fast
 from repro.sim.sections import (
     SectionMap,
     cache_stats,
@@ -167,37 +163,37 @@ def c_lib():
     return lib
 
 
-def _walkers(lib, trace, config, schedule_args, **kw):
-    """(C walk, Python walker) outcomes of one run, each engine driven
-    directly: the result dict with its ``checkpoints_by_cause`` key
-    order, the typed ineligibility, ``"stalled"``, or ``None`` (the C
-    walk handed the run back to the Python walker)."""
-    def outcome(run):
-        try:
-            res = run()
-        except FastPathIneligible as exc:
-            return ("ineligible", exc.reason)
-        except SimulationError:
-            return "stalled"
-        if res is None:
-            return None
-        d = res.to_dict(include_derived=False)
-        return d, list(d["checkpoints_by_cause"])
+def _outcome(run):
+    """A run's result dict with its ``checkpoints_by_cause`` key order,
+    or the text of the stall it raised."""
+    try:
+        res = run()
+    except SimulationError as exc:
+        return ("stalled", str(exc))
+    d = res.to_dict(include_derived=False)
+    return d, list(d["checkpoints_by_cause"])
 
-    def sim():
-        return FastReplaySimulator(
-            trace, config, ExponentialPower(*schedule_args), verify=False,
-            **kw,
-        )
 
-    return outcome(lambda: sim().run_c(lib)), outcome(lambda: sim().run())
+def _walk_vs_reference(trace, config, schedule_args, **kw):
+    """(C walk outcome, its dispatch stamp, reference outcome) of one
+    run: the walk through :func:`simulate_fast`, the reference run
+    directly on the identical schedule."""
+    walked = _outcome(lambda: simulate_fast(
+        trace, config, ExponentialPower(*schedule_args), verify=False, **kw
+    ))
+    stamp = last_dispatch()
+    ref = _outcome(lambda: IntermittentSimulator(
+        trace, config, ExponentialPower(*schedule_args), verify=False, **kw
+    ).run())
+    return walked, stamp, ref
 
 
 class TestCWalk:
-    """The C section walk vs. the Python walker it ports (the oracle)."""
+    """The C section walk vs. the reference simulator (the oracle)."""
 
     def test_grid(self, c_lib):
         # Configs x policy opts x PI marking x forced (epoch) checkpoints.
+        stamps = set()
         for name in ("crc", "qsort"):
             trace = get_trace(name, "small")
             n = len(trace.accesses)
@@ -210,12 +206,14 @@ class TestCWalk:
                 for opts in OPT_COMBOS:
                     config = ClankConfig(*spec, optimizations=opts)
                     for marking in markings:
-                        c, py = _walkers(
-                            c_lib, trace, config, (900, 3),
+                        walked, stamp, ref = _walk_vs_reference(
+                            trace, config, (900, 3),
                             perf_watchdog="auto", progress_watchdog="auto",
                             **marking,
                         )
-                        assert c == py, (name, spec, opts, marking)
+                        assert walked == ref, (name, spec, opts, marking)
+                        stamps.add(stamp)
+        assert ("fast", None, "c") in stamps
 
     def test_watchdog_cuts_on_tiny_buffers(self, c_lib, monkeypatch):
         # Both watchdogs on one-entry buffers under ignore-false-writes:
@@ -232,6 +230,7 @@ class TestCWalk:
         monkeypatch.setattr(SectionMap, "watchdog_cut_safe", spy)
         opts = PolicyOptimizations(ignore_false_writes=True)
         overlay = 0
+        reasons = set()
         for name in ("crc", "rc4"):
             trace = get_trace(name, "small")
             for spec in ((1, 0, 0, 0), (2, 1, 1, 0)):
@@ -241,25 +240,39 @@ class TestCWalk:
                         dict(perf_watchdog=0, progress_watchdog="auto"),
                         dict(perf_watchdog="auto", progress_watchdog=150),
                     ):
-                        c, py = _walkers(c_lib, trace, config, (700, seed),
-                                         **kw)
-                        assert c == py, (name, spec, seed, kw)
+                        walked, stamp, ref = _walk_vs_reference(
+                            trace, config, (700, seed), **kw)
+                        assert walked == ref, (name, spec, seed, kw)
+                        reasons.add(stamp[1])
                 ov = get_section_map(trace, config)._ov
                 overlay += len(ov[0]) if ov is not None else 0
         assert overlay, "no off-chain section was resolved"
         assert True in verdicts and False in verdicts, verdicts
+        assert reasons == {None, "watchdog_cut"}
 
-    def test_power_cycle_abort_reruns_python(self, c_lib):
-        # The C walk hands a max_power_cycles abort back; the Python
-        # walker then raises the reference's exact error.
+    def test_power_cycle_stall_stops_in_the_walk(self, c_lib, monkeypatch):
+        # A max_power_cycles abort ends in the walk itself, with the
+        # reference's exact error at both of its sites (a power loss
+        # mid-trace, and a boot loop whose restarts never fit).
         trace = get_trace("fft", "small")
         config = ClankConfig.from_tuple((8, 4, 2, 0))
-        kw = dict(max_power_cycles=3)
-        c, py = _walkers(c_lib, trace, config, (300, 1), **kw)
-        assert c is None and py == "stalled"
-        with pytest.raises(SimulationError):
-            simulate_fast(trace, config, ExponentialPower(300, seed=1),
-                          verify=False, **kw)
+        cases = [((300, 1), dict(max_power_cycles=n)) for n in (2, 3, 5)]
+        cases.append(((300, 1), dict(max_power_cycles=20)))
+        expected = [_walk_vs_reference(trace, config, args, **kw)[2]
+                    for args, kw in cases]
+        assert {e[1].split(":")[1].split()[0] for e in expected} == {
+            "exceeded", "no"}
+
+        def no_rerun(self):
+            raise AssertionError("the stall was rerun on the reference")
+
+        monkeypatch.setattr(IntermittentSimulator, "run", no_rerun)
+        for (args, kw), ref in zip(cases, expected):
+            assert ref[0] == "stalled"
+            walked = _outcome(lambda: simulate_fast(
+                trace, config, ExponentialPower(*args), verify=False, **kw
+            ))
+            assert walked == ref, kw
 
     def test_lazy_map_outside_plan(self, c_lib):
         # A map no sweep plan family-built gets its flat canonical chain
@@ -270,9 +283,10 @@ class TestCWalk:
         config = ClankConfig.from_tuple((16, 8, 4, 4))
         smap = get_section_map(trace, config)
         assert smap._flat is None
-        c, py = _walkers(c_lib, trace, config, (1100, 5),
-                         perf_watchdog="auto", progress_watchdog="auto")
-        assert c == py
+        walked, stamp, ref = _walk_vs_reference(
+            trace, config, (1100, 5),
+            perf_watchdog="auto", progress_watchdog="auto")
+        assert walked == ref and stamp == ("fast", None, "c")
         assert smap._flat is not None
         assert cache_stats()["family_passes"] == 0
 
@@ -284,46 +298,50 @@ class TestCWalk:
         simulate_fast(trace, config, ExponentialPower(900, seed=1),
                       verify=False, **kw)
         assert last_dispatch() == ("fast", None, "c")
-        assert dispatch_stats()["c_walk"] == 1
+        assert dispatch_stats()["fast"] == 1
         simulate_fast(trace, config, ExponentialPower(900, seed=1),
                       verify=True, **kw)
         assert last_dispatch() == ("reference", "verify", None)
-        assert dispatch_stats()["c_walk"] == 1
+        assert dispatch_stats()["fast"] == 1
 
 
 class TestEligibility:
-    """Runs the section walk cannot carry must raise, and simulate_fast
-    must transparently (and exactly) rerun them on the reference."""
+    """Runs the section walk cannot carry must go to the reference with
+    their typed reason, transparently and exactly."""
 
-    def _sim(self, **kw):
-        trace = get_trace("crc", "small")
-        config = ClankConfig.from_tuple((8, 4, 2, 0))
+    def _run(self, trace=None, config=None, **kw):
+        trace = trace or get_trace("crc", "small")
+        config = config or ClankConfig.from_tuple((8, 4, 2, 0))
         defaults = dict(verify=False, perf_watchdog="auto",
                         progress_watchdog="auto")
         defaults.update(kw)
-        return FastReplaySimulator(
+        result = simulate_fast(
             trace, config, ExponentialPower(900, seed=1), **defaults
         )
+        ref = IntermittentSimulator(
+            trace, config, ExponentialPower(900, seed=1), **defaults
+        ).run()
+        assert result.to_dict() == ref.to_dict()
+        return last_dispatch()
 
-    def test_verify_ineligible(self):
-        with pytest.raises(FastPathIneligible):
-            self._sim(verify=True).run()
+    def test_verify_ineligible(self, c_lib):
+        assert self._run(verify=True) == ("reference", "verify", None)
 
-    def test_live_recorder_ineligible(self):
-        with pytest.raises(FastPathIneligible):
-            self._sim(recorder=MemoryRecorder()).run()
+    def test_live_recorder_ineligible(self, c_lib):
+        assert self._run(recorder=MemoryRecorder()) == (
+            "reference", "live_recorder", None)
 
-    def test_null_recorder_eligible(self):
-        # NullRecorder normalizes to "no recorder": stays on the fast path.
-        assert self._sim(recorder=NullRecorder()).run().completed
+    def test_null_recorder_eligible(self, c_lib):
+        # NullRecorder normalizes to "no recorder": stays on the walk.
+        assert self._run(recorder=NullRecorder()) == ("fast", None, "c")
 
-    def test_volatile_ranges_ineligible(self):
+    def test_volatile_ranges_ineligible(self, c_lib):
         trace = get_trace("crc", "small")
         vol = (trace.memory_map.word_range("stack"),)
-        with pytest.raises(FastPathIneligible):
-            self._sim(volatile_ranges=vol).run()
+        assert self._run(volatile_ranges=vol) == (
+            "reference", "volatile_ranges", None)
 
-    def test_pi_hazard_ineligible(self):
+    def test_pi_hazard_ineligible(self, c_lib):
         # An access-marked PI write aliasing a tracked write of the same
         # word, under ignore-false-writes: the static hazard trips.
         trace = make_trace(
@@ -335,12 +353,17 @@ class TestEligibility:
         )
         smap = SectionMap(trace, config, pi_access_indices=frozenset({2}))
         assert smap.pi_hazard
-        sim = FastReplaySimulator(
-            trace, config, ExponentialPower(500, seed=1),
-            pi_access_indices=frozenset({2}), verify=False,
-        )
-        with pytest.raises(FastPathIneligible):
-            sim.run()
+        assert self._run(trace, config, pi_access_indices=frozenset({2}),
+                         perf_watchdog=0, progress_watchdog=0) == (
+            "reference", "pi_hazard", None)
+
+    def test_no_kernel_runs_the_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CEXT", "0")
+        cext.reset_for_tests()
+        try:
+            assert self._run() == ("reference", "no_cext", None)
+        finally:
+            cext.reset_for_tests()
 
     def test_fallback_is_exact(self):
         # verify=True is ineligible; simulate_fast must return the
@@ -437,43 +460,26 @@ class TestCExtension:
         try:
             assert cext.chain_scan_lib() is None
             assert "disabled" in cext.cext_status()
-            # With the kernel gated off the SectionMap silently uses the
-            # Python generator — and must produce the same sections.
-            trace = get_trace("crc", "small")
-            config = ClankConfig.from_tuple((8, 4, 2, 0))
-            py_map = SectionMap(trace, config)
-            py_map.section(0, 0)
-            monkeypatch.setenv("REPRO_CEXT", "1")
-            cext.reset_for_tests()
-            c_map = SectionMap(trace, config)
-            # The Python path materializes the whole chain eagerly; the C
-            # path indexes it and materializes per query — every section
-            # the reference enumerated must come back identical (the C
-            # path keeps WBB steps as array slices).
-            assert py_map._sections
-            for key, sec in py_map._sections.items():
-                end, cause, kind, steps = c_map.section(key >> 2, key & 3)
-                assert (end, cause, kind, tuple(steps)) == sec
         finally:
             cext.reset_for_tests()
 
 
 class TestWatchdogCutSafe:
-    def test_trivial_cases(self):
+    def test_trivial_cases(self, c_lib):
         trace = get_trace("crc", "small")
         config = ClankConfig(
             1, 0, 0, 0,
             optimizations=PolicyOptimizations(ignore_false_writes=True),
         )
         smap = SectionMap(trace, config)
-        end, _, _, _ = smap.section(0, 0)
+        end = smap.scan_chain(0, 0)[0][1]
         # No failed cycle survived past the cut: nothing can be stale.
         assert smap.watchdog_cut_safe(0, 0, 1, max(2, end), [])
         # Reaches at or below the cut are re-committed by the committing
         # cycle itself.
         assert smap.watchdog_cut_safe(0, 0, 2, max(3, end), [(2, 0), (1, 0)])
 
-    def test_direct_writes_memoized(self):
+    def test_direct_writes_memoized(self, c_lib):
         trace = get_trace("crc", "small")
         config = ClankConfig(
             1, 0, 0, 0,
@@ -521,7 +527,7 @@ class TestCaches:
         assert stats["cached"] == 1100
         clear_cache()
 
-    def test_fast_stats_counts(self):
+    def test_fast_stats_counts(self, c_lib):
         COUNTERS.reset()
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 0, 0))

@@ -2,9 +2,10 @@
 
 The load-bearing contract: the statistics are computed two entirely
 different ways — the reference simulator snapshots the live detector at
-each commit, the fast path derives them from memoized per-section growth
-steps — and the two must reconcile *exactly*, with cause totals equal to
-each run's ``checkpoints_by_cause``.  The collector must be off by
+each commit, the C section walk reports each commit and
+:mod:`repro.sim.batch` derives its occupancy from memoized per-section
+growth steps — and the two must reconcile *exactly*, with cause totals
+equal to each run's ``checkpoints_by_cause``.  The collector must be off by
 default and bounded in memory.
 """
 
@@ -37,8 +38,8 @@ from repro.workloads import get_trace
 CONFIGS = [(1, 0, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
 
 #: Slot fields both engines must agree on.  ``occ_peak``/``sections_seen``
-#: are deliberately absent: section peaks come from the fast path's
-#: enumeration-time scan only (DESIGN decision 11).
+#: are deliberately absent: section peaks come from the section walk's
+#: per-section scans only (DESIGN decision 11).
 ENGINE_INDEPENDENT = (
     "causes", "checkpoint_cycles_by_cause", "commits", "occ_commit",
     "hazards_top", "hazards_dropped", "section_accesses", "section_cycles",
@@ -142,7 +143,12 @@ class TestEngineReconciliation:
         for field in ENGINE_INDEPENDENT:
             assert a[field] == b[field], field
 
-    def test_python_kernel_matches_c(self, monkeypatch):
+    def test_reference_without_kernel_matches_c(self, monkeypatch):
+        # Without the kernel the same run is the reference's: every
+        # engine-independent field agrees, and only the walk has section
+        # peaks to report.
+        if cext.chain_scan_lib() is None:
+            pytest.skip(f"C kernel unavailable: {cext.cext_status()}")
         trace = get_trace("crc", "small")
         config = ClankConfig.from_tuple((8, 4, 2, 0))
         _, with_c = collected("fast", trace, config)
@@ -153,8 +159,11 @@ class TestEngineReconciliation:
         finally:
             monkeypatch.delenv("REPRO_CEXT")
             cext.reset_for_tests()
-        for field in ENGINE_INDEPENDENT + ("occ_peak", "sections_seen"):
+        for field in ENGINE_INDEPENDENT:
             assert with_c[field] == pure[field], field
+        assert with_c["runs_by_engine"] == {"fast": 1}
+        assert pure["runs_by_engine"] == {"reference": 1}
+        assert with_c["sections_seen"] > 0 == pure["sections_seen"]
 
     def test_hazard_addresses_attributed(self):
         # A 1-entry RF with no other buffers trips constantly; the

@@ -11,10 +11,11 @@ running each job alone.  Two properties pin that:
   ``max_power_cycles``), volatile segments and seed-repeat jobs.  Every
   result's ``to_dict`` must equal a reference
   :class:`~repro.sim.simulator.IntermittentSimulator` run with
-  verification off, and the Python section walker's wherever that walker
-  is eligible; the run ledger's ``stable_records`` must equal those of a
-  one-job-at-a-time :func:`~repro.eval.parallel.execute_job` loop.  Both
-  run with the C kernel and with ``REPRO_CEXT=0``.
+  verification off, and the run ledger's ``stable_records`` must equal
+  those of a one-job-at-a-time :func:`~repro.eval.parallel.execute_job`
+  loop.  Both run with the C kernel, where the section walk serves every
+  row it can carry, and with ``REPRO_CEXT=0``, where the reference
+  serves every row.
 * **Order and store.**  One interleaved list over several traces, with a
   partly filled result store and undo, volatile, runt and stalled jobs:
   results, the store's segment bytes, ledger indices and the profile's
@@ -43,7 +44,6 @@ from repro.obs.profile import Profiler
 from repro.obs.telemetry import LEDGER
 from repro.power.schedules import RuntPower
 from repro.sim.batch import BatchResult
-from repro.sim.fast import FastPathIneligible, FastReplaySimulator
 from repro.sim.simulator import IntermittentSimulator
 from repro.workloads.cache import get_trace
 
@@ -183,19 +183,17 @@ def _row_salts(job: SimJob):
     return [job.salt + r * job.seed_stride for r in range(job.n_seeds)]
 
 
-def _expected(job: SimJob, settings: EvalSettings, engine) -> list:
-    """Per-row ``to_dict`` of ``engine(trace, config, schedule, kw)`` at
-    the job's salts (``None`` for a stall); a row the engine refuses is
-    ``"ineligible"``."""
+def _reference(job: SimJob, settings: EvalSettings) -> list:
+    """Per-row ``to_dict`` of the reference simulator at the job's salts
+    (``None`` for a stall)."""
     trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
     kw = _engine_kwargs(job, trace)
     rows = []
     for salt in _row_salts(job):
         try:
-            result = engine(trace, job.clank_config(),
-                            settings.schedule(salt), kw)
-        except FastPathIneligible:
-            rows.append("ineligible")
+            result = IntermittentSimulator(
+                trace, job.clank_config(), settings.schedule(salt), **kw
+            ).run()
         except SimulationError:
             assert job.allow_stall
             rows.append(None)
@@ -204,12 +202,20 @@ def _expected(job: SimJob, settings: EvalSettings, engine) -> list:
     return rows
 
 
-def _reference(trace, config, schedule, kw):
-    return IntermittentSimulator(trace, config, schedule, **kw).run()
-
-
-def _python_walker(trace, config, schedule, kw):
-    return FastReplaySimulator(trace, config, schedule, **kw).run()
+def _check_stamps(records: list, with_kernel: bool) -> None:
+    """Every row went to the section walk or the reference: ``no_cext``
+    only without the kernel, and a reason only a walk can find only
+    with it."""
+    for rec in records:
+        engine, reason = rec["engine"], rec["fallback_reason"]
+        assert rec["kernel"] == ("c" if engine in ("fast", "batch")
+                                 else None), rec
+        if engine in ("fast", "batch"):
+            assert with_kernel and reason is None, rec
+        elif engine == "reference" and with_kernel:
+            assert reason != "no_cext", rec
+        elif engine == "reference":
+            assert reason not in ("watchdog_cut", "reach_overflow"), rec
 
 
 def _rows(job: SimJob, result) -> list:
@@ -223,7 +229,7 @@ def _rows(job: SimJob, result) -> list:
             for r in results]
 
 
-def _check_differential(jobs, settings_):
+def _check_differential(jobs, settings_, with_kernel):
     with ledger() as led:
         got = run_jobs(jobs, settings_)
         grouped = led.stable_records()
@@ -231,28 +237,27 @@ def _check_differential(jobs, settings_):
         alone = [execute_job(job, settings_)[0] for job in jobs]
         one_by_one = led.stable_records()
     assert grouped == one_by_one
+    _check_stamps(grouped, with_kernel)
     for job, result, single in zip(jobs, got, alone):
         rows = _rows(job, result)
         assert rows == _rows(job, single), job
-        assert rows == _expected(job, settings_, _reference), job
-        walked = _expected(job, settings_, _python_walker)
-        for row, walker_row in zip(rows, walked):
-            if walker_row != "ineligible":
-                assert row == walker_row, job
+        assert rows == _reference(job, settings_), job
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(jobs=job_lists(), settings_=eval_settings)
 def test_matches_reference_with_kernel(jobs, settings_):
     with kernel(True):
-        _check_differential(jobs, settings_)
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        _check_differential(jobs, settings_, True)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(jobs=job_lists(), settings_=eval_settings)
 def test_matches_reference_without_kernel(jobs, settings_):
     with kernel(False):
-        _check_differential(jobs, settings_)
+        _check_differential(jobs, settings_, False)
 
 
 # ---- order and store ---------------------------------------------------- #

@@ -231,12 +231,13 @@ class TestDispatchCounters:
         return simulate_fast(trace, config, QUICK.schedule(0), verify=verify)
 
     def test_fast_run_ticks_fast_and_sets_last(self):
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
         self._run()
         stats = dispatch_stats()
         assert stats["fast"] == 1
         assert stats["fallback"] == 0
-        kernel = "c" if cext.chain_scan_lib() is not None else "python"
-        assert fast.last_dispatch() == ("fast", None, kernel)
+        assert fast.last_dispatch() == ("fast", None, "c")
 
     def test_verify_fallback_is_typed(self):
         self._run(verify=True)
@@ -287,7 +288,7 @@ class TestSweepTelemetry:
         for rec in LEDGER.records:
             assert rec.size == "tiny"
             if rec.engine == "fast":
-                assert rec.kernel in ("c", "python")
+                assert rec.kernel == "c"
 
 
 class TestDiskCacheProvenance:
@@ -350,8 +351,8 @@ SCALAR_JOB = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny",
 RECORD_SHAPES = {
     "c_walk": (SCALAR_JOB, False, False,
                [("fast", None, "c", "off", 1, 3, False)]),
-    "python_walker": (SCALAR_JOB, True, False,
-                      [("fast", None, "python", "off", 1, 3, False)]),
+    "no_cext": (SCALAR_JOB, True, False,
+                [("reference", "no_cext", None, "off", 1, 3, False)]),
     "reference": (
         dataclasses.replace(SCALAR_JOB, volatile_segments=("stack",)),
         False, False,
@@ -464,16 +465,17 @@ TABLE_CELLS = {
 class TestTableDriverLedgers:
     @pytest.mark.parametrize("name", sorted(TABLE_CELLS))
     def test_clank_cells_recorded_in_order(self, name):
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
         module = importlib.import_module(f"repro.eval.{name}")
         LEDGER.enable()
         with LEDGER.driver_phase(name):
             module.run(EvalSettings().quick())
-        kernel = "c" if cext.chain_scan_lib() is not None else "python"
         assert LEDGER.stable_records() == [
             {
                 "workload": workload, "config": config, "engine": engine,
                 "fallback_reason": reason,
-                "kernel": kernel if engine == "fast" else None,
+                "kernel": "c" if engine == "fast" else None,
                 "result_cache": "off", "size": "small", "salt": salt,
                 "driver": name, "stalled": False, "rows": 1, "index": i,
             }
