@@ -220,9 +220,10 @@ def stall_message(st: array, name: str, prm: array, n: int) -> str:
     """The reference's :class:`~repro.common.errors.SimulationError`
     text for a run the walk stopped with ``_SW_STALL``."""
     at = st[_ST_OUT]
-    if at < 0:
+    if at < 0:  # in the boot loop; prm[3] is P_RCOST
         return (f"{name}: no forward progress after {st[_ST_PC]} power "
                 f"cycles (restart cost {prm[3]} exceeds on-times)")
+    # At a power loss; prm[8] is P_MAX_PC.
     return (f"{name}: exceeded {prm[8]} power cycles at trace position "
             f"{at}/{n}")
 

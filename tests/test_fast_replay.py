@@ -260,8 +260,9 @@ class TestCWalk:
         cases.append(((300, 1), dict(max_power_cycles=20)))
         expected = [_walk_vs_reference(trace, config, args, **kw)[2]
                     for args, kw in cases]
-        assert {e[1].split(":")[1].split()[0] for e in expected} == {
-            "exceeded", "no"}
+        texts = [ref[1] for ref in expected]
+        assert any("exceeded" in t for t in texts)
+        assert any("no forward progress" in t for t in texts)
 
         def no_rerun(self):
             raise AssertionError("the stall was rerun on the reference")
