@@ -2,10 +2,10 @@
 compiled-trace replay must be stable run-to-run.
 
 Times a Figure 5-style sweep of :func:`repro.sim.fast.simulate_fast`
-runs (several buffer configurations x several benchmarks,
-``verify=False``, progress watchdog on — the shape of the paper's
-design-space runs) twice: once with no recorder and once with a
-:class:`repro.obs.recorder.NullRecorder` attached.  The simulator
+runs (several buffer configurations x several benchmarks x
+:data:`SWEEP_SALTS` power schedules, ``verify=False``, progress watchdog
+on — the shape of the paper's design-space runs) with no recorder and
+with a :class:`repro.obs.recorder.NullRecorder` attached.  The simulator
 normalizes a NullRecorder to "no recorder" before its hot loop, so the two
 must be within noise of each other; the guard fails if the NullRecorder
 sweep exceeds the baseline by more than the threshold (default 5%).
@@ -13,10 +13,18 @@ sweep exceeds the baseline by more than the threshold (default 5%).
 A second check guards the array-compiled replay path: the simulator's hot
 loop runs over ``Trace.compiled()`` arrays that are built lazily once and
 cached on the trace.  The guard asserts the cache is actually hit (the
-same object comes back) and that two back-to-back sweeps over compiled
+same object comes back) and that back-to-back sweeps over compiled
 traces land within the threshold of each other — a regression that
 recompiled per run, or fell back to per-``Access`` attribute lookups on
 some runs, shows up as run-to-run spread.
+
+These two checks, the ledger check and the tracing check alternate their
+two sides in pairs (:func:`paired_ratio`; :data:`TIMED_PAIRS` at least,
+:data:`LEDGER_PAIRS` for the ledger check) and gate on the median of the
+per-pair ratios, over sweeps of 100 ms or more (the ledger check's take
+tens of milliseconds): on a shared machine, drift then hits both sides
+of a pair alike, where best-of timing of millisecond sweeps resolves no
+2% budget.
 
 A third check guards the section-memoized fast path: the sweep above runs
 eligible jobs (``verify=False``, no live recorder) through
@@ -33,11 +41,7 @@ the dispatch point — never per access — so a sweep of ``execute_job``
 calls must stay within the telemetry threshold (default 2%) of the same
 sweep with the ledger off, and must actually have recorded (and timed)
 every run.  The sweep repeats each configuration over
-:data:`LEDGER_SALTS` power schedules so that it runs for tens of
-milliseconds, and ledger-off and ledger-on sweeps alternate in
-:data:`LEDGER_PAIRS` pairs; the median of the per-pair ratios resolves a
-2% budget on a shared machine where best-of timing of millisecond
-sweeps does not.
+:data:`LEDGER_SALTS` power schedules.
 
 A fifth check guards architectural introspection
 (:mod:`repro.obs.analyze`): the shared :data:`~repro.obs.analyze.COLLECTOR`
@@ -64,9 +68,10 @@ job list.  A regression that silently dropped every row to the scalar
 fallback would still produce correct numbers, just at per-run cost.
 
 An eighth check guards config-family enumeration amortization: a cold
-Figure 5-shaped ``run_jobs`` sweep registers its config plans up front,
-so nearly every :class:`~repro.sim.sections.SectionMap` it builds must
-come out of batched family chain scans (``family_maps`` in
+Figure 5-shaped ``run_jobs`` sweep walks each trace's jobs as the rows
+of one group, whose cold maps enumerate together, so nearly every
+:class:`~repro.sim.sections.SectionMap` it builds must come out of
+batched family chain scans (``family_maps`` in
 :func:`repro.sim.sections.cache_stats`) rather than one scalar scan per
 config — at least 80% of the cold builds, at more than one map per
 trace pass.  A regression that quietly dropped every config back to
@@ -77,9 +82,11 @@ the reference simulator.
 
 A ninth check guards distributed tracing (:mod:`repro.obs.tracing`): the
 shared :data:`~repro.obs.tracing.TRACER` must be disabled by default, a
-tracing-off sweep must stay within the tracing threshold (default 2%)
-of the ledger-off baseline (instrumented call sites pay one attribute
-check and share one no-op span), and the off sweep must buffer no spans.
+``run_jobs`` sweep of :data:`TRACING_SALTS` schedules per configuration,
+run with tracing off right after a ``TRACER.reset()``, must stay within
+the tracing threshold (default 2%) of the same sweep without the reset
+(instrumented call sites pay one attribute check and share one no-op
+span), and the off sweep must buffer no spans.
 
 Every check runs and prints its verdict; the guard exits non-zero at
 the end if any failed, naming them.
@@ -117,6 +124,20 @@ LEDGER_SALTS = 32
 #: Minimum alternating ledger-off/ledger-on sweep pairs.
 LEDGER_PAIRS = 30
 
+#: Power schedules per (workload, config) in the ``simulate_fast`` sweeps
+#: of the NullRecorder and compiled-replay checks: 4 x 4 x 128 = 2,048
+#: runs, 0.09-0.15 s per sweep on a 2-vCPU guest.
+SWEEP_SALTS = 128
+
+#: Power schedules per (workload, config) in the tracing check's
+#: ``run_jobs`` sweep: 4 x 4 x 384 = 6,144 jobs, 0.10-0.19 s on warm
+#: section maps on a 2-vCPU guest.
+TRACING_SALTS = 384
+
+#: Minimum alternating pairs of the NullRecorder, compiled-replay and
+#: tracing checks.
+TIMED_PAIRS = 25
+
 
 def run_one(trace, spec, settings, salt, recorder=None):
     """One policy-simulator run as the sweep drivers issue it (Progress
@@ -136,16 +157,28 @@ def sweep_results(traces, settings):
     ]
 
 
-def sweep_seconds(traces, settings, recorder, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock of the full sweep."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for salt, trace in enumerate(traces):
+def sweep_seconds(traces, settings, recorder=None,
+                  salts: int = SWEEP_SALTS) -> float:
+    """Wall-clock of one sweep over ``salts`` schedules per (trace,
+    config)."""
+    start = time.perf_counter()
+    for salt in range(salts):
+        for trace in traces:
             for spec in CONFIGS:
                 run_one(trace, spec, settings, salt, recorder)
-        best = min(best, time.perf_counter() - start)
-    return best
+    return time.perf_counter() - start
+
+
+def paired_ratio(off, on, pairs: int) -> tuple:
+    """``(median, q1, q3, best off, best on)`` of ``on() / off()`` over
+    ``pairs`` alternating timings (each callable returns seconds)."""
+    offs, ons, ratios = [], [], []
+    for _ in range(pairs):
+        offs.append(off())
+        ons.append(on())
+        ratios.append(ons[-1] / offs[-1])
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return statistics.median(ratios), q1, q3, min(offs), min(ons)
 
 
 def execute_seconds(jobs, settings) -> float:
@@ -213,7 +246,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tracing-threshold", type=float, default=1.02,
                         help="max allowed tracing-off/baseline ratio")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="sweep repetitions (best-of timing)")
+                        help="minimum alternating off/on timing pairs")
     parser.add_argument("--size", default="small", help="workload size preset")
     args = parser.parse_args(argv)
 
@@ -226,14 +259,21 @@ def main(argv=None) -> int:
         failed.append(check)
 
     # Warm-up pass so trace building and imports are off the clock.
-    sweep_seconds(traces, settings, None, 1)
+    sweep_seconds(traces, settings, salts=8)
 
-    base = sweep_seconds(traces, settings, None, args.repeats)
-    null = sweep_seconds(traces, settings, NullRecorder(), args.repeats)
-    ratio = null / base
-    print(f"baseline (no recorder):  {base:.3f}s")
+    pairs = max(args.repeats, TIMED_PAIRS)
+    null_recorder = NullRecorder()
+    ratio, q1, q3, base, null = paired_ratio(
+        lambda: sweep_seconds(traces, settings),
+        lambda: sweep_seconds(traces, settings, null_recorder),
+        pairs,
+    )
+    sweep_runs = SWEEP_SALTS * len(traces) * len(CONFIGS)
+    print(f"baseline (no recorder):  {base:.3f}s "
+          f"(best of {pairs} sweeps of {sweep_runs} runs)")
     print(f"NullRecorder attached:   {null:.3f}s")
-    print(f"ratio: {ratio:.4f} (threshold {args.threshold:.2f})")
+    print(f"ratio: {ratio:.4f} median of {pairs} pairs "
+          f"(quartiles {q1:.4f}-{q3:.4f}; threshold {args.threshold:.2f})")
     if ratio > args.threshold:
         fail("null-recorder",
              "NullRecorder added measurable per-access overhead")
@@ -248,15 +288,19 @@ def main(argv=None) -> int:
     if rebuilt:
         fail("compiled-replay",
              f"{', '.join(rebuilt)}: Trace.compiled() rebuilt on reuse")
-    # Best-of-N on both sides; extra repeats keep the tiny sweep times
-    # from turning scheduler noise into a spurious failure.
-    stability_repeats = max(args.repeats, 5)
-    first = sweep_seconds(traces, settings, None, stability_repeats)
-    second = sweep_seconds(traces, settings, None, stability_repeats)
-    spread = max(first, second) / min(first, second)
-    print(f"compiled replay, sweep 1: {first:.3f}s")
-    print(f"compiled replay, sweep 2: {second:.3f}s")
-    print(f"run-to-run spread: {spread:.4f} (threshold {args.threshold:.2f})")
+    # Identical sweeps in alternating pairs: the median ratio of the
+    # second to the first, either way round, is the run-to-run spread.
+    ratio, q1, q3, first, second = paired_ratio(
+        lambda: sweep_seconds(traces, settings),
+        lambda: sweep_seconds(traces, settings),
+        pairs,
+    )
+    spread = max(ratio, 1.0 / ratio)
+    print(f"compiled replay, sweep 1: {first:.3f}s (best of {pairs})")
+    print(f"compiled replay, sweep 2: {second:.3f}s (best of {pairs})")
+    print(f"run-to-run spread: {spread:.4f} from the median of {pairs} "
+          f"pairs (quartiles {q1:.4f}-{q3:.4f}; "
+          f"threshold {args.threshold:.2f})")
     if spread > args.threshold:
         fail("compiled-replay",
              "compiled-trace replay is unstable run-to-run")
@@ -268,7 +312,7 @@ def main(argv=None) -> int:
     # must carry (nearly) all of the runs — a handful of watchdog-cut
     # fallbacks is expected, wholesale fallback is a regression.
     COUNTERS.reset()
-    sweep_seconds(traces, settings, None, 1)
+    sweep_seconds(traces, settings, salts=1)
     sections = cache_stats()
     runs = dispatch_stats()
     print(f"SectionMap cache: {sections}")
@@ -299,24 +343,27 @@ def main(argv=None) -> int:
     LEDGER.reset()
     for _ in range(2):  # warm-up
         execute_seconds(ledger_jobs, settings)
-    offs, ratios = [], []
     recorded = untimed = 0
+
+    def ledger_off_seconds() -> float:
+        LEDGER.disable()
+        return execute_seconds(ledger_jobs, settings)
+
+    def ledger_on_seconds() -> float:
+        nonlocal recorded, untimed
+        LEDGER.reset()
+        LEDGER.enable()
+        seconds = execute_seconds(ledger_jobs, settings)
+        recorded += len(LEDGER.records)
+        untimed += sum(1 for rec in LEDGER.records if rec.wall_s <= 0.0)
+        return seconds
+
     try:
-        for _ in range(tele_pairs):
-            LEDGER.disable()
-            off = execute_seconds(ledger_jobs, settings)
-            LEDGER.reset()
-            LEDGER.enable()
-            ratios.append(execute_seconds(ledger_jobs, settings) / off)
-            offs.append(off)
-            recorded += len(LEDGER.records)
-            untimed += sum(1 for rec in LEDGER.records if rec.wall_s <= 0.0)
+        ratio, q1, q3, ledger_off, _ = paired_ratio(
+            ledger_off_seconds, ledger_on_seconds, tele_pairs)
     finally:
         LEDGER.disable()
         LEDGER.reset()
-    ledger_off = min(offs)
-    ratio = statistics.median(ratios)
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
     runs_per_sweep = len(traces) * len(CONFIGS)
     print(f"ledger disabled: {ledger_off:.3f}s "
           f"(best of {tele_pairs} sweeps of {len(ledger_jobs)} runs)")
@@ -422,8 +469,8 @@ def main(argv=None) -> int:
 
     # Family-amortization guard: a cold fig5-shaped run_jobs sweep must
     # enumerate (nearly) all of its SectionMaps through batched family
-    # chain scans — the sweep plan is registered up front, so only
-    # plan-ineligible stragglers may fall back to scalar scans.
+    # chain scans — each group family-builds its rows' cold maps, so only
+    # a group's lone cold map may get a one-member pass.
     family_jobs = [
         SimJob(workload=name, config=spec, size=args.size, salt=salt)
         for salt, name in enumerate(WORKLOADS)
@@ -455,29 +502,35 @@ def main(argv=None) -> int:
         print("OK: runs served by the C section walk")
 
     # Tracing guard: spans are per job, behind one enabled check; the
-    # default-off sweep must pay nothing and buffer nothing.  The warm
-    # section caches from the family guard keep this sweep tiny, so
-    # best-of-many absorbs scheduler noise in the 2% budget.
+    # default-off sweep must pay nothing and buffer nothing.  The family
+    # guard warmed the section maps these jobs walk.
     if TRACER.enabled:
         fail("tracing", "tracer is enabled by default")
+    tracing_jobs = [
+        SimJob(workload=name, config=spec, size=args.size, salt=salt)
+        for salt in range(TRACING_SALTS)
+        for name in WORKLOADS
+        for spec in CONFIGS
+    ]
 
-    def jobs_seconds(repeats: int) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_jobs(family_jobs, settings, 1)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def jobs_seconds() -> float:
+        start = time.perf_counter()
+        run_jobs(tracing_jobs, settings, 1)
+        return time.perf_counter() - start
 
-    trace_repeats = max(args.repeats, 10)
-    jobs_seconds(1)  # warm-up
-    trace_base = jobs_seconds(trace_repeats)
-    TRACER.reset()
-    trace_off = jobs_seconds(trace_repeats)
-    ratio = trace_off / trace_base
-    print(f"run_jobs baseline:    {trace_base:.3f}s")
+    def tracing_off_seconds() -> float:
+        TRACER.reset()
+        return jobs_seconds()
+
+    jobs_seconds()  # warm-up
+    ratio, q1, q3, trace_base, trace_off = paired_ratio(
+        jobs_seconds, tracing_off_seconds, pairs)
+    print(f"run_jobs baseline:    {trace_base:.3f}s "
+          f"(best of {pairs} sweeps of {len(tracing_jobs)} jobs)")
     print(f"run_jobs tracing off: {trace_off:.3f}s")
-    print(f"ratio: {ratio:.4f} (threshold {args.tracing_threshold:.2f})")
+    print(f"ratio: {ratio:.4f} median of {pairs} pairs "
+          f"(quartiles {q1:.4f}-{q3:.4f}; "
+          f"threshold {args.tracing_threshold:.2f})")
     if TRACER.spans or TRACER.dropped:
         fail("tracing", f"tracing-off sweep buffered {len(TRACER.spans)} "
                         f"spans ({TRACER.dropped} dropped)")

@@ -21,11 +21,13 @@ walks each trace's jobs as one group, the rows of one
 marking, and one on-time array per schedule salt.  :func:`execute_job`
 is a group of one.  The sweep server's bridge runs its owned misses
 through :func:`_execute` too, one call per chunk of one group.
-A sweep's config families are registered first, so a cold SectionMap is
-enumerated with the next members of its family in one pass
-(:func:`repro.sim.sections.prefetch_family`).
+The group's rows also decide which SectionMaps enumerate together:
+``simulate_batch`` family-builds the cold maps of its rows' distinct
+configs in passes of :data:`repro.sim.sections.FAMILY_CHUNK`
+(:func:`repro.sim.sections.prefetch_family`) before it walks.
 """
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -47,7 +49,6 @@ from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.tracing import TRACER
 from repro.power.schedules import RuntPower, ScheduleBatch, ScheduleRow
 from repro.runtime.costs import DEFAULT_COST_MODEL, CostModel
-from repro.sim import sections
 from repro.sim.batch import BatchResult, simulate_batch
 from repro.sim.result import SimulationResult
 from repro.sim.undo_log import UndoLogSimulator
@@ -255,23 +256,13 @@ def _epoch_plan(trace, epoch_cycles: int):
     return _EPOCH_CACHE[key]
 
 
-#: Family sweep plans: every run_jobs call registers, per shared
-#: enumeration context (one trace + one PI/forced marking), the ordered
-#: distinct configs its jobs will sweep.  Each group consults the plan
-#: right before simulating, so a cold SectionMap triggers one
-#: batched family pass over the next ``_FAMILY_CHUNK`` plan members
-#: instead of a scalar chain scan per config.  The registry persists
-#: across run_jobs calls and only ever grows.
-_FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
-
-#: Configs per batched family pass, within the C kernel's budget
-#: (≤ FAMILY_MAX = 64).  The sweep server also cuts each group of its
-#: owned misses into chunks of this many jobs, one bridge hop each.
-_FAMILY_CHUNK = 32
+#: The architecture-collector folds of a group simulated with the
+#: collector off: none.
+_NO_FOLDS = contextlib.nullcontext(())
 
 
-def _family_plan_key(job: SimJob) -> tuple:
-    """The enumeration context a job's SectionMap family shares.
+def _marking_key(job: SimJob) -> tuple:
+    """The trace and marking a job's SectionMap shares with its family.
 
     Everything that changes the *trace walk* (trace identity, PI
     marking, forced checkpoints) is in here; everything that only
@@ -280,43 +271,6 @@ def _family_plan_key(job: SimJob) -> tuple:
     """
     return (job.workload, job.size, job.trace_seed, job.use_compiler,
             job.epoch_cycles)
-
-
-def _register_family_plans(jobs: List[SimJob],
-                           settings: EvalSettings) -> None:
-    """Register ``jobs``'s config families.
-
-    Verified runs never touch the section-memoized path, so they
-    register nothing; nor do undo-log and mixed-volatility jobs.
-    """
-    if settings.verify:
-        return
-    for job in jobs:
-        if job.engine != "clank" or job.volatile_segments:
-            continue
-        configs, pos = _FAMILY_PLANS.setdefault(_family_plan_key(job),
-                                                ([], {}))
-        config = job.clank_config()
-        if config not in pos:
-            pos[config] = len(configs)
-            configs.append(config)
-
-
-def _family_prefetch(job: SimJob, trace, configs, kwargs: dict) -> None:
-    """Run the family prefetch of each of ``configs`` (in order) that a
-    sweep plan of ``job``'s trace and marking covers (see
-    :func:`repro.sim.sections.prefetch_family`)."""
-    plan, pos = _FAMILY_PLANS.get(_family_plan_key(job), ((), {}))
-    for config in configs:
-        p = pos.get(config)
-        if p is not None:
-            sections.prefetch_family(
-                trace, config, plan, p,
-                pi_words=kwargs["pi_words"],
-                pi_access_indices=kwargs["pi_access_indices"],
-                forced_checkpoints=kwargs["forced_checkpoints"],
-                chunk=_FAMILY_CHUNK,
-            )
 
 
 #: ``(field, type)`` of every :class:`SimulationResult` field, checked
@@ -421,7 +375,7 @@ def _group_key(job: SimJob, index: int) -> tuple:
     stamp.  An undo-log or runt-schedule job is a group of its own."""
     if job.engine != "clank" or job.schedule != "exp":
         return (index,)
-    return (_family_plan_key(job), job.n_seeds > 1, job.volatile_segments,
+    return (_marking_key(job), job.n_seeds > 1, job.volatile_segments,
             job.cost_model, job.perf_watchdog, job.progress_watchdog,
             job.progress_watchdog_adaptive, job.max_power_cycles,
             job.allow_stall)
@@ -430,10 +384,14 @@ def _group_key(job: SimJob, index: int) -> tuple:
 def _simulate_group(group: list, settings: EvalSettings) -> list:
     """Simulate one group's ``(job, config)`` pairs as the rows of one
     :func:`~repro.sim.batch.simulate_batch` call; returns ``(result,
-    stamp, seconds, start)`` per job.  ``stamp`` is a scalar job's
+    stamp, seconds, start, folds)`` per job.  ``stamp`` is a scalar job's
     ``(engine, fallback_reason, kernel)`` (``None`` for a seed-repeat
     job: its ``BatchResult`` stamps its rows).  Each job's seconds are
-    its rows' own, and the first job's also carry the group's set-up.
+    its rows' own, and the first job's also carry the group's set-up,
+    which includes the family passes over its cold section maps.
+    ``folds`` are the job's queued architecture-collector folds
+    (:meth:`~repro.obs.analyze.ArchCollector.deferred`), for the caller
+    to fold in submission order.
     """
     for job, _ in group:  # one trace-cache lookup per job, as run alone
         trace = get_trace(job.workload, size=job.size, seed=job.trace_seed)
@@ -458,10 +416,8 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
         stamp = (telemetry.ENGINE_STALLED if result is None
                  else telemetry.ENGINE_UNDO,
                  None, None)
-        return [(result, stamp, time.perf_counter() - start, start)]
+        return [(result, stamp, time.perf_counter() - start, start, ())]
     kwargs = _clank_kwargs(job, trace, settings)
-    if not (settings.verify or job.volatile_segments):
-        _family_prefetch(job, trace, [cfg for _, cfg in group], kwargs)
     start = time.perf_counter()
     if job.schedule == "runt":
         schedules = ScheduleRow(RuntPower(
@@ -483,13 +439,21 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
                                   _BATCH_SEGMENTS)
     seed_repeat = job.n_seeds > 1
     engine = telemetry.ENGINE_BATCH if seed_repeat else telemetry.ENGINE_FAST
-    batch = simulate_batch(trace, configs, schedules, engine=engine,
-                           allow_stall=job.allow_stall, **kwargs)
+    with (ARCH_COLLECTOR.deferred() if ARCH_COLLECTOR.enabled
+          else _NO_FOLDS) as folds:
+        batch = simulate_batch(trace, configs, schedules, engine=engine,
+                               allow_stall=job.allow_stall, **kwargs)
     rest = time.perf_counter() - start - sum(batch.seconds)
     out = []
-    r = 0
+    r = f = 0
     for member, cfg in group:
         k = member.n_seeds
+        # Each completed row folded one run, the walk's or the reference's.
+        mine = ()
+        if folds:
+            done = sum(row is not None for row in batch.results[r:r + k])
+            mine = folds[f:f + done]
+            f += done
         seconds = sum(batch.seconds[r:r + k]) + rest
         if seed_repeat:
             result = BatchResult(
@@ -505,7 +469,7 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
         else:
             result = batch.results[r]
             stamp = (batch.engines[r], batch.reasons[r], batch.kernels[r])
-        out.append((result, stamp, seconds, start))
+        out.append((result, stamp, seconds, start, mine))
         start += seconds
         rest = 0.0
         r += k
@@ -551,8 +515,10 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
     alone.  The second simulates the misses, one
     :func:`_simulate_group` per group (:func:`_group_key`), groups in
     order of first appearance.  The third stores, folds and records
-    each job in submission order.  A job that raises aborts the call
-    before anything is stored or recorded.
+    each job in submission order, its simulated runs' architecture folds
+    included, so a grouped sweep folds exactly as job-by-job execution
+    does.  A job that raises aborts the call before anything is stored
+    or recorded.
 
     ``keys`` are the jobs' :func:`result_key` when the caller holds
     them.  With ``raw`` each value is its stored form's JSON bytes
@@ -621,7 +587,7 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
             rows = [(telemetry.ENGINE_CACHED, None, None, max(1, job.n_seeds),
                      job.salt, result is None, 0.0)]
         else:
-            result, stamp, seconds, start = slot
+            result, stamp, seconds, start, folds = slot
             value = result
             if rkey is not None or raw:
                 t0 = time.perf_counter()
@@ -632,6 +598,8 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
                     value = encoded
                 seconds += time.perf_counter() - t0
             tier = "off" if rkey is None else "miss"
+            for queued in folds:
+                ARCH_COLLECTOR.fold_run(*queued)
             if result is None:
                 ARCH_COLLECTOR.fold_stalled(job.workload, label)
             elif job.engine == "undo":
@@ -717,8 +685,4 @@ def run_jobs(
         )
     if SERVED_EXECUTOR is not None and not settings.verify:
         return SERVED_EXECUTOR.run_jobs(jobs, settings)
-    if ARCH_COLLECTOR.enabled:
-        # The collector folds in dispatch order: keep it job by job.
-        return [execute_job(job, settings)[0] for job in jobs]
-    _register_family_plans(jobs, settings)
     return [value for value, _, _ in _execute(jobs, settings)]

@@ -40,6 +40,7 @@ import argparse
 import html as _html
 import json
 import sys
+from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import Event
@@ -189,12 +190,19 @@ class ArchCollector:
     Disabled by default — both engines ask :meth:`run_accumulator` once
     per run and get ``None``, so introspection-off runs pay a single flag
     check.  ``repro.eval --arch`` enables it around a sweep, whose jobs
-    fold here in submission order.
+    fold here in submission order: a capped table keeps the first
+    sections and hazards folded into it, so fold order shows in the
+    summary.  The sweep engine simulates a group of jobs at once, so it
+    queues the group's run folds (:meth:`deferred`) and folds each job's
+    share where the job stands in the sweep.
     """
 
     def __init__(self):
         self.enabled = False
         self._slots: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        #: Where :meth:`fold_run` queues its arguments inside
+        #: :meth:`deferred`; ``None`` folds at once.
+        self._queue: Optional[list] = None
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -225,6 +233,19 @@ class ArchCollector:
             }
         return slot
 
+    @contextmanager
+    def deferred(self):
+        """Queue the :meth:`fold_run` calls made inside the block.
+
+        Yields the list their ``(workload, config, acc, engine)``
+        arguments land in, in call order, for the caller to fold later.
+        """
+        self._queue = queue = []
+        try:
+            yield queue
+        finally:
+            self._queue = None
+
     def fold_run(
         self,
         workload: str,
@@ -234,6 +255,9 @@ class ArchCollector:
     ) -> None:
         """Fold one completed simulated run's accumulator."""
         if not self.enabled:
+            return
+        if self._queue is not None:
+            self._queue.append((workload, config, acc, engine))
             return
         slot = self._slot(workload, config)
         slot["acc"].merge(acc)

@@ -12,7 +12,10 @@ renders them with
 
 * *simulator time by workload* — Σ ``wall_s`` and Σ ``rows`` of the run
   ledger's records (:data:`repro.obs.telemetry.LEDGER`), the one per-run
-  timer, and
+  timer.  A sweep group builds and family-enumerates its cold section
+  maps inside its timed window, so this time includes them (the
+  enumeration is also shown on its own, as the ``section enumeration``
+  line), and
 * the sweep counters of :data:`repro.obs.metrics.COUNTERS` (dispatch
   mix, trace, section-map and disk caches, family scans),
 

@@ -27,14 +27,14 @@ One :class:`SweepServer` owns three layers:
   Only a full miss builds a trace and simulates (``computed``).
 * **A one-thread bridge** to the sweep engine, entered per batch and
   per chunk, never per job.  One bridge call prepares a batch: it
-  decodes, keys and groups every job once and registers the batch's
-  sweep plans.  The loop then triages the keys in submission order,
-  buckets the owned misses by group (one trace, marking and set of walk
-  parameters) and sends each bucket back in chunks of
-  ``repro.eval.parallel._FAMILY_CHUNK`` jobs, one bridge hop each.  A
-  chunk is one call of the local sweep engine (trace caches, store
-  reads and puts, ledger records), so its misses walk as the rows of
-  one ``simulate_batch`` call; the chunk runner hands it the keys it
+  decodes, keys and groups every job once.  The loop then triages the
+  keys in submission order, buckets the owned misses by group (one
+  trace, marking and set of walk parameters) and sends each bucket back
+  in chunks of ``repro.sim.sections.FAMILY_CHUNK`` jobs, one bridge hop
+  each.  A chunk is one call of the local sweep engine (trace caches,
+  store reads and puts, ledger records), so its misses walk as the rows
+  of one ``simulate_batch`` call, whose cold maps enumerate together in
+  one family pass; the chunk runner hands it the keys it
   already holds and encodes the body of each job's SSE line, so the
   event loop only does per-job bookkeeping and never blocks on a
   simulation.
@@ -115,41 +115,21 @@ def _event_line(idx: int, key: str, tier: str, body: bytes) -> bytes:
 
 
 def _prepare(job_dicts: list, settings) -> list:
-    """Decode, plan and key a whole batch in one bridge call.
+    """Decode, key and group a whole batch in one bridge call.
 
     Returns one ``(job, key, group, error)`` per wire job; ``group`` is
     the job's ``_group_key`` and ``error`` its own failure text when it
-    cannot be decoded, keyed or grouped.  The batch's sweep plans are
-    registered before any job dispatches, so its cold SectionMaps come
-    from family passes (as in a local ``run_jobs`` sweep).  Keying builds
-    no trace: a result key names its workload by identity
+    cannot be decoded, keyed or grouped.  Keying builds no trace: a
+    result key names its workload by identity
     (:func:`repro.eval.parallel.result_key`).
     """
-    from repro.common.errors import ConfigError
-    from repro.eval.parallel import (_group_key, _register_family_plans,
-                                     result_key)
+    from repro.eval.parallel import _group_key, result_key
 
-    jobs = []
-    for job_d in job_dicts:
-        try:
-            jobs.append(jsonio.job_from_dict(job_d))
-        except Exception as exc:
-            jobs.append(exc)
-    try:
-        _register_family_plans(
-            [job for job in jobs if not isinstance(job, Exception)], settings
-        )
-    except (ConfigError, TypeError, ValueError):
-        # Plans only speed up cold maps; the job with the bad config
-        # fails on its own when it runs.
-        pass
     out = []
     groups: dict = {}
-    for idx, job in enumerate(jobs):
-        if isinstance(job, Exception):
-            out.append((None, None, None, _error_text(job)))
-            continue
+    for idx, job_d in enumerate(job_dicts):
         try:
+            job = jsonio.job_from_dict(job_d)
             group = _group_key(job, idx)
             # One tuple per group; an unhashable field fails here, alone.
             group = groups.setdefault(group, group)
@@ -341,7 +321,7 @@ class SweepServer:
         same key share one execution); any other key gets its future
         installed before anything dispatches.  The owned misses are
         bucketed by group, buckets in order of first appearance, and
-        each bucket is cut into chunks of ``_FAMILY_CHUNK``
+        each bucket is cut into chunks of ``FAMILY_CHUNK``
         (:func:`_run_chunk`, one row-engine call each), all dispatched
         at once and run one after another.  Completed SSE line bodies
         land in the memory LRU, so later duplicates are ``memory`` hits
@@ -349,7 +329,7 @@ class SweepServer:
         completion even after the client hangs up: waiters and the
         inflight table depend on it.
         """
-        from repro.eval.parallel import _FAMILY_CHUNK
+        from repro.sim.sections import FAMILY_CHUNK
 
         loop = asyncio.get_running_loop()
         tracing = TRACER.enabled
@@ -439,8 +419,8 @@ class SweepServer:
             self._m_inflight_keys.set(len(self._inflight))
             chunks = {}
             for bucket in owned.values():
-                for lo in range(0, len(bucket), _FAMILY_CHUNK):
-                    items = bucket[lo:lo + _FAMILY_CHUNK]
+                for lo in range(0, len(bucket), FAMILY_CHUNK):
+                    items = bucket[lo:lo + FAMILY_CHUNK]
                     chunks[loop.run_in_executor(
                         self._bridge, _run_chunk, items, settings
                     )] = items

@@ -7,7 +7,11 @@ row walks its configuration's :class:`~repro.sim.sections.SectionMap`
 through the C section walk (``section_walk`` in ``_chainscan.c``, driven
 by :func:`repro.sim.fast.section_walk`), one row after another over the
 :class:`~repro.power.schedules.ScheduleBatch`'s on-time arrays.  Rows that
-share a seed share one array, drawn once and grown in place.
+share a seed share one array, drawn once and grown in place.  Before the
+first row walks, the cold maps of the walkable rows' distinct
+configurations are family-built together
+(:func:`~repro.sim.sections.prefetch_family`), so a group's rows decide
+which maps enumerate in one pass.
 :func:`~repro.sim.fast.simulate_fast` is a one-row call.  The walk is
 *bit-identical* to the reference simulator —
 ``tests/test_fast_replay.py`` and ``tests/test_batch_replay.py`` pin this
@@ -66,7 +70,7 @@ from repro.sim.fast import (
     walk_result,
 )
 from repro.sim.result import SimulationResult
-from repro.sim.sections import get_section_map
+from repro.sim.sections import get_section_map, prefetch_family
 from repro.sim.simulator import IntermittentSimulator
 
 __all__ = [
@@ -336,6 +340,19 @@ def simulate_batch(
     # max_power_cycles every row walks with.
     sim = IntermittentSimulator(trace, configs[0], schedules, **kwargs)
     plans = {}  # config -> (map, walk parameters, label), or a reason
+    row_plans = []
+    for cfg in configs:
+        plan = plans.get(cfg)
+        if plan is None:
+            plan = plans[cfg] = _plan(sim, cfg, lib is not None, arch)
+        row_plans.append(plan)
+    # The walk reads only flat tables: family-build the cold maps of the
+    # walkable rows' configs before the first row walks.
+    cold = [cfg for cfg, plan in plans.items()
+            if not isinstance(plan, str) and plan[0]._flat is None]
+    if cold:
+        prefetch_family(trace, cold, sim.pi_words, sim.pi_access_indices,
+                        sim.forced_checkpoints)
     ontimes = schedules.ontimes
     name, baseline = trace.name, trace.total_cycles
     results, seconds = batch.results, batch.seconds
@@ -351,10 +368,7 @@ def simulate_batch(
 
     for r in range(n):
         t0 = perf_counter()
-        cfg = configs[r]
-        plan = plans.get(cfg)
-        if plan is None:
-            plan = plans[cfg] = _plan(sim, cfg, lib is not None, arch)
+        cfg, plan = configs[r], row_plans[r]
         if isinstance(plan, str):
             reason = plan
         else:

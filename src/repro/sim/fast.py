@@ -116,7 +116,6 @@ def _walk_table(smap) -> array:
     """
     tab = smap._tab
     if tab is None:
-        smap.ensure_flat()
         ct = smap.ct
         gcum, acc = ct.cum_cycles, ct.cycles
         keys, ends, causes, soff, steps = smap._flat

@@ -23,7 +23,10 @@ The canonical chain — every section a failure-free run from the start
 commits — is held as flat parallel arrays installed by one family pass
 (:func:`build_family`); the C section walk (:mod:`repro.sim.fast`) reads
 them in place and resolves the off-chain sections it meets into a
-per-map overlay.
+per-map overlay.  The one dispatcher,
+:func:`repro.sim.batch.simulate_batch`, family-builds the cold maps of
+its walkable rows' distinct configs, :data:`FAMILY_CHUNK` per pass,
+before it walks (:func:`prefetch_family`), so every walked map is flat.
 
 :func:`get_section_map` builds each map once per process and keeps it
 in a plain dict under a content key; :func:`clear_cache` empties it.
@@ -164,16 +167,6 @@ class SectionMap:
         self._ov = None
         self._tab = None
         self.walk_draws = 1
-
-    def ensure_flat(self) -> None:
-        """Give the map flat canonical-chain storage if it has none.
-
-        The C section walk reads only flat tables, so a map built
-        outside any sweep plan gets its canonical chain from a
-        one-member family pass (the C kernel must be loaded).
-        """
-        if self._flat is None:
-            _family_scan_chunk(self.config.prefix_low_bits, [self])
 
     def _chain_engine(self):
         """The map's C chain-scan engine, built on first use (the C
@@ -523,6 +516,13 @@ def _tables(ct) -> _Tables:
 # --------------------------------------------------------------------- #
 
 
+#: Configs per batched family pass of a sweep group, within the C
+#: kernel's budget (<= FAMILY_MAX = 64).  The sweep server also cuts
+#: each group of its owned misses into chunks of this many jobs, one
+#: bridge hop each.
+FAMILY_CHUNK = 32
+
+
 def _family_enabled() -> bool:
     """Whether batched family passes run: the C kernel is loaded."""
     return _cext.chain_scan_lib() is not None
@@ -565,8 +565,7 @@ def build_family(
     if not pending:
         return maps
     # The kernel shares one pids array across members, so group by the
-    # APB prefix shift (family plans already hold it constant; ad-hoc
-    # caller mixes still get correct, separate passes).
+    # APB prefix shift (a mix of shifts gets correct, separate passes).
     by_shift: Dict[int, List[SectionMap]] = {}
     for m in pending:
         shift = m.config.prefix_low_bits
@@ -628,46 +627,21 @@ def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
 
 def prefetch_family(
     trace: Trace,
-    config: ClankConfig,
-    plan_configs: Sequence[ClankConfig],
-    plan_pos: int,
+    configs: Sequence[ClankConfig],
     pi_words: Optional[FrozenSet[int]] = None,
     pi_access_indices: Optional[FrozenSet[int]] = None,
     forced_checkpoints: Optional[FrozenSet[int]] = None,
-    chunk: int = 32,
 ) -> None:
-    """Family-build the next ``chunk`` un-enumerated plan members.
+    """Family-build the maps of ``configs``, :data:`FAMILY_CHUNK` per pass.
 
-    Called by the eval executors right before a job's own
-    ``get_section_map``: when the job's map still needs enumeration,
-    take up to ``chunk`` configs forward from its position in the sweep
-    plan that also need it and enumerate them in one family pass
-    (earlier members were prefetched by earlier jobs — sweep job orders
-    are config-major).  The common warmed case is one dict probe.
+    :func:`repro.sim.batch.simulate_batch` calls this right before it
+    walks, with the distinct configs of its walkable rows whose maps are
+    not yet enumerated, in row order: the section walk reads only flat
+    tables.  A single config gets a one-member pass (:func:`build_family`).
     """
-    key = _map_key(
-        trace, config, pi_words, pi_access_indices, forced_checkpoints
-    )
-    smap = _CACHE.get(key)
-    if smap is not None and smap._flat is not None:
-        return
-    if not _family_enabled():
-        return
-    take = []
-    for cfg in plan_configs[plan_pos:]:
-        k2 = _map_key(
-            trace, cfg, pi_words, pi_access_indices, forced_checkpoints
-        )
-        m2 = _CACHE.get(k2)
-        if m2 is not None and m2._flat is not None:
-            continue
-        take.append(cfg)
-        if len(take) >= chunk:
-            break
-    if take:
-        build_family(
-            trace, take, pi_words, pi_access_indices, forced_checkpoints
-        )
+    for i in range(0, len(configs), FAMILY_CHUNK):
+        build_family(trace, configs[i:i + FAMILY_CHUNK], pi_words,
+                     pi_access_indices, forced_checkpoints)
 
 
 def cache_stats() -> Dict[str, float]:

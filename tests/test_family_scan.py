@@ -11,6 +11,12 @@ is the C chain scan (the ``cext`` parametrization) or the pure-Python
 generator it ports (``python``).  Without the C kernel (``REPRO_CEXT=0``)
 ``build_family`` must make no family pass at all: every run then goes to
 the reference simulator, and no map grows a table.
+
+The rows of one ``simulate_batch`` call decide which maps enumerate
+together: a sweep of N cold configs makes ceil(N / FAMILY_CHUNK)
+counted passes however it reaches the dispatcher (``run_jobs``, with or
+without the architecture collector, or a sweep server's bridge), and a
+one-row run makes one uncounted one-member pass.
 """
 
 import gc
@@ -21,11 +27,16 @@ from array import array
 
 import pytest
 
+import repro.cache as artifact_cache
 from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.core.detector import IdempotencyDetector
+from repro.eval.parallel import SimJob, run_jobs
+from repro.eval.settings import EvalSettings
+from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.power.schedules import ExponentialPower
+from repro.serve import ServeClient, start_in_background
 from repro.sim import fast, sections
 from repro.sim.fast import simulate_fast
 from repro.sim.sections import (
@@ -392,3 +403,91 @@ def test_table_registry_freed_with_trace():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# --------------------------------------------------------------------- #
+# Family passes follow the rows of a sweep group.
+# --------------------------------------------------------------------- #
+
+#: 40 distinct configs over one trace: one pass of FAMILY_CHUNK and one
+#: of the remaining 8.
+SWEEP = [
+    SimJob(workload="crc", config=spec, size="small", salt=salt)
+    for salt, spec in enumerate(itertools.product(
+        (1, 2, 4, 8, 16), (0, 1, 4, 8), (0, 2), (0,)))
+]
+
+SWEEP_SETTINGS = EvalSettings(size="small", verify=False)
+
+
+@pytest.fixture
+def no_store(monkeypatch):
+    """Every job simulates: no ambient result store."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    artifact_cache.reset_for_tests()
+    yield
+    artifact_cache.reset_for_tests()
+
+
+def _family_delta(run) -> tuple:
+    """``(family_passes, family_maps)`` that ``run()`` added."""
+    before = sections.cache_stats()
+    run()
+    after = sections.cache_stats()
+    return (after["family_passes"] - before["family_passes"],
+            after["family_maps"] - before["family_maps"])
+
+
+def _sweep_passes() -> tuple:
+    n = len(SWEEP)
+    return (-(-n // sections.FAMILY_CHUNK), n)
+
+
+@pytest.mark.usefixtures("c_kernel", "no_store")
+class TestPassesFollowRows:
+    def test_run_jobs(self):
+        got = _family_delta(lambda: run_jobs(SWEEP, SWEEP_SETTINGS))
+        assert got == _sweep_passes() == (2, 40)
+
+    def test_run_jobs_under_arch_collector(self):
+        # --arch sweeps run grouped too, so their maps come from the
+        # same family passes.
+        ARCH_COLLECTOR.reset()
+        ARCH_COLLECTOR.enable()
+        try:
+            got = _family_delta(lambda: run_jobs(SWEEP, SWEEP_SETTINGS))
+            folded = sum(ARCH_COLLECTOR.run_totals().values())
+        finally:
+            ARCH_COLLECTOR.disable()
+            ARCH_COLLECTOR.reset()
+        assert got == _sweep_passes()
+        assert folded == len(SWEEP)
+
+    def test_served_batch(self):
+        # The bridge cuts the group into FAMILY_CHUNK-job chunks, each
+        # one simulate_batch call whose cold maps make one pass.
+        handle = start_in_background()
+        try:
+            got = _family_delta(lambda: ServeClient(handle.url).run_jobs(
+                SWEEP, SWEEP_SETTINGS))
+        finally:
+            handle.stop()
+        assert got == _sweep_passes()
+
+    def test_one_row_run_makes_one_member_pass(self, monkeypatch):
+        passes = []
+        scan = sections._family_scan_chunk
+
+        def counting_scan(shift, maps):
+            passes.append(len(maps))
+            return scan(shift, maps)
+
+        monkeypatch.setattr(sections, "_family_scan_chunk", counting_scan)
+        trace = get_trace("crc", "small")
+        config = ClankConfig.from_tuple((8, 4, 2, 0))
+        got = _family_delta(lambda: simulate_fast(
+            trace, config, ExponentialPower(2000, seed=1), verify=False,
+            progress_watchdog="auto"))
+        assert passes == [1] and got == (0, 0)
+        assert fast.last_dispatch() == ("fast", None, "c")
+        assert get_section_map(trace, config)._flat is not None

@@ -276,8 +276,8 @@ class TestCWalk:
             assert walked == ref, kw
 
     def test_lazy_map_outside_plan(self, c_lib):
-        # A map no sweep plan family-built gets its flat canonical chain
-        # from a one-member pass, which the family counters skip.
+        # A one-row run over a cold map family-builds it alone: a
+        # one-member pass, which the family counters skip.
         clear_cache()
         COUNTERS.reset()
         trace = get_trace("rc4", "small")
@@ -510,7 +510,7 @@ class TestCaches:
         assert cache_stats()["misses"] == 2
 
     def test_map_cache_keeps_every_map_built(self):
-        """Maps built outside any sweep plan are kept too: a second
+        """Maps built outside any sweep are kept too: a second
         pass over 1,100 distinct configs returns the very same maps."""
         clear_cache()
         COUNTERS.reset()

@@ -40,6 +40,8 @@ from repro.eval import parallel
 from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.runner import pi_words_for
 from repro.eval.settings import EvalSettings
+from repro.obs import analyze
+from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.profile import Profiler
 from repro.obs.telemetry import LEDGER
 from repro.power.schedules import RuntPower
@@ -342,3 +344,54 @@ def test_order_and_store_match_per_job_path(tmp_path, monkeypatch,
     }
     assert runs == single[2] and runs
     assert segments == single[3] and segments
+
+
+# ---- architecture folds --------------------------------------------------- #
+
+
+def _arch_summary(root, monkeypatch, grouped: bool) -> dict:
+    """The collector summary of one interleaved list, run ``grouped``
+    (one ``run_jobs`` call) or job by job, with one job a store hit.
+
+    The list alternates one (workload, config) between two Performance
+    Watchdog settings, so one collector slot is fed by two groups.  The
+    collector's caps are lowered so that the slot's section table
+    overflows: which section peaks it keeps then depends on fold order
+    (crc trips no hazard address, so the hazard table stays small).
+    """
+    base = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny")
+    jobs = [dataclasses.replace(base, salt=salt, perf_watchdog=load)
+            for salt in range(3) for load in (0, "auto")]
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    monkeypatch.setattr(analyze, "MAX_SECTIONS", 8)
+    monkeypatch.setattr(analyze, "MAX_HAZARDS", 4)
+    artifact_cache.reset_for_tests()
+    try:
+        execute_job(jobs[0], ORDER_SETTINGS)
+        ARCH_COLLECTOR.reset()
+        ARCH_COLLECTOR.enable()
+        if grouped:
+            run_jobs(jobs, ORDER_SETTINGS)
+        else:
+            for job in jobs:
+                execute_job(job, ORDER_SETTINGS)
+        return ARCH_COLLECTOR.to_summary()
+    finally:
+        ARCH_COLLECTOR.disable()
+        ARCH_COLLECTOR.reset()
+        artifact_cache.reset_for_tests()
+
+
+@pytest.mark.parametrize("with_kernel", [True, False],
+                         ids=["cext", "no_cext"])
+def test_arch_folds_in_submission_order(tmp_path, monkeypatch, with_kernel):
+    # A grouped --arch sweep folds each job's runs where the job stands
+    # in the list, exactly as running the jobs one by one does.
+    with kernel(with_kernel):
+        grouped = _arch_summary(tmp_path / "grouped", monkeypatch, True)
+        single = _arch_summary(tmp_path / "single", monkeypatch, False)
+    [slot] = grouped["workloads"]["crc"].values()
+    # Only walked rows record section peaks.
+    assert bool(slot["sections_dropped"]) == with_kernel
+    assert slot["runs_by_engine"].get("disk-cached-result") == 1
+    assert grouped == single
