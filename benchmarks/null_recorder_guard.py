@@ -18,7 +18,7 @@ traces land within the threshold of each other — a regression that
 recompiled per run, or fell back to per-``Access`` attribute lookups on
 some runs, shows up as run-to-run spread.
 
-These two checks, the ledger check and the tracing check alternate their
+These two checks and the ledger, arch and tracing checks alternate their
 two sides in pairs (:func:`paired_ratio`; :data:`TIMED_PAIRS` at least,
 :data:`LEDGER_PAIRS` for the ledger check) and gate on the median of the
 per-pair ratios, over sweeps of 100 ms or more (the ledger check's take
@@ -45,11 +45,12 @@ every run.  The sweep repeats each configuration over
 
 A fifth check guards architectural introspection
 (:mod:`repro.obs.analyze`): the shared :data:`~repro.obs.analyze.COLLECTOR`
-must be disabled by default, an introspection-off ``execute_job`` sweep
-must stay within the arch threshold (default 2%) of the ledger-off
-baseline (both engines pay exactly one flag check per run when it is
-off), and a collector-on sweep must fold every run and reconcile its
-cause totals exactly against the per-run ``checkpoints_by_cause``.
+must be disabled by default, introspection-off ``execute_job`` sweeps
+(:data:`ARCH_SALTS` schedules per configuration) must stay within the
+arch threshold (default 2%) of ledger-off baseline sweeps they
+alternate with (both engines pay exactly one flag check per run when
+it is off), and a collector-on sweep must fold every run and reconcile
+its cause totals exactly against the per-run ``checkpoints_by_cause``.
 
 A sixth check guards the persistent result store
 (``REPRO_CACHE_DIR``), which holds whole results only: an
@@ -118,8 +119,13 @@ CONFIGS = [(1, 0, 0, 0), (8, 4, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
 WORKLOADS = ("crc", "fft", "rc4", "qsort")
 
 #: Power schedules per (workload, config) in the ``execute_job`` sweeps
-#: of the ledger and arch checks: 4 x 4 x 32 = 512 runs per sweep.
+#: of the ledger check: 4 x 4 x 32 = 512 runs per sweep.
 LEDGER_SALTS = 32
+
+#: Power schedules per (workload, config) in the arch check's
+#: ``execute_job`` sweeps: 4 x 4 x 128 = 2,048 runs, 0.10-0.15 s per
+#: sweep on a 2-vCPU guest.
+ARCH_SALTS = 128
 
 #: Minimum alternating ledger-off/ledger-on sweep pairs.
 LEDGER_PAIRS = 30
@@ -383,16 +389,34 @@ def main(argv=None) -> int:
 
     # Architectural-introspection guard.  Off is the default and must
     # stay free: the engines ask the collector once per run and get None.
+    # Its sweeps alternate with ledger-off baseline sweeps in pairs, like
+    # the checks above, over 100 ms or more each.
     arch_ok = not COLLECTOR.enabled
     if not arch_ok:
         fail("arch", "arch collector is enabled by default")
-    arch_off = min(
-        execute_seconds(ledger_jobs, settings) for _ in range(tele_pairs)
+    arch_jobs = [
+        SimJob(workload=name, config=spec, size=args.size, salt=salt)
+        for name in WORKLOADS
+        for spec in CONFIGS
+        for salt in range(ARCH_SALTS)
+    ]
+    execute_seconds(arch_jobs, settings)  # warm-up: the new schedules
+
+    def arch_baseline_seconds() -> float:
+        LEDGER.disable()
+        return execute_seconds(arch_jobs, settings)
+
+    ratio, q1, q3, arch_base, arch_off = paired_ratio(
+        arch_baseline_seconds,
+        lambda: execute_seconds(arch_jobs, settings),
+        pairs,
     )
-    ratio = arch_off / ledger_off
-    print(f"arch collector off: {arch_off:.3f}s")
-    print(f"ratio vs ledger-off baseline: {ratio:.4f} "
-          f"(threshold {args.arch_threshold:.2f})")
+    print(f"ledger-off baseline: {arch_base:.3f}s "
+          f"(best of {pairs} sweeps of {len(arch_jobs)} runs)")
+    print(f"arch collector off:  {arch_off:.3f}s")
+    print(f"ratio: {ratio:.4f} median of {pairs} pairs "
+          f"(quartiles {q1:.4f}-{q3:.4f}; "
+          f"threshold {args.arch_threshold:.2f})")
     if ratio > args.arch_threshold:
         arch_ok = False
         fail("arch", "introspection-off sweep exceeds the overhead budget")

@@ -2,9 +2,11 @@
 
 This plays the role of the paper's cycle-accurate instruction-set simulator
 as a *trace source*: workloads (re-implementations of the MiBench2 kernels)
-perform their loads and stores through a ``TracedMemory``, which logs every
-access with word address, observed/produced word value, and a cycle cost
-into the columns of an :class:`~repro.trace.trace.AccessLog`.
+perform their loads and stores through a ``TracedMemory``.  Each access is
+one Python call that appends its kind, word address, observed/produced word
+value and cycle cost to a flat list; :meth:`TracedMemory.finish` seals the
+list into the typed columns of an :class:`~repro.trace.trace.AccessLog`,
+one stride slice per column.
 
 Cycle model (ARM Cortex-M0+, two-stage pipeline):
 
@@ -15,14 +17,14 @@ Cycle model (ARM Cortex-M0+, two-stage pipeline):
   memory operations on this class of core (Section 8.3), but one
   kernel-level load/store here typically stands for a short run of source
   expressions, so the default of 4 charges two ALU/branch pairs per access;
-* workloads add extra compute with :meth:`tick` (e.g. 32 cycles for the
+* workloads add extra compute with ``tick`` (e.g. 32 cycles for the
   M0+'s iterative multiplier).
 """
 
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import MemoryError_
-from repro.common.words import extract_bytes, insert_bytes, mask_value
+from repro.common.words import insert_bytes
 from repro.mem.map import MemoryMap, default_memory_map
 from repro.trace.access import READ, WRITE
 from repro.trace.trace import AccessLog, Marker, Trace
@@ -45,12 +47,19 @@ FLOAT_ADD_CYCLES = 30
 class TracedMemory:
     """A word-organized memory that logs accesses for the policy simulator.
 
+    The traced accesses are ``lw``/``lh``/``lb(addr)`` and
+    ``sw``/``sh``/``sb(addr, value)`` (32/16/8-bit, aligned), plus the
+    generic :meth:`load`/:meth:`store`.  ``tick(count)`` charges
+    ``count`` compute cycles to the next access; ``mul_tick``,
+    ``fmul_tick`` and ``fadd_tick(count=1)`` charge ``count`` multiplies
+    or software-float multiplies or adds.
+
     Args:
         name: Workload name recorded in the produced :class:`Trace`.
         memory_map: Device memory map; defaults to
             :func:`~repro.mem.map.default_memory_map`.
         compute_overhead: Compute cycles charged alongside every access (see
-            module docstring).
+            module docstring); fixed at construction.
     """
 
     def __init__(
@@ -64,14 +73,95 @@ class TracedMemory:
         self.compute_overhead = compute_overhead
         self._words: Dict[int, int] = {}
         self._initial: Dict[int, int] = {}
-        self._log = AccessLog(self.memory_map)
-        self._append = self._log.append
+        self._flat: List[int] = []
+        self._outs: List[int] = []
         self._markers: List[Marker] = []
-        self._pending_cycles = 0
         self._alloc_cursor = {
             name: seg.base for name, seg in self.memory_map.segments.items()
         }
         self._finished = False
+        # The accessors and ticks are closures over this state.  An access
+        # checks alignment, keeps the word's initial value on first touch,
+        # inserts or extracts its bytes, and appends ``(kind, waddr, word,
+        # cycles)`` to ``_flat`` in one ``extend``; a write into MMIO also
+        # notes its index in ``_outs``.
+        words, initial, flat = self._words, self._initial, self._flat
+        get, extend, out = words.get, flat.extend, self._outs.append
+        lo, hi = self.memory_map.word_range("mmio")
+        load_cost = LOAD_CYCLES + self.compute_overhead
+        store_cost = STORE_CYCLES + self.compute_overhead
+        pending = 0
+
+        def charge(unit: int):
+            def tick(count: int = 1) -> None:
+                nonlocal pending
+                pending += unit * count
+            return tick
+
+        def lw(addr: int) -> int:
+            nonlocal pending
+            if addr & 3:
+                raise MemoryError_(f"misaligned 4-byte access at {addr:#x}")
+            waddr = addr >> 2
+            word = get(waddr, 0)
+            if waddr not in initial:
+                initial[waddr] = word
+            extend((READ, waddr, word, pending + load_cost))
+            pending = 0
+            return word
+
+        def sw(addr: int, value: int) -> None:
+            nonlocal pending
+            if addr & 3:
+                raise MemoryError_(f"misaligned 4-byte access at {addr:#x}")
+            waddr = addr >> 2
+            if waddr not in initial:
+                initial[waddr] = get(waddr, 0)
+            words[waddr] = value = value & 0xFFFF_FFFF
+            if lo <= waddr < hi:
+                out(len(flat) >> 2)
+            extend((WRITE, waddr, value, pending + store_cost))
+            pending = 0
+
+        def subword(size: int):
+            align, mask = size - 1, (1 << 8 * size) - 1
+
+            def load(addr: int) -> int:
+                nonlocal pending
+                if addr & align:
+                    raise MemoryError_(
+                        f"misaligned {size}-byte access at {addr:#x}")
+                waddr = addr >> 2
+                word = get(waddr, 0)
+                if waddr not in initial:
+                    initial[waddr] = word
+                extend((READ, waddr, word, pending + load_cost))
+                pending = 0
+                return word >> ((addr & 3) << 3) & mask
+
+            def store(addr: int, value: int) -> None:
+                nonlocal pending
+                if addr & align:
+                    raise MemoryError_(
+                        f"misaligned {size}-byte access at {addr:#x}")
+                waddr = addr >> 2
+                old = get(waddr, 0)
+                if waddr not in initial:
+                    initial[waddr] = old
+                shift = (addr & 3) << 3
+                words[waddr] = value = (
+                    old & ~(mask << shift) | (value & mask) << shift)
+                if lo <= waddr < hi:
+                    out(len(flat) >> 2)
+                extend((WRITE, waddr, value, pending + store_cost))
+                pending = 0
+            return load, store
+
+        self.lw, self.sw = lw, sw
+        (self.lh, self.sh), (self.lb, self.sb) = subword(2), subword(1)
+        self.tick, self.mul_tick = charge(1), charge(MUL_CYCLES)
+        self.fmul_tick = charge(FLOAT_MUL_CYCLES)
+        self.fadd_tick = charge(FLOAT_ADD_CYCLES)
 
     # ------------------------------------------------------------------ #
     # Allocation and silent initialization (link/load time, not traced).
@@ -132,74 +222,19 @@ class TracedMemory:
     # Traced accesses (run time).
     # ------------------------------------------------------------------ #
 
-    def tick(self, cycles: int) -> None:
-        """Charge ``cycles`` of pure compute to the next access."""
-        self._pending_cycles += cycles
-
-    def mul_tick(self) -> None:
-        """Charge one iterative-multiplier multiply (32 cycles)."""
-        self._pending_cycles += MUL_CYCLES
-
-    def fmul_tick(self, count: int = 1) -> None:
-        """Charge ``count`` software-emulated float multiplies."""
-        self._pending_cycles += FLOAT_MUL_CYCLES * count
-
-    def fadd_tick(self, count: int = 1) -> None:
-        """Charge ``count`` software-emulated float adds/subtracts."""
-        self._pending_cycles += FLOAT_ADD_CYCLES * count
-
-    def _record(self, kind: int, waddr: int, value: int, latency: int) -> None:
-        cycles = self._pending_cycles + latency + self.compute_overhead
-        self._pending_cycles = 0
-        self._append(kind, waddr, value, cycles)
-
-    def _touch(self, waddr: int) -> int:
-        value = self._words.get(waddr, 0)
-        if waddr not in self._initial:
-            self._initial[waddr] = value
-        return value
-
     def load(self, addr: int, size: int = 4) -> int:
         """Traced load of ``size`` bytes at ``addr`` (aligned)."""
-        self._check(addr, size)
-        waddr = addr >> 2
-        word = self._touch(waddr)
-        self._record(READ, waddr, word, LOAD_CYCLES)
-        return extract_bytes(word, addr & 3, size)
+        return self._sized(size, self.lw, self.lh, self.lb)(addr)
 
     def store(self, addr: int, value: int, size: int = 4) -> None:
         """Traced store of ``size`` bytes at ``addr`` (aligned)."""
-        self._check(addr, size)
-        waddr = addr >> 2
-        old = self._touch(waddr)
-        new = insert_bytes(old, mask_value(value, size), addr & 3, size)
-        self._words[waddr] = new
-        self._record(WRITE, waddr, new, STORE_CYCLES)
+        self._sized(size, self.sw, self.sh, self.sb)(addr, value)
 
-    # Convenience aliases matching assembly mnemonics.
-    def lw(self, addr: int) -> int:
-        """Traced 32-bit load."""
-        return self.load(addr, 4)
-
-    def sw(self, addr: int, value: int) -> None:
-        """Traced 32-bit store."""
-        self.store(addr, value, 4)
-
-    def lb(self, addr: int) -> int:
-        """Traced 8-bit load."""
-        return self.load(addr, 1)
-
-    def sb(self, addr: int, value: int) -> None:
-        """Traced 8-bit store."""
-        self.store(addr, value, 1)
-
-    def lh(self, addr: int) -> int:
-        """Traced 16-bit load."""
-        return self.load(addr, 2)
-
-    def sh(self, addr: int, value: int) -> None:
-        """Traced 16-bit store."""
-        self.store(addr, value, 2)
+    @staticmethod
+    def _sized(size: int, word, half, byte):
+        if size not in (1, 2, 4):
+            raise MemoryError_(f"unsupported access size {size}")
+        return word if size == 4 else half if size == 2 else byte
 
     def out(self, port: int, value: int) -> None:
         """Traced output: a word write into the MMIO segment.
@@ -218,11 +253,11 @@ class TracedMemory:
 
     def call(self, label: str) -> None:
         """Mark a function-call boundary at the current trace position."""
-        self._markers.append(Marker(len(self._log), "call", label))
+        self._markers.append(Marker(len(self._flat) >> 2, "call", label))
 
     def ret(self, label: str = "") -> None:
         """Mark a function-return boundary at the current trace position."""
-        self._markers.append(Marker(len(self._log), "ret", label))
+        self._markers.append(Marker(len(self._flat) >> 2, "ret", label))
 
     # ------------------------------------------------------------------ #
     # Bulk helpers used by several kernels.
@@ -266,16 +301,9 @@ class TracedMemory:
             code_bytes = self.text_bytes_used() + 4096
         return Trace(
             name=self.name,
-            log=self._log,
+            log=AccessLog.sealed(self.memory_map, self._flat, self._outs),
             initial_image=self._initial,
             markers=self._markers,
             checksum=checksum & 0xFFFF_FFFF,
             code_bytes=code_bytes,
         )
-
-    @staticmethod
-    def _check(addr: int, size: int) -> None:
-        if size not in (1, 2, 4):
-            raise MemoryError_(f"unsupported access size {size}")
-        if addr % size != 0:
-            raise MemoryError_(f"misaligned {size}-byte access at {addr:#x}")

@@ -17,7 +17,8 @@ renders them with
   enumeration is also shown on its own, as the ``section enumeration``
   line), and
 * the sweep counters of :data:`repro.obs.metrics.COUNTERS` (dispatch
-  mix, trace, section-map and disk caches, family scans),
+  mix, trace cache and its build seconds, section-map and disk caches,
+  family scans and the maps enumerated alone),
 
 as an aligned text table (``results/profile.txt``).
 """
@@ -137,7 +138,8 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
     rate = hits / (hits + misses) if hits + misses else 0.0
     lines.append(
         f"-- trace cache: {hits} hits / {misses} misses "
-        f"({rate:.1%} hit rate)"
+        f"({rate:.1%} hit rate); misses built in "
+        f"{get('traces.build_seconds', 0):.3f}s"
     )
     hits, misses = get("sections.hits", 0), get("sections.misses", 0)
     table_bytes = get("sections.table_bytes", 0)
@@ -158,7 +160,7 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
         lines.append(
             f"-- family scans: {family_maps} maps in {passes} trace passes "
             f"({family_maps / max(passes, 1):.1f} maps/pass); "
-            f"{max(misses - family_maps, 0)} built scalar"
+            f"{get('sections.scalar_maps', 0)} built scalar"
         )
         ranked = sorted(
             by_prefix(counters, "sections.family_by_trace.").items(),

@@ -412,10 +412,12 @@ _MISSES = COUNTERS.counter("sections.misses")
 _ENUM_SECONDS = COUNTERS.counter("sections.enum_seconds")
 
 #: Family-scan amortization: passes of the batched kernel, maps those
-#: passes enumerated, and per-trace map counts
-#: (``sections.family_by_trace.<trace>``; the profile shows them).
+#: passes enumerated, maps enumerated alone in a one-member pass, and
+#: per-trace map counts (``sections.family_by_trace.<trace>``; the
+#: profile shows them).
 _FAMILY_PASSES = COUNTERS.counter("sections.family_passes")
 _FAMILY_MAPS = COUNTERS.counter("sections.family_maps")
+_SCALAR_MAPS = COUNTERS.counter("sections.scalar_maps")
 _BY_TRACE_PREFIX = "sections.family_by_trace."
 
 #: Table sharing: maps that adopted a flat table already held for their
@@ -543,10 +545,10 @@ def build_family(
     enumerates all of their section tables — bit-identical to the
     per-config scalar scans, by construction.  Members already
     enumerated are skipped; a single remaining member gets a one-member
-    pass, which the family counters do not count.  Returns the maps in
-    ``configs`` order (the map cache is populated either way).  Without the C
-    kernel there is no pass here: no section walk runs, so nothing reads
-    the maps' tables.
+    pass, which counts as ``sections.scalar_maps``, not as a family
+    pass.  Returns the maps in ``configs`` order (the map cache is
+    populated either way).  Without the C kernel there is no pass here:
+    no section walk runs, so nothing reads the maps' tables.
     """
     maps = [
         get_section_map(
@@ -574,12 +576,12 @@ def build_family(
         for i in range(0, len(members), _cext.FAMILY_MAX):
             chunk = members[i:i + _cext.FAMILY_MAX]
             _family_scan_chunk(shift, chunk)
-            if len(chunk) > 1:
-                _FAMILY_PASSES.inc()
-                _FAMILY_MAPS.inc(len(chunk))
-                COUNTERS.counter(_BY_TRACE_PREFIX + trace.name).inc(
-                    len(chunk)
-                )
+            if len(chunk) == 1:
+                _SCALAR_MAPS.inc()
+                continue
+            _FAMILY_PASSES.inc()
+            _FAMILY_MAPS.inc(len(chunk))
+            COUNTERS.counter(_BY_TRACE_PREFIX + trace.name).inc(len(chunk))
     return maps
 
 
@@ -661,6 +663,7 @@ def cache_stats() -> Dict[str, float]:
         "enum_seconds": float(_ENUM_SECONDS.value),
         "family_passes": _FAMILY_PASSES.value,
         "family_maps": _FAMILY_MAPS.value,
+        "scalar_maps": _SCALAR_MAPS.value,
         "tables_shared": _TABLES_SHARED.value,
         "table_bytes": _TABLE_BYTES.value,
     }

@@ -18,12 +18,14 @@ COLUMNS = (("kinds", "B"), ("waddrs", "I"), ("values", "I"),
 
 
 class AccessLog:
-    """The column writer every trace producer records through.
+    """The columns of an access log, and how producers fill them.
 
-    One typed ``array`` per access attribute (:data:`COLUMNS`); each
-    access costs five C-level appends and no Python object.  The output
-    flag is classified here, against the memory map the log is recorded
-    under, so no later pass re-tests addresses.
+    One typed ``array`` per access attribute (:data:`COLUMNS`).  A
+    producer either appends each access (:attr:`append`: five C-level
+    appends, no Python object) or records a flat list and seals it in
+    bulk (:meth:`sealed`).  The output flag is classified by the
+    producer, against the memory map the log is recorded under, so no
+    later pass re-tests addresses.
 
     Args:
         memory_map: The device memory map the accesses are made under.
@@ -51,8 +53,18 @@ class AccessLog:
         #: ``append(kind, waddr, value, cycles)`` logs one access.
         self.append = append
 
-    def __len__(self) -> int:
-        return len(self.kinds)
+    @classmethod
+    def sealed(cls, memory_map: MemoryMap, flat: Sequence[int],
+               out_indices: Iterable[int]) -> "AccessLog":
+        """The log of ``flat``, ``(kind, waddr, value, cycles)`` per access
+        laid end to end, whose writes into MMIO are the accesses at
+        ``out_indices``; each column is one stride slice of ``flat``."""
+        outs = array("B", bytes(len(flat) >> 2))
+        for i in out_indices:
+            outs[i] = 1
+        return cls(memory_map, [array(code, flat[j::4])
+                                for j, (_, code) in enumerate(COLUMNS[:4])]
+                   + [outs])
 
 
 class CompiledTrace:
@@ -97,9 +109,7 @@ class CompiledTrace:
 
     __slots__ = (
         "n", "kinds", "waddrs", "values", "cycles", "out_writes",
-        "cum_cycles", "false_writes", "digest", "_vol_masks",
-        "_scan_arrays", "_prefix_ids", "_pi_masks", "_c_scratch", "_c_out",
-        "_pi_hazards", "_windex", "_forced_masks", "text_range",
+        "cum_cycles", "false_writes", "digest", "_memo", "text_range",
         "section_tables",
     )
 
@@ -122,16 +132,15 @@ class CompiledTrace:
                 false_writes[i] = 1
             view[w] = v
         self.digest = trace.digest
-        self._vol_masks: Dict[Tuple[Tuple[int, int], ...], bytes] = {}
-        self._scan_arrays: Dict[Tuple[int, int], tuple] = {}
-        self._prefix_ids: Dict[int, tuple] = {}
-        self._pi_masks: Dict[tuple, array] = {}
-        self._c_scratch: Dict[int, tuple] = {}
-        self._c_out: Optional[tuple] = None
-        self._pi_hazards: Dict[tuple, bool] = {}
-        self._windex: Optional[Dict[int, list]] = None
-        self._forced_masks: Dict[frozenset, array] = {}
+        self._memo: Dict[tuple, object] = {}
         self.section_tables = None
+
+    def _memoized(self, key: tuple, build):
+        """``build()``, computed once per ``key`` for this trace."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def volatile_mask(self, volatile_ranges: Sequence[Tuple[int, int]]) -> bytes:
         """Per-access mask: 1 where the access falls in a volatile range
@@ -139,12 +148,8 @@ class CompiledTrace:
         hot loop does one indexed fetch instead of a per-access range scan.
         """
         key = tuple(volatile_ranges)
-        mask = self._vol_masks.get(key)
-        if mask is None:
-            mask = bytes(any(lo <= w < hi for lo, hi in key)
-                         for w in self.waddrs)
-            self._vol_masks[key] = mask
-        return mask
+        return self._memoized(("volatile", key), lambda: bytes(
+            any(lo <= w < hi for lo, hi in key) for w in self.waddrs))
 
     def scan_arrays(self, text_lo: int, text_hi: int) -> Tuple[array, array, int]:
         """``(ops, word_ids, n_words)`` for the section-structure scan.
@@ -159,19 +164,14 @@ class CompiledTrace:
         amortizes over every configuration a sweep replays the trace
         under.  Memoized per ``(text_lo, text_hi)``.
         """
-        key = (text_lo, text_hi)
-        cached = self._scan_arrays.get(key)
-        if cached is None:
-            ids: Dict[int, int] = {}
-            intern = ids.setdefault
-            wids = array("i", [intern(w, len(ids)) for w in self.waddrs])
+        def build():
             ops = array("B", [
                 k | (text_lo <= w < text_hi) << 1 | o << 2 | f << 3
                 for k, w, o, f in zip(self.kinds, self.waddrs,
                                       self.out_writes, self.false_writes)
             ])
-            cached = self._scan_arrays[key] = (ops, wids, len(ids))
-        return cached
+            return (ops, *_dense_ids(self.waddrs))
+        return self._memoized(("scan", text_lo, text_hi), build)
 
     def prefix_ids(self, shift: int) -> Tuple[array, int]:
         """``(prefix_ids, n_prefixes)``: dense ``int32`` ids of
@@ -181,14 +181,8 @@ class CompiledTrace:
         membership over them, so they get the same dense-id treatment as
         :meth:`scan_arrays`.  Memoized per ``shift``.
         """
-        cached = self._prefix_ids.get(shift)
-        if cached is None:
-            ids: Dict[int, int] = {}
-            intern = ids.setdefault
-            pids = array("i", [intern(w >> shift, len(ids))
-                               for w in self.waddrs])
-            cached = self._prefix_ids[shift] = (pids, len(ids))
-        return cached
+        return self._memoized(("prefix", shift), lambda: _dense_ids(
+            [w >> shift for w in self.waddrs]))
 
     def pi_write_hazard(self, pi_words, pi_indices) -> bool:
         """Whether an access-marked PI write shares a word with a tracked
@@ -197,9 +191,7 @@ class CompiledTrace:
         alone, so it is memoized here and shared by every configuration
         a sweep replays the trace under.
         """
-        key = (pi_words, pi_indices)
-        hazard = self._pi_hazards.get(key)
-        if hazard is None:
+        def build():
             kinds = self.kinds
             waddrs = self.waddrs
             pi_written = {
@@ -207,13 +199,12 @@ class CompiledTrace:
                 for j in pi_indices
                 if j < self.n and kinds[j] != READ
             } - set(pi_words or ())
-            hazard = bool(pi_written) and any(
+            return bool(pi_written) and any(
                 k and not o and w in pi_written and m not in pi_indices
                 for m, k, w, o in zip(range(self.n), kinds, waddrs,
                                       self.out_writes)
             )
-            self._pi_hazards[key] = hazard
-        return hazard
+        return self._memoized(("pi_hazard", pi_words, pi_indices), build)
 
     def write_index(self) -> Dict[int, list]:
         """Ascending write indices per word address (memoized).
@@ -222,14 +213,13 @@ class CompiledTrace:
         per trace instead of once per
         :class:`~repro.sim.sections.SectionMap`.
         """
-        windex = self._windex
-        if windex is None:
-            windex = {}
+        def build():
+            windex: Dict[int, list] = {}
             waddrs = self.waddrs
             for j in compress(range(self.n), self.kinds):
                 windex.setdefault(waddrs[j], []).append(j)
-            self._windex = windex
-        return windex
+            return windex
+        return self._memoized(("windex",), build)
 
     # ----------------------------------------------------------------- #
     # C-kernel buffers (repro.core.cext).  All memoized: built once per
@@ -240,14 +230,13 @@ class CompiledTrace:
         """Compiler-checkpoint mask (``uint8``, length ``n + 1``) of the C
         section walk: ``mask[f]`` is 1 for each ``f <= n`` in ``forced``.
         Memoized per forced set, so every map of one marking shares it."""
-        mask = self._forced_masks.get(forced)
-        if mask is None:
+        def build():
             mask = array("B", bytes(self.n + 1))
             for f in forced:
                 if f <= self.n:
                     mask[f] = 1
-            self._forced_masks[forced] = mask
-        return mask
+            return mask
+        return self._memoized(("forced", forced), build)
 
     def pi_mask_buffer(self, pi_words, pi_indices) -> array:
         """Per-access Program-Idempotent membership mask (``uint8``).
@@ -258,16 +247,14 @@ class CompiledTrace:
         Memoized per ``(pi_words, pi_indices)`` — a trace sees at most a
         handful of distinct markings across a whole sweep.
         """
-        key = (pi_words, pi_indices)
-        mask = self._pi_masks.get(key)
-        if mask is None:
+        def build():
             words = pi_words or ()
             mask = array("B", [w in words for w in self.waddrs])
             for i in pi_indices or ():
                 if 0 <= i < self.n:
                     mask[i] = 1
-            self._pi_masks[key] = mask
-        return mask
+            return mask
+        return self._memoized(("pi_mask", pi_words, pi_indices), build)
 
     def c_chain_scratch(
         self, n_words: int, shift: int, n_prefixes: int
@@ -280,17 +267,8 @@ class CompiledTrace:
         across calls, so sharing is exactly as safe as the Python
         :class:`~repro.core.detector.ChainScratch` it mirrors.
         """
-        cached = self._c_scratch.get(shift)
-        if cached is None:
-            cached = (
-                array("i", [0]),
-                array("i", bytes(4 * n_words)),
-                array("i", bytes(4 * n_words)),
-                array("i", bytes(4 * n_words)),
-                array("i", bytes(4 * max(n_prefixes, 1))),
-            )
-            self._c_scratch[shift] = cached
-        return cached
+        return self._memoized(("chain", shift), lambda: _stamp_scratch(
+            n_words, n_prefixes, 1))
 
     def c_family_scratch(
         self, n_words: int, shift: int, n_prefixes: int, nk: int
@@ -306,18 +284,8 @@ class CompiledTrace:
         engine on this trace with the same ``(shift, nk)`` and never
         re-zeroed.
         """
-        key = ("family", shift, nk)
-        cached = self._c_scratch.get(key)
-        if cached is None:
-            cached = (
-                array("i", [0]),
-                array("i", bytes(4 * n_words * nk)),
-                array("i", bytes(4 * n_words * nk)),
-                array("i", bytes(4 * n_words * nk)),
-                array("i", bytes(4 * max(n_prefixes, 1) * nk)),
-            )
-            self._c_scratch[key] = cached
-        return cached
+        return self._memoized(("family", shift, nk), lambda: _stamp_scratch(
+            n_words, n_prefixes, nk))
 
     def c_chain_outputs(self) -> tuple:
         """Staging buffers the C kernel writes section records into.
@@ -327,10 +295,9 @@ class CompiledTrace:
         the WBB can grow at most once per access.  Shared per trace and
         overwritten by each scan; callers copy out what they keep.
         """
-        cached = self._c_out
-        if cached is None:
+        def build():
             max_secs = 3 * self.n + 16
-            cached = (
+            return (
                 array("i", bytes(4 * max_secs)),
                 array("B", bytes(max_secs)),
                 array("i", bytes(4 * max_secs)),
@@ -339,8 +306,23 @@ class CompiledTrace:
                 array("i", bytes(4 * (self.n + 1))),
                 array("i", bytes(4 * (self.n + 2))),
             )
-            self._c_out = cached
-        return cached
+        return self._memoized(("outputs",), build)
+
+
+def _dense_ids(keys) -> Tuple[array, int]:
+    """``int32`` ids ``[0, n)`` of ``keys`` in first-seen order, and n."""
+    ids: Dict[int, int] = {}
+    intern = ids.setdefault
+    return array("i", [intern(k, len(ids)) for k in keys]), len(ids)
+
+
+def _stamp_scratch(n_words: int, n_prefixes: int, nk: int) -> tuple:
+    """``(gen, rf, wf, wbb, apb)``: a generation counter and zeroed int32
+    membership blocks for ``nk`` scan members."""
+    return (array("i", [0]),) + tuple(
+        array("i", bytes(4 * n * nk))
+        for n in (n_words, n_words, n_words, max(n_prefixes, 1)))
+
 
 #: Marker kinds emitted by the tracing memory at function boundaries.  The
 #: Ratchet baseline (compiler-only idempotency, Section 2.2 / Table 3)

@@ -198,18 +198,23 @@ def test_overflow_retry_is_exact(monkeypatch):
 def test_single_member_degrades_to_scalar(monkeypatch):
     # A one-config family is a one-member pass (or, without the kernel,
     # no pass); the family counters must not claim a batched pass for
-    # it.
+    # it, and the map counts as built scalar exactly when it is scanned.
     trace = get_trace("crc", "small")
     config = ClankConfig.from_tuple((8, 4, 2, 0))
+    sections.clear_cache()
     before = sections.cache_stats()
     maps = build_family(trace, [config])
     after = sections.cache_stats()
+    build_family(trace, [config])  # already enumerated: no second scan
+    assert sections.cache_stats()["scalar_maps"] == after["scalar_maps"]
     if cext.chain_scan_lib() is None:
         assert maps[0]._flat is None
     else:
         assert _flat_chain(maps[0]) == _scalar_tables(trace, [config])[0]
     assert after["family_passes"] == before["family_passes"]
     assert after["family_maps"] == before["family_maps"]
+    scanned = cext.chain_scan_lib() is not None
+    assert after["scalar_maps"] == before["scalar_maps"] + scanned
 
 
 def test_family_counters_and_cache_population(monkeypatch):
@@ -222,6 +227,7 @@ def test_family_counters_and_cache_population(monkeypatch):
     after = sections.cache_stats()
     assert after["family_passes"] == before["family_passes"] + 1
     assert after["family_maps"] == before["family_maps"] + len(grid)
+    assert after["scalar_maps"] == before["scalar_maps"]
     # Every member is now cache-resident: no further scans needed.
     stats0 = sections.cache_stats()
     for cfg in grid:

@@ -103,23 +103,36 @@ class TestProfiler:
             pass
         text = p.table({
             "traces.hits": 3, "traces.misses": 1,
+            "traces.build_seconds": 0.25,
             "dispatch.fast": 9, "dispatch.reasons.verify": 1,
             "sections.hits": 6, "sections.misses": 4,
             "sections.family_passes": 1, "sections.family_maps": 3,
+            "sections.scalar_maps": 1,
             "sections.family_by_trace.crc": 3,
             "cache.hits": 1, "cache.misses": 1, "cache.puts": 2,
         }, [_rec("crc", 0.5)])
         assert "experiment drivers" in text
         assert "fig5" in text
         assert "simulator time by workload (1 runs, 0.500s total)" in text
-        assert "75.0% hit rate" in text
+        assert "75.0% hit rate); misses built in 0.250s" in text
         assert "9 fast / 1 fallback (90.0% fast)" in text
         assert "fallback reasons: verify 1" in text
         assert "6 warm from memory, 4 cold" in text
         assert "3 maps in 1 trace passes (3.0 maps/pass)" in text
-        assert "1 built scalar" in text
+        assert "(3.0 maps/pass); 1 built scalar" in text
         assert "by trace: crc 3" in text
         assert "1 hits / 1 misses (50.0% hit rate), 2 puts" in text
+
+    def test_built_scalar_counts_enumerated_maps_only(self):
+        # Section-map misses that no pass enumerates (the maps of runs
+        # that never walk) are not counted as built scalar.
+        text = Profiler().table({
+            "sections.hits": 0, "sections.misses": 20,
+            "sections.family_passes": 2, "sections.family_maps": 10,
+            "sections.scalar_maps": 3,
+        })
+        assert ("10 maps in 2 trace passes (5.0 maps/pass); "
+                "3 built scalar") in text
 
     def test_table_empty_profiler(self):
         assert Profiler().table() == "run profile"
@@ -163,11 +176,17 @@ class TestCacheStats:
         clear_trace_cache()
         COUNTERS.reset()
         get_trace("crc", size="tiny")
+        built = cache_stats()["build_seconds"]
         get_trace("crc", size="tiny")
         stats = cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["entries"] == 1
+        # Only the miss built, so only it is timed.
+        assert built > 0.0
+        assert stats["build_seconds"] == built
+        assert f"misses built in {built:.3f}s" in Profiler().table(
+            COUNTERS.snapshot())
 
     def test_clear_cache_forces_miss(self):
         clear_trace_cache()

@@ -3,9 +3,10 @@
 Traces are stored as typed ``array`` columns and every derived form
 (compiled columns, scan/prefix ids, Program-Idempotence and epoch
 marking, final memory, validation) is a pass over them.  Hypothesis
-drives random programs through :class:`TracedMemory`; a recorder
-subclass also keeps the log as a plain list of :class:`Access` objects,
-and the oracle functions below recompute each product the per-object
+drives random programs through :class:`TracedMemory` and, alongside, a
+subclass of the per-call capture oracle that also keeps the log as a
+plain list of :class:`Access` objects; the oracle functions below
+recompute each product of the ``TracedMemory`` trace the per-object
 way, one access at a time.
 """
 
@@ -25,14 +26,15 @@ from repro.compiler.program_idempotence import profile_program_idempotent
 from repro.mem.traced import TracedMemory
 from repro.trace.access import READ, WRITE, Access
 from repro.trace.trace import COLUMNS, Trace
+from tests.traced_oracle import OracleMemory as CallOracle
 
 TEXT = 0x0000_0000
 DATA = 0x2000_0000
 UNMAPPED = 0x6000_0000  # outside every segment: an output, but not MMIO
 
 
-class OracleMemory(TracedMemory):
-    """A :class:`TracedMemory` that also logs one ``Access`` per access."""
+class OracleMemory(CallOracle):
+    """The per-call capture oracle, also logging one ``Access`` per access."""
 
     def __init__(self, name):
         super().__init__(name)
@@ -187,25 +189,30 @@ programs = st.lists(steps, min_size=0, max_size=80)
 
 
 def run_program(program):
-    """Record ``program`` and return ``(trace, oracle access list)``."""
-    mem = OracleMemory("gen")
-    mem.init_words(TEXT, [0x1111_0000 + i for i in range(6)])
-    mem.init_words(DATA, [7, 0, 7, 3, 0, 9])
-    for step in program:
-        op = step[0]
-        if op == "load":
-            _, base, word, size, lane = step
-            mem.load(base + 4 * word + lane % (4 // size) * size, size)
-        elif op == "store":
-            _, base, word, size, lane, value = step
-            mem.store(base + 4 * word + lane % (4 // size) * size, value, size)
-        elif op == "out":
-            mem.out(step[1], step[2])
-        elif op == "tick":
-            mem.tick(step[1])
-        else:
-            getattr(mem, op)("f")
-    return mem.finish(checksum=len(program)), mem.oracle
+    """Record ``program`` through :class:`TracedMemory` and the oracle;
+    return ``(TracedMemory trace, oracle access list)``."""
+    mem, ref = TracedMemory("gen"), OracleMemory("gen")
+    for m in (mem, ref):
+        m.init_words(TEXT, [0x1111_0000 + i for i in range(6)])
+        m.init_words(DATA, [7, 0, 7, 3, 0, 9])
+        for step in program:
+            op = step[0]
+            if op == "load":
+                _, base, word, size, lane = step
+                m.load(base + 4 * word + lane % (4 // size) * size, size)
+            elif op == "store":
+                _, base, word, size, lane, value = step
+                m.store(base + 4 * word + lane % (4 // size) * size, value,
+                        size)
+            elif op == "out":
+                m.out(step[1], step[2])
+            elif op == "tick":
+                m.tick(step[1])
+            else:
+                getattr(m, op)("f")
+    trace = mem.finish(checksum=len(program))
+    assert trace.digest == ref.finish(checksum=len(program)).digest
+    return trace, ref.oracle
 
 
 @settings(max_examples=150, deadline=None)

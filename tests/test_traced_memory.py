@@ -1,10 +1,14 @@
 """Unit tests for the instrumented TracedMemory."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.common.errors import MemoryError_
 from repro.mem.traced import LOAD_CYCLES, MUL_CYCLES, STORE_CYCLES, TracedMemory
 from repro.trace.access import READ, WRITE
+from repro.trace.trace import COLUMNS
+from tests.traced_oracle import OracleMemory
 
 
 def fresh(name="t"):
@@ -152,3 +156,70 @@ class TestTracing:
         trace = mem.finish(checksum=total)
         trace.validate()
         assert trace.checksum == total
+
+
+# ---- differential capture against the per-call oracle ------------------ #
+
+TEXT, DATA, UNMAPPED, MMIO = 0x0, 0x2000_0000, 0x6000_0000, 0x4000_0000
+_bases = st.sampled_from([DATA, DATA, TEXT, UNMAPPED, MMIO])
+_words = st.integers(0, 5)
+_offsets = st.integers(0, 3)  # any byte lane: misaligned ones included
+_values = st.integers(0, 0xFFFF_FFFF) | st.integers(-(1 << 40), 1 << 40)
+_steps = st.one_of(
+    st.tuples(st.sampled_from(["lw", "lh", "lb"]), _bases, _words, _offsets),
+    st.tuples(st.sampled_from(["sw", "sh", "sb"]), _bases, _words, _offsets,
+              _values),
+    st.tuples(st.just("load"), _bases, _words, _offsets,
+              st.sampled_from([1, 2, 4, 3])),
+    st.tuples(st.just("store"), _bases, _words, _offsets,
+              st.sampled_from([1, 2, 4, 3]), _values),
+    st.tuples(st.just("tick"), st.integers(0, 60)),
+    st.tuples(st.just("mul_tick")),
+    st.tuples(st.sampled_from(["fmul_tick", "fadd_tick"]), st.integers(0, 3)),
+    st.tuples(st.just("out"), st.sampled_from([0, 1, 16383, 16384, 1 << 20, -1]),
+              _values),
+    st.tuples(st.sampled_from(["call", "ret"]), st.sampled_from(["f", "g", ""])),
+    st.tuples(st.just("init_words"), _bases, _words,
+              st.lists(_values, max_size=3)),
+    st.tuples(st.just("init_bytes"), _bases, _words, _offsets,
+              st.binary(max_size=6)),
+)
+
+
+def _apply(mem, step):
+    """Run one step; its return value or ``(error type, message)``."""
+    op, args = step[0], step[1:]
+    if op in ("lw", "lh", "lb", "sw", "sh", "sb", "load", "store",
+              "init_words", "init_bytes"):
+        base, word, *rest = args
+        addr = base + 4 * word
+        if op != "init_words":
+            addr += rest.pop(0)  # byte offset
+        if op == "store":
+            rest.reverse()  # (size, value) -> store(addr, value, size)
+        args = (addr, *rest)
+    try:
+        return getattr(mem, op)(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=st.lists(_steps, max_size=60), overhead=st.integers(0, 4),
+       checksum=st.integers(0, 1 << 33))
+def test_capture_matches_per_call_oracle(program, overhead, checksum):
+    """The closure path records exactly what the per-call path does."""
+    mem = TracedMemory("gen", compute_overhead=overhead)
+    ref = OracleMemory("gen", compute_overhead=overhead)
+    for step in program:
+        assert _apply(mem, step) == _apply(ref, step), step
+    got, want = mem.finish(checksum), ref.finish(checksum)
+    for name, _ in COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(got, name).typecode == getattr(want, name).typecode
+    assert got.initial_image == want.initial_image
+    assert got.markers == want.markers
+    assert (got.final_cycles, got.checksum, got.code_bytes) == (
+        want.final_cycles, want.checksum, want.code_bytes)
+    assert got.digest == want.digest
+    assert _apply(mem, ("finish",)) == _apply(ref, ("finish",))
