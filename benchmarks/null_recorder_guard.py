@@ -47,9 +47,10 @@ A fifth check guards architectural introspection
 (:mod:`repro.obs.analyze`): the shared :data:`~repro.obs.analyze.COLLECTOR`
 must be disabled by default, introspection-off ``execute_job`` sweeps
 (:data:`ARCH_SALTS` schedules per configuration) must stay within the
-arch threshold (default 2%) of ledger-off baseline sweeps they
-alternate with (both engines pay exactly one flag check per run when
-it is off), and a collector-on sweep must fold every run and reconcile
+arch threshold (default 2%) of the baseline sweeps they alternate with,
+which run the same jobs with the collector swapped for
+:class:`NoCollector` (both engines pay exactly one flag check per run
+when it is off), and a collector-on sweep must fold every run and reconcile
 its cause totals exactly against the per-run ``checkpoints_by_cause``.
 
 A sixth check guards the persistent result store
@@ -103,6 +104,8 @@ import tempfile
 import time
 
 import repro.cache as artifact_cache
+import repro.eval.parallel as parallel_mod
+import repro.sim.batch as batch_mod
 from repro.core.config import ClankConfig
 from repro.eval.parallel import SimJob, execute_job, run_jobs
 from repro.eval.settings import EvalSettings
@@ -143,6 +146,28 @@ TRACING_SALTS = 384
 #: Minimum alternating pairs of the NullRecorder, compiled-replay and
 #: tracing checks.
 TIMED_PAIRS = 25
+
+
+class NoCollector:
+    """The arch check's baseline stand-in for the collector: ``enabled``
+    is a plain ``False`` class attribute, so the baseline sweep pays
+    nothing for introspection being off."""
+
+    enabled = False
+
+
+def without_collector(sweep):
+    """``sweep`` with :class:`NoCollector` in place of the collector
+    where the walk path asks it (``repro.sim.batch`` and
+    ``repro.eval.parallel``)."""
+    def run():
+        saved = batch_mod.ARCH_COLLECTOR, parallel_mod.ARCH_COLLECTOR
+        batch_mod.ARCH_COLLECTOR = parallel_mod.ARCH_COLLECTOR = NoCollector
+        try:
+            return sweep()
+        finally:
+            batch_mod.ARCH_COLLECTOR, parallel_mod.ARCH_COLLECTOR = saved
+    return run
 
 
 def run_one(trace, spec, settings, salt, recorder=None):
@@ -389,8 +414,8 @@ def main(argv=None) -> int:
 
     # Architectural-introspection guard.  Off is the default and must
     # stay free: the engines ask the collector once per run and get None.
-    # Its sweeps alternate with ledger-off baseline sweeps in pairs, like
-    # the checks above, over 100 ms or more each.
+    # Its sweeps alternate with no-collector baseline sweeps in pairs,
+    # like the checks above, over 100 ms or more each.
     arch_ok = not COLLECTOR.enabled
     if not arch_ok:
         fail("arch", "arch collector is enabled by default")
@@ -402,16 +427,16 @@ def main(argv=None) -> int:
     ]
     execute_seconds(arch_jobs, settings)  # warm-up: the new schedules
 
-    def arch_baseline_seconds() -> float:
-        LEDGER.disable()
-        return execute_seconds(arch_jobs, settings)
-
+    # The baseline runs the same sweep with the collector swapped for a
+    # stub whose ``enabled`` is a plain False, so the ratio measures what
+    # the real, disabled collector costs the walk path.
+    LEDGER.disable()
     ratio, q1, q3, arch_base, arch_off = paired_ratio(
-        arch_baseline_seconds,
+        without_collector(lambda: execute_seconds(arch_jobs, settings)),
         lambda: execute_seconds(arch_jobs, settings),
         pairs,
     )
-    print(f"ledger-off baseline: {arch_base:.3f}s "
+    print(f"no-collector baseline: {arch_base:.3f}s "
           f"(best of {pairs} sweeps of {len(arch_jobs)} runs)")
     print(f"arch collector off:  {arch_off:.3f}s")
     print(f"ratio: {ratio:.4f} median of {pairs} pairs "

@@ -11,5 +11,5 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

@@ -41,8 +41,8 @@
 #define F_LATEST_CHECKPOINT 32
 #define F_HAS_PI 64
 /* Scan only the first section, recording its direct-commit (write-first
- * path) trace indices into dw_out — the lazy derivation behind
- * SectionMap.watchdog_cut_safe. */
+ * path) trace indices into dw_out — what the section walk's watchdog-cut
+ * decision (sw_cut_safe) reads. */
 #define F_FIRST_DW 128
 
 /* ops[i] bits (CompiledTrace.scan_arrays): 1 write, 2 text, 4 output
@@ -386,11 +386,12 @@ int64_t chain_scan(
 }
 
 /* ------------------------------------------------------------------ *
- * Section walk: one power schedule replayed over a SectionMap.
+ * Section walk: power schedules replayed over SectionMaps.
  *
- * The one section walk: it serves scalar runs (``simulate_fast``) and
- * batched schedule rows (``repro.sim.batch``) alike, and is pinned
- * against the reference ``repro.sim.simulator.IntermittentSimulator``.
+ * The one section walk: ``group_walk`` walks every row of a
+ * ``repro.sim.batch.simulate_batch`` group, scalar runs
+ * (``simulate_fast``) being groups of one, and is pinned against the
+ * reference ``repro.sim.simulator.IntermittentSimulator``.
  * Within one section attempt the only schedule-dependent questions are
  * which access the remaining on-time cannot complete and which access a
  * watchdog fires after, both a bisection over the trace's cycle prefix
@@ -405,31 +406,38 @@ int64_t chain_scan(
  * the caller rebuilds ``checkpoints_by_cause`` in the reference's key
  * order.
  *
- * One call replays until the run finishes or needs Python — a section
- * neither table holds, more schedule on-times, a ``watchdog_cut_safe``
- * verdict, or (under P_ARCH) the record of a commit — and is then
- * re-entered with the same state array once Python has supplied what was
- * missing.  Resumability is by construction: every return to Python
- * happens either before any state mutation of the current section
- * attempt (SW_NEED_SECTION, SW_NEED_CUT — the re-entered walk re-derives
- * the identical decision point), with the attempt fully accounted and
- * only the restart sequence pending (SW_NEED_ONTIMES, marked by
- * PH_RESTART, where each restart iteration is itself atomic around its
- * single schedule draw), or right after a commit (SW_COMMIT, resuming at
- * the next section, the output's GO phase (PH_GO) or the finished run
- * (PH_DONE)).  SW_STALL ends the run where the reference raises its
- * no-forward-progress error; SW_REACH_FULL hands a run whose failed-cycle
- * reaches overflow their buffer to the reference.
+ * The group's rows sit in one int64 buffer (R_* slots: map table, walk
+ * parameters, on-time array, end code, run state), walked one
+ * after another from a cursor.  A watchdog cut below the furthest
+ * executed index under ignore-false-writes is decided here
+ * (sw_cut_safe).  One call walks until every row has ended or a row
+ * needs Python — a section neither table holds, more schedule on-times,
+ * a section's direct writes for a cut decision, or (under P_ARCH) the
+ * record of a commit — and is then re-entered with the same buffer once
+ * Python has supplied what was missing.  Resumability is by
+ * construction: every return to Python happens either before any state
+ * mutation of the current section attempt (SW_NEED_SECTION, SW_NEED_DW
+ * — the re-entered walk re-derives the identical decision point), with
+ * the attempt fully accounted and only the restart sequence pending
+ * (SW_NEED_ONTIMES, marked by PH_RESTART, where each restart iteration
+ * is itself atomic around its single schedule draw), or right after a
+ * commit (SW_COMMIT, resuming at the next section, the output's GO phase
+ * (PH_GO) or the finished run (PH_DONE)).  A row ends with its end code
+ * in R_END: SW_DONE, SW_STALL where the reference raises its
+ * no-forward-progress error, or SW_CUT_UNSAFE and SW_REACH_FULL (a cut
+ * the walk cannot carry, failed-cycle reaches that overflow their
+ * buffer) for the reference to rerun.
  */
 
 /* Stop codes. */
 #define SW_DONE 0
 #define SW_NEED_SECTION 1   /* st[ST_OUT] = (start<<2)|variant */
 #define SW_NEED_ONTIMES 2
-#define SW_NEED_CUT 3       /* st[ST_OUT..+3] = start, variant, cut, furthest */
+#define SW_NEED_DW 3        /* st[ST_OUT] = key of a section to cut */
 #define SW_REACH_FULL 4
 #define SW_STALL 5          /* st[ST_OUT] = trace position, -1 at restart */
 #define SW_COMMIT 6         /* st[ST_COMMIT..+6] describe the commit */
+#define SW_CUT_UNSAFE 7
 
 /* Watchdog cause ids follow the section causes. */
 #define CAUSE_PROGRESS_WDT 10
@@ -454,6 +462,20 @@ int64_t chain_scan(
 #define T_OV_SOFF 14    /* int64 offset into T_OV_STEPS */
 #define T_OV_NST 15     /* int32 step count */
 #define T_OV_STEPS 16   /* int32 */
+/* The cut decision's buffers, filled with the first direct writes. */
+#define T_DW_KEYS 17    /* sorted int64 keys of sections with direct writes */
+#define T_DW_N 18
+#define T_DW_OFF 19     /* int64 offset into T_DW_IDX */
+#define T_DW_CNT 20     /* int32 */
+#define T_DW_IDX 21     /* int32 ascending direct-write indices */
+#define T_WIDS 22       /* [n] int32 dense word ids */
+#define T_WOFF 23       /* [n_words+1] int32: word v's writes at */
+#define T_WIDX 24       /*   int32 T_WIDX[T_WOFF[v]..T_WOFF[v+1]) */
+#define T_VALUES 25     /* [n] uint32 */
+#define T_FALSE_W 26    /* [n] uint8 false-write flags */
+#define T_OUT_W 27      /* [n] uint8 output-write flags */
+#define T_PI_ACC 28     /* [n] uint8 access-marked PI mask, or 0 */
+#define T_SEEN 29       /* [1+n_words] int32 stamps after the generation */
 
 /* Per-run parameters. */
 #define P_BASE_CK 0
@@ -508,6 +530,15 @@ int64_t chain_scan(
 #define CM_CUT 0            /* a watchdog checkpoint inside the section */
 #define CM_WHOLE 1          /* the checkpoint at the section's boundary */
 #define CM_POST 2           /* an output's GO-phase post-checkpoint */
+#define ST_LEN 60
+
+/* One row of a group (int64 slots). */
+#define R_TAB 0             /* the row's map table (T_* slots) */
+#define R_PRM 1             /* its walk parameters (P_* slots) */
+#define R_ON 2              /* its on-time array: a slot of the on-time table */
+#define R_END 3             /* -1 while walking, then the end code */
+#define R_ST 4              /* [ST_LEN] run state */
+#define R_LEN (R_ST + ST_LEN)
 
 #define PH_WALK 0
 #define PH_RESTART 1        /* mid power-loss: resume the boot loop */
@@ -619,6 +650,74 @@ static int sw_lookup(const int64_t *tab, int64_t key, int64_t *st,
         + SW_PTR(const int64_t, T_OV_SOFF)[j];
     sec->nsteps = SW_PTR(const int32_t, T_OV_NST)[j];
     return 0;
+}
+
+/* Whether a watchdog cut at ``p``, inside the section ``key`` of a run
+ * whose furthest executed index is ``f`` (> p), keeps the walk exact under
+ * ignore-false-writes: 1, 0 for a cut the reference must rerun, or -1
+ * until the section's direct writes are loaded (SW_NEED_DW).  Failed
+ * cycles of this section that reached past ``p`` may have left their
+ * direct commits at [p, f) in non-volatile memory.  For each such word,
+ * the stale value is the last direct write below the latest such reach
+ * past the word's first stale write; the cut is unsafe iff it flips the
+ * false-write class of the word's first non-output write at or above
+ * ``p`` (no write of the word in [start, p), not an access-marked PI
+ * write).  The test oracle (tests/cut_oracle.py) carries the proof. */
+static int sw_cut_safe(const int64_t *tab, int64_t key, int64_t p, int64_t f,
+                       const int64_t *reach, int64_t nreach)
+{
+    const int64_t s = key >> 2;
+    const int32_t *dw, *wids, *woff, *widx;
+    const uint32_t *values;
+    const uint8_t *false_w, *out_w, *pi_acc;
+    int32_t *seen;
+    int32_t m, lo, hi, k, g;
+    int64_t j, t;
+    for (t = 0; t < nreach; t++)
+        if (reach[2 * t] > p && reach[2 * t + 1] == s) break;
+    if (t == nreach) return 1;
+    j = sw_search(SW_PTR(const int64_t, T_DW_KEYS), tab[T_DW_N], key);
+    if (j < 0) return -1;
+    dw = SW_PTR(const int32_t, T_DW_IDX) + SW_PTR(const int64_t, T_DW_OFF)[j];
+    m = SW_PTR(const int32_t, T_DW_CNT)[j];
+    lo = sw_bisect_left32(dw, (int32_t)p, 0, m);
+    hi = sw_bisect_left32(dw, (int32_t)f, lo, m);
+    if (lo >= hi) return 1;
+    wids = SW_PTR(const int32_t, T_WIDS);
+    woff = SW_PTR(const int32_t, T_WOFF);
+    widx = SW_PTR(const int32_t, T_WIDX);
+    values = SW_PTR(const uint32_t, T_VALUES);
+    false_w = SW_PTR(const uint8_t, T_FALSE_W);
+    out_w = SW_PTR(const uint8_t, T_OUT_W);
+    pi_acc = SW_PTR(const uint8_t, T_PI_ACC);
+    seen = SW_PTR(int32_t, T_SEEN);
+    g = ++seen[0];
+    for (k = lo; k < hi; k++) {
+        const int32_t d0 = dw[k], v = wids[d0];
+        int64_t r = -1;
+        int32_t a, b, q, jj;
+        if (seen[1 + v] == g) continue;  /* judged at its first stale write */
+        seen[1 + v] = g;
+        for (t = nreach - 1; t >= 0; t--) {
+            if (reach[2 * t + 1] == s && reach[2 * t] > d0) {
+                r = reach[2 * t];
+                break;
+            }
+        }
+        if (r < 0) continue;  /* no failed cycle executed d0 */
+        a = woff[v];
+        b = woff[v + 1];
+        q = sw_bisect_left32(widx, (int32_t)p, a, b);
+        if (q > a && widx[q - 1] >= s) continue;  /* re-committed below p */
+        while (q < b && out_w[widx[q]]) q++;
+        if (q == b) continue;  /* never consulted again */
+        q = widx[q];
+        if (pi_acc && pi_acc[q]) continue;  /* re-commits directly */
+        jj = sw_bisect_left32(dw, (int32_t)r, k, m) - 1;
+        while (wids[dw[jj]] != v) jj--;
+        if ((values[q] == values[dw[jj]]) != false_w[q]) return 0;
+    }
+    return 1;
 }
 
 /* One committed checkpoint of cause ``cid``. */
@@ -818,14 +917,16 @@ static int sw_go(const int64_t *acc, const int64_t *ontimes,
         if (rc_) return rc_;                                            \
     } while (0)
 
-int64_t section_walk(
+/* Walk one row: until it ends (SW_DONE, SW_STALL, SW_CUT_UNSAFE,
+ * SW_REACH_FULL) or needs Python. */
+static int64_t sw_walk(
     const int64_t *tab,        /* per-map table (T_* slots) */
     const int64_t *prm,        /* per-run parameters (P_* slots) */
     const int64_t *ontimes,    /* this run's schedule on-times so far */
     int64_t n_ontimes,
-    int32_t cut_ok,            /* 1: first cut check this call is safe */
     int64_t *st,               /* persistent run state (ST_* slots) */
-    int64_t *reach)            /* [2*reach_cap] (reach, start) pairs */
+    int64_t *reach,            /* [2*reach_cap] (reach, start) pairs */
+    int64_t *safe_cuts)        /* counts the cuts sw_cut_safe passes */
 {
     const int64_t *gcum = SW_PTR(const int64_t, T_GCUM);
     const int64_t *acc = SW_PTR(const int64_t, T_ACC);
@@ -921,16 +1022,16 @@ int64_t section_walk(
             int64_t c = base_ck
                 + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left - span >= c && ig_fw && st[ST_FURTHEST] > m1) {
-                /* The cut needs watchdog_cut_safe — decided in Python,
-                 * before any mutation so the resume re-derives it. */
-                if (cut_ok != 1) {
-                    st[ST_OUT] = s;
-                    st[ST_OUT + 1] = variant;
-                    st[ST_OUT + 2] = m1;
-                    st[ST_OUT + 3] = st[ST_FURTHEST];
-                    return SW_NEED_CUT;
+                /* Decided before any mutation, so a resume after
+                 * SW_NEED_DW re-derives the same cut. */
+                int safe = sw_cut_safe(tab, key, m1, st[ST_FURTHEST], reach,
+                                       st[ST_NREACH]);
+                if (safe < 0) {
+                    st[ST_OUT] = key;
+                    return SW_NEED_DW;
                 }
-                cut_ok = -1;
+                if (!safe) return SW_CUT_UNSAFE;
+                *safe_cuts += 1;
             }
             sw_account(m1, gcum, st);
             st[ST_ONLEFT] = on_left = on_left - span;
@@ -1026,6 +1127,36 @@ int64_t section_walk(
             SW_REPORT(CM_WHOLE, sec.cause, end, nwbb, c);
         }
     }
+}
+
+/* Walk the group's rows from row ``hdr[0]`` on, each to its end code in
+ * R_END, counting safe cuts in ``hdr[1]``; returns SW_DONE once every row
+ * has ended, else the stop code of the row at ``hdr[0]`` that needs
+ * Python.  Rows that share a schedule seed share an on-time array:
+ * ``ons[0]`` is the on-times each array holds, and ``ons[1 + k]`` the
+ * address of array ``k``. */
+int64_t group_walk(int64_t *rows, int64_t nrows, int64_t *hdr,
+                   int64_t *reach, const int64_t *ons)
+{
+    for (; hdr[0] < nrows; hdr[0]++) {
+        int64_t *row = rows + hdr[0] * R_LEN;
+        int64_t rc = sw_walk((const int64_t *)(intptr_t)row[R_TAB],
+                             (const int64_t *)(intptr_t)row[R_PRM],
+                             (const int64_t *)(intptr_t)ons[1 + row[R_ON]],
+                             ons[0], row + R_ST, reach, hdr + 1);
+        if (rc == SW_NEED_SECTION || rc == SW_NEED_ONTIMES
+            || rc == SW_NEED_DW || rc == SW_COMMIT)
+            return rc;
+        row[R_END] = rc;
+    }
+    return SW_DONE;
+}
+
+/* sw_cut_safe over ``nreach`` (reach, start) pairs, for the tests. */
+int64_t walk_cut_safe(const int64_t *tab, int64_t key, int64_t p, int64_t f,
+                      const int64_t *reach, int64_t nreach)
+{
+    return sw_cut_safe(tab, key, p, f, reach, nreach);
 }
 
 /* ------------------------------------------------------------------ *

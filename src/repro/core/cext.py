@@ -148,16 +148,18 @@ def _build() -> Optional[ctypes.CDLL]:
         p, p,                               # out_nev, out_nst
     )
     try:
-        sw = lib.section_walk
+        gw = lib.group_walk
+        cut = lib.walk_cut_safe
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
         return None
-    sw.restype = c_i64
-    sw.argtypes = (
-        p, p,                               # map table, run parameters
-        p, c_i64,                           # ontimes, n_ontimes
-        c_i32,                              # cut_ok
-        p, p,                               # run state, reaches
+    gw.restype = c_i64
+    gw.argtypes = (p, c_i64, p, p, p)       # rows, nrows, cursor and safe
+                                            # cuts, reaches, on-time table
+    cut.restype = c_i64
+    cut.argtypes = (
+        p, c_i64, c_i64, c_i64,             # map table, key, cut, furthest
+        p, c_i64,                           # reaches, n_reaches
     )
     _status = f"loaded ({so_path})"
     return lib

@@ -346,12 +346,12 @@ class IdempotencyDetector:
         * ``dw_idx`` — ascending trace indices of the section's
           write-first-path writes: the writes that commit *directly* to
           non-volatile memory with a value a later rollback does not
-          restore.  Collected only under ``collect_dw`` (the fast path's
-          stale-view safety check,
-          :meth:`repro.sim.sections.SectionMap.watchdog_cut_safe`, derives
-          them lazily for the rare sections a watchdog checkpoint actually
-          cuts); otherwise always ``()``, keeping the hot scan free of
-          per-write bookkeeping.
+          restore.  Collected only under ``collect_dw`` (the C section
+          walk's watchdog-cut decision loads them lazily, through
+          :meth:`repro.sim.sections.SectionMap.direct_writes`, for the
+          rare sections a watchdog checkpoint actually cuts); otherwise
+          always ``()``, keeping the hot scan free of per-write
+          bookkeeping.
 
         Enumerating the whole chain in one call amortizes the constant
         per-section cost (buffer reset, locals binding, call overhead)

@@ -343,14 +343,14 @@ def _restore(job: SimJob, label: str, stored):
 def _clank_kwargs(job: SimJob, trace, settings: EvalSettings) -> dict:
     """The ``simulate_batch`` keyword arguments of a Clank job: its PI or
     epoch marking, volatile ranges, watchdogs, cost model and limits."""
-    from repro.eval.runner import pi_words_for
-
     pi_words = pi_access_indices = forced_checkpoints = None
     if job.epoch_cycles > 0:
         plan = _epoch_plan(trace, job.epoch_cycles)
         pi_access_indices = plan.ignorable
         forced_checkpoints = plan.boundaries
     elif job.use_compiler:
+        from repro.eval.runner import pi_words_for
+
         pi_words = pi_words_for(trace)
     return dict(
         cost_model=_COST_MODELS[job.cost_model],
@@ -427,14 +427,19 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
             seed=settings.seed,
         ))
         configs = [config]
+    elif job.n_seeds == 1:
+        configs = [cfg for _, cfg in group]
+        schedules = ScheduleBatch(
+            settings.avg_on_cycles,
+            [settings.schedule_seed(member.salt) for member, _ in group],
+            _BATCH_SEGMENTS)
     else:
         configs, seeds = [], []
         for member, cfg in group:
             configs += [cfg] * member.n_seeds
-            seeds += [
-                settings.schedule_seed(member.salt + r * member.seed_stride)
-                for r in range(member.n_seeds)
-            ]
+            seeds += map(settings.schedule_seed, range(
+                member.salt, member.salt + member.n_seeds * member.seed_stride,
+                member.seed_stride))
         schedules = ScheduleBatch(settings.avg_on_cycles, seeds,
                                   _BATCH_SEGMENTS)
     seed_repeat = job.n_seeds > 1
@@ -486,8 +491,8 @@ def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
     (the walked rows and the job's share of set-up) goes to the first
     row, so the job's rows sum to ``seconds``.
     """
-    reruns = [r for r, engine in enumerate(batch.engines)
-              if engine != "batch"]
+    reruns = [] if batch.batch_rows == batch.rows else [
+        r for r, engine in enumerate(batch.engines) if engine != "batch"]
     rest = seconds - sum(batch.seconds[r] for r in reruns)
     rows = []
     if batch.batch_rows:
@@ -570,6 +575,8 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
             slots[i] = entry
 
     ledger = ledger or telemetry.LEDGER
+    record = ledger.record if ledger.enabled else None
+    worker, driver, epoch = os.getpid(), ledger.driver, ledger.epoch
     out = []
     for i, job in enumerate(jobs):
         slot, rkey, label = slots[i], rkeys[i], configs[i].label()
@@ -613,25 +620,13 @@ def _execute(jobs: List[SimJob], settings: EvalSettings,
                 rows = _batch_rows(job, result, seconds)
             else:
                 rows = [stamp + (1, job.salt, result is None, seconds)]
-        if ledger.enabled:
-            t_start = ledger.now() if start is None else start - ledger.epoch
-            worker = os.getpid()
+        if record is not None:
+            t_start = ledger.now() if start is None else start - epoch
             for engine, reason, kernel, n_rows, salt, stalled, wall_s in rows:
-                ledger.record(telemetry.RunRecord(
-                    workload=job.workload,
-                    config=label,
-                    engine=engine,
-                    fallback_reason=reason,
-                    kernel=kernel,
-                    result_cache=tier,
-                    size=job.size,
-                    salt=salt,
-                    driver=ledger.driver,
-                    stalled=stalled,
-                    rows=n_rows,
-                    wall_s=wall_s,
-                    t_start=t_start,
-                    worker=worker,
+                record(telemetry.RunRecord(
+                    job.workload, label, engine, reason, kernel, tier,
+                    job.size, salt, driver, stalled, n_rows, wall_s,
+                    t_start, worker,
                 ))
         out.append((value, seconds, len(ledger.records)))
     return out

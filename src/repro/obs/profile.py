@@ -126,7 +126,8 @@ def _counter_lines(counters: Dict[str, float]) -> List[str]:
     if fast or fallback:
         lines.append(
             f"-- fast-path dispatch: {fast} fast / {fallback} fallback "
-            f"({fast / (fast + fallback):.1%} fast)"
+            f"({fast / (fast + fallback):.1%} fast); "
+            f"{get('walk.calls', 0)} C walk calls"
         )
         if fallback:
             ranked = sorted(reasons.items(), key=lambda kv: -kv[1])

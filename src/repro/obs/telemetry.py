@@ -98,9 +98,13 @@ WALL_TIME_FIELDS = ("wall_s", "t_start", "worker")
 LEDGER_LINE_TYPES = frozenset(("sweep_start", "run", "driver", "sweep_end"))
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """Provenance of one policy-simulator run.
+
+    Slotted, and built positionally on the sweep's hot path: an append
+    costs about a microsecond.  The ledger file's line (:meth:`to_dict`)
+    is built only when a file is streamed.
 
     Attributes:
         workload: Workload name.

@@ -119,8 +119,9 @@ class ScheduleBatch:
     generator and one on-time array, drawn once.  Columns grow on demand
     (:meth:`ensure_columns`) when a row outlives the initial guess.
 
-    ``ontimes[i]`` is row ``i``'s on-times as one ``array('q')``,
-    so the C batch walker reads a row straight from its buffer address.
+    Row ``i``'s on-times are one ``array('q')``, ``arrays[slots[i]]``
+    (one array per distinct seed), so the C section walk reads a row
+    straight from its buffer address.
     """
 
     def __init__(self, mean_cycles: int, seeds, segments: int,
@@ -138,7 +139,9 @@ class ScheduleBatch:
         by_seed = {s: array("q") for s in self.seeds}
         self._rngs = [(random.Random(s), row) for s, row in by_seed.items()]
         self.columns = 0
-        self.ontimes = [by_seed[s] for s in self.seeds]
+        self.arrays = list(by_seed.values())
+        slot = {s: j for j, s in enumerate(by_seed)}
+        self.slots = array("q", [slot[s] for s in self.seeds])
         self.ensure_columns(segments)
 
     def ensure_columns(self, columns: int) -> None:
@@ -177,17 +180,18 @@ class ScheduleRow:
     (the same attributes), drawn on demand from the schedule itself."""
 
     rows = 1
+    slots = array("q", (0,))
 
     def __init__(self, schedule: PowerSchedule):
         schedule.reset()
         self._schedule = schedule
         self.columns = 0
-        self.ontimes = [array("q")]
+        self.arrays = [array("q")]
 
     def ensure_columns(self, columns: int) -> None:
         if columns > self.columns:
             next_on = self._schedule.next_on_time
-            self.ontimes[0].extend(
+            self.arrays[0].extend(
                 [next_on() for _ in range(columns - self.columns)]
             )
             self.columns = columns

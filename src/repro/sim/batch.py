@@ -2,22 +2,25 @@
 
 A sweep replays one trace under many configurations and schedules.
 :func:`simulate_batch` takes such a *group*: one trace and marking, and
-rows that may differ in configuration as well as in schedule seed.  Each
-row walks its configuration's :class:`~repro.sim.sections.SectionMap`
-through the C section walk (``section_walk`` in ``_chainscan.c``, driven
-by :func:`repro.sim.fast.section_walk`), one row after another over the
-:class:`~repro.power.schedules.ScheduleBatch`'s on-time arrays.  Rows that
-share a seed share one array, drawn once and grown in place.  Before the
-first row walks, the cold maps of the walkable rows' distinct
+rows that may differ in configuration as well as in schedule seed.  One
+C call walks every walkable row over its configuration's
+:class:`~repro.sim.sections.SectionMap` (``group_walk`` in
+``_chainscan.c``, driven by :func:`repro.sim.fast.walk_group`): the rows'
+map tables, walk parameters, on-time arrays and run states sit in one
+in-place buffer, and the walk returns to Python only for what a map or
+schedule still lacks.  Rows that share a seed share one on-time array of
+the :class:`~repro.power.schedules.ScheduleBatch`, drawn once and grown
+in place.  Before the walk, the cold maps of the walkable rows' distinct
 configurations are family-built together
 (:func:`~repro.sim.sections.prefetch_family`), so a group's rows decide
-which maps enumerate in one pass.
+which maps enumerate in one pass.  The rows' results are then built from
+the buffer in one pass, in row order.
 :func:`~repro.sim.fast.simulate_fast` is a one-row call.  The walk is
 *bit-identical* to the reference simulator —
 ``tests/test_fast_replay.py`` and ``tests/test_batch_replay.py`` pin this
 on fixed grids and ``tests/test_row_engine.py`` on generated sweeps —
 down to its no-forward-progress error: a row that exceeds
-``max_power_cycles`` stops in the walk, and comes back stalled (``None``
+``max_power_cycles`` ends in the walk, and comes back stalled (``None``
 under ``allow_stall``) or raises the reference's
 :class:`~repro.common.errors.SimulationError`.
 
@@ -32,8 +35,8 @@ Fallback.  A row the walk cannot carry runs on the reference simulator
 (:meth:`~repro.sim.simulator.IntermittentSimulator.run`) with its typed
 :class:`~repro.obs.telemetry.FallbackReason`: every row without the C
 kernel (``no_cext``: ``REPRO_CEXT=0`` or no compiler), ``verify``, a
-live recorder, volatile ranges, its config's static PI hazard, an
-unprovable watchdog cut (:meth:`SectionMap.watchdog_cut_safe`), or a
+live recorder, volatile ranges, its config's static PI hazard, and the
+rows the walk ended with an unsafe watchdog cut (``watchdog_cut``) or a
 reach-buffer overflow (``reach_overflow``).  The rerun starts from a
 fresh row schedule, which re-seeds and consumes the identical on-time
 sequence.  A row is therefore served by the row walk (provably
@@ -43,12 +46,14 @@ identical) or by the reference itself.
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter, is_not
 from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core import cext
-from repro.core.cext import WALK_CAUSE_NAMES
+from repro.core.cext import WALK_CAUSE_NAMES, _addr
 from repro.core.config import ClankConfig
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.metrics import COUNTERS, by_prefix
@@ -56,17 +61,18 @@ from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
 from repro.sim import fast
 from repro.sim.fast import (
-    _CM_CUT,
-    _CM_POST,
     _FAST,
+    _R_END,
+    _R_LEN,
     _REASONS,
     _ST_COMMIT,
-    _ST_INIT,
-    _SW_NEED_CUT,
+    _SW_CUT_UNSAFE,
     _SW_REACH_FULL,
     _SW_STALL,
-    section_walk,
+    _walk_table,
+    row_state,
     stall_message,
+    walk_group,
     walk_result,
 )
 from repro.sim.result import SimulationResult
@@ -125,13 +131,12 @@ class BatchResult:
     @property
     def batch_rows(self) -> int:
         """Rows served by the row walker."""
-        return sum(1 for e in self.engines if e == "batch")
+        return self.engines.count("batch")
 
     def column(self, metric: str) -> List[float]:
         """One derived metric across all completed rows, in row order."""
-        return [
-            getattr(r, metric) for r in self.results if r is not None
-        ]
+        return list(map(attrgetter(metric),
+                        filter(partial(is_not, None), self.results)))
 
     def mean_ci(self, metric: str):
         """``(mean, ci95)`` of a derived metric across completed rows.
@@ -198,9 +203,15 @@ _ROWS = COUNTERS.counter("batch.rows_batched")
 _ROWS_FALLBACK = COUNTERS.counter("batch.rows_fallback")
 _REASON_PREFIX = "batch.reasons."
 
-#: The walk's stops that hand a row to the reference, by stop code.
+#: How a reported commit was made (``CM_*`` in ``_chainscan.c``), when
+#: not at its section's boundary: a watchdog cut inside the section, or
+#: an output's post-checkpoint.
+_CM_CUT = 0
+_CM_POST = 2
+
+#: The walk's row end codes that hand a row to the reference.
 _STOP_REASONS = {
-    _SW_NEED_CUT: FallbackReason.WATCHDOG_CUT.value,
+    _SW_CUT_UNSAFE: FallbackReason.WATCHDOG_CUT.value,
     _SW_REACH_FULL: FallbackReason.REACH_OVERFLOW.value,
 }
 
@@ -218,8 +229,10 @@ def batch_stats() -> dict:
 
 def _plan(sim: IntermittentSimulator, config: ClankConfig, walk: bool,
           arch: bool):
-    """``(map, walk parameters, label)`` for the rows of ``config``, or
-    the :class:`FallbackReason` value that sends them to the reference.
+    """``[map, walk parameters, label]`` for the rows of ``config`` (the
+    walk adds the addresses of the map's walk table and of the
+    parameters), or the :class:`FallbackReason` value that sends them to
+    the reference.
 
     ``sim`` holds the rows' shared keyword arguments as the reference
     resolves them ("auto" watchdog loads, the default
@@ -248,7 +261,7 @@ def _plan(sim: IntermittentSimulator, config: ClankConfig, walk: bool,
         1 if config.optimizations.ignore_false_writes else 0,
         sim.max_power_cycles, fast._REACH_CAP, 1 if arch else 0,
     ))
-    return smap, prm, config.label()
+    return [smap, prm, config.label()]
 
 
 class _ArchFold:
@@ -269,11 +282,13 @@ class _ArchFold:
         self.waddrs = smap.ct.waddrs
         self.last = 0  # cycles elapsed at the previous commit
 
-    def commit(self, st: array) -> None:
-        """Fold the commit ``st[_ST_COMMIT:]`` describes (``CM_*`` in
-        ``_chainscan.c``), made ``e`` cycles into the run."""
-        how, cid, s, variant, at, nwbb, c = st[_ST_COMMIT:]
-        e = st[7] + st[8] + st[9] + st[10] + st[11]  # every cycle bucket
+    def commit(self, rows: array, st: int) -> None:
+        """Fold the commit the run state at ``rows[st:]`` describes
+        (``ST_COMMIT`` slots, ``CM_*`` in ``_chainscan.c``), made ``e``
+        cycles into the run."""
+        how, cid, s, variant, at, nwbb, c = rows[st + _ST_COMMIT:
+                                                 st + _ST_COMMIT + 7]
+        e = sum(rows[st + 7:st + 12])  # every cycle bucket
         cause = WALK_CAUSE_NAMES[cid]
         acc = self.acc
         if how == _CM_POST:
@@ -339,81 +354,100 @@ def simulate_batch(
     # for each: it resolves the "auto" watchdog loads and the default
     # max_power_cycles every row walks with.
     sim = IntermittentSimulator(trace, configs[0], schedules, **kwargs)
-    plans = {}  # config -> (map, walk parameters, label), or a reason
-    row_plans = []
-    for cfg in configs:
-        plan = plans.get(cfg)
-        if plan is None:
-            plan = plans[cfg] = _plan(sim, cfg, lib is not None, arch)
+    plans = {}  # id(config) -> a _plan
+    row_plans, walked, walkable, last = [], [], [], None
+    for r, cfg in enumerate(configs):
+        if cfg is not last:  # a job's rows share one config object
+            last = cfg
+            plan = plans.get(id(cfg))
+            if plan is None:
+                plan = plans[id(cfg)] = _plan(sim, cfg, lib is not None,
+                                              arch)
+                if type(plan) is list:
+                    walkable.append(plan)
+            walks = type(plan) is list
         row_plans.append(plan)
+        if walks:
+            walked.append(r)
     # The walk reads only flat tables: family-build the cold maps of the
-    # walkable rows' configs before the first row walks.
-    cold = [cfg for cfg, plan in plans.items()
-            if not isinstance(plan, str) and plan[0]._flat is None]
+    # walkable rows' configs before it starts.
+    cold = [plan[0].config for plan in walkable if plan[0]._flat is None]
     if cold:
         prefetch_family(trace, cold, sim.pi_words, sim.pi_access_indices,
                         sim.forced_checkpoints)
-    ontimes = schedules.ontimes
     name, baseline = trace.name, trace.total_cycles
     results, seconds = batch.results, batch.seconds
-    walked = 0
-
-    def more():
-        schedules.ensure_columns(max(8, 2 * schedules.columns))
-
-    def stalled(r):
-        results[r] = None
-        batch.engines[r] = "stalled"
-        batch.reasons[r] = batch.kernels[r] = None
-
-    for r in range(n):
+    if walked:
         t0 = perf_counter()
-        cfg, plan = configs[r], row_plans[r]
-        if isinstance(plan, str):
+        draws = 0
+        for plan in walkable:
+            plan += (_addr(_walk_table(plan[0])), _addr(plan[1]))
+            draws = max(draws, plan[0].walk_draws)
+        if schedules.columns < draws:
+            schedules.ensure_columns(draws)
+        if len(walked) == n:
+            wplans, slots = row_plans, schedules.slots
+        else:
+            wplans = [row_plans[r] for r in walked]
+            slots = array("q", [schedules.slots[r] for r in walked])
+        folds = [
+            _ArchFold(plan[0], configs[r], ARCH_COLLECTOR.run_accumulator())
+            for plan, r in zip(wplans, walked)
+        ] if arch else None
+        rows = walk_group(lib, wplans, slots, schedules, folds)
+        ends = rows[_R_END::_R_LEN].tolist()
+        share = (perf_counter() - t0) / len(walked)
+        done = [None if end else walk_result(rows, k, name, plan[2], baseline)
+                for k, (plan, end) in enumerate(zip(wplans, ends))]
+        if len(walked) == n:
+            results[:] = done
+            seconds[:] = [share] * n
+        else:
+            for r, result in zip(walked, done):
+                results[r] = result
+                seconds[r] = share
+    k = 0
+    for r, plan in enumerate(row_plans):
+        if type(plan) is str:
             reason = plan
         else:
-            smap, prm, label = plan
-            if schedules.columns < smap.walk_draws:
-                schedules.ensure_columns(smap.walk_draws)
-            st = array("q", _ST_INIT)
-            fold = (_ArchFold(smap, cfg, ARCH_COLLECTOR.run_accumulator())
-                    if arch else None)
-            rc = section_walk(smap, lib, prm, ontimes[r], more, st,
-                              fold and fold.commit)
-            if rc == 0:
-                results[r] = walk_result(st, name, label, baseline)
-                if fold is not None:
-                    ARCH_COLLECTOR.fold_run(name, label, fold.acc, "fast")
-                seconds[r] = perf_counter() - t0
-                walked += 1
+            end = ends[k]
+            k += 1
+            if not end:
+                if arch:
+                    ARCH_COLLECTOR.fold_run(name, plan[2], folds[k - 1].acc,
+                                            "fast")
                 continue
-            if rc == _SW_STALL:
+            if end == _SW_STALL:
                 if not allow_stall:
-                    raise SimulationError(
-                        stall_message(st, name, prm, smap.n))
-                stalled(r)
-                seconds[r] = perf_counter() - t0
+                    raise SimulationError(stall_message(
+                        row_state(rows, k - 1), name, plan[1], plan[0].n))
+                batch.engines[r] = "stalled"
+                batch.kernels[r] = None
                 continue
-            reason = _STOP_REASONS[rc]
+            reason = _STOP_REASONS[end]
         if counted:
             _ROWS_FALLBACK.inc()
             COUNTERS.counter(_REASON_PREFIX + reason).inc()
         _REASONS[reason].inc()
+        t0 = perf_counter()
         try:
             results[r] = IntermittentSimulator(
-                trace, cfg, schedules.row_schedule(r), **kwargs
+                trace, configs[r], schedules.row_schedule(r), **kwargs
             ).run()
         except SimulationError:
             if not allow_stall:
                 raise
-            stalled(r)
+            batch.engines[r] = "stalled"
+            batch.kernels[r] = None
         else:
             batch.engines[r] = "reference"
             batch.reasons[r] = reason
             batch.kernels[r] = None
-        seconds[r] = perf_counter() - t0
+        seconds[r] += perf_counter() - t0
+    walked_done = ends.count(0) if walked else 0
     if counted:
-        _ROWS.inc(walked)
+        _ROWS.inc(walked_done)
     else:
-        _FAST.inc(walked)
+        _FAST.inc(walked_done)
     return batch

@@ -2,8 +2,8 @@
 
 The reference :class:`~repro.sim.simulator.IntermittentSimulator` replays a
 trace access-by-access for every run, re-deriving the same idempotent
-sections under every power schedule.  The section walk (``section_walk``
-in ``_chainscan.c``, driven by :func:`section_walk`) instead walks the
+sections under every power schedule.  The section walk (``group_walk``
+in ``_chainscan.c``, driven by :func:`walk_group`) instead walks the
 schedule over the precomputed :class:`~repro.sim.sections.SectionMap`:
 within one section attempt the only schedule-dependent questions are
 *which access the remaining on-time cannot complete* and *which access a
@@ -19,12 +19,15 @@ of accesses.
 
 The walk models forced checkpoints, PI marking, the output-commit
 protocol, text writes, and both watchdogs (including the adaptive
-Progress Watchdog's non-volatile halving state machine) exactly.  It
+Progress Watchdog's non-volatile halving state machine) exactly.  One
+C call (``group_walk``) walks every row of a group, its rows' inputs and
+run states in one in-place ``int64`` buffer (:func:`walk_group`).  It
 reads the map's flat canonical-chain tables in place and returns to
 Python only for off-chain sections (:func:`_resolve`), more schedule
-on-times, ``watchdog_cut_safe`` verdicts, and — under a live
-architecture collector — each commit's record, which
-:mod:`repro.sim.batch` folds into the run's statistics.
+on-times, the direct writes of a section a watchdog cut is decided in
+(:func:`_load_dw`, once per section), and — under a live architecture
+collector — each commit's record, which :mod:`repro.sim.batch` folds
+into the run's statistics.
 
 Eligibility.  A run the walk cannot carry runs on the reference
 simulator, with its typed :class:`~repro.obs.telemetry.FallbackReason`:
@@ -38,12 +41,13 @@ simulator, with its typed :class:`~repro.obs.telemetry.FallbackReason`:
 * at run time: a watchdog checkpoint that commits *below* the furthest
   executed index while ignore-false-writes is on AND the stale
   directly-committed value some failed power cycle left ahead of the cut
-  would flip the word's next false-write classification
-  (:meth:`~repro.sim.sections.SectionMap.watchdog_cut_safe` decides this
-  exactly from the section's direct-commit writes and the walk's record
-  of failed-cycle reaches), or more live failed-cycle reaches than the
-  walk's reach buffer holds.  The reference then re-runs the schedule
-  (bit-identical: every schedule re-seeds itself on ``reset()``).
+  would flip the word's next false-write classification (``sw_cut_safe``
+  in ``_chainscan.c`` decides this exactly from the section's
+  direct-commit writes and the walk's record of failed-cycle reaches),
+  or more live failed-cycle reaches than the walk's reach buffer holds.
+  The walk marks the row's end code, goes on with the next row, and the
+  reference re-runs the schedule afterwards (bit-identical: every
+  schedule re-seeds itself on ``reset()``).
 
 Dispatch.  :func:`repro.sim.batch.simulate_batch` is the one dispatcher
 between the C walk and :meth:`IntermittentSimulator.run`;
@@ -62,57 +66,70 @@ from repro.sim.result import SimulationResult
 
 
 # --------------------------------------------------------------------- #
-# The C section walk over a map's tables.
+# The C section walk over a group's rows.
 # --------------------------------------------------------------------- #
 
-#: ``section_walk`` stop codes (``SW_*`` in ``_chainscan.c``).
+#: ``group_walk`` stop codes and row end codes (``SW_*`` in
+#: ``_chainscan.c``).
 _SW_NEED_SECTION = 1
 _SW_NEED_ONTIMES = 2
-_SW_NEED_CUT = 3
+_SW_NEED_DW = 3
 _SW_REACH_FULL = 4
 _SW_STALL = 5
 _SW_COMMIT = 6
+_SW_CUT_UNSAFE = 7
 
-#: Slots of ``section_walk``'s run-state array (``ST_*``).
+#: Slots of a row's run state (``ST_*``).
 _ST_POS = 4
 _ST_PC = 12
-_ST_NREACH = 17
 _ST_OUT = 24
 _ST_NORDER = 28
 _ST_COUNTS = 29
 _ST_ORDER = 41
 _ST_COMMIT = 53
+_ST_LEN = 60
 
-#: How a reported commit was made (``CM_*``), when not at its section's
-#: boundary: a watchdog cut inside the section, or an output's
-#: post-checkpoint.
-_CM_CUT = 0
-_CM_POST = 2
+#: Slots of a group row (``R_*``): map table, walk parameters, on-time
+#: array (a slot of the group's on-time table), end code (-1 while
+#: walking), run state.
+_R_ON = 2
+_R_END = 3
+_R_ST = 4
+_R_LEN = _R_ST + _ST_LEN
 
-#: A fresh run: ``forced_done = -1``, one power cycle, first boot pending
-#: (``PH_RESTART``).
-_ST_INIT = array("q", bytes(8 * (_ST_COMMIT + 7)))
-_ST_INIT[3] = -1   # ST_FORCED_DONE
-_ST_INIT[12] = 1   # ST_PC
-_ST_INIT[18] = 1   # ST_PHASE
+#: A fresh row: walking, ``forced_done = -1``, one power cycle, first boot
+#: pending (``PH_RESTART``).
+_ROW_INIT = array("q", bytes(8 * _R_LEN))
+_ROW_INIT[_R_END] = -1
+_ROW_INIT[_R_ST + 3] = -1   # ST_FORCED_DONE
+_ROW_INIT[_R_ST + 12] = 1   # ST_PC
+_ROW_INIT[_R_ST + 18] = 1   # ST_PHASE
 
-#: Failed-cycle ``(reach, start)`` pairs the walk keeps live.  A run holds
-#: only its live pairs, so every run shares one buffer (one simulating
-#: thread per process, like the chain-scan staging buffers).
+#: Failed-cycle ``(reach, start)`` pairs the walk keeps live.  A group
+#: walks one row at a time and a row holds only its live pairs, so every
+#: row shares one buffer (one simulating thread per process, like the
+#: chain-scan staging buffers).
 _REACH_CAP = 256
 _REACH = array("q", bytes(16 * _REACH_CAP))
+_REACH_ADDR = _addr(_REACH)
+
+#: C walk entries (``group_walk`` calls), and watchdog cuts the walk
+#: decided safe, in the process-wide registry.
+_CALLS = COUNTERS.counter("walk.calls")
+_SAFE_CUTS = COUNTERS.counter("walk.safe_cuts")
 
 
 def _walk_table(smap) -> array:
-    """``smap``'s ``section_walk`` table (``T_*`` slots in
-    ``_chainscan.c``), built on the map's first C-walked run.
+    """``smap``'s walk table (``T_*`` slots in ``_chainscan.c``), built
+    on the map's first C-walked run.
 
     The table points at the trace's cycle prefix sums and
     forced-checkpoint mask (shared per trace and forced set), the map's
-    flat canonical chain — read in place — and its overlay of the
-    off-chain sections resolved so far (:func:`_resolve`).  The map
-    holds every buffer the table points at, through itself or its
-    compiled trace, for as long as it holds the table.
+    flat canonical chain — read in place — its overlay of the off-chain
+    sections resolved so far (:func:`_resolve`), and the cut decision's
+    buffers (:func:`_load_dw`).  The map holds every buffer the table
+    points at, through itself or its compiled trace, for as long as it
+    holds the table.
     """
     tab = smap._tab
     if tab is None:
@@ -123,9 +140,14 @@ def _walk_table(smap) -> array:
             _addr(gcum), _addr(acc), ct.n, _addr(ct.forced_mask(smap.forced)),
             _addr(keys), len(keys), _addr(ends), _addr(causes),
             _addr(soff), _addr(steps),
-            0, 0, 0, 0, 0, 0, 0,
-        ))
+        ) + (0,) * 20)  # the overlay's and the cut decision's slots
     return tab
+
+
+def _set(tab: array, first: int, values) -> None:
+    """Store ``values`` in ``tab`` from slot ``first`` on, in place."""
+    for slot, value in enumerate(values, first):
+        tab[slot] = value
 
 
 def _resolve(smap, key: int, perf_load: int) -> None:
@@ -162,62 +184,102 @@ def _resolve(smap, key: int, perf_load: int) -> None:
             osoff.insert(j, len(osteps))
             onst.insert(j, len(steps))
         osteps.extend(steps)
-    tab = smap._tab
-    for slot, value in enumerate((
+    _set(smap._tab, 10, (
         _addr(okeys), len(okeys), _addr(oends), _addr(ocauses),
         _addr(osoff), _addr(onst), _addr(osteps),
-    ), 10):
-        tab[slot] = value
+    ))
 
 
-def section_walk(smap, lib, prm: array, ontimes: array, more,
-                 st: array, commit=None) -> int:
-    """Walk one schedule over ``smap`` in the C kernel, state in ``st``
-    (from :data:`_ST_INIT`).
-
-    Start ``ontimes`` with ``smap.walk_draws`` draws; ``more()`` must
-    grow it in place.  With ``P_ARCH`` set in ``prm``, ``commit(st)``
-    sees each commit's record (``st[_ST_COMMIT:]``) as it lands.
-    Returns 0 when the run completed, ``_SW_STALL`` where the reference
-    raises its no-forward-progress error (:func:`stall_message`),
-    ``_SW_NEED_CUT`` for a watchdog cut ``watchdog_cut_safe`` rejects,
-    or ``_SW_REACH_FULL`` when the live failed-cycle reaches outgrow
-    their buffer.
+def _load_dw(smap, key: int) -> None:
+    """Add the direct writes of the section at ``key``
+    (:meth:`SectionMap.direct_writes`) to ``smap``'s table for the
+    walk's watchdog-cut decision: sorted keys, offsets and counts into
+    one flat index array.  The map's first also points the table at the
+    trace's cut buffers (:meth:`CompiledTrace.cut_buffers`), its value
+    columns and its access-marked PI mask.
     """
-    fn = lib.section_walk
-    tab = _addr(_walk_table(smap))
-    prm_a = _addr(prm)
-    st_a = _addr(st)
-    reach_a = _addr(_REACH)
-    cut_ok = -1
-    while True:
-        rc = fn(tab, prm_a, _addr(ontimes), len(ontimes), cut_ok, st_a,
-                reach_a)
-        cut_ok = -1
-        if rc == _SW_NEED_SECTION:
-            _resolve(smap, st[_ST_OUT], prm[4])
+    tab = smap._tab
+    if smap._dw is None:
+        ct = smap.ct
+        wids, woff, widx, seen = ct.cut_buffers()
+        pi_acc = (ct.pi_mask_buffer(None, smap.pi_indices)
+                  if smap.pi_indices else None)
+        smap._dw = (array("q"), array("q"), array("i"), array("i"))
+        _set(tab, 22, (
+            _addr(wids), _addr(woff), _addr(widx), _addr(ct.values),
+            _addr(ct.false_writes), _addr(ct.out_writes),
+            0 if pi_acc is None else _addr(pi_acc), _addr(seen),
+        ))
+    keys, off, cnt, idx = smap._dw
+    dw = smap.direct_writes(key >> 2, key & 3)
+    j = bisect_left(keys, key)
+    keys.insert(j, key)
+    off.insert(j, len(idx))
+    cnt.insert(j, len(dw))
+    idx.extend(dw)
+    _set(tab, 17, (_addr(keys), len(keys), _addr(off), _addr(cnt),
+                   _addr(idx)))
+
+
+#: ``group_walk``'s cursor over a group's rows, and its count of the
+#: watchdog cuts it decided safe.
+_HDR = array("q", (0, 0))
+_HDR_ADDR = _addr(_HDR)
+
+
+def walk_group(lib, plans, slots: array, schedules,
+               folds=None) -> array:
+    """Walk a group's rows to their end codes in one C call (more only
+    when a row needs Python); returns the rows (``R_*`` slots).
+
+    Row ``k`` walks ``plans[k]`` — its map, walk parameters, label, and
+    the addresses of its map's walk table (:func:`_walk_table`) and of
+    its parameters — over ``schedules.arrays[slots[k]]``.  The arrays
+    grow in place when a row outruns them.  With ``P_ARCH`` set,
+    ``folds[k].commit(rows, st)`` sees each of row ``k``'s commits as it
+    lands.
+    """
+    n = len(plans)
+    rows = _ROW_INIT * n
+    rows[0::_R_LEN] = array("q", [plan[3] for plan in plans])
+    rows[1::_R_LEN] = array("q", [plan[4] for plan in plans])
+    rows[_R_ON::_R_LEN] = slots
+    arrays = schedules.arrays
+    table = array("q", [schedules.columns, *map(_addr, arrays)])
+    walk = lib.group_walk
+    _HDR[0] = _HDR[1] = 0
+    args = (_addr(rows), n, _HDR_ADDR, _REACH_ADDR, _addr(table))
+    rc = walk(*args)
+    calls = 1
+    while rc:
+        k = _HDR[0]
+        st = k * _R_LEN + _R_ST
+        if rc == _SW_NEED_SECTION:  # plans[k][1][4] is P_PERF_LOAD
+            _resolve(plans[k][0], rows[st + _ST_OUT], plans[k][1][4])
         elif rc == _SW_NEED_ONTIMES:
-            more()
-        elif rc == _SW_NEED_CUT:
-            r = _REACH
-            reaches = [(r[2 * k], r[2 * k + 1])
-                       for k in range(st[_ST_NREACH])]
-            o = _ST_OUT
-            if not smap.watchdog_cut_safe(
-                st[o], st[o + 1], st[o + 2], st[o + 3], reaches
-            ):
-                return rc
-            cut_ok = 1
-        elif rc == _SW_COMMIT:
-            commit(st)
+            schedules.ensure_columns(max(8, 2 * schedules.columns))
+            _set(table, 0, [schedules.columns] + list(map(_addr, arrays)))
+        elif rc == _SW_NEED_DW:
+            _load_dw(plans[k][0], rows[st + _ST_OUT])
         else:
-            smap.walk_draws = st[_ST_POS]
-            return rc
+            folds[k].commit(rows, st)
+        rc = walk(*args)
+        calls += 1
+    _CALLS.inc(calls)
+    _SAFE_CUTS.inc(_HDR[1])
+    for plan, pos in zip(plans, rows[_R_ST + _ST_POS::_R_LEN]):
+        plan[0].walk_draws = pos
+    return rows
+
+
+def row_state(rows: array, k: int) -> array:
+    """Row ``k``'s run state (``ST_*`` slots)."""
+    return rows[k * _R_LEN + _R_ST:(k + 1) * _R_LEN]
 
 
 def stall_message(st: array, name: str, prm: array, n: int) -> str:
     """The reference's :class:`~repro.common.errors.SimulationError`
-    text for a run the walk stopped with ``_SW_STALL``."""
+    text for a run the walk ended with ``_SW_STALL``."""
     at = st[_ST_OUT]
     if at < 0:  # in the boot loop; prm[3] is P_RCOST
         return (f"{name}: no forward progress after {st[_ST_PC]} power "
@@ -227,30 +289,16 @@ def stall_message(st: array, name: str, prm: array, n: int) -> str:
             f"{at}/{n}")
 
 
-def walk_result(st: array, name: str, label: str,
+def walk_result(rows: array, k: int, name: str, label: str,
                 baseline: int) -> SimulationResult:
-    """The :class:`SimulationResult` of a completed run's state."""
-    order = st[_ST_ORDER:_ST_ORDER + st[_ST_NORDER]]
+    """The :class:`SimulationResult` of row ``k``, which completed."""
+    st = rows[k * _R_LEN + _R_ST:(k + 1) * _R_LEN]
+    counts = st[_ST_COUNTS:_ST_COUNTS + 12]
     return SimulationResult(
-        name=name,
-        config_label=label,
-        baseline_cycles=baseline,
-        useful_cycles=st[7],
-        checkpoint_cycles=st[10],
-        restart_cycles=st[11],
-        reexec_cycles=st[8],
-        wasted_cycles=st[9],
-        checkpoints_by_cause={
-            WALK_CAUSE_NAMES[c]: st[_ST_COUNTS + c] for c in order
-        },
-        power_cycles=st[12],
-        wasted_power_cycles=st[13],
-        outputs=st[14],
-        duplicate_outputs=st[15],
-        wbb_words_flushed=st[16],
-        verified=False,
-        completed=True,
-        metrics={},
+        name, label, baseline, st[7], st[10], st[11], st[8], st[9],
+        {WALK_CAUSE_NAMES[c]: counts[c]
+         for c in st[_ST_ORDER:_ST_ORDER + st[_ST_NORDER]]},
+        st[12], st[13], st[14], st[15], st[16], False, True, {},
     )
 
 

@@ -55,15 +55,16 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
 * a Progress-Watchdog checkpoint can commit *inside* a span that an
   earlier (checkpoint-free) power cycle executed further into, leaving
   stale directly-committed words ahead of the new start whose next
-  false-write comparison can then disagree with the oracle — checked
-  exactly at run time by the walk via :meth:`SectionMap.watchdog_cut_safe`
-  whenever a watchdog commit lands below the furthest-executed index while
-  ``ignore_false_writes`` is on; only a genuinely divergent cut bails out
-  to the reference simulator.  See :mod:`repro.sim.fast`.
+  false-write comparison can then disagree with the oracle — decided
+  exactly by the C walk itself (``sw_cut_safe`` in ``_chainscan.c``)
+  whenever a watchdog commit lands below the furthest-executed index
+  while ``ignore_false_writes`` is on, from the section's direct-commit
+  writes (:meth:`SectionMap.direct_writes`, loaded once per section)
+  and the walk's record of failed-cycle reaches; only a genuinely
+  divergent cut hands the run to the reference simulator.  See
+  :mod:`repro.sim.fast`.
 """
 
-from array import array
-from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -111,8 +112,8 @@ class SectionMap:
     __slots__ = (
         "ct", "config", "n", "pi_words", "pi_indices", "forced",
         "_forced_sorted", "pi_hazard", "_detector",
-        "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
-        "_flat", "_ov", "_tab", "walk_draws", "__weakref__",
+        "_scratch", "_arch_cache", "_engine", "_flat", "_ov", "_dw", "_tab",
+        "walk_draws", "__weakref__",
     )
 
     def __init__(
@@ -136,8 +137,6 @@ class SectionMap:
         self._forced_sorted = tuple(sorted(f for f in forced if f < ct.n))
         self._detector = None  # arch_stats scans only (_python_scan)
         self._scratch = None
-        self._dw_cache: Dict[Tuple[int, int], array] = {}
-        self._dw_groups: Dict[Tuple[int, int], Dict[int, array]] = {}
         self._arch_cache: Dict[int, tuple] = {}
         self._engine = None  # C ChainScanEngine, built on first scan
         opts = config.optimizations
@@ -162,9 +161,12 @@ class SectionMap:
         self._flat = None
         #: The C section walk's state (:mod:`repro.sim.fast`): the
         #: overlay of off-chain sections (built on the first off-chain
-        #: resolve), the walk's table (built on the first C-walked run),
-        #: and the on-time count the last run consumed.
+        #: resolve), the direct writes of the sections a watchdog cut
+        #: was decided in (built on the first), the walk's table (built
+        #: on the first C-walked run), and the on-time count the last
+        #: run consumed.
         self._ov = None
+        self._dw = None
         self._tab = None
         self.walk_draws = 1
 
@@ -220,25 +222,16 @@ class SectionMap:
             )
         ]
 
-    def _direct_writes(self, start: int, variant: int) -> array:
-        """The section's direct-commit write indices (memoized, ascending
-        ``array('i')``).
-
-        Re-runs the C chain scan of just this section, collecting its
-        direct commits.  Only :meth:`watchdog_cut_safe` needs these,
-        and only for the rare sections a watchdog checkpoint cuts below
-        the furthest-executed index, so deriving them lazily keeps the
-        bulk enumeration free of per-write bookkeeping.
-        """
-        key = (start, variant)
-        dw = self._dw_cache.get(key)
-        if dw is None:
-            dw = self._dw_cache[key] = self._chain_engine().scan_first_dw(
-                start,
-                1 if variant == VARIANT_DIRECT else 0,
-                start if variant == VARIANT_FORCED_DONE else -1,
-            )
-        return dw
+    def direct_writes(self, start: int, variant: int):
+        """The direct-commit write indices of the section at ``(start,
+        variant)``, an ascending ``array('i')``, unmemoized (the C
+        kernel must be loaded): what the C walk's watchdog-cut decision
+        reads."""
+        return self._chain_engine().scan_first_dw(
+            start,
+            1 if variant == VARIANT_DIRECT else 0,
+            start if variant == VARIANT_FORCED_DONE else -1,
+        )
 
     def arch_stats(
         self, start: int, variant: int
@@ -269,127 +262,6 @@ class SectionMap:
             )
             self._arch_cache[key] = stats
         return stats
-
-    def watchdog_cut_safe(
-        self, start: int, variant: int, p: int, f: int, reaches
-    ) -> bool:
-        """Whether the section walk stays exact after a watchdog cut at ``p``.
-
-        A watchdog checkpoint that commits at ``p`` below the
-        furthest-executed index ``f`` leaves the write-first-path commits
-        of earlier, further-reaching power cycles at ``[p, f)`` ahead of
-        the new position: non-volatile memory holds their (future) values,
-        while the enumeration's ignore-false-writes comparisons used the
-        continuous oracle view.  Given the walker's record of those failed
-        cycles — ``reaches``, the time-ordered ``(reach, section_start)``
-        of every power loss that got past its cycle's committed start —
-        the stale value of each word is known exactly, and the cut is safe
-        iff the word's next classification agrees with the oracle:
-
-        * staleness needs a direct-commit write of the word at an index in
-          ``[p, f)`` (``_direct_writes``); everything below ``p`` is
-          re-executed and re-committed, in trace order, by the cycle
-          committing this very checkpoint, so a word the section writes
-          anywhere in ``[start, p)`` is back in sync the moment the
-          checkpoint lands (a false-write pass leaves the identical value
-          by definition);
-        * otherwise the word's stale value comes from the *latest* cycle
-          that reached past its first stale write ``d0``: within one
-          section every attempt replays the same prefix, so a later cycle
-          re-commits everything an earlier one did below its own reach,
-          and the survivor is ``values[last direct write < r]`` for the
-          most recent ``r > d0``;
-        * a surviving reach from an *earlier* section (its tag differs
-          from ``start``) is ignored: a reach can outlive a commit only
-          when that commit was itself a below-furthest watchdog cut —
-          every other commit lands at or above every reach — so the cut
-          that created it already verified, with that section's own
-          direct-write list, that each of its stale words' first future
-          consult agrees with the oracle; a word this section's failed
-          cycles also wrote is re-committed by them later in time and is
-          judged against their (current-classification) value below;
-        * reads never consult the stored value, output writes touch no
-          program word, and an access-marked PI write re-commits directly,
-          so the first consult that can diverge is the word's first
-          ordinary write ``q`` at or above ``p``.  There the runtime
-          false-write comparison sees the stale value; the cut is unsafe
-          iff ``(values[q] == stale) != false_writes[q]``.  Whatever
-          happens at a matching ``q`` (direct commit, WBB capture, or a
-          false pass — whose stale value then equals ``values[q]``), the
-          program's view of the word is ``values[q]`` afterwards — back in
-          sync, so later consults cannot diverge.
-
-        Intra-section rollback *without* a commit always re-executes from
-        the same start with the same values, so this cut is the only place
-        the stale-view question arises (``repro.sim.fast`` calls this
-        under ``ignore_false_writes`` only; without that optimization no
-        classification ever reads a stored value).
-
-        Args:
-            start: The current section's start index.
-            variant: Its entry variant (``VARIANT_*``).
-            p: The watchdog checkpoint's cut index (the new section start).
-            f: The furthest-executed index (``> p``).
-            reaches: Time-ordered ``(reach, section_start)`` pairs of the
-                failed power cycles whose effects may still be live.
-
-        Returns:
-            True when every stale word re-classifies identically; False
-            when the walker must hand the run to the reference simulator.
-        """
-        dw_idx = self._direct_writes(start, variant)
-        lo = bisect_left(dw_idx, p)
-        hi = bisect_left(dw_idx, f)
-        if lo >= hi:
-            return True
-        rs = [r for r, tag in reaches if r > p and tag == start]
-        if not rs:
-            return True
-        ct = self.ct
-        values = ct.values
-        waddrs = ct.waddrs
-        false_writes = ct.false_writes
-        out_writes = ct.out_writes
-        windex = ct.write_index()
-        gkey = (start, variant)
-        groups = self._dw_groups.get(gkey)
-        if groups is None:
-            groups = {}
-            for j in dw_idx:
-                groups.setdefault(waddrs[j], array("i")).append(j)
-            self._dw_groups[gkey] = groups
-        pi_idx = self.pi_indices
-        seen = set()
-        for k in range(lo, hi):
-            d0 = dw_idx[k]
-            v = waddrs[d0]
-            if v in seen:
-                continue
-            seen.add(v)
-            r = 0
-            for rr in reversed(rs):
-                if rr > d0:
-                    r = rr
-                    break
-            if not r:
-                continue  # no failed cycle executed the word's stale write
-            wlist = windex[v]
-            qi = bisect_left(wlist, p)
-            if qi > 0 and wlist[qi - 1] >= start:
-                continue  # re-committed below p by the committing cycle
-            nw = len(wlist)
-            while qi < nw and out_writes[wlist[qi]]:
-                qi += 1
-            if qi == nw:
-                continue  # the stale value is never consulted again
-            q = wlist[qi]
-            if q in pi_idx:
-                continue  # PI write: value-independent, re-commits directly
-            dwv = groups[v]
-            stale = values[dwv[bisect_left(dwv, r) - 1]]
-            if (values[q] == stale) != false_writes[q]:
-                return False
-        return True
 
 
 # --------------------------------------------------------------------- #

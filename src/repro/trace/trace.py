@@ -206,20 +206,27 @@ class CompiledTrace:
             )
         return self._memoized(("pi_hazard", pi_words, pi_indices), build)
 
-    def write_index(self) -> Dict[int, list]:
-        """Ascending write indices per word address (memoized).
+    def cut_buffers(self) -> tuple:
+        """``(word_ids, write_off, write_idx, seen)``: what the C section
+        walk's watchdog-cut decision reads besides the value columns
+        (memoized).
 
-        Used by the fast path's watchdog-cut staleness check; built once
-        per trace instead of once per
-        :class:`~repro.sim.sections.SectionMap`.
+        ``word_ids`` are :meth:`scan_arrays`' dense word ids, and word
+        ``v``'s ascending write indices (outputs included) are
+        ``write_idx[write_off[v]:write_off[v + 1]]``.  ``seen`` is the
+        decision's ``int32`` stamp scratch: a generation, then a stamp per
+        word.
         """
         def build():
-            windex: Dict[int, list] = {}
-            waddrs = self.waddrs
-            for j in compress(range(self.n), self.kinds):
-                windex.setdefault(waddrs[j], []).append(j)
-            return windex
-        return self._memoized(("windex",), build)
+            _, wids, n_words = self.scan_arrays(*self.text_range)
+            writes = list(compress(range(self.n), self.kinds))
+            counts = [0] * (n_words + 1)
+            for j in writes:
+                counts[wids[j] + 1] += 1
+            return (wids, array("i", accumulate(counts)),
+                    array("i", sorted(writes, key=wids.__getitem__)),
+                    array("i", bytes(4 * (n_words + 1))))
+        return self._memoized(("cut",), build)
 
     # ----------------------------------------------------------------- #
     # C-kernel buffers (repro.core.cext).  All memoized: built once per

@@ -153,18 +153,18 @@ class TestScheduleBatch:
         for i in range(4):
             scalar = ExponentialPower(900, seed=42 + i * 3)
             draws = [scalar.next_on_time() for _ in range(8)]
-            assert list(sb.ontimes[i]) == draws, i
+            assert list(sb.arrays[sb.slots[i]]) == draws, i
 
     def test_growth_preserves_draw_order(self):
         sb = ExponentialPower(700, seed=9).batch(3, 4)
-        first = [list(row) for row in sb.ontimes]
+        first = [list(sb.arrays[j]) for j in sb.slots]
         sb.ensure_columns(16)
         assert sb.columns == 16
-        assert [list(row[:4]) for row in sb.ontimes] == first
+        assert [list(sb.arrays[j][:4]) for j in sb.slots] == first
         for i in range(3):
             scalar = ExponentialPower(700, seed=9 + i)
             draws = [scalar.next_on_time() for _ in range(16)]
-            assert list(sb.ontimes[i]) == draws, i
+            assert list(sb.arrays[sb.slots[i]]) == draws, i
 
     def test_salted_seeding_matches_evaluation(self):
         # The evaluation seeds schedules ``seed*1000003 + salt``; row i of
@@ -175,7 +175,7 @@ class TestScheduleBatch:
         for i in range(3):
             scalar = settings.schedule(7 + i * 23)
             draws = [scalar.next_on_time() for _ in range(6)]
-            assert list(sb.ontimes[i]) == draws, i
+            assert list(sb.arrays[sb.slots[i]]) == draws, i
 
 
 class TestFallback:

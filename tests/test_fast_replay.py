@@ -24,6 +24,7 @@ from repro.power.schedules import ExponentialPower, ReplayPower
 from repro.sim.fast import dispatch_stats, last_dispatch, simulate_fast
 from repro.sim.sections import (
     SectionMap,
+    build_family,
     cache_stats,
     clear_cache,
     get_section_map,
@@ -33,6 +34,7 @@ from repro.trace.access import READ, WRITE
 from repro.workloads import get_trace
 
 from tests.conftest import DATA_WORD, make_trace
+from tests.cut_oracle import c_decision, direct_writes, watchdog_cut_safe
 
 CONFIGS = [(1, 0, 0, 0), (8, 4, 0, 0), (8, 4, 2, 0), (16, 8, 4, 4)]
 
@@ -215,19 +217,11 @@ class TestCWalk:
                         stamps.add(stamp)
         assert ("fast", None, "c") in stamps
 
-    def test_watchdog_cuts_on_tiny_buffers(self, c_lib, monkeypatch):
+    def test_watchdog_cuts_on_tiny_buffers(self, c_lib):
         # Both watchdogs on one-entry buffers under ignore-false-writes:
-        # off-chain resume keys, cut-safety round trips (safe and
-        # unsafe) all occur, and every outcome must match.
-        verdicts = []
-        safe = SectionMap.watchdog_cut_safe
-
-        def spy(self, *args):
-            verdict = safe(self, *args)
-            verdicts.append(verdict)
-            return verdict
-
-        monkeypatch.setattr(SectionMap, "watchdog_cut_safe", spy)
+        # off-chain resume keys and cut decisions (safe and unsafe) all
+        # occur, and every outcome must match.
+        COUNTERS.reset()
         opts = PolicyOptimizations(ignore_false_writes=True)
         overlay = 0
         reasons = set()
@@ -247,7 +241,7 @@ class TestCWalk:
                 ov = get_section_map(trace, config)._ov
                 overlay += len(ov[0]) if ov is not None else 0
         assert overlay, "no off-chain section was resolved"
-        assert True in verdicts and False in verdicts, verdicts
+        assert COUNTERS.snapshot().get("walk.safe_cuts"), "no safe cut"
         assert reasons == {None, "watchdog_cut"}
 
     def test_power_cycle_stall_stops_in_the_walk(self, c_lib, monkeypatch):
@@ -466,30 +460,40 @@ class TestCExtension:
 
 
 class TestWatchdogCutSafe:
-    def test_trivial_cases(self, c_lib):
-        trace = get_trace("crc", "small")
+    @staticmethod
+    def _map():
         config = ClankConfig(
             1, 0, 0, 0,
             optimizations=PolicyOptimizations(ignore_false_writes=True),
         )
-        smap = SectionMap(trace, config)
+        clear_cache()
+        return build_family(get_trace("crc", "small"), [config])[0]
+
+    def test_trivial_cases(self, c_lib):
+        smap = self._map()
         end = smap.scan_chain(0, 0)[0][1]
-        # No failed cycle survived past the cut: nothing can be stale.
-        assert smap.watchdog_cut_safe(0, 0, 1, max(2, end), [])
-        # Reaches at or below the cut are re-committed by the committing
-        # cycle itself.
-        assert smap.watchdog_cut_safe(0, 0, 2, max(3, end), [(2, 0), (1, 0)])
+        for p, f, reaches in (
+            # No failed cycle survived past the cut: nothing can be stale.
+            (1, max(2, end), []),
+            # Reaches at or below the cut are re-committed by the
+            # committing cycle itself.
+            (2, max(3, end), [(2, 0), (1, 0)]),
+        ):
+            assert watchdog_cut_safe(smap, 0, 0, p, f, reaches)
+            assert c_decision(smap, 0, 0, p, f, reaches)
+        # Neither asked for the section's direct writes.
+        assert smap._dw is None
 
     def test_direct_writes_memoized(self, c_lib):
-        trace = get_trace("crc", "small")
-        config = ClankConfig(
-            1, 0, 0, 0,
-            optimizations=PolicyOptimizations(ignore_false_writes=True),
-        )
-        smap = SectionMap(trace, config)
-        dw = smap._direct_writes(0, 0)
+        smap = self._map()
+        end = smap.scan_chain(0, 0)[0][1]
+        for _ in range(2):
+            c_decision(smap, 0, 0, 1, max(2, end), [(max(2, end), 0)])
+        keys, off, cnt, idx = smap._dw
+        assert list(keys) == [0]  # loaded once
+        dw = direct_writes(smap, 0, 0)
+        assert list(idx[off[0]:off[0] + cnt[0]]) == list(dw)
         assert list(dw) == sorted(dw)
-        assert smap._direct_writes(0, 0) is dw  # cached
 
 
 class TestCaches:

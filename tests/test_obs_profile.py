@@ -105,6 +105,7 @@ class TestProfiler:
             "traces.hits": 3, "traces.misses": 1,
             "traces.build_seconds": 0.25,
             "dispatch.fast": 9, "dispatch.reasons.verify": 1,
+            "walk.calls": 2,
             "sections.hits": 6, "sections.misses": 4,
             "sections.family_passes": 1, "sections.family_maps": 3,
             "sections.scalar_maps": 1,
@@ -115,7 +116,7 @@ class TestProfiler:
         assert "fig5" in text
         assert "simulator time by workload (1 runs, 0.500s total)" in text
         assert "75.0% hit rate); misses built in 0.250s" in text
-        assert "9 fast / 1 fallback (90.0% fast)" in text
+        assert "9 fast / 1 fallback (90.0% fast); 2 C walk calls" in text
         assert "fallback reasons: verify 1" in text
         assert "6 warm from memory, 4 cold" in text
         assert "3 maps in 1 trace passes (3.0 maps/pass)" in text

@@ -8,7 +8,10 @@ running each job alone.  Two properties pin that:
   small and micro workloads: mixed configurations and policy
   optimizations, repeated and distinct schedule salts, both watchdogs,
   PI and epoch marking, stalls (some forced by a tiny
-  ``max_power_cycles``), volatile segments and seed-repeat jobs.  Every
+  ``max_power_cycles``), volatile segments and seed-repeat jobs, and
+  templates of one-and-two-entry buffers under ignore-false-writes,
+  whose watchdog cuts the walk decides safe or hands to the reference
+  (``watchdog_cut``).  Every
   result's ``to_dict`` must equal a reference
   :class:`~repro.sim.simulator.IntermittentSimulator` run with
   verification off, and the run ledger's ``stable_records`` must equal
@@ -42,6 +45,7 @@ from repro.eval.runner import pi_words_for
 from repro.eval.settings import EvalSettings
 from repro.obs import analyze
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
+from repro.obs.metrics import COUNTERS
 from repro.obs.profile import Profiler
 from repro.obs.telemetry import LEDGER
 from repro.power.schedules import RuntPower
@@ -98,6 +102,11 @@ opts = st.one_of(
 )
 watchdog = st.sampled_from((0, "auto", 150, 600))
 
+#: Buffers small enough, under ignore-false-writes, that watchdog cuts
+#: land below the furthest executed index, some safe and some not.
+CUT_CONFIGS = ((1, 0, 0, 0), (2, 1, 1, 0), (16, 1, 1, 0))
+CUT_OPTS = PolicyOptimizations(ignore_false_writes=True)
+
 
 @st.composite
 def job_lists(draw):
@@ -110,6 +119,7 @@ def job_lists(draw):
         perf_watchdog=watchdog,
         progress_watchdog=watchdog,
         progress_watchdog_adaptive=st.booleans(),
+        cuts=st.booleans(),
     )), min_size=1, max_size=3))
     jobs = []
     for _ in range(draw(st.integers(1, 10))):
@@ -117,9 +127,10 @@ def job_lists(draw):
         use_compiler, epoch_cycles = t["marking"]
         job = SimJob(
             workload=t["workload"],
-            config=draw(configs),
+            config=draw(st.sampled_from(CUT_CONFIGS) if t["cuts"]
+                        else configs),
             size="tiny",
-            opts=draw(opts),
+            opts=CUT_OPTS if t["cuts"] else draw(opts),
             salt=draw(st.integers(0, 2)),
             use_compiler=use_compiler,
             epoch_cycles=epoch_cycles,
@@ -260,6 +271,34 @@ def test_matches_reference_with_kernel(jobs, settings_):
 def test_matches_reference_without_kernel(jobs, settings_):
     with kernel(False):
         _check_differential(jobs, settings_, False)
+
+
+def test_watchdog_cut_groups_match_reference():
+    # A fixed cut-heavy list: the walk decides safe cuts itself and
+    # ends unsafe ones for the reference; grouped rows still equal
+    # one-by-one rows and the reference.
+    if cext.chain_scan_lib() is None:
+        pytest.skip("C kernel unavailable")
+    jobs = [
+        SimJob(workload=name, config=config, size="tiny", opts=CUT_OPTS,
+               salt=salt, perf_watchdog=perf, progress_watchdog=progress,
+               allow_stall=True, n_seeds=n_seeds)
+        for name in ("crc", "rc4", "qsort")
+        for config in CUT_CONFIGS
+        for salt in range(2)
+        for perf, progress in ((0, "auto"), ("auto", 150))
+        for n_seeds in (1, 3)
+    ]
+    settings_ = EvalSettings(size="tiny", sweep_size="tiny", seed=1,
+                             avg_on_ms=0.15)
+    COUNTERS.reset()
+    with kernel(True):
+        _check_differential(jobs, settings_, True)
+        with ledger() as led:
+            run_jobs(jobs, settings_)
+            reasons = led.fallback_counts()
+    assert COUNTERS.snapshot().get("walk.safe_cuts"), "no safe cut"
+    assert reasons.get("watchdog_cut"), reasons
 
 
 # ---- order and store ---------------------------------------------------- #
