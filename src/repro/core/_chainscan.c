@@ -16,6 +16,7 @@
  */
 
 #include <stdint.h>
+#include <time.h>
 
 /* Checkpoint-cause codes; repro.core.cext.CAUSE_NAMES mirrors them. */
 #define CAUSE_FINAL 0
@@ -407,7 +408,7 @@ int64_t chain_scan(
  * order.
  *
  * The group's rows sit in one int64 buffer (R_* slots: map table, walk
- * parameters, on-time array, end code, run state), walked one
+ * parameters, on-time array, end code, wall time, run state), walked one
  * after another from a cursor.  A watchdog cut below the furthest
  * executed index under ignore-false-writes is decided here
  * (sw_cut_safe).  One call walks until every row has ended or a row
@@ -537,7 +538,8 @@ int64_t chain_scan(
 #define R_PRM 1             /* its walk parameters (P_* slots) */
 #define R_ON 2              /* its on-time array: a slot of the on-time table */
 #define R_END 3             /* -1 while walking, then the end code */
-#define R_ST 4              /* [ST_LEN] run state */
+#define R_NS 4              /* -(start ns) while walking, then its wall ns */
+#define R_ST 5              /* [ST_LEN] run state */
 #define R_LEN (R_ST + ST_LEN)
 
 #define PH_WALK 0
@@ -1129,17 +1131,28 @@ static int64_t sw_walk(
     }
 }
 
+static int64_t sw_now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
 /* Walk the group's rows from row ``hdr[0]`` on, each to its end code in
  * R_END, counting safe cuts in ``hdr[1]``; returns SW_DONE once every row
  * has ended, else the stop code of the row at ``hdr[0]`` that needs
- * Python.  Rows that share a schedule seed share an on-time array:
- * ``ons[0]`` is the on-times each array holds, and ``ons[1 + k]`` the
- * address of array ``k``. */
+ * Python.  A row's R_NS ends as the wall-clock nanoseconds from its
+ * first step to its end, the Python stops it needed included.  Rows that
+ * share a schedule seed share an on-time array: ``ons[0]`` is the
+ * on-times each array holds, and ``ons[1 + k]`` the address of array
+ * ``k``. */
 int64_t group_walk(int64_t *rows, int64_t nrows, int64_t *hdr,
                    int64_t *reach, const int64_t *ons)
 {
     for (; hdr[0] < nrows; hdr[0]++) {
         int64_t *row = rows + hdr[0] * R_LEN;
+        if (row[R_NS] == 0)
+            row[R_NS] = -sw_now_ns();
         int64_t rc = sw_walk((const int64_t *)(intptr_t)row[R_TAB],
                              (const int64_t *)(intptr_t)row[R_PRM],
                              (const int64_t *)(intptr_t)ons[1 + row[R_ON]],
@@ -1148,6 +1161,7 @@ int64_t group_walk(int64_t *rows, int64_t nrows, int64_t *hdr,
             || rc == SW_NEED_DW || rc == SW_COMMIT)
             return rc;
         row[R_END] = rc;
+        row[R_NS] += sw_now_ns();
     }
     return SW_DONE;
 }

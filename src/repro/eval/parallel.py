@@ -343,14 +343,14 @@ def _restore(job: SimJob, label: str, stored):
 def _clank_kwargs(job: SimJob, trace, settings: EvalSettings) -> dict:
     """The ``simulate_batch`` keyword arguments of a Clank job: its PI or
     epoch marking, volatile ranges, watchdogs, cost model and limits."""
+    from repro.eval.runner import pi_words_for
+
     pi_words = pi_access_indices = forced_checkpoints = None
     if job.epoch_cycles > 0:
         plan = _epoch_plan(trace, job.epoch_cycles)
         pi_access_indices = plan.ignorable
         forced_checkpoints = plan.boundaries
     elif job.use_compiler:
-        from repro.eval.runner import pi_words_for
-
         pi_words = pi_words_for(trace)
     return dict(
         cost_model=_COST_MODELS[job.cost_model],
@@ -427,19 +427,14 @@ def _simulate_group(group: list, settings: EvalSettings) -> list:
             seed=settings.seed,
         ))
         configs = [config]
-    elif job.n_seeds == 1:
-        configs = [cfg for _, cfg in group]
-        schedules = ScheduleBatch(
-            settings.avg_on_cycles,
-            [settings.schedule_seed(member.salt) for member, _ in group],
-            _BATCH_SEGMENTS)
     else:
         configs, seeds = [], []
         for member, cfg in group:
             configs += [cfg] * member.n_seeds
-            seeds += map(settings.schedule_seed, range(
-                member.salt, member.salt + member.n_seeds * member.seed_stride,
-                member.seed_stride))
+            seeds += [
+                settings.schedule_seed(member.salt + r * member.seed_stride)
+                for r in range(member.n_seeds)
+            ]
         schedules = ScheduleBatch(settings.avg_on_cycles, seeds,
                                   _BATCH_SEGMENTS)
     seed_repeat = job.n_seeds > 1
@@ -491,8 +486,8 @@ def _batch_rows(job: SimJob, batch: BatchResult, seconds: float) -> list:
     (the walked rows and the job's share of set-up) goes to the first
     row, so the job's rows sum to ``seconds``.
     """
-    reruns = [] if batch.batch_rows == batch.rows else [
-        r for r, engine in enumerate(batch.engines) if engine != "batch"]
+    reruns = [r for r, engine in enumerate(batch.engines)
+              if engine != "batch"]
     rest = seconds - sum(batch.seconds[r] for r in reruns)
     rows = []
     if batch.batch_rows:

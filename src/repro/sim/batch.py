@@ -46,8 +46,6 @@ identical) or by the reference itself.
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from operator import attrgetter, is_not
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -64,6 +62,7 @@ from repro.sim.fast import (
     _FAST,
     _R_END,
     _R_LEN,
+    _R_NS,
     _REASONS,
     _ST_COMMIT,
     _SW_CUT_UNSAFE,
@@ -112,8 +111,11 @@ class BatchResult:
         kernels: ``"c"`` for each row the section walk served, ``None``
             for the reference simulator and stalls.  Run provenance
             only: not part of :meth:`to_dict`.
-        seconds: Wall-clock seconds of each row: its walk, or its
-            reference rerun.  Provenance only, like ``kernels``.
+        seconds: Wall-clock seconds of each row: its walk (timed by the
+            C walk from the row's first step to its end, the Python
+            stops it needed included), plus its reference rerun.  The
+            group's set-up and result building are in no row.
+            Provenance only, like ``kernels``.
     """
 
     name: str
@@ -131,12 +133,13 @@ class BatchResult:
     @property
     def batch_rows(self) -> int:
         """Rows served by the row walker."""
-        return self.engines.count("batch")
+        return sum(1 for e in self.engines if e == "batch")
 
     def column(self, metric: str) -> List[float]:
         """One derived metric across all completed rows, in row order."""
-        return list(map(attrgetter(metric),
-                        filter(partial(is_not, None), self.results)))
+        return [
+            getattr(r, metric) for r in self.results if r is not None
+        ]
 
     def mean_ci(self, metric: str):
         """``(mean, ci95)`` of a derived metric across completed rows.
@@ -354,21 +357,15 @@ def simulate_batch(
     # for each: it resolves the "auto" watchdog loads and the default
     # max_power_cycles every row walks with.
     sim = IntermittentSimulator(trace, configs[0], schedules, **kwargs)
-    plans = {}  # id(config) -> a _plan
-    row_plans, walked, walkable, last = [], [], [], None
-    for r, cfg in enumerate(configs):
-        if cfg is not last:  # a job's rows share one config object
-            last = cfg
-            plan = plans.get(id(cfg))
-            if plan is None:
-                plan = plans[id(cfg)] = _plan(sim, cfg, lib is not None,
-                                              arch)
-                if type(plan) is list:
-                    walkable.append(plan)
-            walks = type(plan) is list
+    plans = {}  # config -> a _plan
+    row_plans = []
+    for cfg in configs:
+        plan = plans.get(cfg)
+        if plan is None:
+            plan = plans[cfg] = _plan(sim, cfg, lib is not None, arch)
         row_plans.append(plan)
-        if walks:
-            walked.append(r)
+    walkable = [plan for plan in plans.values() if type(plan) is list]
+    walked = [r for r, plan in enumerate(row_plans) if type(plan) is list]
     # The walk reads only flat tables: family-build the cold maps of the
     # walkable rows' configs before it starts.
     cold = [plan[0].config for plan in walkable if plan[0]._flat is None]
@@ -378,34 +375,26 @@ def simulate_batch(
     name, baseline = trace.name, trace.total_cycles
     results, seconds = batch.results, batch.seconds
     if walked:
-        t0 = perf_counter()
         draws = 0
         for plan in walkable:
             plan += (_addr(_walk_table(plan[0])), _addr(plan[1]))
             draws = max(draws, plan[0].walk_draws)
         if schedules.columns < draws:
             schedules.ensure_columns(draws)
-        if len(walked) == n:
-            wplans, slots = row_plans, schedules.slots
-        else:
-            wplans = [row_plans[r] for r in walked]
-            slots = array("q", [schedules.slots[r] for r in walked])
+        wplans = [row_plans[r] for r in walked]
         folds = [
             _ArchFold(plan[0], configs[r], ARCH_COLLECTOR.run_accumulator())
             for plan, r in zip(wplans, walked)
         ] if arch else None
-        rows = walk_group(lib, wplans, slots, schedules, folds)
+        rows = walk_group(lib, wplans,
+                          array("q", [schedules.slots[r] for r in walked]),
+                          schedules, folds)
         ends = rows[_R_END::_R_LEN].tolist()
-        share = (perf_counter() - t0) / len(walked)
-        done = [None if end else walk_result(rows, k, name, plan[2], baseline)
-                for k, (plan, end) in enumerate(zip(wplans, ends))]
-        if len(walked) == n:
-            results[:] = done
-            seconds[:] = [share] * n
-        else:
-            for r, result in zip(walked, done):
-                results[r] = result
-                seconds[r] = share
+        for k, (r, ns) in enumerate(zip(walked, rows[_R_NS::_R_LEN])):
+            seconds[r] = ns * 1e-9
+            if not ends[k]:
+                results[r] = walk_result(rows, k, name, wplans[k][2],
+                                         baseline)
     k = 0
     for r, plan in enumerate(row_plans):
         if type(plan) is str:

@@ -91,10 +91,12 @@ _ST_LEN = 60
 
 #: Slots of a group row (``R_*``): map table, walk parameters, on-time
 #: array (a slot of the group's on-time table), end code (-1 while
-#: walking), run state.
+#: walking), wall-clock nanoseconds from the row's first step to its
+#: end, run state.
 _R_ON = 2
 _R_END = 3
-_R_ST = 4
+_R_NS = 4
+_R_ST = 5
 _R_LEN = _R_ST + _ST_LEN
 
 #: A fresh row: walking, ``forced_done = -1``, one power cycle, first boot

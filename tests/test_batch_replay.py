@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -310,6 +311,24 @@ class TestBatchResult:
         empty = BatchResult(name="x", config_label="y")
         nan_mean, nan_half = empty.mean_ci("checkpoint_overhead")
         assert nan_mean != nan_mean and nan_half == 0.0  # NaN mean, 0 CI
+
+    def test_seconds_time_each_walked_row(self):
+        # The walk times each row on its own, so rows of one group read
+        # their own seconds, together no more than the call's wall time.
+        if cext.chain_scan_lib() is None:
+            pytest.skip("C kernel unavailable")
+        trace = get_trace("crc", "small")
+        configs = [ClankConfig.from_tuple(spec)
+                   for spec in ((1, 0, 0, 0), (16, 8, 4, 4))] * 4
+        schedules = ExponentialPower(900, seed=3).batch(8, 8)
+        t0 = time.perf_counter()
+        batch = simulate_batch(trace, configs, schedules, verify=False,
+                               **_WDTS)
+        wall = time.perf_counter() - t0
+        assert batch.engines == ["batch"] * 8
+        assert all(s > 0.0 for s in batch.seconds)
+        assert len(set(batch.seconds)) > 1
+        assert sum(batch.seconds) <= wall
 
 
 class TestSeedRepeatJobs:
