@@ -14,7 +14,7 @@ then exports the three observability artifacts:
 
 Summarize the event log afterwards with::
 
-    PYTHONPATH=src python -m repro.obs.inspect results/observed_run.jsonl
+    PYTHONPATH=src python -m repro.obs.report results/observed_run.jsonl
 
 Run:  python examples/observed_run.py
 """
@@ -30,7 +30,7 @@ from repro import (
     simulate,
     write_chrome_trace,
 )
-from repro.obs.inspect import summarize
+from repro.obs.report import render_events, summarize_data
 
 RESULTS_DIR = "results"
 EVENTS_PATH = os.path.join(RESULTS_DIR, "observed_run.jsonl")
@@ -64,7 +64,7 @@ def main() -> None:
         fh.write(result.to_json(indent=2))
     print(f"result + metrics -> {RESULT_PATH}\n")
 
-    print(summarize(events))
+    print(render_events(summarize_data(events)))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ Package layout:
 * :mod:`repro.baselines` — Mementos/Hibernus/Ratchet/DINO models.
 * :mod:`repro.eval` — drivers regenerating every table and figure.
 * :mod:`repro.obs` — event recording, metrics, Chrome-trace export,
-  sweep profiling, and the ``python -m repro.obs.inspect`` log summarizer.
+  sweep profiling, and ``python -m repro.obs.report``, which renders a
+  sweep's run ledger as its run profile or summarizes an event log.
 """
 
 from repro.core.config import ClankConfig, PolicyOptimizations, table2_configs

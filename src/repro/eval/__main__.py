@@ -4,15 +4,18 @@ Experiments: table1, fig5, fig6, table2, fig7, fig8, table3, table4, all.
 Pass ``--quick`` for smoke-test sizes.  Every job runs in this process,
 one after another (:func:`repro.eval.parallel.run_jobs`).
 
-Every invocation prints a run profile (wall-clock per experiment driver,
-simulator time per workload from the run ledger, fast-path dispatch mix,
-trace-cache hit rate); full-size runs also write it to
+Every invocation ends by building the sweep's run ledger in memory
+(header, per-run provenance records, driver marks, and a footer holding
+the wall clock and every sweep counter) and printing its run profile
+(:func:`repro.obs.report.render_text`: wall-clock per experiment driver,
+simulator time per workload, engine mix and fallback reasons, cache
+tiers, slowest runs).  Full-size runs also write the profile to
 ``results/profile.txt``, append a machine-readable entry to the
 performance trajectory in ``results/BENCH_sweep.json``, and write the
-per-run provenance ledger to ``results/run_ledger.jsonl`` (``--ledger
-PATH`` redirects it and enables it for ``--quick`` runs; render it with
-``python -m repro.obs.report``, gate the trajectory with ``python -m
-repro.obs.bench --check``).
+ledger to ``results/run_ledger.jsonl`` (``--ledger PATH`` redirects it
+and enables it for ``--quick`` runs; ``python -m repro.obs.report PATH``
+prints the same profile, and ``python -m repro.obs.bench --check`` gates
+the trajectory).
 ``--arch PATH`` additionally collects per-section architectural
 statistics (buffer occupancy, hazard attribution) and writes the summary
 JSON for ``python -m repro.obs.analyze``.  ``--trace PATH`` (or
@@ -44,8 +47,6 @@ from repro.obs import slog, telemetry, tracing
 from repro.obs.bench import instrumented
 from repro.obs.metrics import COUNTERS
 from repro.obs.profile import PROFILER
-from repro.sim import fast as fast_dispatch
-from repro.sim import sections
 
 _EXPERIMENTS = (
     "table1", "fig5", "fig6", "table2", "fig7", "fig8", "table3", "table4",
@@ -160,23 +161,22 @@ def main(argv=None) -> int:
     ledger_path = args.ledger
     if ledger_path is None and not args.quick:
         ledger_path = _LEDGER_PATH
-    if ledger_path:
-        # The ledger file's one writer: this header now, each record's
-        # line as it lands (so `python -m repro.obs.watch PATH` can
-        # follow the sweep), the driver lines and footer at the end.
-        telemetry.LEDGER.stream_to(ledger_path, header={
-            "timestamp": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "experiments": list(names),
-            "jobs": _JOBS,
-            "seed": args.seed,
-            "seeds": args.seeds,
-            "quick": args.quick,
-            "verify": args.verify,
-            "server": args.server,
-            "cache_enabled": artifact_cache.store() is not None,
-        })
+    # The ledger file's one writer: this header now, each record's line
+    # as it lands (so `python -m repro.obs.watch PATH` can follow the
+    # sweep), the driver lines and footer at the end.
+    telemetry.LEDGER.stream_to(ledger_path, header={
+        "timestamp": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+        "experiments": list(names),
+        "jobs": _JOBS,
+        "seed": args.seed,
+        "seeds": args.seeds,
+        "quick": args.quick,
+        "verify": args.verify,
+        "server": args.server,
+        "cache_enabled": artifact_cache.store() is not None,
+    })
     wall_start = time.perf_counter()
     try:
         for name in names:
@@ -193,38 +193,28 @@ def main(argv=None) -> int:
             print(f"[{name} completed in {mark['t1'] - mark['t0']:.1f}s]\n")
         wall_clock = time.perf_counter() - wall_start
 
-        ledger = telemetry.LEDGER
-        profile = PROFILER.table(COUNTERS.snapshot(), ledger.records)
-        dispatch = fast_dispatch.dispatch_stats()
-        sect = sections.cache_stats()
-        disk = artifact_cache.stats()
+        ledger = telemetry.LEDGER.finish(PROFILER.marks, footer={
+            "wall_clock_s": round(wall_clock, 3),
+            "counters": COUNTERS.snapshot(),
+        })
+        # Imported here, where the profile is rendered, so importing
+        # this module loads no renderer.
+        from repro.obs.report import render_text
+
+        profile = render_text(ledger)
         print(profile)
         if serve_client is not None:
             print(f"[{serve_client.summary_line()}]")
-
-        engines = ledger.engine_counts()
+        counts = telemetry.tally(ledger)
+        engines = counts["engines"]
         mix = ", ".join(f"{n} {e}" for e, n in sorted(engines.items()))
-        total_rows = ledger.total_rows()
+        total_rows = counts["rows"]
         rows_note = (
-            f" in {len(ledger.records)} records"
-            if total_rows != len(ledger.records) else ""
+            f" in {counts['records']} records"
+            if total_rows != counts["records"] else ""
         )
         print(f"[ledger: {total_rows} runs{rows_note} — {mix or 'none'}]")
         if ledger_path:
-            ledger.finish(
-                PROFILER.marks,
-                footer={
-                    "wall_clock_s": round(wall_clock, 3),
-                    "dispatch": dispatch,
-                    "aggregates": {
-                        "section_cache_hits": sect["hits"],
-                        "section_cache_misses": sect["misses"],
-                        "disk_cache_hits": disk["hits"],
-                        "disk_cache_misses": disk["misses"],
-                        "disk_cache_puts": disk["puts"],
-                    },
-                },
-            )
             print(f"[run ledger written to {ledger_path}]")
 
         if args.arch:
@@ -244,19 +234,17 @@ def main(argv=None) -> int:
             with open(_PROFILE_PATH, "w", encoding="utf-8") as fh:
                 fh.write(profile + "\n")
             print(f"[profile written to {_PROFILE_PATH}]")
-            sim_seconds = sum(rec.wall_s for rec in ledger.records)
-            driver_runs = telemetry.count_rows(ledger.records,
-                                               lambda r: r.driver)
+            sim_seconds = counts["sim_s"]
             driver_stats = {}
-            for mark in PROFILER.marks:
-                seconds = mark["t1"] - mark["t0"]
-                runs = driver_runs.get(mark["name"], 0)
-                driver_stats[mark["name"]] = {
+            for name, row in counts["drivers"].items():
+                seconds, runs = row["wall_s"] or 0.0, row["rows"]
+                driver_stats[name] = {
                     "seconds": round(seconds, 3),
                     "runs": runs,
                     "ms_per_run": round(1000.0 * seconds / runs, 3)
                     if runs else None,
                 }
+            counters = ledger.footer["counters"]
             _append_bench_entry(_BENCH_PATH, {
                 "timestamp": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"
@@ -273,9 +261,9 @@ def main(argv=None) -> int:
                 if total_rows else None,
                 "disk_cache": {
                     "enabled": artifact_cache.store() is not None,
-                    "hits": disk["hits"],
-                    "misses": disk["misses"],
-                    "puts": disk["puts"],
+                    "hits": counters.get("cache.hits", 0),
+                    "misses": counters.get("cache.misses", 0),
+                    "puts": counters.get("cache.puts", 0),
                 },
                 **(
                     {"serve_tiers": dict(serve_client.tier_counts)}
@@ -283,10 +271,7 @@ def main(argv=None) -> int:
                 ),
                 "engines": engines,
                 "engine_mix": "batch" if "batch" in engines else "scalar",
-                "fallback_reasons": {
-                    reason: n
-                    for reason, n in dispatch["reasons"].items() if n
-                },
+                "fallback_reasons": counts["fallback_reasons"],
                 "drivers": driver_stats,
             })
             print(f"[bench entry appended to {_BENCH_PATH}]")

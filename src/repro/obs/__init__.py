@@ -15,20 +15,19 @@ box in between: this package opens it up without slowing it down.
 * :mod:`repro.obs.chrome_trace` — renders an event log, or timed spans
   (tracing exports, a sweep's run ledger), as a Chrome trace-event
   (``chrome://tracing`` / Perfetto) timeline.
-* :mod:`repro.obs.profile` — wall-clock profiling of the experiment drivers
-  (``Profiler.phase``, the one driver clock; per-workload simulator time
-  summed from the run ledger; trace-cache hit rates).
+* :mod:`repro.obs.profile` — the experiment drivers' wall clock
+  (``Profiler.phase``, the one driver clock).
 * :mod:`repro.obs.telemetry` — per-run provenance records (engine,
   fallback reason, kernel, cache tier, wall time) collected into the
   shared :data:`~repro.obs.telemetry.LEDGER`, which is also the one
-  writer of the ``results/run_ledger.jsonl`` sweep ledger.
-* :mod:`repro.obs.report` — ``python -m repro.obs.report`` renders a run
-  ledger as a text or HTML sweep report (plus its span timeline).
+  writer of the ``results/run_ledger.jsonl`` sweep ledger; ``tally``
+  is the one row-weighted count of a sweep that every view reads.
+* :mod:`repro.obs.report` — the run profile: ``python -m repro.eval``
+  prints it at the end of every sweep, and ``python -m repro.obs.report``
+  prints it again from the written ledger (or an HTML report, or the
+  span timeline), or summarizes a recorded event log.
 * :mod:`repro.obs.bench` — ``python -m repro.obs.bench --check`` gates CI
   on the ``results/BENCH_sweep.json`` performance trajectory.
-* :mod:`repro.obs.inspect` — ``python -m repro.obs.inspect run.jsonl``
-  summarizes a recorded event log or a run ledger (``--format json`` for
-  machine-readable output).
 * :mod:`repro.obs.tracing` — zero-cost-when-off distributed spans
   (client → server → resolve tier → worker) propagated over HTTP via
   ``X-Repro-Trace``; ``python -m repro.obs.tracing merge`` renders

@@ -555,38 +555,14 @@ def render_text(summary: Dict[str, Any], top: int = 10) -> str:
     return "\n".join(lines)
 
 
-_CSS = """
-body { font: 14px/1.5 -apple-system, 'Segoe UI', sans-serif;
-       margin: 2em auto; max-width: 64em; color: #1a1a2e; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.6em; }
-h3 { font-size: 1.0em; margin-top: 1.2em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #ccd; padding: 0.25em 0.8em; text-align: left; }
-th { background: #eef; } td.num { text-align: right;
-     font-variant-numeric: tabular-nums; }
-.meta { color: #556; }
-"""
-
-
-def _table(headers: List[str], rows: List[List], numeric=()) -> str:
-    out = ["<table><tr>"]
-    out.extend(f"<th>{_html.escape(str(h))}</th>" for h in headers)
-    out.append("</tr>")
-    for row in rows:
-        out.append("<tr>")
-        for i, cell in enumerate(row):
-            cls = ' class="num"' if i in numeric else ""
-            out.append(f"<td{cls}>{_html.escape(str(cell))}</td>")
-        out.append("</tr>")
-    out.append("</table>")
-    return "".join(out)
-
-
 def render_html_fragment(summary: Dict[str, Any], top: int = 10) -> str:
     """Body-only HTML fragment (embedded by :mod:`repro.obs.report`).
 
     Every workload/config/cause string passes through ``html.escape``.
     """
+    # Imported here: repro.obs.report imports this module.
+    from repro.obs.report import html_table as _table
+
     totals = summary.get("totals", {})
     parts = [
         f"<p class='meta'>{totals.get('commits', 0)} commits over "
@@ -666,10 +642,12 @@ def render_html_fragment(summary: Dict[str, Any], top: int = 10) -> str:
 
 def render_html(summary: Dict[str, Any], top: int = 10) -> str:
     """Single-file static HTML architecture report."""
+    from repro.obs.report import HTML_STYLE
+
     return (
         "<!doctype html><html><head><meta charset='utf-8'>"
         "<title>architecture report</title>"
-        f"<style>{_CSS}</style></head><body>"
+        f"<style>{HTML_STYLE}</style></head><body>"
         "<h1>Architecture report</h1>"
         + render_html_fragment(summary, top=top)
         + "</body></html>"

@@ -27,10 +27,14 @@ changing which engine runs or how fast it runs.
   the wall-time fields).  It is also the ledger file's one writer:
   ``sweep_start`` when the sweep starts, each ``run`` line as its record
   lands, and the ``driver`` lines and ``sweep_end`` at the end
-  (:meth:`RunLedger.finish`).
-* :func:`count_rows` — the row-weighted counter behind every run count.
-* :func:`read_ledger` — load a ledger JSONL file back into a
-  :class:`Ledger` (header, run records, driver marks, footer).
+  (:meth:`RunLedger.finish`, which also returns the sweep as a
+  :class:`Ledger`).
+* :class:`Ledger` — one sweep in memory (header, run records, driver
+  marks, footer); :func:`read_ledger` loads a ledger file back into one.
+* :func:`tally` — the row-weighted tally of a :class:`Ledger` that every
+  view of a sweep reads: the ledger footer, the run profile and sweep
+  report (:mod:`repro.obs.report`), the eval CLI's ``[ledger: ...]``
+  line and bench entry, and :mod:`repro.obs.watch`.
 
 Recording is opt-in (``LEDGER.enabled`` defaults to False) and costs one
 small object append per *run*; the CI guard
@@ -61,6 +65,7 @@ __all__ = [
     "RunRecord",
     "count_rows",
     "read_ledger",
+    "tally",
 ]
 
 #: Engine values a :class:`RunRecord` can carry.
@@ -210,9 +215,8 @@ _RUN_FIELDS = frozenset(f.name for f in fields(RunRecord))
 def count_rows(records: Iterable[RunRecord], key) -> Dict[str, int]:
     """Row-weighted counts of ``key(rec)`` (``None`` keys skipped).
 
-    A batch record stands for ``rows`` runs, so every run count — the
-    ledger's aggregates, the sweep report, the eval CLI's per-driver
-    runs — reconciles against per-run totals.
+    A batch record stands for ``rows`` runs, so every run count of
+    :func:`tally` reconciles against per-run totals.
     """
     out: Dict[str, int] = {}
     for rec in records:
@@ -234,6 +238,7 @@ class RunLedger:
         self.enabled = False
         self.records: List[RunRecord] = []
         self.driver: Optional[str] = None
+        self.header: dict = {}
         self.epoch = time.perf_counter()
         self._stream = None
 
@@ -250,6 +255,7 @@ class RunLedger:
         """Drop all records, close the stream and restart the epoch."""
         self.records.clear()
         self.driver = None
+        self.header = {}
         self.epoch = time.perf_counter()
         self.stop_stream()
 
@@ -259,49 +265,56 @@ class RunLedger:
 
     # -- the ledger file -----------------------------------------------
 
-    def stream_to(self, path: str, header: Optional[dict] = None) -> None:
-        """Start the ledger file at ``path`` with its ``sweep_start`` line.
+    def stream_to(self, path: Optional[str],
+                  header: Optional[dict] = None) -> None:
+        """Open a sweep: keep its ``sweep_start`` line (``header`` after
+        the type and version) and, given a ``path``, start the ledger
+        file there with it.
 
         Every later :meth:`record` appends its ``run`` line, flushed per
         record so ``python -m repro.obs.watch`` can follow the sweep;
         :meth:`finish` completes the file.
         """
         self.stop_stream()
+        self.header = {"type": "sweep_start", "version": 1, **(header or {})}
+        if not path:
+            return
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        head = {"type": "sweep_start", "version": 1}
-        head.update(header or {})
         self._stream = open(path, "w", encoding="utf-8")
-        self._write(head)
+        self._write(self.header)
 
     def _write(self, line: dict) -> None:
         self._stream.write(json.dumps(line) + "\n")
         self._stream.flush()
 
     def finish(self, drivers: Iterable[dict] = (),
-               footer: Optional[dict] = None) -> None:
-        """Append one ``driver`` line per mark (``name``/``t0``/``t1``,
-        :attr:`repro.obs.profile.Profiler.marks`) and the closing
-        ``sweep_end`` line — the engine/fallback/kernel/cache-tier
-        aggregates plus whatever the caller folds into ``footer`` — then
-        close the file.  No-op without a stream."""
-        if self._stream is None:
-            return
-        for mark in drivers:
-            self._write({"type": "driver", **mark})
-        tail = {
+               footer: Optional[dict] = None) -> "Ledger":
+        """The sweep as a :class:`Ledger`: the header, the records, one
+        ``driver`` line per mark (``name``/``t0``/``t1``,
+        :attr:`repro.obs.profile.Profiler.marks`) and the ``sweep_end``
+        footer — the :func:`tally`'s engine, fallback, kernel and
+        cache-tier counts plus whatever the caller folds into ``footer``.
+        With a stream open, the driver lines and the footer are appended
+        to the file, which is then closed."""
+        ledger = Ledger(dict(self.header), list(self.records),
+                        [{"type": "driver", **mark} for mark in drivers])
+        counts = tally(ledger)
+        ledger.footer = {
             "type": "sweep_end",
-            "runs": len(self.records),
-            "rows": self.total_rows(),
-            "engines": self.engine_counts(),
-            "fallback_reasons": self.fallback_counts(),
-            "kernels": self.kernel_counts(),
-            "result_cache": self.result_cache_counts(),
+            "runs": counts["records"],
+            "rows": counts["rows"],
+            **{key: counts[key] for key in (
+                "engines", "fallback_reasons", "kernels", "result_cache")},
+            **(footer or {}),
         }
-        tail.update(footer or {})
-        self._write(tail)
-        self.stop_stream()
+        if self._stream is not None:
+            for line in ledger.drivers:
+                self._write(line)
+            self._write(ledger.footer)
+            self.stop_stream()
+        return ledger
 
     def stop_stream(self) -> None:
         """Close the ledger file, if any (idempotent)."""
@@ -337,23 +350,9 @@ class RunLedger:
         finally:
             self.driver = prev
 
-    # -- aggregation ---------------------------------------------------
-
     def total_rows(self) -> int:
         """Simulator runs represented (each record weighted by its rows)."""
         return sum(rec.rows for rec in self.records)
-
-    def engine_counts(self) -> Dict[str, int]:
-        return count_rows(self.records, lambda r: r.engine)
-
-    def fallback_counts(self) -> Dict[str, int]:
-        return count_rows(self.records, lambda r: r.fallback_reason)
-
-    def kernel_counts(self) -> Dict[str, int]:
-        return count_rows(self.records, lambda r: r.kernel)
-
-    def result_cache_counts(self) -> Dict[str, int]:
-        return count_rows(self.records, lambda r: r.result_cache)
 
     def stable_records(self) -> List[dict]:
         """The deterministic ledger projection (see ``RunRecord``)."""
@@ -362,15 +361,77 @@ class RunLedger:
 
 @dataclass
 class Ledger:
-    """A ledger file loaded back into memory."""
+    """One sweep in memory: a ledger file's lines, or
+    :meth:`RunLedger.finish`'s view of the live sweep."""
 
     header: dict = field(default_factory=dict)
     records: List[RunRecord] = field(default_factory=list)
     drivers: List[dict] = field(default_factory=list)
     footer: dict = field(default_factory=dict)
 
+    def add_line(self, obj) -> None:
+        """Fold one parsed ledger line; ``ValueError`` for a line of
+        another kind (an event log's, say)."""
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        if kind == "run":
+            self.records.append(RunRecord.from_dict(obj))
+        elif kind == "sweep_start":
+            self.header = obj
+        elif kind == "sweep_end":
+            self.footer = obj
+        elif kind == "driver":
+            self.drivers.append(obj)
+        else:
+            raise ValueError(
+                f"not a ledger line (type={kind!r}; is this an event log?)"
+            )
+
     def stable_records(self) -> List[dict]:
         return [rec.stable_dict() for rec in self.records]
+
+
+def tally(ledger: Ledger) -> dict:
+    """The row-weighted tally of a sweep — the one place its runs are
+    counted.
+
+    ``records`` and ``rows`` (records weighted by rows), ``sim_s`` (Σ
+    ``wall_s``, the engines' time), ``stalled`` rows, runs by
+    ``engines``, ``fallback_reasons``, ``kernels`` and ``result_cache``
+    tier, and per ``drivers`` (``wall_s`` summed over the driver's marks,
+    ``None`` for a driver no mark names; ``rows``; ``sim_s``) and per
+    ``workloads`` (``rows``, ``sim_s``).  Drivers are listed in mark
+    order, then in record order.
+    """
+    records = ledger.records
+    drivers: Dict[str, dict] = {}
+    for mark in ledger.drivers:
+        row = drivers.setdefault(
+            mark.get("name", "?"), {"wall_s": 0.0, "rows": 0, "sim_s": 0.0}
+        )
+        row["wall_s"] += float(mark.get("t1", 0.0)) - float(mark.get("t0", 0.0))
+    workloads: Dict[str, dict] = {}
+    for rec in records:
+        row = workloads.setdefault(rec.workload, {"rows": 0, "sim_s": 0.0})
+        row["rows"] += rec.rows
+        row["sim_s"] += rec.wall_s
+        if rec.driver is not None:
+            row = drivers.setdefault(
+                rec.driver, {"wall_s": None, "rows": 0, "sim_s": 0.0}
+            )
+            row["rows"] += rec.rows
+            row["sim_s"] += rec.wall_s
+    return {
+        "records": len(records),
+        "rows": sum(rec.rows for rec in records),
+        "sim_s": sum(rec.wall_s for rec in records),
+        "stalled": sum(rec.rows for rec in records if rec.stalled),
+        "engines": count_rows(records, lambda r: r.engine),
+        "fallback_reasons": count_rows(records, lambda r: r.fallback_reason),
+        "kernels": count_rows(records, lambda r: r.kernel),
+        "result_cache": count_rows(records, lambda r: r.result_cache),
+        "drivers": drivers,
+        "workloads": workloads,
+    }
 
 
 def read_ledger(path: str) -> Ledger:
@@ -386,29 +447,15 @@ def read_ledger(path: str) -> Ledger:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                ledger.add_line(json.loads(line))
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad ledger line: {exc}")
-            kind = obj.get("type") if isinstance(obj, dict) else None
-            if kind == "run":
-                ledger.records.append(RunRecord.from_dict(obj))
-            elif kind == "sweep_start":
-                ledger.header = obj
-            elif kind == "sweep_end":
-                ledger.footer = obj
-            elif kind == "driver":
-                ledger.drivers.append(obj)
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: not a ledger line "
-                    f"(type={kind!r}; is this an event log?)"
-                )
     return ledger
 
 
 def is_ledger_file(path: str) -> bool:
     """True when the first non-blank line looks like a ledger line (used
-    by ``python -m repro.obs.inspect`` to accept either input kind)."""
+    by ``python -m repro.obs.report`` to accept either input kind)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:

@@ -13,10 +13,12 @@ block per interval::
     cache:   hit=204 miss=208
     drivers: fig8
 
-The module is split into pure pieces — :class:`WatchState` folds ledger
-lines, :class:`RateMeter` turns row counts into a sliding-window rate,
-:func:`render` formats a snapshot — with the terminal loop on top, so
-tests drive the pieces without a TTY or a sleep.
+The module is split into pure pieces — :class:`WatchState` collects
+ledger lines (counted by :func:`repro.obs.telemetry.tally`, like every
+other view of a sweep), :class:`RateMeter` turns row counts into a
+sliding-window rate, :func:`render` formats a snapshot — with the
+terminal loop on top, so tests drive the pieces without a TTY or a
+sleep.
 """
 
 import argparse
@@ -29,57 +31,43 @@ import urllib.request
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.obs.telemetry import Ledger, tally
+
 __all__ = ["LedgerFollower", "RateMeter", "WatchState", "render"]
 
 
 class WatchState:
-    """Aggregates ledger lines (or ``/stats`` snapshots) into the few
-    numbers the watcher displays."""
+    """The ledger lines seen so far, or the last server ``/stats``
+    snapshot, and their :meth:`tally`."""
 
     def __init__(self) -> None:
-        self.runs = 0
-        self.rows = 0
-        self.engines: Dict[str, int] = {}
-        self.tiers: Dict[str, int] = {}
-        self.drivers: List[str] = []
-        self.header: Optional[dict] = None
-        self.footer: Optional[dict] = None
+        self.ledger = Ledger()
+        self.served: Optional[dict] = None
 
     @property
     def done(self) -> bool:
-        return self.footer is not None
+        return bool(self.ledger.footer)
 
     def apply_line(self, obj: dict) -> None:
-        """Fold one parsed ledger line."""
-        kind = obj.get("type")
-        if kind == "run":
-            rows = int(obj.get("rows") or 1)
-            self.runs += 1
-            self.rows += rows
-            engine = obj.get("engine") or "?"
-            self.engines[engine] = self.engines.get(engine, 0) + rows
-            tier = obj.get("result_cache") or "off"
-            self.tiers[tier] = self.tiers.get(tier, 0) + rows
-            driver = obj.get("driver")
-            if driver and driver not in self.drivers:
-                self.drivers.append(driver)
-        elif kind == "sweep_start":
-            self.header = obj
-        elif kind == "sweep_end":
-            self.footer = obj
-        elif kind == "driver":
-            name = obj.get("name")
-            if name and name not in self.drivers:
-                self.drivers.append(name)
+        """Fold one parsed ledger line (lines of another kind are
+        skipped)."""
+        try:
+            self.ledger.add_line(obj)
+        except (TypeError, ValueError):
+            pass
 
     def apply_server_stats(self, stats: dict) -> None:
-        """Replace counts with a server ``/stats`` snapshot (absolute
+        """Replace the tally with a server ``/stats`` snapshot (absolute
         counters, not a delta stream)."""
         server = stats.get("server", {})
-        self.runs = int(server.get("jobs", 0))
-        self.rows = self.runs
-        self.tiers = dict(server.get("tiers", {}))
-        self.engines = {"served": self.runs}
+        jobs = int(server.get("jobs", 0))
+        self.served = {
+            "records": jobs, "rows": jobs, "engines": {"served": jobs},
+            "result_cache": dict(server.get("tiers", {})), "drivers": {},
+        }
+
+    def tally(self) -> dict:
+        return self.served or tally(self.ledger)
 
 
 class RateMeter:
@@ -170,21 +158,22 @@ def render(
     expect: Optional[int] = None,
 ) -> str:
     """Format one snapshot as the multi-line block the loop redraws."""
-    head = f"sweep: {state.runs} runs / {state.rows} rows"
-    head += f"   {rate:.1f} rows/s" if rate else "   --.- rows/s"
+    t = state.tally()
+    rows = t["rows"]
     if state.done:
-        footer = state.footer or {}
-        head += "   DONE"
-        if footer.get("runs") is not None:
-            head = (f"sweep: {footer['runs']} runs / "
-                    f"{footer.get('rows', state.rows)} rows   DONE")
-    elif expect and rate > 0 and state.rows < expect:
-        head += f"   ETA {_fmt_eta((expect - state.rows) / rate)}"
-    lines = [head, f"engines: {_fmt_mix(state.engines)}"]
-    if state.tiers:
-        lines.append(f"cache:   {_fmt_mix(state.tiers)}")
-    if state.drivers:
-        lines.append("drivers: " + " ".join(state.drivers[-6:]))
+        footer = state.ledger.footer
+        head = (f"sweep: {footer.get('runs', t['records'])} runs / "
+                f"{footer.get('rows', rows)} rows   DONE")
+    else:
+        head = f"sweep: {t['records']} runs / {rows} rows"
+        head += f"   {rate:.1f} rows/s" if rate else "   --.- rows/s"
+        if expect and rate > 0 and rows < expect:
+            head += f"   ETA {_fmt_eta((expect - rows) / rate)}"
+    lines = [head, f"engines: {_fmt_mix(t['engines'])}"]
+    if t["result_cache"]:
+        lines.append(f"cache:   {_fmt_mix(t['result_cache'])}")
+    if t["drivers"]:
+        lines.append("drivers: " + " ".join(list(t["drivers"])[-6:]))
     return "\n".join(lines)
 
 
@@ -212,7 +201,7 @@ def watch_ledger(
     while True:
         for obj in follower.poll():
             state.apply_line(obj)
-        meter.sample(state.rows)
+        meter.sample(state.tally()["rows"])
         prev = _redraw(render(state, meter.rate(), expect), prev, out)
         if once or state.done:
             return 0
@@ -239,7 +228,7 @@ def watch_server(
             block = render(state, meter.rate(), expect)
         except (urllib.error.URLError, OSError, ValueError) as exc:
             block = f"server unreachable: {url} ({exc})"
-        meter.sample(state.rows)
+        meter.sample(state.tally()["rows"])
         prev = _redraw(block, prev, out)
         if once:
             return 0

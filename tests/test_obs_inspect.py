@@ -1,9 +1,14 @@
-"""The ``python -m repro.obs.inspect`` event-log summarizer."""
+"""Inspecting a recorded event log: ``python -m repro.obs.report
+run.jsonl`` summarizes it (:func:`repro.obs.report.summarize_data`,
+rendered by :func:`repro.obs.report.render_events`)."""
 
+import importlib.util
 import json
 
+import pytest
+
 from repro.core.config import ClankConfig
-from repro.obs.inspect import main, summarize, summarize_data
+from repro.obs.report import main, render_events, summarize_data
 from repro.obs.recorder import JsonlRecorder, read_events
 from repro.obs.telemetry import RunLedger, RunRecord
 from repro.power.schedules import ExponentialPower
@@ -23,6 +28,10 @@ def record_log(path):
             recorder=rec,
         )
     return result
+
+
+def summarize(events):
+    return render_events(summarize_data(events))
 
 
 class TestSummarize:
@@ -66,11 +75,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "event counts" in out
         assert "checkpoint_committed" in out
+        # The ledger-only outputs refuse an event log.
+        with pytest.raises(SystemExit):
+            main([path, "--html", str(tmp_path / "report.html")])
 
     def test_json_format(self, tmp_path, capsys):
         path = str(tmp_path / "run.jsonl")
         record_log(path)
-        assert main([path, "--format", "json"]) == 0
+        assert main([path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["events"] > 0
         assert "checkpoint_committed" in data["counts"]
@@ -85,12 +97,13 @@ class TestCli:
         led.finish()
         assert main([path]) == 0
         assert "engine mix" in capsys.readouterr().out
-        assert main([path, "--format", "json"]) == 0
+        assert main([path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engines"] == {"fast": 1}
 
     def test_module_is_runnable(self):
-        # ``python -m repro.obs.inspect`` resolves to this module's main().
-        import repro.obs.inspect as mod
+        # One CLI reads both kinds: ``python -m repro.obs.report``.
+        import repro.obs.report as mod
 
         assert callable(mod.main)
+        assert importlib.util.find_spec("repro.obs.inspect") is None

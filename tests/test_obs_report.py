@@ -1,4 +1,5 @@
-"""The ``python -m repro.obs.report`` sweep-report renderer."""
+"""The ``python -m repro.obs.report`` run-profile renderer, and the
+ledger tally (:func:`repro.obs.telemetry.tally`) it reads."""
 
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.obs import report, telemetry
 from repro.obs.chrome_trace import ledger_spans, spans_to_chrome_trace
-from repro.obs.telemetry import Ledger, RunRecord
+from repro.obs.telemetry import Ledger, RunRecord, tally
 
 
 def sample_ledger():
@@ -39,33 +40,39 @@ def sample_ledger():
         records=records,
         drivers=drivers,
         footer={"type": "sweep_end", "wall_clock_s": 0.4,
-                "dispatch": {"fast": 2, "fallback": 1},
-                "aggregates": {"section_cache_hits": 3,
-                               "section_cache_misses": 2,
-                               "disk_cache_hits": 1,
-                               "disk_cache_misses": 3,
-                               "disk_cache_puts": 3}},
+                "counters": {"walk.calls": 2,
+                             "sections.hits": 3, "sections.misses": 2,
+                             "cache.hits": 1, "cache.misses": 3,
+                             "cache.puts": 3}},
     )
 
 
 class TestSummary:
     def test_counts_and_slowest(self):
-        s = report.summary(sample_ledger(), top=2)
-        assert s["runs"] == 5
-        assert s["engines"] == {"fast": 2, "reference": 1,
+        t = tally(sample_ledger())
+        assert (t["rows"], t["records"]) == (5, 5)
+        assert t["engines"] == {"fast": 2, "reference": 1,
                                 "disk-cached-result": 1, "stalled": 1}
-        assert s["fallback_reasons"] == {"watchdog_cut": 1}
-        assert s["kernels"] == {"c": 2}
-        assert s["result_cache"] == {"off": 4, "hit": 1}
-        assert s["stalled"] == 1
-        assert [r["workload"] for r in s["slowest"]] == ["aes", "crc"]
+        assert t["fallback_reasons"] == {"watchdog_cut": 1}
+        assert t["kernels"] == {"c": 2}
+        assert t["result_cache"] == {"off": 4, "hit": 1}
+        assert t["stalled"] == 1
+        text = report.render_text(sample_ledger(), top=2)
+        slowest = text.split("-- slowest runs (top 2)\n")[1].splitlines()
+        assert [line.split()[0] for line in slowest] == ["aes", "crc"]
 
     def test_driver_rows_join_marks_with_records(self):
-        s = report.summary(sample_ledger())
-        by_name = {row["driver"]: row for row in s["drivers"]}
-        assert by_name["fig5"]["runs"] == 3
-        assert by_name["fig5"]["wall_s"] == 0.25
-        assert by_name["fig7"]["runs"] == 2
+        drivers = tally(sample_ledger())["drivers"]
+        assert list(drivers) == ["fig5", "fig7"]
+        assert drivers["fig5"]["rows"] == 3
+        assert drivers["fig5"]["wall_s"] == 0.25
+        assert drivers["fig5"]["sim_s"] == pytest.approx(0.26)
+        assert drivers["fig7"]["rows"] == 2
+        # A driver no mark names (a partial ledger) has no wall clock.
+        ledger = sample_ledger()
+        ledger.drivers.pop()
+        assert tally(ledger)["drivers"]["fig7"]["wall_s"] is None
+        assert f"   {'fig7':<20s} {'?':>10s}" in report.render_text(ledger)
 
     def test_counts_rows_not_records(self):
         """A batch record stands for its rows in every count."""
@@ -75,36 +82,47 @@ class TestSummary:
             RunRecord(workload="crc", config="8,4,2,0", engine="fast",
                       kernel="c", driver="fig5", index=1),
         ])
-        s = report.summary(ledger)
-        assert (s["runs"], s["records"]) == (61, 2)
-        assert s["engines"] == {"batch": 60, "fast": 1}
-        assert s["kernels"] == {"c": 61}
-        assert s["result_cache"] == {"off": 61}
-        assert [row["runs"] for row in s["drivers"]] == [61]
+        t = tally(ledger)
+        assert (t["rows"], t["records"]) == (61, 2)
+        assert t["engines"] == {"batch": 60, "fast": 1}
+        assert t["kernels"] == {"c": 61}
+        assert t["result_cache"] == {"off": 61}
+        assert t["drivers"]["fig5"]["rows"] == 61
+        assert t["workloads"] == {"crc": {"rows": 61, "sim_s": 0.0}}
         text = report.render_text(ledger)
-        assert "sweep report — 61 runs in 2 records" in text
+        assert "-- engine mix (61 runs in 2 records)" in text
         assert "batch                       60   98.4%" in text
+        assert "61 walked / 0 fallback (100.0% walked)" in text
         assert "61 runs in 2 records" in report.render_html(ledger)
 
     def test_empty_ledger(self):
-        s = report.summary(Ledger())
-        assert s["runs"] == 0
-        assert s["engines"] == {}
-        assert s["slowest"] == []
+        t = tally(Ledger())
+        assert (t["rows"], t["records"]) == (0, 0)
+        assert t["engines"] == {}
+        assert "slowest runs" not in report.render_text(Ledger())
 
 
 class TestRenderText:
     def test_sections_present(self):
         text = report.render_text(sample_ledger())
-        assert "sweep report — 5 runs" in text
-        assert "engine mix" in text
-        assert "fallback reasons" in text
+        assert text.startswith("run profile\n")
+        assert "experiments=fig5,fig7  jobs=2" in text
+        assert "wall clock: 0.4s" in text
+        assert "experiment drivers" in text
+        assert "simulator time by workload (5 runs, 0.262s total)" in text
+        assert "engine mix (5 runs)" in text
+        assert ("section walk: 2 walked / 1 fallback (66.7% walked); "
+                "2 C walk calls") in text
+        assert "fallback reasons (1 reference runs via simulate_batch)" in text
         assert "watchdog_cut" in text
-        assert "cache-tier funnel" in text
-        assert "per-driver timings" in text
+        assert "kernel (rows the C section walk served, fast and batch)" \
+            in text
+        assert "result cache (per run)" in text
         assert "slowest runs" in text
-        assert "section maps: 3 hits / 2 misses (60.0% hit rate)\n" in text
-        assert "artifact cache (disk): 1 hits / 3 misses" in text
+        assert ("section maps: 3 hits / 2 misses (60.0% hit rate); "
+                "3 warm from memory, 2 cold\n") in text
+        assert ("artifact cache (disk): 1 hits / 3 misses (25.0% hit rate), "
+                "3 puts, 0 evictions") in text
 
     def test_empty_ledger_renders(self):
         assert "0 runs" in report.render_text(Ledger())
@@ -225,6 +243,7 @@ class TestCli:
         assert report.main([path, "--html", html_path,
                             "--chrome-trace", trace_path]) == 0
         out = capsys.readouterr().out
+        assert out == report.render_text(telemetry.read_ledger(path)) + "\n"
         assert "engine mix" in out
         with open(html_path) as fh:
             assert "Engine mix" in fh.read()
@@ -238,14 +257,17 @@ class TestCli:
         path = self._write(tmp_path)
         assert report.main([path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["runs"] == 5
+        assert data["rows"] == 5
         assert data["engines"]["fast"] == 2
+        assert data["footer"]["runs"] == 5
 
     def test_bad_input_is_error(self, tmp_path, capsys):
+        # Neither a ledger nor an event log.
         path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "power_failure"}\n')
+        path.write_text('{"kind": "no_such_event"}\n')
         assert report.main([str(path)]) == 2
         assert "error" in capsys.readouterr().err
+        assert report.main([str(tmp_path / "absent.jsonl")]) == 2
 
     def test_arch_section_embedded(self, tmp_path, capsys):
         from repro.obs import analyze

@@ -1,6 +1,6 @@
 """The live sweep watcher's pure pieces (:mod:`repro.obs.watch`).
 
-WatchState folding (row-weighted engine/tier mixes, header/footer,
+WatchState folding (ledger lines tallied row-weighted, header/footer,
 server-stats snapshots), the sliding-window RateMeter, the incremental
 LedgerFollower (missing file, partial trailing line, rewrite detection),
 the render block, and the ledger file it tails
@@ -21,8 +21,9 @@ from repro.obs.watch import (
 
 
 def _run_line(engine="fast", rows=1, tier="off", driver="fig5"):
-    return {"type": "run", "engine": engine, "rows": rows,
-            "result_cache": tier, "driver": driver}
+    return {"type": "run", "workload": "crc", "config": "8,4,2,0",
+            "engine": engine, "rows": rows, "result_cache": tier,
+            "driver": driver}
 
 
 class TestWatchState:
@@ -31,17 +32,20 @@ class TestWatchState:
         state.apply_line(_run_line(engine="fast", rows=1))
         state.apply_line(_run_line(engine="batch", rows=24, tier="memory"))
         state.apply_line(_run_line(engine="fast", rows=1, driver="fig8"))
-        assert state.runs == 3 and state.rows == 26
-        assert state.engines == {"fast": 2, "batch": 24}
-        assert state.tiers == {"off": 2, "memory": 24}
-        assert state.drivers == ["fig5", "fig8"]
+        state.apply_line({"type": "run"})  # not a record: skipped
+        t = state.tally()
+        assert t["records"] == 3 and t["rows"] == 26
+        assert t["engines"] == {"fast": 2, "batch": 24}
+        assert t["result_cache"] == {"off": 2, "memory": 24}
+        assert list(t["drivers"]) == ["fig5", "fig8"]
         assert not state.done
 
     def test_header_footer_and_driver_lines(self):
         state = WatchState()
         state.apply_line({"type": "sweep_start", "version": 1})
         state.apply_line({"type": "driver", "name": "fig5"})
-        assert state.header and state.drivers == ["fig5"]
+        assert state.ledger.header and list(state.tally()["drivers"]) == [
+            "fig5"]
         state.apply_line({"type": "sweep_end", "runs": 9, "rows": 12})
         assert state.done
 
@@ -51,9 +55,10 @@ class TestWatchState:
         state.apply_server_stats({"server": {
             "jobs": 7, "tiers": {"computed": 4, "memory": 3},
         }})
-        assert state.runs == 7 and state.rows == 7
-        assert state.engines == {"served": 7}
-        assert state.tiers == {"computed": 4, "memory": 3}
+        t = state.tally()
+        assert t["records"] == 7 and t["rows"] == 7
+        assert t["engines"] == {"served": 7}
+        assert t["result_cache"] == {"computed": 4, "memory": 3}
 
 
 class TestRateMeter:
@@ -186,7 +191,7 @@ class TestLedgerStreaming:
         assert [obj["type"] for obj in tail] == ["driver", "sweep_end"]
         for obj in tail:
             state.apply_line(obj)
-        assert state.done and state.runs == 1
+        assert state.done and state.tally()["records"] == 1
 
     def test_watch_once_over_finished_ledger(self, tmp_path):
         path = str(tmp_path / "done.jsonl")

@@ -46,8 +46,8 @@ from repro.eval.settings import EvalSettings
 from repro.obs import analyze
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.obs.metrics import COUNTERS
-from repro.obs.profile import Profiler
-from repro.obs.telemetry import LEDGER
+from repro.obs.report import render_text
+from repro.obs.telemetry import LEDGER, Ledger, tally
 from repro.power.schedules import RuntPower
 from repro.sim.batch import BatchResult
 from repro.sim.simulator import IntermittentSimulator
@@ -296,7 +296,7 @@ def test_watchdog_cut_groups_match_reference():
         _check_differential(jobs, settings_, True)
         with ledger() as led:
             run_jobs(jobs, settings_)
-            reasons = led.fallback_counts()
+            reasons = tally(Ledger(records=led.records))["fallback_reasons"]
     assert COUNTERS.snapshot().get("walk.safe_cuts"), "no safe cut"
     assert reasons.get("watchdog_cut"), reasons
 
@@ -358,7 +358,7 @@ def _run_path(root, monkeypatch, grouped: bool):
                 results = [execute_job(job, ORDER_SETTINGS)[0]
                            for job in jobs]
             records = led.stable_records()
-            profile = Profiler().table(records=led.records)
+            profile = render_text(Ledger(records=led.records))
     finally:
         artifact_cache.reset_for_tests()
     rendered = [None if r is None else r.to_dict() for r in results]

@@ -26,7 +26,7 @@ from repro.eval.settings import EvalSettings
 from repro.obs import telemetry
 from repro.obs.metrics import COUNTERS
 from repro.obs.profile import Profiler
-from repro.obs.telemetry import LEDGER, FallbackReason, RunRecord
+from repro.obs.telemetry import LEDGER, FallbackReason, Ledger, RunRecord
 from repro.sim import fast, sections
 from repro.sim.fast import dispatch_stats, simulate_fast
 from repro.workloads.cache import get_trace
@@ -145,11 +145,12 @@ class TestRunLedger:
                                 kernel="c", rows=60, driver="fig5"))
         LEDGER.record(RunRecord(workload="b", config="c", engine="fast",
                                 kernel="c", driver="fig5"))
-        assert LEDGER.engine_counts() == {"batch": 60, "fast": 1}
-        assert LEDGER.kernel_counts() == {"c": 61}
+        counts = telemetry.tally(Ledger(records=LEDGER.records))
+        assert counts["engines"] == {"batch": 60, "fast": 1}
+        assert counts["kernels"] == {"c": 61}
         assert telemetry.count_rows(LEDGER.records,
                                     lambda r: r.driver) == {"fig5": 61}
-        assert LEDGER.total_rows() == 61
+        assert LEDGER.total_rows() == counts["rows"] == 61
 
     def test_counts(self):
         LEDGER.enable()
@@ -157,10 +158,11 @@ class TestRunLedger:
                                 kernel="c"))
         LEDGER.record(RunRecord(workload="b", config="c", engine="reference",
                                 fallback_reason="verify"))
-        assert LEDGER.engine_counts() == {"fast": 1, "reference": 1}
-        assert LEDGER.fallback_counts() == {"verify": 1}
-        assert LEDGER.kernel_counts() == {"c": 1}
-        assert LEDGER.result_cache_counts() == {"off": 2}
+        counts = telemetry.tally(Ledger(records=LEDGER.records))
+        assert counts["engines"] == {"fast": 1, "reference": 1}
+        assert counts["fallback_reasons"] == {"verify": 1}
+        assert counts["kernels"] == {"c": 1}
+        assert counts["result_cache"] == {"off": 2}
 
 
 class TestLedgerFile:
@@ -173,8 +175,12 @@ class TestLedgerFile:
             LEDGER.record(RunRecord(workload="crc", config="1,0,0,0",
                                     engine="fast", kernel="c",
                                     driver=LEDGER.driver))
-        LEDGER.finish(profiler.marks, footer={"wall_clock_s": 1})
+        ledger = LEDGER.finish(profiler.marks, footer={"wall_clock_s": 1})
         loaded = telemetry.read_ledger(path)
+        # finish returns the sweep exactly as the file reads back.
+        assert (loaded.header, loaded.drivers, loaded.footer) == (
+            ledger.header, ledger.drivers, ledger.footer)
+        assert loaded.records == ledger.records
         assert loaded.header["jobs"] == 2
         assert loaded.header["version"] == 1
         assert loaded.footer["wall_clock_s"] == 1
@@ -277,7 +283,7 @@ class TestSweepTelemetry:
         LEDGER.enable()
         run_jobs(jobs, QUICK)
         stats = dispatch_stats()
-        engines = LEDGER.engine_counts()
+        engines = telemetry.tally(Ledger(records=LEDGER.records))["engines"]
         assert engines.get("fast", 0) == stats["fast"]
         assert engines.get("reference", 0) == stats["fallback"]
         assert sum(engines.values()) == len(jobs)
@@ -310,7 +316,8 @@ class TestDiskCacheProvenance:
             assert all(r is not None for r in warm)
             # Ledger reconciliation: cached runs never tick dispatch.
             stats = artifact_cache.stats()
-            assert LEDGER.engine_counts()["disk-cached-result"] <= \
+            assert telemetry.tally(Ledger(records=LEDGER.records))[
+                "engines"]["disk-cached-result"] <= \
                 stats["hits"]
         finally:
             sections.clear_cache()
@@ -415,13 +422,29 @@ class TestCliLedger:
         loaded = telemetry.read_ledger(path)
         assert loaded.header["experiments"] == ["table3"]
         assert loaded.footer["runs"] == len(loaded.records) > 0
-        dispatch = loaded.footer["dispatch"]
+        counters = loaded.footer["counters"]
         engines = loaded.footer["engines"]
-        assert engines.get("fast", 0) == dispatch["fast"]
-        assert engines.get("reference", 0) == dispatch["fallback"]
+        assert engines.get("fast", 0) == counters["dispatch.fast"]
+        assert engines.get("reference", 0) == sum(
+            n for name, n in counters.items()
+            if name.startswith("dispatch.reasons."))
         assert [m["name"] for m in loaded.drivers] == ["table3"]
         # The shared ledger is switched back off after the CLI run.
         assert not LEDGER.enabled
+
+    def test_profile_equals_report_of_written_ledger(self, tmp_path,
+                                                     capsys):
+        """The run profile the CLI prints is the report of the ledger it
+        writes, byte for byte."""
+        from repro.eval.__main__ import main
+        from repro.obs.report import main as report_main
+
+        path = str(tmp_path / "ledger.jsonl")
+        assert main(["fig7", "--quick", "--ledger", path]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("run profile\n"):out.index("\n[ledger:")]
+        assert report_main([path]) == 0
+        assert capsys.readouterr().out == profile + "\n"
 
     def test_quick_run_without_flag_writes_no_ledger(self, tmp_path,
                                                      monkeypatch, capsys):
