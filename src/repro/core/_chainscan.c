@@ -1,14 +1,19 @@
-/* Straight-line idempotent-section chain scan.
+/* Straight-line idempotent-section chain scan and section walk.
  *
- * A C port of the inner loop of
+ * ``chain_scan`` is a C port of the inner loop of
  * ``repro.core.detector.IdempotencyDetector.straightline_chain`` — the
  * one O(n-accesses) pass the section-memoized fast path cannot avoid.
  * The Python generator remains the reference implementation (the test
  * oracle of this scan); this kernel must replay its decision sequence
- * branch-for-branch.  Inputs are the same precomputed
- * per-trace arrays (``CompiledTrace.scan_arrays`` / ``prefix_ids``) and
- * the same generation-stamped flat membership scratch, so the two
- * implementations share every data-structure invariant.
+ * branch-for-branch.  Inputs are the same precomputed per-trace arrays
+ * (``CompiledTrace.scan_arrays`` / ``prefix_ids``) and the same
+ * generation-stamped flat membership scratch, so the two
+ * implementations share every data-structure invariant.  Every scan
+ * runs here: a sweep family's canonical chains (K members, one call)
+ * and a map's off-chain and direct-write scans (one member).
+ *
+ * ``group_walk`` (below) replays power schedules over the scanned
+ * section tables.
  *
  * Compiled on demand by ``repro.core.cext`` via the system C compiler;
  * no Python.h dependency, plain int32 buffers across the ctypes
@@ -41,9 +46,9 @@
 #define F_NO_WF_OVERFLOW 16
 #define F_LATEST_CHECKPOINT 32
 #define F_HAS_PI 64
-/* Scan only the first section, recording its direct-commit (write-first
- * path) trace indices into dw_out — what the section walk's watchdog-cut
- * decision (sw_cut_safe) reads. */
+/* Scan only the first section and emit its direct-commit (write-first
+ * path) trace indices in place of its WBB growth steps — what the
+ * section walk's watchdog-cut decision (sw_cut_safe) reads. */
 #define F_FIRST_DW 128
 
 /* ops[i] bits (CompiledTrace.scan_arrays): 1 write, 2 text, 4 output
@@ -60,269 +65,150 @@ static int cs_member(const int64_t *keys, int64_t nk, int64_t key)
     return lo < nk && keys[lo] == key;
 }
 
-int64_t chain_scan(
-    const uint8_t *ops,      /* [n] per-access op bits */
-    const int32_t *wids,     /* [n] dense word ids */
-    const int32_t *pids,     /* [n] dense prefix ids (APB) or NULL */
-    const uint8_t *pi,       /* [n] PI membership mask or NULL */
-    const int32_t *fs,       /* [nfs] ascending forced-checkpoint indices */
-    int32_t nfs,
-    int32_t n,
-    int32_t start,
-    int32_t direct,          /* entry is a committed direct text write */
-    int32_t forced_done,     /* committed compiler checkpoint index or -1 */
-    int32_t rf_cap,
-    int32_t wf_cap,
-    int32_t wbb_cap,
-    int32_t apb_cap,
-    int32_t flags,
-    int32_t *rf_g,           /* [n_words] generation-stamp scratch */
-    int32_t *wf_g,           /* [n_words] */
-    int32_t *wbb_g,          /* [n_words] */
-    int32_t *apb_g,          /* [n_prefixes] */
-    int32_t *gen_io,         /* [1] generation counter, persists */
-    int32_t *sec_start,      /* [max_sections] outputs ... */
-    uint8_t *sec_variant,
-    int32_t *sec_end,
-    uint8_t *sec_cause,
-    int32_t *steps_off,      /* [max_sections + 1] */
-    int32_t *steps_flat,     /* [n + 1] WBB-growth indices, flattened */
-    int32_t *dw_out,         /* [n + 1] F_FIRST_DW: count, then indices */
-    const int64_t *stop_keys,/* sorted keys already enumerated, or NULL */
-    int64_t n_stop,          /* the chain stops before reaching one */
-    const int64_t *gcum,     /* [n+1] cycle prefix sums (perf_load > 0) */
-    int64_t perf_load)       /* Performance Watchdog load, or 0 */
+/* Append trace index ``i`` to the member's steps segment. */
+#define CS_STEP()                                                       \
+    do {                                                                \
+        if (nst >= seg)                                                 \
+            goto overflow;                                              \
+        st_c[nst++] = i;                                                \
+    } while (0)
+
+/* chain_scan's parameters and arguments (see its comment). */
+#define CS_PARAMS                                                            \
+    const uint8_t *ops,       /* [n] per-access op bits */                   \
+    const int32_t *wids,      /* [n] dense word ids */                       \
+    const int32_t *pids,      /* [n] dense prefix ids or NULL */             \
+    const uint8_t *pi,        /* [n] PI membership mask or NULL */           \
+    const int32_t *fs,        /* [nfs] ascending forced indices */           \
+    int32_t nfs,                                                             \
+    int32_t n,                                                               \
+    int32_t n_words,          /* scratch block stride per member */          \
+    int32_t n_prefixes,       /* APB scratch block stride per member */      \
+    int32_t nk,               /* members */                                  \
+    const int32_t *caps,      /* [4*nk] rf, wf, wbb, apb per member */       \
+    const int32_t *cflags,    /* [nk] per-member F_* bits */                 \
+    int32_t *rf_g,            /* [nk*n_words] stamp scratch, member-major */ \
+    int32_t *wf_g,            /* [nk*n_words] */                             \
+    int32_t *wbb_g,           /* [nk*n_words] */                             \
+    int32_t *apb_g,           /* [nk*n_prefixes] */                          \
+    int32_t *gen_io,          /* [1] generation counter, persists */         \
+    const int64_t *gcum,      /* [n+1] cycle prefix sums (perf_load > 0) */  \
+    int32_t *out_nev,         /* [nk] out: sections per member */            \
+    int32_t *out_nst,         /* [nk] out: steps per member */               \
+    int32_t start0,           /* the entry section's start ... */            \
+    int32_t variant0,         /* ... and variant (VARIANT_* in sections) */  \
+    const int64_t *stop_keys, /* sorted keys already enumerated, or NULL */  \
+    int64_t n_stop,                                                          \
+    int64_t perf_load,        /* Performance Watchdog load, or 0 */          \
+    int32_t xflags,           /* OR'd into every member's flags */           \
+    int64_t seg,              /* per-member output segment size */           \
+    int64_t *ev_key,          /* [nk*seg] outputs, member-major */           \
+    int32_t *ev_end,                                                         \
+    uint8_t *ev_cause,                                                       \
+    int64_t *ev_soff,         /* [nk*(seg+1)] steps offsets */               \
+    int32_t *steps_out        /* [nk*seg] steps */
+#define CS_ARGS                                                              \
+    ops, wids, pids, pi, fs, nfs, n, n_words, n_prefixes, nk, caps,          \
+    cflags, rf_g, wf_g, wbb_g, apb_g, gen_io, gcum, out_nev, out_nst,        \
+    start0, variant0, stop_keys, n_stop, perf_load, xflags, seg, ev_key,     \
+    ev_end, ev_cause, ev_soff, steps_out
+
+/* chain_scan's body.  ``extras`` is 0 for a plain pass — no stop
+ * keys, watchdog limit or direct-write output, as every family pass
+ * is — whose inlined copy then carries none of those features'
+ * branches (with them a 32-member pass measured about 7% slower). */
+static inline __attribute__((always_inline)) int64_t cs_scan(
+    CS_PARAMS, const int extras)
 {
-    const int apb_on = flags & F_APB_ON;
-    const int ignore_text = flags & F_IGNORE_TEXT;
-    const int ig_fw = flags & F_IGNORE_FALSE_WRITES;
-    const int rm_dup = flags & F_REMOVE_DUPLICATES;
-    const int no_wf_ovf = flags & F_NO_WF_OVERFLOW;
-    const int latest = flags & F_LATEST_CHECKPOINT;
-    const int has_pi = flags & F_HAS_PI;
-    const int first_dw = flags & F_FIRST_DW;
-    int32_t dw_n = 0;
     int32_t g = *gen_io;
-    int64_t nsec = 0;
-    int32_t nsteps = 0;
-    int32_t fidx = 0;
 
-    steps_off[0] = 0;
-    for (;;) {
-        /* -- section entry: resolve the variant -- */
-        while (fidx < nfs && fs[fidx] < start)
-            fidx++;
-        int at_forced = (fidx < nfs && fs[fidx] == start);
-        int32_t variant, scan_from;
-        if (nsec > 0 && n_stop > 0) {
-            /* The rest of the chain is already enumerated from here. */
-            int64_t key = (int64_t)start << 2;
-            if (direct)
-                key |= 2;
-            else if (at_forced && forced_done == start)
-                key |= 1;
-            if (cs_member(stop_keys, n_stop, key))
-                break;
-        }
-        if (direct) {
-            variant = 2;
-            scan_from = start + 1;
-        } else if (at_forced && forced_done != start) {
-            /* Zero-length section: the compiler checkpoint fires before
-             * the access at ``start`` is even classified. */
-            sec_start[nsec] = start;
-            sec_variant[nsec] = 0;
-            sec_end[nsec] = start;
-            sec_cause[nsec] = CAUSE_COMPILER;
-            steps_off[nsec + 1] = nsteps;
-            nsec++;
-            if (first_dw) {
-                dw_out[0] = dw_n;
-                *gen_io = g;
-                return nsec;
-            }
-            forced_done = start;
-            continue;
-        } else {
-            variant = at_forced ? 1 : 0;
-            scan_from = start;
-        }
-        int32_t nf_idx = at_forced ? fidx + 1 : fidx;
-        int32_t next_forced = (nf_idx < nfs) ? fs[nf_idx] : n + 1;
+    for (int32_t c = 0; c < nk; c++) {
+        const int32_t rf_cap = caps[4 * c];
+        const int32_t wf_cap = caps[4 * c + 1];
+        const int32_t wbb_cap = caps[4 * c + 2];
+        const int32_t apb_cap = caps[4 * c + 3];
+        const int32_t flags = cflags[c] | xflags;
+        const int apb_on = flags & F_APB_ON;
+        const int ignore_text = flags & F_IGNORE_TEXT;
+        const int ig_fw = flags & F_IGNORE_FALSE_WRITES;
+        const int rm_dup = flags & F_REMOVE_DUPLICATES;
+        const int no_wf_ovf = flags & F_NO_WF_OVERFLOW;
+        const int latest = flags & F_LATEST_CHECKPOINT;
+        const int has_pi = flags & F_HAS_PI;
+        const int first_dw = extras && (flags & F_FIRST_DW);
+        int32_t *rf_c = rf_g + (int64_t)c * n_words;
+        int32_t *wf_c = wf_g + (int64_t)c * n_words;
+        int32_t *wbb_c = wbb_g + (int64_t)c * n_words;
+        int32_t *apb_c = apb_g + (int64_t)c * n_prefixes;
+        int64_t *key_c = ev_key + (int64_t)c * seg;
+        int32_t *end_c = ev_end + (int64_t)c * seg;
+        uint8_t *cz_c = ev_cause + (int64_t)c * seg;
+        int64_t *so_c = ev_soff + (int64_t)c * (seg + 1);
+        int32_t *st_c = steps_out + (int64_t)c * seg;
+        int32_t nev = 0, nst = 0;
+        int32_t start = start0;
+        int32_t direct = variant0 == 2;
+        int32_t forced_done = variant0 == 1 ? start0 : -1;
+        int32_t fidx = 0;
 
-        /* -- straight-line scan to the next boundary -- */
-        g += 1; /* stamp bump == clear all four buffers */
-        int32_t rf_len = 0, wf_len = 0, wbb_len = 0, apb_len = 0;
-        int untracked = 0;
-        /* With a Performance Watchdog no attempt from ``start`` gets
-         * past the access that fires it, so the scan stops there; a
-         * section whose boundary lies further stays open, and the chain
-         * goes on from the cut, where the watchdog commits. */
-        int32_t lim = n;
-        if (perf_load > 0) {
-            int32_t lo = start + 1, hi = n;
-            const int64_t target = gcum[start] + perf_load;
-            while (lo < hi) {
-                int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
-                if (gcum[mid] < target) lo = mid + 1; else hi = mid;
+        so_c[0] = 0;
+        for (;;) {
+            /* -- section entry: resolve the variant -- */
+            while (fidx < nfs && fs[fidx] < start)
+                fidx++;
+            int at_forced = (fidx < nfs && fs[fidx] == start);
+            int32_t variant, scan_from;
+            if (extras && nev > 0 && n_stop > 0) {
+                /* The rest of the chain is already enumerated from here. */
+                int64_t key = (int64_t)start << 2;
+                if (direct)
+                    key |= 2;
+                else if (at_forced && forced_done == start)
+                    key |= 1;
+                if (cs_member(stop_keys, n_stop, key))
+                    break;
             }
-            lim = lo;
-        }
-        int32_t end = lim;
-        uint8_t cause = lim < n ? CAUSE_OPEN : CAUSE_FINAL;
-        int32_t i = scan_from;
-        while (i < lim) {
-            if (i == next_forced) {
-                end = i;
-                cause = CAUSE_COMPILER;
-                break;
-            }
-            uint8_t op = ops[i];
-            if (op & 1) {
-                /* Write. */
-                if (op & 4) {
-                    end = i;
-                    cause = CAUSE_OUTPUT;
-                    break;
-                }
-                if (has_pi && pi[i]) {
-                    i++;
-                    continue;
-                }
-                if (ignore_text && (op & 2)) {
-                    end = i;
-                    cause = CAUSE_TEXT_WRITE;
-                    break;
-                }
-                int32_t v = wids[i];
-                if (wbb_g[v] == g) {
-                    i++; /* in-place update; no growth */
-                    continue;
-                }
-                if (wf_g[v] == g) {
-                    if (first_dw)
-                        dw_out[++dw_n] = i;
-                    i++;
-                    continue;
-                }
-                if (rf_g[v] == g) {
-                    /* Idempotency violation. */
-                    if (ig_fw && (op & 8)) {
-                        i++;
-                        continue;
-                    }
-                    if (wbb_cap == 0) {
-                        end = i;
-                        cause = CAUSE_VIOLATION;
-                        break;
-                    }
-                    if (wbb_len >= wbb_cap) {
-                        end = i;
-                        cause = CAUSE_WBB_FULL;
-                        break;
-                    }
-                    wbb_g[v] = g;
-                    wbb_len++;
-                    steps_flat[nsteps++] = i;
-                    if (rm_dup) {
-                        rf_g[v] = 0;
-                        rf_len--;
-                    }
-                    i++;
-                    continue;
-                }
-                /* Fresh address: write-dominated. */
-                if (wf_cap == 0) {
-                    if (first_dw)
-                        dw_out[++dw_n] = i;
-                    i++;
-                    continue;
-                }
-                if (wf_len >= wf_cap) {
-                    if (no_wf_ovf) {
-                        if (first_dw)
-                            dw_out[++dw_n] = i;
-                        i++;
-                        continue;
-                    }
-                    end = i;
-                    cause = CAUSE_WF_FULL;
-                    break;
-                }
-                if (apb_on) {
-                    int32_t p = pids[i];
-                    if (apb_g[p] != g) {
-                        if (apb_len >= apb_cap) {
-                            if (no_wf_ovf) {
-                                if (first_dw)
-                                    dw_out[++dw_n] = i;
-                                i++;
-                                continue;
-                            }
-                            end = i;
-                            cause = CAUSE_APB_FULL;
-                            break;
-                        }
-                        apb_g[p] = g;
-                        apb_len++;
-                    }
-                }
-                wf_g[v] = g;
-                wf_len++;
+            if (direct) {
+                variant = 2;
+                scan_from = start + 1;
+            } else if (at_forced && forced_done != start) {
+                /* Zero-length section: the compiler checkpoint fires
+                 * before the access at ``start`` is classified. */
+                if (nev >= seg)
+                    goto overflow;
+                key_c[nev] = (int64_t)start << 2;
+                end_c[nev] = start;
+                cz_c[nev] = CAUSE_COMPILER;
+                so_c[nev + 1] = nst;
+                nev++;
                 if (first_dw)
-                    dw_out[++dw_n] = i;
-                i++;
-                continue;
-            }
-            /* Read. */
-            if (has_pi && pi[i]) {
-                i++;
-                continue;
-            }
-            if (ignore_text && (op & 2)) {
-                i++;
-                continue;
-            }
-            int32_t v = wids[i];
-            if (rf_g[v] == g || wbb_g[v] == g || wf_g[v] == g) {
-                i++;
-                continue;
-            }
-            if (rf_len >= rf_cap) {
-                if (!latest) {
-                    end = i;
-                    cause = CAUSE_RF_FULL;
                     break;
-                }
-                untracked = 1;
-                i++;
-                break; /* drop into the untracked tail loop */
+                forced_done = start;
+                continue;
+            } else {
+                variant = at_forced ? 1 : 0;
+                scan_from = start;
             }
-            if (apb_on) {
-                int32_t p = pids[i];
-                if (apb_g[p] != g) {
-                    if (apb_len >= apb_cap) {
-                        if (!latest) {
-                            end = i;
-                            cause = CAUSE_APB_FULL;
-                            break;
-                        }
-                        untracked = 1;
-                        i++;
-                        break;
-                    }
-                    apb_g[p] = g;
-                    apb_len++;
+            int32_t nf_idx = at_forced ? fidx + 1 : fidx;
+            int32_t next_forced = (nf_idx < nfs) ? fs[nf_idx] : n + 1;
+
+            /* -- straight-line scan to the next boundary -- */
+            g += 1; /* stamp bump == clear all four buffers */
+            int32_t rf_len = 0, wf_len = 0, wbb_len = 0, apb_len = 0;
+            int untracked = 0;
+            int32_t lim = n;
+            if (extras && perf_load > 0) {
+                int32_t lo = start + 1, hi = n;
+                const int64_t target = gcum[start] + perf_load;
+                while (lo < hi) {
+                    int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
+                    if (gcum[mid] < target) lo = mid + 1; else hi = mid;
                 }
+                lim = lo;
             }
-            rf_g[v] = g;
-            rf_len++;
-            i++;
-        }
-        if (untracked) {
-            /* Untracked tail (latest-checkpoint mode after a read-side
-             * fill): reads always pass, so only writes need
-             * classifying. */
+            int32_t end = lim;
+            uint8_t cause = lim < n ? CAUSE_OPEN : CAUSE_FINAL;
+            int32_t i = scan_from;
             while (i < lim) {
                 if (i == next_forced) {
                     end = i;
@@ -331,59 +217,252 @@ int64_t chain_scan(
                 }
                 uint8_t op = ops[i];
                 if (op & 1) {
+                    /* Write. */
                     if (op & 4) {
                         end = i;
                         cause = CAUSE_OUTPUT;
                         break;
                     }
                     if (has_pi && pi[i]) {
-                        /* PI write: passes. */
-                    } else if (wbb_g[wids[i]] == g) {
-                        /* WBB-owned write: in-place update, never a
-                         * boundary — mirrors on_write. */
-                    } else if (ig_fw && (op & 8)) {
-                        /* False write: passes. */
-                    } else {
+                        i++;
+                        continue;
+                    }
+                    if (ignore_text && (op & 2)) {
                         end = i;
-                        cause = CAUSE_LATEST_WRITE;
+                        cause = CAUSE_TEXT_WRITE;
                         break;
                     }
+                    int32_t v = wids[i];
+                    if (wbb_c[v] == g) {
+                        i++; /* in-place update; no growth */
+                        continue;
+                    }
+                    if (wf_c[v] == g) {
+                        if (first_dw)
+                            CS_STEP();
+                        i++;
+                        continue;
+                    }
+                    if (rf_c[v] == g) {
+                        /* Idempotency violation. */
+                        if (ig_fw && (op & 8)) {
+                            i++;
+                            continue;
+                        }
+                        if (wbb_cap == 0) {
+                            end = i;
+                            cause = CAUSE_VIOLATION;
+                            break;
+                        }
+                        if (wbb_len >= wbb_cap) {
+                            end = i;
+                            cause = CAUSE_WBB_FULL;
+                            break;
+                        }
+                        wbb_c[v] = g;
+                        wbb_len++;
+                        if (!first_dw)
+                            CS_STEP();
+                        if (rm_dup) {
+                            rf_c[v] = 0;
+                            rf_len--;
+                        }
+                        i++;
+                        continue;
+                    }
+                    /* Fresh address: write-dominated. */
+                    if (wf_cap == 0) {
+                        if (first_dw)
+                            CS_STEP();
+                        i++;
+                        continue;
+                    }
+                    if (wf_len >= wf_cap) {
+                        if (no_wf_ovf) {
+                            if (first_dw)
+                                CS_STEP();
+                            i++;
+                            continue;
+                        }
+                        end = i;
+                        cause = CAUSE_WF_FULL;
+                        break;
+                    }
+                    if (apb_on) {
+                        int32_t p = pids[i];
+                        if (apb_c[p] != g) {
+                            if (apb_len >= apb_cap) {
+                                if (no_wf_ovf) {
+                                    if (first_dw)
+                                        CS_STEP();
+                                    i++;
+                                    continue;
+                                }
+                                end = i;
+                                cause = CAUSE_APB_FULL;
+                                break;
+                            }
+                            apb_c[p] = g;
+                            apb_len++;
+                        }
+                    }
+                    wf_c[v] = g;
+                    wf_len++;
+                    if (first_dw)
+                        CS_STEP();
+                    i++;
+                    continue;
                 }
+                /* Read. */
+                if (has_pi && pi[i]) {
+                    i++;
+                    continue;
+                }
+                if (ignore_text && (op & 2)) {
+                    i++;
+                    continue;
+                }
+                int32_t v = wids[i];
+                if (rf_c[v] == g || wbb_c[v] == g || wf_c[v] == g) {
+                    i++;
+                    continue;
+                }
+                if (rf_len >= rf_cap) {
+                    if (!latest) {
+                        end = i;
+                        cause = CAUSE_RF_FULL;
+                        break;
+                    }
+                    untracked = 1;
+                    i++;
+                    break; /* drop into the untracked tail loop */
+                }
+                if (apb_on) {
+                    int32_t p = pids[i];
+                    if (apb_c[p] != g) {
+                        if (apb_len >= apb_cap) {
+                            if (!latest) {
+                                end = i;
+                                cause = CAUSE_APB_FULL;
+                                break;
+                            }
+                            untracked = 1;
+                            i++;
+                            break;
+                        }
+                        apb_c[p] = g;
+                        apb_len++;
+                    }
+                }
+                rf_c[v] = g;
+                rf_len++;
                 i++;
             }
-        }
-        sec_start[nsec] = start;
-        sec_variant[nsec] = (uint8_t)variant;
-        sec_end[nsec] = end;
-        sec_cause[nsec] = cause;
-        steps_off[nsec + 1] = nsteps;
-        nsec++;
-        if (first_dw) {
-            dw_out[0] = dw_n;
-            *gen_io = g;
-            return nsec;
-        }
+            if (untracked) {
+                /* Untracked tail (latest-checkpoint mode after a
+                 * read-side fill): reads always pass, so only writes
+                 * need classifying. */
+                while (i < lim) {
+                    if (i == next_forced) {
+                        end = i;
+                        cause = CAUSE_COMPILER;
+                        break;
+                    }
+                    uint8_t op = ops[i];
+                    if (op & 1) {
+                        if (op & 4) {
+                            end = i;
+                            cause = CAUSE_OUTPUT;
+                            break;
+                        }
+                        if (has_pi && pi[i]) {
+                            /* PI write: passes. */
+                        } else if (wbb_c[wids[i]] == g) {
+                            /* WBB-owned write: in-place update, never
+                             * a boundary — mirrors on_write. */
+                        } else if (ig_fw && (op & 8)) {
+                            /* False write: passes. */
+                        } else {
+                            end = i;
+                            cause = CAUSE_LATEST_WRITE;
+                            break;
+                        }
+                    }
+                    i++;
+                }
+            }
+            if (nev >= seg)
+                goto overflow;
+            key_c[nev] = ((int64_t)start << 2) | variant;
+            end_c[nev] = end;
+            cz_c[nev] = cause;
+            so_c[nev + 1] = nst;
+            nev++;
 
-        /* -- follow the boundary into the next section -- */
-        if (cause == CAUSE_FINAL)
-            break;
-        if (cause == CAUSE_COMPILER) {
-            forced_done = end;
-            direct = 0;
-            start = end;
-        } else if (cause == CAUSE_TEXT_WRITE) {
-            direct = 1;
-            start = end;
-        } else if (cause == CAUSE_OUTPUT) {
-            direct = 0;
-            start = end + 1;
-        } else {
-            direct = 0;
-            start = end;
+            /* -- follow the boundary into the next section -- */
+            if (cause == CAUSE_FINAL || first_dw)
+                break;
+            if (cause == CAUSE_COMPILER) {
+                forced_done = end;
+                direct = 0;
+                start = end;
+            } else if (cause == CAUSE_TEXT_WRITE) {
+                direct = 1;
+                start = end;
+            } else if (cause == CAUSE_OUTPUT) {
+                direct = 0;
+                start = end + 1;
+            } else {
+                direct = 0;
+                start = end;
+            }
         }
+        out_nev[c] = nev;
+        out_nst[c] = nst;
     }
     *gen_io = g;
-    return nsec;
+    return 0;
+
+overflow:
+    /* Persist the generation counter even on overflow: the retry's
+     * per-section pre-increment then starts above every stamp already
+     * in scratch. */
+    *gen_io = g;
+    return -1;
+}
+
+/* The chain scans of ``nk`` members that share the trace, the PI
+ * marking and the forced-checkpoint set, and differ only in buffer
+ * capacities and policy flags.  Each member follows the failure-free
+ * chain from the entry section ``(start0, variant0)`` — variant 1: the
+ * compiler checkpoint at ``start0`` already committed; 2: the access
+ * at ``start0`` is a committed direct text write — to the final
+ * checkpoint, or to the first later section whose key is in
+ * ``stop_keys`` (the chain is already enumerated from there).  With a
+ * Performance Watchdog load ``perf_load`` > 0 no attempt gets past the
+ * access that fires the watchdog, so a section whose boundary lies
+ * further is emitted open (end at the cut, CAUSE_OPEN) and the chain
+ * goes on from the cut.  ``xflags`` is OR'd into every member's flags.
+ *
+ * The members run sequentially, each with its state in registers.
+ * Membership scratch is member-major (member c owns the contiguous block
+ * rf_g[c*n_words .. (c+1)*n_words)); the shared generation counter
+ * persists across calls, so the scratch is never re-zeroed.  Sections
+ * are emitted member-major into pre-segmented outputs: member c owns
+ * section slots [c*seg, (c+1)*seg), steps-offset slots
+ * [c*(seg+1), ...) and steps [c*seg, ...); a section's WBB growth steps
+ * are written into the member's steps segment as they are found, and
+ * its end offset into that segment follows it.  Each member's output is
+ * ready to install as slice copies.
+ *
+ * Returns 0, or -1 when any member's section or steps segment would
+ * overflow (the caller doubles ``seg`` and retries; the generation
+ * write-back keeps the partially-stamped scratch valid). */
+int64_t chain_scan(CS_PARAMS)
+{
+    if (n_stop > 0 || perf_load > 0 || xflags)
+        return cs_scan(CS_ARGS, 1);
+    return cs_scan(CS_ARGS, 0);
 }
 
 /* ------------------------------------------------------------------ *
@@ -399,7 +478,7 @@ int64_t chain_scan(
  * sums; the checkpoint's WBB flush size is a bisection over the
  * section's growth steps.  It reads the map's flat canonical-chain
  * arrays in place — sorted ``keys``, ``ends``, ``causes``, ``soff`` and
- * ``steps``, exactly as the family kernel emits them — finding a section
+ * ``steps``, exactly as chain_scan emits them — finding a section
  * by searching ``keys`` and deriving its kind from its cause id.  A small
  * sorted overlay table holds the off-chain sections (watchdog cuts,
  * direct re-entries) Python has resolved so far.  Checkpoints are
@@ -1171,349 +1250,4 @@ int64_t walk_cut_safe(const int64_t *tab, int64_t key, int64_t p, int64_t f,
                       const int64_t *reach, int64_t nreach)
 {
     return sw_cut_safe(tab, key, p, f, reach, nreach);
-}
-
-/* ------------------------------------------------------------------ *
- * Config-family chain scan: one kernel call, K configurations.
- *
- * A sweep family's members differ only in buffer capacities and policy
- * flags, never in the trace, the PI marking, or the forced-checkpoint
- * set — so their chain scans read the same ops/wids/pids/pi arrays.
- * This kernel runs the members *sequentially*, each as a verbatim copy
- * of chain_scan's loop with its state held in registers, so every
- * member's section table is bit-identical to an independent scalar
- * scan by construction.  The win over K separate chain_scan calls is
- * structural, not microarchitectural: one foreign-function invocation,
- * one engine setup, and member-major flat emission that the caller
- * installs with contiguous slice copies instead of a per-section
- * Python ingest loop.  (An earlier variant advanced all K state
- * machines per access; it saved the shared ops/wids loads but paid
- * more per member-access in strided state traffic than the scalar
- * loop pays in total, so sequential is strictly faster.)
- *
- * Membership scratch is member-major (member c owns the contiguous
- * block rf_g[c*n_words .. (c+1)*n_words)), matching the scalar
- * kernel's access locality; the shared generation counter persists
- * across calls (like chain_scan's), so the scratch is never re-zeroed.
- * Sections are emitted member-major into pre-segmented output arrays
- * (member c owns slots [c*ev_percap, (c+1)*ev_percap), steps-offset
- * slots [c*(ev_percap+1), ...) and steps [c*st_percap, ...));
- * per-section WBB growth steps are written directly into the member's
- * steps segment as they are discovered, and each section's end offset
- * into that segment follows it — sequential emission needs no staging,
- * and every per-member output is ready to install as a slice copy.
- *
- * Returns 0, -1 when any member's event or steps segment would
- * overflow (the caller doubles the segment sizes and retries; the
- * generation write-back keeps the partially-stamped scratch valid),
- * or -2 for a non-positive nk.
- * ------------------------------------------------------------------ */
-
-int64_t family_chain_scan(
-    const uint8_t *ops,       /* [n] per-access op bits */
-    const int32_t *wids,      /* [n] dense word ids */
-    const int32_t *pids,      /* [n] dense prefix ids or NULL */
-    const uint8_t *pi,        /* [n] PI membership mask or NULL */
-    const int32_t *fs,        /* [nfs] ascending forced indices */
-    int32_t nfs,
-    int32_t n,
-    int32_t n_words,          /* scratch block stride per member */
-    int32_t n_prefixes,       /* APB scratch block stride per member */
-    int32_t start0,           /* chain entry (canonical: 0) */
-    int32_t nk,               /* members in the family */
-    const int32_t *caps,      /* [4*nk] rf, wf, wbb, apb per member */
-    const int32_t *cflags,    /* [nk] per-member F_* bits */
-    int32_t *rf_g,            /* [nk*n_words] stamp scratch, member-major */
-    int32_t *wf_g,            /* [nk*n_words] */
-    int32_t *wbb_g,           /* [nk*n_words] */
-    int32_t *apb_g,           /* [nk*n_prefixes] */
-    int32_t *gen_io,          /* [1] generation counter, persists */
-    int64_t *ev_key,          /* [nk*ev_percap] outputs, member-major */
-    int32_t *ev_end,
-    uint8_t *ev_cause,
-    int64_t *ev_soff,         /* [nk*(ev_percap+1)] steps offsets */
-    int32_t *steps_out,       /* [nk*st_percap] member-major wbb steps */
-    int64_t ev_percap,
-    int64_t st_percap,
-    int32_t *out_nev,         /* [nk] out: events per member */
-    int32_t *out_nst)         /* [nk] out: steps per member */
-{
-    int32_t g = *gen_io;
-
-    if (nk <= 0)
-        return -2;
-    for (int32_t c = 0; c < nk; c++) {
-        const int32_t rf_cap = caps[4 * c];
-        const int32_t wf_cap = caps[4 * c + 1];
-        const int32_t wbb_cap = caps[4 * c + 2];
-        const int32_t apb_cap = caps[4 * c + 3];
-        const int32_t flags = cflags[c];
-        const int apb_on = flags & F_APB_ON;
-        const int ignore_text = flags & F_IGNORE_TEXT;
-        const int ig_fw = flags & F_IGNORE_FALSE_WRITES;
-        const int rm_dup = flags & F_REMOVE_DUPLICATES;
-        const int no_wf_ovf = flags & F_NO_WF_OVERFLOW;
-        const int latest = flags & F_LATEST_CHECKPOINT;
-        const int has_pi = flags & F_HAS_PI;
-        int32_t *rf_c = rf_g + (int64_t)c * n_words;
-        int32_t *wf_c = wf_g + (int64_t)c * n_words;
-        int32_t *wbb_c = wbb_g + (int64_t)c * n_words;
-        int32_t *apb_c = apb_g + (int64_t)c * n_prefixes;
-        int64_t *key_c = ev_key + (int64_t)c * ev_percap;
-        int32_t *end_c = ev_end + (int64_t)c * ev_percap;
-        uint8_t *cz_c = ev_cause + (int64_t)c * ev_percap;
-        int64_t *so_c = ev_soff + (int64_t)c * (ev_percap + 1);
-        int32_t *st_c = steps_out + (int64_t)c * st_percap;
-        int32_t nev = 0, nst = 0;
-        int32_t start = start0;
-        int32_t direct = 0, forced_done = -1;
-        int32_t fidx = 0;
-
-        so_c[0] = 0;
-        for (;;) {
-            /* -- section entry: resolve the variant -- */
-            while (fidx < nfs && fs[fidx] < start)
-                fidx++;
-            int at_forced = (fidx < nfs && fs[fidx] == start);
-            int32_t variant, scan_from;
-            if (direct) {
-                variant = 2;
-                scan_from = start + 1;
-            } else if (at_forced && forced_done != start) {
-                /* Zero-length section: the compiler checkpoint fires
-                 * before the access at ``start`` is classified. */
-                if (nev >= ev_percap)
-                    goto overflow;
-                key_c[nev] = (int64_t)start << 2;
-                end_c[nev] = start;
-                cz_c[nev] = CAUSE_COMPILER;
-                so_c[nev + 1] = nst;
-                nev++;
-                forced_done = start;
-                continue;
-            } else {
-                variant = at_forced ? 1 : 0;
-                scan_from = start;
-            }
-            int32_t nf_idx = at_forced ? fidx + 1 : fidx;
-            int32_t next_forced = (nf_idx < nfs) ? fs[nf_idx] : n + 1;
-
-            /* -- straight-line scan to the next boundary -- */
-            g += 1; /* stamp bump == clear all four buffers */
-            int32_t rf_len = 0, wf_len = 0, wbb_len = 0, apb_len = 0;
-            int untracked = 0;
-            int32_t end = n;
-            uint8_t cause = CAUSE_FINAL;
-            int32_t i = scan_from;
-            while (i < n) {
-                if (i == next_forced) {
-                    end = i;
-                    cause = CAUSE_COMPILER;
-                    break;
-                }
-                uint8_t op = ops[i];
-                if (op & 1) {
-                    /* Write. */
-                    if (op & 4) {
-                        end = i;
-                        cause = CAUSE_OUTPUT;
-                        break;
-                    }
-                    if (has_pi && pi[i]) {
-                        i++;
-                        continue;
-                    }
-                    if (ignore_text && (op & 2)) {
-                        end = i;
-                        cause = CAUSE_TEXT_WRITE;
-                        break;
-                    }
-                    int32_t v = wids[i];
-                    if (wbb_c[v] == g) {
-                        i++; /* in-place update; no growth */
-                        continue;
-                    }
-                    if (wf_c[v] == g) {
-                        i++;
-                        continue;
-                    }
-                    if (rf_c[v] == g) {
-                        /* Idempotency violation. */
-                        if (ig_fw && (op & 8)) {
-                            i++;
-                            continue;
-                        }
-                        if (wbb_cap == 0) {
-                            end = i;
-                            cause = CAUSE_VIOLATION;
-                            break;
-                        }
-                        if (wbb_len >= wbb_cap) {
-                            end = i;
-                            cause = CAUSE_WBB_FULL;
-                            break;
-                        }
-                        wbb_c[v] = g;
-                        wbb_len++;
-                        if (nst >= st_percap)
-                            goto overflow;
-                        st_c[nst++] = i;
-                        if (rm_dup) {
-                            rf_c[v] = 0;
-                            rf_len--;
-                        }
-                        i++;
-                        continue;
-                    }
-                    /* Fresh address: write-dominated. */
-                    if (wf_cap == 0) {
-                        i++;
-                        continue;
-                    }
-                    if (wf_len >= wf_cap) {
-                        if (no_wf_ovf) {
-                            i++;
-                            continue;
-                        }
-                        end = i;
-                        cause = CAUSE_WF_FULL;
-                        break;
-                    }
-                    if (apb_on) {
-                        int32_t p = pids[i];
-                        if (apb_c[p] != g) {
-                            if (apb_len >= apb_cap) {
-                                if (no_wf_ovf) {
-                                    i++;
-                                    continue;
-                                }
-                                end = i;
-                                cause = CAUSE_APB_FULL;
-                                break;
-                            }
-                            apb_c[p] = g;
-                            apb_len++;
-                        }
-                    }
-                    wf_c[v] = g;
-                    wf_len++;
-                    i++;
-                    continue;
-                }
-                /* Read. */
-                if (has_pi && pi[i]) {
-                    i++;
-                    continue;
-                }
-                if (ignore_text && (op & 2)) {
-                    i++;
-                    continue;
-                }
-                int32_t v = wids[i];
-                if (rf_c[v] == g || wbb_c[v] == g || wf_c[v] == g) {
-                    i++;
-                    continue;
-                }
-                if (rf_len >= rf_cap) {
-                    if (!latest) {
-                        end = i;
-                        cause = CAUSE_RF_FULL;
-                        break;
-                    }
-                    untracked = 1;
-                    i++;
-                    break; /* drop into the untracked tail loop */
-                }
-                if (apb_on) {
-                    int32_t p = pids[i];
-                    if (apb_c[p] != g) {
-                        if (apb_len >= apb_cap) {
-                            if (!latest) {
-                                end = i;
-                                cause = CAUSE_APB_FULL;
-                                break;
-                            }
-                            untracked = 1;
-                            i++;
-                            break;
-                        }
-                        apb_c[p] = g;
-                        apb_len++;
-                    }
-                }
-                rf_c[v] = g;
-                rf_len++;
-                i++;
-            }
-            if (untracked) {
-                /* Untracked tail (latest-checkpoint mode after a
-                 * read-side fill): reads always pass, so only writes
-                 * need classifying. */
-                while (i < n) {
-                    if (i == next_forced) {
-                        end = i;
-                        cause = CAUSE_COMPILER;
-                        break;
-                    }
-                    uint8_t op = ops[i];
-                    if (op & 1) {
-                        if (op & 4) {
-                            end = i;
-                            cause = CAUSE_OUTPUT;
-                            break;
-                        }
-                        if (has_pi && pi[i]) {
-                            /* PI write: passes. */
-                        } else if (wbb_c[wids[i]] == g) {
-                            /* WBB-owned write: in-place update, never
-                             * a boundary — mirrors on_write. */
-                        } else if (ig_fw && (op & 8)) {
-                            /* False write: passes. */
-                        } else {
-                            end = i;
-                            cause = CAUSE_LATEST_WRITE;
-                            break;
-                        }
-                    }
-                    i++;
-                }
-            }
-            if (nev >= ev_percap)
-                goto overflow;
-            key_c[nev] = ((int64_t)start << 2) | variant;
-            end_c[nev] = end;
-            cz_c[nev] = cause;
-            so_c[nev + 1] = nst;
-            nev++;
-
-            /* -- follow the boundary into the next section -- */
-            if (cause == CAUSE_FINAL)
-                break;
-            if (cause == CAUSE_COMPILER) {
-                forced_done = end;
-                direct = 0;
-                start = end;
-            } else if (cause == CAUSE_TEXT_WRITE) {
-                direct = 1;
-                start = end;
-            } else if (cause == CAUSE_OUTPUT) {
-                direct = 0;
-                start = end + 1;
-            } else {
-                direct = 0;
-                start = end;
-            }
-        }
-        out_nev[c] = nev;
-        out_nst[c] = nst;
-    }
-    *gen_io = g;
-    return 0;
-
-overflow:
-    /* Persist the generation counter even on overflow: the retry's
-     * per-section pre-increment then starts above every stamp already
-     * in scratch. */
-    *gen_io = g;
-    return -1;
 }

@@ -1,13 +1,15 @@
 """The C kernel behind the section scans and the section walk.
 
 The section-memoized fast path (:mod:`repro.sim.sections`,
-:mod:`repro.sim.fast`) runs in one C source, ``_chainscan.c``: the O(n)
-chain scan per ``(trace, config)`` key — a line-for-line port of
+:mod:`repro.sim.fast`) runs in one C source, ``_chainscan.c``: one
+chain scan — a line-for-line port of
 :meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`,
-branch-light integer code over flat arrays — its config-family batch,
-and the section walk that replays power schedules over the scanned
-tables.  This module compiles it on demand with whatever system C
-compiler is present and drives it through :mod:`ctypes`.
+branch-light integer code over flat arrays, run for a whole config
+family per call or for one configuration from any section entry — and
+the section walk that replays power schedules over the scanned tables.
+This module compiles it on demand with whatever system C compiler is
+present and drives it through :mod:`ctypes`; :class:`ChainScanEngine`
+is the one way into the scan.
 
 The kernel is optional:
 
@@ -32,7 +34,10 @@ import shutil
 import subprocess
 import tempfile
 from array import array
+from time import perf_counter
 from typing import Optional
+
+from repro.obs.metrics import COUNTERS
 
 #: Mirrors the CAUSE_* codes in _chainscan.c.
 CAUSE_NAMES = (
@@ -112,6 +117,8 @@ def _build() -> Optional[ctypes.CDLL]:
     try:
         lib = ctypes.CDLL(so_path)
         fn = lib.chain_scan
+        gw = lib.group_walk
+        cut = lib.walk_cut_safe
     except (OSError, AttributeError) as exc:
         _status = f"load failed: {exc}"
         return None
@@ -121,38 +128,16 @@ def _build() -> Optional[ctypes.CDLL]:
     fn.restype = c_i64
     fn.argtypes = (
         p, p, p, p, p,                      # ops, wids, pids, pi, fs
-        c_i32, c_i32,                       # nfs, n
-        c_i32, c_i32, c_i32,                # start, direct, forced_done
-        c_i32, c_i32, c_i32, c_i32, c_i32,  # caps, flags
-        p, p, p, p, p,                      # scratch + gen
-        p, p, p, p, p, p,                   # outputs
-        p,                                  # dw_out (F_FIRST_DW)
-        p, c_i64,                           # stop_keys, n_stop
-        p, c_i64,                           # gcum, perf_load
-    )
-    try:
-        fam = lib.family_chain_scan
-    except AttributeError as exc:  # pragma: no cover - stale .so only
-        _status = f"load failed: {exc}"
-        return None
-    fam.restype = c_i64
-    fam.argtypes = (
-        p, p, p, p, p,                      # ops, wids, pids, pi, fs
         c_i32, c_i32, c_i32, c_i32,         # nfs, n, n_words, n_prefixes
-        c_i32, c_i32,                       # start0, nk
-        p, p,                               # caps, cflags
+        c_i32, p, p,                        # nk, caps, cflags
         p, p, p, p, p,                      # membership scratch + gen
-        p, p, p, p,                         # ev_key/end/cause/soff
-        p,                                  # steps_out
-        c_i64, c_i64,                       # ev_percap, st_percap
-        p, p,                               # out_nev, out_nst
+        p, p, p,                            # gcum, out_nev, out_nst
+        c_i32, c_i32,                       # start, variant
+        p, c_i64, c_i64, c_i32,             # stop_keys, n_stop, perf_load,
+                                            # xflags
+        c_i64, p, p, p, p, p,               # seg, keys/ends/causes/soff/
+                                            # steps
     )
-    try:
-        gw = lib.group_walk
-        cut = lib.walk_cut_safe
-    except AttributeError as exc:  # pragma: no cover - stale .so only
-        _status = f"load failed: {exc}"
-        return None
     gw.restype = c_i64
     gw.argtypes = (p, c_i64, p, p, p)       # rows, nrows, cursor and safe
                                             # cuts, reaches, on-time table
@@ -192,192 +177,89 @@ def _addr(buf) -> int:
     return buf.buffer_info()[0]
 
 
-class ChainScanEngine:
-    """Prebound ctypes arguments for one SectionMap's chain scans.
-
-    Holds references to every buffer the kernel reads or writes (the
-    per-trace memoized scan/prefix/PI arrays, the shared generation
-    scratch, and the per-trace output staging buffers), so each
-    :meth:`scan` call is a single foreign-function invocation.  The
-    output buffers are staging only — the caller copies what it keeps —
-    and are shared per trace, which is safe because scans run on one
-    thread (the eval CLI's, or the sweep server's one bridge thread).
-    """
-
-    __slots__ = ("_fn", "_args", "out_start", "out_variant", "out_end",
-                 "out_cause", "out_steps_off", "out_steps", "out_dw")
-
-    def __init__(self, lib, ct, params, forced_sorted, pi_words, pi_indices):
-        (rf_cap, wf_cap, wbb_cap, apb_cap, flags,
-         text_lo, text_hi, shift) = params
-        ops_b, wids_b, n_words = ct.scan_arrays(text_lo, text_hi)
-        if flags & F_APB_ON:
-            pids_b, n_prefixes = ct.prefix_ids(shift)
-            pids_addr = _addr(pids_b)
-        else:
-            pids_b, n_prefixes = None, 1
-            pids_addr = 0
-        if pi_words or pi_indices:
-            flags |= F_HAS_PI
-            pi_b = ct.pi_mask_buffer(pi_words, pi_indices)
-            pi_addr = _addr(pi_b)
-        else:
-            pi_b = None
-            pi_addr = 0
-        scratch = ct.c_chain_scratch(
-            n_words if n_words else 1, shift if flags & F_APB_ON else -1,
-            n_prefixes,
-        )
-        gen_b, rf_b, wf_b, wbb_b, apb_b = scratch
-        out = ct.c_chain_outputs()
-        (self.out_start, self.out_variant, self.out_end,
-         self.out_cause, self.out_steps_off, self.out_steps,
-         self.out_dw) = out
-        fs_b = array("i", forced_sorted) if forced_sorted else array("i", [0])
-        gcum_b = ct.cum_cycles
-        self._fn = lib.chain_scan
-        self._args = (
-            _addr(ops_b) if ct.n else 0,
-            _addr(wids_b) if ct.n else 0,
-            pids_addr,
-            pi_addr,
-            _addr(fs_b),
-            len(forced_sorted),
-            ct.n,
-            rf_cap, wf_cap, wbb_cap, apb_cap, flags,
-            _addr(rf_b), _addr(wf_b), _addr(wbb_b), _addr(apb_b),
-            _addr(gen_b),
-            _addr(self.out_start), _addr(self.out_variant),
-            _addr(self.out_end), _addr(self.out_cause),
-            _addr(self.out_steps_off), _addr(self.out_steps),
-            _addr(self.out_dw),
-            _addr(gcum_b),
-            # Buffer lifetimes: the arrays must outlive this engine.
-            (ops_b, wids_b, pids_b, pi_b, fs_b, gen_b,
-             rf_b, wf_b, wbb_b, apb_b, gcum_b),
-        )
-
-    def scan(self, start: int, direct: int, forced_done: int,
-             stop=None, perf_load: int = 0) -> int:
-        """Run the kernel from one section entry; returns section count.
-
-        ``stop`` (a sorted ``array('q')`` of section keys) ends the chain
-        before the first later section whose key it holds.  With a
-        Performance Watchdog load ``perf_load`` > 0, a section whose
-        boundary lies past the access that fires it is emitted open —
-        end at that cut, cause :data:`CAUSE_OPEN` — and the chain goes
-        on from the cut.
-        """
-        a = self._args
-        return self._fn(
-            a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-            start, direct, forced_done,
-            a[7], a[8], a[9], a[10], a[11],
-            a[12], a[13], a[14], a[15], a[16],
-            a[17], a[18], a[19], a[20], a[21], a[22], a[23],
-            _addr(stop) if stop else 0, len(stop) if stop else 0,
-            a[24], perf_load,
-        )
-
-    def scan_first_dw(self, start: int, direct: int, forced_done: int):
-        """Scan just the first section, returning its direct-commit
-        write indices as an ``array('i')`` (the ``collect_dw`` mode of
-        the Python generator)."""
-        a = self._args
-        self._fn(
-            a[0], a[1], a[2], a[3], a[4], a[5], a[6],
-            start, direct, forced_done,
-            a[7], a[8], a[9], a[10], a[11] | F_FIRST_DW,
-            a[12], a[13], a[14], a[15], a[16],
-            a[17], a[18], a[19], a[20], a[21], a[22], a[23], 0, 0, a[24], 0,
-        )
-        dw = self.out_dw
-        return dw[1:dw[0] + 1]
-
-
-#: Member limit per batched family kernel call (chunking bound; the
-#: sequential kernel itself has no hard cap).
+#: Member limit per kernel call (chunking bound; the sequential kernel
+#: itself has no hard cap).
 FAMILY_MAX = 64
 
+#: Per-member output segment size (sections, and steps), grown by
+#: doubling on kernel overflow; the learned size sticks process-wide.
+_SEG = [1024]
 
-#: Initial per-member event/step segment size for family scans; grows by
-#: doubling on kernel overflow (module-level so the learned size carries
-#: across the transient per-chunk engines of one process).
-_FAM_PERCAP = [1024]
+#: The scan outputs every engine shares: ``[seg, nk, arrays,
+#: addresses]``, room for ``nk`` members of ``seg`` each (and for any
+#: fewer members of a smaller segment).  The kernel reports how much of
+#: each it wrote, so they are handed out unzeroed and only grown.
+_OUT = [0, 0, (), ()]
 
-#: Reused family-scan output arrays keyed by role; the kernel reports how
-#: much of each it wrote, so they are handed out unzeroed and only grown.
-_FAM_OUT: dict = {}
-
-
-def _fam_out(key: str, nmin: int):
-    """A reusable output array of at least ``nmin`` items.
-
-    ``key`` names the role; its first character is the ``array``
-    typecode (``"q2"``/``"i3"`` are distinct from ``"q"``/``"i"``).
-    """
-    buf = _FAM_OUT.get(key)
-    if buf is None or len(buf) < nmin:
-        buf = array(key[0], bytes(nmin * array(key[0]).itemsize))
-        _FAM_OUT[key] = buf
-    return buf
+#: Time in the engine: building engines and running kernel scans.
+_SECONDS = COUNTERS.counter("sections.enum_seconds")
 
 
-class FamilyScanEngine:
-    """Prebound ctypes arguments for one config family's batched scan.
+def _grow(seg: int, nk: int) -> None:
+    """Grow :data:`_OUT` to hold ``nk`` members of ``seg`` each."""
+    seg = max(seg, _OUT[0])
+    nk = max(nk, _OUT[1])
+    size = seg * nk
+    arrays = (array("q", bytes(8 * size)), array("i", bytes(4 * size)),
+              array("B", bytes(size)), array("q", bytes(8 * (size + nk))),
+              array("i", bytes(4 * size)))
+    _OUT[:] = seg, nk, arrays, tuple(map(_addr, arrays))
 
-    A family shares ``(trace, PI marking, forced checkpoints, text
-    bounds, APB prefix shift)`` and differs only per member in the four
-    buffer capacities and the policy flag bits.  One :meth:`scan` call
-    runs every member's chain scan inside a single kernel invocation
-    and fills member-major output segments — each bit-identical to a
-    :class:`ChainScanEngine` scan of that member, by construction.
 
-    Membership scratch is the per-trace memoized family block array
+class ChainScanEngine:
+    """Prebound ctypes arguments for the chain scans of ``members``.
+
+    The members share ``(trace, PI marking, forced checkpoints, APB
+    prefix shift)`` and differ only in the four buffer
+    capacities and the policy flag bits (``kernel_params`` of each
+    member's configuration).  One :meth:`scan` call runs every member's
+    chain scan inside a single kernel invocation and fills member-major
+    output segments: a sweep family's canonical chains, or one map's
+    off-chain and direct-write scans as a one-member engine.
+
+    Membership scratch is the per-trace memoized blocked array
     (:meth:`~repro.trace.trace.CompiledTrace.c_family_scratch`): the
     persistent generation counter makes stale stamps invisible, so no
     per-call zeroing happens.  Output segments grow by doubling when the
-    kernel reports overflow; the learned size sticks process-wide, and
-    the segment arrays themselves are reused across engines (the kernel
-    writes the prefix it reports, so stale suffixes are never read).
+    kernel reports overflow, and the output arrays are shared by every
+    engine (:data:`_OUT`).  Scans run on one thread (the eval CLI's, or
+    the sweep server's one bridge thread).
     """
 
-    __slots__ = ("_fn", "_pre", "_nk", "_keep")
+    __slots__ = ("_fn", "_pre", "_nk", "nev", "nst", "_keep")
 
-    def __init__(self, lib, ct, text_lo, text_hi, shift, forced_sorted,
-                 pi_words, pi_indices, members):
+    def __init__(self, lib, ct, shift, forced_sorted, pi_words, pi_indices,
+                 members):
+        t0 = perf_counter()
         nk = len(members)
         if not 0 < nk <= FAMILY_MAX:
             raise ValueError(f"family size {nk} outside 1..{FAMILY_MAX}")
-        ops_b, wids_b, n_words = ct.scan_arrays(text_lo, text_hi)
+        ops_b, wids_b, n_words = ct.scan_arrays(*ct.text_range)
         if any(m[4] & F_APB_ON for m in members):
             pids_b, n_prefixes = ct.prefix_ids(shift)
             pids_addr = _addr(pids_b)
-            scratch_shift = shift
         else:
             pids_b, n_prefixes = None, 1
             pids_addr = 0
-            scratch_shift = -1
-        has_pi = bool(pi_words or pi_indices)
-        if has_pi:
+            shift = -1
+        if pi_words or pi_indices:
             pi_b = ct.pi_mask_buffer(pi_words, pi_indices)
             pi_addr = _addr(pi_b)
+            has_pi = F_HAS_PI
         else:
             pi_b = None
             pi_addr = 0
-        caps_b = array("i", bytes(4 * 4 * nk))
-        flags_b = array("i", bytes(4 * nk))
-        for c, (rf, wf, wbb, apb, fl) in enumerate(members):
-            caps_b[4 * c] = rf
-            caps_b[4 * c + 1] = wf
-            caps_b[4 * c + 2] = wbb
-            caps_b[4 * c + 3] = apb
-            flags_b[c] = (fl | F_HAS_PI) if has_pi else fl
+            has_pi = 0
+        caps_b = array("i", [cap for m in members for cap in m[:4]])
+        flags_b = array("i", [m[4] | has_pi for m in members])
         gen_b, rf_b, wf_b, wbb_b, apb_b = ct.c_family_scratch(
-            max(n_words, 1), scratch_shift, n_prefixes, nk
+            max(n_words, 1), shift, n_prefixes, nk
         )
         fs_b = array("i", forced_sorted) if forced_sorted else array("i", [0])
-        self._fn = lib.family_chain_scan
+        gcum_b = ct.cum_cycles
+        self.nev = array("i", bytes(4 * nk))
+        self.nst = array("i", bytes(4 * nk))
+        self._fn = lib.chain_scan
         self._nk = nk
         self._pre = (
             _addr(ops_b) if ct.n else 0,
@@ -389,55 +271,53 @@ class FamilyScanEngine:
             ct.n,
             max(n_words, 1),
             n_prefixes,
+            nk,
             _addr(caps_b),
             _addr(flags_b),
             _addr(rf_b), _addr(wf_b), _addr(wbb_b), _addr(apb_b),
             _addr(gen_b),
+            _addr(gcum_b),
+            _addr(self.nev), _addr(self.nst),
         )
         # Buffer lifetimes: the arrays must outlive this engine.
         self._keep = (ops_b, wids_b, pids_b, pi_b, fs_b, caps_b,
-                      flags_b, gen_b, rf_b, wf_b, wbb_b, apb_b)
+                      flags_b, gen_b, rf_b, wf_b, wbb_b, apb_b, gcum_b)
+        _SECONDS.inc(perf_counter() - t0)
 
-    def scan(self, start0: int = 0):
-        """One batched pass from ``start0`` covering every member.
+    def scan(self, start: int = 0, variant: int = 0, stop=None,
+             perf_load: int = 0, xflags: int = 0):
+        """Every member's chain from the section entry ``(start,
+        variant)`` (``repro.sim.sections.VARIANT_*``).
 
-        Returns ``(nev, nst, ev_key, ev_end, ev_cause, ev_soff,
-        steps_out, ev_percap, st_percap)``: member ``c``'s ``nev[c]``
-        section records occupy ``[c * ev_percap, c * ev_percap +
-        nev[c])`` of the event arrays, their ``nev[c] + 1`` steps
-        offsets (starting at 0) occupy ``[c * (ev_percap + 1), ...)`` of
-        ``ev_soff``, and its ``nst[c]`` flattened WBB steps occupy
-        ``[c * st_percap, c * st_percap + nst[c])`` of ``steps_out``.
-        The event/step arrays are shared process-wide scratch — consume
-        (slice) them before the next ``scan`` call.
+        ``stop`` (a sorted ``array('q')`` of section keys) ends a chain
+        before the first later section whose key it holds.  With a
+        Performance Watchdog load ``perf_load`` > 0, a section whose
+        boundary lies past the access that fires it is emitted open —
+        end at that cut, cause :data:`CAUSE_OPEN` — and the chain goes
+        on from the cut.  ``xflags`` = :data:`F_FIRST_DW` scans only the
+        first section and emits its direct-commit write indices in place
+        of its WBB growth steps.
+
+        Returns ``(keys, ends, causes, soff, steps, seg)``: member
+        ``c``'s ``self.nev[c]`` sections occupy ``[c * seg, c * seg +
+        nev[c])`` of the section arrays, their ``nev[c] + 1`` steps
+        offsets (starting at 0) occupy ``[c * (seg + 1), ...)`` of
+        ``soff``, and its ``self.nst[c]`` steps occupy ``[c * seg, c *
+        seg + nst[c])`` of ``steps``.  The arrays are shared scratch —
+        consume (slice) them before the next scan.
         """
-        a = self._pre
-        nk = self._nk
+        t0 = perf_counter()
+        stop_addr = _addr(stop) if stop else 0
+        n_stop = len(stop) if stop else 0
         while True:
-            percap = _FAM_PERCAP[0]
-            ev_key = _fam_out("q", percap * nk)
-            ev_end = _fam_out("i", percap * nk)
-            ev_cause = _fam_out("B", percap * nk)
-            ev_soff = _fam_out("q2", (percap + 1) * nk)
-            steps_out = _fam_out("i3", percap * nk)
-            out_nev = array("i", bytes(4 * nk))
-            out_nst = array("i", bytes(4 * nk))
-            rc = self._fn(
-                a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], a[8],
-                start0, nk,
-                a[9], a[10],
-                a[11], a[12], a[13], a[14], a[15],
-                _addr(ev_key), _addr(ev_end), _addr(ev_cause),
-                _addr(ev_soff),
-                _addr(steps_out),
-                percap, percap,
-                _addr(out_nev), _addr(out_nst),
-            )
-            if rc == 0:
-                return (out_nev, out_nst, ev_key, ev_end, ev_cause,
-                        ev_soff, steps_out, percap, percap)
-            if rc == -2:  # pragma: no cover - guarded in __init__
-                raise ValueError("empty family rejected by kernel")
-            # Overflow: double the per-member segments and rescan (the
-            # kernel's generation write-back keeps the scratch valid).
-            _FAM_PERCAP[0] = percap * 2
+            seg = _SEG[0]
+            out = _OUT
+            if seg > out[0] or self._nk > out[1]:
+                _grow(seg, self._nk)
+            if not self._fn(*self._pre, start, variant, stop_addr, n_stop,
+                            perf_load, xflags, seg, *out[3]):
+                _SECONDS.inc(perf_counter() - t0)
+                return out[2] + (seg,)
+            # Overflow: double the segments and rescan (the kernel's
+            # generation write-back keeps the scratch valid).
+            _SEG[0] = seg * 2

@@ -55,13 +55,14 @@ _PROCEED_WBB: Decision = (PROCEED_WBB, None)
 
 
 def kernel_params(config: ClankConfig) -> Tuple[int, int, int, int, int]:
-    """A configuration's slice of the C chain-scan kernels' inputs.
+    """A configuration's slice of the C chain-scan kernel's inputs.
 
     ``(rf_cap, wf_cap, wbb_cap, apb_cap, flags)`` — the policy flag bits
     are exactly the detector's optimization switches (``F_HAS_PI`` is
-    added by the engines, not here).  The scalar chain engine
-    (:func:`chain_scan_engine`) and the family pass share this one
-    assembly; family members may differ only in these five values.
+    added by the engine, not here).  Every member of a
+    :class:`repro.core.cext.ChainScanEngine` — a family pass's, or a
+    map's own one-member engine — comes from this one assembly; members
+    of one engine may differ only in these five values.
     """
     opts = config.optimizations
     flags = 0
@@ -77,25 +78,6 @@ def kernel_params(config: ClankConfig) -> Tuple[int, int, int, int, int]:
             flags |= bit
     return (config.rf_entries, config.wf_entries, config.wbb_entries,
             config.apb_entries, flags)
-
-
-def chain_scan_engine(config: ClankConfig, ct, forced_sorted, pi_words,
-                      pi_indices):
-    """A compiled-kernel engine for ``config``'s chain scans over ``ct``.
-
-    Returns a :class:`repro.core.cext.ChainScanEngine` bound to the
-    configuration and the given trace/marking, or ``None`` when the
-    optional C kernel is unavailable (no compiler, ``REPRO_CEXT=0``, or
-    any build/load failure).  The chain scan's pure-Python reference is
-    :meth:`IdempotencyDetector.straightline_chain`.
-    """
-    lib = cext.chain_scan_lib()
-    if lib is None:
-        return None
-    params = kernel_params(config) + ct.text_range + (config.prefix_low_bits,)
-    return cext.ChainScanEngine(
-        lib, ct, params, forced_sorted, pi_words, pi_indices
-    )
 
 
 class ChainScratch:

@@ -211,7 +211,7 @@ def render_text(ledger: telemetry.Ledger, top: int = 10,
     if enum_seconds:
         lines.append(
             f"-- section enumeration: {enum_seconds:9.3f}s "
-            f"(chain/family scans inside section-map builds)"
+            f"(C chain scans: family passes, off-chain and direct writes)"
         )
     hits, misses = get("cache.hits", 0), get("cache.misses", 0)
     puts = get("cache.puts", 0)

@@ -23,7 +23,11 @@ The canonical chain — every section a failure-free run from the start
 commits — is held as flat parallel arrays installed by one family pass
 (:func:`build_family`); the C section walk (:mod:`repro.sim.fast`) reads
 them in place and resolves the off-chain sections it meets into a
-per-map overlay.  The one dispatcher,
+per-map overlay.  Every scan is one C kernel call through
+:class:`repro.core.cext.ChainScanEngine`: a family pass scans up to
+:data:`FAMILY_CHUNK` configurations at once, and a map's off-chain and
+direct-write scans are one-member calls on the engine the map caches.
+The one dispatcher,
 :func:`repro.sim.batch.simulate_batch`, family-builds the cold maps of
 its walkable rows' distinct configs, :data:`FAMILY_CHUNK` per pass,
 before it walks (:func:`prefetch_family`), so every walked map is flat.
@@ -65,16 +69,11 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
   :mod:`repro.sim.fast`.
 """
 
-from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core import cext as _cext
 from repro.core.config import ClankConfig
-from repro.core.detector import (
-    IdempotencyDetector,
-    chain_scan_engine,
-    kernel_params,
-)
+from repro.core.detector import IdempotencyDetector, kernel_params
 from repro.obs.metrics import COUNTERS
 from repro.trace.trace import Trace
 
@@ -85,6 +84,17 @@ VARIANT_DIRECT = 2
 
 #: The empty marking/forced set every unmarked map and key shares.
 _EMPTY: FrozenSet[int] = frozenset()
+
+
+def _engine(maps, shift: int):
+    """A C chain-scan engine over ``maps`` — one trace, PI marking and
+    forced set, APB prefix shift ``shift`` — one member per map."""
+    m0 = maps[0]
+    return _cext.ChainScanEngine(
+        _cext.chain_scan_lib(), m0.ct, shift, m0._forced_sorted,
+        m0.pi_words, m0.pi_indices,
+        [kernel_params(m.config) for m in maps],
+    )
 
 
 class SectionMap:
@@ -138,7 +148,7 @@ class SectionMap:
         self._detector = None  # arch_stats scans only (_python_scan)
         self._scratch = None
         self._arch_cache: Dict[int, tuple] = {}
-        self._engine = None  # C ChainScanEngine, built on first scan
+        self._engine = None  # one-member ChainScanEngine, on first scan
         opts = config.optimizations
         #: Static false-write hazard: an access-marked PI write commits to
         #: non-volatile memory mid-section and is not undone by rollback,
@@ -171,14 +181,11 @@ class SectionMap:
         self.walk_draws = 1
 
     def _chain_engine(self):
-        """The map's C chain-scan engine, built on first use (the C
-        kernel must be loaded)."""
+        """The map's one-member C chain-scan engine, built on first use
+        (the C kernel must be loaded)."""
         eng = self._engine
         if eng is None:
-            eng = self._engine = chain_scan_engine(
-                self.config, self.ct, self._forced_sorted, self.pi_words,
-                self.pi_indices,
-            )
+            eng = self._engine = _engine([self], self.config.prefix_low_bits)
         return eng
 
     def _python_scan(self):
@@ -202,23 +209,16 @@ class SectionMap:
         cut).  The C kernel must be loaded.
         """
         eng = self._chain_engine()
-        nsec = eng.scan(
-            start,
-            1 if variant == VARIANT_DIRECT else 0,
-            start if variant == VARIANT_FORCED_DONE else -1,
-            self._flat[0] if self._flat is not None else None,
-            perf_load,
+        keys, ends, causes, soff, steps, _ = eng.scan(
+            start, variant,
+            self._flat[0] if self._flat is not None else None, perf_load,
         )
-        so, sf = eng.out_steps_off, eng.out_steps
+        k = eng.nev[0]
         return [
-            ((s << 2) | v, end, cid, sf[a:b] if b > a else ())
-            for s, v, end, cid, a, b in zip(
-                eng.out_start[:nsec].tolist(),
-                eng.out_variant[:nsec].tolist(),
-                eng.out_end[:nsec].tolist(),
-                eng.out_cause[:nsec].tolist(),
-                so[:nsec].tolist(),
-                so[1:nsec + 1].tolist(),
+            (key, end, cid, steps[a:b] if b > a else ())
+            for key, end, cid, a, b in zip(
+                keys[:k].tolist(), ends[:k].tolist(), causes[:k].tolist(),
+                soff[:k].tolist(), soff[1:k + 1].tolist(),
             )
         ]
 
@@ -227,11 +227,9 @@ class SectionMap:
         variant)``, an ascending ``array('i')``, unmemoized (the C
         kernel must be loaded): what the C walk's watchdog-cut decision
         reads."""
-        return self._chain_engine().scan_first_dw(
-            start,
-            1 if variant == VARIANT_DIRECT else 0,
-            start if variant == VARIANT_FORCED_DONE else -1,
-        )
+        eng = self._chain_engine()
+        steps = eng.scan(start, variant, None, 0, _cext.F_FIRST_DW)[4]
+        return steps[:eng.nst[0]]
 
     def arch_stats(
         self, start: int, variant: int
@@ -277,8 +275,8 @@ class SectionMap:
 _CACHE: Dict[tuple, SectionMap] = {}
 
 #: Cache counters in the process-wide registry (``sections.*``).
-#: ``enum_seconds`` is time in section enumeration proper (chain and
-#: family scans).
+#: ``enum_seconds`` is time in the C chain-scan engine, which counts it
+#: itself (:class:`repro.core.cext.ChainScanEngine`).
 _HITS = COUNTERS.counter("sections.hits")
 _MISSES = COUNTERS.counter("sections.misses")
 _ENUM_SECONDS = COUNTERS.counter("sections.enum_seconds")
@@ -413,9 +411,9 @@ def build_family(
 
     Every config shares ``(trace, PI marking, forced checkpoints)`` and
     differs only in buffer capacities and policy optimizations, so one
-    batched kernel call (:mod:`repro.core` family chain scan)
-    enumerates all of their section tables — bit-identical to the
-    per-config scalar scans, by construction.  Members already
+    kernel call (:class:`repro.core.cext.ChainScanEngine`) enumerates
+    all of their section tables — bit-identical to one-member scans of
+    each config, by construction.  Members already
     enumerated are skipped; a single remaining member gets a one-member
     pass, which counts as ``sections.scalar_maps``, not as a family
     pass.  Returns the maps in ``configs`` order (the map cache is
@@ -458,44 +456,34 @@ def build_family(
 
 
 def _family_scan_chunk(shift: int, maps: List[SectionMap]) -> None:
-    """One family kernel call installing flat canonical chains in the
-    given maps (<= FAMILY_MAX, all of one trace and marking)."""
-    t0 = perf_counter()
-    m0 = maps[0]
-    ct = m0.ct
-    text_lo, text_hi = ct.text_range
-    eng = _cext.FamilyScanEngine(
-        _cext.chain_scan_lib(), ct, text_lo, text_hi, shift,
-        m0._forced_sorted, m0.pi_words, m0.pi_indices,
-        [kernel_params(m.config) for m in maps],
-    )
-    _distribute_events(maps, *eng.scan(0))
-    _ENUM_SECONDS.inc(perf_counter() - t0)
+    """One kernel call installing flat canonical chains in the given
+    maps (<= FAMILY_MAX, all of one trace and marking)."""
+    eng = _engine(maps, shift)
+    _distribute_events(maps, eng.nev, eng.nst, *eng.scan())
 
 
 def _distribute_events(maps, nev, nst, ev_key, ev_end, ev_cause,
-                       ev_soff, steps_out, ev_percap, st_percap) -> None:
+                       ev_soff, steps_out, seg) -> None:
     """Copy the C kernel's member-major output segments into per-map
     flat storage.
 
-    The kernel pre-segments its output (member ``c`` owns event slots
-    ``[c * ev_percap, ...)``, steps-offset slots ``[c * (ev_percap + 1),
-    ...)`` and steps ``[c * st_percap, ...)``), so each flat array is a
-    single slice copy, and a slice equal to a table already held for
-    the trace is dropped for that table (:meth:`_Tables.intern`).
+    The kernel pre-segments its output (member ``c`` owns section slots
+    ``[c * seg, ...)``, steps-offset slots ``[c * (seg + 1), ...)`` and
+    steps ``[c * seg, ...)``), so each flat array is a single slice
+    copy, and a slice equal to a table already held for the trace is
+    dropped for that table (:meth:`_Tables.intern`).
     """
     tables = _tables(maps[0].ct)
     for c, m in enumerate(maps):
         k = nev[c]
-        base = c * ev_percap
-        obase = c * (ev_percap + 1)
-        sbase = c * st_percap
+        base = c * seg
+        obase = base + c
         m._flat = tables.intern((
             ev_key[base:base + k],
             ev_end[base:base + k],
             ev_cause[base:base + k],
             ev_soff[obase:obase + k + 1],
-            steps_out[sbase:sbase + nst[c]],
+            steps_out[base:base + nst[c]],
         ))
 
 
@@ -523,8 +511,10 @@ def cache_stats() -> Dict[str, float]:
     ``COUNTERS.reset()``).
 
     ``cached`` is the number of maps held, and ``enum_seconds`` the
-    time spent in section *enumeration* proper (chain and family scans), separated
-    from driver wall-clock for the profile table.  ``tables_shared``
+    time spent in section *enumeration* proper — building chain-scan
+    engines and every kernel scan: family passes, off-chain and
+    direct-write scans — separated from driver wall-clock for the
+    profile table.  ``tables_shared``
     counts maps that adopted a flat table another map already held, and
     ``table_bytes`` the bytes of the distinct tables installed.
     """

@@ -230,7 +230,7 @@ class CompiledTrace:
 
     # ----------------------------------------------------------------- #
     # C-kernel buffers (repro.core.cext).  All memoized: built once per
-    # trace, shared by every configuration's ChainScanEngine.
+    # trace, shared by every ChainScanEngine and section walk over it.
     # ----------------------------------------------------------------- #
 
     def forced_mask(self, forced: frozenset) -> array:
@@ -263,57 +263,22 @@ class CompiledTrace:
             return mask
         return self._memoized(("pi_mask", pi_words, pi_indices), build)
 
-    def c_chain_scratch(
-        self, n_words: int, shift: int, n_prefixes: int
-    ) -> tuple:
-        """Generation-stamp scratch buffers for the C chain scan.
-
-        ``(gen, rf, wf, wbb, apb)`` int32 arrays, shared by every engine
-        on this trace with the same APB ``shift`` (``-1`` when the APB is
-        off): the generation counter lives in ``gen[0]`` and persists
-        across calls, so sharing is exactly as safe as the Python
-        :class:`~repro.core.detector.ChainScratch` it mirrors.
-        """
-        return self._memoized(("chain", shift), lambda: _stamp_scratch(
-            n_words, n_prefixes, 1))
-
     def c_family_scratch(
         self, n_words: int, shift: int, n_prefixes: int, nk: int
     ) -> tuple:
-        """Blocked membership scratch for the C family chain scan.
+        """Blocked membership scratch for the C chain scan.
 
         ``(gen, rf, wf, wbb, apb)`` int32 arrays with ``nk`` members in
         contiguous member-major blocks (member ``c`` owns
-        ``buf[c * n_words : (c + 1) * n_words]``), matching the scalar
-        kernel's access locality; the family kernel's persistent
-        generation counter lives in ``gen[0]`` and is written back
-        after every pass, so the blocks are shared by every family
-        engine on this trace with the same ``(shift, nk)`` and never
-        re-zeroed.
+        ``buf[c * n_words : (c + 1) * n_words]``); the kernel's
+        persistent generation counter lives in ``gen[0]`` and is
+        written back after every scan, so the blocks are shared by
+        every engine on this trace with the same ``(shift, nk)`` (a
+        map's one-member scans use the ``(shift, 1)`` block) and never
+        re-zeroed.  ``shift`` is ``-1`` when no member has an APB.
         """
         return self._memoized(("family", shift, nk), lambda: _stamp_scratch(
             n_words, n_prefixes, nk))
-
-    def c_chain_outputs(self) -> tuple:
-        """Staging buffers the C kernel writes section records into.
-
-        Sized for the worst-case chain: every index can contribute at
-        most a boundary section plus a zero-length forced section, and
-        the WBB can grow at most once per access.  Shared per trace and
-        overwritten by each scan; callers copy out what they keep.
-        """
-        def build():
-            max_secs = 3 * self.n + 16
-            return (
-                array("i", bytes(4 * max_secs)),
-                array("B", bytes(max_secs)),
-                array("i", bytes(4 * max_secs)),
-                array("B", bytes(max_secs)),
-                array("i", bytes(4 * (max_secs + 1))),
-                array("i", bytes(4 * (self.n + 1))),
-                array("i", bytes(4 * (self.n + 2))),
-            )
-        return self._memoized(("outputs",), build)
 
 
 def _dense_ids(keys) -> Tuple[array, int]:

@@ -1,16 +1,21 @@
-"""Config-family chain scans must be bit-identical to scalar scans.
+"""The C chain scan against its Python oracle, one member or a family.
 
-The batched family kernel (C ``family_chain_scan``) enumerates a whole
-sweep family's section tables in one kernel call.  Every test here
-builds the same family twice — once through
-:func:`repro.sim.sections.build_family` and once config-by-config
-through scalar chain scans — and requires the canonical chains to match
-exactly, across PI markings, forced-checkpoint resume variants, ragged
-member depths, and the output-segment overflow retry.  The scalar oracle
-is the C chain scan (the ``cext`` parametrization) or the pure-Python
-generator it ports (``python``).  Without the C kernel (``REPRO_CEXT=0``)
-``build_family`` must make no family pass at all: every run then goes to
-the reference simulator, and no map grows a table.
+One kernel (``chain_scan`` in ``_chainscan.c``) enumerates a whole
+sweep family's section tables in one call, and a map's off-chain and
+direct-write scans as a one-member call.  The fixed-trace tests build
+the same family twice — once through
+:func:`repro.sim.sections.build_family` and once config-by-config —
+and require the canonical chains to match exactly, across PI markings,
+forced-checkpoint resume variants, ragged member depths, and the
+output-segment overflow retry.  The per-config oracle is a one-member
+kernel scan (the ``cext`` parametrization) or the pure-Python generator
+the kernel ports (``python``).  The generated-trace tests check the
+kernel against the generator on short Hypothesis traces: every member
+of a family pass, and one-member scans from any entry with the
+rejoin stop, a Performance Watchdog limit and direct-write output.
+Without the C kernel (``REPRO_CEXT=0``) ``build_family`` must make no
+family pass at all: every run then goes to the reference simulator, and
+no map grows a table.
 
 The rows of one ``simulate_batch`` call decide which maps enumerate
 together: a sweep of N cold configs makes ceil(N / FAMILY_CHUNK)
@@ -24,8 +29,11 @@ import hashlib
 import itertools
 import weakref
 from array import array
+from bisect import bisect_left
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import repro.cache as artifact_cache
 from repro.compiler.epoch_analysis import compile_with_epochs
@@ -36,6 +44,7 @@ from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.power.schedules import ExponentialPower
+from repro.trace.access import READ, WRITE
 from repro.serve import ServeClient, start_in_background
 from repro.sim import fast, sections
 from repro.sim.fast import simulate_fast
@@ -44,6 +53,8 @@ from repro.sim.sections import (
 )
 from repro.workloads import get_trace
 from repro.workloads.registry import get_workload
+
+from tests.conftest import DATA_WORD, make_trace
 
 
 @pytest.fixture(autouse=True)
@@ -185,13 +196,13 @@ def test_overflow_retry_is_exact(monkeypatch):
     trace = get_trace("fft", "small")  # hundreds of sections per member
     grid = _grid(rf=(1, 2), wf=(0, 1), wbb=(0, 2), apb=(0,))
     scalar = _scalar_tables(trace, grid)
-    saved = cext._FAM_PERCAP[0]
-    cext._FAM_PERCAP[0] = 4
+    saved = cext._SEG[0]
+    cext._SEG[0] = 4
     try:
         family = _family_tables(trace, grid)
-        assert cext._FAM_PERCAP[0] > 4  # the retry actually fired
+        assert cext._SEG[0] > 4  # the retry actually fired
     finally:
-        cext._FAM_PERCAP[0] = saved
+        cext._SEG[0] = saved
     _assert_equal(scalar, family, grid)
 
 
@@ -497,3 +508,145 @@ class TestPassesFollowRows:
         assert passes == [1] and got == (0, 0)
         assert fast.last_dispatch() == ("fast", None, "c")
         assert get_section_map(trace, config)._flat is not None
+
+
+# --------------------------------------------------------------------- #
+# Generated traces: the kernel against the Python generator.
+# --------------------------------------------------------------------- #
+
+#: Word offsets from the data segment of two data words, a text word
+#: and an MMIO word.
+DATA_OFFS = (0, 1)
+TEXT_OFF = 0x100 - DATA_WORD
+MMIO_OFF = (0x4000_0000 >> 2) - DATA_WORD
+
+
+@st.composite
+def configs(draw):
+    """A configuration with small buffers, any policy optimizations, and
+    a one-bit APB prefix (the data words share one, the text word has
+    another)."""
+    opts = PolicyOptimizations(*draw(st.lists(
+        st.booleans(), min_size=5, max_size=5)))
+    return ClankConfig(
+        draw(st.sampled_from((1, 1, 2, 16))), draw(st.integers(0, 2)),
+        draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+        optimizations=opts, prefix_low_bits=1,
+    )
+
+
+@st.composite
+def scan_inputs(draw):
+    """A short generated trace — data reads and writes, text reads and
+    writes, MMIO output writes — with PI-marked accesses and words and
+    forced checkpoints: ``(trace, map keywords)``."""
+    value = st.integers(0, 2)
+    data = st.sampled_from(DATA_OFFS)
+    word = st.sampled_from(DATA_OFFS + (TEXT_OFF,))
+    # Read-modify-writes make idempotency violations common; one motif
+    # in five is a text write and one an output, each of which can end
+    # a section.
+    ops = [op for ops in draw(st.lists(st.one_of(
+        st.tuples(st.just(READ), word).map(lambda op: [op]),
+        st.tuples(data, value).map(
+            lambda av: [(READ, av[0]), (WRITE, *av)]),
+        st.tuples(st.just(WRITE), data, value).map(lambda op: [op]),
+        st.tuples(st.just(WRITE), st.just(TEXT_OFF), value).map(
+            lambda op: [op]),
+        st.tuples(st.just(WRITE), st.just(MMIO_OFF), value).map(
+            lambda op: [op]),
+    ), min_size=8, max_size=32)) for op in ops]
+    n = len(ops)
+    indices = st.frozensets(st.integers(0, n - 1), max_size=n // 6)
+    return make_trace(ops, name="scan"), dict(
+        pi_access_indices=draw(indices) or None,
+        # Now and then the last data word is marked PI.
+        pi_words=draw(st.sampled_from(
+            (None, None, None, frozenset({DATA_WORD + DATA_OFFS[-1]})))),
+        forced_checkpoints=draw(st.frozensets(
+            st.integers(0, n), max_size=4)) or None,
+    )
+
+
+def _oracle_chain(m, start, variant, stop=(), perf_load=0):
+    """The chain scan of map ``m`` from ``(start, variant)``, assembled
+    from the Python generator's first sections: ``[(key, end, cause id,
+    wbb steps, direct writes), ...]`` up to the first later section whose
+    key is in ``stop``, each section left open at the access that fires
+    a Performance Watchdog of load ``perf_load`` (> 0)."""
+    det = IdempotencyDetector(m.config, m.ct.text_range)
+    scratch = det.chain_scratch(m.ct)
+    gcum, n = m.ct.cum_cycles, m.n
+    direct, forced_done = variant == 2, start if variant == 1 else -1
+    out = []
+    while True:
+        chain = det.straightline_chain(
+            m.ct, start, direct, forced_done, m._forced_sorted, m.pi_words,
+            m.pi_indices, scratch, collect_dw=True,
+        )
+        s, v, end, cause, steps, dw = next(chain)
+        chain.close()
+        key = (s << 2) | v
+        if out and key in stop:
+            return out
+        cid = cext.CAUSE_NAMES.index(cause)
+        if cause == "compiler" and end == s:
+            # The zero-length section of a compiler checkpoint.
+            out.append((key, end, cid, (), ()))
+            forced_done = s
+            continue
+        lim = bisect_left(gcum, gcum[s] + perf_load, s + 1, n) \
+            if perf_load > 0 else n
+        if lim < n and end >= lim:
+            end, cid = lim, cext.CAUSE_OPEN
+            steps = tuple(j for j in steps if j < lim)
+            dw = tuple(j for j in dw if j < lim)
+        out.append((key, end, cid, tuple(steps), tuple(dw)))
+        if cause == "final" and cid != cext.CAUSE_OPEN:
+            return out
+        direct = cid == cext.CAUSE_NAMES.index("text_write")
+        if cid == cext.CAUSE_NAMES.index("compiler"):
+            forced_done = end
+        start = end + 1 if cid == cext.CAUSE_NAMES.index("output") else end
+
+
+#: Generated examples per test; the map cache is shared across them.
+#: Family passes get more: the rarer branches (a WBB-owned write in the
+#: untracked tail, say) need one member of the right shape.
+GENERATED = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.mark.usefixtures("c_kernel")
+class TestGeneratedTraces:
+    @settings(GENERATED, max_examples=300)
+    @given(scan_inputs(), st.lists(configs(), min_size=2, max_size=8))
+    def test_family_pass_matches_generator(self, inputs, family):
+        # A K-member pass: every member's flat chain is the generator's.
+        trace, kw = inputs
+        for m in build_family(trace, family, **kw):
+            assert _flat_chain(m) == [
+                sec[:4] for sec in _oracle_chain(m, 0, 0)
+            ], m.config
+
+    @GENERATED
+    @given(scan_inputs(), configs(), st.data())
+    def test_one_member_entries_match_generator(self, inputs, config, data):
+        # One-member scans from generated entries: a chain up to where it
+        # rejoins the canonical chain, under a Performance Watchdog load,
+        # and a section's direct writes.
+        trace, kw = inputs
+        [m] = build_family(trace, [config], **kw)
+        start = data.draw(st.integers(0, m.n - 1))
+        variant = data.draw(st.sampled_from((0, 1, 2)))
+        perf_load = data.draw(st.sampled_from((0, 4, 9, 16, 40)))
+        stop = m._flat[0]
+        assert m.scan_chain(start, variant, perf_load) == [
+            (key, end, cid, array("i", steps) if steps else ())
+            for key, end, cid, steps, _ in _oracle_chain(
+                m, start, variant, set(stop), perf_load)
+        ]
+        dw = _oracle_chain(m, start, variant)[0][4]
+        assert list(m.direct_writes(start, variant)) == list(dw)

@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
-from repro.core.detector import IdempotencyDetector, chain_scan_engine
+from repro.core.detector import IdempotencyDetector, kernel_params
 from repro.eval.runner import pi_words_for
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import MemoryRecorder, NullRecorder
@@ -389,6 +389,14 @@ class TestCExtension:
             )
         )
 
+    @staticmethod
+    def _engine(lib, config, ct, forced, piw):
+        """A one-member engine for ``config`` over ``ct``."""
+        return cext.ChainScanEngine(
+            lib, ct, config.prefix_low_bits, forced, piw, frozenset(),
+            [kernel_params(config)],
+        )
+
     def test_engine_matches_python_generator(self):
         lib = cext.chain_scan_lib()
         if lib is None:
@@ -404,19 +412,12 @@ class TestCExtension:
                 det = IdempotencyDetector(
                     config, trace.memory_map.text_word_range
                 )
-                eng = chain_scan_engine(config, ct, forced, piw, frozenset())
-                assert eng is not None
-                nsec = eng.scan(0, 0, -1)
+                eng = self._engine(lib, config, ct, forced, piw)
+                keys, ends, causes, soff, steps, _ = eng.scan()
                 from_c = [
-                    (
-                        eng.out_start[k], eng.out_variant[k], eng.out_end[k],
-                        names[eng.out_cause[k]],
-                        tuple(
-                            eng.out_steps[eng.out_steps_off[k]:
-                                          eng.out_steps_off[k + 1]]
-                        ),
-                    )
-                    for k in range(nsec)
+                    (keys[k] >> 2, keys[k] & 3, ends[k], names[causes[k]],
+                     tuple(steps[soff[k]:soff[k + 1]]))
+                    for k in range(eng.nev[0])
                 ]
                 assert from_c == self._chain(det, ct, forced, piw,
                                              frozenset())
@@ -431,7 +432,7 @@ class TestCExtension:
                                    no_wf_overflow=True)
         config = ClankConfig(4, 2, 1, 0, optimizations=opts)
         det = IdempotencyDetector(config, trace.memory_map.text_word_range)
-        eng = chain_scan_engine(config, ct, [], frozenset(), frozenset())
+        eng = self._engine(lib, config, ct, [], frozenset())
         scratch = det.chain_scratch(ct)
         starts = [
             (s, v) for s, v, *_ in det.straightline_chain(
@@ -445,9 +446,9 @@ class TestCExtension:
             )
             py_dw = next(chain)[5]
             chain.close()
-            c_dw = eng.scan_first_dw(s, 1 if v == 2 else 0,
-                                     s if v == 1 else -1)
-            assert list(c_dw) == list(py_dw)
+            steps = eng.scan(s, v, xflags=cext.F_FIRST_DW)[4]
+            assert eng.nev[0] == 1
+            assert list(steps[:eng.nst[0]]) == list(py_dw)
 
     def test_repro_cext_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_CEXT", "0")

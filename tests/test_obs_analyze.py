@@ -116,7 +116,9 @@ class TestEngineReconciliation:
         for field in ENGINE_INDEPENDENT:
             assert a[field] == b[field], field
         assert a["runs_by_engine"] == {"reference": 1}
-        assert b["runs_by_engine"] == {"fast": 1}
+        # Without the kernel the fast-path run goes to the reference.
+        walked = "fast" if cext.chain_scan_lib() is not None else "reference"
+        assert b["runs_by_engine"] == {walked: 1}
 
     @pytest.mark.parametrize("spec", CONFIGS)
     def test_causes_match_result_exactly(self, spec):

@@ -256,7 +256,8 @@ class TestDispatchCounters:
         self._run()
         COUNTERS.merge({"dispatch.fast": 2, "dispatch.reasons.verify": 3})
         stats = dispatch_stats()
-        assert stats["fast"] == 3
+        # Without the kernel the run itself is a reference fallback.
+        assert stats["fast"] == 2 + (cext.chain_scan_lib() is not None)
         assert stats["reasons"]["verify"] == 3
 
 
