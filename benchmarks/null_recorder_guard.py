@@ -50,8 +50,9 @@ must be disabled by default, introspection-off ``execute_job`` sweeps
 arch threshold (default 2%) of the baseline sweeps they alternate with,
 which run the same jobs with the collector swapped for
 :class:`NoCollector` (both engines pay exactly one flag check per run
-when it is off), and a collector-on sweep must fold every run and reconcile
-its cause totals exactly against the per-run ``checkpoints_by_cause``.
+when it is off), and a collector-on grouped ``run_jobs`` sweep (the path
+``--arch`` sweeps take) must fold every run and reconcile its cause
+totals exactly against the per-run ``checkpoints_by_cause``.
 
 A sixth check guards the persistent result store
 (``REPRO_CACHE_DIR``), which holds whole results only: an
@@ -177,15 +178,6 @@ def run_one(trace, spec, settings, salt, recorder=None):
         trace, ClankConfig.from_tuple(spec), settings.schedule(salt),
         progress_watchdog="auto", verify=settings.verify, recorder=recorder,
     )
-
-
-def sweep_results(traces, settings):
-    """Every result dict of one full sweep, in sweep order."""
-    return [
-        run_one(trace, spec, settings, salt).to_dict()
-        for salt, trace in enumerate(traces)
-        for spec in CONFIGS
-    ]
 
 
 def sweep_seconds(traces, settings, recorder=None,
@@ -445,13 +437,19 @@ def main(argv=None) -> int:
     if ratio > args.arch_threshold:
         arch_ok = False
         fail("arch", "introspection-off sweep exceeds the overhead budget")
-    # Collector on: every run must fold, and the aggregated cause totals
+    # Collector on: every run of one grouped run_jobs sweep (the path
+    # --arch sweeps take) must fold, and the aggregated cause totals
     # must reconcile exactly with the per-run results.
+    sweep_jobs = [
+        SimJob(workload=name, config=spec, size=args.size, salt=salt)
+        for salt, name in enumerate(WORKLOADS)
+        for spec in CONFIGS
+    ]
     COLLECTOR.reset()
     COLLECTOR.enable()
     try:
         arch_on_start = time.perf_counter()
-        results = sweep_results(traces, settings)
+        results = [r.to_dict() for r in run_jobs(sweep_jobs, settings, None)]
         arch_on = time.perf_counter() - arch_on_start
         folded = sum(COLLECTOR.run_totals().values())
         totals = COLLECTOR.cause_totals()
@@ -520,14 +518,9 @@ def main(argv=None) -> int:
     # enumerate (nearly) all of its SectionMaps through batched family
     # chain scans — each group family-builds its rows' cold maps, so only
     # a group's lone cold map may get a one-member pass.
-    family_jobs = [
-        SimJob(workload=name, config=spec, size=args.size, salt=salt)
-        for salt, name in enumerate(WORKLOADS)
-        for spec in CONFIGS
-    ]
     clear_cache()
     COUNTERS.reset()
-    run_jobs(family_jobs, settings, None)
+    run_jobs(sweep_jobs, settings, None)
     stats = cache_stats()
     walks = dispatch_stats()
     print(f"cold sweep maps: {stats['misses']} built, "

@@ -1,11 +1,12 @@
 /* Straight-line idempotent-section chain scan and section walk.
  *
- * ``chain_scan`` is a C port of the inner loop of
- * ``repro.core.detector.IdempotencyDetector.straightline_chain`` — the
- * one O(n-accesses) pass the section-memoized fast path cannot avoid.
- * The Python generator remains the reference implementation (the test
- * oracle of this scan); this kernel must replay its decision sequence
- * branch-for-branch.  Inputs are the same precomputed per-trace arrays
+ * ``chain_scan`` is a C port of ``repro.core.detector.scan_section``,
+ * the Python scan of one section, followed from each boundary into the
+ * next section — the one O(n-accesses) pass the section-memoized fast
+ * path cannot avoid.  The Python scan remains the reference
+ * implementation (the test oracle of this kernel, through
+ * ``tests/chain_oracle.py``); this kernel must replay its decision
+ * sequence branch-for-branch.  Inputs are the same precomputed per-trace arrays
  * (``CompiledTrace.scan_arrays`` / ``prefix_ids``) and the same
  * generation-stamped flat membership scratch, so the two
  * implementations share every data-structure invariant.  Every scan

@@ -2,10 +2,11 @@
 
 The section-memoized fast path (:mod:`repro.sim.sections`,
 :mod:`repro.sim.fast`) runs in one C source, ``_chainscan.c``: one
-chain scan — a line-for-line port of
-:meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`,
-branch-light integer code over flat arrays, run for a whole config
-family per call or for one configuration from any section entry — and
+chain scan — a line-for-line port of the Python section scan
+:func:`~repro.core.detector.scan_section`, followed from each section
+boundary into the next, in branch-light integer code over flat arrays,
+run for a whole config family per call or for one configuration from
+any section entry — and
 the section walk that replays power schedules over the scanned tables.
 This module compiles it on demand with whatever system C compiler is
 present and drives it through :mod:`ctypes`; :class:`ChainScanEngine`
@@ -15,7 +16,7 @@ The kernel is optional:
 
 * no compiler, a failed compile, a failed load, or ``REPRO_CEXT=0`` all
   send every run to the reference simulator, the source of truth for
-  semantics (the pure-Python generator stays the chain scan's test
+  semantics (the Python section scan stays the chain scan's test
   oracle);
 * the shared library is cached in the system temp directory keyed by a
   hash of the C source, so each source revision compiles once per

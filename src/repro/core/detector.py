@@ -24,6 +24,14 @@ from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
 from repro.core import cext
+from repro.core.cext import (
+    F_APB_ON,
+    F_IGNORE_FALSE_WRITES,
+    F_IGNORE_TEXT,
+    F_LATEST_CHECKPOINT,
+    F_NO_WF_OVERFLOW,
+    F_REMOVE_DUPLICATES,
+)
 from repro.core.buffers import (
     AddressPrefixBuffer,
     ReadFirstBuffer,
@@ -80,23 +88,249 @@ def kernel_params(config: ClankConfig) -> Tuple[int, int, int, int, int]:
             config.apb_entries, flags)
 
 
-class ChainScratch:
-    """Flat membership arrays for the straight-line section scan.
+def scan_section(ct, params, shift, forced_sorted, pi_words, pi_indices,
+                 start, variant):
+    """The failure-free section entered at ``(start, variant)``.
 
-    One slot per dense word (or prefix) id; a slot is a member of the
-    current section's buffer iff it holds the current generation stamp.
-    Bumping the stamp empties all four buffers in O(1), so the scan never
-    pays a clear proportional to the footprint.
+    From a committed checkpoint the buffers are empty, so the next
+    section boundary is a pure function of the trace, the configuration
+    (``params``, its :func:`kernel_params`, and ``shift``, its APB
+    prefix shift) and the compiler marking (``forced_sorted``, the
+    ascending compiler-checkpoint indices ``< ct.n``, and the Program
+    Idempotent ``pi_words`` and ``pi_indices``) — independent of the
+    power schedule.  This scan replays the decisions of
+    :meth:`IdempotencyDetector.on_read`/:meth:`~IdempotencyDetector.on_write`
+    over one section, inlined over the per-trace columns and the
+    generation-stamped flat membership of
+    :meth:`~repro.trace.trace.CompiledTrace.scan_scratch` (no per-access
+    method calls or hash probes).  It is the test oracle of the C chain
+    scan (``_chainscan.c``), which follows each boundary into the next
+    section, and it gives ``--arch`` each commit's occupancy
+    (:mod:`repro.sim.batch`).
+
+    ``variant`` (:mod:`repro.sim.sections` mirrors these as
+    ``VARIANT_*``): ``0`` normal entry, where a compiler checkpoint at
+    ``start`` fires before the access is classified (a zero-length
+    section); ``1`` that checkpoint already committed (the simulator's
+    ``forced_done`` latch), so it must not fire again; ``2`` the access
+    at ``start`` is a committed direct text write the detector never
+    observes, so the scan starts one access later.
+
+    Returns ``(end, cause, wbb_steps, dw_steps, rf_steps, wf_steps,
+    apb_steps, rf_peak)``:
+
+    * ``end`` — the boundary access (``ct.n`` for the final checkpoint);
+      the section executes exactly ``[start, end)``.
+    * ``cause`` — the checkpoint cause charged at the boundary.
+    * ``wbb_steps`` — ascending trace indices at which the Write-back
+      Buffer grew; bisecting a cut point inside the section yields that
+      prefix's flush size, keeping the scan cost-model independent.
+    * ``dw_steps`` — ascending trace indices of the write-first-path
+      writes: the writes that commit *directly* to non-volatile memory
+      with a value a later rollback does not restore.
+    * ``rf_steps`` / ``wf_steps`` / ``apb_steps`` — ascending trace
+      indices at which the Read-first, Write-first and Address-prefix
+      buffers admitted an entry.  At a cut ``p`` the WF, WBB and APB
+      occupancy is ``bisect_left(steps, p)``; the RF's is
+      ``bisect_left(rf_steps, p)`` minus ``bisect_left(wbb_steps, p)``
+      under remove-duplicates (every WBB capture evicts its word from
+      the RF).
+    * ``rf_peak`` — the RF's high-water mark.  Remove-duplicates can
+      shrink the RF mid-section, so unlike the other three buffers its
+      final count is not its maximum.
+
+    The write-value comparisons of ignore-false-writes use the
+    precomputed ``ct.false_writes`` oracle view; see
+    :mod:`repro.sim.sections` for the exact conditions under which the
+    run-time view can diverge from it.
     """
+    rf_cap, wf_cap, wbb_cap, apb_cap, flags = params
+    apb_on = flags & F_APB_ON
+    ignore_text = flags & F_IGNORE_TEXT
+    ig_fw = flags & F_IGNORE_FALSE_WRITES
+    rm_dup = flags & F_REMOVE_DUPLICATES
+    no_wf_ovf = flags & F_NO_WF_OVERFLOW
+    latest = flags & F_LATEST_CHECKPOINT
+    n = ct.n
+    waddrs = ct.waddrs
+    has_pi = bool(pi_words) or bool(pi_indices)
+    if has_pi:
+        pi_words = pi_words or ()
+        pi_indices = pi_indices or ()
+    ops, wids, pids, gen, rf_g, wf_g, wbb_g, apb_g = ct.scan_scratch(
+        shift if apb_on else -1)
 
-    __slots__ = ("gen", "rf", "wf", "wbb", "apb")
+    wbb_i = []
+    dw_i = []
+    rf_i = []
+    wf_i = []
+    apb_i = []
+    fs = forced_sorted
+    j = bisect_left(fs, start)
+    at_forced = j < len(fs) and fs[j] == start
+    if at_forced and variant == 0:
+        return start, "compiler", wbb_i, dw_i, rf_i, wf_i, apb_i, 0
+    # The next *active* compiler checkpoint: one at ``start`` itself
+    # already committed (variant 1) or lies behind the direct write.
+    nf = j + 1 if at_forced else j
+    stop = fs[nf] if nf < len(fs) else n  # where the section must end
 
-    def __init__(self, n_words: int, n_prefixes: int):
-        self.gen = 0
-        self.rf = [0] * n_words
-        self.wf = [0] * n_words
-        self.wbb = [0] * n_words
-        self.apb = [0] * n_prefixes
+    g = gen[0] + 1
+    gen[0] = g  # stamp bump == clear all four buffers
+    rf_len = 0
+    rf_peak = 0
+    wf_len = 0
+    wbb_len = 0
+    apb_len = 0
+    untracked = False
+    i = start + 1 if variant == 2 else start
+    while i < stop:
+        op = ops[i]
+        if op & 1:
+            # Write.
+            if op & 4:
+                end = i
+                cause = "output"
+                break
+            if has_pi and (waddrs[i] in pi_words or i in pi_indices):
+                i += 1
+                continue
+            if ignore_text and op & 2:
+                end = i
+                cause = "text_write"
+                break
+            v = wids[i]
+            if wbb_g[v] == g:
+                i += 1  # in-place update; no growth
+                continue
+            if wf_g[v] == g:
+                dw_i.append(i)
+                i += 1
+                continue
+            if rf_g[v] == g:
+                # Idempotency violation.
+                if ig_fw and op & 8:
+                    i += 1
+                    continue
+                if wbb_cap == 0:
+                    end = i
+                    cause = "violation"
+                    break
+                if wbb_len >= wbb_cap:
+                    end = i
+                    cause = "wbb_full"
+                    break
+                wbb_g[v] = g
+                wbb_len += 1
+                wbb_i.append(i)
+                if rm_dup:
+                    rf_g[v] = 0
+                    rf_len -= 1
+                i += 1
+                continue
+            # Fresh address: write-dominated.
+            if wf_cap == 0:
+                dw_i.append(i)
+                i += 1
+                continue
+            if wf_len >= wf_cap:
+                if no_wf_ovf:
+                    dw_i.append(i)
+                    i += 1
+                    continue
+                end = i
+                cause = "wf_full"
+                break
+            if apb_on:
+                p = pids[i]
+                if apb_g[p] != g:
+                    if apb_len >= apb_cap:
+                        if no_wf_ovf:
+                            dw_i.append(i)
+                            i += 1
+                            continue
+                        end = i
+                        cause = "apb_full"
+                        break
+                    apb_g[p] = g
+                    apb_len += 1
+                    apb_i.append(i)
+            wf_g[v] = g
+            wf_len += 1
+            wf_i.append(i)
+            dw_i.append(i)
+            i += 1
+            continue
+        # Read.
+        if has_pi and (waddrs[i] in pi_words or i in pi_indices):
+            i += 1
+            continue
+        if ignore_text and op & 2:
+            i += 1
+            continue
+        v = wids[i]
+        if rf_g[v] == g or wbb_g[v] == g or wf_g[v] == g:
+            i += 1
+            continue
+        if rf_len >= rf_cap:
+            if not latest:
+                end = i
+                cause = "rf_full"
+                break
+            untracked = True
+            i += 1
+            break  # drop into the untracked tail loop
+        if apb_on:
+            p = pids[i]
+            if apb_g[p] != g:
+                if apb_len >= apb_cap:
+                    if not latest:
+                        end = i
+                        cause = "apb_full"
+                        break
+                    untracked = True
+                    i += 1
+                    break
+                apb_g[p] = g
+                apb_len += 1
+                apb_i.append(i)
+        rf_g[v] = g
+        rf_len += 1
+        if rf_len > rf_peak:
+            rf_peak = rf_len
+        rf_i.append(i)
+        i += 1
+    else:
+        end = stop
+        cause = "final" if stop == n else "compiler"
+    if untracked:
+        # Untracked tail (latest-checkpoint mode after a read-side fill):
+        # reads always pass and nothing is admitted, so only writes need
+        # classifying.
+        end = stop
+        cause = "final" if stop == n else "compiler"
+        while i < stop:
+            op = ops[i]
+            if op & 1:
+                if op & 4:
+                    end = i
+                    cause = "output"
+                    break
+                if has_pi and (waddrs[i] in pi_words or i in pi_indices):
+                    pass
+                elif wbb_g[wids[i]] == g:
+                    # WBB-owned write: in-place update (the WBB's
+                    # comparators match every store), never a boundary —
+                    # mirrors on_write.
+                    pass
+                elif ig_fw and op & 8:
+                    pass
+                else:
+                    end = i
+                    cause = "latest_write"
+                    break
+            i += 1
+    return end, cause, wbb_i, dw_i, rf_i, wf_i, apb_i, rf_peak
 
 
 class IdempotencyDetector:
@@ -269,518 +503,6 @@ class IdempotencyDetector:
             self.untracked = True
             return _PROCEED
         return (CHECKPOINT, cause)
-
-    # ------------------------------------------------------------------ #
-    # Straight-line section enumeration (the fast-path entry point).
-    # ------------------------------------------------------------------ #
-
-    def chain_scratch(self, ct) -> "ChainScratch":
-        """A reusable membership scratch for :meth:`straightline_chain`.
-
-        One scratch per ``(detector, trace)`` pair; reusing it across calls
-        avoids re-zeroing the flat membership arrays (the generation stamp
-        makes old entries stale for free).
-        """
-        nwords = ct.scan_arrays(self._text_lo, self._text_hi)[2]
-        nprefixes = (
-            ct.prefix_ids(self.apb.prefix_low_bits)[1]
-            if self._apb_enabled else 0
-        )
-        return ChainScratch(nwords, nprefixes)
-
-    def straightline_chain(
-        self,
-        ct,
-        start: int,
-        direct: bool,
-        forced_done: int,
-        forced_sorted,
-        pi_words,
-        pi_indices,
-        scratch: "Optional[ChainScratch]" = None,
-        collect_dw: bool = False,
-    ):
-        """Yield every section reachable failure-free from ``start``.
-
-        From a committed checkpoint the buffers are empty, so each next
-        section boundary is a pure function of the trace, this detector's
-        configuration, and the compiler marking — independent of the power
-        schedule.  This generator replays exactly the decision sequence of
-        :meth:`on_read`/:meth:`on_write` (inlined over the precomputed
-        per-trace arrays of :meth:`~repro.trace.trace.CompiledTrace.scan_arrays`
-        and generation-stamped flat membership, no per-access method calls
-        or hash probes) and follows each boundary into the next
-        section until the final checkpoint, yielding
-        ``(start, variant, end, cause, wbb_steps)``:
-
-        * ``variant`` — ``0`` normal entry; ``1`` the compiler checkpoint
-          at ``start`` already committed (the simulator's ``forced_done``
-          latch), so it must not fire again; ``2`` the access at ``start``
-          is a committed direct text write the detector never observes.
-          :mod:`repro.sim.sections` mirrors these as ``VARIANT_*``.
-        * ``end`` — the boundary access (``ct.n`` for the final
-          checkpoint); the section executes exactly ``[start, end)``.
-        * ``cause`` — the checkpoint cause charged at the boundary.
-        * ``wbb_steps`` — ascending trace indices at which the Write-back
-          Buffer grew; ``bisect`` against a cut point inside the section
-          yields that prefix's flush size, keeping the enumeration
-          cost-model independent.
-        * ``dw_idx`` — ascending trace indices of the section's
-          write-first-path writes: the writes that commit *directly* to
-          non-volatile memory with a value a later rollback does not
-          restore.  Collected only under ``collect_dw`` (the C section
-          walk's watchdog-cut decision loads them lazily, through
-          :meth:`repro.sim.sections.SectionMap.direct_writes`, for the
-          rare sections a watchdog checkpoint actually cuts); otherwise
-          always ``()``, keeping the hot scan free of per-write
-          bookkeeping.
-
-        Enumerating the whole chain in one call amortizes the constant
-        per-section cost (buffer reset, locals binding, call overhead)
-        that dominates for small-buffer configurations whose sections
-        span only a few accesses.  A caller that already knows a suffix
-        of the chain stops consuming at the first ``(start, variant)`` it
-        has seen — the boundary sequence from any shared entry onward is
-        identical.
-
-        Args:
-            ct: :class:`repro.trace.trace.CompiledTrace` to scan.
-            start: Starting access index of the first section.
-            direct: The access at ``start`` is a committed direct text
-                write (variant ``2`` entry): scanning starts one access
-                later, since re-consulting the detector would checkpoint
-                forever.
-            forced_done: Index of the most recently committed compiler
-                checkpoint (``-1`` if none) — at its own index the
-                checkpoint must not fire again.
-            forced_sorted: Ascending compiler-checkpoint indices
-                ``< ct.n``.
-            pi_words: Word addresses marked Program Idempotent (or falsy).
-            pi_indices: Trace indices marked Program Idempotent (or
-                falsy).
-            scratch: A :class:`ChainScratch` from :meth:`chain_scratch`
-                (for the same trace) to reuse across calls; ``None``
-                allocates a fresh one.
-            collect_dw: Record each section's direct-commit write indices
-                in the yielded ``dw_idx`` (off by default; see above).
-
-        The write-value comparisons of ignore-false-writes use the
-        precomputed ``ct.false_writes`` oracle view; see
-        :mod:`repro.sim.sections` for the exact conditions under which
-        the run-time view can diverge from the oracle (and the fast path
-        falls back to the reference simulator).
-        """
-        n = ct.n
-        waddrs = ct.waddrs
-        rf_cap = self._rf_capacity
-        wf_cap = self._wf_capacity
-        wbb_cap = self.wbb.capacity
-        apb_cap = self.apb.capacity
-        apb_on = self._apb_enabled
-        ignore_text = self._ignore_text
-        ig_fw = self._ignore_false_writes
-        rm_dup = self._remove_duplicates
-        no_wf_ovf = self._no_wf_overflow
-        latest = self._latest_checkpoint
-        pi_words = pi_words or ()
-        pi_indices = pi_indices or ()
-        has_pi = bool(pi_words) or bool(pi_indices)
-
-        ops, wids, _ = ct.scan_arrays(self._text_lo, self._text_hi)
-        if apb_on:
-            pids, _ = ct.prefix_ids(self.apb.prefix_low_bits)
-        else:
-            pids = ()
-        if scratch is None:
-            scratch = self.chain_scratch(ct)
-        rf_g = scratch.rf
-        wf_g = scratch.wf
-        wbb_g = scratch.wbb
-        apb_g = scratch.apb
-
-        fs = forced_sorted
-        nfs = len(fs)
-        fidx = 0
-        while True:
-            # -- section entry: resolve the variant ---------------------- #
-            while fidx < nfs and fs[fidx] < start:
-                fidx += 1
-            at_forced = fidx < nfs and fs[fidx] == start
-            if direct:
-                variant = 2
-                scan_from = start + 1
-            elif at_forced and forced_done != start:
-                # Zero-length section: the compiler checkpoint fires
-                # before the access at ``start`` is even classified.
-                yield start, 0, start, "compiler", (), ()
-                forced_done = start
-                continue
-            else:
-                variant = 1 if at_forced else 0
-                scan_from = start
-            # The next *active* compiler checkpoint: a forced index at the
-            # start itself either fired (zero-length section above), was
-            # just committed (``forced_done`` latch), or lies behind the
-            # direct write.
-            nf_idx = fidx + 1 if at_forced else fidx
-            next_forced = fs[nf_idx] if nf_idx < nfs else n + 1
-
-            # -- straight-line scan to the next boundary ----------------- #
-            g = scratch.gen + 1
-            scratch.gen = g  # stamp bump == clear all four buffers
-            rf_len = 0
-            wf_len = 0
-            wbb_len = 0
-            apb_len = 0
-            steps = []
-            dw_i = []
-            untracked = False
-            end = n
-            cause = "final"
-            i = scan_from
-            while i < n:
-                if i == next_forced:
-                    end = i
-                    cause = "compiler"
-                    break
-                op = ops[i]
-                if op & 1:
-                    # Write.
-                    if op & 4:
-                        end = i
-                        cause = "output"
-                        break
-                    if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                        i += 1
-                        continue
-                    if ignore_text and op & 2:
-                        end = i
-                        cause = "text_write"
-                        break
-                    v = wids[i]
-                    if wbb_g[v] == g:
-                        i += 1  # in-place update; no growth
-                        continue
-                    if wf_g[v] == g:
-                        if collect_dw:
-                            dw_i.append(i)
-                        i += 1
-                        continue
-                    if rf_g[v] == g:
-                        # Idempotency violation.
-                        if ig_fw and op & 8:
-                            i += 1
-                            continue
-                        if wbb_cap == 0:
-                            end = i
-                            cause = "violation"
-                            break
-                        if wbb_len >= wbb_cap:
-                            end = i
-                            cause = "wbb_full"
-                            break
-                        wbb_g[v] = g
-                        wbb_len += 1
-                        steps.append(i)
-                        if rm_dup:
-                            rf_g[v] = 0
-                            rf_len -= 1
-                        i += 1
-                        continue
-                    # Fresh address: write-dominated.
-                    if wf_cap == 0:
-                        if collect_dw:
-                            dw_i.append(i)
-                        i += 1
-                        continue
-                    if wf_len >= wf_cap:
-                        if no_wf_ovf:
-                            if collect_dw:
-                                dw_i.append(i)
-                            i += 1
-                            continue
-                        end = i
-                        cause = "wf_full"
-                        break
-                    if apb_on:
-                        p = pids[i]
-                        if apb_g[p] != g:
-                            if apb_len >= apb_cap:
-                                if no_wf_ovf:
-                                    if collect_dw:
-                                        dw_i.append(i)
-                                    i += 1
-                                    continue
-                                end = i
-                                cause = "apb_full"
-                                break
-                            apb_g[p] = g
-                            apb_len += 1
-                    wf_g[v] = g
-                    wf_len += 1
-                    if collect_dw:
-                        dw_i.append(i)
-                    i += 1
-                    continue
-                # Read.
-                if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                    i += 1
-                    continue
-                if ignore_text and op & 2:
-                    i += 1
-                    continue
-                v = wids[i]
-                if rf_g[v] == g or wbb_g[v] == g or wf_g[v] == g:
-                    i += 1
-                    continue
-                if rf_len >= rf_cap:
-                    if not latest:
-                        end = i
-                        cause = "rf_full"
-                        break
-                    untracked = True
-                    i += 1
-                    break  # drop into the untracked tail loop
-                if apb_on:
-                    p = pids[i]
-                    if apb_g[p] != g:
-                        if apb_len >= apb_cap:
-                            if not latest:
-                                end = i
-                                cause = "apb_full"
-                                break
-                            untracked = True
-                            i += 1
-                            break
-                        apb_g[p] = g
-                        apb_len += 1
-                rf_g[v] = g
-                rf_len += 1
-                i += 1
-            if untracked:
-                # Untracked tail (latest-checkpoint mode after a read-side
-                # fill): reads always pass, so only writes need
-                # classifying.
-                while i < n:
-                    if i == next_forced:
-                        end = i
-                        cause = "compiler"
-                        break
-                    op = ops[i]
-                    if op & 1:
-                        if op & 4:
-                            end = i
-                            cause = "output"
-                            break
-                        if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                            pass
-                        elif wbb_g[wids[i]] == g:
-                            # WBB-owned write: in-place update (the WBB's
-                            # comparators match every store), never a
-                            # boundary — mirrors on_write.
-                            pass
-                        elif ig_fw and op & 8:
-                            pass
-                        else:
-                            end = i
-                            cause = "latest_write"
-                            break
-                    i += 1
-            yield start, variant, end, cause, tuple(steps), tuple(dw_i)
-
-            # -- follow the boundary into the next section --------------- #
-            if cause == "final":
-                return
-            if cause == "compiler":
-                forced_done = end
-                direct = False
-                start = end
-            elif cause == "text_write":
-                direct = True
-                start = end
-            elif cause == "output":
-                direct = False
-                start = end + 1
-            else:
-                direct = False
-                start = end
-
-    def section_arch_scan(
-        self,
-        ct,
-        start: int,
-        variant: int,
-        forced_sorted,
-        pi_words,
-        pi_indices,
-        scratch: "Optional[ChainScratch]" = None,
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int, int]:
-        """Growth-step indices of one section's tracking buffers.
-
-        Replays exactly the decision walk of :meth:`straightline_chain`
-        for the single section entered at ``(start, variant)`` (variants
-        as in :mod:`repro.sim.sections`: ``0`` normal, ``1`` compiler
-        checkpoint at ``start`` already committed, ``2`` direct text
-        write at ``start``) and records *where* each buffer grew,
-        returning ``(rf_steps, wf_steps, apb_steps, rf_peak, wbb_peak)``:
-
-        * ``rf_steps`` / ``wf_steps`` / ``apb_steps`` — ascending trace
-          indices at which the Read-First, Write-First, and
-          Address-Prefix buffers admitted a new entry.  Together with
-          the section's ``wbb_steps`` (already memoized on the
-          :class:`~repro.sim.sections.Section` record) they give the
-          exact occupancy at any cut point ``p`` by bisection:
-          WF/WBB/APB net occupancy is ``bisect_left(steps, p)``; RF net
-          occupancy is ``bisect_left(rf_steps, p)`` minus
-          ``bisect_left(wbb_steps, p)`` under remove-duplicates (every
-          WBB capture evicts its word from the RF).
-        * ``rf_peak`` — the RF's exact high-water mark over the section.
-          Remove-duplicates can shrink the RF mid-section, so unlike the
-          other three (monotone; peak = ``len(steps)``) the RF's
-          at-commit count is not its maximum.
-        * ``wbb_peak`` — the Write-back Buffer entries the whole section
-          captures (its ``wbb_steps`` count, whatever cut a chain scan
-          left the section open at).
-
-        Like the ``wbb_steps`` prefix sums, these are schedule-independent
-        — computed once per section and reused by every schedule that
-        commits it — which is what lets the introspection layer
-        (:mod:`repro.obs.analyze`) ride the fast path without per-access
-        work.  This scan runs only when introspection is enabled; it is
-        never part of the hot enumeration.
-        """
-        n = ct.n
-        waddrs = ct.waddrs
-        rf_cap = self._rf_capacity
-        wf_cap = self._wf_capacity
-        wbb_cap = self.wbb.capacity
-        apb_cap = self.apb.capacity
-        apb_on = self._apb_enabled
-        ignore_text = self._ignore_text
-        ig_fw = self._ignore_false_writes
-        rm_dup = self._remove_duplicates
-        no_wf_ovf = self._no_wf_overflow
-        latest = self._latest_checkpoint
-        pi_words = pi_words or ()
-        pi_indices = pi_indices or ()
-        has_pi = bool(pi_words) or bool(pi_indices)
-
-        ops, wids, _ = ct.scan_arrays(self._text_lo, self._text_hi)
-        if apb_on:
-            pids, _ = ct.prefix_ids(self.apb.prefix_low_bits)
-        else:
-            pids = ()
-        if scratch is None:
-            scratch = self.chain_scratch(ct)
-        rf_g = scratch.rf
-        wf_g = scratch.wf
-        wbb_g = scratch.wbb
-        apb_g = scratch.apb
-
-        fs = forced_sorted
-        j = bisect_left(fs, start)
-        at_forced = j < len(fs) and fs[j] == start
-        if variant == 0 and at_forced:
-            # Zero-length compiler section: nothing is classified.
-            return (), (), (), 0, 0
-        nf_idx = j + 1 if at_forced else j
-        next_forced = fs[nf_idx] if nf_idx < len(fs) else n + 1
-        scan_from = start + 1 if variant == 2 else start
-
-        g = scratch.gen + 1
-        scratch.gen = g
-        rf_len = 0
-        rf_peak = 0
-        wf_len = 0
-        wbb_len = 0
-        apb_len = 0
-        rf_i = []
-        wf_i = []
-        apb_i = []
-        i = scan_from
-        while i < n:
-            if i == next_forced:
-                break
-            op = ops[i]
-            if op & 1:
-                if op & 4:
-                    break
-                if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                    i += 1
-                    continue
-                if ignore_text and op & 2:
-                    break
-                v = wids[i]
-                if wbb_g[v] == g or wf_g[v] == g:
-                    i += 1
-                    continue
-                if rf_g[v] == g:
-                    if ig_fw and op & 8:
-                        i += 1
-                        continue
-                    if wbb_cap == 0 or wbb_len >= wbb_cap:
-                        break
-                    wbb_g[v] = g
-                    wbb_len += 1
-                    if rm_dup:
-                        rf_g[v] = 0
-                        rf_len -= 1
-                    i += 1
-                    continue
-                if wf_cap == 0:
-                    i += 1
-                    continue
-                if wf_len >= wf_cap:
-                    if no_wf_ovf:
-                        i += 1
-                        continue
-                    break
-                if apb_on:
-                    p = pids[i]
-                    if apb_g[p] != g:
-                        if apb_len >= apb_cap:
-                            if no_wf_ovf:
-                                i += 1
-                                continue
-                            break
-                        apb_g[p] = g
-                        apb_len += 1
-                        apb_i.append(i)
-                wf_g[v] = g
-                wf_len += 1
-                wf_i.append(i)
-                i += 1
-                continue
-            # Read.
-            if has_pi and (waddrs[i] in pi_words or i in pi_indices):
-                i += 1
-                continue
-            if ignore_text and op & 2:
-                i += 1
-                continue
-            v = wids[i]
-            if rf_g[v] == g or wbb_g[v] == g or wf_g[v] == g:
-                i += 1
-                continue
-            if rf_len >= rf_cap:
-                # Read-side fill: checkpoint boundary, or (latest mode)
-                # the untracked tail — which admits nothing either way.
-                break
-            if apb_on:
-                p = pids[i]
-                if apb_g[p] != g:
-                    if apb_len >= apb_cap:
-                        break
-                    apb_g[p] = g
-                    apb_len += 1
-                    apb_i.append(i)
-            rf_g[v] = g
-            rf_len += 1
-            if rf_len > rf_peak:
-                rf_peak = rf_len
-            rf_i.append(i)
-            i += 1
-        return tuple(rf_i), tuple(wf_i), tuple(apb_i), rf_peak, wbb_len
 
     # ------------------------------------------------------------------ #
     # View and lifecycle.

@@ -15,10 +15,10 @@ architectural view behind the paper's capacity sweeps:
 * **section shape** — accesses and consumed cycles between commits.
 
 The statistics are *schedule-independent per section*: the C section
-walk reports each commit to :mod:`repro.sim.batch`, which derives its
-occupancy from the memoized
-:meth:`~repro.sim.sections.SectionMap.arch_stats` growth steps (bisect
-arithmetic per commit, no per-access work), and the reference simulator
+walk reports each commit to :mod:`repro.sim.batch`, which scans the
+committed section once (:func:`repro.core.detector.scan_section`) and
+derives its occupancy from the section's growth steps by bisect
+arithmetic, and the reference simulator
 snapshots ``detector.occupancy()`` at each commit — the same numbers, so
 the two engines reconcile exactly.  Section peaks come from the walk
 only.  Aggregation is bounded-memory

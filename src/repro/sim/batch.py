@@ -27,8 +27,8 @@ under ``allow_stall``) or raises the reference's
 Under a live architecture collector (:mod:`repro.obs.analyze`) the walk
 stops after each commit with its record — cause, section, cut, WBB
 entries and checkpoint cycles — and :class:`_ArchFold` derives the
-commit-instant occupancy from the section's memoized growth steps
-(:meth:`~repro.sim.sections.SectionMap.arch_stats`), the numbers the
+commit-instant occupancy from one Python scan of the section's growth
+steps (:func:`~repro.core.detector.scan_section`), the numbers the
 reference snapshots from its live detector.
 
 Fallback.  A row the walk cannot carry runs on the reference simulator
@@ -53,6 +53,7 @@ from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.cext import WALK_CAUSE_NAMES, _addr
 from repro.core.config import ClankConfig
+from repro.core.detector import kernel_params, scan_section
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.metrics import COUNTERS, by_prefix
 from repro.obs.recorder import live_recorder
@@ -270,16 +271,20 @@ def _plan(sim: IntermittentSimulator, config: ClankConfig, walk: bool,
 class _ArchFold:
     """Folds one walked run's commit records into an accumulator.
 
-    Each commit's occupancy is bisect arithmetic over the section's
-    memoized growth steps (:meth:`SectionMap.arch_stats`), and its
-    section peaks are recorded once per section key — no per-access
-    work, and the same numbers the reference snapshots at each commit.
+    Each commit scans its section once (:func:`scan_section`) and takes
+    its occupancy by bisect arithmetic over the section's growth steps;
+    its section peaks are recorded once per section key.  These are the
+    numbers the reference snapshots from its live detector at each
+    commit.
     """
 
-    __slots__ = ("smap", "acc", "rm_dup", "waddrs", "last")
+    __slots__ = ("scan", "acc", "rm_dup", "waddrs", "last")
 
     def __init__(self, smap, config: ClankConfig, acc):
-        self.smap = smap
+        #: ``scan_section``'s leading arguments: the map's trace,
+        #: configuration and marking.
+        self.scan = (smap.ct, kernel_params(config), config.prefix_low_bits,
+                     smap._forced_sorted, smap.pi_words, smap.pi_indices)
         self.acc = acc
         self.rm_dup = config.optimizations.remove_duplicates
         self.waddrs = smap.ct.waddrs
@@ -301,8 +306,8 @@ class _ArchFold:
                               (e - c) - self.last, c)
             self.last = e
             return
-        rf_s, wf_s, apb_s, rf_peak, wbb_peak = self.smap.arch_stats(
-            s, variant)
+        _, _, wbb_s, _, rf_s, wf_s, apb_s, rf_peak = scan_section(
+            *self.scan, s, variant)
         if how == _CM_CUT:
             nrf = bisect_left(rf_s, at)
             nwf = bisect_left(wf_s, at)
@@ -316,7 +321,7 @@ class _ArchFold:
             addr, at - s, (e - c) - self.last, c,
         )
         acc.record_section((s << 2) | variant,
-                           (rf_peak, len(wf_s), wbb_peak, len(apb_s)))
+                           (rf_peak, len(wf_s), len(wbb_s), len(apb_s)))
         self.last = e
 
 

@@ -31,6 +31,9 @@ The one dispatcher,
 :func:`repro.sim.batch.simulate_batch`, family-builds the cold maps of
 its walkable rows' distinct configs, :data:`FAMILY_CHUNK` per pass,
 before it walks (:func:`prefetch_family`), so every walked map is flat.
+The kernel ports the one Python section scan,
+:func:`repro.core.detector.scan_section`, which is its test oracle and
+which ``--arch`` runs once per commit (:mod:`repro.sim.batch`).
 
 :func:`get_section_map` builds each map once per process and keeps it
 in a plain dict under a content key; :func:`clear_cache` empties it.
@@ -73,7 +76,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core import cext as _cext
 from repro.core.config import ClankConfig
-from repro.core.detector import IdempotencyDetector, kernel_params
+from repro.core.detector import kernel_params
 from repro.obs.metrics import COUNTERS
 from repro.trace.trace import Trace
 
@@ -114,16 +117,14 @@ class SectionMap:
     only on the trace (scan buffers, cycle sums, the forced-checkpoint
     mask, the shared tables) lives on the compiled trace, and whatever
     depends only on the configuration (the kernels' capacity and flag
-    ints) is derived from it on demand; an :class:`IdempotencyDetector`
-    is built only for :meth:`arch_stats`.  Nothing a map holds refers
+    ints) is derived from it on demand.  Nothing a map holds refers
     back to it, so an evicted map is freed by reference counting.
     """
 
     __slots__ = (
         "ct", "config", "n", "pi_words", "pi_indices", "forced",
-        "_forced_sorted", "pi_hazard", "_detector",
-        "_scratch", "_arch_cache", "_engine", "_flat", "_ov", "_dw", "_tab",
-        "walk_draws", "__weakref__",
+        "_forced_sorted", "pi_hazard", "_engine", "_flat", "_ov", "_dw",
+        "_tab", "walk_draws", "__weakref__",
     )
 
     def __init__(
@@ -145,9 +146,6 @@ class SectionMap:
         # A compiler checkpoint at index n never fires: the final
         # checkpoint precedes the forced check in the replay loop.
         self._forced_sorted = tuple(sorted(f for f in forced if f < ct.n))
-        self._detector = None  # arch_stats scans only (_python_scan)
-        self._scratch = None
-        self._arch_cache: Dict[int, tuple] = {}
         self._engine = None  # one-member ChainScanEngine, on first scan
         opts = config.optimizations
         #: Static false-write hazard: an access-marked PI write commits to
@@ -188,17 +186,6 @@ class SectionMap:
             eng = self._engine = _engine([self], self.config.prefix_low_bits)
         return eng
 
-    def _python_scan(self):
-        """``(detector, scratch)`` for :meth:`arch_stats`'s pure-Python
-        scans, built on first use."""
-        det = self._detector
-        if det is None:
-            det = self._detector = IdempotencyDetector(
-                self.config, self.ct.text_range
-            )
-            self._scratch = det.chain_scratch(self.ct)
-        return det, self._scratch
-
     def scan_chain(self, start: int, variant: int, perf_load: int = 0):
         """The failure-free chain from ``(start, variant)``, unmemoized.
 
@@ -230,36 +217,6 @@ class SectionMap:
         eng = self._chain_engine()
         steps = eng.scan(start, variant, None, 0, _cext.F_FIRST_DW)[4]
         return steps[:eng.nst[0]]
-
-    def arch_stats(
-        self, start: int, variant: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], int, int]:
-        """The section's buffer growth steps and RF and WBB peaks
-        (memoized).
-
-        ``(rf_steps, wf_steps, apb_steps, rf_peak, wbb_peak)`` from
-        :meth:`~repro.core.detector.IdempotencyDetector.section_arch_scan`
-        — schedule-independent, like the ``wbb_steps`` already stored on
-        the section record, so every schedule that commits this section
-        shares one scan.  Only the introspection layer
-        (:mod:`repro.obs.analyze`) asks for these, and only when enabled;
-        the hot enumeration and replay paths never touch them.
-        """
-        key = (start << 2) | variant
-        stats = self._arch_cache.get(key)
-        if stats is None:
-            det, scratch = self._python_scan()
-            stats = det.section_arch_scan(
-                self.ct,
-                start,
-                variant,
-                self._forced_sorted,
-                self.pi_words,
-                self.pi_indices,
-                scratch,
-            )
-            self._arch_cache[key] = stats
-        return stats
 
 
 # --------------------------------------------------------------------- #

@@ -228,6 +228,35 @@ class CompiledTrace:
                     array("i", bytes(4 * (n_words + 1))))
         return self._memoized(("cut",), build)
 
+    def scan_scratch(self, shift: int) -> tuple:
+        """Everything the Python section scan
+        (:func:`repro.core.detector.scan_section`) reads besides its
+        arguments, in one memo entry per APB prefix shift.
+
+        ``(ops, word_ids, prefix_ids, gen, rf, wf, wbb, apb)``: the
+        :meth:`scan_arrays` of the text range and the :meth:`prefix_ids`
+        of ``shift`` (empty when ``shift`` is ``-1``, no APB) as lists,
+        which index faster than arrays, then the membership scratch: a
+        one-element generation counter and one stamp list per dense word
+        id (per prefix id for ``apb``).  A slot is a member of the
+        scanned section's buffer iff it holds the current generation, so
+        bumping ``gen[0]`` empties all four buffers in O(1) and the lists
+        are never re-zeroed.
+        """
+        # One dict probe per call: the scan runs once per ``--arch``
+        # commit, and most sections span a few accesses.
+        key = ("scan_scratch", shift)
+        scratch = self._memo.get(key)
+        if scratch is None:
+            ops, wids, n_words = self.scan_arrays(*self.text_range)
+            pids, n_prefixes = (
+                self.prefix_ids(shift) if shift >= 0 else ((), 0))
+            scratch = self._memo[key] = (
+                ops.tolist(), wids.tolist(), list(pids), [0],
+                [0] * n_words, [0] * n_words, [0] * n_words,
+                [0] * n_prefixes)
+        return scratch
+
     # ----------------------------------------------------------------- #
     # C-kernel buffers (repro.core.cext).  All memoized: built once per
     # trace, shared by every ChainScanEngine and section walk over it.

@@ -1,7 +1,7 @@
 """The watchdog-cut predicate in Python: the test oracle of the C walk's
 cut decision (``sw_cut_safe`` in ``_chainscan.c``), as
-``IdempotencyDetector.straightline_chain`` is the oracle of the chain
-scan.
+:func:`repro.core.detector.scan_section` (followed section by section
+in ``tests/chain_oracle.py``) is the oracle of the chain scan.
 
 :func:`watchdog_cut_safe` carries the argument for why the decision is
 exact; ``tests/test_cut_decision.py`` checks the C port against it on

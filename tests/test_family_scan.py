@@ -8,11 +8,15 @@ the same family twice — once through
 and require the canonical chains to match exactly, across PI markings,
 forced-checkpoint resume variants, ragged member depths, and the
 output-segment overflow retry.  The per-config oracle is a one-member
-kernel scan (the ``cext`` parametrization) or the pure-Python generator
-the kernel ports (``python``).  The generated-trace tests check the
-kernel against the generator on short Hypothesis traces: every member
-of a family pass, and one-member scans from any entry with the
-rejoin stop, a Performance Watchdog limit and direct-write output.
+kernel scan (the ``cext`` parametrization) or the Python chain the
+kernel ports (``python``: :func:`tests.chain_oracle.oracle_chain` over
+:func:`repro.core.detector.scan_section`).  The generated-trace tests
+check the kernel against that chain on short Hypothesis traces: every
+member of a family pass, and one-member scans from any entry with the
+rejoin stop, a Performance Watchdog limit and direct-write output.  On
+the same traces the Python section scan is checked against the
+per-access reference (``IdempotencyDetector.on_read``/``on_write``):
+its boundary, its buffer growth steps and its RF peak.
 Without the C kernel (``REPRO_CEXT=0``) ``build_family`` must make no
 family pass at all: every run then goes to the reference simulator, and
 no map grows a table.
@@ -29,7 +33,6 @@ import hashlib
 import itertools
 import weakref
 from array import array
-from bisect import bisect_left
 
 import hypothesis.strategies as st
 import pytest
@@ -39,7 +42,10 @@ import repro.cache as artifact_cache
 from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
-from repro.core.detector import IdempotencyDetector
+from repro.core.detector import (
+    CHECKPOINT, CHECKPOINT_THEN_WRITE, PROCEED, IdempotencyDetector,
+    kernel_params, scan_section,
+)
 from repro.eval.parallel import SimJob, run_jobs
 from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
@@ -49,11 +55,12 @@ from repro.serve import ServeClient, start_in_background
 from repro.sim import fast, sections
 from repro.sim.fast import simulate_fast
 from repro.sim.sections import (
-    build_family, clear_cache, get_section_map,
+    SectionMap, build_family, clear_cache, get_section_map,
 )
 from repro.workloads import get_trace
 from repro.workloads.registry import get_workload
 
+from tests.chain_oracle import oracle_chain
 from tests.conftest import DATA_WORD, make_trace
 
 
@@ -74,16 +81,8 @@ def _grid(rf=(1, 2, 8, 16), wf=(0, 1, 8), wbb=(0, 2), apb=(0, 2)):
 
 
 def _python_chain(m):
-    """The canonical chain of map ``m`` from the pure-Python generator."""
-    det = IdempotencyDetector(m.config, m.ct.text_range)
-    return [
-        ((start << 2) | variant, end, cext.CAUSE_NAMES.index(cause),
-         tuple(steps))
-        for start, variant, end, cause, steps, _ in det.straightline_chain(
-            m.ct, 0, False, -1, m._forced_sorted, m.pi_words, m.pi_indices,
-            det.chain_scratch(m.ct),
-        )
-    ]
+    """The canonical chain of map ``m`` from the Python section scan."""
+    return [sec[:4] for sec in oracle_chain(m)]
 
 
 def _scalar_tables(trace, configs, oracle="cext", **kw):
@@ -268,7 +267,8 @@ def test_c_paths_build_no_detector():
     maps = _walk_all(trace, grid)
     assert all(m._tab is not None for m in maps)  # the C walk ran
     assert any(m._ov is not None for m in maps)  # and went off-chain
-    assert all(m._detector is None for m in maps)
+    assert not any(isinstance(getattr(m, slot, None), IdempotencyDetector)
+                   for m in maps for slot in SectionMap.__slots__)
 
 
 def test_forced_mask_shared_per_trace_and_forced_set():
@@ -511,7 +511,8 @@ class TestPassesFollowRows:
 
 
 # --------------------------------------------------------------------- #
-# Generated traces: the kernel against the Python generator.
+# Generated traces: the kernel against the Python chain, and the Python
+# section scan against the per-access reference.
 # --------------------------------------------------------------------- #
 
 #: Word offsets from the data segment of two data words, a text word
@@ -568,48 +569,6 @@ def scan_inputs(draw):
     )
 
 
-def _oracle_chain(m, start, variant, stop=(), perf_load=0):
-    """The chain scan of map ``m`` from ``(start, variant)``, assembled
-    from the Python generator's first sections: ``[(key, end, cause id,
-    wbb steps, direct writes), ...]`` up to the first later section whose
-    key is in ``stop``, each section left open at the access that fires
-    a Performance Watchdog of load ``perf_load`` (> 0)."""
-    det = IdempotencyDetector(m.config, m.ct.text_range)
-    scratch = det.chain_scratch(m.ct)
-    gcum, n = m.ct.cum_cycles, m.n
-    direct, forced_done = variant == 2, start if variant == 1 else -1
-    out = []
-    while True:
-        chain = det.straightline_chain(
-            m.ct, start, direct, forced_done, m._forced_sorted, m.pi_words,
-            m.pi_indices, scratch, collect_dw=True,
-        )
-        s, v, end, cause, steps, dw = next(chain)
-        chain.close()
-        key = (s << 2) | v
-        if out and key in stop:
-            return out
-        cid = cext.CAUSE_NAMES.index(cause)
-        if cause == "compiler" and end == s:
-            # The zero-length section of a compiler checkpoint.
-            out.append((key, end, cid, (), ()))
-            forced_done = s
-            continue
-        lim = bisect_left(gcum, gcum[s] + perf_load, s + 1, n) \
-            if perf_load > 0 else n
-        if lim < n and end >= lim:
-            end, cid = lim, cext.CAUSE_OPEN
-            steps = tuple(j for j in steps if j < lim)
-            dw = tuple(j for j in dw if j < lim)
-        out.append((key, end, cid, tuple(steps), tuple(dw)))
-        if cause == "final" and cid != cext.CAUSE_OPEN:
-            return out
-        direct = cid == cext.CAUSE_NAMES.index("text_write")
-        if cid == cext.CAUSE_NAMES.index("compiler"):
-            forced_done = end
-        start = end + 1 if cid == cext.CAUSE_NAMES.index("output") else end
-
-
 #: Generated examples per test; the map cache is shared across them.
 #: Family passes get more: the rarer branches (a WBB-owned write in the
 #: untracked tail, say) need one member of the right shape.
@@ -624,11 +583,11 @@ class TestGeneratedTraces:
     @settings(GENERATED, max_examples=300)
     @given(scan_inputs(), st.lists(configs(), min_size=2, max_size=8))
     def test_family_pass_matches_generator(self, inputs, family):
-        # A K-member pass: every member's flat chain is the generator's.
+        # A K-member pass: every member's flat chain is the oracle's.
         trace, kw = inputs
         for m in build_family(trace, family, **kw):
             assert _flat_chain(m) == [
-                sec[:4] for sec in _oracle_chain(m, 0, 0)
+                sec[:4] for sec in oracle_chain(m, 0, 0)
             ], m.config
 
     @GENERATED
@@ -645,8 +604,79 @@ class TestGeneratedTraces:
         stop = m._flat[0]
         assert m.scan_chain(start, variant, perf_load) == [
             (key, end, cid, array("i", steps) if steps else ())
-            for key, end, cid, steps, _ in _oracle_chain(
+            for key, end, cid, steps, _ in oracle_chain(
                 m, start, variant, set(stop), perf_load)
         ]
-        dw = _oracle_chain(m, start, variant)[0][4]
+        dw = oracle_chain(m, start, variant)[0][4]
         assert list(m.direct_writes(start, variant)) == list(dw)
+
+
+def _reference_section(m, start, variant):
+    """The section of map ``m`` at ``(start, variant)``, stepped access by
+    access through a fresh :class:`IdempotencyDetector` the way the
+    reference simulator drives it, in :func:`scan_section`'s shape:
+    ``(end, cause, wbb_steps, dw_steps, rf_steps, wf_steps, apb_steps,
+    rf_peak)``."""
+    ct = m.ct
+    det = IdempotencyDetector(m.config, ct.text_range)
+    forced = set(m._forced_sorted)
+    grown = {"rf": [], "wf": [], "wbb": [], "apb": []}
+    dw = []
+    rf_peak = 0
+    end, cause = ct.n, "final"
+    i = start + 1 if variant == 2 else start
+    while i < ct.n:
+        w = ct.waddrs[i]
+        if i in forced and not (variant == 1 and i == start):
+            end, cause = i, "compiler"
+            break
+        if ct.out_writes[i]:
+            end, cause = i, "output"
+            break
+        if w in m.pi_words or i in m.pi_indices:
+            i += 1  # Program Idempotent: the hardware ignores it
+            continue
+        before = det.occupancy()
+        if ct.kinds[i] == READ:
+            action, why = det.on_read(w)
+            direct = False
+        else:
+            # A write-first-path write: tracked, and not to a read-first
+            # word (that write is a violation or a false write).
+            direct = not det.untracked and w not in det.rf
+            # A false write writes the value the word already holds.
+            action, why = det.on_write(w, 1, ct.false_writes[i])
+        if action in (CHECKPOINT, CHECKPOINT_THEN_WRITE):
+            end, cause = i, why
+            break
+        after = det.occupancy()
+        for buf, steps in grown.items():
+            if after[buf] > before[buf]:
+                steps.append(i)
+        rf_peak = max(rf_peak, after["rf"])
+        if direct and action == PROCEED:
+            dw.append(i)
+        i += 1
+    return (end, cause, grown["wbb"], dw, grown["rf"], grown["wf"],
+            grown["apb"], rf_peak)
+
+
+class TestSectionScan:
+    @GENERATED
+    @given(scan_inputs(), configs(), st.data())
+    def test_matches_reference_detector(self, inputs, config, data):
+        # The one Python section scan against the per-access reference
+        # over the same section, from a generated entry and from every
+        # entry of the canonical chain: its boundary and cause, the
+        # indices at which each buffer grew, its direct writes and its
+        # RF peak.  Needs no C kernel.
+        trace, kw = inputs
+        m = get_section_map(trace, config, **kw)
+        entries = {(data.draw(st.integers(0, m.n - 1)),
+                    data.draw(st.sampled_from((0, 1, 2))))}
+        entries.update((key >> 2, key & 3) for key, *_ in oracle_chain(m))
+        for start, variant in sorted(entries):
+            assert scan_section(
+                m.ct, kernel_params(config), config.prefix_low_bits,
+                m._forced_sorted, m.pi_words, m.pi_indices, start, variant,
+            ) == _reference_section(m, start, variant), (start, variant)

@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
-from repro.core.detector import IdempotencyDetector, kernel_params
+from repro.core.detector import kernel_params, scan_section
 from repro.eval.runner import pi_words_for
 from repro.obs.metrics import COUNTERS
 from repro.obs.recorder import MemoryRecorder, NullRecorder
@@ -33,6 +33,7 @@ from repro.sim.simulator import IntermittentSimulator
 from repro.trace.access import READ, WRITE
 from repro.workloads import get_trace
 
+from tests.chain_oracle import oracle_chain
 from tests.conftest import DATA_WORD, make_trace
 from tests.cut_oracle import c_decision, direct_writes, watchdog_cut_safe
 
@@ -378,16 +379,18 @@ class TestEligibility:
 
 
 class TestCExtension:
-    """The C chain-scan kernel vs. the pure-Python reference generator."""
+    """The C chain-scan kernel vs. the Python chain oracle."""
 
-    def _chain(self, det, ct, forced, pw, pi_idx):
-        scratch = det.chain_scratch(ct)
-        return list(
-            (s, v, end, cause, steps)
-            for s, v, end, cause, steps, _ in det.straightline_chain(
-                ct, 0, False, -1, forced, pw, pi_idx, scratch
-            )
-        )
+    @staticmethod
+    def _chain(trace, config, forced, pw):
+        """The Python canonical chain: ``(start, variant, end, cause,
+        wbb_steps)`` per section."""
+        m = SectionMap(trace, config, pi_words=pw,
+                       forced_checkpoints=frozenset(forced))
+        return [
+            (key >> 2, key & 3, end, cext.CAUSE_NAMES[cid], steps)
+            for key, end, cid, steps, _ in oracle_chain(m)
+        ]
 
     @staticmethod
     def _engine(lib, config, ct, forced, piw):
@@ -409,9 +412,6 @@ class TestCExtension:
         for spec in CONFIGS:
             for opts in OPT_COMBOS:
                 config = ClankConfig(*spec, optimizations=opts)
-                det = IdempotencyDetector(
-                    config, trace.memory_map.text_word_range
-                )
                 eng = self._engine(lib, config, ct, forced, piw)
                 keys, ends, causes, soff, steps, _ = eng.scan()
                 from_c = [
@@ -419,10 +419,9 @@ class TestCExtension:
                      tuple(steps[soff[k]:soff[k + 1]]))
                     for k in range(eng.nev[0])
                 ]
-                assert from_c == self._chain(det, ct, forced, piw,
-                                             frozenset())
+                assert from_c == self._chain(trace, config, forced, piw)
 
-    def test_first_dw_matches_python_collect_dw(self):
+    def test_first_dw_matches_python_scan(self):
         lib = cext.chain_scan_lib()
         if lib is None:
             pytest.skip(f"C kernel unavailable: {cext.cext_status()}")
@@ -431,24 +430,18 @@ class TestCExtension:
         opts = PolicyOptimizations(ignore_false_writes=True,
                                    no_wf_overflow=True)
         config = ClankConfig(4, 2, 1, 0, optimizations=opts)
-        det = IdempotencyDetector(config, trace.memory_map.text_word_range)
         eng = self._engine(lib, config, ct, [], frozenset())
-        scratch = det.chain_scratch(ct)
         starts = [
-            (s, v) for s, v, *_ in det.straightline_chain(
-                ct, 0, False, -1, [], frozenset(), frozenset(), scratch
-            )
+            (s, v) for s, v, *_ in self._chain(trace, config, [], None)
         ][:8]
         for s, v in starts:
-            chain = det.straightline_chain(
-                ct, s, v == 2, s if v == 1 else -1, [],
-                frozenset(), frozenset(), scratch, collect_dw=True,
-            )
-            py_dw = next(chain)[5]
-            chain.close()
+            py_dw = scan_section(
+                ct, kernel_params(config), config.prefix_low_bits, (),
+                frozenset(), frozenset(), s, v,
+            )[3]
             steps = eng.scan(s, v, xflags=cext.F_FIRST_DW)[4]
             assert eng.nev[0] == 1
-            assert list(steps[:eng.nst[0]]) == list(py_dw)
+            assert list(steps[:eng.nst[0]]) == py_dw
 
     def test_repro_cext_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_CEXT", "0")

@@ -3,8 +3,10 @@
 The load-bearing contract: the statistics are computed two entirely
 different ways — the reference simulator snapshots the live detector at
 each commit, the C section walk reports each commit and
-:mod:`repro.sim.batch` derives its occupancy from memoized per-section
-growth steps — and the two must reconcile *exactly*, with cause totals
+:mod:`repro.sim.batch` derives its occupancy from the growth steps of
+one Python scan of the committed section
+(:func:`repro.core.detector.scan_section`) — and the two must reconcile
+*exactly*, with cause totals
 equal to each run's ``checkpoints_by_cause``.  The collector must be off by
 default and bounded in memory.
 """
